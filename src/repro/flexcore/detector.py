@@ -1,35 +1,58 @@
-"""FlexCore's parallel detection engine (§3.2, Fig. 2).
+"""FlexCore's parallel detection engine (§3.2, Fig. 2): a plan and a core.
 
 Each position vector selected by pre-processing maps to one processing
 element, which walks its tree path from the top level down: compute the
 effective received point (Eq. 5), pick the ``p(l)``-th closest symbol via
 the triangle LUT, accumulate the partial Euclidean distance (Eq. 1).  No
 processing element communicates with any other until the final minimum —
-the "nearly embarrassingly parallel" property.
+the "nearly embarrassingly parallel" property, and the paper's §5.2
+mapping of thousands of independent (subcarrier x path) elements onto
+wide parallel hardware.
 
-Two vectorised realisations of that independence live here:
+Every path through this module — :meth:`FlexCoreDetector.detect_prepared`
+(one channel, a group of one), :meth:`~FlexCoreDetector.
+detect_block_prepared` (a coherence block grouped by path count), and
+the soft detector's two entry points — runs the same two pieces, so the
+per-channel loop and the stacked kernel are bit-identical by
+construction, on any array module (:mod:`repro.utils.xp`):
 
-* :meth:`FlexCoreDetector.detect_prepared` spreads one channel's walk
-  across (received vectors x paths) — the per-subcarrier kernel;
-* :meth:`FlexCoreDetector.detect_block_prepared` stacks a whole coherence
-  block of channels sharing a path count into one ``(S, F, P, Nt)``
-  tensor walk — the paper's §5.2 mapping of thousands of independent
-  (subcarrier x path) processing elements onto wide parallel hardware.
-  It runs on any array module (numpy default, cupy/torch optional — see
-  :mod:`repro.utils.xp`); under numpy every operation decomposes into
-  the same elementwise/BLAS computations as the per-subcarrier kernel,
-  keeping the outputs bit-identical.
+**The plan** (:class:`_StackedContexts`) is everything about a group of
+``G`` channels that no received frame changes, built once and kept
+device-side by the :class:`~repro.runtime.residency.
+ResidentContextStore`.  Hoisted into it: each path's canonical triangle
+offsets per level (a LUT gather on the position vectors, stored as small
+integers with the path axis last so a budget clamp is a slice); the
+interference rows of ``R`` divided by the diagonal and embedded as real
+``[[Re, -Im], [Im, Re]]`` blocks; ``1 / (diag * scale)`` and ``diag**2 *
+scale**2``, which move the walk into the constellation's odd-integer
+grid units, where the LUT arithmetic lives.
 
-A processing element whose LUT lookup leaves the constellation is
-*deactivated* (its distance becomes infinite), per §3.2.  Rank-1 lookups
-never deactivate (the detection square is clamped inside the
-constellation), so the all-ones path always survives and a decision is
-always produced.
+**The core** (:meth:`FlexCoreDetector._walk`) is the only level loop.
+It keeps real and imaginary planes apart and stores symbols level-major,
+``(G, F, 2 Nt, P)``, so the levels already decided are one contiguous
+slab and the interference is one ``(2 x 2k) @ (2k x P)`` product per
+(subcarrier, frame).  That shape is deliberate: it does not depend on
+``G`` or on the frame chunk, so BLAS sees the same call whether a
+channel is walked alone or stacked, whole or chunked — a flat product
+over ``F * P`` columns is faster to write and *not* bit-stable.  The
+triangle's reflections and diagonal swap are arithmetic on the plan's
+offsets, and symbol indices are looked up after the walk: for the
+arg-min path only on the hard path, for every candidate in one pass on
+the soft path.
+
+A processing element whose pick leaves the constellation is
+*deactivated* (its distance becomes infinite), per §3.2: the pick is
+clipped back onto the grid, and "the clip changed it" is the test.  A
+dead element therefore keeps walking on valid symbols — its numbers are
+meaningless but finite, and nothing reads them once its distance is
+infinite.  Rank-1 picks never leave (the detection square is clamped
+inside the constellation), so the all-ones path always survives and a
+decision is always produced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,8 +79,27 @@ from repro.obs import SPAN_QR, SPAN_TREE_SEARCH, current_tracer
 from repro.utils.flops import NULL_COUNTER, FlopCounter
 from repro.utils.xp import resolve_array_module
 
-#: Bound on (batch-chunk x paths) live elements.
-MAX_CHUNK_ELEMENTS = 1 << 18
+#: Bound on the float64 values one chunk of the walk keeps live — purely
+#: a memory knob: the walk has no cross-frame coupling, so results are
+#: bit-identical for every value (see :func:`frames_per_chunk`).
+MAX_CHUNK_ELEMENTS = 1 << 23
+
+#: Float64 values the core holds per (subcarrier, frame, path) element
+#: beyond the ``2 Nt`` symbol planes: the running distance and about
+#: eight two-plane temporaries per level.
+_WALK_TEMPORARIES = 18
+
+
+def frames_per_chunk(
+    group: int, paths: int, num_streams: int, extra: int = 0
+) -> int:
+    """Frames of a ``(G, F, P)`` walk that fit :data:`MAX_CHUNK_ELEMENTS`.
+
+    ``extra`` is what the caller holds per element on top of the core
+    (the soft path's bit-hypothesis tensors).
+    """
+    per_frame = group * paths * (2 * num_streams + _WALK_TEMPORARIES + extra)
+    return max(1, MAX_CHUNK_ELEMENTS // max(per_frame, 1))
 
 
 @dataclass
@@ -285,94 +327,16 @@ class FlexCoreDetector(Detector):
         counter: FlopCounter = NULL_COUNTER,
     ) -> DetectionResult:
         received = self._check_received(received)
-        rotated = context.qr.rotate_received(received)
-        paths = context.position_vectors.shape[0]
-        chunk = max(1, MAX_CHUNK_ELEMENTS // max(paths, 1))
-        pieces = []
-        deactivated = 0
-        for start in range(0, rotated.shape[0], chunk):
-            block = rotated[start : start + chunk]
-            indices, dead = self._detect_chunk(context, block, counter)
-            pieces.append(indices)
-            deactivated += dead
-        indices = np.concatenate(pieces, axis=0)
-        restored = context.qr.restore_order(indices)
+        indices, deactivated = self._detect_group(
+            [context], received[None], resolve_array_module(None), counter
+        )
         return DetectionResult(
-            indices=restored,
+            indices=indices[0],
             metadata={
-                "paths": paths,
-                "deactivated_path_evaluations": deactivated,
+                "paths": context.position_vectors.shape[0],
+                "deactivated_path_evaluations": int(deactivated[0]),
             },
         )
-
-    def _detect_chunk(
-        self,
-        context: FlexCoreContext,
-        rotated: np.ndarray,
-        counter: FlopCounter,
-    ) -> tuple[np.ndarray, int]:
-        constellation = self.system.constellation
-        points = constellation.points
-        num_streams = self.system.num_streams
-        batch = rotated.shape[0]
-        position_vectors = context.position_vectors  # (P, Nt)
-        paths = position_vectors.shape[0]
-        r = context.qr.r
-
-        symbols = np.zeros((batch, paths, num_streams), dtype=np.complex128)
-        indices = np.zeros((batch, paths, num_streams), dtype=np.int64)
-        ped = np.zeros((batch, paths))
-        alive = np.ones((batch, paths), dtype=bool)
-
-        for level in range(num_streams - 1, -1, -1):
-            if level + 1 < num_streams:
-                interference = symbols[:, :, level + 1 :] @ r[level, level + 1 :]
-            else:
-                interference = np.zeros((batch, paths))
-            effective = (
-                rotated[:, level][:, None] - interference
-            ) / context.diag[level]
-            ranks = np.broadcast_to(
-                position_vectors[:, level][None, :], (batch, paths)
-            )
-            if self.use_exact_ordering:
-                level_indices = self._exact_kth(effective, ranks)
-            else:
-                level_indices = self.ordering.kth_symbol_indices(
-                    effective, ranks
-                )
-            dead = level_indices < 0
-            alive &= ~dead
-            safe_indices = np.where(dead, 0, level_indices)
-            symbols[:, :, level] = points[safe_indices]
-            indices[:, :, level] = safe_indices
-            ped += context.weights[level] * (
-                np.abs(effective - symbols[:, :, level]) ** 2
-            )
-            counter.add_complex_mults(batch * paths * (num_streams - 1 - level))
-            counter.add_real_mults(batch * paths * 5)
-        ped[~alive] = np.inf
-        best = np.argmin(ped, axis=1)
-        chosen = np.take_along_axis(indices, best[:, None, None], axis=1)[
-            :, 0, :
-        ]
-        deactivated = int(np.count_nonzero(~alive))
-        return chosen, deactivated
-
-    def _exact_kth(
-        self, effective: np.ndarray, ranks: np.ndarray, xp=None
-    ) -> np.ndarray:
-        """Exhaustive k-th-closest lookup (ablation reference).
-
-        N-dimensional and backend-agnostic: works on any-shape inputs
-        from any array module (the stacked kernel feeds ``(S, F, P)``
-        tensors).
-        """
-        xp = resolve_array_module(xp)
-        points = self.system.constellation.device_points(xp)
-        distances = xp.abs(effective[..., None] - points) ** 2
-        order = xp.argsort(distances, axis=-1)
-        return xp.take_along_axis(order, ranks[..., None] - 1, axis=-1)[..., 0]
 
     # ------------------------------------------------------------------
     # Stacked tensor-walk kernel: a whole coherence block in one pass
@@ -389,7 +353,7 @@ class FlexCoreDetector(Detector):
         """Detect a ``(S, F, Nr)`` block over ``S`` prepared contexts.
 
         Subcarriers sharing an active path count are stacked into one
-        ``(G, F, P, Nt)`` tensor and all their tree levels walk in a
+        ``(G, F, P)`` element tensor and all their tree levels walk in a
         handful of array operations — the §5.2 "thousands of independent
         processing elements" mapping.  ``xp`` selects the array module
         (numpy default; cupy/torch run the same kernel on their own
@@ -398,11 +362,11 @@ class FlexCoreDetector(Detector):
 
         ``store`` is an optional
         :class:`~repro.runtime.residency.ResidentContextStore`: the
-        stacked context tensors are fetched from it device-side on warm
-        calls, so only ``received`` is uploaded.  ``max_paths`` applies
-        the control plane's path budget by *slicing* the (resident)
-        stacks — a view, never a re-upload, and never a mutation of the
-        cached contexts.
+        group's walk plan is fetched from it device-side on warm calls,
+        so only ``received`` is uploaded.  ``max_paths`` applies the
+        control plane's path budget by *slicing* the (resident) plan —
+        a view, never a re-upload, and never a mutation of the cached
+        contexts.
 
         Returns ``(indices, metadata)``: ``(S, F, Nt)`` hard decisions in
         original stream order plus one metadata dict per subcarrier,
@@ -463,12 +427,12 @@ class FlexCoreDetector(Detector):
     ) -> "dict[tuple[int, int], list[int]]":
         """Subcarrier indices grouped by ``(prepared, effective)`` paths.
 
-        Contexts in a group stack into one rectangular ``(G, F, P, Nt)``
-        tensor; groups differ only when pre-processing stopped early or
+        Contexts in a group stack into one rectangular ``(G, F, P)``
+        walk; groups differ only when pre-processing stopped early or
         a-FlexCore trimmed the active set.  ``effective`` is the prepared
         count clamped to the ``max_paths`` budget — a pure function of
         ``prepared`` within one call, so group membership (and therefore
-        the residency key of each group's stack) is stable while an AIMD
+        the residency key of each group's plan) is stable while an AIMD
         governor sweeps the budget up and down."""
         groups: dict[tuple[int, int], list[int]] = {}
         for sc, context in enumerate(contexts):
@@ -490,181 +454,288 @@ class FlexCoreDetector(Detector):
         store=None,
         max_paths: "int | None" = None,
     ) -> tuple:
-        """Hard-detect one equal-path-count group as a stacked tensor.
+        """Hard-detect one equal-path-count group.
 
-        ``received`` is already on the module; the context stack comes
-        from the resident ``store`` when one is supplied (zero uploads on
-        a warm hit) and ``max_paths`` slices it to the effective path
-        count.  Returns device-side decisions ``(G, F, Nt)`` plus host
-        per-subcarrier deactivation counts.
+        ``received`` ``(G, F, Nr)`` is already on the module; the plan
+        comes from the resident ``store`` when one is supplied (zero
+        uploads on a warm hit) and ``max_paths`` slices it.  Returns
+        device-side decisions ``(G, F, Nt)`` plus host per-subcarrier
+        deactivation counts, downloaded once.
         """
-        group, frames, _ = received.shape
-        stacked = _StackedContexts.resident(contexts, xp, store)
-        stacked = stacked.clamp(max_paths)
-        paths = stacked.positions.shape[1]
-        rotated = xp.matmul(received, stacked.q_conj)
-        chunk = max(1, MAX_CHUNK_ELEMENTS // max(group * paths, 1))
-        pieces = []
-        deactivated = np.zeros(group, dtype=np.int64)
+        plan = self._plan(contexts, xp, store, max_paths)
+        planes = plan.grid_planes(xp.matmul(received, plan.q_conj), xp)
+        group, frames, num_streams, _ = planes.shape
+        chunk = frames_per_chunk(group, plan.paths, num_streams)
+        winners = []
+        deactivated = 0
         for start in range(0, frames, chunk):
-            block = rotated[:, start : start + chunk]
-            sym_indices, ped, alive = self._walk_block(
-                block, stacked, xp, counter, self.use_exact_ordering
+            symbols, ped, dead = self._walk(
+                planes[:, start : start + chunk],
+                plan,
+                xp,
+                counter,
+                self.use_exact_ordering,
             )
-            ped[~alive] = xp.inf
-            pieces.append(self._best_leaf(sym_indices, ped, xp))
-            deactivated += np.asarray(
-                xp.to_numpy(xp.count_nonzero(~alive, axis=(1, 2))),
-                dtype=np.int64,
-            )
-        chosen = pieces[0] if len(pieces) == 1 else xp.concatenate(pieces, axis=1)
-        restored = self._restore_stream_order(chosen, stacked, xp)
-        return restored, deactivated
+            winners.append(self._winner(symbols, ped, xp))
+            deactivated = deactivated + xp.count_nonzero(dead, axis=(1, 2))
+        chosen = self._cell_indices(
+            self._grid_cells(xp.concatenate(winners, axis=1), xp), xp
+        )
+        return (
+            plan.restore_order(chosen, xp),
+            np.asarray(xp.to_numpy(deactivated), dtype=np.int64),
+        )
 
     @staticmethod
-    def _best_leaf(sym_indices, ped, xp):
-        """Leaf of the minimum-PED path per element: ``(G, Fc, Nt)``."""
-        group, frames, _, num_streams = sym_indices.shape
-        best = xp.argmin(ped, axis=2)
-        best_idx = xp.broadcast_to(
-            best[:, :, None, None], (group, frames, 1, num_streams)
+    def _winner(values, ped, xp):
+        """``values`` ``(G, F, K, P)`` on each frame's arg-min path:
+        ``(G, F, K)``."""
+        best = xp.broadcast_to(
+            xp.argmin(ped, axis=2)[:, :, None, None],
+            tuple(values.shape[:3]) + (1,),
         )
-        return xp.take_along_axis(sym_indices, best_idx, axis=2)[:, :, 0, :]
+        return xp.take_along_axis(values, best, axis=3)[..., 0]
 
-    @staticmethod
-    def _restore_stream_order(chosen, stacked: "_StackedContexts", xp):
-        """Un-permute ``(G, F, Nt)`` decisions to original stream order."""
-        inverse_idx = xp.broadcast_to(
-            stacked.inverse_permutation[:, None, :], chosen.shape
+    def _grid_cells(self, symbols, xp):
+        """Row-major cell numbers, in the constellation's ``side x side``
+        position table, of walked grid points: axis 2 of ``symbols``
+        interleaves ``u`` and ``v`` (the core's layout) and comes back
+        half as long."""
+        side = self.system.constellation.side
+        u, v = symbols[:, :, 0::2], symbols[:, :, 1::2]
+        return xp.astype(
+            (u + (side - 1)) * (0.5 * side) + (v + (side - 1)) * 0.5,
+            xp.int64,
         )
-        return xp.take_along_axis(chosen, inverse_idx, axis=2)
 
-    def _walk_block(
+    def _cell_indices(self, cells, xp):
+        """Symbol indices of :meth:`_grid_cells` cell numbers."""
+        constellation = self.system.constellation
+        table = constellation.device_constant(
+            xp, constellation.grid_index_table
+        )
+        return table.reshape(-1)[cells]
+
+    def _walk(
         self,
-        rotated,
-        stacked: "_StackedContexts",
+        planes,
+        plan: "_StackedContexts",
         xp,
         counter: FlopCounter,
         use_exact: bool,
     ):
-        """Walk every tree level of a ``(G, Fc, P, Nt)`` element tensor.
+        """The level loop: walk ``(G, F, P)`` elements down the tree.
 
-        Per level this performs exactly the per-subcarrier kernel's
-        operations, vectorised across the group axis: interference
-        mat-vec, effective point (Eq. 5), triangle-LUT rank lookup,
-        deactivation, PED accumulation (Eq. 1).  Returns the full
-        candidate tensor ``(sym_indices, ped, alive)`` so the hard
-        argmin and the soft LLR reductions can share it.
+        ``planes`` is ``(G, F, Nt, 2)``: the rotated received block in
+        grid units, real and imaginary parts apart.  Returns
+        ``(symbols, ped, dead)``: the picked grid coordinates ``(G, F,
+        2 Nt, P)`` with rows ``2l`` / ``2l + 1`` holding level ``l``'s
+        ``u`` / ``v``, the accumulated distances (infinite where
+        deactivated) and the deactivation mask, both ``(G, F, P)`` —
+        every candidate, so the hard arg-min and the soft LLR reductions
+        share it.
         """
-        group, frames = rotated.shape[0], rotated.shape[1]
-        paths = stacked.positions.shape[1]
-        num_streams = self.system.num_streams
-        points = self.system.constellation.device_points(xp)
-        symbols = xp.zeros(
-            (group, frames, paths, num_streams), dtype=xp.complex128
-        )
-        sym_indices = xp.zeros(
-            (group, frames, paths, num_streams), dtype=xp.int64
+        group, frames, num_streams, _ = planes.shape
+        paths = plan.paths
+        side = self.system.constellation.side
+        edge = float(side - 1)
+        clamp = float(max(side - 2, 0))
+        symbols = xp.empty(
+            (group, frames, 2 * num_streams, paths), dtype=xp.float64
         )
         ped = xp.zeros((group, frames, paths), dtype=xp.float64)
-        alive = xp.ones((group, frames, paths), dtype=xp.bool_)
+        dead = xp.zeros((group, frames, 2, paths), dtype=xp.bool_)
         for level in range(num_streams - 1, -1, -1):
-            if level + 1 < num_streams:
-                column = stacked.r[:, level, level + 1 :][:, None, :, None]
-                interference = xp.matmul(
-                    symbols[:, :, :, level + 1 :], column
-                )[..., 0]
-            else:
-                interference = xp.zeros(
-                    (group, frames, paths), dtype=xp.float64
-                )
-            effective = (
-                rotated[:, :, level][:, :, None] - interference
-            ) / stacked.diag[:, level][:, None, None]
-            ranks = xp.broadcast_to(
-                stacked.positions[:, None, :, level], (group, frames, paths)
+            decided = 2 * level + 2
+            # Eq. 5 in grid units; the top level's product is empty.
+            z = xp.matmul(
+                plan.rows[:, None, level, :, decided:],
+                symbols[:, :, decided:, :],
             )
+            z += planes[:, :, level, :, None]
             if use_exact:
-                level_indices = self._exact_kth(effective, ranks, xp=xp)
+                picked = self._exact_pick(z, plan.positions[level], xp)
             else:
-                level_indices = self.ordering.kth_symbol_indices(
-                    effective, ranks, xp=xp
+                # Detection-square centre: nearest even grid point,
+                # clamped so its four corners are symbols.
+                centre = xp.round(z * 0.5)
+                centre *= 2.0
+                centre = xp.clip(centre, -clamp, clamp)
+                within = z - centre
+                # Which of the eight triangles: the reflections are a
+                # +-1 factor per plane, the diagonal swap a 0/1 weight
+                # on the plan's (dv - du, du - dv).
+                sign = xp.astype(within >= 0, xp.float64)
+                sign *= 2.0
+                sign -= 1.0
+                within = xp.abs(within)
+                swap = xp.astype(
+                    within[:, :, 1] > within[:, :, 0], xp.float64
                 )
-            dead = level_indices < 0
-            alive &= ~dead
-            safe = xp.where(dead, 0, level_indices)
-            symbols[:, :, :, level] = points[safe]
-            sym_indices[:, :, :, level] = safe
-            ped += stacked.weights[:, level][:, None, None] * (
-                xp.abs(effective - symbols[:, :, :, level]) ** 2
+                step = (
+                    xp.astype(plan.swap_delta[level], xp.float64)
+                    * swap[:, :, None, :]
+                )
+                step += xp.astype(plan.offsets[level], xp.float64)
+                step *= sign
+                step += centre
+                picked = xp.clip(step, -edge, edge)
+                dead |= picked != step
+            symbols[:, :, decided - 2 : decided, :] = picked
+            z -= picked
+            z *= z
+            ped += plan.weights[:, level][:, None, None] * (
+                z[:, :, 0] + z[:, :, 1]
             )
-            counter.add_complex_mults(
-                group * frames * paths * (num_streams - 1 - level)
-            )
-            counter.add_real_mults(group * frames * paths * 5)
-        return sym_indices, ped, alive
+            elements = group * frames * paths
+            counter.add_complex_mults(elements * (num_streams - 1 - level))
+            counter.add_real_mults(elements * 5)
+        dead = dead[:, :, 0] | dead[:, :, 1]
+        ped[dead] = xp.inf
+        return symbols, ped, dead
+
+    def _exact_pick(self, z, ranks, xp):
+        """Exhaustive k-th-closest grid point per element — the ablation
+        the triangle LUT is measured against.  Never leaves the
+        constellation, so never deactivates."""
+        grid = self.system.constellation
+        grid = grid.device_constant(xp, grid.grid_points)
+        distances = (z[:, :, 0, :, None] - grid[0]) ** 2 + (
+            z[:, :, 1, :, None] - grid[1]
+        ) ** 2
+        order = xp.argsort(distances, axis=-1)
+        ranks = xp.broadcast_to(ranks, tuple(order.shape[:3]))
+        kth = xp.take_along_axis(order, ranks[..., None] - 1, axis=-1)[..., 0]
+        return xp.stack([grid[0][kth], grid[1][kth]], axis=2)
+
+    # ------------------------------------------------------------------
+    def _plan(
+        self, contexts, xp, store=None, max_paths: "int | None" = None
+    ) -> "_StackedContexts":
+        """The group's walk plan, resident when a store is given.
+
+        The store is keyed on the identity of the *unclamped* cached
+        contexts, so governor clamps (applied afterwards by slicing)
+        always hit the same resident entry.
+        """
+        if store is None:
+            plan = self._build_plan(contexts, xp)
+        else:
+            plan = store.get_or_build(contexts, xp, self._build_plan)
+        return plan.clamp(max_paths)
+
+    def _build_plan(self, contexts, xp) -> "_StackedContexts":
+        """Upload a group's context arrays and derive its plan.
+
+        Six uploads — ``Q*``, ``R``, the diagonal, the weights, the
+        position vectors, the inverse permutations — and everything the
+        walk reads is derived from them on the module.
+        """
+        num_streams = self.system.num_streams
+        scale = self.system.constellation.scale
+        r = xp.asarray(np.stack([c.qr.r for c in contexts]))
+        diag = xp.asarray(np.stack([c.diag for c in contexts]))
+        weights = xp.asarray(np.stack([c.weights for c in contexts]))
+        # Level-major, path axis last: one level is one slab, one budget
+        # clamp is one slice.
+        positions = xp.asarray(
+            np.ascontiguousarray(
+                np.stack([c.position_vectors for c in contexts]).transpose(
+                    2, 0, 1
+                )
+            )[:, :, None, :]
+        )
+        real = xp.real(r) / diag[:, :, None]
+        imag = xp.imag(r) / diag[:, :, None]
+        # Negated, so the core adds the product to the received point.
+        rows = xp.zeros(
+            (len(contexts), num_streams, 2, 2 * num_streams),
+            dtype=xp.float64,
+        )
+        rows[:, :, 0, 0::2] = -real
+        rows[:, :, 0, 1::2] = imag
+        rows[:, :, 1, 0::2] = -imag
+        rows[:, :, 1, 1::2] = -real
+        offsets, swap_delta = self.ordering.path_offsets(positions, xp)
+        return _StackedContexts(
+            q_conj=xp.asarray(np.conj(np.stack([c.qr.q for c in contexts]))),
+            inverse_permutation=xp.asarray(
+                np.stack([np.argsort(c.qr.permutation) for c in contexts])
+            ),
+            to_grid=(1.0 / (diag * scale))[:, None, :],
+            rows=rows,
+            weights=weights * scale**2,
+            offsets=offsets,
+            swap_delta=swap_delta,
+            positions=positions if self.use_exact_ordering else None,
+        )
 
 
 @dataclass
 class _StackedContexts:
-    """Per-group context arrays stacked for the tensor walk.
+    """The walk plan of one group: what no received frame changes.
 
-    Every field lives on the kernel's array module; ``q_conj`` is stored
-    pre-conjugated so the per-call rotation is a bare matmul.  A stack is
-    built (uploaded) once per group and — when a
+    Every field lives on the kernel's array module.  A plan is built
+    (uploaded and derived) once per group and — when a
     :class:`~repro.runtime.residency.ResidentContextStore` is in play —
     reused device-side across calls; path budgets are applied with
-    :meth:`clamp`, a zero-copy slice.
+    :meth:`clamp`, a zero-copy slice of the fields that carry a path
+    axis (always their last).
     """
 
+    #: ``(G, Nr, Nt)`` pre-conjugated ``Q``: rotation is a bare matmul.
     q_conj: "object"
-    r: "object"
-    diag: "object"
-    weights: "object"
-    positions: "object"
+    #: ``(G, Nt)`` stream order to restore decisions to.
     inverse_permutation: "object"
+    #: ``(G, 1, Nt)`` ``1 / (diag * scale)``: rotated point to grid units.
+    to_grid: "object"
+    #: ``(G, Nt, 2, 2 Nt)`` row ``l`` of ``-R / diag`` as a real block;
+    #: columns ``2j`` / ``2j + 1`` multiply level ``j``'s ``u`` / ``v``.
+    rows: "object"
+    #: ``(G, Nt)`` ``diag**2 * scale**2``: Eq. 1's weights in grid units.
+    weights: "object"
+    #: ``(Nt, G, 1, 2, P)`` canonical LUT offsets ``(du, dv)`` per path.
+    offsets: "object"
+    #: ``(Nt, G, 1, 2, P)`` what the diagonal swap adds: ``(dv - du,
+    #: du - dv)``.
+    swap_delta: "object"
+    #: ``(Nt, G, 1, P)`` ranks — the exact-ordering ablation only.
+    positions: "object | None"
 
-    @classmethod
-    def build(cls, contexts, xp) -> "_StackedContexts":
-        return cls(
-            q_conj=xp.asarray(np.conj(np.stack([c.qr.q for c in contexts]))),
-            r=xp.asarray(np.stack([c.qr.r for c in contexts])),
-            diag=xp.asarray(np.stack([c.diag for c in contexts])),
-            weights=xp.asarray(np.stack([c.weights for c in contexts])),
-            positions=xp.asarray(
-                np.stack([c.position_vectors for c in contexts])
-            ),
-            inverse_permutation=xp.asarray(
-                np.stack([np.argsort(c.qr.permutation) for c in contexts])
-            ),
+    @property
+    def paths(self) -> int:
+        return int(self.offsets.shape[-1])
+
+    def grid_planes(self, rotated, xp):
+        """Rotated ``(G, F, Nt)`` points as ``(G, F, Nt, 2)`` real /
+        imaginary planes in grid units."""
+        return xp.stack(
+            [xp.real(rotated) * self.to_grid, xp.imag(rotated) * self.to_grid],
+            axis=3,
         )
 
-    @classmethod
-    def resident(cls, contexts, xp, store=None) -> "_StackedContexts":
-        """Fetch the group's stack from the resident store (or build).
-
-        The store is keyed on the identity of the *unclamped* cached
-        contexts, so governor clamps (applied afterwards via
-        :meth:`clamp`) always hit the same resident entry.
-        """
-        if store is None:
-            return cls.build(contexts, xp)
-        return store.get_or_build(contexts, xp, cls.build)
+    def restore_order(self, values, xp):
+        """Un-permute axis 2 of ``(G, F, Nt)`` or ``(G, F, Nt, bits)``
+        per-stream values to original stream order."""
+        order = self.inverse_permutation[:, None, :]
+        if len(values.shape) == 4:
+            order = order[..., None]
+        return xp.take_along_axis(
+            values, xp.broadcast_to(order, tuple(values.shape)), axis=2
+        )
 
     def clamp(self, max_paths: "int | None") -> "_StackedContexts":
-        """Slice the stack down to a path budget — a view, not a copy.
-
-        Only ``positions`` carries a path axis; ``r``/``diag``/
-        ``weights``/``q_conj`` are budget-independent, so clamping a
-        resident stack moves zero bytes.
-        """
-        if max_paths is None or max_paths >= self.positions.shape[1]:
+        """Slice the plan down to a path budget — views, not copies, so
+        clamping a resident plan moves zero bytes."""
+        if max_paths is None or max_paths >= self.paths:
             return self
-        return _StackedContexts(
-            q_conj=self.q_conj,
-            r=self.r,
-            diag=self.diag,
-            weights=self.weights,
-            positions=self.positions[:, : int(max_paths)],
-            inverse_permutation=self.inverse_permutation,
+        budget = int(max_paths)
+        return replace(
+            self,
+            offsets=self.offsets[..., :budget],
+            swap_delta=self.swap_delta[..., :budget],
+            positions=(
+                None if self.positions is None
+                else self.positions[..., :budget]
+            ),
         )

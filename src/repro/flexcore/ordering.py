@@ -35,6 +35,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.modulation.constellation import QamConstellation
 from repro.utils.rng import as_rng
+from repro.utils.xp import DeviceConstantCache, resolve_array_module
 
 #: Centroid of the canonical triangle with vertices (0,0), (1,0), (1,1).
 _T1_CENTROID = (2.0 / 3.0, 1.0 / 3.0)
@@ -82,10 +83,17 @@ class TriangleOrdering:
         order = np.lexsort((offsets[:, 1], offsets[:, 0], scores))
         self.offsets = offsets[order]
         self.max_rank = self.offsets.shape[0]
-        # One device copy of the LUT per array module (lazy import keeps
-        # the table layer free of runtime dependencies at module load).
-        from repro.utils.xp import DeviceConstantCache
-
+        # The walk's copy of the LUT: the smallest integer type that
+        # holds an offset difference, plus one sentinel row for ranks
+        # outside 1..max_rank.  ``reach + 2`` is odd like every offset
+        # and lands outside the constellation from any clamped centre in
+        # either orientation, so a bad rank deactivates its processing
+        # element by the walk's ordinary "left the constellation" test.
+        sentinel = reach + 2
+        self._walk_offsets = np.concatenate(
+            [self.offsets, [[sentinel, sentinel]]]
+        ).astype(np.min_scalar_type(-2 * sentinel))
+        # One device copy of each LUT per array module.
         self._device_tables = DeviceConstantCache()
 
     @staticmethod
@@ -137,8 +145,6 @@ class TriangleOrdering:
         Same-shape integer array of symbol indices, with ``-1`` marking
         deactivated lookups (k-th candidate outside the constellation).
         """
-        from repro.utils.xp import resolve_array_module
-
         xp = resolve_array_module(xp)
         constellation = self.constellation
         side = constellation.side
@@ -170,6 +176,26 @@ class TriangleOrdering:
         v = centre_v + sign_y * dv
         indices = constellation.grid_to_index(u, v, xp=xp)
         return xp.where(valid_rank, indices, -1)
+
+    def path_offsets(self, ranks, xp) -> tuple:
+        """Triangle offsets of 1-based ``ranks``, as the walk applies them.
+
+        The frame-independent half of :meth:`kth_symbol_indices`, for
+        the walk plan: ``ranks`` is a ``(..., P)`` position tensor
+        already on ``xp``; the result is two ``(..., 2, P)``
+        small-integer tensors — the canonical ``(du, dv)`` and what the
+        diagonal swap adds to it, ``(dv - du, du - dv)``.  Ranks outside
+        ``1..max_rank`` get the sentinel offset (see ``__init__``),
+        which always deactivates.
+        """
+        table = self._device_tables.get(xp, self._walk_offsets)
+        valid = (ranks >= 1) & (ranks <= self.max_rank)
+        rows = xp.where(valid, ranks - 1, self.max_rank)
+        du, dv = table[:, 0][rows], table[:, 1][rows]
+        return (
+            xp.stack([du, dv], axis=-2),
+            xp.stack([dv - du, du - dv], axis=-2),
+        )
 
     def order_for_point(self, effective: complex) -> np.ndarray:
         """Full approximate order of symbol indices for one point.

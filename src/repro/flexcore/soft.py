@@ -29,14 +29,11 @@ from repro.errors import ConfigurationError
 from repro.flexcore.detector import (
     FlexCoreContext,
     FlexCoreDetector,
-    _StackedContexts,
+    frames_per_chunk,
 )
 from repro.utils.bits import ints_to_bits
 from repro.utils.flops import NULL_COUNTER, FlopCounter
-from repro.utils.xp import resolve_array_module
-
-#: Bound on (batch-chunk x paths) live elements, matching the hard path.
-MAX_CHUNK_ELEMENTS = 1 << 18
+from repro.utils.xp import DeviceConstantCache, resolve_array_module
 
 
 @dataclass
@@ -81,13 +78,16 @@ class SoftFlexCoreDetector(FlexCoreDetector):
             raise ConfigurationError("llr_clip must be positive")
         self.llr_clip = float(llr_clip)
         constellation = system.constellation
-        # bits_of_index[q, b]: the b-th bit of symbol index q.
-        self._bits_of_index = ints_to_bits(
+        bits_of_index = ints_to_bits(
             np.arange(constellation.order), constellation.bits_per_symbol
         ).reshape(constellation.order, constellation.bits_per_symbol)
+        # bits_of_cell[c, b]: the b-th bit of the symbol at grid cell c
+        # (see FlexCoreDetector._grid_cells), so a candidate's bits are
+        # one lookup away from its walked coordinates.
+        self._bits_of_cell = bits_of_index[
+            constellation.grid_index_table.reshape(-1)
+        ].astype(bool)
         # One device copy of the bit table per array module.
-        from repro.utils.xp import DeviceConstantCache
-
         self._device_tables = DeviceConstantCache()
 
     # ------------------------------------------------------------------
@@ -100,28 +100,19 @@ class SoftFlexCoreDetector(FlexCoreDetector):
     ) -> SoftDetectionResult:
         """Soft detection over a prepared channel context."""
         received = self._check_received(received)
-        rotated = context.qr.rotate_received(received)
-        paths = max(context.position_vectors.shape[0], 1)
-        chunk = max(1, MAX_CHUNK_ELEMENTS // paths)
-        all_indices = []
-        all_llrs = []
-        clamped = 0
-        for start in range(0, rotated.shape[0], chunk):
-            block = rotated[start : start + chunk]
-            indices, llrs, block_clamped = self._detect_soft_chunk(
-                context, block, noise_var, counter
-            )
-            all_indices.append(indices)
-            all_llrs.append(llrs)
-            clamped += block_clamped
-        indices = np.concatenate(all_indices, axis=0)
-        llrs = np.concatenate(all_llrs, axis=0)
+        indices, llrs, clamped = self._detect_soft_group(
+            [context],
+            received[None],
+            noise_var,
+            resolve_array_module(None),
+            counter,
+        )
         return SoftDetectionResult(
-            indices=context.qr.restore_order(indices),
-            llrs=self._restore_llr_order(context, llrs),
+            indices=indices[0],
+            llrs=llrs[0],
             metadata={
-                "paths": paths,
-                "clamped_bits": clamped,
+                "paths": max(context.position_vectors.shape[0], 1),
+                "clamped_bits": int(clamped[0]),
             },
         )
 
@@ -138,88 +129,21 @@ class SoftFlexCoreDetector(FlexCoreDetector):
             context, received, noise_var, counter=counter
         )
 
-    # ------------------------------------------------------------------
     def _candidate_list(
         self,
         context: FlexCoreContext,
         rotated: np.ndarray,
         counter: FlopCounter,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Indices ``(n, P, Nt)`` and PEDs ``(n, P)`` of all paths.
-
-        This repeats the hard detector's vectorised walk but keeps every
-        path's leaf instead of only the argmin.
-        """
-        constellation = self.system.constellation
-        points = constellation.points
-        num_streams = self.system.num_streams
-        batch = rotated.shape[0]
-        position_vectors = context.position_vectors
-        paths = position_vectors.shape[0]
-        r = context.qr.r
-
-        symbols = np.zeros((batch, paths, num_streams), dtype=np.complex128)
-        indices = np.zeros((batch, paths, num_streams), dtype=np.int64)
-        ped = np.zeros((batch, paths))
-        alive = np.ones((batch, paths), dtype=bool)
-        for level in range(num_streams - 1, -1, -1):
-            if level + 1 < num_streams:
-                interference = symbols[:, :, level + 1 :] @ r[level, level + 1 :]
-            else:
-                interference = np.zeros((batch, paths))
-            effective = (
-                rotated[:, level][:, None] - interference
-            ) / context.diag[level]
-            ranks = np.broadcast_to(
-                position_vectors[:, level][None, :], (batch, paths)
-            )
-            level_indices = self.ordering.kth_symbol_indices(effective, ranks)
-            dead = level_indices < 0
-            alive &= ~dead
-            safe = np.where(dead, 0, level_indices)
-            symbols[:, :, level] = points[safe]
-            indices[:, :, level] = safe
-            ped += context.weights[level] * (
-                np.abs(effective - symbols[:, :, level]) ** 2
-            )
-            counter.add_complex_mults(batch * paths * (num_streams - 1 - level))
-            counter.add_real_mults(batch * paths * 5)
-        ped[~alive] = np.inf
-        return indices, ped
-
-    def _detect_soft_chunk(
-        self,
-        context: FlexCoreContext,
-        rotated: np.ndarray,
-        noise_var: float,
-        counter: FlopCounter,
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        indices, ped = self._candidate_list(context, rotated, counter)
-        batch, paths, num_streams = indices.shape
-        bits_per_symbol = self.system.constellation.bits_per_symbol
-
-        best = np.argmin(ped, axis=1)
-        hard = np.take_along_axis(indices, best[:, None, None], axis=1)[:, 0, :]
-
-        # candidate_bits: (batch, paths, Nt * bps) in {0, 1}.
-        candidate_bits = (
-            self._bits_of_index[indices]
-            .reshape(batch, paths, num_streams * bits_per_symbol)
-            .astype(bool)
-        )
-        ped_expanded = ped[:, :, None]
-        min_if_one = np.where(candidate_bits, ped_expanded, np.inf).min(axis=1)
-        min_if_zero = np.where(~candidate_bits, ped_expanded, np.inf).min(axis=1)
-        with np.errstate(invalid="ignore"):
-            llrs = (min_if_one - min_if_zero) / noise_var
-        missing_one = ~np.isfinite(min_if_one)
-        missing_zero = ~np.isfinite(min_if_zero)
-        llrs = np.where(missing_one, self.llr_clip, llrs)
-        llrs = np.where(missing_zero, -self.llr_clip, llrs)
-        llrs = np.clip(llrs, -self.llr_clip, self.llr_clip)
-        clamped = int(np.count_nonzero(missing_one | missing_zero))
-        counter.add_comparisons(batch * paths * num_streams * bits_per_symbol)
-        return hard, llrs, clamped
+        """Indices ``(n, P, Nt)`` and PEDs ``(n, P)`` of all paths of one
+        channel (detection order; infinite PED marks a deactivated
+        path) — the walk's candidate list, for diagnostics."""
+        xp = resolve_array_module(None)
+        plan = self._plan([context], xp)
+        planes = plan.grid_planes(xp.asarray(rotated)[None], xp)
+        symbols, ped, _ = self._walk(planes, plan, xp, counter, False)
+        cells = self._grid_cells(symbols, xp)
+        return self._cell_indices(cells, xp)[0].swapaxes(1, 2), ped[0]
 
     # ------------------------------------------------------------------
     # Stacked tensor-walk soft kernel
@@ -237,16 +161,16 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         """Soft-detect a ``(S, F, Nr)`` block over prepared contexts.
 
         The stacked analogue of :meth:`detect_soft_prepared`: subcarriers
-        sharing a path count walk as one ``(G, F, P, Nt)`` tensor (the
-        hard detector's kernel) and the bit-wise LLR minima reduce over
-        the stacked path axis.  Under numpy the hard decisions *and* the
+        sharing a path count walk as one ``(G, F, P)`` element tensor
+        (the hard detector's core) and the bit-wise LLR minima reduce
+        over the path axis.  Under numpy the hard decisions *and* the
         LLRs are bit-identical to the per-subcarrier path.
 
         ``store``/``max_paths`` behave exactly as on
         :meth:`~repro.flexcore.detector.FlexCoreDetector.detect_block_prepared`:
-        resident context stacks are reused device-side and the path
-        budget slices them (a view, never an upload or a mutation of the
-        cached contexts).
+        resident walk plans are reused device-side and the path budget
+        slices them (a view, never an upload or a mutation of the cached
+        contexts).
 
         Returns ``(indices, llrs, metadata)`` with shapes ``(S, F, Nt)``
         / ``(S, F, Nt * bits_per_symbol)``; each comes home in a single
@@ -297,41 +221,39 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         store=None,
         max_paths: "int | None" = None,
     ) -> tuple:
-        group, frames, _ = received.shape
-        num_streams = self.system.num_streams
+        """Soft-detect one equal-path-count group: the hard path's walk,
+        keeping every candidate.  Returns device-side ``(G, F, Nt)``
+        decisions and ``(G, F, Nt * bits)`` LLRs plus host per-subcarrier
+        clamped-bit counts, downloaded once."""
+        plan = self._plan(contexts, xp, store, max_paths)
+        planes = plan.grid_planes(xp.matmul(received, plan.q_conj), xp)
+        group, frames, num_streams, _ = planes.shape
+        paths = plan.paths
         bits_per_symbol = self.system.constellation.bits_per_symbol
         width = num_streams * bits_per_symbol
-        stacked = _StackedContexts.resident(contexts, xp, store)
-        stacked = stacked.clamp(max_paths)
-        paths = max(stacked.positions.shape[1], 1)
-        rotated = xp.matmul(received, stacked.q_conj)
-        bits_table = self._device_tables.get(xp, self._bits_of_index)
-        chunk = max(1, MAX_CHUNK_ELEMENTS // max(group * paths, 1))
+        bits_table = self._device_tables.get(xp, self._bits_of_cell)
+        chunk = frames_per_chunk(group, paths, num_streams, extra=2 * width)
         hard_pieces = []
         llr_pieces = []
-        clamped = np.zeros(group, dtype=np.int64)
+        clamped = 0
         for start in range(0, frames, chunk):
-            block = rotated[:, start : start + chunk]
-            block_frames = block.shape[1]
-            # The candidate walk ignores the exact-ordering ablation,
-            # matching the per-subcarrier ``_candidate_list``.
-            sym_indices, ped, alive = self._walk_block(
-                block, stacked, xp, counter, use_exact=False
+            # The candidate walk ignores the exact-ordering ablation.
+            symbols, ped, _ = self._walk(
+                planes[:, start : start + chunk], plan, xp, counter, False
             )
-            ped[~alive] = xp.inf
-            hard_pieces.append(self._best_leaf(sym_indices, ped, xp))
-            candidate_bits = xp.astype(
-                bits_table[sym_indices].reshape(
-                    group, block_frames, paths, width
-                ),
-                xp.bool_,
+            cells = self._grid_cells(symbols, xp)
+            hard_pieces.append(self._winner(cells, ped, xp))
+            # candidate_bits: (G, Fc, P, Nt * bps), so the minima over P
+            # run across long contiguous rows.
+            candidate_bits = bits_table[cells.swapaxes(2, 3)].reshape(
+                group, -1, paths, width
             )
             ped_expanded = ped[:, :, :, None]
             min_if_one = xp.amin(
                 xp.where(candidate_bits, ped_expanded, xp.inf), axis=2
             )
             min_if_zero = xp.amin(
-                xp.where(~candidate_bits, ped_expanded, xp.inf), axis=2
+                xp.where(candidate_bits, xp.inf, ped_expanded), axis=2
             )
             with np.errstate(invalid="ignore"):
                 block_llrs = (min_if_one - min_if_zero) / noise_var
@@ -341,41 +263,18 @@ class SoftFlexCoreDetector(FlexCoreDetector):
             block_llrs = xp.where(missing_zero, -self.llr_clip, block_llrs)
             block_llrs = xp.clip(block_llrs, -self.llr_clip, self.llr_clip)
             llr_pieces.append(block_llrs)
-            clamped += np.asarray(
-                xp.to_numpy(
-                    xp.count_nonzero(missing_one | missing_zero, axis=(1, 2))
-                ),
-                dtype=np.int64,
+            clamped = clamped + xp.count_nonzero(
+                missing_one | missing_zero, axis=(1, 2)
             )
             counter.add_comparisons(
-                group * block_frames * paths * num_streams * bits_per_symbol
+                group * ped.shape[1] * paths * width
             )
-        hard = (
-            hard_pieces[0]
-            if len(hard_pieces) == 1
-            else xp.concatenate(hard_pieces, axis=1)
+        hard = self._cell_indices(xp.concatenate(hard_pieces, axis=1), xp)
+        soft = xp.concatenate(llr_pieces, axis=1).reshape(
+            group, frames, num_streams, bits_per_symbol
         )
-        soft = (
-            llr_pieces[0]
-            if len(llr_pieces) == 1
-            else xp.concatenate(llr_pieces, axis=1)
+        return (
+            plan.restore_order(hard, xp),
+            plan.restore_order(soft, xp).reshape(group, frames, width),
+            np.asarray(xp.to_numpy(clamped), dtype=np.int64),
         )
-        hard = self._restore_stream_order(hard, stacked, xp)
-        grouped = soft.reshape(group, frames, num_streams, bits_per_symbol)
-        llr_idx = xp.broadcast_to(
-            stacked.inverse_permutation[:, None, :, None],
-            (group, frames, num_streams, bits_per_symbol),
-        )
-        restored = xp.take_along_axis(grouped, llr_idx, axis=2)
-        return hard, restored.reshape(group, frames, width), clamped
-
-    def _restore_llr_order(
-        self, context: FlexCoreContext, llrs: np.ndarray
-    ) -> np.ndarray:
-        """Un-permute the per-stream LLR groups to original stream order."""
-        bits_per_symbol = self.system.constellation.bits_per_symbol
-        num_streams = self.system.num_streams
-        grouped = llrs.reshape(llrs.shape[0], num_streams, bits_per_symbol)
-        restored = np.empty_like(grouped)
-        restored[:, context.qr.permutation, :] = grouped
-        return restored.reshape(llrs.shape[0], num_streams * bits_per_symbol)

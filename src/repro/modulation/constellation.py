@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.utils.bits import bits_to_ints, gray_encode, ints_to_bits
 from repro.utils.validation import check_square_qam_order
+from repro.utils.xp import DeviceConstantCache, resolve_array_module
 
 
 class QamConstellation:
@@ -49,6 +50,13 @@ class QamConstellation:
     points: numpy.ndarray
         Complex array of shape ``(order,)``; ``points[k]`` is the symbol
         whose Gray-labelled index is ``k``.
+    grid_points: numpy.ndarray
+        ``(2, order)`` float array: the odd-integer grid coordinates
+        ``(u, v)`` of ``points[k]`` — ``points`` before scaling, exact.
+    grid_index_table: numpy.ndarray
+        ``(side, side)`` table of symbol indices by axis position:
+        ``grid_index_table[(u + m - 1) / 2, (v + m - 1) / 2]`` is
+        :meth:`grid_to_index` of ``(u, v)``, tabulated once.
     """
 
     def __init__(self, order: int):
@@ -66,11 +74,18 @@ class QamConstellation:
         self._gray_of_position = np.asarray(gray_encode(positions))
         self._position_of_gray = np.empty(self.side, dtype=np.int64)
         self._position_of_gray[self._gray_of_position] = positions
-        self.points = self._build_points()
-        # Device copies of the immutable tables above, one upload per
+        # Device copies of the immutable tables below, one upload per
         # array module (see DeviceConstantCache) — the detection kernels'
         # warm path re-uploads nothing.
-        self._device_tables = None
+        self._device_tables = DeviceConstantCache()
+        i_axis, q_axis = self.index_to_grid(np.arange(self.order))
+        self.grid_points = np.stack([i_axis, q_axis]).astype(np.float64)
+        self.points = (i_axis + 1j * q_axis) * self.scale
+        # grid_to_index is the one definition of the Gray map; the table
+        # is that function evaluated at every in-constellation position.
+        self.grid_index_table = self.grid_to_index(
+            self._levels_grid[:, None], self._levels_grid[None, :]
+        )
 
     def device_constant(self, xp, host: np.ndarray) -> "np.ndarray":
         """``host`` (one of this constellation's tables) on module ``xp``.
@@ -78,22 +93,11 @@ class QamConstellation:
         Uploaded on first use per module, then served from a
         :class:`~repro.utils.xp.DeviceConstantCache`.
         """
-        if self._device_tables is None:
-            from repro.utils.xp import DeviceConstantCache
-
-            self._device_tables = DeviceConstantCache()
         return self._device_tables.get(xp, host)
 
     def device_points(self, xp=None) -> "np.ndarray":
         """:attr:`points` on module ``xp`` (memoized; numpy passes through)."""
-        from repro.utils.xp import resolve_array_module
-
         return self.device_constant(resolve_array_module(xp), self.points)
-
-    def _build_points(self) -> np.ndarray:
-        indices = np.arange(self.order)
-        i_axis, q_axis = self.index_to_grid(indices)
-        return (i_axis + 1j * q_axis) * self.scale
 
     # ------------------------------------------------------------------
     # Index <-> grid-coordinate conversions
@@ -116,8 +120,6 @@ class QamConstellation:
         :mod:`repro.utils.xp`), so detection kernels can keep the whole
         index computation on their device.
         """
-        from repro.utils.xp import resolve_array_module
-
         xp = resolve_array_module(xp)
         # ensure(): inputs from the detection kernels already live on the
         # module — this is dtype normalisation, not a host→device upload.

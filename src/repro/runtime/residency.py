@@ -1,8 +1,9 @@
 """Device residency for the stacked tensor-walk (the §5.2 warm path).
 
-The array backend's stacked kernels build one ``(G, F, P, Nt)`` tensor
-stack per equal-path-count group of a coherence block.  Without
-residency that stack is re-uploaded from the cached numpy contexts on
+The array backend's stacked kernels build one walk plan (the stacked
+context tensors plus everything derived from them that no frame
+changes) per equal-path-count group of a coherence block.  Without
+residency that plan is re-uploaded from the cached numpy contexts on
 *every* ``detect`` call — the classic GPU-uplink bottleneck where
 bandwidth, not compute, bounds throughput.  :class:`ResidentContextStore`
 keeps the uploaded stacks alive between calls, keyed by the identity of
@@ -17,7 +18,7 @@ context object dies, the store's weak references go dead, and the next
 lookup under a recycled key rebuilds instead of serving stale tensors.
 
 Path-budget clamps never touch this store — the kernels slice the
-resident ``positions`` tensor down to the budget (a view, no copy, no
+resident plan's path axis down to the budget (views, no copy, no
 upload), so an AIMD governor sweeping ``max_paths`` up and down costs no
 transfers at all.
 """
