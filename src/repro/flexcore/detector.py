@@ -660,7 +660,9 @@ class FlexCoreDetector(Detector):
         return _StackedContexts(
             q_conj=xp.asarray(np.conj(np.stack([c.qr.q for c in contexts]))),
             inverse_permutation=xp.asarray(
-                np.stack([np.argsort(c.qr.permutation) for c in contexts])
+                np.argsort(
+                    np.stack([c.qr.permutation for c in contexts]), axis=1
+                )
             ),
             to_grid=(1.0 / (diag * scale))[:, None, :],
             rows=rows,

@@ -26,11 +26,15 @@ frontier nodes per round, modelling the parallel pre-processing variant
 whose loss §3.1.1 reports as negligible for ``N_PE / B >= 10``.
 
 :func:`find_promising_paths_block` runs ``C`` independent searches — one
-per channel of a coherence block — in lockstep on structure-of-arrays
-frontiers, replacing the per-channel ``heapq`` loop with one vectorised
-child-probability update per round.  It is bit- and FLOP-identical to
-calling :func:`find_promising_paths` once per channel; see its docstring
-for why.
+per channel of a coherence block — in lockstep on one dense ``(C, 1 +
+P·Nt)`` key array in *slab layout*: the root is slot 0 and the children
+of a channel's ``i``-th selected node own the fixed-stride slab of slots
+``1 + i·Nt + w``, children that do not exist being holes that hold
+``+inf``.  Nothing is compacted and nothing but the keys is stored per
+frontier node, so a round is a dozen array operations however many
+channels ride it.  It is bit- and FLOP-identical to calling
+:func:`find_promising_paths` once per channel; see its docstring for
+why.
 """
 
 from __future__ import annotations
@@ -192,18 +196,47 @@ def find_promising_paths_block(
     Returns one :class:`PreprocessingResult` per channel, **bit- and
     FLOP-identical** to ``[find_promising_paths(m, ...) for m in models]``
     (same expansion order, tie-break serials, ``real_multiplications``
-    and ``candidate_peak``).  Identity holds because the serial search is
-    round-structured already: each round pops the ``round_size`` smallest
-    ``(-Pc, serial)`` keys *before* pushing any child, and children are
-    assigned serials in (popped-node, level) order.  The block search
-    stores every channel's frontier as flat arrays that only ever append
-    — slot order therefore *is* serial order — so a stable argsort (or a
-    first-occurrence argmin when one node is expanded per round)
-    reproduces the heap's pop sequence exactly, and the single fused
-    ``parent-Pc x Pe(w)`` multiply per round performs the same IEEE
-    operations as the per-child multiplies it replaces.  Channels stop
-    independently (path count reached, frontier exhausted, or their
-    stopping threshold crossed) and simply sit out later rounds.
+    and ``candidate_peak``), each owning its arrays.
+
+    **Slab layout.**  Per channel the frontier is one row of ``keys``
+    (``-Pc``, so the best node is the minimum): slot 0 is the root and
+    the ``w``-th child of the channel's ``i``-th selected node lives at
+    slot ``1 + i·Nt + w``, written when that node is popped as one
+    ``where(valid, popped_key * Pe, +inf)`` slab (``popped_key * Pe`` is
+    bit-equal to the heap's ``-((-popped_key) * Pe)``).
+
+    * *Holes are safe.*  Children ruled out by the dedup rule, by
+      ``rank == max_rank`` or because their channel sits the pop out
+      hold ``+inf``, as does every consumed node; real keys are ``<= 0``
+      and a channel only pops while it has live nodes, so a hole never
+      pops.
+    * *Slot order is serial order.*  The serial search is
+      round-structured already — each round pops the ``round_size``
+      smallest ``(-Pc, serial)`` keys *before* pushing any child, and
+      children get serials in (popped-node, level) order.  Selection
+      indices grow in exactly that order and slabs are fixed-stride, so
+      a first-occurrence ``argmin`` (one pop per round) or a stable
+      ``argsort`` over the written slots reproduces the heap's pop
+      sequence, ties included.
+    * *What is implicit.*  A slot's last-incremented level is ``(slot -
+      1) mod Nt`` and its parent is selection ``(slot - 1) div Nt``, so
+      position vectors exist for *selected* nodes only, each built at
+      pop time as its parent's row plus one unit step.  Floor division
+      sends the root (slot 0) to level ``Nt - 1`` and parent ``-1``: the
+      last row of ``selected`` holds ``[1, ..., 1, 0]`` so the root needs
+      no special case.  Frontier size is ``1 + pushed - selected``.
+
+    With one pop per round and no stopping threshold (every preset)
+    all channels select their ``r``-th path in round ``r`` and a round
+    needs no masking at all.  Thresholds and ``batch_size > 1`` ride the
+    same layout one pop at a time: channels stop independently (path
+    count reached, frontier exhausted, threshold crossed) and from then
+    on write a scratch row and an all-hole scratch slab; the cumulative
+    mass is summed pop by pop so threshold crossings stay float-exact.
+
+    The transient footprint is the ``C·(1 + (P + 1)·Nt)`` float64 keys
+    plus as many int64 position entries — about 15 MB each for 1200
+    subcarriers x 128 paths x 12 streams.
     """
     if num_paths <= 0:
         raise ConfigurationError("num_paths must be positive")
@@ -232,172 +265,117 @@ def find_promising_paths_block(
         num_paths = int(max_rank**num_levels)
     thresholds = _as_thresholds(stop_threshold, num_channels)
 
-    # Structure-of-arrays frontiers.  Slots are append-only: a popped
-    # node's key is overwritten with +inf (consumed) but its position
-    # row survives for result extraction, and new children always land
-    # past ``count`` — which is what keeps slot order == serial order.
-    capacity = min(1 + num_paths * num_levels, 1 + 32 * num_levels)
-    keys = np.full((num_channels, capacity), np.inf)
-    positions = np.zeros((num_channels, capacity, num_levels), dtype=np.int64)
-    last_w = np.zeros((num_channels, capacity), dtype=np.int64)
-
-    positions[:, 0, :] = 1
+    # Row / slab ``num_paths`` is the scratch target of channels sitting
+    # a pop out; row -1 of ``selected`` is the root's virtual parent.
+    keys = np.full((num_channels, 1 + (num_paths + 1) * num_levels), np.inf)
     keys[:, 0] = -np.prod(1.0 - pe_block, axis=1)
-    last_w[:, 0] = num_levels - 1
-    counter.add_real_mults(num_channels * (num_levels - 1))
-
-    count = np.ones(num_channels, dtype=np.int64)  # slots used (pushes)
-    live = np.ones(num_channels, dtype=np.int64)  # frontier size
-    selected_slots = np.zeros((num_channels, num_paths), dtype=np.int64)
-    selected_probs = np.zeros((num_channels, num_paths))
-    selected_count = np.zeros(num_channels, dtype=np.int64)
-    cumulative = np.zeros(num_channels)
-    mults = np.full(num_channels, num_levels - 1, dtype=np.int64)
+    selected = np.ones((num_channels, num_paths + 2, num_levels), dtype=np.int64)
+    selected[:, -1, -1] = 0
+    neg_probs = np.zeros((num_channels, num_paths + 1))
+    count = np.zeros(num_channels, dtype=np.int64)  # paths selected
+    pushed = np.zeros(num_channels, dtype=np.int64)  # children created
     peak = np.ones(num_channels, dtype=np.int64)
     stopped_early = np.zeros(num_channels, dtype=bool)
-    done = np.zeros(num_channels, dtype=bool)
-    rows = np.arange(num_channels)[:, None]
-    w_range = np.arange(num_levels)
+    chan = np.arange(num_channels)
+    levels = np.arange(num_levels)
+    unit_step = np.eye(num_levels, dtype=np.int64)
+    dedup = np.tri(num_levels, dtype=bool)  # row w: levels <= w
 
-    while True:
-        round_size = np.minimum(
-            np.minimum(batch_size, num_paths - selected_count), live
+    def expand(slot, key, active=None):
+        """The popped nodes' position rows, their children's slab of
+        keys, and how many of those children exist."""
+        slot = slot - 1
+        last_w = slot % num_levels
+        node = selected[chan, slot // num_levels] + unit_step[last_w]
+        valid = dedup[last_w] & (node < max_rank)
+        if active is not None:
+            valid &= active[:, None]
+        slab = np.where(valid, key[:, None] * pe_block, np.inf)
+        return node, slab, valid.sum(axis=1)
+
+    if thresholds is None and batch_size == 1:
+        for r in range(num_paths):
+            lo = 1 + r * num_levels
+            slot = np.argmin(keys[:, :lo], axis=1)
+            key = keys[chan, slot]
+            keys[chan, slot] = np.inf
+            node, slab, children = expand(slot, key)
+            selected[:, r] = node
+            neg_probs[:, r] = key
+            keys[:, lo : lo + num_levels] = slab
+            pushed += children
+            np.maximum(peak, pushed - r, out=peak)
+        count[:] = num_paths
+    else:
+        cumulative = np.zeros(num_channels)
+        while True:
+            round_size = np.minimum(
+                np.minimum(batch_size, num_paths - count), 1 + pushed - count
+            )
+            round_size[stopped_early] = 0
+            width = int(round_size.max())
+            if width == 0:
+                break
+            # Every pop of the round is chosen before any child is
+            # written, like the heap's batch of heappops.
+            written = keys[:, : 1 + int(count.max()) * num_levels]
+            if width == 1:
+                slots = np.argmin(written, axis=1)[:, None]
+            else:
+                slots = np.argsort(written, axis=1, kind="stable")[:, :width]
+            for b in range(width):
+                active = b < round_size
+                slot = slots[:, b]
+                key = keys[chan, slot]
+                keys[chan, slot] = np.where(active, np.inf, key)
+                node, slab, children = expand(slot, key, active)
+                index = np.where(active, count, num_paths)
+                selected[chan, index] = node
+                neg_probs[chan, index] = key
+                keys[
+                    chan[:, None], 1 + index[:, None] * num_levels + levels
+                ] = slab
+                pushed += children
+                count += active
+                cumulative = np.where(active, cumulative - key, cumulative)
+            np.maximum(peak, 1 + pushed - count, out=peak)
+            # Checked once per round like the serial loop, so a channel
+            # crossing its threshold on its final round still reports
+            # ``stopped_early``.
+            if thresholds is not None:
+                stopped_early |= (round_size > 0) & (cumulative >= thresholds)
+
+    counter.add_real_mults(
+        num_channels * (num_levels - 1) + int(pushed.sum())
+    )
+    probabilities = -neg_probs
+    return [
+        PreprocessingResult(
+            position_vectors=selected[c, :n].copy(),
+            probabilities=probabilities[c, :n].copy(),
+            expanded_nodes=n,
+            real_multiplications=num_levels - 1 + int(pushed[c]),
+            candidate_peak=int(peak[c]),
+            stopped_early=bool(stopped_early[c]),
         )
-        round_size[done] = 0
-        width = int(round_size.max())
-        if width == 0:
-            break
-        in_round = np.arange(width)[None, :] < round_size[:, None]
-
-        # Pop: the ``round_size`` smallest (-Pc, serial) keys per
-        # channel.  Ties break to the lowest slot == lowest serial;
-        # argmin's first-occurrence rule and a stable argsort both
-        # reproduce the heap's tie-break exactly.
-        sortable = keys[:, : int(count.max())]
-        if width == 1:
-            popped = np.argmin(sortable, axis=1)[:, None]
-        else:
-            popped = np.argsort(sortable, axis=1, kind="stable")[:, :width]
-        popped_keys = keys[rows, popped]
-        probabilities = np.where(in_round, -popped_keys, 0.0)
-        keys[rows, popped] = np.where(in_round, np.inf, popped_keys)
-        live -= round_size
-
-        # Select, preserving pop order (and summing the cumulative mass
-        # one pop at a time, so threshold crossings are float-exact).
-        channel_index, batch_index = np.nonzero(in_round)
-        out_index = selected_count[channel_index] + batch_index
-        selected_slots[channel_index, out_index] = popped[
-            channel_index, batch_index
-        ]
-        selected_probs[channel_index, out_index] = probabilities[
-            channel_index, batch_index
-        ]
-        selected_count += round_size
-        for b in range(width):
-            cumulative = np.where(
-                in_round[:, b], cumulative + probabilities[:, b], cumulative
-            )
-
-        # Expand: one vectorised child-probability update for the whole
-        # round's (C, B, Nt) children, then a masked scatter appending
-        # the valid ones in (popped-node, level) order — the serial
-        # assignment rule.
-        parent_pos = positions[rows, popped]  # (C, B, Nt)
-        parent_last = last_w[rows, popped]  # (C, B)
-        valid = (
-            in_round[:, :, None]
-            & (w_range[None, None, :] <= parent_last[:, :, None])
-            & (parent_pos < max_rank)
-        )
-        child_probs = probabilities[:, :, None] * pe_block[:, None, :]
-        valid_flat = valid.reshape(num_channels, -1)
-        pushes = valid_flat.sum(axis=1)
-        needed = int((count + pushes).max())
-        if needed > capacity:
-            grow = max(needed, 2 * capacity)
-            keys = np.concatenate(
-                [keys, np.full((num_channels, grow - capacity), np.inf)],
-                axis=1,
-            )
-            positions = np.concatenate(
-                [
-                    positions,
-                    np.zeros(
-                        (num_channels, grow - capacity, num_levels),
-                        dtype=np.int64,
-                    ),
-                ],
-                axis=1,
-            )
-            last_w = np.concatenate(
-                [
-                    last_w,
-                    np.zeros((num_channels, grow - capacity), dtype=np.int64),
-                ],
-                axis=1,
-            )
-            capacity = grow
-        slot = count[:, None] + np.cumsum(valid_flat, axis=1) - 1
-        channel_index, flat_index = np.nonzero(valid_flat)
-        batch_index = flat_index // num_levels
-        level_index = flat_index % num_levels
-        dest = slot[channel_index, flat_index]
-        keys[channel_index, dest] = -child_probs[
-            channel_index, batch_index, level_index
-        ]
-        positions[channel_index, dest] = parent_pos[
-            channel_index, batch_index
-        ]
-        positions[channel_index, dest, level_index] += 1
-        last_w[channel_index, dest] = level_index
-        count += pushes
-        live += pushes
-        mults += pushes
-        counter.add_real_mults(int(pushes.sum()))
-        peak = np.maximum(peak, live)
-
-        # Per-channel stopping criterion, checked once per round like
-        # the serial loop (so a channel crossing the threshold on its
-        # final round still reports ``stopped_early``).
-        if thresholds is not None:
-            fired = (
-                (round_size > 0)
-                & ~np.isnan(thresholds)
-                & (cumulative >= thresholds)
-            )
-            stopped_early |= fired
-            done |= fired
-
-    results = []
-    for c in range(num_channels):
-        n = int(selected_count[c])
-        results.append(
-            PreprocessingResult(
-                position_vectors=positions[c, selected_slots[c, :n]],
-                probabilities=selected_probs[c, :n].copy(),
-                expanded_nodes=n,
-                real_multiplications=int(mults[c]),
-                candidate_peak=int(peak[c]),
-                stopped_early=bool(stopped_early[c]),
-            )
-        )
-    return results
+        for c, n in enumerate(count.tolist())
+    ]
 
 
 def _as_thresholds(stop_threshold, num_channels: int) -> "np.ndarray | None":
-    """Normalise the stopping criterion to ``None`` or a ``(C,)`` array."""
+    """Normalise the stopping criterion to ``None`` or a ``(C,)`` array
+    in which a disabled (``nan``) entry is ``+inf``: never reached."""
     if stop_threshold is None:
         return None
     thresholds = np.asarray(stop_threshold, dtype=np.float64)
     if thresholds.ndim == 0:
-        return np.full(num_channels, float(thresholds))
+        thresholds = np.full(num_channels, float(thresholds))
     if thresholds.shape != (num_channels,):
         raise DimensionError(
             f"stop_threshold must be scalar or length {num_channels}, got "
             f"shape {thresholds.shape}"
         )
-    return thresholds
+    return np.where(np.isnan(thresholds), np.inf, thresholds)
 
 
 def brute_force_top_paths(

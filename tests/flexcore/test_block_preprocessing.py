@@ -7,19 +7,24 @@ the block path performs the same IEEE operations), and the same
 ``real_multiplications`` / ``candidate_peak`` / ``stopped_early``
 accounting.  This module pins that promise across a hypothesis grid of
 random ``Pe`` vectors, QAM orders, stopping thresholds, expansion batch
-sizes, and ragged per-channel early stops.
+sizes, and ragged per-channel early stops — widened to the shapes
+production runs (``Nt`` up to 12, 64-channel blocks) and to the regimes
+where only the tie-break decides the order — and checks the block search
+against the exhaustive ``brute_force_top_paths`` as an oracle that
+shares no code with either search.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ConfigurationError, DimensionError
 from repro.flexcore.preprocessing import (
+    brute_force_top_paths,
     find_promising_paths,
     find_promising_paths_block,
 )
-from repro.flexcore.probability import LevelErrorModel
+from repro.flexcore.probability import _PE_MAX, _PE_MIN, LevelErrorModel
 from repro.utils.flops import FlopCounter
 
 
@@ -113,6 +118,148 @@ class TestHypothesisGrid:
             assert_results_identical(serial, batched)
 
 
+def draw_pe_block(regime, rng, num_channels, num_levels):
+    """A ``(C, Nt)`` ``Pe`` block from one of the tie-break regimes."""
+    shape = (num_channels, num_levels)
+    if regime == "random":
+        return rng.uniform(0.001, 0.6, size=shape)
+    if regime == "pe_min":  # products underflow to -0.0: whole frontiers tie
+        return np.full(shape, _PE_MIN)
+    if regime == "pe_max":
+        return np.full(shape, _PE_MAX)
+    if regime == "equal_levels":  # one Pe per channel on every level
+        return np.tile(rng.uniform(0.05, 0.5, size=(num_channels, 1)), num_levels)
+    # A few values shared by several levels, the clip bounds among them.
+    return rng.choice([_PE_MIN, 1e-9, 0.25, 0.5, _PE_MAX], size=shape)
+
+
+def draw_thresholds(mode, rng, num_channels):
+    if mode == "none":
+        return None
+    if mode == "scalar":
+        return float(rng.uniform(0.1, 1.0))
+    thresholds = rng.uniform(0.0, 1.1, size=num_channels)
+    thresholds[rng.random(num_channels) < 0.3] = np.nan
+    return thresholds
+
+
+class TestWidenedGrid:
+    @given(
+        seed=st.integers(0, 2**31),
+        regime=st.sampled_from(
+            ["random", "pe_min", "pe_max", "equal_levels", "shared_values"]
+        ),
+        num_levels=st.integers(2, 12),
+        num_channels=st.integers(1, 64),
+        max_rank=st.sampled_from([2, 4, 16, 64]),
+        num_paths=st.integers(1, 96),
+        batch_size=st.sampled_from([1, 1, 2, 5, 13, 16]),
+        threshold_mode=st.sampled_from(["none", "none", "scalar", "ragged"]),
+    )
+    # Pinned, so a run never depends on hypothesis drawing them: the
+    # production block shapes under whole-frontier ties, and the
+    # masked path with more pops per round than levels.
+    @example(0, "pe_min", 8, 64, 16, 64, 1, "none")
+    @example(1, "shared_values", 12, 64, 64, 96, 1, "none")
+    @example(2, "pe_min", 5, 9, 4, 60, 13, "ragged")
+    @example(3, "equal_levels", 12, 17, 2, 96, 5, "scalar")
+    @example(4, "pe_max", 3, 4, 64, 50, 16, "ragged")
+    @settings(max_examples=120, deadline=None)
+    def test_block_matches_per_channel(
+        self,
+        seed,
+        regime,
+        num_levels,
+        num_channels,
+        max_rank,
+        num_paths,
+        batch_size,
+        threshold_mode,
+    ):
+        rng = np.random.default_rng(seed)
+        pe_block = draw_pe_block(regime, rng, num_channels, num_levels)
+        thresholds = draw_thresholds(threshold_mode, rng, num_channels)
+        per_channel, block, serial_counter, block_counter = run_both(
+            pe_block, num_paths, max_rank, thresholds, batch_size
+        )
+        assert len(block) == num_channels
+        for serial, batched in zip(per_channel, block):
+            assert_results_identical(serial, batched)
+        assert serial_counter.real_mults == block_counter.real_mults
+
+    @given(
+        seed=st.integers(0, 2**31),
+        regime=st.sampled_from(["random", "pe_min", "shared_values"]),
+        num_levels=st.integers(2, 4),
+        max_rank=st.sampled_from([2, 4]),
+        batch_size=st.integers(1, 9),
+        threshold_mode=st.sampled_from(["none", "ragged"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exhausted_frontiers(
+        self, seed, regime, num_levels, max_rank, batch_size, threshold_mode
+    ):
+        """``num_paths`` past the tree size: every node is selected, the
+        frontier runs dry, and with ``batch_size > 1`` channels finish
+        on different rounds."""
+        rng = np.random.default_rng(seed)
+        pe_block = draw_pe_block(regime, rng, 7, num_levels)
+        thresholds = draw_thresholds(threshold_mode, rng, 7)
+        per_channel, block, serial_counter, block_counter = run_both(
+            pe_block, max_rank**num_levels + 5, max_rank, thresholds, batch_size
+        )
+        for serial, batched in zip(per_channel, block):
+            assert_results_identical(serial, batched)
+        if thresholds is None:
+            assert all(
+                b.expanded_nodes == max_rank**num_levels for b in block
+            )
+        assert serial_counter.real_mults == block_counter.real_mults
+
+
+class TestIndependentOracle:
+    @pytest.mark.parametrize(
+        "num_levels, max_rank, num_paths",
+        [(2, 64, 200), (3, 16, 150), (4, 8, 64), (6, 4, 300), (12, 2, 128)],
+    )
+    def test_block_selects_the_exhaustive_top_set(
+        self, num_levels, max_rank, num_paths
+    ):
+        """On tie-free ``Pe`` the best-first search must return exactly
+        the ``num_paths`` most probable of all ``max_rank**Nt`` position
+        vectors, most probable first."""
+        rng = np.random.default_rng(num_levels * 1000 + max_rank)
+        pe_block = rng.uniform(0.005, 0.45, size=(5, num_levels))
+        block = find_promising_paths_block(pe_block, num_paths, max_rank)
+        for pe, result in zip(pe_block, block):
+            exhaustive = brute_force_top_paths(
+                LevelErrorModel(pe=pe), num_paths, max_rank
+            )
+            assert {tuple(v) for v in result.position_vectors} == {
+                tuple(v) for v in exhaustive.position_vectors
+            }
+            assert np.all(np.diff(result.probabilities) <= 0)
+            np.testing.assert_allclose(
+                result.probabilities, exhaustive.probabilities, rtol=1e-12
+            )
+
+
+class TestResultMemory:
+    @pytest.mark.parametrize("batch_size, threshold", [(1, None), (3, 0.9)])
+    def test_results_own_their_arrays(self, batch_size, threshold):
+        """A cached result must not be a view pinning the block's key
+        slab or its siblings' rows after they are evicted."""
+        pe_block = np.random.default_rng(3).uniform(0.01, 0.4, size=(6, 5))
+        block = find_promising_paths_block(
+            pe_block, 24, 16, stop_threshold=threshold, batch_size=batch_size
+        )
+        for result in block:
+            assert result.position_vectors.base is None
+            assert result.probabilities.base is None
+            assert result.position_vectors.dtype == np.int64
+            assert result.probabilities.dtype == np.float64
+
+
 class TestRaggedStops:
     def test_per_channel_thresholds_stop_channels_independently(self):
         """Channels crossing their threshold at different rounds sit out
@@ -169,7 +316,7 @@ class TestInputs:
         assert block[0].position_vectors.shape[0] == 9
 
     def test_frontier_growth_past_initial_capacity(self):
-        """Wide trees force the append-only frontier to reallocate."""
+        """Wide trees: hundreds of rounds, thousands of slots a channel."""
         pe_block = np.full((2, 8), 0.3)
         per_channel, block, _, _ = run_both(pe_block, 300, 64, None, 1)
         for serial, batched in zip(per_channel, block):

@@ -98,6 +98,36 @@ def test_prepare_many_bit_identical_to_per_channel(block, kind):
     assert serial_counter.real_adds == block_counter.real_adds
 
 
+@pytest.mark.parametrize(
+    "num_streams, order, num_paths, snr_db",
+    [(8, 16, 64, 21.0), (12, 64, 128, 27.0)],
+    ids=["8x8-16qam-64paths", "12x12-64qam-128paths"],
+)
+def test_production_blocks_match_per_channel_prepare(
+    num_streams, order, num_paths, snr_db
+):
+    """The 64-channel blocks the benchmark runs cold, against the heap
+    search of ``prepare``; each context owns its search arrays, so
+    evicting one frees it whatever its block siblings do."""
+    system = MimoSystem(num_streams, num_streams, QamConstellation(order))
+    channels = rayleigh_channels(
+        64, num_streams, num_streams, np.random.default_rng(2017)
+    )
+    noise_var = noise_variance_for_snr_db(snr_db)
+    detector = FlexCoreDetector(system, num_paths=num_paths)
+    serial_counter, block_counter = FlopCounter(), FlopCounter()
+    serial = [
+        detector.prepare(channel, noise_var, counter=serial_counter)
+        for channel in channels
+    ]
+    batched = detector.prepare_many(channels, noise_var, counter=block_counter)
+    assert_contexts_identical(serial, batched)
+    assert serial_counter.real_mults == block_counter.real_mults
+    for context in batched:
+        assert context.preprocessing.position_vectors.base is None
+        assert context.preprocessing.probabilities.base is None
+
+
 def test_adaptive_trim_applies_on_the_block_path(block):
     """The a-FlexCore override runs inside the block tail (the shared
     ``_finalize_context`` hook), not only in single-channel prepare."""
