@@ -2,16 +2,19 @@
 lattice reduction, mobility-driven pre-processing duty cycle)."""
 
 import numpy as np
+import pytest
 
 from repro.channel.doppler import coherence_frames
-from repro.channel.fading import rayleigh_channel
+from repro.channel.fading import rayleigh_channel, rayleigh_channels
 from repro.detectors.kbest_adaptive import AdaptiveKBestDetector
 from repro.detectors.lattice import LrAidedZfDetector
 from repro.experiments import soft_gain
 from repro.flexcore.soft import SoftFlexCoreDetector
 from repro.mimo.lattice import clll_reduce
+from repro.mimo.model import noise_variance_for_snr_db
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
+from repro.runtime.residency import ResidentContextStore
 
 
 def test_soft_flexcore_kernel(benchmark, system_12x12_64qam, detection_batch):
@@ -25,6 +28,41 @@ def test_soft_flexcore_kernel(benchmark, system_12x12_64qam, detection_batch):
         iterations=1,
     )
     assert result.llrs.shape[1] == 72
+
+
+@pytest.mark.parametrize(
+    "system_fixture,num_paths",
+    [("system_8x8_16qam", 32), ("system_12x12_64qam", 128)],
+    ids=["8x8-16qam-32", "12x12-64qam-128"],
+)
+def test_soft_flexcore_block_kernel(benchmark, request, system_fixture, num_paths):
+    """One LTE slot (7 symbols) on 64 subcarriers through the stacked
+    soft kernel, plan resident: the walk plus the sorted-list LLRs."""
+    system = request.getfixturevalue(system_fixture)
+    rng = np.random.default_rng(2017)
+    channels = rayleigh_channels(
+        64, system.num_rx_antennas, system.num_streams, rng
+    )
+    noise_var = noise_variance_for_snr_db(20.0)
+    sent = system.constellation.points[
+        rng.integers(0, system.constellation.order, (64, 7, system.num_streams))
+    ]
+    noise = rng.standard_normal((64, 7, system.num_rx_antennas, 2)) @ [1.0, 1.0j]
+    received = np.einsum("srt,sft->sfr", channels, sent) + noise * np.sqrt(
+        noise_var / 2.0
+    )
+    detector = SoftFlexCoreDetector(system, num_paths=num_paths)
+    contexts = detector.prepare_many(channels, noise_var)
+    indices, llrs, _ = benchmark.pedantic(
+        detector.detect_soft_block_prepared,
+        args=(contexts, received, noise_var),
+        kwargs={"store": ResidentContextStore()},
+        rounds=5,
+        iterations=1,
+        warmup_rounds=1,
+    )
+    assert indices.shape == (64, 7, system.num_streams)
+    assert llrs.shape == (64, 7, system.num_streams * system.constellation.bits_per_symbol)
 
 
 def test_adaptive_kbest_kernel(benchmark, system_12x12_64qam, detection_batch):

@@ -86,7 +86,12 @@ MAX_CHUNK_ELEMENTS = 1 << 23
 
 #: Float64 values the core holds per (subcarrier, frame, path) element
 #: beyond the ``2 Nt`` symbol planes: the running distance and about
-#: eight two-plane temporaries per level.
+#: eight two-plane temporaries per level.  The soft detector's ranked
+#: list comes on top as :func:`frames_per_chunk`'s ``extra``, in float64
+#: equivalents: two int64 tensors of ``Nt`` (symbol indices, gather
+#: index), sort order and sorted PEDs, four byte-wide ones (narrow and
+#: ranked indices, masked and bool bit planes) — ``2 Nt + 2 + (Nt + Nt *
+#: bits) / 4``, with no float64 per bit hypothesis.
 _WALK_TEMPORARIES = 18
 
 
@@ -96,7 +101,7 @@ def frames_per_chunk(
     """Frames of a ``(G, F, P)`` walk that fit :data:`MAX_CHUNK_ELEMENTS`.
 
     ``extra`` is what the caller holds per element on top of the core
-    (the soft path's bit-hypothesis tensors).
+    (the soft path's ranked candidate list).
     """
     per_frame = group * paths * (2 * num_streams + _WALK_TEMPORARIES + extra)
     return max(1, MAX_CHUNK_ELEMENTS // max(per_frame, 1))
@@ -327,8 +332,9 @@ class FlexCoreDetector(Detector):
         counter: FlopCounter = NULL_COUNTER,
     ) -> DetectionResult:
         received = self._check_received(received)
+        xp = resolve_array_module(None)
         indices, deactivated = self._detect_group(
-            [context], received[None], resolve_array_module(None), counter
+            self._plan([context], xp), received[None], xp, counter
         )
         return DetectionResult(
             indices=indices[0],
@@ -386,12 +392,10 @@ class FlexCoreDetector(Detector):
         groups = self._group_by_paths(contexts, max_paths)
         for (_prepared, paths), members in groups.items():
             block_indices, deactivated = self._detect_group(
-                [contexts[sc] for sc in members],
+                self._plan([contexts[sc] for sc in members], xp, store, paths),
                 received_dev[members],
                 xp,
                 counter,
-                store=store,
-                max_paths=paths,
             )
             indices_dev[members] = block_indices
             for j, sc in enumerate(members):
@@ -445,46 +449,40 @@ class FlexCoreDetector(Detector):
             groups.setdefault((prepared, effective), []).append(sc)
         return groups
 
-    def _detect_group(
-        self,
-        contexts,
-        received,
-        xp,
-        counter: FlopCounter,
-        store=None,
-        max_paths: "int | None" = None,
-    ) -> tuple:
-        """Hard-detect one equal-path-count group.
+    def _detect_group(self, plan, received, xp, counter: FlopCounter) -> tuple:
+        """Hard-detect one equal-path-count group over its walk plan.
 
-        ``received`` ``(G, F, Nr)`` is already on the module; the plan
-        comes from the resident ``store`` when one is supplied (zero
-        uploads on a warm hit) and ``max_paths`` slices it.  Returns
+        ``received`` ``(G, F, Nr)`` is already on the module.  Returns
         device-side decisions ``(G, F, Nt)`` plus host per-subcarrier
         deactivation counts, downloaded once.
         """
-        plan = self._plan(contexts, xp, store, max_paths)
-        planes = plan.grid_planes(xp.matmul(received, plan.q_conj), xp)
-        group, frames, num_streams, _ = planes.shape
-        chunk = frames_per_chunk(group, plan.paths, num_streams)
         winners = []
         deactivated = 0
-        for start in range(0, frames, chunk):
-            symbols, ped, dead = self._walk(
-                planes[:, start : start + chunk],
-                plan,
-                xp,
-                counter,
-                self.use_exact_ordering,
-            )
+        for symbols, ped, dead in self._walk_chunks(
+            plan, received, xp, counter, self.use_exact_ordering
+        ):
             winners.append(self._winner(symbols, ped, xp))
             deactivated = deactivated + xp.count_nonzero(dead, axis=(1, 2))
-        chosen = self._cell_indices(
-            self._grid_cells(xp.concatenate(winners, axis=1), xp), xp
-        )
+        chosen = self._symbol_indices(xp.concatenate(winners, axis=1), xp)
         return (
             plan.restore_order(chosen, xp),
             np.asarray(xp.to_numpy(deactivated), dtype=np.int64),
         )
+
+    def _walk_chunks(
+        self, plan, received, xp, counter, use_exact: bool, extra: int = 0
+    ):
+        """Rotate ``received`` ``(G, F, Nr)`` once, then yield
+        :meth:`_walk`'s ``(symbols, ped, dead)`` for each run of frames
+        that :func:`frames_per_chunk` admits — the one place a block is
+        walked, for the hard and the soft detector alike."""
+        planes = plan.grid_planes(xp.matmul(received, plan.q_conj), xp)
+        group, frames, num_streams, _ = planes.shape
+        chunk = frames_per_chunk(group, plan.paths, num_streams, extra)
+        for start in range(0, frames, chunk):
+            yield self._walk(
+                planes[:, start : start + chunk], plan, xp, counter, use_exact
+            )
 
     @staticmethod
     def _winner(values, ped, xp):
@@ -496,21 +494,19 @@ class FlexCoreDetector(Detector):
         )
         return xp.take_along_axis(values, best, axis=3)[..., 0]
 
-    def _grid_cells(self, symbols, xp):
-        """Row-major cell numbers, in the constellation's ``side x side``
-        position table, of walked grid points: axis 2 of ``symbols``
+    def _symbol_indices(self, symbols, xp):
+        """Symbol indices of walked grid points: axis 2 of ``symbols``
         interleaves ``u`` and ``v`` (the core's layout) and comes back
-        half as long."""
-        side = self.system.constellation.side
+        half as long.  A point's row-major cell in the constellation's
+        ``side x side`` position table is arithmetic; the Gray map is
+        that table."""
+        constellation = self.system.constellation
+        side = constellation.side
         u, v = symbols[:, :, 0::2], symbols[:, :, 1::2]
-        return xp.astype(
+        cells = xp.astype(
             (u + (side - 1)) * (0.5 * side) + (v + (side - 1)) * 0.5,
             xp.int64,
         )
-
-    def _cell_indices(self, cells, xp):
-        """Symbol indices of :meth:`_grid_cells` cell numbers."""
-        constellation = self.system.constellation
         table = constellation.device_constant(
             xp, constellation.grid_index_table
         )

@@ -65,7 +65,7 @@ from repro.runtime.scheduler import (
     merge_scheduler_summaries,
 )
 from repro.runtime.service import DetectionService, clamp_context_paths
-from repro.runtime.xp import (
+from repro.utils.xp import (
     ARRAY_BACKEND_ENV,
     ArrayModule,
     CountingArrayModule,

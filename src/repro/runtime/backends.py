@@ -10,7 +10,7 @@ dominates — exactly the regime of large constellations and many paths.
 ``array`` dispenses with shards entirely: detectors providing a stacked
 kernel walk the whole coherence block as one ``(S, F, P, Nt)`` tensor on
 a pluggable array module (numpy default, cupy/torch via
-``REPRO_ARRAY_BACKEND`` — see :mod:`repro.runtime.xp`), which is the
+``REPRO_ARRAY_BACKEND`` — see :mod:`repro.utils.xp`), which is the
 paper's actual execution model — every (subcarrier x path) processing
 element in flight at once.
 """
@@ -157,7 +157,7 @@ class ArrayBackend(ExecutionBackend):
     Parameters
     ----------
     array_module:
-        An :class:`~repro.runtime.xp.ArrayModule`, a name (``"numpy"``,
+        An :class:`~repro.utils.xp.ArrayModule`, a name (``"numpy"``,
         ``"cupy"``, ``"torch"``), or ``None`` to honour the
         ``REPRO_ARRAY_BACKEND`` environment variable (numpy when unset).
     residency:

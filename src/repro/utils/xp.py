@@ -30,8 +30,8 @@ constellation tables) are uploaded once per module through
 
 This module lives under ``repro.utils`` so the kernel layers
 (:mod:`repro.flexcore`, :mod:`repro.modulation`) can import it without
-pulling in the runtime package; :mod:`repro.runtime.xp` re-exports it as
-the public runtime-facing name.
+pulling in the runtime package; :mod:`repro.runtime` re-exports the
+user-facing names.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ class ArrayModule:
     ----------
     name:
         Registry name (``"numpy"``, ``"cupy"``, ``"torch"``).
-    complex128, float64, int64, bool_:
-        The library's dtype objects for the four dtypes the kernels use.
+    complex128, float64, int64, uint8, bool_:
+        The library's dtype objects for the five dtypes the kernels use.
     inf:
         Positive infinity as a host scalar.
     """
@@ -118,6 +118,7 @@ class NumpyArrayModule(ArrayModule):
         self.complex128 = numpy.complex128
         self.float64 = numpy.float64
         self.int64 = numpy.int64
+        self.uint8 = numpy.uint8
         self.bool_ = numpy.bool_
         self.inf = float("inf")
 
@@ -180,13 +181,19 @@ class NumpyArrayModule(ArrayModule):
         return self._np.clip(a, lo, hi)
 
     def argmin(self, a, axis):
+        """First index of the minimum (of the first ``False`` for bool)."""
         return self._np.argmin(a, axis=axis)
 
-    def argsort(self, a, axis=-1):
-        return self._np.argsort(a, axis=axis)
+    def argmax(self, a, axis):
+        """First index of the maximum (of the first ``True`` for bool)."""
+        return self._np.argmax(a, axis=axis)
 
-    def amin(self, a, axis):
-        return self._np.min(a, axis=axis)
+    def argsort(self, a, axis=-1, stable=False):
+        """``stable`` keeps equal keys in index order, so element 0 of
+        the result is the first-occurrence arg-min."""
+        return self._np.argsort(
+            a, axis=axis, kind="stable" if stable else None
+        )
 
     def isfinite(self, a):
         return self._np.isfinite(a)
@@ -216,11 +223,16 @@ class CupyArrayModule(NumpyArrayModule):
         self.complex128 = cupy.complex128
         self.float64 = cupy.float64
         self.int64 = cupy.int64
+        self.uint8 = cupy.uint8
         self.bool_ = cupy.bool_
         self.inf = float("inf")
 
     def to_numpy(self, a):
         return self._np.asnumpy(a)
+
+    def argsort(self, a, axis=-1, stable=False):
+        # cupy's only sort is a stable one and it takes no ``kind``.
+        return self._np.argsort(a, axis=axis)
 
 
 class TorchArrayModule(ArrayModule):
@@ -235,6 +247,7 @@ class TorchArrayModule(ArrayModule):
         self.complex128 = torch.complex128
         self.float64 = torch.float64
         self.int64 = torch.int64
+        self.uint8 = torch.uint8
         self.bool_ = torch.bool
         self.inf = float("inf")
 
@@ -308,14 +321,18 @@ class TorchArrayModule(ArrayModule):
     def clip(self, a, lo, hi):
         return self._torch.clip(a, lo, hi)
 
+    def _ordered(self, a):
+        # torch has no bool argmin/argmax kernels.
+        return a.to(self._torch.uint8) if a.dtype == self._torch.bool else a
+
     def argmin(self, a, axis):
-        return self._torch.argmin(a, dim=axis)
+        return self._torch.argmin(self._ordered(a), dim=axis)
 
-    def argsort(self, a, axis=-1):
-        return self._torch.argsort(a, dim=axis)
+    def argmax(self, a, axis):
+        return self._torch.argmax(self._ordered(a), dim=axis)
 
-    def amin(self, a, axis):
-        return self._torch.amin(a, dim=axis)
+    def argsort(self, a, axis=-1, stable=False):
+        return self._torch.sort(a, dim=axis, stable=stable).indices
 
     def isfinite(self, a):
         return self._torch.isfinite(a)

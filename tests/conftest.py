@@ -52,3 +52,26 @@ def random_link(system, snr_db, num_vectors, rng):
         channel, system.constellation.points[indices], noise_var, rng
     )
     return channel, indices, received, noise_var
+
+
+def make_block(system, subcarriers, frames, snr_db, seed):
+    """``(S, Nr, Nt)`` Rayleigh channels and ``(S, F, Nr)`` noisy
+    received symbols."""
+    from repro.channel.fading import rayleigh_channels
+    from repro.mimo.model import noise_variance_for_snr_db
+
+    rng = np.random.default_rng(seed)
+    channels = rayleigh_channels(
+        subcarriers, system.num_rx_antennas, system.num_streams, rng
+    )
+    noise_var = noise_variance_for_snr_db(snr_db)
+    sent = system.constellation.points[
+        rng.integers(
+            0, system.constellation.order, (subcarriers, frames, system.num_streams)
+        )
+    ]
+    shape = (subcarriers, frames, system.num_rx_antennas)
+    noise = np.sqrt(noise_var / 2.0) * (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    )
+    return channels, np.einsum("srt,sft->sfr", channels, sent) + noise, noise_var

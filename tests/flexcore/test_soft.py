@@ -1,8 +1,21 @@
-"""Tests for soft-output FlexCore."""
+"""Tests for soft-output FlexCore.
+
+The sorted candidate list is pinned to ``tests/reference/flexcore_llr.py``
+— the frozen dense ``where``/``min`` reduction — with ``np.array_equal``:
+both pick one of the same PEDs per hypothesis, so nothing may differ.
+The list suite runs on the module ``REPRO_ARRAY_BACKEND`` names (CI
+repeats it under torch); a block's PEDs are bit-identical to the
+oracle's on numpy only, so whole-block LLRs are compared to rounding
+elsewhere.
+"""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.flexcore.detector as detector_module
 from repro.errors import ConfigurationError, LinkSimulationError
 from repro.flexcore.soft import SoftFlexCoreDetector
 from repro.link.channels import rayleigh_sampler
@@ -11,7 +24,9 @@ from repro.link.simulation import simulate_link
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
 from repro.utils.bits import ints_to_bits
-from tests.conftest import random_link
+from repro.utils.xp import default_array_module
+from tests.conftest import make_block, random_link
+from tests.reference import flexcore_llr as reference
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +138,137 @@ class TestCodedLink:
                 rng=0,
                 use_soft=True,
             )
+
+
+def list_llrs(detector, indices, ped, noise_var=0.5):
+    """``(head, llrs, missing)`` of one candidate list — ``indices``
+    ``(Nt, P)``, ``ped`` ``(P,)`` — checked against the oracle's."""
+    xp = default_array_module()
+    indices = np.asarray(indices, dtype=np.int64)[None, None]
+    ped = np.asarray(ped, dtype=np.float64)[None, None]
+    got = [
+        np.asarray(xp.to_numpy(out))
+        for out in detector._list_llrs(
+            xp.asarray(indices), xp.asarray(ped), noise_var, xp
+        )
+    ]
+    expected = reference.list_llrs(
+        detector.system.constellation, indices, ped, noise_var, detector.llr_clip
+    )
+    for ours, theirs in zip(got, expected):
+        assert np.array_equal(ours, theirs)
+    return [out[0, 0] for out in got]
+
+
+class TestSortedListAgainstTheDenseReduction:
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        order=st.sampled_from([4, 16, 64, 256]),
+        num_streams=st.integers(2, 12),
+        num_paths=st.integers(1, 40),
+        budget=st.one_of(st.none(), st.integers(1, 40)),
+        limit=st.sampled_from([1, 600, 5000, 40000, 1 << 23]),
+        snr_db=st.sampled_from([2.0, 8.0, 14.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_blocks_chunked_stacked_and_alone(
+        self, order, num_streams, num_paths, budget, limit, snr_db, seed
+    ):
+        system = MimoSystem(num_streams, num_streams, QamConstellation(order))
+        detector = SoftFlexCoreDetector(system, num_paths)
+        channels, received, noise_var = make_block(system, 3, 4, snr_db, seed)
+        contexts = detector.prepare_many(channels, noise_var)
+        expected = reference.detect_soft_block(
+            detector, contexts, received, noise_var, budget
+        )
+        exact = default_array_module().name == "numpy"
+
+        def check(rows):
+            indices, llrs, metadata = detector.detect_soft_block_prepared(
+                contexts[rows], received[rows], noise_var, max_paths=budget
+            )
+            assert np.array_equal(indices, expected[0][rows])
+            if exact:
+                assert np.array_equal(llrs, expected[1][rows])
+            else:
+                assert np.allclose(llrs, expected[1][rows], rtol=1e-9, atol=1e-9)
+            assert [m["clamped_bits"] for m in metadata] == expected[2][rows]
+
+        with mock.patch.object(detector_module, "MAX_CHUNK_ELEMENTS", limit):
+            check(slice(None))
+            for sc in range(len(contexts)):
+                check(slice(sc, sc + 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        order=st.sampled_from([4, 16, 64, 256]),
+        num_streams=st.integers(1, 3),
+        paths=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_any_list_with_ties_and_dead_paths(self, order, num_streams, paths, data):
+        detector = SoftFlexCoreDetector(
+            MimoSystem(num_streams, num_streams, QamConstellation(order)), paths
+        )
+        indices = data.draw(
+            st.lists(
+                st.lists(st.integers(0, order - 1), min_size=paths, max_size=paths),
+                min_size=num_streams,
+                max_size=num_streams,
+            )
+        )
+        # Few distinct values, so ties and dead paths are the rule; the
+        # walk's rank-1 path always survives, so one PED is finite.
+        ped = data.draw(
+            st.lists(
+                st.sampled_from([0.25, 1.0, 1.0 + 2.0**-52, 3.5, np.inf]),
+                min_size=paths,
+                max_size=paths,
+            ).filter(lambda values: min(values) < np.inf)
+        )
+        list_llrs(detector, indices, ped)
+
+    @pytest.fixture
+    def one_stream(self):
+        # 16-QAM, one stream: a candidate is one 4-bit label.
+        return SoftFlexCoreDetector(MimoSystem(1, 1, QamConstellation(16)), 4)
+
+    def test_duplicate_peds_between_candidates_with_different_bits(self, one_stream):
+        # 0b0101 and 0b1010 tie: the first one is the decision, and every
+        # bit has both hypotheses at the same distance.
+        head, llrs, missing = list_llrs(
+            one_stream, [[0b0101, 0b1010, 0b0101]], [1.0, 1.0, 2.0]
+        )
+        assert head == [0b0101]
+        assert np.array_equal(llrs, [0.0, 0.0, 0.0, 0.0])
+        assert not missing.any()
+        head, _, _ = list_llrs(one_stream, [[0b1010, 0b0101]], [1.0, 1.0])
+        assert head == [0b1010]
+
+    def test_hypothesis_absent_from_the_list(self, one_stream):
+        # Every candidate has MSB 1 and LSB 0: those two bits clamp, to
+        # the side the list agrees on.
+        _, llrs, missing = list_llrs(
+            one_stream, [[0b1010, 0b1100, 0b1000]], [0.5, 1.5, 1.0]
+        )
+        clip = one_stream.llr_clip
+        assert np.array_equal(llrs, [-clip, 2.0, -1.0, clip])
+        assert np.array_equal(missing, [True, False, False, True])
+
+    def test_hypothesis_present_only_on_deactivated_paths(self, one_stream):
+        # Only dead candidates carry MSB 0 or LSB 1: as good as absent.
+        _, llrs, missing = list_llrs(
+            one_stream, [[0b1110, 0b0110, 0b1010, 0b0011]], [1.0, np.inf, 2.0, np.inf]
+        )
+        clip = one_stream.llr_clip
+        assert np.array_equal(llrs, [-clip, -2.0, -clip, clip])
+        assert np.array_equal(missing, [True, False, True, True])
+
+    def test_single_path_list(self, one_stream):
+        head, llrs, missing = list_llrs(one_stream, [[0b0110]], [0.75])
+        clip = one_stream.llr_clip
+        assert head == [0b0110]
+        assert np.array_equal(llrs, [clip, -clip, -clip, clip])
+        assert missing.all()

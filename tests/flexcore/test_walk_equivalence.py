@@ -20,13 +20,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import repro.flexcore.detector as detector_module
-from repro.channel.fading import rayleigh_channels
 from repro.detectors.ml import MlDetector
 from repro.flexcore.adaptive import AdaptiveFlexCoreDetector
 from repro.flexcore.detector import FlexCoreDetector, _StackedContexts
 from repro.flexcore.ordering import TriangleOrdering
 from repro.flexcore.soft import SoftFlexCoreDetector
-from repro.mimo.model import noise_variance_for_snr_db
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
 from repro.runtime.residency import ResidentContextStore
@@ -34,30 +32,11 @@ from repro.runtime.residency import ResidentContextStore
 from repro.runtime.service import clamp_context_paths as clamped
 from repro.utils.flops import NULL_COUNTER
 from repro.utils.xp import default_array_module, resolve_array_module
+from tests.conftest import make_block
 from tests.reference import flexcore_walk as reference
 
 NUMPY = resolve_array_module("numpy")
 ORDERINGS = {order: TriangleOrdering(QamConstellation(order)) for order in (4, 16, 64, 256)}
-
-
-def make_block(system, subcarriers, frames, snr_db, seed):
-    """``(S, Nr, Nt)`` Rayleigh channels and ``(S, F, Nr)`` noisy
-    received symbols."""
-    rng = np.random.default_rng(seed)
-    channels = rayleigh_channels(
-        subcarriers, system.num_rx_antennas, system.num_streams, rng
-    )
-    noise_var = noise_variance_for_snr_db(snr_db)
-    sent = system.constellation.points[
-        rng.integers(
-            0, system.constellation.order, (subcarriers, frames, system.num_streams)
-        )
-    ]
-    shape = (subcarriers, frames, system.num_rx_antennas)
-    noise = np.sqrt(noise_var / 2.0) * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    )
-    return channels, np.einsum("srt,sft->sfr", channels, sent) + noise, noise_var
 
 
 #: (order, Nt) pairs whose walks stay small enough for a property test.
@@ -262,7 +241,7 @@ class TestLevelPickBoundaries:
         assert np.array_equal(dead[0], expected < 0)
         assert dead[0][:, [0, -1, -2]].all()
         assert not dead[0][:, 1].any(), "rank 1 never deactivates"
-        picked = detector._cell_indices(detector._grid_cells(symbols, NUMPY), NUMPY)[0, :, 0]
+        picked = detector._symbol_indices(symbols, NUMPY)[0, :, 0]
         alive = ~dead[0]
         assert np.array_equal(picked[alive], expected[alive])
         # Eq. 1 with unit weight, in grid units.
