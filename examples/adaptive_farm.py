@@ -22,7 +22,7 @@ trade paths for punctuality.
 
 Run:  python examples/adaptive_farm.py [--cells 2] [--slots 10]
           [--scenario bursty] [--policy aimd|snr|static]
-          [--backend array|serial|process-pool] [--seed 2017]
+          [--backend array|serial] [--seed 2017]
 
 ``--smoke`` runs a short fixed-seed burst-scenario pass and exits
 non-zero unless the governed deadline hit-rate is >= 99% — the CI

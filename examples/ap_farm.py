@@ -17,7 +17,7 @@ and sets the slot interval (= the deadline budget) to ``--margin`` times
 that, then paces ``--slots`` real-time slots at the calibrated rate.
 
 Run:  python examples/ap_farm.py [--cells 4] [--slots 6]
-                                 [--backend serial|process-pool|array]
+                                 [--backend serial|array]
                                  [--smoke] [--seed 2017]
 
 ``--smoke`` runs a short fixed-seed pass and exits non-zero unless the

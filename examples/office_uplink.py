@@ -7,7 +7,7 @@ channel comes from the geometric office simulator (the WARP substitute).
 Compares network throughput of FlexCore at several PE budgets against
 MMSE and FCSD — a one-panel, low-trial slice of Fig. 9.
 
-Run:  python examples/office_uplink.py [serial|process-pool|array]
+Run:  python examples/office_uplink.py [serial|array]
 
 The optional argument selects the runtime execution backend; ``array``
 runs the stacked tensor-walk kernel and honours ``REPRO_ARRAY_BACKEND``

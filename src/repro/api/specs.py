@@ -167,9 +167,7 @@ class BackendSpec:
     ----------
     name:
         A :func:`repro.runtime.backends.make_backend` registry name
-        (``"serial"``, ``"process-pool"``, ``"array"``).
-    max_workers:
-        Pool size; only meaningful for the process-pool backend.
+        (``"serial"``, ``"array"``).
     array_module:
         Array module for the ``array`` backend (``"numpy"``, ``"cupy"``,
         ``"torch"``); ``None`` honours ``REPRO_ARRAY_BACKEND``.
@@ -183,7 +181,6 @@ class BackendSpec:
     """
 
     name: str = "serial"
-    max_workers: "int | None" = None
     array_module: "str | None" = None
     residency: "bool | None" = None
 
@@ -193,15 +190,6 @@ class BackendSpec:
                 f"unknown backend {self.name!r}; registered backends: "
                 f"{', '.join(available_backends())}"
             )
-        is_pool = self.name in ("process-pool", "process")
-        if self.max_workers is not None:
-            if not is_pool:
-                raise ConfigurationError(
-                    "max_workers only applies to the process-pool "
-                    f"backend, not {self.name!r}"
-                )
-            if self.max_workers < 1:
-                raise ConfigurationError("max_workers must be >= 1")
         if self.array_module is not None:
             if self.name != "array":
                 raise ConfigurationError(
@@ -223,8 +211,6 @@ class BackendSpec:
     def build(self) -> ExecutionBackend:
         """Instantiate the backend through the registry."""
         kwargs = {}
-        if self.max_workers is not None:
-            kwargs["max_workers"] = self.max_workers
         if self.array_module is not None:
             kwargs["array_module"] = self.array_module
         if self.residency is not None:
@@ -234,7 +220,6 @@ class BackendSpec:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "max_workers": self.max_workers,
             "array_module": self.array_module,
             "residency": self.residency,
         }

@@ -7,9 +7,14 @@ repo's callers used to construct by hand — detector,
 per-cell caches, :class:`~repro.runtime.scheduler.StreamingScheduler`
 and :class:`~repro.control.governor.ComputeGovernor` — behind the
 :class:`UplinkStack` facade.  The equivalence suite pins the facade
-bit-identical to the hand-constructed engines across serial /
-process-pool / array x batch / streaming x governed / ungoverned, so
-nothing is lost by going through the config.
+bit-identical to the hand-constructed engines across serial / array x
+batch / streaming x governed / ungoverned, so nothing is lost by going
+through the config.  A stack is one process with two in-process routes
+(``BackendSpec("serial")``, the per-subcarrier reference, and
+``BackendSpec("array")``, the stacked walk); the one multi-process
+mechanism is :class:`~repro.farm.coordinator.FarmCoordinator`, which
+splits one ``StackConfig`` across N supervised worker processes, each
+building its slice through this same function.
 """
 
 from __future__ import annotations

@@ -93,10 +93,17 @@ class Detector(abc.ABC):
         """Whether this detector provides a stacked multi-channel kernel.
 
         Detectors exposing ``detect_block_prepared(contexts, received,
-        counter=..., xp=...)`` (e.g. FlexCore's tensor walk) are routed
-        through it by :meth:`detect_many` and by the runtime's ``array``
-        execution backend; everything else falls back to the documented
-        per-channel loop.
+        counter=..., xp=..., store=..., max_paths=...)`` (e.g. FlexCore's
+        tensor walk) are routed through it by :meth:`detect_many` and by
+        the runtime's ``array`` execution backend; everything else falls
+        back to the documented per-channel loop.
+
+        The runtime always passes all four keywords (as it does to the
+        soft twin, ``detect_soft_block_prepared(contexts, received,
+        noise_var, ...)``): ``store`` is the backend's
+        :class:`~repro.runtime.residency.ResidentContextStore` or
+        ``None``, and ``max_paths`` is the per-call path budget, which
+        the kernel applies itself — contexts arrive unclamped.
         """
         return callable(getattr(self, "detect_block_prepared", None))
 

@@ -52,22 +52,15 @@ class ExperimentError(ReproError):
 class WorkerCrashError(ReproError):
     """A worker process died (or hung) and recovery was exhausted.
 
-    Raised by :class:`~repro.runtime.backends.ProcessPoolBackend` when a
-    rebuilt pool breaks a second time, and by
-    :class:`~repro.farm.coordinator.FarmCoordinator` when a worker
-    exceeds its restart budget.  ``payload_index`` (pool) identifies the
-    first payload whose result was lost; ``worker`` (farm) names the
-    worker slot that could not be kept alive.
+    Raised by :class:`~repro.farm.coordinator.FarmCoordinator` — the
+    only code that starts worker processes — when a worker fails its
+    startup handshake, reports a deterministic error, or exceeds its
+    restart budget.  ``worker`` names the worker slot that could not be
+    kept alive.
     """
 
-    def __init__(
-        self,
-        message: str,
-        payload_index: "int | None" = None,
-        worker: "int | None" = None,
-    ):
+    def __init__(self, message: str, worker: "int | None" = None):
         super().__init__(message)
-        self.payload_index = payload_index
         self.worker = worker
 
 

@@ -68,8 +68,8 @@ def run(
     """Regenerate Fig. 9.
 
     ``backend`` selects the runtime execution backend every link run goes
-    through (``"serial"``, ``"process-pool"``, or ``"array"`` — the
-    stacked tensor walk); results are identical across backends, only
+    through (``"serial"`` or ``"array"`` — the stacked tensor walk);
+    results are identical across backends, only
     wall-clock changes.  ``streaming=True`` routes detection through the
     slot-deadline scheduler sharded over ``cells`` cells instead of the
     direct batch engine — again bit-identical, exercising the streaming

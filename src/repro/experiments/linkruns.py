@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
-
 
 from repro.api import (
     BackendSpec,
@@ -115,31 +113,6 @@ def make_stack(detector: Detector, config: StackConfig) -> UplinkStack:
     path changes.
     """
     return build_stack(config, detector=detector)
-
-
-def make_engine(
-    detector: Detector,
-    backend: str = "serial",
-    streaming: bool = False,
-    cells: int = 1,
-):
-    """Deprecated: build the runtime through the config-first API.
-
-    Thin wrapper kept for callers of the pre-``repro.api`` surface;
-    equivalent to ``make_stack(detector, runtime_stack_config(...))``.
-    """
-    warnings.warn(
-        "make_engine is deprecated; use make_stack(detector, "
-        "runtime_stack_config(...)) — or repro.api.build_stack directly",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return make_stack(
-        detector,
-        runtime_stack_config(
-            backend=backend, streaming=streaming, cells=cells
-        ),
-    )
 
 
 def calibrate_ml_snr(

@@ -168,7 +168,7 @@ def main(argv=None) -> int:
         "--backend",
         default=None,
         help="runtime execution backend for experiments that take one "
-        "(serial | process-pool | array); the array backend honours "
+        "(serial | array); the array backend honours "
         "REPRO_ARRAY_BACKEND for its array module",
     )
     parser.add_argument(

@@ -149,7 +149,7 @@ def simulate_link(
     engine:
         Optional pre-built :class:`~repro.runtime.engine.BatchedUplinkEngine`
         (or :class:`~repro.api.UplinkStack`) wrapping ``detector`` (e.g.
-        with a process-pool backend, or with a cache shared across SNR
+        with the array backend, or with a cache shared across SNR
         points).  By default a fresh serial-backend stack is built for
         the call through :func:`repro.api.build_stack`, whose context
         cache amortises ``prepare`` across the packets of the run — the

@@ -4,10 +4,14 @@ The paper's throughput story has two systems ingredients on top of the
 FlexCore algorithm: amortise per-channel pre-processing over the
 coherence time (§4) and spread the embarrassingly-parallel per-subcarrier
 problems across execution resources (§5.2).  This package provides both
-as a detector-agnostic runtime, layered service-side down:
+as a detector-agnostic runtime.  Everything here runs in one process,
+on one of two routes — the per-subcarrier reference loop (``serial``)
+or the stacked tensor walk (``array``); the one multi-process mechanism
+is :mod:`repro.farm`, which supervises worker processes that each host
+this runtime.  Layered service-side down:
 
-* :class:`DetectionService` — the cell-agnostic prepare+detect block
-  path over one execution backend; detector and cache are per call;
+* :class:`DetectionService` — the cell-agnostic prepare+detect route
+  over one execution backend; detector and cache are per call;
 * :class:`StreamingScheduler` / :class:`MicroBatcher` — the asyncio
   slot-deadline front-end: :class:`FrameArrival` events are grouped by
   coherence key and flushed on a batch target or the LTE 500 µs slot
@@ -18,20 +22,19 @@ as a detector-agnostic runtime, layered service-side down:
 * :class:`BatchedUplinkEngine` — the synchronous batch adapter the link
   simulator, the experiment harness and the examples drive;
 * :class:`UplinkBatch` / :class:`BatchDetectionResult` — the
-  ``(subcarriers x frames)`` workload and its stacked output;
+  ``(subcarriers x frames)`` workload (validated: shapes, finite
+  values) and its stacked output;
 * :class:`ContextCache` / :class:`CacheStats` — content-addressed
   coherence cache of prepared channel contexts, with a stacked-QR
   block-prepare path for misses;
-* :class:`SerialBackend` / :class:`ProcessPoolBackend` /
-  :class:`ArrayBackend` — pluggable execution backends: per-subcarrier
-  loop, sharded worker pool, or one stacked ``(S, F, P, Nt)`` tensor
-  walk on a numpy/cupy/torch array module (``REPRO_ARRAY_BACKEND``).
+* :class:`SerialBackend` / :class:`ArrayBackend` — the two routes:
+  per-subcarrier loop, or one stacked ``(S, F, P, Nt)`` tensor walk on
+  a numpy/cupy/torch array module (``REPRO_ARRAY_BACKEND``).
 """
 
 from repro.runtime.backends import (
     ArrayBackend,
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     available_backends,
     make_backend,
@@ -92,7 +95,6 @@ __all__ = [
     "FrameArrival",
     "FrameDetection",
     "MicroBatcher",
-    "ProcessPoolBackend",
     "ResidencyStats",
     "ResidentContextStore",
     "RuntimeStats",

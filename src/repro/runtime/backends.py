@@ -1,48 +1,40 @@
-"""Execution backends: where a batch's subcarrier shards actually run.
+"""Execution backends: which in-process route a batch takes.
 
-The engine splits an uplink batch into contiguous subcarrier shards and
-hands (worker, shards) to a backend.  ``serial`` runs them in-process —
-one vectorised kernel call per subcarrier.  ``process-pool`` forks
-workers and maps shards across them, the software analogue of the
-paper's multi-GPU "one device per subcarrier range" sharding (§5.2); it
-pays one detector pickle per shard, so it wins only when per-shard work
-dominates — exactly the regime of large constellations and many paths.
-``array`` dispenses with shards entirely: detectors providing a stacked
-kernel walk the whole coherence block as one ``(S, F, P, Nt)`` tensor on
-a pluggable array module (numpy default, cupy/torch via
-``REPRO_ARRAY_BACKEND`` — see :mod:`repro.utils.xp`), which is the
-paper's actual execution model — every (subcarrier x path) processing
-element in flight at once.
+A backend is a *selection* plus the state that selection needs, not a
+place work is shipped to.  :class:`~repro.runtime.service.DetectionService`
+has two in-process routes and picks between them from the backend it was
+given:
+
+* ``serial`` — one kernel call per subcarrier (``detect_prepared`` at
+  G = 1).  Stateless.  This is the reference route: flexbench's oracle
+  and the equivalence suites run it to check the stacked walk bit for
+  bit.
+* ``array`` — detectors providing a stacked kernel walk the whole
+  coherence block as one ``(S, F, P, Nt)`` tensor on a pluggable array
+  module (numpy default, cupy/torch via ``REPRO_ARRAY_BACKEND`` — see
+  :mod:`repro.utils.xp`), which is the paper's actual execution model —
+  every (subcarrier x path) processing element in flight at once (§3.2,
+  §5.2).  Owns the array module and the device-resident context store.
+
+The paper's other parallel axis — subcarrier ranges spread across
+devices (§5.2) — is not a backend: :mod:`repro.farm` is the one
+multi-process mechanism, supervising worker processes that each run a
+whole stack on one of these backends.
 """
 
 from __future__ import annotations
 
-import abc
-import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Sequence
-
-from repro.errors import ConfigurationError, WorkerCrashError
+from repro.errors import ConfigurationError
 from repro.utils.xp import ArrayModule, default_array_module, resolve_array_module
 
 
-class ExecutionBackend(abc.ABC):
-    """Maps a picklable worker over shard payloads, preserving order."""
+class ExecutionBackend:
+    """Base of the backends :func:`make_backend` resolves or passes through."""
 
     name: str = "backend"
 
-    @abc.abstractmethod
-    def run(self, worker: Callable, payloads: Sequence) -> list:
-        """Apply ``worker`` to every payload; results in payload order."""
-
-    @property
-    def num_shards_hint(self) -> int:
-        """How many shards the engine should cut a batch into."""
-        return 1
-
     def close(self) -> None:
-        """Release worker resources (no-op for in-process backends)."""
+        """Release what the backend holds (nothing, by default)."""
 
     def __enter__(self) -> "ExecutionBackend":
         return self
@@ -52,107 +44,20 @@ class ExecutionBackend(abc.ABC):
 
 
 class SerialBackend(ExecutionBackend):
-    """In-process execution; shares the engine's cross-call context cache."""
+    """Selects the per-subcarrier loop — the reference route."""
 
     name = "serial"
-
-    def run(self, worker: Callable, payloads: Sequence) -> list:
-        return [worker(payload) for payload in payloads]
-
-
-class ProcessPoolBackend(ExecutionBackend):
-    """Shards subcarriers across a pool of worker processes.
-
-    Parameters
-    ----------
-    max_workers:
-        Pool size; defaults to ``os.cpu_count()`` capped at 8 (beyond
-        that the pickle/IPC overhead of shipping channel blocks dwarfs
-        the detection work at link-simulation scales).
-
-    Notes
-    -----
-    Workers are fresh processes and hold no state: the engine prepares
-    contexts in the parent (through its persistent coherence cache) and
-    ships them inside each shard payload, so cross-call amortisation is
-    identical to the serial backend; workers only run the detection
-    walk.
-    """
-
-    name = "process-pool"
-
-    def __init__(self, max_workers: int | None = None):
-        if max_workers is not None and max_workers <= 0:
-            raise ConfigurationError("max_workers must be positive")
-        self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
-        self._executor: ProcessPoolExecutor | None = None
-        self._broken_index: "int | None" = None
-
-    @property
-    def num_shards_hint(self) -> int:
-        return self.max_workers
-
-    def _pool(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._executor
-
-    def _map(self, worker: Callable, payloads: list) -> list:
-        # submit (not Executor.map) so a broken pool identifies which
-        # payload's result was lost.
-        pool = self._pool()
-        futures = [pool.submit(worker, payload) for payload in payloads]
-        results = []
-        for index, future in enumerate(futures):
-            try:
-                results.append(future.result())
-            except BrokenProcessPool:
-                self._broken_index = index
-                raise
-        return results
-
-    def run(self, worker: Callable, payloads: Sequence) -> list:
-        payloads = list(payloads)
-        if len(payloads) <= 1:
-            # One shard: the pool round-trip buys nothing.
-            return [worker(payload) for payload in payloads]
-        try:
-            return self._map(worker, payloads)
-        except BrokenProcessPool:
-            # A worker killed mid-task (OOM-killer, SIGKILL, segfault)
-            # poisons the whole executor: every later submit would raise
-            # too.  Tear it down and retry the batch once on a fresh
-            # pool; if that breaks as well the work itself is lethal.
-            self.close()
-            try:
-                return self._map(worker, payloads)
-            except BrokenProcessPool as error:
-                index = self._broken_index
-                self.close()
-                raise WorkerCrashError(
-                    f"process-pool worker died twice running this batch "
-                    f"(first lost result: payload {index} of "
-                    f"{len(payloads)}); the pool was rebuilt once and "
-                    "broke again, so the payload itself is suspect",
-                    payload_index=index,
-                ) from error
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
 
 
 class ArrayBackend(ExecutionBackend):
     """Stacked tensor-walk execution on a pluggable array module.
 
-    The engine bypasses sharding for this backend: contexts for the whole
-    batch are prepared through the cache (cache misses factorised by one
-    stacked QR) and detectors with a block kernel
-    (:attr:`repro.detectors.base.Detector.has_block_kernel`) walk all
-    subcarriers of equal path count as a single ``(S, F, P, Nt)`` tensor.
-    Detectors without one fall back to the serial per-subcarrier loop —
-    the backend is always safe to select.
+    Contexts for the whole batch are prepared through the cache (cache
+    misses factorised by one stacked QR) and detectors with a block
+    kernel (:attr:`repro.detectors.base.Detector.has_block_kernel`) walk
+    all subcarriers of equal path count as a single ``(S, F, P, Nt)``
+    tensor.  Detectors without one run the same per-subcarrier loop
+    :class:`SerialBackend` selects — the backend is always safe to pick.
 
     Parameters
     ----------
@@ -200,25 +105,13 @@ class ArrayBackend(ExecutionBackend):
         if self.resident_store is not None:
             self.resident_store.clear()
 
-    def run(self, worker: Callable, payloads: Sequence) -> list:
-        # Satisfies the ExecutionBackend ABC only: the engine dispatches
-        # ArrayBackend batches straight to its stacked path (including
-        # the in-process loop for detectors without a block kernel) and
-        # never calls run().
-        return [worker(payload) for payload in payloads]
 
-
-_BACKENDS = {
-    "serial": SerialBackend,
-    "process-pool": ProcessPoolBackend,
-    "process": ProcessPoolBackend,
-    "array": ArrayBackend,
-}
+_BACKENDS = {"serial": SerialBackend, "array": ArrayBackend}
 
 
 def available_backends() -> tuple[str, ...]:
     """Names accepted by :func:`make_backend`."""
-    return tuple(sorted(set(_BACKENDS)))
+    return tuple(sorted(_BACKENDS))
 
 
 def make_backend(spec, **kwargs) -> ExecutionBackend:

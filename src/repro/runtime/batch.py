@@ -5,7 +5,8 @@ of one coherence interval, each carrying the same number of received
 vectors (OFDM symbols, a.k.a. frames).  FlexCore's "nearly embarrassingly
 parallel" claim (§3.2, §5.2) is exactly that these ``subcarriers x
 frames`` detection problems are independent — the batch is the shape the
-engine shards, caches and vectorises over.
+runtime caches and vectorises over, and the boundary where hostile
+input (wrong shapes, non-finite values) is turned away.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import DimensionError
+from repro.errors import ConfigurationError, DimensionError
 
 
 class RuntimeStats(dict):
@@ -77,9 +78,21 @@ class UplinkBatch:
                 f"received vectors have {received.shape[2]} antennas, "
                 f"channels have {channels.shape[1]}"
             )
+        noise_var = float(self.noise_var)
+        # One check for every route: a NaN that got past here would come
+        # back as all-NaN LLRs, or as an IndexError from inside the walk.
+        for name, value in (
+            ("noise_var", noise_var),
+            ("channels", channels),
+            ("received", received),
+        ):
+            if not np.isfinite(value).all():
+                raise ConfigurationError(
+                    f"UplinkBatch {name} must be finite (no NaN or inf)"
+                )
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "received", received)
-        object.__setattr__(self, "noise_var", float(self.noise_var))
+        object.__setattr__(self, "noise_var", noise_var)
 
     @property
     def num_subcarriers(self) -> int:
@@ -97,20 +110,6 @@ class UplinkBatch:
     def num_streams(self) -> int:
         return self.channels.shape[2]
 
-    def shard(self, num_shards: int) -> list["UplinkBatch"]:
-        """Split along the subcarrier axis into contiguous sub-batches."""
-        num_shards = max(1, min(int(num_shards), self.num_subcarriers))
-        bounds = np.array_split(np.arange(self.num_subcarriers), num_shards)
-        return [
-            UplinkBatch(
-                channels=self.channels[idx[0] : idx[-1] + 1],
-                received=self.received[idx[0] : idx[-1] + 1],
-                noise_var=self.noise_var,
-            )
-            for idx in bounds
-            if idx.size
-        ]
-
 
 @dataclass
 class BatchDetectionResult:
@@ -127,8 +126,8 @@ class BatchDetectionResult:
         The scheme-specific metadata dict each subcarrier's
         ``detect_prepared`` produced, in subcarrier order.
     stats:
-        Runtime accounting: backend name, shard count, and the batch's
-        cache movement under ``stats["cache"]`` — a
+        Runtime accounting: backend name, whether the stacked route ran,
+        and the batch's cache movement under ``stats["cache"]`` — a
         :class:`~repro.runtime.cache.CacheStats` snapshot (a
         ``{cell_id: CacheStats}`` mapping when the workload was sharded
         across a cell farm).

@@ -3,9 +3,11 @@
 The ROADMAP's "AP farm" direction: today's deployments run one engine
 per cell; this module lets N cells register against one
 :class:`~repro.runtime.scheduler.StreamingScheduler` and share a single
-execution backend (serial / process-pool / array) through the common
+in-process execution backend (serial / array) through the common
 :class:`~repro.runtime.service.DetectionService`, the way RaPro's
 multi-server architecture pools baseband compute across radio heads.
+(Cells spread over *processes* are :mod:`repro.farm`: each supervised
+worker hosts a farm of this module's cells.)
 Sharing stops at the compute: every cell keeps its **own**
 :class:`~repro.runtime.cache.ContextCache` (channels from different
 cells never collide, and one cell's coherence churn cannot evict a

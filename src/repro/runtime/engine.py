@@ -9,21 +9,21 @@ throughput argument on:
   FlexCore's position vectors — are prepared once per distinct
   ``(channel, noise_var)`` and served from a content-addressed cache for
   every frame and every recurrence of that channel.
-* **Subcarrier parallelism** (§5.2): the independent per-subcarrier
-  detection problems run on an execution backend — in-process
-  ``serial``, a ``process-pool`` sharding subcarrier ranges the way the
-  paper spreads them across CUDA streams and devices, or ``array``,
-  which stacks every subcarrier of equal path count into one
-  ``(S, F, P, Nt)`` tensor walk on a pluggable array module.
+* **Subcarrier parallelism** (§5.2): on ``backend="array"`` every
+  subcarrier of equal path count is stacked into one ``(S, F, P, Nt)``
+  tensor walk on a pluggable array module; ``backend="serial"`` runs
+  the same problems one subcarrier at a time and is the reference the
+  stacked walk is checked against.  Both run in this process; spreading
+  subcarrier ranges over processes is :mod:`repro.farm`'s job.
 
-Since the service extraction, the heavy lifting — context preparation,
-backend dispatch, the stacked tensor walk, shard bookkeeping — lives in
-the cell-agnostic :class:`~repro.runtime.service.DetectionService`.
-The engine binds one detector and one private
-:class:`~repro.runtime.cache.ContextCache` to a service and exposes the
-synchronous batch API the link simulator and the experiment harness
-drive.  The streaming front-ends (:mod:`repro.runtime.scheduler`,
-:mod:`repro.runtime.cells`) sit on the same service.
+The heavy lifting — context preparation, route selection, the stacked
+tensor walk, stats — lives in the cell-agnostic
+:class:`~repro.runtime.service.DetectionService`.  The engine binds one
+detector and one private :class:`~repro.runtime.cache.ContextCache` to a
+service and exposes the synchronous batch API the link simulator and
+the experiment harness drive.  The streaming front-ends
+(:mod:`repro.runtime.scheduler`, :mod:`repro.runtime.cells`) sit on the
+same service.
 """
 
 from __future__ import annotations
@@ -35,16 +35,12 @@ from repro.errors import ConfigurationError
 from repro.runtime.backends import ExecutionBackend
 from repro.runtime.batch import BatchDetectionResult, UplinkBatch
 from repro.runtime.cache import CacheStats, ContextCache
-from repro.runtime.service import (  # noqa: F401  (re-exported for compat)
-    DetectionService,
-    _detect_block,
-    _run_shard,
-)
+from repro.runtime.service import DetectionService, supports_soft
 from repro.utils.flops import NULL_COUNTER, FlopCounter
 
 
 class BatchedUplinkEngine:
-    """Batched, cached, sharded uplink detection around one detector.
+    """Batched, cached uplink detection around one detector.
 
     Parameters
     ----------
@@ -53,8 +49,8 @@ class BatchedUplinkEngine:
         :func:`repro.detectors.registry.make_detector` to build one by
         name.
     backend:
-        ``"serial"`` (default), ``"process-pool"``, ``"array"`` (stacked
-        tensor walk; array module from ``REPRO_ARRAY_BACKEND`` unless an
+        ``"serial"`` (default), ``"array"`` (stacked tensor walk; array
+        module from ``REPRO_ARRAY_BACKEND`` unless an
         :class:`~repro.runtime.backends.ArrayBackend` is pre-built with
         one), any pre-built
         :class:`~repro.runtime.backends.ExecutionBackend`, or a shared
@@ -109,7 +105,7 @@ class BatchedUplinkEngine:
     @property
     def supports_soft(self) -> bool:
         """Whether the wrapped detector produces per-bit LLRs."""
-        return hasattr(self.detector, "detect_soft_prepared")
+        return supports_soft(self.detector)
 
     @property
     def cache_stats(self) -> CacheStats:

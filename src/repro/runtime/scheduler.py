@@ -841,11 +841,6 @@ class StreamingScheduler:
         )
         tracer = self._tracer
         for (noise_var, _frames, _reason), bucket in buckets.items():
-            batch = UplinkBatch(
-                channels=np.stack([g.channel for g in bucket]),
-                received=np.stack([g.stacked_received() for g in bucket]),
-                noise_var=noise_var,
-            )
             if tracer.enabled:
                 # Attribute computation (key hex etc.) only when a real
                 # tracer records — the disabled path stays attribute-free.
@@ -861,8 +856,18 @@ class StreamingScheduler:
             else:
                 span_cm = tracer.span(SPAN_FLUSH)
             with span_cm as span:
-                flushed_s = self.clock()
                 try:
+                    # Built inside the try: a batch the boundary rejects
+                    # (non-finite values, ragged shapes) fails its own
+                    # futures instead of escaping the flush.
+                    batch = UplinkBatch(
+                        channels=np.stack([g.channel for g in bucket]),
+                        received=np.stack(
+                            [g.stacked_received() for g in bucket]
+                        ),
+                        noise_var=noise_var,
+                    )
+                    flushed_s = self.clock()
                     result = self.service.detect(
                         cell.detector,
                         batch,

@@ -1,28 +1,39 @@
-"""The cell-agnostic detection service: one prepare+detect block path.
+"""The cell-agnostic detection service: one prepare+detect route.
 
-This is the layer both runtime front-ends sit on:
+The paper has two parallel axes.  Every (subcarrier x path) element in
+flight at once (§3.2, §5.2) is the *stacked* walk an
+:class:`~repro.runtime.backends.ArrayBackend` runs in this process;
+subcarrier ranges spread across devices (§5.2) is :mod:`repro.farm`,
+the one multi-process mechanism, which runs a whole stack — this
+service included — inside each supervised worker.  So the service
+itself never starts a process: it has two in-process routes, chosen
+per call from what it can observe,
 
-* :class:`~repro.runtime.engine.BatchedUplinkEngine` is a thin *batch
-  adapter* — one detector, one private context cache, synchronous
-  ``detect_batch`` calls;
-* the streaming :class:`~repro.runtime.scheduler.StreamingScheduler` and
-  the multi-cell farm (:mod:`repro.runtime.cells`) flush micro-batches
-  from many cells through a single shared service, each cell carrying
-  its own :class:`~repro.runtime.cache.ContextCache`.
+* ``stacked`` — the backend is an ``ArrayBackend`` and the detector has
+  the (soft) block kernel: one tensor walk per group of equal path
+  count;
+* otherwise the per-subcarrier :func:`_detect_block` loop
+  (``detect_prepared`` at G = 1).  On ``backend="serial"`` this is the
+  only route, which makes it the reference implementation flexbench and
+  the equivalence suites compare the stacked walk against, bit for bit.
 
-The service owns exactly one thing: an execution backend (``serial`` /
-``process-pool`` / ``array``) and the logic for driving a detector over
-an :class:`~repro.runtime.batch.UplinkBatch` on it.  Detector and cache
-are *per call*, which is what makes the service cell-agnostic — N cells
-with N caches (and even N different detectors) can share one backend,
-the way the paper's AP shares its processing elements across all
-subcarriers in flight (§5.2).
+Both routes share everything else in :meth:`DetectionService._detect`:
+one prepare helper, one ``detect`` span, one stats assembly.
+
+Front-ends on top: :class:`~repro.runtime.engine.BatchedUplinkEngine`
+(one detector, one private cache, synchronous ``detect_batch``), and the
+streaming :class:`~repro.runtime.scheduler.StreamingScheduler` / cell
+farm (:mod:`repro.runtime.cells`), which flush micro-batches from many
+cells through a single shared service.  Detector and cache are *per
+call*, which is what makes the service cell-agnostic — N cells with N
+caches (and even N different detectors) share one backend, the way the
+paper's AP shares its processing elements across all subcarriers in
+flight (§5.2).
 """
 
 from __future__ import annotations
 
 import copy
-import inspect
 
 import numpy as np
 
@@ -36,12 +47,7 @@ from repro.obs import (
     get_global,
     use_tracer,
 )
-from repro.runtime.backends import (
-    ArrayBackend,
-    ExecutionBackend,
-    SerialBackend,
-    make_backend,
-)
+from repro.runtime.backends import ArrayBackend, ExecutionBackend, make_backend
 from repro.runtime.batch import (
     BatchDetectionResult,
     RuntimeStats,
@@ -117,74 +123,9 @@ def _detect_block(
     return indices, llrs, metadata
 
 
-def _run_shard(payload) -> tuple:
-    """Process-pool entry point: detect one shard.
-
-    On the cached path the parent has already prepared the shard's
-    contexts through its persistent cache and ships them in the payload
-    (contexts are plain numpy dataclasses, cheap to pickle), so workers
-    only detect.  With caching disabled the worker runs ``prepare`` per
-    subcarrier itself.  FLOP totals travel back as plain ints for the
-    parent to merge.
-    """
-    (
-        detector,
-        channels,
-        received,
-        noise_var,
-        use_soft,
-        count_flops,
-        contexts,
-        max_paths,
-    ) = payload
-    counter = FlopCounter() if count_flops else NULL_COUNTER
-    indices, llrs, metadata = _detect_block(
-        detector,
-        channels,
-        received,
-        noise_var,
-        contexts,
-        counter,
-        use_soft,
-        max_paths,
-    )
-    flops = (
-        (
-            counter.real_mults,
-            counter.real_adds,
-            counter.comparisons,
-            counter.nodes_visited,
-        )
-        if count_flops
-        else (0, 0, 0, 0)
-    )
-    return indices, llrs, metadata, flops
-
-
 def supports_soft(detector) -> bool:
     """Whether ``detector`` produces per-bit LLRs."""
     return hasattr(detector, "detect_soft_prepared")
-
-
-_KERNEL_RESIDENCY: "dict[object, bool]" = {}
-
-
-def _kernel_accepts_residency(kernel) -> bool:
-    """Whether a block kernel takes the ``store``/``max_paths`` kwargs.
-
-    The in-repo FlexCore kernels do; third-party detectors implementing
-    the pre-residency ``(contexts, received, counter=, xp=)`` signature
-    keep working — the service falls back to clamping their contexts up
-    front and building stacks per call.  Probed once per kernel function
-    (not per call).
-    """
-    key = getattr(kernel, "__func__", kernel)
-    cached = _KERNEL_RESIDENCY.get(key)
-    if cached is None:
-        parameters = inspect.signature(kernel).parameters
-        cached = "store" in parameters and "max_paths" in parameters
-        _KERNEL_RESIDENCY[key] = cached
-    return cached
 
 
 class DetectionService:
@@ -193,8 +134,8 @@ class DetectionService:
     Parameters
     ----------
     backend:
-        ``"serial"`` (default), ``"process-pool"``, ``"array"`` (stacked
-        tensor walk), or any pre-built
+        ``"serial"`` (default; the per-subcarrier reference loop),
+        ``"array"`` (stacked tensor walk), or any pre-built
         :class:`~repro.runtime.backends.ExecutionBackend`.
     obs:
         An :class:`~repro.obs.Observability` hub for span tracing and
@@ -205,8 +146,8 @@ class DetectionService:
     Notes
     -----
     The service holds no detector and no cache — both arrive with each
-    :meth:`detect` call, so one service (one backend, one process pool,
-    one array module) safely serves many cells with isolated per-cell
+    :meth:`detect` call, so one service (one backend, one array module,
+    one resident store) safely serves many cells with isolated per-cell
     caches.  Results are bit-identical across backends and identical to
     driving the detector one received vector at a time; see the
     batching contract on
@@ -265,18 +206,13 @@ class DetectionService:
             raise LinkSimulationError(
                 f"{detector.name} does not produce soft output"
             )
-        if isinstance(self.backend, ArrayBackend):
-            method = self._detect_array
-        elif isinstance(self.backend, SerialBackend):
-            method = self._detect_serial
-        else:
-            method = self._detect_sharded
+        args = (detector, batch, cache, counter, use_soft, max_paths)
         if not self._tracer.enabled:
-            return method(detector, batch, cache, counter, use_soft, max_paths)
+            return self._detect(*args)
         # Make the tracer ambient so deep kernels (the FlexCore QR /
         # tree-search miss path) can record without being plumbed.
         with use_tracer(self._tracer):
-            return method(detector, batch, cache, counter, use_soft, max_paths)
+            return self._detect(*args)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -298,73 +234,39 @@ class DetectionService:
         batch: UplinkBatch,
         cache: "ContextCache | None",
         counter: FlopCounter,
+        stacked: bool,
     ) -> "tuple[list | None, CacheStats]":
-        """Contexts for every subcarrier via the caller's cache.
+        """Contexts for every subcarrier, and the batch's cache movement.
 
-        Cache misses for the whole batch are deduplicated and prepared
-        in one ``prepare_many`` call
+        Through a cache, the misses of the whole batch are deduplicated
+        and prepared in one ``prepare_many`` call
         (:meth:`~repro.runtime.cache.ContextCache.get_or_prepare_block`)
-        — every backend's miss path rides the batched cold path, with
-        hit/miss bookkeeping identical to per-subcarrier lookups.
-        Returns ``(contexts, delta)`` where ``delta`` is the batch-local
-        :class:`~repro.runtime.cache.CacheStats` movement; ``contexts``
-        is ``None`` when caching is disabled, in which case detection
-        prepares inline (one un-deduplicated ``prepare`` per subcarrier
-        — the honest naive baseline).
+        — both routes ride the batched cold path, with hit/miss
+        bookkeeping identical to per-subcarrier lookups.  With caching
+        disabled every subcarrier counts as a miss: the stacked route
+        prepares them, un-deduplicated, in one ``prepare_many`` call (its
+        kernel needs the contexts up front), while the per-subcarrier
+        route gets ``None`` and prepares inline, one ``prepare`` per
+        channel inside :func:`_detect_block` — the honest naive baseline.
         """
-        if cache is None:
-            return None, CacheStats(misses=batch.num_subcarriers)
+        uncached = CacheStats(misses=batch.num_subcarriers)
+        if cache is None and not stacked:
+            return None, uncached
         with self._tracer.span(
             SPAN_PREPARE, subcarriers=batch.num_subcarriers
         ) as span:
-            before = cache.stats
-            contexts = cache.get_or_prepare_block(
-                detector, batch.channels, batch.noise_var, counter=counter
-            )
-            delta = cache.stats.since(before)
-            span.set(cache_hits=delta.hits, cache_misses=delta.misses)
-        self._count_prepare(delta)
-        return contexts, delta
-
-    def _prepare_contexts_block(
-        self,
-        detector,
-        batch: UplinkBatch,
-        cache: "ContextCache | None",
-        counter: FlopCounter,
-    ) -> "tuple[list, CacheStats]":
-        """Block analogue of :meth:`_prepare_contexts`.
-
-        Cache misses for the whole coherence block are prepared in one
-        ``prepare_many`` call (the stacked-QR path); with caching
-        disabled every subcarrier is prepared, un-deduplicated, in one
-        stacked call — the same work the serial baseline does one
-        channel at a time.
-        """
-        if cache is None:
-            with self._tracer.span(
-                SPAN_PREPARE, subcarriers=batch.num_subcarriers
-            ) as span:
+            if cache is None:
                 contexts = detector.prepare_many(
                     batch.channels, batch.noise_var, counter=counter
                 )
-                delta = CacheStats(misses=batch.num_subcarriers)
-                span.set(cache_hits=0, cache_misses=delta.misses)
-            self._count_prepare(delta)
-            return contexts, delta
-        with self._tracer.span(
-            SPAN_PREPARE, subcarriers=batch.num_subcarriers
-        ) as span:
-            before = cache.stats
-            contexts = cache.get_or_prepare_block(
-                detector, batch.channels, batch.noise_var, counter=counter
-            )
-            delta = cache.stats.since(before)
+                delta = uncached
+            else:
+                before = cache.stats
+                contexts = cache.get_or_prepare_block(
+                    detector, batch.channels, batch.noise_var, counter=counter
+                )
+                delta = cache.stats.since(before)
             span.set(cache_hits=delta.hits, cache_misses=delta.misses)
-        self._count_prepare(delta)
-        return contexts, delta
-
-    def _count_prepare(self, delta: CacheStats) -> None:
         if self._metrics is not None:
             self._metrics.counter("repro_prepare_cache_hits_total").inc(
                 delta.hits
@@ -372,6 +274,7 @@ class DetectionService:
             self._metrics.counter("repro_prepare_cache_misses_total").inc(
                 delta.misses
             )
+        return contexts, delta
 
     def _record_transfers(self, delta) -> None:
         """Upload/download instants + byte counters from one
@@ -395,71 +298,56 @@ class DetectionService:
                 delta.download_bytes
             )
 
-    @staticmethod
-    def _stats(
-        base: dict, delta: CacheStats, max_paths: "int | None" = None
-    ) -> RuntimeStats:
-        """Assemble per-batch stats around one cache snapshot.
-
-        Cache movement lives under the ``"cache"`` key as a
-        :class:`~repro.runtime.cache.CacheStats` snapshot (the flat
-        ``cache_hits`` / ``contexts_prepared`` aliases were deprecated
-        in PR 4/5 and have been removed).
-        """
-        base["cache"] = delta
-        if max_paths is not None:
-            base["path_budget"] = int(max_paths)
-        return RuntimeStats(base)
-
     # ------------------------------------------------------------------
-    def _detect_array(
+    def _detect(
         self,
         detector,
         batch: UplinkBatch,
         cache: "ContextCache | None",
         counter: FlopCounter,
         use_soft: bool,
-        max_paths: "int | None" = None,
+        max_paths: "int | None",
     ) -> BatchDetectionResult:
-        """Stacked tensor-walk path: the whole block in a few array ops.
+        """The one route: prepare, detect under one span, assemble stats.
 
-        Detectors without a block kernel (or without a soft one when
-        ``use_soft``) run the per-subcarrier loop on the backend's
-        thread instead — selecting ``backend="array"`` is always safe.
+        ``stacked`` is the only branch.  The block kernel gets its
+        contexts *unclamped*: the path budget is applied exactly once, as
+        a slice of the (resident) stacked tensors inside the kernel —
+        never by copying contexts, never twice.  The cached context
+        objects are the residency keys, so warm coherence-cache hits find
+        their stacks device-side and upload zero context bytes.  The
+        per-subcarrier loop owns its own (single) clamp in
+        :func:`_detect_block`.
 
-        Contexts reach residency-aware kernels *unclamped*: the path
-        budget is applied exactly once, as a slice of the (resident)
-        stacked tensors inside the kernel — never by copying contexts,
-        never twice.  The cached context objects are the residency keys,
-        so warm coherence-cache hits find their stacks device-side and
-        upload zero context bytes; ``stats["transfers"]`` /
-        ``stats["resident"]`` carry the per-batch accounting when the
-        module meters transfers / the backend keeps a store.
+        On an ``ArrayBackend`` ``stats`` also carries ``array_module``,
+        ``path_groups`` (stacked only), and the per-batch ``transfers`` /
+        ``resident`` deltas when the module meters transfers / the
+        backend keeps a store.
         """
-        xp = self.backend.array_module
-        store = getattr(self.backend, "resident_store", None)
-        transfers_before = xp.transfer_stats()
+        backend = self.backend
+        on_array = isinstance(backend, ArrayBackend)
+        kernel = getattr(
+            detector,
+            "detect_soft_block_prepared" if use_soft else "detect_block_prepared",
+            None,
+        )
+        stacked = on_array and detector.has_block_kernel and callable(kernel)
+        xp = backend.array_module if on_array else None
+        store = backend.resident_store if on_array else None
+        transfers_before = xp.transfer_stats() if on_array else None
         resident_before = store.stats if store is not None else None
-        contexts, delta = self._prepare_contexts_block(
-            detector, batch, cache, counter
+        contexts, delta = self._prepare_contexts(
+            detector, batch, cache, counter, stacked
         )
-        stacked = detector.has_block_kernel and (
-            not use_soft
-            or callable(getattr(detector, "detect_soft_block_prepared", None))
-        )
-        llrs = None
         with self._tracer.span(
             SPAN_DETECT,
-            backend=self.backend.name,
+            backend=backend.name,
             stacked=stacked,
             subcarriers=batch.num_subcarriers,
             frames=batch.num_frames,
             path_budget=max_paths,
         ):
             if not stacked:
-                # Per-subcarrier fallback: _detect_block owns the
-                # (single) clamp, so cached contexts are never
-                # pre-copied here.
                 indices, llrs, metadata = _detect_block(
                     detector,
                     batch.channels,
@@ -471,174 +359,45 @@ class DetectionService:
                     max_paths,
                 )
             else:
-                kernel = (
-                    detector.detect_soft_block_prepared
-                    if use_soft
-                    else detector.detect_block_prepared
+                walk = dict(
+                    counter=counter, xp=xp, store=store, max_paths=max_paths
                 )
-                kwargs = {"counter": counter, "xp": xp}
-                if _kernel_accepts_residency(kernel):
-                    kwargs["store"] = store
-                    kwargs["max_paths"] = max_paths
-                elif max_paths is not None:
-                    # Legacy kernel signature: clamp shallow copies up
-                    # front (the cached originals stay untouched).
-                    contexts = [
-                        clamp_context_paths(context, max_paths)
-                        for context in contexts
-                    ]
                 if use_soft:
                     indices, llrs, metadata = kernel(
-                        contexts, batch.received, batch.noise_var, **kwargs
+                        contexts, batch.received, batch.noise_var, **walk
                     )
                 else:
+                    llrs = None
                     indices, metadata = kernel(
-                        contexts, batch.received, **kwargs
+                        contexts, batch.received, **walk
                     )
-        path_groups = len(
-            {
-                min(
-                    getattr(context, "active_paths", 0),
-                    max_paths if max_paths is not None else np.inf,
-                )
-                for context in contexts
-            }
+        stats = RuntimeStats(
+            backend=backend.name,
+            stacked=stacked,
+            subcarriers=batch.num_subcarriers,
+            frames=batch.num_frames,
+            cache=delta,
         )
-        base = {
-            "backend": self.backend.name,
-            "array_module": xp.name,
-            "stacked": stacked,
-            "path_groups": path_groups,
-            "shards": 1,
-            "subcarriers": batch.num_subcarriers,
-            "frames": batch.num_frames,
-        }
+        if max_paths is not None:
+            stats["path_budget"] = int(max_paths)
+        if on_array:
+            stats["array_module"] = xp.name
+        if stacked:
+            budget = np.inf if max_paths is None else max_paths
+            stats["path_groups"] = len(
+                {
+                    min(getattr(context, "active_paths", 0), budget)
+                    for context in contexts
+                }
+            )
         if transfers_before is not None:
-            transfer_delta = xp.transfer_stats().since(transfers_before)
-            base["transfers"] = transfer_delta
-            self._record_transfers(transfer_delta)
+            stats["transfers"] = xp.transfer_stats().since(transfers_before)
+            self._record_transfers(stats["transfers"])
         if resident_before is not None:
-            base["resident"] = store.stats.since(resident_before)
+            stats["resident"] = store.stats.since(resident_before)
         return BatchDetectionResult(
             indices=indices,
             llrs=llrs,
             per_subcarrier_metadata=metadata,
-            stats=self._stats(base, delta, max_paths),
-        )
-
-    def _detect_serial(
-        self,
-        detector,
-        batch: UplinkBatch,
-        cache: "ContextCache | None",
-        counter: FlopCounter,
-        use_soft: bool,
-        max_paths: "int | None" = None,
-    ) -> BatchDetectionResult:
-        contexts, delta = self._prepare_contexts(
-            detector, batch, cache, counter
-        )
-        with self._tracer.span(
-            SPAN_DETECT,
-            backend=self.backend.name,
-            subcarriers=batch.num_subcarriers,
-            frames=batch.num_frames,
-            path_budget=max_paths,
-        ):
-            indices, llrs, metadata = _detect_block(
-                detector,
-                batch.channels,
-                batch.received,
-                batch.noise_var,
-                contexts,
-                counter,
-                use_soft,
-                max_paths,
-            )
-        return BatchDetectionResult(
-            indices=indices,
-            llrs=llrs,
-            per_subcarrier_metadata=metadata,
-            stats=self._stats(
-                {
-                    "backend": self.backend.name,
-                    "shards": 1,
-                    "subcarriers": batch.num_subcarriers,
-                    "frames": batch.num_frames,
-                },
-                delta,
-                max_paths,
-            ),
-        )
-
-    def _detect_sharded(
-        self,
-        detector,
-        batch: UplinkBatch,
-        cache: "ContextCache | None",
-        counter: FlopCounter,
-        use_soft: bool,
-        max_paths: "int | None" = None,
-    ) -> BatchDetectionResult:
-        # Contexts are prepared in the parent through the caller's
-        # persistent cache (so cross-call coherence amortisation survives
-        # the pool) and shipped with each shard; workers only detect.
-        contexts, delta = self._prepare_contexts(
-            detector, batch, cache, counter
-        )
-        shards = batch.shard(self.backend.num_shards_hint)
-        count_flops = counter is not NULL_COUNTER
-        payloads = []
-        start = 0
-        for shard in shards:
-            stop = start + shard.num_subcarriers
-            payloads.append(
-                (
-                    detector,
-                    shard.channels,
-                    shard.received,
-                    shard.noise_var,
-                    use_soft,
-                    count_flops,
-                    contexts[start:stop] if contexts is not None else None,
-                    max_paths,
-                )
-            )
-            start = stop
-        with self._tracer.span(
-            SPAN_DETECT,
-            backend=self.backend.name,
-            shards=len(shards),
-            subcarriers=batch.num_subcarriers,
-            frames=batch.num_frames,
-            path_budget=max_paths,
-        ):
-            results = self.backend.run(_run_shard, payloads)
-        indices = np.concatenate([r[0] for r in results], axis=0)
-        llrs = (
-            np.concatenate([r[1] for r in results], axis=0)
-            if use_soft
-            else None
-        )
-        metadata = [m for r in results for m in r[2]]
-        for r in results:
-            mults, adds, comparisons, nodes = r[3]
-            counter.add_real_mults(mults)
-            counter.add_real_adds(adds)
-            counter.add_comparisons(comparisons)
-            counter.add_nodes(nodes)
-        return BatchDetectionResult(
-            indices=indices,
-            llrs=llrs,
-            per_subcarrier_metadata=metadata,
-            stats=self._stats(
-                {
-                    "backend": self.backend.name,
-                    "shards": len(shards),
-                    "subcarriers": batch.num_subcarriers,
-                    "frames": batch.num_frames,
-                },
-                delta,
-                max_paths,
-            ),
+            stats=stats,
         )

@@ -476,9 +476,9 @@ class DeviceConstantCache:
         )
 
     def __reduce__(self):
-        # Owners (detectors, LUTs) are pickled to process-pool workers;
-        # device copies are per-process state, so the cache travels
-        # empty and re-uploads lazily on the other side.
+        # Owners (detectors, LUTs) stay picklable, but device copies
+        # never travel: they are per-process state, so the cache pickles
+        # empty and re-uploads lazily wherever it lands.
         return (DeviceConstantCache, ())
 
     def get(self, xp: ArrayModule, host):

@@ -24,6 +24,7 @@ from repro.api import (
 )
 from repro.control.policy import POLICY_NAMES
 from repro.errors import ConfigurationError
+from repro.runtime import available_backends
 
 
 # ---------------------------------------------------------------------------
@@ -51,13 +52,6 @@ detector_specs = st.builds(
 
 backend_specs = st.one_of(
     st.builds(BackendSpec, name=st.just("serial")),
-    st.builds(
-        BackendSpec,
-        name=st.just("process-pool"),
-        max_workers=st.one_of(
-            st.none(), st.integers(min_value=1, max_value=4)
-        ),
-    ),
     st.builds(
         BackendSpec,
         name=st.just("array"),
@@ -225,9 +219,26 @@ class TestFieldValidation:
         with pytest.raises(ConfigurationError, match="start"):
             GovernorSpec(paths_min=2, paths_max=8, start=16)
 
-    def test_max_workers_on_serial_rejected(self):
-        with pytest.raises(ConfigurationError, match="max_workers"):
-            BackendSpec("serial", max_workers=4)
+    @pytest.mark.parametrize(
+        "payload, stale, catalogue",
+        [
+            (
+                {"name": "serial", "max_workers": 4},
+                "max_workers",
+                ["array_module", "name", "residency"],
+            ),
+            ({"name": "process-pool"}, "process-pool", ["array", "serial"]),
+        ],
+        ids=["max_workers", "process-pool"],
+    )
+    def test_pool_era_payload_rejected(self, payload, stale, catalogue):
+        """Configs written for the deleted process pool fail loudly,
+        naming what is still accepted (fields / backend registry)."""
+        assert available_backends() == ("array", "serial")
+        with pytest.raises(ConfigurationError, match=stale) as excinfo:
+            BackendSpec.from_dict(payload)
+        for name in catalogue:
+            assert name in str(excinfo.value)
 
     def test_array_module_on_serial_rejected(self):
         with pytest.raises(ConfigurationError, match="array_module"):
@@ -269,10 +280,10 @@ class TestSpecHelpers:
         assert detector.system.num_rx_antennas == 4
 
     def test_backend_spec_builds_named_backend(self):
-        backend = BackendSpec("process-pool", max_workers=2).build()
+        backend = BackendSpec("array", residency=False).build()
         try:
-            assert backend.name == "process-pool"
-            assert backend.max_workers == 2
+            assert backend.name == "array"
+            assert not backend.residency
         finally:
             backend.close()
 

@@ -1,7 +1,7 @@
 """``build_stack`` pinning: the facade is bit-identical to hand wiring.
 
 The api facade must not change a single bit of any result: for every
-backend (serial / process-pool / array), both front-ends (batch /
+backend (serial / array), both front-ends (batch /
 streaming) and both control modes (governed under a static policy /
 ungoverned), ``build_stack(config).detect_batch(...)`` equals the
 hand-constructed ``BatchedUplinkEngine`` / ``StreamingUplinkEngine``
@@ -35,7 +35,7 @@ from repro.runtime import BatchedUplinkEngine, StreamingUplinkEngine
 NUM_SUBCARRIERS = 6
 NUM_FRAMES = 4
 NUM_PATHS = 12
-BACKENDS = ["serial", "process-pool", "array"]
+BACKENDS = ["serial", "array"]
 
 
 @pytest.fixture(scope="module")
@@ -378,7 +378,7 @@ class TestSimulateLinkThroughApi:
 
     def test_built_stack_is_closed_after_the_run(self, monkeypatch):
         """A stack simulate_link builds itself must be released —
-        process-pool backends leak workers otherwise."""
+        array backends pin their resident store otherwise."""
         from repro.api.stack import UplinkStack
         from repro.link.channels import rayleigh_sampler
         from repro.link.config import LinkConfig

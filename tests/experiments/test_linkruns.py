@@ -8,7 +8,6 @@ from repro.experiments.common import PROFILES
 from repro.experiments.linkruns import (
     calibrate_ml_snr,
     flexcore_pe_sweep,
-    make_engine,
     make_link_config,
     make_sampler_factory,
     make_stack,
@@ -84,14 +83,6 @@ class TestRuntimeStackConfig:
         with make_stack(detector, config) as stack:
             assert stack.governor is None
             assert stack.engine.governor is None
-
-    def test_make_engine_is_deprecated_but_equivalent(self, system):
-        detector = FlexCoreDetector(system, num_paths=8)
-        with pytest.warns(DeprecationWarning, match="make_engine"):
-            engine = make_engine(detector, backend="serial")
-        with engine:
-            assert engine.detector is detector
-            assert engine.backend.name == "serial"
 
 
 class TestMlReference:

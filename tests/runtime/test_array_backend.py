@@ -25,6 +25,9 @@ from repro.runtime import (
     ARRAY_BACKEND_ENV,
     ArrayBackend,
     BatchedUplinkEngine,
+    ContextCache,
+    DetectionService,
+    UplinkBatch,
     available_array_modules,
     make_backend,
     resolve_array_module,
@@ -135,6 +138,43 @@ class TestArrayBackendEquivalence:
             channels, received, noise_var
         )
         assert np.array_equal(array.indices, serial.indices)
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+    @pytest.mark.parametrize("use_soft", [False, True], ids=["hard", "soft"])
+    @pytest.mark.parametrize("max_paths", [None, 5])
+    def test_one_route_two_kernels_agree(self, cached, use_soft, max_paths):
+        """``DetectionService._detect`` branches once, on ``stacked``:
+        everything either side of that branch reports must agree."""
+        system = MimoSystem(4, 4, QamConstellation(16))
+        detector = SoftFlexCoreDetector(system, num_paths=12)
+        batch = UplinkBatch(*make_workload(system, seed=23))
+        results, counters = {}, {}
+        for backend in ("serial", "array"):
+            counters[backend] = FlopCounter()
+            results[backend] = DetectionService(backend).detect(
+                detector,
+                batch,
+                cache=ContextCache() if cached else None,
+                counter=counters[backend],
+                use_soft=use_soft,
+                max_paths=max_paths,
+            )
+        serial, array = results["serial"], results["array"]
+        assert array.stats["stacked"] and not serial.stats["stacked"]
+        assert np.array_equal(array.indices, serial.indices)
+        if use_soft:
+            assert np.array_equal(array.llrs, serial.llrs)
+        else:
+            assert array.llrs is None and serial.llrs is None
+        assert array.per_subcarrier_metadata == serial.per_subcarrier_metadata
+        assert counters_equal(counters["array"], counters["serial"])
+        assert counters["serial"].real_mults > 0
+        assert array.stats["cache"] == serial.stats["cache"]
+        assert set(array.stats) - set(serial.stats) == {
+            "array_module", "path_groups", "resident"
+        }
+        assert not set(serial.stats) - set(array.stats)
+        assert ("path_budget" in serial.stats) == (max_paths is not None)
 
     def test_adaptive_mixed_path_groups(self):
         """a-FlexCore trims per-channel active sets, so the block splits

@@ -16,7 +16,6 @@ from repro.runtime import (
     BatchedUplinkEngine,
     CacheStats,
     ContextCache,
-    ProcessPoolBackend,
     SerialBackend,
     available_backends,
     context_key,
@@ -130,8 +129,7 @@ class TestContextCache:
 
 class TestBackends:
     def test_available(self):
-        assert "serial" in available_backends()
-        assert "process-pool" in available_backends()
+        assert available_backends() == ("array", "serial")
 
     def test_make_backend_passthrough(self):
         backend = SerialBackend()
@@ -158,14 +156,6 @@ class TestBackends:
     def test_make_backend_non_string_spec_lists_registry(self):
         with pytest.raises(ConfigurationError, match="registered backends"):
             make_backend(12345)
-
-    def test_serial_preserves_order(self):
-        backend = SerialBackend()
-        assert backend.run(lambda x: x * 2, [3, 1, 2]) == [6, 2, 4]
-
-    def test_pool_requires_positive_workers(self):
-        with pytest.raises(ConfigurationError):
-            ProcessPoolBackend(max_workers=0)
 
 
 class TestEngineCaching:
@@ -203,21 +193,6 @@ class TestEngineCaching:
         result = cached.detect_batch(channels, received, 0.05)
         assert result.stats["cache"].misses == 1
         assert result.stats["cache"].hits == 3
-
-    def test_pool_backend_amortises_across_calls(self, detector, rng):
-        # Contexts are prepared in the parent via the persistent cache,
-        # so a replayed batch is all hits even under the process pool.
-        channels = rayleigh_channels(4, 3, 3, rng)
-        received = rng.standard_normal((4, 2, 3)) + 0j
-        with BatchedUplinkEngine(
-            detector, backend=ProcessPoolBackend(max_workers=2)
-        ) as engine:
-            first = engine.detect_batch(channels, received, 0.05)
-            second = engine.detect_batch(channels, received, 0.05)
-        assert first.stats["cache"].misses == 4
-        assert second.stats["cache"].misses == 0
-        assert second.stats["cache"].hits == 4
-        assert np.array_equal(first.indices, second.indices)
 
     def test_clear_cache(self, detector, rng):
         channels = rayleigh_channels(2, 3, 3, rng)
@@ -282,10 +257,8 @@ class TestLinkIntegration:
         serial = simulate_link(
             config, detector, 14.0, 2, rayleigh_sampler(config), rng=4
         )
-        with BatchedUplinkEngine(
-            detector, backend=ProcessPoolBackend(max_workers=2)
-        ) as engine:
-            pooled = simulate_link(
+        with BatchedUplinkEngine(detector, backend="array") as engine:
+            stacked = simulate_link(
                 config,
                 detector,
                 14.0,
@@ -294,6 +267,6 @@ class TestLinkIntegration:
                 rng=4,
                 engine=engine,
             )
-        assert serial.per == pooled.per
-        assert serial.bit_errors == pooled.bit_errors
-        assert serial.vector_errors == pooled.vector_errors
+        assert serial.per == stacked.per
+        assert serial.bit_errors == stacked.bit_errors
+        assert serial.vector_errors == stacked.vector_errors

@@ -1,6 +1,6 @@
 """Equivalence suite: the batched runtime vs per-vector detection.
 
-The engine's whole value is systems-level (caching, batching, sharding);
+The engine's whole value is systems-level (caching, batching, stacking);
 its output must be *bit-identical* to driving the detector one received
 vector at a time.  These tests pin that across QAM orders, QR orderings,
 path counts, backends, and the soft path.
@@ -18,11 +18,7 @@ from repro.mimo.model import apply_channel, noise_variance_for_snr_db
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
 from repro.modulation.mapper import random_symbol_indices
-from repro.runtime import (
-    BatchedUplinkEngine,
-    ProcessPoolBackend,
-    UplinkBatch,
-)
+from repro.runtime import BatchedUplinkEngine, UplinkBatch
 
 NUM_SUBCARRIERS = 6
 NUM_FRAMES = 4
@@ -172,57 +168,6 @@ class TestSoftEquivalence:
         engine = BatchedUplinkEngine(detector)
         with pytest.raises(Exception, match="soft"):
             engine.detect_batch(channels, received, noise_var, use_soft=True)
-
-
-class TestProcessPoolBackend:
-    def test_matches_serial_hard(self):
-        system = MimoSystem(4, 4, QamConstellation(16))
-        detector = FlexCoreDetector(system, num_paths=16)
-        channels, received, noise_var = make_workload(system, seed=7)
-        serial = BatchedUplinkEngine(detector).detect_batch(
-            channels, received, noise_var
-        )
-        with BatchedUplinkEngine(
-            detector, backend=ProcessPoolBackend(max_workers=2)
-        ) as engine:
-            pooled = engine.detect_batch(channels, received, noise_var)
-        assert pooled.stats["shards"] == 2
-        assert np.array_equal(pooled.indices, serial.indices)
-
-    def test_matches_serial_soft(self):
-        system = MimoSystem(3, 3, QamConstellation(16))
-        detector = SoftFlexCoreDetector(system, num_paths=12)
-        channels, received, noise_var = make_workload(system, seed=11)
-        serial = BatchedUplinkEngine(detector).detect_batch(
-            channels, received, noise_var, use_soft=True
-        )
-        with BatchedUplinkEngine(
-            detector, backend=ProcessPoolBackend(max_workers=2)
-        ) as engine:
-            pooled = engine.detect_batch(
-                channels, received, noise_var, use_soft=True
-            )
-        assert np.array_equal(pooled.llrs, serial.llrs)
-
-    def test_flop_totals_survive_the_pool(self):
-        from repro.utils.flops import FlopCounter
-
-        system = MimoSystem(3, 3, QamConstellation(16))
-        detector = FlexCoreDetector(system, num_paths=8)
-        channels, received, noise_var = make_workload(system, seed=13)
-        serial_counter = FlopCounter()
-        BatchedUplinkEngine(detector).detect_batch(
-            channels, received, noise_var, counter=serial_counter
-        )
-        pooled_counter = FlopCounter()
-        with BatchedUplinkEngine(
-            detector, backend=ProcessPoolBackend(max_workers=2)
-        ) as engine:
-            engine.detect_batch(
-                channels, received, noise_var, counter=pooled_counter
-            )
-        assert pooled_counter.real_mults == serial_counter.real_mults
-        assert pooled_counter.real_adds == serial_counter.real_adds
 
 
 class TestBatchValidation:

@@ -426,30 +426,6 @@ class TestCachedContextsNeverMutated:
             )
             assert context.active_paths == 16
 
-    def test_legacy_kernel_signature_still_served(self):
-        # Third-party kernels predating store/max_paths get the
-        # documented pre-clamp treatment.
-        class Legacy(FlexCoreDetector):
-            def detect_block_prepared(
-                self, contexts, received, counter=None, xp=None
-            ):
-                from repro.utils.flops import NULL_COUNTER
-
-                return FlexCoreDetector.detect_block_prepared(
-                    self, contexts, received, counter or NULL_COUNTER, xp
-                )
-
-        detector = Legacy(self.system, num_paths=16)
-        service = DetectionService(ArrayBackend())
-        cache = ContextCache()
-        result = service.detect(detector, self.batch, cache=cache, max_paths=3)
-        serial = DetectionService("serial").detect(
-            detector, self.batch, cache=ContextCache(), max_paths=3
-        )
-        assert np.array_equal(result.indices, serial.indices)
-        self.detector = detector
-        self.assert_cache_untouched(cache)
-
 
 # ----------------------------------------------------------------------
 # Invalidation property: evict → re-upload once, hit → zero uploads

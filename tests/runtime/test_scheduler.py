@@ -372,6 +372,34 @@ class TestValidation:
         asyncio.run(run())
 
 
+    def test_non_finite_arrival_fails_its_flush_not_the_scheduler(self):
+        """The ``UplinkBatch`` boundary rejects a NaN burst inside the
+        flush: its future gets the typed error and the scheduler keeps
+        serving."""
+        system = MimoSystem(3, 3, QamConstellation(4))
+        detector = FlexCoreDetector(system, num_paths=4)
+        rng = np.random.default_rng(2)
+        good, poisoned = rayleigh_channels(2, 3, 3, rng)
+        received = np.full(3, np.nan, dtype=complex)
+
+        async def run():
+            async with StreamingScheduler(
+                detector, batch_target=1
+            ) as scheduler:
+                bad = await scheduler.submit(
+                    FrameArrival(poisoned, received, 0.1)
+                )
+                with pytest.raises(ConfigurationError, match="received"):
+                    await asyncio.wait_for(bad, timeout=5.0)
+                fine = await scheduler.submit(
+                    FrameArrival(good, np.zeros(3, dtype=complex), 0.1)
+                )
+                detection = await asyncio.wait_for(fine, timeout=5.0)
+                assert detection.indices.shape == (1, 3)
+
+        asyncio.run(run())
+
+
 class TestMicroBatcherProperties:
     CHANNELS = [
         np.full((2, 2), fill + 1, dtype=np.complex128) for fill in range(4)

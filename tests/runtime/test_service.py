@@ -4,7 +4,9 @@ The service is the extraction point of the three-layer refactor: one
 backend, detector and cache per call, with the batch engine reduced to
 a thin adapter on top.  These tests pin the sharing semantics (one
 service, many callers, isolated caches) and the per-batch stats
-contract (``stats["cache"]`` snapshot + deprecated aliases).
+contract (``stats["cache"]`` snapshot + deprecated aliases), that the
+serial backend stays an independent per-subcarrier reference, and that
+non-finite input is turned away at the ``UplinkBatch`` boundary.
 """
 
 import numpy as np
@@ -13,8 +15,10 @@ import pytest
 from repro.channel.fading import rayleigh_channels
 from repro.errors import ConfigurationError, LinkSimulationError
 from repro.flexcore.detector import FlexCoreDetector
+from repro.flexcore.soft import SoftFlexCoreDetector
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
+from repro.obs import SPAN_DETECT, Observability
 from repro.runtime import (
     BatchedUplinkEngine,
     CacheStats,
@@ -109,6 +113,114 @@ class TestDetectionService:
             DetectionService().detect(detector, bad)
 
 
+ROUTES = ["serial", "array"]
+OUTPUTS = pytest.mark.parametrize("use_soft", [False, True], ids=["hard", "soft"])
+
+
+class TestSingleRoute:
+    @OUTPUTS
+    def test_serial_never_reaches_the_block_kernels(
+        self, system, rng, monkeypatch, use_soft
+    ):
+        """The serial backend is the oracle the stacked walk is checked
+        against (flexbench, the equivalence suites): it must stay the
+        per-subcarrier ``detect_prepared`` loop, cached or not."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("serial route called a block kernel")
+
+        for kernel in ("detect_block_prepared", "detect_soft_block_prepared"):
+            monkeypatch.setattr(SoftFlexCoreDetector, kernel, unreachable)
+        detector = SoftFlexCoreDetector(system, num_paths=8)
+        assert detector.has_block_kernel
+        batch = make_batch(system, rng)
+        service = DetectionService("serial")
+        for cache in (ContextCache(), None):
+            result = service.detect(
+                detector, batch, cache=cache, use_soft=use_soft, max_paths=3
+            )
+            assert not result.stats["stacked"]
+            assert result.indices.shape == (4, 2, 3)
+
+    def test_uncached_serial_prepares_per_channel(
+        self, detector, system, rng, monkeypatch
+    ):
+        """``cache=None`` on the reference route is the naive baseline:
+        one ``prepare`` per subcarrier, never the batched cold path."""
+        prepared = []
+        original = FlexCoreDetector.prepare
+
+        def counting(self, channel, *args, **kwargs):
+            prepared.append(channel)
+            return original(self, channel, *args, **kwargs)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("serial cache=None used prepare_many")
+
+        monkeypatch.setattr(FlexCoreDetector, "prepare", counting)
+        monkeypatch.setattr(FlexCoreDetector, "prepare_many", unreachable)
+        batch = make_batch(system, rng)
+        DetectionService("serial").detect(detector, batch, cache=None)
+        assert len(prepared) == batch.num_subcarriers
+
+    @pytest.mark.parametrize("backend", ROUTES)
+    def test_detect_span_attributes_are_route_independent(
+        self, detector, system, rng, backend
+    ):
+        obs = Observability()
+        batch = make_batch(system, rng)
+        DetectionService(backend, obs=obs).detect(
+            detector, batch, cache=ContextCache(), max_paths=4
+        )
+        (span,) = [e for e in obs.tracer.events if e["name"] == SPAN_DETECT]
+        args = span["args"]
+        assert {
+            "backend", "stacked", "subcarriers", "frames", "path_budget"
+        } <= set(args)
+        assert args["backend"] == backend
+        assert args["stacked"] == (backend == "array")
+        assert (args["subcarriers"], args["frames"]) == (4, 2)
+        assert args["path_budget"] == 4
+
+
+class TestNonFiniteInputRejected:
+    """NaN/inf used to surface as all-NaN LLRs (``noise_var``) or a raw
+    ``IndexError`` from inside the walk (``channels``); now the batch
+    boundary names the field, identically on every route."""
+
+    @pytest.mark.parametrize("backend", ROUTES)
+    @OUTPUTS
+    @pytest.mark.parametrize("field", ["noise_var", "channels", "received"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_detect_batch_names_the_field(
+        self, system, rng, backend, use_soft, field, bad
+    ):
+        good = make_batch(system, rng)
+        inputs = {
+            "channels": good.channels.copy(),
+            "received": good.received.copy(),
+            "noise_var": good.noise_var,
+        }
+        if field == "noise_var":
+            inputs[field] = bad
+        else:
+            inputs[field][1, 0, 2] = bad
+        detector = SoftFlexCoreDetector(system, num_paths=8)
+        with BatchedUplinkEngine(detector, backend=backend) as engine:
+            with pytest.raises(ConfigurationError, match=field):
+                engine.detect_batch(
+                    inputs["channels"],
+                    inputs["received"],
+                    inputs["noise_var"],
+                    use_soft=use_soft,
+                )
+            # The engine is still usable, and nothing bad was cached.
+            result = engine.detect_batch(good, use_soft=use_soft)
+        if use_soft:
+            assert np.isfinite(result.llrs).all()
+        assert result.stats["cache"].misses == good.num_subcarriers
+
+
 class TestCacheStatsContract:
     def test_stats_surface_cache_snapshot(self, detector, system, rng):
         batch = make_batch(system, rng)
@@ -130,14 +242,12 @@ class TestCacheStatsContract:
         assert result.stats.get("cache_hits") is None
 
     def test_snapshot_reads_do_not_warn(self, detector, system, rng):
-        import warnings
-
+        # pyproject's filterwarnings turns any DeprecationWarning raised
+        # from a repro module into an error, so a plain read pins this.
         batch = make_batch(system, rng)
         result = BatchedUplinkEngine(detector).detect_batch(batch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            _ = result.stats["cache"]
-            _ = result.stats["backend"]
+        assert isinstance(result.stats["cache"], CacheStats)
+        assert result.stats["backend"] == "serial"
 
     def test_engine_cache_stats_is_snapshot(self, detector, system, rng):
         batch = make_batch(system, rng)
