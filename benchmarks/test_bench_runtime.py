@@ -302,20 +302,24 @@ def test_warm_path_uploads_zero_context_bytes(workload):
     """
     from repro.runtime import (
         ArrayBackend,
-        BatchedUplinkEngine,
+        ContextCache,
         CountingArrayModule,
+        DetectionService,
+        UplinkBatch,
     )
     from repro.utils.xp import default_array_module
 
     system, channels, received, noise_var = workload
     detector = build_stack(reference_config()).detector
     module = CountingArrayModule(default_array_module())
-    engine = BatchedUplinkEngine(
-        detector, backend=ArrayBackend(array_module=module)
-    )
+    # A metering module is a live object, not a config value: drive the
+    # service the stack would, with a hand-held cache.
+    service = DetectionService(ArrayBackend(array_module=module))
+    batch = UplinkBatch(channels, received, noise_var)
+    cache = ContextCache()
 
-    cold = engine.detect_batch(channels, received, noise_var)
-    warm = engine.detect_batch(channels, received, noise_var)
+    cold = service.detect(detector, batch, cache=cache)
+    warm = service.detect(detector, batch, cache=cache)
     cold_transfers = cold.stats["transfers"]
     warm_transfers = warm.stats["transfers"]
     warm_context_bytes = warm_transfers.upload_bytes - received.nbytes

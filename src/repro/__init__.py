@@ -60,7 +60,7 @@ from repro.flexcore import (
 )
 from repro.mimo import MimoSystem
 from repro.modulation import QamConstellation
-from repro.runtime import BatchedUplinkEngine, UplinkBatch
+from repro.runtime import UplinkBatch
 
 __version__ = "1.2.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "AdaptiveFlexCoreDetector",
     "AimdPolicy",
     "BackendSpec",
-    "BatchedUplinkEngine",
     "CacheSpec",
     "ComputeGovernor",
     "DetectorSpec",

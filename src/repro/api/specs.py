@@ -3,7 +3,7 @@
 FlexCore's pitch is *flexibility* — one detection core reconfigured per
 deployment — but until this module the repository's public surface was a
 handful of disjoint constructor protocols (``make_detector`` kwargs,
-``BatchedUplinkEngine`` / ``StreamingUplinkEngine`` arguments,
+batch / streaming engine arguments,
 ``StreamingScheduler(governor=...)``, runner CLI flags), none of which
 could be serialized, diffed, or shipped to a worker process.  RaPro and
 Decentralized Baseband Processing (PAPERS.md) both coordinate pooled
@@ -231,7 +231,7 @@ class BackendSpec:
 
 @dataclass(frozen=True)
 class CacheSpec:
-    """The coherence context cache every engine/cell carries."""
+    """The coherence context cache every cell carries."""
 
     enabled: bool = True
     max_entries: int = 1024
@@ -260,10 +260,12 @@ class SchedulerSpec:
     ----------
     batch_target:
         Frames per coherence group that trigger an immediate flush;
-        ``None`` lets the streaming engine pick (one full batch).
+        ``None`` lets the driver pick (one full batch for
+        ``detect_batch``, the slot burst size for a paced run).
     slot_budget_s:
         Deadline budget from a group's first arrival; ``None`` means
-        unbounded (offline replay — JSON has no ``inf``).
+        unbounded for ``detect_batch`` (offline replay — JSON has no
+        ``inf``) and the pacing interval for a paced run.
     flush_margin_s:
         How much before the deadline an under-target group flushes.
     """
@@ -309,8 +311,8 @@ class FarmSpec:
     ----------
     streaming:
         Route detection through the slot-deadline streaming scheduler
-        (:class:`~repro.runtime.cells.StreamingUplinkEngine`) instead of
-        the direct batch engine.
+        (:mod:`repro.runtime.scheduler`) instead of straight into the
+        detection service.
     cells:
         Cells sharing the execution backend, each with a private
         context cache; ``cells > 1`` requires ``streaming``.

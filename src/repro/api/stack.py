@@ -3,13 +3,15 @@
 The assembly half of the config-first API: takes the declarative
 :class:`~repro.api.specs.StackConfig` and wires the same objects the
 repo's callers used to construct by hand — detector,
-:class:`~repro.runtime.service.DetectionService` (via the engines),
-per-cell caches, :class:`~repro.runtime.scheduler.StreamingScheduler`
-and :class:`~repro.control.governor.ComputeGovernor` — behind the
-:class:`UplinkStack` facade.  The equivalence suite pins the facade
-bit-identical to the hand-constructed engines across serial / array x
-batch / streaming x governed / ungoverned, so nothing is lost by going
-through the config.  A stack is one process with two in-process routes
+:class:`~repro.runtime.service.DetectionService`,
+:class:`~repro.runtime.cells.CellFarm` with its per-cell caches,
+:class:`~repro.runtime.scheduler.StreamingScheduler` and
+:class:`~repro.control.governor.ComputeGovernor` — behind the
+:class:`UplinkStack` facade, the only object between a config and the
+service.  The equivalence suite pins the facade bit-identical to a
+hand-held service + cache and to a hand-built farm + scheduler across
+serial / array x batch / streaming x governed / ungoverned, so nothing
+is lost by going through the config.  A stack is one process with two in-process routes
 (``BackendSpec("serial")``, the per-subcarrier reference, and
 ``BackendSpec("array")``, the stacked walk); the one multi-process
 mechanism is :class:`~repro.farm.coordinator.FarmCoordinator`, which
@@ -19,17 +21,30 @@ building its slice through this same function.
 
 from __future__ import annotations
 
+import asyncio
+import math
+import time
+
+import numpy as np
+
 from repro.api.specs import StackConfig
 from repro.control.workload import (
     WorkloadScenario,
-    calibrate_slot_cost,
-    run_paced,
+    pace_scenario,
+    slot_arrivals,
 )
 from repro.detectors.base import Detector
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, LoadShedError
 from repro.obs import get_global
-from repro.runtime.cells import StreamingUplinkEngine
-from repro.runtime.engine import BatchedUplinkEngine
+from repro.ofdm.lte import SYMBOLS_PER_SLOT
+from repro.runtime.batch import (
+    BatchDetectionResult,
+    RuntimeStats,
+    UplinkBatch,
+)
+from repro.runtime.cells import CellFarm
+from repro.runtime.scheduler import FrameArrival, merge_scheduler_summaries
+from repro.runtime.service import supports_soft
 from repro.utils.flops import NULL_COUNTER, FlopCounter
 
 #: Sentinel: "use the stack's configured governor" (``None`` must stay
@@ -40,14 +55,18 @@ _CONFIGURED = object()
 class UplinkStack:
     """A fully-assembled detection stack behind one context manager.
 
-    Built by :func:`build_stack`; not constructed directly.  Exposes the
-    whole stack's surface:
+    Built by :func:`build_stack`; not constructed directly.  It holds
+    the :class:`~repro.runtime.service.DetectionService` (``service``),
+    the :class:`~repro.runtime.cells.CellFarm` (a batch stack is the
+    one-cell case) and the one ``governor``, and exposes:
 
-    * :meth:`detect_batch` — the synchronous batch API (bit-identical to
-      the underlying engine's);
-    * :meth:`run_streaming` / :meth:`calibrate_slot_cost` — pace a
+    * :meth:`detect_batch` — the synchronous batch API: straight into
+      the service on a batch stack, streamed through the farm on a
+      streaming one (bit-identical);
+    * :meth:`pace` — the one streaming driver, with
+      :meth:`run_streaming` / :meth:`calibrate_slot_cost` playing a
       seeded :class:`~repro.control.workload.WorkloadScenario` through
-      the streaming farm (streaming stacks only);
+      it (streaming stacks only);
     * :meth:`stats` — one JSON-friendly snapshot of the stack's
       accounting (cache movement, per-cell stats, scheduler telemetry,
       governor summary);
@@ -59,24 +78,34 @@ class UplinkStack:
         self,
         config: StackConfig,
         detector: Detector,
-        engine,
+        farm: CellFarm,
         governor=None,
-        obs=None,
     ):
         self.config = config
         self.detector = detector
-        self.engine = engine
+        self.service = farm.service
+        #: The one :class:`~repro.control.governor.ComputeGovernor`
+        #: every scheduler of this stack attaches; it outlives them, so
+        #: control state (AIMD budgets, shed flags) carries over a sweep.
         self.governor = governor
         #: The stack's :class:`~repro.obs.Observability` hub (tracer +
         #: metrics registry), or None when tracing is off.
-        self.obs = obs
+        self.obs = farm.obs
+        self._farm = farm
+        #: What a batch stack hands the service: its one cell's cache,
+        #: or None (prepare inline, every call) when caching is off.
+        self._cache = (
+            farm[self.cell_ids[0]].cache if config.cache.enabled else None
+        )
+        #: Merged summary of every scheduler :meth:`pace` has opened.
+        self._scheduler_summary: "dict | None" = None
         self._closed = False
 
-    # -- passthrough surface -------------------------------------------
+    # -- surface ---------------------------------------------------------
     @property
     def backend(self):
         """The execution backend the stack runs on."""
-        return self.engine.backend
+        return self.service.backend
 
     @property
     def streaming(self) -> bool:
@@ -84,25 +113,29 @@ class UplinkStack:
 
     @property
     def supports_soft(self) -> bool:
-        return self.engine.supports_soft
+        """Whether the stack's detector produces per-bit LLRs."""
+        return supports_soft(self.detector)
 
     @property
     def cache_stats(self):
         """Cache snapshot(s): one, or ``{cell_id: CacheStats}``."""
-        return self.engine.cache_stats
+        if self.streaming:
+            return self._farm.cache_stats()
+        return self._farm[self.cell_ids[0]].cache.stats
 
     @property
-    def farm(self):
+    def farm(self) -> CellFarm:
         """The :class:`~repro.runtime.cells.CellFarm` (streaming only)."""
         self._require_streaming("farm")
-        return self.engine.farm
+        return self._farm
 
     @property
     def cell_ids(self) -> "tuple[str, ...]":
         return self.config.farm.cell_ids()
 
     def clear_cache(self) -> None:
-        self.engine.clear_cache()
+        """Invalidate cached contexts (coherence-interval boundary)."""
+        self._farm.clear_caches()
 
     def detect_batch(
         self,
@@ -111,14 +144,89 @@ class UplinkStack:
         noise_var: "float | None" = None,
         counter: FlopCounter = NULL_COUNTER,
         use_soft: bool = False,
-    ):
-        """Detect one uplink batch — the engines' exact contract."""
-        return self.engine.detect_batch(
-            channels,
-            received,
-            noise_var,
+    ) -> BatchDetectionResult:
+        """Detect one uplink batch.
+
+        Accepts either an :class:`~repro.runtime.batch.UplinkBatch` or
+        the raw ``(channels, received, noise_var)`` triple with shapes
+        ``(S, Nr, Nt)`` / ``(S, F, Nr)``.
+        """
+        if isinstance(channels, UplinkBatch):
+            batch = channels
+        else:
+            batch = UplinkBatch(
+                channels=channels, received=received, noise_var=noise_var
+            )
+        if self.config.farm.streaming:
+            return self._stream_batch(batch, counter, use_soft)
+        return self.service.detect(
+            self.detector,
+            batch,
+            cache=self._cache,
             counter=counter,
             use_soft=use_soft,
+        )
+
+    def _stream_batch(
+        self, batch: UplinkBatch, counter: FlopCounter, use_soft: bool
+    ) -> BatchDetectionResult:
+        """Stream one batch through the cell farm and reassemble:
+        per-subcarrier arrivals sharded round-robin over the cells,
+        played as one back-to-back slot (target- and drain-driven
+        unless the spec sets a slot budget), stacked in order."""
+        cache_before = self._farm.cache_stats()
+        cell_ids = self.cell_ids
+        arrivals = [
+            FrameArrival(
+                channel=batch.channels[sc],
+                received=batch.received[sc],
+                noise_var=batch.noise_var,
+                cell=cell_ids[sc % len(cell_ids)],
+            )
+            for sc in range(batch.num_subcarriers)
+        ]
+        outcome, telemetry = self.pace(
+            [arrivals],
+            batch_target=max(1, batch.num_frames),
+            keep_detections=True,
+            use_soft=use_soft,
+            counter=counter,
+        )
+        if outcome.frames_shed:
+            # detect_batch promises a full (S, F, Nt) result; admission
+            # control punched holes in it, so the batch as a whole is
+            # refused — with the accounting intact.
+            raise LoadShedError(
+                f"admission control shed "
+                f"{outcome.frames_shed // batch.num_frames} of "
+                f"{len(arrivals)} subcarrier arrivals of this batch; the "
+                "batch adapter cannot return a partial block (detach the "
+                "governor or raise its floor budget for offline replay)"
+            )
+        detections = outcome.detections
+        cache_delta = {
+            cell_id: after.since(cache_before[cell_id])
+            for cell_id, after in self._farm.cache_stats().items()
+        }
+        stats = RuntimeStats(
+            {
+                "backend": self.backend.name,
+                "streaming": True,
+                "cells": len(cell_ids),
+                "subcarriers": batch.num_subcarriers,
+                "frames": batch.num_frames,
+                "scheduler": telemetry.as_dict(),
+                # Per-cell cache snapshot ({cell_id: CacheStats}).
+                "cache": cache_delta,
+            }
+        )
+        return BatchDetectionResult(
+            indices=np.stack([d.indices for d in detections]),
+            llrs=(
+                np.stack([d.llrs for d in detections]) if use_soft else None
+            ),
+            per_subcarrier_metadata=[d.metadata for d in detections],
+            stats=stats,
         )
 
     # -- streaming workloads -------------------------------------------
@@ -129,6 +237,66 @@ class UplinkStack:
                 f"batch ({self.config.describe()})"
             )
 
+    def pace(
+        self,
+        slots,
+        slot_interval_s: float = 0.0,
+        batch_target: int = SYMBOLS_PER_SLOT,
+        slot_budget_s: "float | None" = None,
+        governor=_CONFIGURED,
+        keep_detections: bool = False,
+        use_soft: bool = False,
+        counter: FlopCounter = NULL_COUNTER,
+    ):
+        """Pace per-slot arrival lists through one fresh scheduler.
+
+        The only place the stack opens a scheduler, so the only place
+        the configured :class:`~repro.api.specs.SchedulerSpec` meets a
+        driver's defaults.  The spec's ``batch_target`` wins over the
+        caller's and its ``flush_margin_s`` always applies; the
+        deadline budget is the caller's ``slot_budget_s`` if given,
+        else the spec's, else the pacing interval — the real-time
+        contract of a paced run, unbounded back-to-back
+        (``slot_interval_s == 0``).  ``governor`` defaults to the
+        configured one; ``None`` runs ungoverned.  ``slots`` is consumed
+        lazily (see :func:`~repro.control.workload.pace_scenario`).
+
+        The scheduler's telemetry is folded into :meth:`stats` on the
+        way out, error or not: error paths must not lose the accounting
+        of work already done.
+
+        Returns ``(ScenarioOutcome, SchedulerTelemetry)``.
+        """
+        self._require_streaming("pace")
+        spec = self.config.scheduler
+        if spec.batch_target is not None:
+            batch_target = spec.batch_target
+        if slot_budget_s is None:
+            slot_budget_s = spec.slot_budget_s
+        if slot_budget_s is None:
+            slot_budget_s = slot_interval_s if slot_interval_s > 0 else math.inf
+        scheduler = self._farm.scheduler(
+            batch_target=batch_target,
+            slot_budget_s=slot_budget_s,
+            flush_margin_s=spec.flush_margin_s,
+            governor=self.governor if governor is _CONFIGURED else governor,
+            use_soft=use_soft,
+            counter=counter,
+        )
+
+        async def paced():
+            async with scheduler:
+                return await pace_scenario(
+                    scheduler, slots, slot_interval_s, keep_detections
+                )
+
+        try:
+            return asyncio.run(paced()), scheduler.telemetry
+        finally:
+            self._scheduler_summary = merge_scheduler_summaries(
+                self._scheduler_summary, scheduler.telemetry.as_dict()
+            )
+
     def calibrate_slot_cost(
         self,
         scenario: WorkloadScenario,
@@ -136,18 +304,33 @@ class UplinkStack:
         noise_var: float,
         seed: "int | None" = None,
     ) -> float:
-        """Warm wall-clock cost of one full-load slot through the farm."""
+        """Warm wall-clock cost of one full-load slot through the farm.
+
+        The calibration protocol every governed-farm driver (experiment,
+        demo, bench, farm worker) shares: one cold pass at peak demand
+        fills the per-cell context caches, one warm pass prices the
+        steady-state slot — ungoverned, i.e. at the detectors' *full*
+        budget, with deadlines off and the configured flush shape.
+        Offered-load dials (``interval = overload x cost``) hang off
+        this number.
+        """
         self._require_streaming("calibrate_slot_cost")
-        return calibrate_slot_cost(
-            self.engine.farm,
-            scenario,
-            cell_channels,
-            self.detector.system,
-            noise_var,
-            seed=seed,
-            batch_target=self.config.scheduler.batch_target,
-            flush_margin_s=self.config.scheduler.flush_margin_s,
-        )
+        peak_row = {cell: scenario.subcarriers for cell in scenario.cells}
+        system = self.detector.system
+
+        def one_pass() -> float:
+            start = time.perf_counter()
+            rng = np.random.default_rng(
+                scenario.seed if seed is None else seed
+            )
+            peak = slot_arrivals(
+                peak_row, cell_channels, system, noise_var, rng
+            )
+            self.pace([peak], slot_budget_s=math.inf, governor=None)
+            return time.perf_counter() - start
+
+        one_pass()  # cold: fill the per-cell caches
+        return one_pass()  # warm: the steady-state slot cost
 
     def run_streaming(
         self,
@@ -167,15 +350,8 @@ class UplinkStack:
         protocol of the farm experiment, the adaptive-farm demo and the
         governor bench.  ``governor`` defaults to the stack's configured
         one; pass ``None`` explicitly to run the same farm ungoverned
-        (e.g. for a baseline comparison on warm caches).
-
-        The configured :class:`~repro.api.specs.SchedulerSpec` governs
-        the paced schedulers too: ``batch_target`` and
-        ``flush_margin_s`` are applied as given, and an explicit
-        ``slot_budget_s`` overrides the default deadline budget of a
-        paced run (which is the pacing interval itself — the real-time
-        contract; the spec's ``None`` keeps that default rather than
-        meaning unbounded here).
+        (e.g. for a baseline comparison on warm caches).  Scheduler
+        settings resolve as in :meth:`pace`.
 
         Returns ``(ScenarioOutcome, SchedulerTelemetry)``.
         """
@@ -184,20 +360,21 @@ class UplinkStack:
             slot_interval_s = overload * self.calibrate_slot_cost(
                 scenario, cell_channels, noise_var
             )
-        spec = self.config.scheduler
-        return run_paced(
-            self.engine.farm,
-            scenario,
-            cell_channels,
-            self.detector.system,
-            noise_var,
+        if slot_interval_s <= 0:
+            raise ConfigurationError("slot_interval_s must be positive")
+        rng = np.random.default_rng(
+            scenario.seed + 1 if seed is None else seed
+        )
+        system = self.detector.system
+        slots = (
+            slot_arrivals(row, cell_channels, system, noise_var, rng)
+            for row in scenario.demand()
+        )
+        return self.pace(
+            slots,
             slot_interval_s,
-            governor=self.governor if governor is _CONFIGURED else governor,
-            seed=seed,
+            governor=governor,
             keep_detections=keep_detections,
-            batch_target=spec.batch_target,
-            slot_budget_s=spec.slot_budget_s,
-            flush_margin_s=spec.flush_margin_s,
         )
 
     # -- accounting ----------------------------------------------------
@@ -208,21 +385,20 @@ class UplinkStack:
             "backend": self.backend.name,
             "streaming": self.streaming,
         }
-        cache = self.engine.cache_stats
-        if isinstance(cache, dict):
+        cache = self.cache_stats
+        if self.streaming:
             payload["cache"] = {
                 cell_id: snapshot.as_dict()
                 for cell_id, snapshot in cache.items()
             }
-        else:
-            payload["cache"] = cache.as_dict()
-        if self.streaming:
             payload["cells"] = {
                 cell_id: stats.as_dict()
-                for cell_id, stats in self.engine.cell_stats.items()
+                for cell_id, stats in self._farm.stats().items()
             }
-            if self.engine.scheduler_summary is not None:
-                payload["scheduler"] = dict(self.engine.scheduler_summary)
+            if self._scheduler_summary is not None:
+                payload["scheduler"] = dict(self._scheduler_summary)
+        else:
+            payload["cache"] = cache.as_dict()
         if self.governor is not None:
             payload["governor"] = self.governor.as_dict()
         return payload
@@ -249,7 +425,7 @@ class UplinkStack:
     def close(self) -> None:
         """Release backend resources; safe to call more than once."""
         if not self._closed:
-            self.engine.close()
+            self._farm.close()
             self._closed = True
 
     def __enter__(self) -> "UplinkStack":
@@ -290,42 +466,19 @@ def build_stack(
             f"detector override must be a Detector, got "
             f"{type(detector).__name__}"
         )
-    backend = config.backend.build()
     # A process-global hub (the runner's --trace) takes precedence over
     # the config's own spec; either way a single hub spans the stack.
     obs = get_global()
     if obs is None:
         obs = config.tracing.build()
-    if config.farm.streaming:
-        governor = (
-            config.governor.build(
-                constellation=detector.system.constellation
-            )
-            if config.governor is not None
-            else None
+    farm = CellFarm(config.backend.build(), obs=obs)
+    for cell_id in config.farm.cell_ids():
+        farm.add_cell(
+            cell_id, detector, max_cache_entries=config.cache.max_entries
         )
-        engine = StreamingUplinkEngine(
-            detector,
-            backend=backend,
-            cells=config.farm.cells,
-            cell_prefix=config.farm.cell_prefix,
-            cell_offset=config.farm.cell_offset,
-            batch_target=config.scheduler.batch_target,
-            slot_budget_s=config.scheduler.effective_slot_budget_s,
-            flush_margin_s=config.scheduler.flush_margin_s,
-            max_cache_entries=config.cache.max_entries,
-            governor=governor,
-            obs=obs,
-        )
-        if governor is not None and obs is not None:
-            governor.tracer = obs.tracer
-    else:
-        governor = None
-        engine = BatchedUplinkEngine(
-            detector,
-            backend=backend,
-            cache_contexts=config.cache.enabled,
-            max_cache_entries=config.cache.max_entries,
-            obs=obs,
-        )
-    return UplinkStack(config, detector, engine, governor, obs=obs)
+    governor = (
+        config.governor.build(constellation=detector.system.constellation)
+        if config.governor is not None
+        else None
+    )
+    return UplinkStack(config, detector, farm, governor)

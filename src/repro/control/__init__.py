@@ -34,9 +34,7 @@ from repro.control.workload import (
     SCENARIOS,
     ScenarioOutcome,
     WorkloadScenario,
-    calibrate_slot_cost,
     pace_scenario,
-    run_paced,
     slot_arrivals,
 )
 
@@ -54,8 +52,6 @@ __all__ = [
     "StaticPolicy",
     "WorkloadScenario",
     "allocate_budget",
-    "calibrate_slot_cost",
     "pace_scenario",
-    "run_paced",
     "slot_arrivals",
 ]

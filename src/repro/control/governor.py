@@ -176,8 +176,8 @@ class ComputeGovernor:
         slowly).
     """
 
-    #: Span tracer control ticks record under; the scheduler (or
-    #: ``build_stack``) swaps in a live one when observability is on.
+    #: Span tracer control ticks record under; the scheduler swaps in a
+    #: live one when observability is on.
     tracer = NULL_TRACER
 
     def __init__(
@@ -243,7 +243,7 @@ class ComputeGovernor:
 
         A value the *operator* configured at construction is never
         overwritten; a value learned from a previous scheduler is — so
-        a governor reused across schedulers (e.g. an engine's governor
+        a governor reused across schedulers (e.g. a stack's governor
         surviving many ``detect_batch`` calls, then attached to a
         real-time farm) always judges observations against the budget
         currently in force.

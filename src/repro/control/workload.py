@@ -15,9 +15,11 @@ Two layers:
 * :func:`slot_arrivals` / :func:`pace_scenario` — the materialisation:
   turn one slot's demand row into
   :class:`~repro.runtime.scheduler.FrameArrival` bursts (7 symbol
-  vectors per active subcarrier, per the LTE framing) and pace a whole
-  scenario through a running scheduler at a fixed slot interval,
+  vectors per active subcarrier, per the LTE framing) and pace per-slot
+  arrival lists through a running scheduler at a fixed slot interval,
   collecting detections and :class:`~repro.errors.LoadShedError` sheds.
+  :class:`repro.api.UplinkStack` opens the schedulers
+  (``run_streaming`` / ``calibrate_slot_cost``).
 """
 
 from __future__ import annotations
@@ -199,7 +201,10 @@ class ScenarioOutcome:
     frames_detected: int = 0
     frames_shed: int = 0
     elapsed_s: float = 0.0
-    detections: list = field(default_factory=list)
+    #: Kept out of ``repr``: ``asyncio.run`` formats its task — result
+    #: included — on the way out, and printing every detection's arrays
+    #: there costs more than detecting them.
+    detections: list = field(default_factory=list, repr=False)
 
     @property
     def shed_rate(self) -> float:
@@ -207,155 +212,37 @@ class ScenarioOutcome:
         return self.frames_shed / total if total else 0.0
 
 
-def calibrate_slot_cost(
-    farm,
-    scenario: WorkloadScenario,
-    cell_channels: "dict[str, np.ndarray]",
-    system,
-    noise_var: float,
-    symbols_per_slot: int = SYMBOLS_PER_SLOT,
-    seed: "int | None" = None,
-    batch_target: "int | None" = None,
-    flush_margin_s: float = 0.0,
-) -> float:
-    """Warm wall-clock cost of one full-load slot through ``farm``.
-
-    The calibration protocol every governed-farm driver (experiment,
-    demo, bench) shares: one cold pass at peak demand fills the
-    per-cell context caches, one warm pass prices the steady-state
-    slot — at whatever budget the farm's detectors currently run,
-    i.e. the *full* budget when no governor is attached.  Offered-load
-    dials (``interval = overload x cost``) hang off this number.
-    ``batch_target`` defaults to the slot burst size (one flush per
-    (cell, subcarrier) per slot); pass the deployment's configured
-    target so the calibrated cost prices the flush shape that will
-    actually run.
-    """
-    peak_row = {cell: scenario.subcarriers for cell in scenario.cells}
-    base_seed = scenario.seed if seed is None else seed
-    if batch_target is None:
-        batch_target = symbols_per_slot
-
-    async def one_pass():
-        rng = np.random.default_rng(base_seed)
-        async with farm.scheduler(
-            batch_target=batch_target,
-            slot_budget_s=math.inf,
-            flush_margin_s=flush_margin_s,
-        ) as scheduler:
-            futures = [
-                await scheduler.submit(arrival)
-                for arrival in slot_arrivals(
-                    peak_row,
-                    cell_channels,
-                    system,
-                    noise_var,
-                    rng,
-                    symbols_per_slot=symbols_per_slot,
-                )
-            ]
-            await scheduler.flush()
-            await asyncio.gather(*futures)
-
-    asyncio.run(one_pass())  # cold: fill the per-cell caches
-    start = time.perf_counter()
-    asyncio.run(one_pass())  # warm: the steady-state slot cost
-    return time.perf_counter() - start
-
-
-def run_paced(
-    farm,
-    scenario: WorkloadScenario,
-    cell_channels: "dict[str, np.ndarray]",
-    system,
-    noise_var: float,
-    slot_interval_s: float,
-    governor=None,
-    symbols_per_slot: int = SYMBOLS_PER_SLOT,
-    seed: "int | None" = None,
-    keep_detections: bool = False,
-    batch_target: "int | None" = None,
-    slot_budget_s: "float | None" = None,
-    flush_margin_s: float = 0.0,
-):
-    """Synchronous one-shot: pace a scenario through a fresh scheduler.
-
-    Spins up a scheduler on ``farm`` (optionally governed), plays the
-    scenario at ``slot_interval_s`` via :func:`pace_scenario`, and
-    returns ``(ScenarioOutcome, SchedulerTelemetry)``.  Shared by the
-    ``farm`` experiment, ``examples/adaptive_farm.py`` and the governor
-    bench so all three measure exactly the same protocol.
-    ``batch_target`` defaults to the slot burst size and
-    ``slot_budget_s`` to the pacing interval (the real-time contract of
-    a paced run); pass explicit values to model a different flush
-    policy, e.g. from a :class:`repro.api.SchedulerSpec`.
-    """
-    base_seed = scenario.seed + 1 if seed is None else seed
-    rng = np.random.default_rng(base_seed)
-    if batch_target is None:
-        batch_target = symbols_per_slot
-    if slot_budget_s is None:
-        slot_budget_s = slot_interval_s
-
-    async def paced():
-        async with farm.scheduler(
-            batch_target=batch_target,
-            slot_budget_s=slot_budget_s,
-            flush_margin_s=flush_margin_s,
-            governor=governor,
-        ) as scheduler:
-            outcome = await pace_scenario(
-                scheduler,
-                scenario,
-                cell_channels,
-                system,
-                noise_var,
-                slot_interval_s,
-                rng,
-                symbols_per_slot=symbols_per_slot,
-                keep_detections=keep_detections,
-            )
-            return outcome, scheduler.telemetry
-
-    return asyncio.run(paced())
-
-
 async def pace_scenario(
     scheduler,
-    scenario: WorkloadScenario,
-    cell_channels: "dict[str, np.ndarray]",
-    system,
-    noise_var: float,
-    slot_interval_s: float,
-    rng: np.random.Generator,
-    symbols_per_slot: int = SYMBOLS_PER_SLOT,
+    slots,
+    slot_interval_s: float = 0.0,
     keep_detections: bool = False,
 ) -> ScenarioOutcome:
-    """Pace a scenario's slots through a *running* scheduler.
+    """Pace per-slot arrival lists through a *running* scheduler.
 
-    Submits each slot's arrivals at its paced start time, flushes and
-    drains at the end, and folds shed arrivals
-    (:class:`~repro.errors.LoadShedError`) into the outcome instead of
-    raising — shedding is a governed farm's *designed* overload
-    behaviour, not a failure of the driver.
+    The one submit -> flush -> gather loop every streaming driver shares
+    (:meth:`repro.api.UplinkStack.pace` opens the scheduler around it).
+    ``slots`` is any iterable of per-slot
+    :class:`~repro.runtime.scheduler.FrameArrival` lists and is consumed
+    lazily — slot ``n`` is materialised (its rng draws made) only once
+    its paced start time ``n x slot_interval_s`` has come; an interval
+    of 0 plays the slots back-to-back.  Everything is flushed and
+    awaited at the end — every future before anything is raised, so no
+    result is abandoned — and shed arrivals
+    (:class:`~repro.errors.LoadShedError`) are folded into the outcome
+    instead of raising: shedding is a governed farm's *designed*
+    overload behaviour, not a failure of the driver.
     """
-    if slot_interval_s <= 0:
-        raise ConfigurationError("slot_interval_s must be positive")
+    if slot_interval_s < 0:
+        raise ConfigurationError("slot_interval_s must be >= 0")
     outcome = ScenarioOutcome()
     futures = []
     start = time.monotonic()
-    for slot, row in enumerate(scenario.demand()):
+    for slot, arrivals in enumerate(slots):
         delay = start + slot * slot_interval_s - time.monotonic()
         if delay > 0:
             await asyncio.sleep(delay)
-        for arrival in slot_arrivals(
-            row,
-            cell_channels,
-            system,
-            noise_var,
-            rng,
-            symbols_per_slot=symbols_per_slot,
-        ):
+        for arrival in arrivals:
             outcome.frames_submitted += arrival.num_frames
             futures.append(
                 (arrival.num_frames, await scheduler.submit(arrival))

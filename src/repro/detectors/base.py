@@ -74,7 +74,7 @@ class Detector(abc.ABC):
         """Detect a ``(n, Nr)`` batch using a prepared context.
 
         Batching contract (relied on by
-        :class:`repro.runtime.engine.BatchedUplinkEngine`):
+        :class:`repro.runtime.service.DetectionService`):
 
         * the context is read-only here — a context prepared once may be
           replayed for any number of ``detect_prepared`` calls, in any
@@ -151,10 +151,10 @@ class Detector(abc.ABC):
         (:attr:`has_block_kernel`) detect every channel in one tensor
         walk with bit-identical output; third-party detectors without
         one run the naive per-channel loop below — the unamortised
-        reference the runtime engine is benchmarked against.  Production
-        paths should prefer
-        :class:`repro.runtime.engine.BatchedUplinkEngine`, which also
-        caches contexts across coherent channels.
+        reference the runtime is benchmarked against.  Production
+        paths should prefer a :class:`repro.api.UplinkStack`
+        (``build_stack``), which also caches contexts across coherent
+        channels.
         """
         channels = np.asarray(channels)
         received = np.asarray(received)

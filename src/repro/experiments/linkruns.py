@@ -22,7 +22,6 @@ from repro.link.channels import rayleigh_sampler, testbed_sampler
 from repro.link.config import LinkConfig
 from repro.link.simulation import LinkResult, simulate_link
 from repro.mimo.system import MimoSystem
-from repro.runtime.engine import BatchedUplinkEngine
 
 
 def make_link_config(
@@ -107,10 +106,9 @@ def make_stack(detector: Detector, config: StackConfig) -> UplinkStack:
     """One experiment detector on the configured runtime stack.
 
     ``streaming`` configs route every batch through the slot-deadline
-    scheduler sharded across the farm's cells
-    (:class:`~repro.runtime.cells.StreamingUplinkEngine`) instead of the
-    direct batch engine; results are bit-identical, only the execution
-    path changes.
+    scheduler sharded across the farm's cells instead of straight into
+    the detection service; results are bit-identical, only the
+    execution path changes.
     """
     return build_stack(config, detector=detector)
 
@@ -148,7 +146,7 @@ def run_point(
     profile: ExperimentProfile,
     sampler_factory,
     seed_offset: int = 0,
-    engine: BatchedUplinkEngine | None = None,
+    engine: UplinkStack | None = None,
 ) -> LinkResult:
     """One PER/throughput measurement with common random numbers."""
     if engine is None:

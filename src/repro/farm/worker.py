@@ -13,8 +13,6 @@ worker can be replaced mid-scenario without corrupting the run.
 
 from __future__ import annotations
 
-import asyncio
-import math
 import time
 import traceback
 from dataclasses import replace
@@ -23,8 +21,8 @@ import numpy as np
 
 from repro.api import StackConfig, build_stack
 from repro.channel.fading import rayleigh_channels
-from repro.control.workload import calibrate_slot_cost, slot_arrivals
-from repro.errors import ConfigurationError, LoadShedError
+from repro.control.workload import slot_arrivals
+from repro.errors import ConfigurationError
 from repro.farm.protocol import (
     MSG_BUDGETS,
     MSG_BUDGETS_SET,
@@ -43,7 +41,6 @@ from repro.farm.protocol import (
     scenario_from_payload,
 )
 from repro.obs import clear_global
-from repro.ofdm.lte import SYMBOLS_PER_SLOT
 from repro.runtime.scheduler import merge_scheduler_summaries
 
 
@@ -51,7 +48,6 @@ class _WorkerState:
     """Everything one worker serves: the stack plus the workload."""
 
     def __init__(self, config: StackConfig):
-        self.config = config
         self.stack = build_stack(config)
         self.cell_ids = list(config.farm.cell_ids())
         self.cell_offset = config.farm.cell_offset
@@ -106,19 +102,20 @@ class _WorkerState:
     def calibrate(self) -> dict:
         """Warm wall-clock cost of this worker's share of a full slot."""
         self._require_workload()
-        spec = self.config.scheduler
-        cost = calibrate_slot_cost(
-            self.stack.engine.farm,
+        cost = self.stack.calibrate_slot_cost(
             replace(self.scenario, cells=tuple(self.cell_ids)),
             self.channels,
-            self.system,
             self.noise_var,
-            batch_target=spec.batch_target,
-            flush_margin_s=spec.flush_margin_s,
         )
         return {"type": MSG_CALIBRATED, "slot_cost_s": cost}
 
     def run_slots(self, message: dict) -> dict:
+        """Pace slots ``[start, stop)`` of the demand table; own cells only.
+
+        ``slot_interval_s == 0`` runs the slots back-to-back (throughput
+        mode, deadline telemetry quiet), a positive interval is the
+        real-time contract (see :meth:`repro.api.UplinkStack.pace`).
+        """
         self._require_workload()
         start, stop = int(message["start"]), int(message["stop"])
         if not 0 <= start <= stop <= self.scenario.slots:
@@ -126,21 +123,22 @@ class _WorkerState:
                 f"slot range [{start}, {stop}) outside the scenario's "
                 f"{self.scenario.slots} slots"
             )
-        interval = float(message["slot_interval_s"])
-        summary, detected, shed = asyncio.run(
-            self._paced_chunk(start, stop, interval)
+        outcome, telemetry = self.stack.pace(
+            (self._slot_arrivals(slot) for slot in range(start, stop)),
+            float(message["slot_interval_s"]),
         )
+        summary = telemetry.as_dict()
         self.summary = merge_scheduler_summaries(self.summary, summary)
         reply = {
             "type": MSG_DONE,
             "start": start,
             "stop": stop,
             "summary": summary,
-            "frames_detected": detected,
-            "frames_shed": shed,
+            "frames_detected": outcome.frames_detected,
+            "frames_shed": outcome.frames_shed,
             "cells": {
                 cell_id: stats.as_dict()
-                for cell_id, stats in self.stack.engine.cell_stats.items()
+                for cell_id, stats in self.stack.farm.stats().items()
             },
         }
         governor = self.stack.governor
@@ -158,69 +156,17 @@ class _WorkerState:
             reply["metrics"] = obs.metrics.drain()
         return reply
 
-    async def _paced_chunk(
-        self, start: int, stop: int, slot_interval_s: float
-    ):
-        """Pace slots ``[start, stop)`` of the demand table; own cells only.
-
-        Mirrors :func:`repro.control.workload.pace_scenario`, restricted
-        to a slot range: ``slot_interval_s == 0`` runs the slots
-        back-to-back (throughput mode, deadline telemetry quiet), a
-        positive interval is the real-time contract (slot budget
-        defaults to the interval unless the scheduler spec pins one).
-        """
-        engine = self.stack.engine
-        spec = self.config.scheduler
-        slot_budget = spec.slot_budget_s
-        if slot_budget is None:
-            slot_budget = slot_interval_s if slot_interval_s > 0 else math.inf
-        batch_target = (
-            spec.batch_target
-            if spec.batch_target is not None
-            else SYMBOLS_PER_SLOT
+    def _slot_arrivals(self, slot: int) -> list:
+        """This worker's arrivals of one slot of the demand table."""
+        row = {
+            cell_id: self.demand[slot][cell_id] for cell_id in self.cell_ids
+        }
+        # Seeded per (slot, worker slice): a replayed chunk regenerates
+        # the identical frames it lost.
+        rng = np.random.default_rng([self.data_seed, slot, self.cell_offset])
+        return slot_arrivals(
+            row, self.channels, self.system, self.noise_var, rng
         )
-        async with engine.farm.scheduler(
-            batch_target=batch_target,
-            slot_budget_s=slot_budget,
-            flush_margin_s=spec.flush_margin_s,
-            governor=engine.governor,
-        ) as scheduler:
-            futures = []
-            t0 = time.monotonic()
-            for slot in range(start, stop):
-                delay = (
-                    t0 + (slot - start) * slot_interval_s - time.monotonic()
-                )
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                row = {
-                    cell_id: self.demand[slot][cell_id]
-                    for cell_id in self.cell_ids
-                }
-                # Seeded per (slot, worker slice): a replayed chunk
-                # regenerates the identical frames it lost.
-                rng = np.random.default_rng(
-                    [self.data_seed, slot, self.cell_offset]
-                )
-                for arrival in slot_arrivals(
-                    row, self.channels, self.system, self.noise_var, rng
-                ):
-                    futures.append(
-                        (arrival.num_frames, await scheduler.submit(arrival))
-                    )
-            await scheduler.flush()
-            results = await asyncio.gather(
-                *(future for _, future in futures), return_exceptions=True
-            )
-            detected = shed = 0
-            for (frames, _), result in zip(futures, results):
-                if isinstance(result, LoadShedError):
-                    shed += frames
-                elif isinstance(result, BaseException):
-                    raise result
-                else:
-                    detected += frames
-            return scheduler.telemetry.as_dict(), detected, shed
 
     # ------------------------------------------------------------------
     def set_budgets(self, message: dict) -> dict:

@@ -46,10 +46,10 @@ def find_snr_for_per(
     discipline as the caller chooses) is drawn per probe.
 
     ``engine`` optionally supplies a pre-built
-    :class:`~repro.runtime.engine.BatchedUplinkEngine` wrapping
-    ``detector``; one engine then serves every probe of the bisection, so
-    its context cache persists across the search (contexts are keyed on
-    noise variance, so distinct SNR probes coexist in the cache).
+    :class:`~repro.api.UplinkStack` wrapping ``detector``; one stack
+    then serves every probe of the bisection, so its context cache
+    persists across the search (contexts are keyed on noise variance,
+    so distinct SNR probes coexist in the cache).
     """
     if not 0.0 < target_per < 1.0:
         raise LinkSimulationError("target PER must lie in (0, 1)")

@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.api import StackConfig, UplinkStack, build_stack
 from repro.coding import BlockInterleaver, ViterbiDecoder
 from repro.detectors.base import Detector
 from repro.errors import LinkSimulationError
 from repro.link.config import LinkConfig
 from repro.link.throughput import network_throughput_bps
 from repro.mimo.model import apply_channel, noise_variance_for_snr_db
-from repro.runtime.engine import BatchedUplinkEngine
 from repro.runtime.scheduler import merge_scheduler_summaries
 from repro.utils.flops import NULL_COUNTER, FlopCounter
 from repro.utils.rng import as_rng
@@ -118,7 +118,7 @@ def simulate_link(
     rng=None,
     counter: FlopCounter = NULL_COUNTER,
     use_soft: bool = False,
-    engine: BatchedUplinkEngine | None = None,
+    engine: UplinkStack | None = None,
     stack_config=None,
 ) -> LinkResult:
     """Run ``num_packets`` coded packets through the link.
@@ -147,10 +147,9 @@ def simulate_link(
         requires a detector exposing ``detect_soft_prepared`` (e.g.
         :class:`repro.flexcore.soft.SoftFlexCoreDetector`).
     engine:
-        Optional pre-built :class:`~repro.runtime.engine.BatchedUplinkEngine`
-        (or :class:`~repro.api.UplinkStack`) wrapping ``detector`` (e.g.
-        with the array backend, or with a cache shared across SNR
-        points).  By default a fresh serial-backend stack is built for
+        Optional pre-built :class:`~repro.api.UplinkStack` wrapping
+        ``detector`` (e.g. on the array backend, or with a cache shared
+        across SNR points).  By default a fresh serial-backend stack is built for
         the call through :func:`repro.api.build_stack`, whose context
         cache amortises ``prepare`` across the packets of the run — the
         §4 coherence amortisation — whenever the sampler replays channel
@@ -162,11 +161,9 @@ def simulate_link(
         live instance).
     """
     if engine is None:
-        from repro.api import StackConfig, build_stack
-
         # Build the stack here, own it here: re-enter with the stack as
         # the engine so the context manager releases backend resources
-        # (a process pool, say) when the run finishes.
+        # when the run finishes.
         with build_stack(
             stack_config if stack_config is not None else StackConfig(),
             detector=detector,
@@ -266,8 +263,8 @@ def simulate_link(
             if "active_paths" in sc_metadata:
                 active_paths_sum += sc_metadata["active_paths"]
                 active_paths_samples += 1
-        # The batch's cache movement: one CacheStats snapshot from the
-        # batch engine, a {cell_id: CacheStats} mapping from a farm.
+        # The batch's cache movement: one CacheStats snapshot from a
+        # batch stack, a {cell_id: CacheStats} mapping from a farm.
         cache_delta = batch.stats["cache"]
         if isinstance(cache_delta, dict):
             contexts_prepared += sum(d.misses for d in cache_delta.values())
@@ -323,7 +320,7 @@ def simulate_link(
         }
     }
     if scheduler_summary is not None:
-        # Streaming engines report their slot-deadline telemetry per
+        # Streaming stacks report their slot-deadline telemetry per
         # batch; surface the run's accumulated summary instead of
         # discarding it (hit-rate, latencies, flush count).
         metadata["runtime"]["scheduler"] = scheduler_summary

@@ -8,7 +8,11 @@ as a detector-agnostic runtime.  Everything here runs in one process,
 on one of two routes — the per-subcarrier reference loop (``serial``)
 or the stacked tensor walk (``array``); the one multi-process mechanism
 is :mod:`repro.farm`, which supervises worker processes that each host
-this runtime.  Layered service-side down:
+this runtime.  The one front-end callers hold is
+:class:`repro.api.UplinkStack` (``build_stack(StackConfig(...))``): the
+synchronous ``detect_batch`` the link simulator, the experiment harness
+and the examples drive, and the streaming drivers.  Layered
+service-side down:
 
 * :class:`DetectionService` — the cell-agnostic prepare+detect route
   over one execution backend; detector and cache are per call;
@@ -16,11 +20,9 @@ this runtime.  Layered service-side down:
   slot-deadline front-end: :class:`FrameArrival` events are grouped by
   coherence key and flushed on a batch target or the LTE 500 µs slot
   deadline, with per-flush latency/deadline telemetry;
-* :class:`Cell` / :class:`CellFarm` / :class:`StreamingUplinkEngine` —
-  multi-cell sharding: N cells share one backend with fair-share
-  dispatch but keep per-cell context caches and stats;
-* :class:`BatchedUplinkEngine` — the synchronous batch adapter the link
-  simulator, the experiment harness and the examples drive;
+* :class:`Cell` / :class:`CellFarm` — multi-cell sharding: N cells
+  share one backend with fair-share dispatch but keep per-cell context
+  caches and stats;
 * :class:`UplinkBatch` / :class:`BatchDetectionResult` — the
   ``(subcarriers x frames)`` workload (validated: shapes, finite
   values) and its stacked output;
@@ -50,13 +52,7 @@ from repro.runtime.cache import (
     block_context_keys,
     context_key,
 )
-from repro.runtime.cells import (
-    Cell,
-    CellFarm,
-    CellStats,
-    StreamingUplinkEngine,
-)
-from repro.runtime.engine import BatchedUplinkEngine
+from repro.runtime.cells import Cell, CellFarm, CellStats
 from repro.runtime.residency import ResidencyStats, ResidentContextStore
 from repro.runtime.scheduler import (
     FlushRecord,
@@ -82,7 +78,6 @@ __all__ = [
     "ArrayBackend",
     "ArrayModule",
     "BatchDetectionResult",
-    "BatchedUplinkEngine",
     "CacheStats",
     "Cell",
     "CellFarm",
@@ -102,7 +97,6 @@ __all__ = [
     "SerialBackend",
     "TransferStats",
     "StreamingScheduler",
-    "StreamingUplinkEngine",
     "UplinkBatch",
     "available_array_modules",
     "available_backends",

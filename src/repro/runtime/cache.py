@@ -4,7 +4,7 @@
 position-vector upload) over the coherence time of the channel: the same
 context serves every OFDM symbol — and every retransmission — until the
 channel changes.  The link layer expresses that coherence implicitly by
-handing the engine *identical channel matrices* (a testbed trace cycling
+handing the stack *identical channel matrices* (a testbed trace cycling
 its frames, a static packet channel); the cache recovers the amortisation
 by content-addressing contexts on the channel bytes, with no explicit
 coherence bookkeeping required from the caller.
@@ -122,10 +122,11 @@ def block_context_keys(
 class ContextCache:
     """LRU cache of prepared channel contexts.
 
-    One cache serves one detector configuration (the engine owns it);
-    sharing a cache between differently-configured detectors would serve
-    wrong contexts, so :class:`~repro.runtime.engine.BatchedUplinkEngine`
-    never exposes its cache for reuse across detectors.
+    One cache serves one detector configuration (its
+    :class:`~repro.runtime.cells.Cell` owns it); sharing a cache between
+    differently-configured detectors would serve wrong contexts, so
+    :class:`repro.api.UplinkStack` never hands a cell's cache to another
+    detector.
 
     Parameters
     ----------

@@ -2,7 +2,7 @@
 
 FlexCore's throughput argument (§5.2) is framed against the LTE
 real-time budget: every MIMO vector of a slot must be detected within
-the 500 µs slot duration.  The batch engine assumes somebody already
+the 500 µs slot duration.  The batch route assumes somebody already
 assembled a full ``(subcarriers x frames)`` block; this module is that
 somebody — an asyncio loop that ingests :class:`FrameArrival` events as
 the radio produces them, groups them by *coherence key* (channel
@@ -514,7 +514,7 @@ class StreamingScheduler:
     counter:
         FLOP counter charged by every flush.
     governor:
-        Optional control plane, duck-typed to
+        Optional control plane, a
         :class:`~repro.control.governor.ComputeGovernor`: consulted for
         the per-cell path budget before every flush
         (``path_budget(cell_id)``), for admission on every arrival
@@ -527,7 +527,7 @@ class StreamingScheduler:
     obs:
         An :class:`~repro.obs.Observability` hub: every flush becomes a
         ``flush`` span (cell, reason, coherence key, batch size, path
-        budget, latency) and feeds the flush-latency / deadline-margin
+        budget, latency, service time) and feeds the flush-latency / deadline-margin
         histograms.  ``None`` falls back to the process-global hub;
         with no hub at all instrumentation is a shared no-op.
 
@@ -578,16 +578,10 @@ class StreamingScheduler:
             # Bind the deadline frame of reference the governor's
             # observations are judged against (operator-preconfigured
             # values are respected; see ComputeGovernor.bind_slot_budget).
-            bind = getattr(governor, "bind_slot_budget", None)
-            if callable(bind):
-                bind(self.batcher.slot_budget_s)
-            elif getattr(governor, "slot_budget_s", False) is None:
-                governor.slot_budget_s = self.batcher.slot_budget_s
+            governor.bind_slot_budget(self.batcher.slot_budget_s)
             # Hand the governor a tracer for its tick spans, unless the
-            # caller (build_stack, a test) already attached one.
-            if obs is not None and (
-                getattr(governor, "tracer", NULL_TRACER) is NULL_TRACER
-            ):
+            # caller already attached one.
+            if obs is not None and governor.tracer is NULL_TRACER:
                 governor.tracer = obs.tracer
         self.clock = clock
         self.telemetry = SchedulerTelemetry()
@@ -794,9 +788,7 @@ class StreamingScheduler:
             self._metrics.counter("repro_frames_shed_total").inc(
                 arrival.num_frames
             )
-        stats = getattr(self.cells[arrival.cell], "stats", None)
-        if stats is not None:
-            stats.frames_shed += arrival.num_frames
+        self.cells[arrival.cell].stats.frames_shed += arrival.num_frames
         if not future.done():
             future.set_exception(
                 LoadShedError(
@@ -899,6 +891,7 @@ class StreamingScheduler:
                 )
                 span.set(
                     latency_s=record.latency_s,
+                    service_s=completed_s - flushed_s,
                     deadline_met=record.deadline_met,
                 )
                 transfers = result.stats.get("transfers")
@@ -917,14 +910,12 @@ class StreamingScheduler:
                         channel=bucket[0].channel,
                         noise_var=noise_var,
                     )
-                stats = getattr(cell, "stats", None)
-                if stats is not None:
-                    stats.account(
-                        record,
-                        result.stats["cache"],
-                        frames_on_time,
-                        transfers=transfers,
-                    )
+                cell.stats.account(
+                    record,
+                    result.stats["cache"],
+                    frames_on_time,
+                    transfers=transfers,
+                )
                 for sc, group in enumerate(bucket):
                     offset = 0
                     for arrival, future in group.arrivals:

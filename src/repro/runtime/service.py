@@ -20,11 +20,12 @@ per call from what it can observe,
 Both routes share everything else in :meth:`DetectionService._detect`:
 one prepare helper, one ``detect`` span, one stats assembly.
 
-Front-ends on top: :class:`~repro.runtime.engine.BatchedUplinkEngine`
-(one detector, one private cache, synchronous ``detect_batch``), and the
-streaming :class:`~repro.runtime.scheduler.StreamingScheduler` / cell
-farm (:mod:`repro.runtime.cells`), which flush micro-batches from many
-cells through a single shared service.  Detector and cache are *per
+Front-ends on top: :class:`repro.api.UplinkStack` (synchronous
+``detect_batch``: one detector, one cell's cache, straight into
+:meth:`DetectionService.detect`), and the streaming
+:class:`~repro.runtime.scheduler.StreamingScheduler` / cell farm
+(:mod:`repro.runtime.cells`), which flush micro-batches from many cells
+through a single shared service.  Detector and cache are *per
 call*, which is what makes the service cell-agnostic — N cells with N
 caches (and even N different detectors) share one backend, the way the
 paper's AP shares its processing elements across all subcarriers in
@@ -186,7 +187,7 @@ class DetectionService:
     ) -> BatchDetectionResult:
         """Detect one :class:`~repro.runtime.batch.UplinkBatch`.
 
-        ``cache`` is the caller's coherence cache (per engine, per cell);
+        ``cache`` is the caller's coherence cache (one per cell);
         ``None`` disables caching, preparing once per subcarrier with no
         deduplication — the naive baseline the runtime benchmark
         measures against.

@@ -1,13 +1,20 @@
 """``build_stack`` pinning: the facade is bit-identical to hand wiring.
 
 The api facade must not change a single bit of any result: for every
-backend (serial / array), both front-ends (batch /
-streaming) and both control modes (governed under a static policy /
-ungoverned), ``build_stack(config).detect_batch(...)`` equals the
-hand-constructed ``BatchedUplinkEngine`` / ``StreamingUplinkEngine``
-output — hard decisions and soft LLRs.  Plus the facade's lifecycle
-(idempotent close, context manager) and streaming-only guards.
+backend (serial / array), both front-ends (batch / streaming) and both
+control modes (governed under a static policy / ungoverned),
+``build_stack(config).detect_batch(...)`` equals an *independent*
+reference built without the facade — ``DetectionService.detect`` with a
+hand-held ``ContextCache`` for a batch stack, a hand-built ``CellFarm``
++ ``StreamingScheduler`` for a streaming one — in hard decisions, soft
+LLRs, per-subcarrier metadata and cache movement.  Plus the facade's
+lifecycle (idempotent close, context manager), streaming-only guards,
+the one place a ``SchedulerSpec`` meets a driver's defaults, and the
+accounting conservation across every driver.
 """
+
+import asyncio
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +30,7 @@ from repro.api import (
     build_stack,
 )
 from repro.channel.fading import rayleigh_channels
+from repro.control import ComputeGovernor, StaticPolicy, WorkloadScenario
 from repro.errors import ConfigurationError
 from repro.flexcore.detector import FlexCoreDetector
 from repro.flexcore.soft import SoftFlexCoreDetector
@@ -30,7 +38,14 @@ from repro.mimo.model import apply_channel, noise_variance_for_snr_db
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
 from repro.modulation.mapper import random_symbol_indices
-from repro.runtime import BatchedUplinkEngine, StreamingUplinkEngine
+from repro.ofdm.lte import SYMBOLS_PER_SLOT
+from repro.runtime import (
+    CellFarm,
+    ContextCache,
+    DetectionService,
+    FrameArrival,
+    UplinkBatch,
+)
 
 NUM_SUBCARRIERS = 6
 NUM_FRAMES = 4
@@ -71,27 +86,99 @@ def soft_spec():
     )
 
 
+def assert_same_block(facade, indices, llrs, metadata):
+    assert np.array_equal(facade.indices, indices)
+    if llrs is None:
+        assert facade.llrs is None
+    else:
+        assert np.array_equal(facade.llrs, llrs)
+    assert facade.per_subcarrier_metadata == metadata
+
+
+def hand_streamed(
+    detector, backend, cells, workload, use_soft=False, governor=None
+):
+    """The streaming reference: a hand-built ``CellFarm`` and scheduler,
+    one arrival per subcarrier sharded round-robin, no facade anywhere.
+    Returns ``(detections, {cell_id: CacheStats})``."""
+    _, channels, received, noise_var = workload
+    cell_ids = [f"cell{index}" for index in range(cells)]
+
+    async def run():
+        with CellFarm(backend) as farm:
+            for cell_id in cell_ids:
+                farm.add_cell(cell_id, detector)
+            async with farm.scheduler(
+                batch_target=NUM_FRAMES,
+                slot_budget_s=math.inf,
+                use_soft=use_soft,
+                governor=governor,
+            ) as scheduler:
+                futures = [
+                    await scheduler.submit(
+                        FrameArrival(
+                            channels[sc],
+                            received[sc],
+                            noise_var,
+                            cell=cell_ids[sc % cells],
+                        )
+                    )
+                    for sc in range(NUM_SUBCARRIERS)
+                ]
+                await scheduler.flush()
+                detections = [await future for future in futures]
+            return detections, farm.cache_stats()
+
+    return asyncio.run(run())
+
+
+def assert_same_stream(facade, detections, use_soft=False):
+    assert_same_block(
+        facade,
+        np.stack([d.indices for d in detections]),
+        np.stack([d.llrs for d in detections]) if use_soft else None,
+        [d.metadata for d in detections],
+    )
+
+
 class TestBatchEquivalence:
+    """The batch stack vs ``DetectionService.detect`` + a hand-held
+    ``ContextCache``."""
+
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_hard_matches_hand_constructed_engine(self, workload, backend):
+    def test_hard_matches_hand_held_service(self, workload, backend):
         system, channels, received, noise_var = workload
         detector = FlexCoreDetector(system, num_paths=NUM_PATHS)
-        with BatchedUplinkEngine(detector, backend=backend) as hand:
-            reference = hand.detect_batch(channels, received, noise_var)
+        batch = UplinkBatch(channels, received, noise_var)
+        cache = ContextCache()
+        with DetectionService(backend) as service:
+            cold = service.detect(detector, batch, cache=cache)
+            warm = service.detect(detector, batch, cache=cache)
         config = StackConfig(
             detector=hard_spec(), backend=BackendSpec(backend)
         )
         with build_stack(config) as stack:
-            facade = stack.detect_batch(channels, received, noise_var)
-        assert np.array_equal(facade.indices, reference.indices)
+            for reference in (cold, warm):
+                facade = stack.detect_batch(channels, received, noise_var)
+                assert_same_block(
+                    facade,
+                    reference.indices,
+                    None,
+                    reference.per_subcarrier_metadata,
+                )
+                assert facade.stats["cache"] == reference.stats["cache"]
+            assert stack.cache_stats == cache.stats
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_soft_matches_hand_constructed_engine(self, workload, backend):
+    def test_soft_matches_hand_held_service(self, workload, backend):
         system, channels, received, noise_var = workload
         detector = SoftFlexCoreDetector(system, num_paths=NUM_PATHS)
-        with BatchedUplinkEngine(detector, backend=backend) as hand:
-            reference = hand.detect_batch(
-                channels, received, noise_var, use_soft=True
+        with DetectionService(backend) as service:
+            reference = service.detect(
+                detector,
+                UplinkBatch(channels, received, noise_var),
+                cache=ContextCache(),
+                use_soft=True,
             )
         config = StackConfig(
             detector=soft_spec(), backend=BackendSpec(backend)
@@ -101,34 +188,42 @@ class TestBatchEquivalence:
             facade = stack.detect_batch(
                 channels, received, noise_var, use_soft=True
             )
-        assert np.array_equal(facade.indices, reference.indices)
-        assert np.array_equal(facade.llrs, reference.llrs)
+        assert_same_block(
+            facade,
+            reference.indices,
+            reference.llrs,
+            reference.per_subcarrier_metadata,
+        )
+        assert facade.stats["cache"] == reference.stats["cache"]
 
     def test_cache_disabled_config_matches(self, workload):
         system, channels, received, noise_var = workload
         detector = FlexCoreDetector(system, num_paths=NUM_PATHS)
-        with BatchedUplinkEngine(detector, cache_contexts=False) as hand:
-            reference = hand.detect_batch(channels, received, noise_var)
+        reference = DetectionService().detect(
+            detector, UplinkBatch(channels, received, noise_var), cache=None
+        )
         config = StackConfig(
             detector=hard_spec(), cache=CacheSpec(enabled=False)
         )
         with build_stack(config) as stack:
+            stack.detect_batch(channels, received, noise_var)
             facade = stack.detect_batch(channels, received, noise_var)
             assert facade.stats["cache"].hits == 0
+            assert facade.stats["cache"] == reference.stats["cache"]
+            assert stack.cache_stats.entries == 0
         assert np.array_equal(facade.indices, reference.indices)
 
 
 class TestStreamingEquivalence:
+    """The streaming stack vs a hand-built ``CellFarm`` + scheduler."""
+
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_hard_matches_hand_constructed_streaming(
-        self, workload, backend
-    ):
+    def test_hard_matches_hand_built_farm(self, workload, backend):
         system, channels, received, noise_var = workload
         detector = FlexCoreDetector(system, num_paths=NUM_PATHS)
-        with StreamingUplinkEngine(
-            detector, backend=backend, cells=2
-        ) as hand:
-            reference = hand.detect_batch(channels, received, noise_var)
+        detections, cache_stats = hand_streamed(
+            detector, backend, 2, workload
+        )
         config = StackConfig(
             detector=hard_spec(),
             backend=BackendSpec(backend),
@@ -136,24 +231,28 @@ class TestStreamingEquivalence:
         )
         with build_stack(config) as stack:
             facade = stack.detect_batch(channels, received, noise_var)
-        assert np.array_equal(facade.indices, reference.indices)
+            assert stack.cache_stats == cache_stats
+        assert_same_stream(facade, detections)
+        assert facade.stats["cache"] == cache_stats
 
-    def test_soft_streaming_matches(self, workload):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_soft_streaming_matches(self, workload, backend):
         system, channels, received, noise_var = workload
         detector = SoftFlexCoreDetector(system, num_paths=NUM_PATHS)
-        with StreamingUplinkEngine(detector, cells=2) as hand:
-            reference = hand.detect_batch(
-                channels, received, noise_var, use_soft=True
-            )
+        detections, cache_stats = hand_streamed(
+            detector, backend, 2, workload, use_soft=True
+        )
         config = StackConfig(
-            detector=soft_spec(), farm=FarmSpec(streaming=True, cells=2)
+            detector=soft_spec(),
+            backend=BackendSpec(backend),
+            farm=FarmSpec(streaming=True, cells=2),
         )
         with build_stack(config) as stack:
             facade = stack.detect_batch(
                 channels, received, noise_var, use_soft=True
             )
-        assert np.array_equal(facade.indices, reference.indices)
-        assert np.array_equal(facade.llrs, reference.llrs)
+        assert_same_stream(facade, detections, use_soft=True)
+        assert facade.stats["cache"] == cache_stats
 
     def test_streaming_matches_batch_stack(self, workload):
         """Streaming and batch stacks agree with each other too."""
@@ -168,21 +267,52 @@ class TestStreamingEquivalence:
             assert facade.stats["cells"] == 3
         assert np.array_equal(facade.indices, reference.indices)
 
+    def test_subcarriers_shard_in_numeric_cell_order(self, workload):
+        """Subcarrier ``sc`` belongs to ``cell_ids()[sc % cells]`` —
+        numeric order, where sorting the ids would put ``cell10``
+        before ``cell2`` from 11 cells up."""
+        system, channels, received, noise_var = workload
+        subcarriers = 14  # 0..10, then cells 0, 1 and 2 again
+        config = StackConfig(
+            detector=hard_spec(), farm=FarmSpec(streaming=True, cells=11)
+        )
+        block = (
+            np.resize(channels, (subcarriers, 4, 4)),
+            np.resize(received, (subcarriers, NUM_FRAMES, 4)),
+        )
+        with build_stack(config) as stack:
+            stack.detect_batch(*block, noise_var)
+            frames = {
+                cell_id: cell["frames"]
+                for cell_id, cell in stack.stats()["cells"].items()
+            }
+        cell_ids = config.farm.cell_ids()
+        assert cell_ids[10] == "cell10"
+        expected = dict.fromkeys(cell_ids, 0)
+        for sc in range(subcarriers):
+            expected[cell_ids[sc % 11]] += NUM_FRAMES
+        assert frames == expected
+        assert frames["cell2"] == 2 * NUM_FRAMES  # sc 2 and sc 13
+        assert frames["cell10"] == NUM_FRAMES
+
 
 class TestGovernedEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_static_governor_bit_identical_to_ungoverned(
         self, workload, backend
     ):
-        """The control plane under StaticPolicy(num_paths) is free."""
+        """The control plane under StaticPolicy(num_paths) is free —
+        against a hand-attached governor and against no governor."""
         system, channels, received, noise_var = workload
-        ungoverned = StackConfig(
-            detector=hard_spec(),
-            backend=BackendSpec(backend),
-            farm=FarmSpec(streaming=True, cells=2),
+        detector = FlexCoreDetector(system, num_paths=NUM_PATHS)
+        ungoverned, _ = hand_streamed(detector, backend, 2, workload)
+        hand_governed, cache_stats = hand_streamed(
+            detector,
+            backend,
+            2,
+            workload,
+            governor=ComputeGovernor(StaticPolicy(NUM_PATHS)),
         )
-        with build_stack(ungoverned) as stack:
-            reference = stack.detect_batch(channels, received, noise_var)
         governed = StackConfig(
             detector=hard_spec(),
             backend=BackendSpec(backend),
@@ -196,7 +326,9 @@ class TestGovernedEquivalence:
         with build_stack(governed) as stack:
             assert stack.governor is not None
             facade = stack.detect_batch(channels, received, noise_var)
-        assert np.array_equal(facade.indices, reference.indices)
+        assert_same_stream(facade, hand_governed)
+        assert_same_stream(facade, ungoverned)
+        assert facade.stats["cache"] == cache_stats
 
 
 class TestFacadeSurface:
@@ -270,67 +402,167 @@ class TestFacadeSurface:
             stack.detect_batch(channels, received, noise_var)
 
 
-class TestSchedulerSpecFlowsIntoPacedRuns:
-    def test_run_streaming_passes_the_configured_flush_policy(
-        self, monkeypatch
-    ):
-        """run_streaming must hand SchedulerSpec to run_paced — a config
-        whose batch_target/margin silently vanished would make the
-        embedded metadata lie about the run."""
-        import repro.api.stack as stack_module
+def tiny_scenario(cells=("cell0",), slots=2):
+    scenario = WorkloadScenario(
+        "steady", cells, slots=slots, subcarriers=2, utilization=1.0
+    )
+    rng = np.random.default_rng(5)
+    cell_channels = {
+        cell_id: rayleigh_channels(2, 4, 4, rng) for cell_id in cells
+    }
+    return scenario, cell_channels
 
+
+class TestSchedulerSpecResolvedOnce:
+    """Every driver opens its scheduler through ``UplinkStack.pace``;
+    these pin what each hands ``CellFarm.scheduler`` — a config whose
+    batch_target/margin silently vanished would make the embedded
+    metadata lie about the run."""
+
+    DRIVERS = {
+        "detect_batch": lambda stack, block, scenario: stack.detect_batch(
+            *block
+        ),
+        "calibrate": lambda stack, block, scenario: (
+            stack.calibrate_slot_cost(*scenario, 0.05)
+        ),
+        "run_streaming": lambda stack, block, scenario: stack.run_streaming(
+            *scenario, 0.05, slot_interval_s=0.5
+        ),
+        "pace": lambda stack, block, scenario: stack.pace([[]]),
+    }
+
+    def _captured(self, monkeypatch, workload, driver, spec, governor=None):
         captured = {}
 
-        def fake_run_paced(*args, **kwargs):
+        def spy(self, **kwargs):
             captured.update(kwargs)
-            return "outcome", "telemetry"
-
-        monkeypatch.setattr(stack_module, "run_paced", fake_run_paced)
-        config = StackConfig(
-            detector=hard_spec(),
-            farm=FarmSpec(streaming=True, cells=1),
-            scheduler=SchedulerSpec(
-                batch_target=3, slot_budget_s=0.25, flush_margin_s=0.001
-            ),
-        )
-        with build_stack(config) as stack:
-            result = stack.run_streaming(
-                None, {}, 0.1, slot_interval_s=1.0
-            )
-        assert result == ("outcome", "telemetry")
-        assert captured["batch_target"] == 3
-        assert captured["slot_budget_s"] == 0.25
-        assert captured["flush_margin_s"] == 0.001
-
-    def test_run_paced_defaults_preserved(self, monkeypatch):
-        """A default SchedulerSpec keeps the historical paced protocol:
-        burst-sized batches, interval-sized deadline budget."""
-        import math
-
-        from repro.control import workload as workload_module
-
-        captured = {}
-        original = workload_module.run_paced
-
-        def spy(farm, scenario, cell_channels, system, noise_var,
-                slot_interval_s, **kwargs):
-            captured.update(kwargs)
-            captured["slot_interval_s"] = slot_interval_s
             raise RuntimeError("stop before pacing")
 
-        monkeypatch.setattr(
-            "repro.api.stack.run_paced", spy
-        )
+        monkeypatch.setattr(CellFarm, "scheduler", spy)
+        _, channels, received, noise_var = workload
+        scenario, cell_channels = tiny_scenario()
         config = StackConfig(
-            detector=hard_spec(), farm=FarmSpec(streaming=True)
+            detector=hard_spec(),
+            farm=FarmSpec(streaming=True),
+            scheduler=spec,
+            governor=governor,
         )
         with build_stack(config) as stack:
             with pytest.raises(RuntimeError, match="stop before"):
-                stack.run_streaming(None, {}, 0.1, slot_interval_s=0.5)
-        assert captured["batch_target"] is None  # run_paced -> burst size
-        assert captured["slot_budget_s"] is None  # run_paced -> interval
-        assert original is not spy
-        assert math.isfinite(captured["slot_interval_s"])
+                self.DRIVERS[driver](
+                    stack,
+                    (channels, received, noise_var),
+                    (scenario, cell_channels),
+                )
+            return captured, stack.governor
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_configured_flush_policy_reaches_the_scheduler(
+        self, monkeypatch, workload, driver
+    ):
+        spec = SchedulerSpec(
+            batch_target=3, slot_budget_s=0.25, flush_margin_s=0.001
+        )
+        captured, _ = self._captured(monkeypatch, workload, driver, spec)
+        assert captured["batch_target"] == 3
+        assert captured["flush_margin_s"] == 0.001
+        # Calibration prices a slot with deadlines off, whatever the spec.
+        assert captured["slot_budget_s"] == (
+            math.inf if driver == "calibrate" else 0.25
+        )
+
+    @pytest.mark.parametrize(
+        "driver, batch_target, slot_budget_s",
+        [
+            # one full batch, offline replay
+            ("detect_batch", NUM_FRAMES, math.inf),
+            ("calibrate", SYMBOLS_PER_SLOT, math.inf),
+            # the historical paced protocol: burst-sized batches,
+            # interval-sized deadline budget
+            ("run_streaming", SYMBOLS_PER_SLOT, 0.5),
+            ("pace", SYMBOLS_PER_SLOT, math.inf),  # back-to-back
+        ],
+    )
+    def test_default_spec_keeps_each_drivers_defaults(
+        self, monkeypatch, workload, driver, batch_target, slot_budget_s
+    ):
+        captured, _ = self._captured(
+            monkeypatch, workload, driver, SchedulerSpec()
+        )
+        assert captured["batch_target"] == batch_target
+        assert captured["slot_budget_s"] == slot_budget_s
+        assert captured["flush_margin_s"] == 0.0
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_one_governor_reaches_every_scheduler(
+        self, monkeypatch, workload, driver
+    ):
+        captured, governor = self._captured(
+            monkeypatch,
+            workload,
+            driver,
+            SchedulerSpec(),
+            governor=GovernorSpec("static", paths_max=NUM_PATHS),
+        )
+        assert governor is not None
+        # Calibration runs at the detectors' full budget: ungoverned.
+        assert captured["governor"] is (
+            None if driver == "calibrate" else governor
+        )
+
+
+class TestAccountingConservation:
+    def test_every_flush_reaches_the_scheduler_summary(self, workload):
+        """``stats()["cells"]`` and ``stats()["scheduler"]`` count the
+        same flushes, whichever driver opened the scheduler."""
+        _, channels, received, noise_var = workload
+        cells = ("cell0", "cell1")
+        scenario, cell_channels = tiny_scenario(cells)
+        config = StackConfig(
+            detector=hard_spec(), farm=FarmSpec(streaming=True, cells=2)
+        )
+        with build_stack(config) as stack:
+            assert "scheduler" not in stack.stats()
+            stack.detect_batch(channels, received, noise_var)
+            cost = stack.calibrate_slot_cost(scenario, cell_channels, 0.05)
+            outcome, telemetry = stack.run_streaming(
+                scenario, cell_channels, 0.05, slot_interval_s=cost
+            )
+            stats = stack.stats()
+        summary = stats["scheduler"]
+        offered = scenario.offered_frames()
+        assert outcome.frames_detected == telemetry.frames_detected == offered
+        # one batch, two calibration passes at peak load, one paced run
+        peak = len(cells) * scenario.subcarriers * SYMBOLS_PER_SLOT
+        assert summary["frames_detected"] == (
+            NUM_SUBCARRIERS * NUM_FRAMES + 2 * peak + offered
+        )
+        assert summary["frames_detected"] == sum(
+            cell["frames"] for cell in stats["cells"].values()
+        )
+        assert summary["frames_missing"] == 0
+        assert summary["summaries_merged"] == 4
+
+    def test_failed_run_keeps_its_accounting(self, workload, monkeypatch):
+        """Telemetry is folded on the way out of ``pace``, error or not."""
+        _, channels, received, noise_var = workload
+        config = StackConfig(
+            detector=hard_spec(), farm=FarmSpec(streaming=True)
+        )
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("kernel fault")
+
+        with build_stack(config) as stack:
+            monkeypatch.setattr(
+                FlexCoreDetector, "detect_prepared", broken
+            )
+            with pytest.raises(RuntimeError, match="kernel fault"):
+                stack.detect_batch(channels, received, noise_var)
+            summary = stack.stats()["scheduler"]
+        assert summary["frames_submitted"] == NUM_SUBCARRIERS * NUM_FRAMES
+        assert summary["frames_detected"] == 0
 
 
 class TestSimulateLinkThroughApi:

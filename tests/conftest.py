@@ -75,3 +75,37 @@ def make_block(system, subcarriers, frames, snr_db, seed):
         rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     )
     return channels, np.einsum("srt,sft->sfr", channels, sent) + noise, noise_var
+
+
+def make_stack(
+    detector, backend="serial", cells=None, cache=True, governor=None, **scheduler
+):
+    """``build_stack(StackConfig(...), detector=detector)`` from
+    test-sized arguments.
+
+    ``backend`` is a registry name or a ``BackendSpec``; ``cells=None``
+    is a batch stack, an integer a streaming farm of that many cells;
+    ``governor`` is a ``GovernorSpec``; remaining keywords are
+    ``SchedulerSpec`` fields.
+    """
+    from repro.api import (
+        BackendSpec,
+        CacheSpec,
+        FarmSpec,
+        SchedulerSpec,
+        StackConfig,
+        build_stack,
+    )
+
+    if not isinstance(backend, BackendSpec):
+        backend = BackendSpec(backend)
+    config = StackConfig(
+        backend=backend,
+        cache=CacheSpec(enabled=cache),
+        farm=FarmSpec(
+            streaming=cells is not None, cells=1 if cells is None else cells
+        ),
+        scheduler=SchedulerSpec(**scheduler),
+        governor=governor,
+    )
+    return build_stack(config, detector=detector)

@@ -13,8 +13,9 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.api import GovernorSpec
 from repro.channel.fading import rayleigh_channels
-from repro.control import AimdPolicy, ComputeGovernor, StaticPolicy
+from repro.control import AimdPolicy, ComputeGovernor
 from repro.detectors.linear import MmseDetector
 from repro.errors import ConfigurationError, LoadShedError
 from repro.flexcore.detector import FlexCoreDetector
@@ -28,9 +29,9 @@ from repro.runtime import (
     DetectionService,
     FrameArrival,
     StreamingScheduler,
-    StreamingUplinkEngine,
     UplinkBatch,
 )
+from tests.conftest import make_stack
 
 
 @pytest.fixture
@@ -64,9 +65,9 @@ class TestStaticEquivalence:
     ):
         channels, received, noise_var = uplink
         detector = FlexCoreDetector(system, num_paths=16)
-        governor = ComputeGovernor(StaticPolicy(16))
-        with StreamingUplinkEngine(detector, cells=2) as plain, \
-                StreamingUplinkEngine(
+        governor = GovernorSpec("static", paths_max=16)
+        with make_stack(detector, cells=2) as plain, \
+                make_stack(
                     detector, cells=2, governor=governor
                 ) as governed:
             reference = plain.detect_batch(channels, received, noise_var)
@@ -79,9 +80,9 @@ class TestStaticEquivalence:
 
         channels, received, noise_var = uplink
         detector = SoftFlexCoreDetector(system, num_paths=16)
-        governor = ComputeGovernor(StaticPolicy(16))
-        with StreamingUplinkEngine(detector, cells=2) as plain, \
-                StreamingUplinkEngine(
+        governor = GovernorSpec("static", paths_max=16)
+        with make_stack(detector, cells=2) as plain, \
+                make_stack(
                     detector, cells=2, governor=governor
                 ) as governed:
             reference = plain.detect_batch(
@@ -228,12 +229,14 @@ class TestLoadShedding:
         futures, telemetry intact."""
         channels, received, noise_var = uplink
         detector = FlexCoreDetector(system, num_paths=4)
-        governor = ComputeGovernor(
-            AimdPolicy(4, 4),  # floor-locked: shedding is the only dial
+        governor = GovernorSpec(
+            "aimd",
+            paths_min=4,  # floor-locked: shedding is the only dial
+            paths_max=4,
             control_interval_s=0.0,
             shed_below=0.5,
         )
-        with StreamingUplinkEngine(
+        with make_stack(
             detector,
             cells=1,
             governor=governor,
@@ -242,21 +245,21 @@ class TestLoadShedding:
             with pytest.raises(LoadShedError, match="shed"):
                 engine.detect_batch(channels, received, noise_var)
                 engine.detect_batch(channels, received, noise_var)
-            assert engine.scheduler_summary is not None
-            assert governor.telemetry.sheds_started >= 1
+            assert engine.stats()["scheduler"]["frames_shed"] > 0
+            assert engine.governor.telemetry.sheds_started >= 1
 
     def test_governed_farm_survives_and_reports_summary(
         self, system, uplink
     ):
         channels, received, noise_var = uplink
         detector = FlexCoreDetector(system, num_paths=16)
-        governor = ComputeGovernor(AimdPolicy(2, 16, start=8))
-        with StreamingUplinkEngine(
+        governor = GovernorSpec("aimd", paths_min=2, paths_max=16, start=8)
+        with make_stack(
             detector, cells=2, governor=governor
         ) as engine:
             engine.detect_batch(channels, received, noise_var)
             engine.detect_batch(channels, received, noise_var)
-            summary = engine.scheduler_summary
+            summary = engine.stats()["scheduler"]
         assert summary["frames_detected"] == 2 * received.shape[0] * (
             received.shape[1]
         )

@@ -8,6 +8,7 @@ import pytest
 from repro.channel.fading import rayleigh_channels
 from repro.control.workload import (
     SCENARIOS,
+    ScenarioOutcome,
     WorkloadScenario,
     slot_arrivals,
 )
@@ -110,3 +111,14 @@ class TestSlotArrivals:
         channels = {"cell0": rayleigh_channels(2, 4, 4, rng)}
         with pytest.raises(ConfigurationError):
             slot_arrivals({"cell0": 3}, channels, system, 0.05, rng)
+
+
+def test_outcome_repr_leaves_detections_out():
+    """``asyncio.run`` formats its task's result on the way out; an
+    outcome that printed its detections' arrays there doubled the cost
+    of a streamed batch."""
+    outcome = ScenarioOutcome(
+        frames_detected=7, detections=[np.zeros((64, 16))]
+    )
+    assert "detections" not in repr(outcome)
+    assert "frames_detected=7" in repr(outcome)

@@ -82,7 +82,6 @@ class TestRuntimeStackConfig:
         config = runtime_stack_config(presets.get("farm-overload"))
         with make_stack(detector, config) as stack:
             assert stack.governor is None
-            assert stack.engine.governor is None
 
 
 class TestMlReference:

@@ -13,6 +13,7 @@ from repro.link.config import LinkConfig
 from repro.link.simulation import simulate_link
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
+from tests.conftest import make_stack
 
 
 @pytest.fixture(scope="module")
@@ -71,10 +72,8 @@ class TestSimulation:
         assert result.metadata["average_active_paths"] >= 1.0
 
     def test_streaming_engine_reports_scheduler_telemetry(self, config):
-        from repro.runtime.cells import StreamingUplinkEngine
-
         detector = FlexCoreDetector(config.system, num_paths=8)
-        with StreamingUplinkEngine(detector, cells=2) as engine:
+        with make_stack(detector, cells=2) as engine:
             result = simulate_link(
                 config,
                 detector,

@@ -11,6 +11,7 @@ and are checked for numerical agreement when importable.
 import numpy as np
 import pytest
 
+from repro.api import BackendSpec
 from repro.channel.fading import rayleigh_channels
 from repro.detectors.registry import make_detector
 from repro.errors import ConfigurationError
@@ -24,7 +25,6 @@ from repro.modulation.mapper import random_symbol_indices
 from repro.runtime import (
     ARRAY_BACKEND_ENV,
     ArrayBackend,
-    BatchedUplinkEngine,
     ContextCache,
     DetectionService,
     UplinkBatch,
@@ -33,6 +33,7 @@ from repro.runtime import (
     resolve_array_module,
 )
 from repro.utils.flops import FlopCounter
+from tests.conftest import make_stack
 
 NUM_SUBCARRIERS = 6
 NUM_FRAMES = 4
@@ -84,10 +85,10 @@ class TestArrayBackendEquivalence:
         system = MimoSystem(4, 4, QamConstellation(order))
         detector = FlexCoreDetector(system, num_paths=16, qr_method=qr_method)
         channels, received, noise_var = make_workload(system, seed=order)
-        serial = BatchedUplinkEngine(detector).detect_batch(
+        serial = make_stack(detector).detect_batch(
             channels, received, noise_var
         )
-        array = BatchedUplinkEngine(detector, backend="array").detect_batch(
+        array = make_stack(detector, backend="array").detect_batch(
             channels, received, noise_var
         )
         assert array.stats["stacked"]
@@ -101,10 +102,10 @@ class TestArrayBackendEquivalence:
         system = MimoSystem(4, 6, QamConstellation(16))
         detector = FlexCoreDetector(system, num_paths=num_paths)
         channels, received, noise_var = make_workload(system, seed=num_paths)
-        serial = BatchedUplinkEngine(detector).detect_batch(
+        serial = make_stack(detector).detect_batch(
             channels, received, noise_var
         )
-        array = BatchedUplinkEngine(detector, backend="array").detect_batch(
+        array = make_stack(detector, backend="array").detect_batch(
             channels, received, noise_var
         )
         assert np.array_equal(array.indices, serial.indices)
@@ -113,10 +114,10 @@ class TestArrayBackendEquivalence:
         system = MimoSystem(4, 4, QamConstellation(16))
         detector = SoftFlexCoreDetector(system, num_paths=24)
         channels, received, noise_var = make_workload(system, seed=3)
-        serial = BatchedUplinkEngine(detector).detect_batch(
+        serial = make_stack(detector).detect_batch(
             channels, received, noise_var, use_soft=True
         )
-        array = BatchedUplinkEngine(detector, backend="array").detect_batch(
+        array = make_stack(detector, backend="array").detect_batch(
             channels, received, noise_var, use_soft=True
         )
         assert np.array_equal(array.indices, serial.indices)
@@ -131,10 +132,10 @@ class TestArrayBackendEquivalence:
             system, num_paths=24, use_exact_ordering=True
         )
         channels, received, noise_var = make_workload(system, seed=9)
-        serial = BatchedUplinkEngine(detector).detect_batch(
+        serial = make_stack(detector).detect_batch(
             channels, received, noise_var
         )
-        array = BatchedUplinkEngine(detector, backend="array").detect_batch(
+        array = make_stack(detector, backend="array").detect_batch(
             channels, received, noise_var
         )
         assert np.array_equal(array.indices, serial.indices)
@@ -182,10 +183,10 @@ class TestArrayBackendEquivalence:
         system = MimoSystem(4, 4, QamConstellation(16))
         detector = AdaptiveFlexCoreDetector(system, num_paths=32)
         channels, received, noise_var = make_workload(system, seed=11)
-        serial = BatchedUplinkEngine(detector).detect_batch(
+        serial = make_stack(detector).detect_batch(
             channels, received, noise_var
         )
-        array = BatchedUplinkEngine(detector, backend="array").detect_batch(
+        array = make_stack(detector, backend="array").detect_batch(
             channels, received, noise_var
         )
         assert array.stats["path_groups"] >= 1
@@ -198,10 +199,10 @@ class TestArrayBackendEquivalence:
         system = MimoSystem(3, 4, QamConstellation(16))
         detector = make_detector("mmse", system)
         channels, received, noise_var = make_workload(system, seed=13)
-        serial = BatchedUplinkEngine(detector).detect_batch(
+        serial = make_stack(detector).detect_batch(
             channels, received, noise_var
         )
-        array = BatchedUplinkEngine(detector, backend="array").detect_batch(
+        array = make_stack(detector, backend="array").detect_batch(
             channels, received, noise_var
         )
         assert not array.stats["stacked"]
@@ -211,11 +212,11 @@ class TestArrayBackendEquivalence:
         system = MimoSystem(4, 4, QamConstellation(16))
         detector = FlexCoreDetector(system, num_paths=12)
         channels, received, noise_var = make_workload(system, seed=17)
-        cached = BatchedUplinkEngine(detector, backend="array").detect_batch(
+        cached = make_stack(detector, backend="array").detect_batch(
             channels, received, noise_var
         )
-        uncached = BatchedUplinkEngine(
-            detector, backend="array", cache_contexts=False
+        uncached = make_stack(
+            detector, backend="array", cache=False
         ).detect_batch(channels, received, noise_var)
         assert np.array_equal(cached.indices, uncached.indices)
 
@@ -228,9 +229,9 @@ class TestArrayBackendEquivalence:
         # Duplicate channels: half the block is coherent repeats.
         channels = np.concatenate([channels, channels[:3]], axis=0)
         received = np.concatenate([received, received[:3]], axis=0)
-        serial_engine = BatchedUplinkEngine(detector)
+        serial_engine = make_stack(detector)
         serial = serial_engine.detect_batch(channels, received, noise_var)
-        array_engine = BatchedUplinkEngine(detector, backend="array")
+        array_engine = make_stack(detector, backend="array")
         array = array_engine.detect_batch(channels, received, noise_var)
         assert array.stats["cache"].hits == serial.stats["cache"].hits == 3
         assert (
@@ -251,10 +252,10 @@ class TestFlopParity:
         detector = FlexCoreDetector(system, num_paths=16)
         channels, received, noise_var = make_workload(system, seed=23)
         serial_counter, array_counter = FlopCounter(), FlopCounter()
-        BatchedUplinkEngine(detector).detect_batch(
+        make_stack(detector).detect_batch(
             channels, received, noise_var, counter=serial_counter
         )
-        BatchedUplinkEngine(detector, backend="array").detect_batch(
+        make_stack(detector, backend="array").detect_batch(
             channels, received, noise_var, counter=array_counter
         )
         assert counters_equal(serial_counter, array_counter)
@@ -264,11 +265,11 @@ class TestFlopParity:
         detector = SoftFlexCoreDetector(system, num_paths=12)
         channels, received, noise_var = make_workload(system, seed=29)
         serial_counter, array_counter = FlopCounter(), FlopCounter()
-        BatchedUplinkEngine(detector).detect_batch(
+        make_stack(detector).detect_batch(
             channels, received, noise_var, counter=serial_counter,
             use_soft=True,
         )
-        BatchedUplinkEngine(detector, backend="array").detect_batch(
+        make_stack(detector, backend="array").detect_batch(
             channels, received, noise_var, counter=array_counter,
             use_soft=True,
         )
@@ -279,11 +280,11 @@ class TestFlopParity:
         detector = FlexCoreDetector(system, num_paths=8, qr_method="fcsd")
         channels, received, noise_var = make_workload(system, seed=31)
         serial_counter, array_counter = FlopCounter(), FlopCounter()
-        BatchedUplinkEngine(detector, cache_contexts=False).detect_batch(
+        make_stack(detector, cache=False).detect_batch(
             channels, received, noise_var, counter=serial_counter
         )
-        BatchedUplinkEngine(
-            detector, backend="array", cache_contexts=False
+        make_stack(
+            detector, backend="array", cache=False
         ).detect_batch(channels, received, noise_var, counter=array_counter)
         assert counters_equal(serial_counter, array_counter)
 
@@ -359,11 +360,11 @@ class TestTorchModule:
         system = MimoSystem(4, 4, QamConstellation(16))
         detector = FlexCoreDetector(system, num_paths=16)
         channels, received, noise_var = make_workload(system, seed=43)
-        serial = BatchedUplinkEngine(detector).detect_batch(
+        serial = make_stack(detector).detect_batch(
             channels, received, noise_var
         )
-        engine = BatchedUplinkEngine(
-            detector, backend=ArrayBackend(array_module="torch")
+        engine = make_stack(
+            detector, backend=BackendSpec("array", array_module="torch")
         )
         array = engine.detect_batch(channels, received, noise_var)
         assert array.stats["array_module"] == "torch"
@@ -373,11 +374,11 @@ class TestTorchModule:
         system = MimoSystem(3, 3, QamConstellation(16))
         detector = SoftFlexCoreDetector(system, num_paths=12)
         channels, received, noise_var = make_workload(system, seed=47)
-        serial = BatchedUplinkEngine(detector).detect_batch(
+        serial = make_stack(detector).detect_batch(
             channels, received, noise_var, use_soft=True
         )
-        array = BatchedUplinkEngine(
-            detector, backend=ArrayBackend(array_module="torch")
+        array = make_stack(
+            detector, backend=BackendSpec("array", array_module="torch")
         ).detect_batch(channels, received, noise_var, use_soft=True)
         assert np.array_equal(array.indices, serial.indices)
         np.testing.assert_allclose(array.llrs, serial.llrs, atol=1e-10)
@@ -387,10 +388,10 @@ class TestTorchModule:
         system = MimoSystem(3, 3, QamConstellation(4))
         detector = FlexCoreDetector(system, num_paths=4)
         channels, received, noise_var = make_workload(system, seed=59)
-        engine = BatchedUplinkEngine(detector, backend="array")
+        engine = make_stack(detector, backend="array")
         result = engine.detect_batch(channels, received, noise_var)
         assert result.stats["array_module"] == "torch"
-        serial = BatchedUplinkEngine(detector).detect_batch(
+        serial = make_stack(detector).detect_batch(
             channels, received, noise_var
         )
         assert np.array_equal(result.indices, serial.indices)

@@ -13,7 +13,6 @@ from repro.link.simulation import simulate_link
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
 from repro.runtime import (
-    BatchedUplinkEngine,
     CacheStats,
     ContextCache,
     SerialBackend,
@@ -21,6 +20,7 @@ from repro.runtime import (
     context_key,
     make_backend,
 )
+from tests.conftest import make_stack
 
 
 @pytest.fixture
@@ -162,7 +162,7 @@ class TestEngineCaching:
     def test_replayed_batch_is_all_hits(self, detector, rng):
         channels = rayleigh_channels(4, 3, 3, rng)
         received = rng.standard_normal((4, 2, 3)) + 0j
-        engine = BatchedUplinkEngine(detector)
+        engine = make_stack(detector)
         first = engine.detect_batch(channels, received, 0.05)
         second = engine.detect_batch(channels, received, 0.05)
         assert first.stats["cache"].misses == 4
@@ -173,7 +173,7 @@ class TestEngineCaching:
     def test_cache_disabled_always_prepares(self, detector, rng):
         channels = rayleigh_channels(4, 3, 3, rng)
         received = rng.standard_normal((4, 2, 3)) + 0j
-        engine = BatchedUplinkEngine(detector, cache_contexts=False)
+        engine = make_stack(detector, cache=False)
         engine.detect_batch(channels, received, 0.05)
         replay = engine.detect_batch(channels, received, 0.05)
         assert replay.stats["cache"].misses == 4
@@ -186,10 +186,10 @@ class TestEngineCaching:
         channel = rayleigh_channels(1, 3, 3, rng)
         channels = np.repeat(channel, 4, axis=0)
         received = rng.standard_normal((4, 2, 3)) + 0j
-        uncached = BatchedUplinkEngine(detector, cache_contexts=False)
+        uncached = make_stack(detector, cache=False)
         result = uncached.detect_batch(channels, received, 0.05)
         assert result.stats["cache"].misses == 4
-        cached = BatchedUplinkEngine(detector)
+        cached = make_stack(detector)
         result = cached.detect_batch(channels, received, 0.05)
         assert result.stats["cache"].misses == 1
         assert result.stats["cache"].hits == 3
@@ -197,7 +197,7 @@ class TestEngineCaching:
     def test_clear_cache(self, detector, rng):
         channels = rayleigh_channels(2, 3, 3, rng)
         received = rng.standard_normal((2, 2, 3)) + 0j
-        engine = BatchedUplinkEngine(detector)
+        engine = make_stack(detector)
         engine.detect_batch(channels, received, 0.05)
         engine.clear_cache()
         replay = engine.detect_batch(channels, received, 0.05)
@@ -243,7 +243,7 @@ class TestLinkIntegration:
                 1,
                 rayleigh_sampler(config),
                 rng=0,
-                engine=BatchedUplinkEngine(other),
+                engine=make_stack(other),
             )
 
     def test_seeded_results_identical_across_backends(self):
@@ -257,7 +257,7 @@ class TestLinkIntegration:
         serial = simulate_link(
             config, detector, 14.0, 2, rayleigh_sampler(config), rng=4
         )
-        with BatchedUplinkEngine(detector, backend="array") as engine:
+        with make_stack(detector, backend="array") as engine:
             stacked = simulate_link(
                 config,
                 detector,

@@ -20,8 +20,8 @@ from repro.runtime import (
     Cell,
     CellFarm,
     FrameArrival,
-    StreamingUplinkEngine,
 )
+from tests.conftest import make_stack
 
 
 @pytest.fixture
@@ -190,7 +190,7 @@ class TestFairShareDispatch:
 class TestStreamingUplinkEngine:
     def test_requires_at_least_one_cell(self, detector):
         with pytest.raises(ConfigurationError):
-            StreamingUplinkEngine(detector, cells=0)
+            make_stack(detector, cells=0)
 
     def test_simulate_link_matches_batch_engine(self, system):
         """End-to-end: a coded link over the streaming farm is seeded-
@@ -202,7 +202,7 @@ class TestStreamingUplinkEngine:
         reference = simulate_link(
             config, detector, 14.0, 2, rayleigh_sampler(config), rng=4
         )
-        with StreamingUplinkEngine(detector, cells=2) as engine:
+        with make_stack(detector, cells=2) as engine:
             streamed = simulate_link(
                 config,
                 detector,
@@ -220,7 +220,7 @@ class TestStreamingUplinkEngine:
         detector = FlexCoreDetector(system, num_paths=8)
         channels = rayleigh_channels(4, 3, 3, rng)
         received = rng.standard_normal((4, 2, 3)) + 0j
-        with StreamingUplinkEngine(detector, cells=2) as engine:
+        with make_stack(detector, cells=2) as engine:
             first = engine.detect_batch(channels, received, 0.05)
             second = engine.detect_batch(channels, received, 0.05)
         assert sum(d.misses for d in first.stats["cache"].values()) == 4
@@ -232,7 +232,7 @@ class TestStreamingUplinkEngine:
         detector = FlexCoreDetector(system, num_paths=8)
         channels = rayleigh_channels(4, 3, 3, rng)
         received = rng.standard_normal((4, 2, 3)) + 0j
-        with StreamingUplinkEngine(detector, cells=2) as engine:
+        with make_stack(detector, cells=2) as engine:
             engine.detect_batch(channels, received, 0.05)
             engine.clear_cache()
             replay = engine.detect_batch(channels, received, 0.05)
@@ -242,9 +242,9 @@ class TestStreamingUplinkEngine:
         detector = FlexCoreDetector(system, num_paths=8)
         channels = rayleigh_channels(4, 3, 3, rng)
         received = rng.standard_normal((4, 2, 3)) + 0j
-        with StreamingUplinkEngine(detector, cells=2) as engine:
+        with make_stack(detector, cells=2) as engine:
             result = engine.detect_batch(channels, received, 0.05)
-            cell_stats = engine.cell_stats
+            cell_stats = engine.farm.stats()
         assert set(result.stats["cache"]) == {"cell0", "cell1"}
         assert sum(s.frames for s in cell_stats.values()) == 4 * 2
         assert all(s.deadline_hit_rate == 1.0 for s in cell_stats.values())

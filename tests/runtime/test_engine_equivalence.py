@@ -18,7 +18,8 @@ from repro.mimo.model import apply_channel, noise_variance_for_snr_db
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
 from repro.modulation.mapper import random_symbol_indices
-from repro.runtime import BatchedUplinkEngine, UplinkBatch
+from repro.runtime import UplinkBatch
+from tests.conftest import make_stack
 
 NUM_SUBCARRIERS = 6
 NUM_FRAMES = 4
@@ -74,7 +75,7 @@ class TestHardEquivalence:
         reference = per_vector_indices(
             detector, channels, received, noise_var
         )
-        engine = BatchedUplinkEngine(detector)
+        engine = make_stack(detector)
         batched = engine.detect_batch(channels, received, noise_var)
         assert np.array_equal(batched.indices, reference)
 
@@ -86,7 +87,7 @@ class TestHardEquivalence:
         reference = per_vector_indices(
             detector, channels, received, noise_var
         )
-        engine = BatchedUplinkEngine(detector)
+        engine = make_stack(detector)
         batched = engine.detect_batch(channels, received, noise_var)
         assert np.array_equal(batched.indices, reference)
 
@@ -106,7 +107,7 @@ class TestHardEquivalence:
         reference = per_vector_indices(
             detector, channels, received, noise_var
         )
-        engine = BatchedUplinkEngine(detector)
+        engine = make_stack(detector)
         batched = engine.detect_batch(channels, received, noise_var)
         assert np.array_equal(batched.indices, reference)
 
@@ -114,11 +115,11 @@ class TestHardEquivalence:
         system = MimoSystem(4, 4, QamConstellation(16))
         detector = FlexCoreDetector(system, num_paths=24)
         channels, received, noise_var = make_workload(system, seed=3)
-        cached = BatchedUplinkEngine(detector).detect_batch(
+        cached = make_stack(detector).detect_batch(
             channels, received, noise_var
         )
-        uncached = BatchedUplinkEngine(
-            detector, cache_contexts=False
+        uncached = make_stack(
+            detector, cache=False
         ).detect_batch(channels, received, noise_var)
         assert np.array_equal(cached.indices, uncached.indices)
 
@@ -127,7 +128,7 @@ class TestHardEquivalence:
         detector = FlexCoreDetector(system, num_paths=12)
         channels, received, noise_var = make_workload(system, seed=5)
         many = detector.detect_many(channels, received, noise_var)
-        engine = BatchedUplinkEngine(detector)
+        engine = make_stack(detector)
         batched = engine.detect_batch(channels, received, noise_var)
         assert np.array_equal(
             np.stack([r.indices for r in many]), batched.indices
@@ -154,7 +155,7 @@ class TestSoftEquivalence:
                 )
                 ref_llrs[sc, frame] = result.llrs[0]
                 ref_indices[sc, frame] = result.indices[0]
-        engine = BatchedUplinkEngine(detector)
+        engine = make_stack(detector)
         batched = engine.detect_batch(
             channels, received, noise_var, use_soft=True
         )
@@ -165,7 +166,7 @@ class TestSoftEquivalence:
         system = MimoSystem(3, 3, QamConstellation(4))
         detector = make_detector("mmse", system)
         channels, received, noise_var = make_workload(system, seed=1)
-        engine = BatchedUplinkEngine(detector)
+        engine = make_stack(detector)
         with pytest.raises(Exception, match="soft"):
             engine.detect_batch(channels, received, noise_var, use_soft=True)
 
@@ -199,7 +200,7 @@ class TestBatchValidation:
     def test_engine_rejects_foreign_system(self):
         system = MimoSystem(3, 3, QamConstellation(4))
         detector = FlexCoreDetector(system, num_paths=4)
-        engine = BatchedUplinkEngine(detector)
+        engine = make_stack(detector)
         with pytest.raises(ConfigurationError):
             engine.detect_batch(
                 np.zeros((2, 5, 5), dtype=complex),
@@ -209,4 +210,4 @@ class TestBatchValidation:
 
     def test_engine_rejects_non_detector(self):
         with pytest.raises(ConfigurationError):
-            BatchedUplinkEngine(object())
+            make_stack(object())

@@ -20,8 +20,9 @@ from repro.mimo.model import apply_channel, noise_variance_for_snr_db
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
 from repro.modulation.mapper import random_symbol_indices
-from repro.runtime import BatchedUplinkEngine, ContextCache
+from repro.runtime import ContextCache
 from repro.utils.flops import FlopCounter
+from tests.conftest import make_stack
 
 NUM_SUBCARRIERS = 12
 NUM_FRAMES = 4
@@ -156,7 +157,7 @@ def test_cold_miss_path_equivalent_across_backends(block, backend, kind):
     per-subcarrier prepares feeding the same detector."""
     system, channels, received, noise_var = block
     detector = DETECTORS[kind](system)
-    engine = BatchedUplinkEngine(detector, backend=backend)
+    engine = make_stack(detector, backend=backend)
     cold = engine.detect_batch(channels, received, noise_var)
     assert cold.stats["cache"].misses == NUM_SUBCARRIERS
 
@@ -177,7 +178,7 @@ def test_cold_miss_path_equivalent_across_backends(block, backend, kind):
 def test_warm_path_unchanged_by_block_prepare(block):
     """Replaying the block still serves every context from the cache."""
     system, channels, received, noise_var = block
-    engine = BatchedUplinkEngine(
+    engine = make_stack(
         FlexCoreDetector(system, num_paths=16), backend="serial"
     )
     cold = engine.detect_batch(channels, received, noise_var)

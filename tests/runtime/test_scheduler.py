@@ -4,7 +4,7 @@ Three concerns:
 
 * **Equivalence** (the acceptance bar): streaming a workload through the
   scheduler — any sharding, any flush interleaving — must bit-match
-  ``BatchedUplinkEngine`` on the same frames, across the serial and
+  the batch ``UplinkStack`` on the same frames, across the serial and
   array backends, hard and soft.
 * **Flush policy**: batch-target flushes, deadline flushes, drain
   flushes, and the property that a group's flush decision never lands
@@ -37,13 +37,12 @@ from repro.modulation.constellation import QamConstellation
 from repro.modulation.mapper import random_symbol_indices
 from repro.ofdm.lte import SLOT_DURATION_S
 from repro.runtime import (
-    BatchedUplinkEngine,
     Cell,
     FrameArrival,
     MicroBatcher,
     StreamingScheduler,
-    StreamingUplinkEngine,
 )
+from tests.conftest import make_stack
 
 NUM_SUBCARRIERS = 6
 NUM_FRAMES = 4
@@ -80,8 +79,8 @@ class TestStreamingEquivalence:
         system = MimoSystem(4, 4, QamConstellation(16))
         detector = FlexCoreDetector(system, num_paths=16)
         channels, received, noise_var = make_workload(system, seed=31)
-        reference = BatchedUplinkEngine(detector, backend=backend)
-        with StreamingUplinkEngine(
+        reference = make_stack(detector, backend=backend)
+        with make_stack(
             detector, backend=backend, cells=cells
         ) as streaming:
             streamed = streaming.detect_batch(channels, received, noise_var)
@@ -95,7 +94,7 @@ class TestStreamingEquivalence:
         system = MimoSystem(3, 3, QamConstellation(16))
         detector = FlexCoreDetector(system, num_paths=8)
         channels, received, noise_var = make_workload(system, seed=5)
-        reference = BatchedUplinkEngine(detector).detect_batch(
+        reference = make_stack(detector).detect_batch(
             channels, received, noise_var
         )
 
@@ -133,10 +132,10 @@ class TestStreamingEquivalence:
         system = MimoSystem(3, 3, QamConstellation(16))
         detector = SoftFlexCoreDetector(system, num_paths=12)
         channels, received, noise_var = make_workload(system, seed=9)
-        reference = BatchedUplinkEngine(detector).detect_batch(
+        reference = make_stack(detector).detect_batch(
             channels, received, noise_var, use_soft=True
         )
-        with StreamingUplinkEngine(detector, cells=2) as streaming:
+        with make_stack(detector, cells=2) as streaming:
             streamed = streaming.detect_batch(
                 channels, received, noise_var, use_soft=True
             )
@@ -150,11 +149,11 @@ class TestStreamingEquivalence:
         channels, received, noise_var = make_workload(system, seed=2)
         detector = FlexCoreDetector(system, num_paths=8)
         batch_counter = FlopCounter()
-        BatchedUplinkEngine(detector).detect_batch(
+        make_stack(detector).detect_batch(
             channels, received, noise_var, counter=batch_counter
         )
         stream_counter = FlopCounter()
-        with StreamingUplinkEngine(detector, cells=2) as streaming:
+        with make_stack(detector, cells=2) as streaming:
             streaming.detect_batch(
                 channels, received, noise_var, counter=stream_counter
             )

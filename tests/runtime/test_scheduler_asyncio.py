@@ -22,11 +22,11 @@ from repro.flexcore.detector import FlexCoreDetector  # noqa: E402
 from repro.mimo.system import MimoSystem  # noqa: E402
 from repro.modulation.constellation import QamConstellation  # noqa: E402
 from repro.runtime import (  # noqa: E402
-    BatchedUplinkEngine,
     CellFarm,
     FrameArrival,
     StreamingScheduler,
 )
+from tests.conftest import make_stack
 
 pytestmark = pytest.mark.asyncio
 
@@ -43,7 +43,7 @@ async def test_concurrent_producers_share_one_scheduler(detector, rng):
     channels = rayleigh_channels(4, 3, 3, rng)
     received = rng.standard_normal((4, 3, 3)) + 0j
     noise_var = 0.05
-    reference = BatchedUplinkEngine(detector).detect_batch(
+    reference = make_stack(detector).detect_batch(
         channels, received, noise_var
     )
     farm = CellFarm()

@@ -1,8 +1,8 @@
 """Tests for the cell-agnostic detection service layer.
 
 The service is the extraction point of the three-layer refactor: one
-backend, detector and cache per call, with the batch engine reduced to
-a thin adapter on top.  These tests pin the sharing semantics (one
+backend, detector and cache per call, with ``UplinkStack.detect_batch``
+a single frame on top.  These tests pin the sharing semantics (one
 service, many callers, isolated caches) and the per-batch stats
 contract (``stats["cache"]`` snapshot + deprecated aliases), that the
 serial backend stays an independent per-subcarrier reference, and that
@@ -20,12 +20,13 @@ from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
 from repro.obs import SPAN_DETECT, Observability
 from repro.runtime import (
-    BatchedUplinkEngine,
     CacheStats,
+    CellFarm,
     ContextCache,
     DetectionService,
     UplinkBatch,
 )
+from tests.conftest import make_stack
 
 
 @pytest.fixture
@@ -57,8 +58,8 @@ class TestDetectionService:
         service = DetectionService()
         cache = ContextCache()
         direct = service.detect(detector, batch, cache=cache)
-        engine = BatchedUplinkEngine(detector).detect_batch(batch)
-        assert np.array_equal(direct.indices, engine.indices)
+        stack = make_stack(detector).detect_batch(batch)
+        assert np.array_equal(direct.indices, stack.indices)
 
     def test_detector_is_per_call(self, system, rng):
         """One service drives differently-configured detectors safely."""
@@ -69,12 +70,12 @@ class TestDetectionService:
         a = service.detect(narrow, batch, cache=ContextCache())
         b = service.detect(wide, batch, cache=ContextCache())
         assert a.indices.shape == b.indices.shape
-        # Each matches its own dedicated engine bit-for-bit.
+        # Each matches its own dedicated stack bit-for-bit.
         assert np.array_equal(
-            a.indices, BatchedUplinkEngine(narrow).detect_batch(batch).indices
+            a.indices, make_stack(narrow).detect_batch(batch).indices
         )
         assert np.array_equal(
-            b.indices, BatchedUplinkEngine(wide).detect_batch(batch).indices
+            b.indices, make_stack(wide).detect_batch(batch).indices
         )
 
     def test_caches_are_isolated_per_call(self, detector, system, rng):
@@ -206,7 +207,7 @@ class TestNonFiniteInputRejected:
         else:
             inputs[field][1, 0, 2] = bad
         detector = SoftFlexCoreDetector(system, num_paths=8)
-        with BatchedUplinkEngine(detector, backend=backend) as engine:
+        with make_stack(detector, backend=backend) as engine:
             with pytest.raises(ConfigurationError, match=field):
                 engine.detect_batch(
                     inputs["channels"],
@@ -214,7 +215,7 @@ class TestNonFiniteInputRejected:
                     inputs["noise_var"],
                     use_soft=use_soft,
                 )
-            # The engine is still usable, and nothing bad was cached.
+            # The stack is still usable, and nothing bad was cached.
             result = engine.detect_batch(good, use_soft=use_soft)
         if use_soft:
             assert np.isfinite(result.llrs).all()
@@ -224,7 +225,7 @@ class TestNonFiniteInputRejected:
 class TestCacheStatsContract:
     def test_stats_surface_cache_snapshot(self, detector, system, rng):
         batch = make_batch(system, rng)
-        engine = BatchedUplinkEngine(detector)
+        engine = make_stack(detector)
         first = engine.detect_batch(batch)
         second = engine.detect_batch(batch)
         assert isinstance(first.stats["cache"], CacheStats)
@@ -234,7 +235,7 @@ class TestCacheStatsContract:
 
     def test_deprecated_aliases_removed(self, detector, system, rng):
         batch = make_batch(system, rng)
-        result = BatchedUplinkEngine(detector).detect_batch(batch)
+        result = make_stack(detector).detect_batch(batch)
         # The flat pre-snapshot aliases were removed after their
         # deprecation cycle: the snapshot is the only surface.
         assert "cache_hits" not in result.stats
@@ -245,13 +246,13 @@ class TestCacheStatsContract:
         # pyproject's filterwarnings turns any DeprecationWarning raised
         # from a repro module into an error, so a plain read pins this.
         batch = make_batch(system, rng)
-        result = BatchedUplinkEngine(detector).detect_batch(batch)
+        result = make_stack(detector).detect_batch(batch)
         assert isinstance(result.stats["cache"], CacheStats)
         assert result.stats["backend"] == "serial"
 
     def test_engine_cache_stats_is_snapshot(self, detector, system, rng):
         batch = make_batch(system, rng)
-        engine = BatchedUplinkEngine(detector)
+        engine = make_stack(detector)
         engine.detect_batch(batch)
         stats = engine.cache_stats
         assert isinstance(stats, CacheStats)
@@ -261,24 +262,24 @@ class TestCacheStatsContract:
 
 
 class TestSharedService:
-    def test_engines_share_one_service(self, system, rng):
-        """Two engines on one service keep caches apart."""
+    def test_callers_share_one_service(self, system, rng):
+        """Two callers on one service keep caches apart."""
         batch = make_batch(system, rng)
         service = DetectionService()
-        a = BatchedUplinkEngine(FlexCoreDetector(system, num_paths=8), service)
-        b = BatchedUplinkEngine(FlexCoreDetector(system, num_paths=8), service)
-        assert a.backend is service.backend
-        assert b.backend is service.backend
-        a.detect_batch(batch)
-        result = b.detect_batch(batch)
+        first_cache, second_cache = ContextCache(), ContextCache()
+        a = FlexCoreDetector(system, num_paths=8)
+        b = FlexCoreDetector(system, num_paths=8)
+        service.detect(a, batch, cache=first_cache)
+        result = service.detect(b, batch, cache=second_cache)
         assert result.stats["cache"].misses == batch.num_subcarriers
+        assert first_cache.stats.entries == batch.num_subcarriers
 
-    def test_engine_close_spares_shared_service(self, detector):
+    def test_farm_close_spares_shared_service(self):
         closed = []
         service = DetectionService()
         service.backend.close = lambda: closed.append(True)
-        engine = BatchedUplinkEngine(detector, service)
-        engine.close()
+        farm = CellFarm(service=service)
+        farm.close()
         assert not closed
         service.close()
         assert closed
@@ -286,34 +287,33 @@ class TestSharedService:
     def test_double_close_idempotent_on_shared_service(
         self, system, rng
     ):
-        """Closing a borrowing engine twice never touches the shared
-        service, which stays usable by its other engines."""
+        """Closing a borrowing farm twice never touches the shared
+        service, which stays usable by its other callers."""
         batch = make_batch(system, rng)
         closed = []
         service = DetectionService()
         service.backend.close = lambda: closed.append(True)
-        a = BatchedUplinkEngine(FlexCoreDetector(system, num_paths=8), service)
-        b = BatchedUplinkEngine(FlexCoreDetector(system, num_paths=8), service)
+        a = CellFarm(service=service)
         a.close()
         a.close()  # second close: no-op, not an error
         assert not closed
-        # The sibling engine still detects on the shared service.
-        result = b.detect_batch(batch)
+        # A sibling caller still detects on the shared service.
+        result = service.detect(
+            FlexCoreDetector(system, num_paths=8), batch, cache=ContextCache()
+        )
         assert result.indices.shape[0] == batch.num_subcarriers
-        b.close()
-        b.close()
         assert not closed
 
     def test_double_close_idempotent_on_owned_service(self, detector):
         closed = []
-        engine = BatchedUplinkEngine(detector)
-        engine.service.backend.close = lambda: closed.append(True)
-        engine.close()
-        engine.close()
+        stack = make_stack(detector)
+        stack.service.backend.close = lambda: closed.append(True)
+        stack.close()
+        stack.close()
         assert closed == [True]  # released exactly once
 
     def test_context_manager_after_explicit_close(self, detector):
-        with BatchedUplinkEngine(detector) as engine:
-            engine.close()
+        with make_stack(detector) as stack:
+            stack.close()
         # __exit__ re-closing must be a no-op (this line not raising is
         # the assertion)
