@@ -51,7 +51,7 @@ def main() -> None:
         "\nThe LLRs reuse the Euclidean distances the hard detector "
         "already computed: each frame's candidates are ranked once and "
         "every bit reads its two minima off that list (a soft block "
-        "costs about 1.8x a hard one), and the embarrassing parallelism "
+        "costs about 1.6x a hard one), and the embarrassing parallelism "
         "survives."
     )
 

@@ -32,13 +32,34 @@ It keeps real and imaginary planes apart and stores symbols level-major,
 ``(G, F, 2 Nt, P)``, so the levels already decided are one contiguous
 slab and the interference is one ``(2 x 2k) @ (2k x P)`` product per
 (subcarrier, frame).  That shape is deliberate: it does not depend on
-``G`` or on the frame chunk, so BLAS sees the same call whether a
-channel is walked alone or stacked, whole or chunked — a flat product
-over ``F * P`` columns is faster to write and *not* bit-stable.  The
-triangle's reflections and diagonal swap are arithmetic on the plan's
-offsets, and symbol indices are looked up after the walk: for the
-arg-min path only on the hard path, for every candidate in one pass on
-the soft path.
+``G`` or on the tile, so BLAS sees the same call whether a channel is
+walked alone or stacked, whole or tiled — a flat product over ``F * P``
+columns is faster to write and *not* bit-stable.  The triangle's
+reflections and diagonal swap are arithmetic on the plan's offsets, and
+symbol indices are looked up after the walk: for the arg-min path only
+on the hard path, for every candidate in one pass on the soft path.
+
+Like the paper's processing element, the core holds a fixed amount of
+state and asks for no memory while it walks.  Everything with a path
+axis — ``symbols``, the distances, the dead mask and the level's five
+temporaries (:func:`walk_layout`) — is a view of a
+:class:`WalkWorkspace`, and every operation of the level body writes
+into it through ``out=``.  The workspace belongs to the ``store`` a
+stacked entry point is handed (one per array module, kept until
+``store.clear()``), so a warm call allocates nothing and faults no page;
+without a store the call makes a private one, which is what keeps
+:meth:`~FlexCoreDetector.detect_prepared` and a bare ``_walk`` re-entrant
+and their results the caller's own.  Nothing a public entry point
+returns aliases the workspace.  Inside the loop lengths are in *half*
+grid units — halving is exact, the detection square's centre becomes
+``clip(rint(z))``, and the clip writes each pick straight into its
+``symbols`` rows — so ``symbols`` comes back halved and
+:meth:`~FlexCoreDetector._cells` absorbs the factor; the plan and the
+distances stay in grid units.  A block is walked in ``(G, F)`` tiles
+(:func:`tile_shape`) sized so that one tile's workspace fits the L2
+cache: subcarriers are cut first, frames only when one subcarrier's do
+not fit, and the plan is sliced along ``G`` as a budget clamp slices it
+along ``P``.
 
 A processing element whose pick leaves the constellation is
 *deactivated* (its distance becomes infinite), per §3.2: the pick is
@@ -52,7 +73,7 @@ decision is always produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -79,32 +100,77 @@ from repro.obs import SPAN_QR, SPAN_TREE_SEARCH, current_tracer
 from repro.utils.flops import NULL_COUNTER, FlopCounter
 from repro.utils.xp import resolve_array_module
 
-#: Bound on the float64 values one chunk of the walk keeps live — purely
-#: a memory knob: the walk has no cross-frame coupling, so results are
-#: bit-identical for every value (see :func:`frames_per_chunk`).
-MAX_CHUNK_ELEMENTS = 1 << 23
+#: Bound on the float64 values (eight bytes each) one tile of the walk
+#: keeps live — sized for the L2 cache, not for RAM (the sweep is in
+#: CHANGES.md, PR 18).  The walk has no coupling between subcarriers or
+#: frames, so results are bit-identical for every value.
+MAX_CHUNK_ELEMENTS = 1 << 18
 
-#: Float64 values the core holds per (subcarrier, frame, path) element
-#: beyond the ``2 Nt`` symbol planes: the running distance and about
-#: eight two-plane temporaries per level.  The soft detector's ranked
-#: list comes on top as :func:`frames_per_chunk`'s ``extra``, in float64
-#: equivalents: two int64 tensors of ``Nt`` (symbol indices, gather
-#: index), sort order and sorted PEDs, four byte-wide ones (narrow and
-#: ranked indices, masked and bool bit planes) — ``2 Nt + 2 + (Nt + Nt *
-#: bits) / 4``, with no float64 per bit hypothesis.
-_WALK_TEMPORARIES = 18
+_ITEM_BYTES = {"float64": 8, "int64": 8, "uint8": 1, "bool_": 1}
 
 
-def frames_per_chunk(
-    group: int, paths: int, num_streams: int, extra: int = 0
-) -> int:
-    """Frames of a ``(G, F, P)`` walk that fit :data:`MAX_CHUNK_ELEMENTS`.
+def walk_layout(num_streams: int) -> tuple:
+    """What the core holds per (subcarrier, frame, path) element, as
+    ``(name, dtype, planes)`` rows: the list :meth:`WalkWorkspace.carve`
+    turns into buffers and :func:`tile_shape` into a footprint."""
+    return (
+        ("symbols", "float64", 2 * num_streams),
+        ("ped", "float64", 1),
+        ("z", "float64", 2),
+        ("centre", "float64", 2),
+        # Offset inside the detection square, then the unclipped pick.
+        ("step", "float64", 2),
+        ("sign", "float64", 2),
+        # Diagonal-swap flag, then the level's distance.
+        ("swap", "float64", 1),
+        ("left", "bool_", 2),
+        ("dead", "bool_", 2),
+    )
 
-    ``extra`` is what the caller holds per element on top of the core
-    (the soft path's ranked candidate list).
+
+def tile_shape(group: int, frames: int, paths: int, layout) -> "tuple[int, int]":
+    """Subcarriers and frames of one tile of a ``(G, F, P)`` walk whose
+    ``layout`` fits :data:`MAX_CHUNK_ELEMENTS`: whole frames of as many
+    subcarriers as fit, a run of one subcarrier's frames only when all
+    of them do not, and either way the shortest run that needs no more
+    tiles than the longest would."""
+
+    def even(total, most):
+        return -(-total // -(-total // min(most, total)))
+
+    per_element = sum(_ITEM_BYTES[dtype] * planes for _, dtype, planes in layout)
+    elements = MAX_CHUNK_ELEMENTS * 8 // per_element
+    group, frames, paths = max(group, 1), max(frames, 1), max(paths, 1)
+    if elements >= frames * paths:
+        return even(group, elements // (frames * paths)), frames
+    return 1, even(frames, max(1, elements // paths))
+
+
+class WalkWorkspace:
+    """Grow-only scratch memory of the walk on one array module.
+
+    Each named buffer is flat, grows to the largest size ever asked of
+    it (a tile bounds that) and is handed out as a view, so a warm walk
+    allocates nothing.  Whoever holds the workspace owns the views: the
+    next :meth:`carve` of the same names reuses their memory.
     """
-    per_frame = group * paths * (2 * num_streams + _WALK_TEMPORARIES + extra)
-    return max(1, MAX_CHUNK_ELEMENTS // max(per_frame, 1))
+
+    def __init__(self, xp):
+        self._xp = xp
+        self._flat: dict = {}
+
+    def carve(self, layout, group: int, frames: int, paths: int) -> list:
+        """A ``(group, frames, planes, paths)`` view per ``layout`` row."""
+        views = []
+        for name, dtype, planes in layout:
+            size = group * frames * planes * paths
+            flat = self._flat.get(name)
+            if flat is None or flat.shape[0] < size:
+                flat = self._flat[name] = self._xp.empty(
+                    (size,), dtype=getattr(self._xp, dtype)
+                )
+            views.append(flat[:size].reshape((group, frames, planes, paths)))
+        return views
 
 
 @dataclass
@@ -334,7 +400,11 @@ class FlexCoreDetector(Detector):
         received = self._check_received(received)
         xp = resolve_array_module(None)
         indices, deactivated = self._detect_group(
-            self._plan([context], xp), received[None], xp, counter
+            self._plan([context], xp),
+            received[None],
+            xp,
+            counter,
+            WalkWorkspace(xp),
         )
         return DetectionResult(
             indices=indices[0],
@@ -389,6 +459,7 @@ class FlexCoreDetector(Detector):
             (num_subcarriers, num_frames, num_streams), dtype=xp.int64
         )
         metadata: list = [None] * num_subcarriers
+        scratch = self._scratch(xp, store)
         groups = self._group_by_paths(contexts, max_paths)
         for (_prepared, paths), members in groups.items():
             block_indices, deactivated = self._detect_group(
@@ -396,6 +467,7 @@ class FlexCoreDetector(Detector):
                 received_dev[members],
                 xp,
                 counter,
+                scratch,
             )
             indices_dev[members] = block_indices
             for j, sc in enumerate(members):
@@ -449,40 +521,61 @@ class FlexCoreDetector(Detector):
             groups.setdefault((prepared, effective), []).append(sc)
         return groups
 
-    def _detect_group(self, plan, received, xp, counter: FlopCounter) -> tuple:
+    @staticmethod
+    def _scratch(xp, store) -> WalkWorkspace:
+        """The store's workspace on ``xp``; a private one without a store."""
+        if store is None:
+            return WalkWorkspace(xp)
+        return store.scratch(xp, WalkWorkspace)
+
+    def _detect_group(
+        self, plan, received, xp, counter: FlopCounter, scratch: WalkWorkspace
+    ) -> tuple:
         """Hard-detect one equal-path-count group over its walk plan.
 
         ``received`` ``(G, F, Nr)`` is already on the module.  Returns
         device-side decisions ``(G, F, Nt)`` plus host per-subcarrier
         deactivation counts, downloaded once.
         """
-        winners = []
-        deactivated = 0
-        for symbols, ped, dead in self._walk_chunks(
-            plan, received, xp, counter, self.use_exact_ordering
+        group, frames, _ = received.shape
+        num_streams = self.system.num_streams
+        winners = xp.empty((group, frames, 2 * num_streams), dtype=xp.float64)
+        deactivated = xp.zeros((group,), dtype=xp.int64)
+        for rows, cols, symbols, ped, dead in self._walk_tiles(
+            plan,
+            plan.grid_planes(xp.matmul(received, plan.q_conj), xp),
+            xp,
+            counter,
+            self.use_exact_ordering,
+            scratch,
+            walk_layout(num_streams),
         ):
-            winners.append(self._winner(symbols, ped, xp))
-            deactivated = deactivated + xp.count_nonzero(dead, axis=(1, 2))
-        chosen = self._symbol_indices(xp.concatenate(winners, axis=1), xp)
+            winners[rows, cols] = self._winner(symbols, ped, xp)
+            deactivated[rows] += xp.count_nonzero(dead, axis=(1, 2))
         return (
-            plan.restore_order(chosen, xp),
+            plan.restore_order(self._symbol_indices(winners, xp), xp),
             np.asarray(xp.to_numpy(deactivated), dtype=np.int64),
         )
 
-    def _walk_chunks(
-        self, plan, received, xp, counter, use_exact: bool, extra: int = 0
+    def _walk_tiles(
+        self, plan, planes, xp, counter, use_exact: bool, scratch, layout
     ):
-        """Rotate ``received`` ``(G, F, Nr)`` once, then yield
-        :meth:`_walk`'s ``(symbols, ped, dead)`` for each run of frames
-        that :func:`frames_per_chunk` admits — the one place a block is
-        walked, for the hard and the soft detector alike."""
-        planes = plan.grid_planes(xp.matmul(received, plan.q_conj), xp)
-        group, frames, num_streams, _ = planes.shape
-        chunk = frames_per_chunk(group, plan.paths, num_streams, extra)
-        for start in range(0, frames, chunk):
-            yield self._walk(
-                planes[:, start : start + chunk], plan, xp, counter, use_exact
-            )
+        """Yield ``(rows, cols, symbols, ped, dead)`` — two slices of a
+        block's ``(G, F, Nt, 2)`` ``planes`` and :meth:`_walk`'s result
+        on them — for each tile :func:`tile_shape` cuts the block into:
+        the one place a block is walked, for the hard and the soft
+        detector alike.  A tile's tensors live in ``scratch`` until the
+        next tile is asked for; a block without frames has no tiles."""
+        group, frames, _, _ = planes.shape
+        tile_group, tile_frames = tile_shape(group, frames, plan.paths, layout)
+        for first in range(0, group, tile_group):
+            rows = slice(first, first + tile_group)
+            part = plan if tile_group >= group else plan.subcarriers(rows)
+            for start in range(0, frames, tile_frames):
+                cols = slice(start, start + tile_frames)
+                yield (rows, cols) + self._walk(
+                    planes[rows, cols], part, xp, counter, use_exact, scratch
+                )
 
     @staticmethod
     def _winner(values, ped, xp):
@@ -494,23 +587,28 @@ class FlexCoreDetector(Detector):
         )
         return xp.take_along_axis(values, best, axis=3)[..., 0]
 
+    def _cells(self, symbols, xp, out=None):
+        """Row-major cell, in the constellation's ``side x side``
+        position table, of each walked point: axis 2 of ``symbols``
+        interleaves ``u`` and ``v`` in half-grid units (the core's
+        layout) and comes back half as long.  Integer-valued float64:
+        ``(2u + side - 1) / 2 * side + (2v + side - 1) / 2``."""
+        side = self.system.constellation.side
+        cells = xp.multiply(symbols[:, :, 0::2], float(side), out=out)
+        cells += symbols[:, :, 1::2]
+        cells += 0.5 * (side * side - 1)
+        return cells
+
     def _symbol_indices(self, symbols, xp):
-        """Symbol indices of walked grid points: axis 2 of ``symbols``
-        interleaves ``u`` and ``v`` (the core's layout) and comes back
-        half as long.  A point's row-major cell in the constellation's
-        ``side x side`` position table is arithmetic; the Gray map is
-        that table."""
+        """Symbol indices of walked points: the Gray map is the position
+        table, read at :meth:`_cells`."""
         constellation = self.system.constellation
-        side = constellation.side
-        u, v = symbols[:, :, 0::2], symbols[:, :, 1::2]
-        cells = xp.astype(
-            (u + (side - 1)) * (0.5 * side) + (v + (side - 1)) * 0.5,
-            xp.int64,
-        )
         table = constellation.device_constant(
             xp, constellation.grid_index_table
         )
-        return table.reshape(-1)[cells]
+        return table.reshape(-1)[
+            xp.astype(self._cells(symbols, xp), xp.int64)
+        ]
 
     def _walk(
         self,
@@ -519,83 +617,88 @@ class FlexCoreDetector(Detector):
         xp,
         counter: FlopCounter,
         use_exact: bool,
+        scratch: "WalkWorkspace | None" = None,
     ):
         """The level loop: walk ``(G, F, P)`` elements down the tree.
 
         ``planes`` is ``(G, F, Nt, 2)``: the rotated received block in
         grid units, real and imaginary parts apart.  Returns
         ``(symbols, ped, dead)``: the picked grid coordinates ``(G, F,
-        2 Nt, P)`` with rows ``2l`` / ``2l + 1`` holding level ``l``'s
-        ``u`` / ``v``, the accumulated distances (infinite where
-        deactivated) and the deactivation mask, both ``(G, F, P)`` —
-        every candidate, so the hard arg-min and the soft LLR reductions
-        share it.
+        2 Nt, P)`` in *half*-grid units with rows ``2l`` / ``2l + 1``
+        holding level ``l``'s ``u`` / ``v``, the accumulated distances
+        in grid units (infinite where deactivated) and the deactivation
+        mask, both ``(G, F, P)`` — every candidate, so the hard arg-min
+        and the soft LLR reductions share it.  All three are views of
+        ``scratch``, valid until its next walk; with no ``scratch`` they
+        are the caller's own.
         """
         group, frames, num_streams, _ = planes.shape
         paths = plan.paths
         side = self.system.constellation.side
-        edge = float(side - 1)
-        clamp = float(max(side - 2, 0))
-        symbols = xp.empty(
-            (group, frames, 2 * num_streams, paths), dtype=xp.float64
+        edge = 0.5 * (side - 1)
+        clamp = 0.5 * max(side - 2, 0)
+        if scratch is None:
+            scratch = WalkWorkspace(xp)
+        symbols, ped, z, centre, step, sign, swap, left, dead = scratch.carve(
+            walk_layout(num_streams), group, frames, paths
         )
-        ped = xp.zeros((group, frames, paths), dtype=xp.float64)
-        dead = xp.zeros((group, frames, 2, paths), dtype=xp.bool_)
+        ped, swap = ped[:, :, 0], swap[:, :, 0]
+        ped[...] = 0.0
+        dead[...] = False
+        half = planes * 0.5
         for level in range(num_streams - 1, -1, -1):
             decided = 2 * level + 2
-            # Eq. 5 in grid units; the top level's product is empty.
-            z = xp.matmul(
+            picked = symbols[:, :, decided - 2 : decided, :]
+            # Eq. 5 in half-grid units; the top level's product is empty.
+            xp.matmul(
                 plan.rows[:, None, level, :, decided:],
                 symbols[:, :, decided:, :],
+                out=z,
             )
-            z += planes[:, :, level, :, None]
+            z += half[:, :, level, :, None]
             if use_exact:
-                picked = self._exact_pick(z, plan.positions[level], xp)
+                picked[...] = self._exact_pick(z, plan.positions[level], xp)
             else:
                 # Detection-square centre: nearest even grid point,
                 # clamped so its four corners are symbols.
-                centre = xp.round(z * 0.5)
-                centre *= 2.0
-                centre = xp.clip(centre, -clamp, clamp)
-                within = z - centre
+                xp.clip(xp.round(z, out=centre), -clamp, clamp, out=centre)
+                within = xp.subtract(z, centre, out=step)
                 # Which of the eight triangles: the reflections are a
-                # +-1 factor per plane, the diagonal swap a 0/1 weight
-                # on the plan's (dv - du, du - dv).
-                sign = xp.astype(within >= 0, xp.float64)
-                sign *= 2.0
-                sign -= 1.0
-                within = xp.abs(within)
-                swap = xp.astype(
-                    within[:, :, 1] > within[:, :, 0], xp.float64
+                # sign per plane (of half a unit: the plan's offsets are
+                # in grid units), the diagonal swap a 0/1 weight on the
+                # plan's (dv - du, du - dv).
+                xp.copysign(0.5, within, out=sign)
+                xp.abs(within, out=within)
+                xp.greater(within[:, :, 1], within[:, :, 0], out=swap)
+                xp.multiply(
+                    plan.swap_delta[level], swap[:, :, None, :], out=step
                 )
-                step = (
-                    xp.astype(plan.swap_delta[level], xp.float64)
-                    * swap[:, :, None, :]
-                )
-                step += xp.astype(plan.offsets[level], xp.float64)
+                step += plan.offsets[level]
                 step *= sign
                 step += centre
-                picked = xp.clip(step, -edge, edge)
-                dead |= picked != step
-            symbols[:, :, decided - 2 : decided, :] = picked
+                xp.clip(step, -edge, edge, out=picked)
+                dead |= xp.not_equal(picked, step, out=left)
             z -= picked
             z *= z
-            ped += plan.weights[:, level][:, None, None] * (
-                z[:, :, 0] + z[:, :, 1]
-            )
+            distance = xp.add(z[:, :, 0], z[:, :, 1], out=swap)
+            distance *= plan.weights[:, level][:, None, None]
+            ped += distance
             elements = group * frames * paths
             counter.add_complex_mults(elements * (num_streams - 1 - level))
             counter.add_real_mults(elements * 5)
-        dead = dead[:, :, 0] | dead[:, :, 1]
-        ped[dead] = xp.inf
-        return symbols, ped, dead
+        # Half units squared are a quarter of Eq. 1's.
+        ped *= 4.0
+        gone = dead[:, :, 0]
+        gone |= dead[:, :, 1]
+        ped[gone] = xp.inf
+        return symbols, ped, gone
 
     def _exact_pick(self, z, ranks, xp):
-        """Exhaustive k-th-closest grid point per element — the ablation
-        the triangle LUT is measured against.  Never leaves the
-        constellation, so never deactivates."""
+        """Exhaustive k-th-closest grid point per element (half-grid
+        units in and out) — the ablation the triangle LUT is measured
+        against.  Never leaves the constellation, so never deactivates."""
         grid = self.system.constellation
-        grid = grid.device_constant(xp, grid.grid_points)
+        grid = grid.device_constant(xp, grid.grid_points) * 0.5
         distances = (z[:, :, 0, :, None] - grid[0]) ** 2 + (
             z[:, :, 1, :, None] - grid[1]
         ) ** 2
@@ -669,6 +772,11 @@ class FlexCoreDetector(Detector):
         )
 
 
+#: The plan's per-path fields, laid out ``(Nt, G, ..., P)``: the group
+#: on their second axis, the paths on their last.
+_LEVEL_MAJOR = ("offsets", "swap_delta", "positions")
+
+
 @dataclass
 class _StackedContexts:
     """The walk plan of one group: what no received frame changes.
@@ -722,18 +830,28 @@ class _StackedContexts:
             values, xp.broadcast_to(order, tuple(values.shape)), axis=2
         )
 
+    def subcarriers(self, rows: slice) -> "_StackedContexts":
+        """The plan of a run of the group's subcarriers, for one tile of
+        the walk — views, as :meth:`clamp`'s."""
+        return replace(
+            self,
+            **{
+                field.name: value[:, rows] if field.name in _LEVEL_MAJOR else value[rows]
+                for field in fields(self)
+                if (value := getattr(self, field.name)) is not None
+            },
+        )
+
     def clamp(self, max_paths: "int | None") -> "_StackedContexts":
         """Slice the plan down to a path budget — views, not copies, so
         clamping a resident plan moves zero bytes."""
         if max_paths is None or max_paths >= self.paths:
             return self
-        budget = int(max_paths)
         return replace(
             self,
-            offsets=self.offsets[..., :budget],
-            swap_delta=self.swap_delta[..., :budget],
-            positions=(
-                None if self.positions is None
-                else self.positions[..., :budget]
-            ),
+            **{
+                name: value[..., : int(max_paths)]
+                for name in _LEVEL_MAJOR
+                if (value := getattr(self, name)) is not None
+            },
         )

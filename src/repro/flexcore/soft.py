@@ -25,9 +25,12 @@ the hard decision (the first-occurrence arg-min, as on the hard path); a
 hypothesis is missing when its scan finds nothing or lands on a
 deactivated — infinite, hence last-ranked — candidate.  Selection is
 exact, and nothing float64 of shape ``(G, F, P, Nt * bits)`` is built.
-On the benchmark's ``soft_llr`` block the ledger (README "Performance")
-puts a soft block at 8.2 ms against 4.6 ms for the hard block on the
-same plan: 1.8 times, where the dense reduction cost 3.4 times.
+The list rides the walk's tiles and lives in the walk's workspace
+(:meth:`SoftFlexCoreDetector._list_layout`), so a warm soft block
+allocates only its sort order and its ``(G, F, Nt * bits)`` outputs.  On
+the benchmark's ``soft_llr`` block the ledger (README "Performance")
+puts a soft block at 5.3 ms against 3.2 ms for the hard block on the
+same plan: 1.6 times, where the dense reduction cost 3.4 times.
 """
 
 from __future__ import annotations
@@ -38,7 +41,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.flexcore.detector import FlexCoreContext, FlexCoreDetector
+from repro.flexcore.detector import (
+    FlexCoreContext,
+    FlexCoreDetector,
+    WalkWorkspace,
+    walk_layout,
+)
 from repro.utils.flops import NULL_COUNTER, FlopCounter
 from repro.utils.xp import resolve_array_module
 
@@ -97,7 +105,12 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         received = self._check_received(received)
         xp = resolve_array_module(None)
         indices, llrs, clamped = self._detect_soft_group(
-            self._plan([context], xp), received[None], noise_var, xp, counter
+            self._plan([context], xp),
+            received[None],
+            noise_var,
+            xp,
+            counter,
+            WalkWorkspace(xp),
         )
         return SoftDetectionResult(
             indices=indices[0],
@@ -181,6 +194,7 @@ class SoftFlexCoreDetector(FlexCoreDetector):
             (num_subcarriers, num_frames, width), dtype=xp.float64
         )
         metadata: list = [None] * num_subcarriers
+        scratch = self._scratch(xp, store)
         groups = self._group_by_paths(contexts, max_paths)
         for (_prepared, paths), members in groups.items():
             block_indices, block_llrs, clamped = self._detect_soft_group(
@@ -189,6 +203,7 @@ class SoftFlexCoreDetector(FlexCoreDetector):
                 noise_var,
                 xp,
                 counter,
+                scratch,
             )
             indices_dev[members] = block_indices
             llrs_dev[members] = block_llrs
@@ -202,62 +217,116 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         return indices, llrs, metadata
 
     def _detect_soft_group(
-        self, plan, received, noise_var: float, xp, counter: FlopCounter
+        self, plan, received, noise_var: float, xp, counter, scratch
     ) -> tuple:
         """Soft-detect one equal-path-count group: the hard path's walk,
         keeping every candidate.  Returns device-side ``(G, F, Nt)``
         decisions and ``(G, F, Nt * bits)`` LLRs plus host per-subcarrier
         clamped-bit counts, downloaded once."""
+        group, frames, _ = received.shape
         num_streams = self.system.num_streams
-        width = num_streams * self.system.constellation.bits_per_symbol
-        # What _list_llrs holds per element, in float64 equivalents
-        # (itemised next to detector._WALK_TEMPORARIES).
-        extra = 2 * num_streams + 2 + (num_streams + width + 3) // 4
-        heads, llrs, clamped = [], [], 0
+        bits = self.system.constellation.bits_per_symbol
+        width = num_streams * bits
+        heads = xp.empty((group, frames, num_streams), dtype=xp.int64)
+        soft = xp.empty((group, frames, width), dtype=xp.float64)
+        clamped = xp.zeros((group,), dtype=xp.int64)
         # The candidate walk ignores the exact-ordering ablation.
-        for symbols, ped, _ in self._walk_chunks(
-            plan, received, xp, counter, False, extra
+        for rows, cols, symbols, ped, _ in self._walk_tiles(
+            plan,
+            plan.grid_planes(xp.matmul(received, plan.q_conj), xp),
+            xp,
+            counter,
+            False,
+            scratch,
+            walk_layout(num_streams) + self._list_layout(),
         ):
-            head, chunk_llrs, missing = self._list_llrs(
-                self._symbol_indices(symbols, xp), ped, noise_var, xp
+            heads[rows, cols], soft[rows, cols], missing = self._list_llrs(
+                self._labels(symbols, xp, scratch), ped, noise_var, xp, scratch
             )
-            heads.append(head)
-            llrs.append(chunk_llrs)
-            clamped = clamped + xp.count_nonzero(missing, axis=(1, 2))
+            clamped[rows] += xp.count_nonzero(missing, axis=(1, 2))
             counter.add_comparisons(math.prod(ped.shape) * width)
-        soft = xp.concatenate(llrs, axis=1)
-        by_stream = soft.reshape(tuple(soft.shape[:2]) + (num_streams, -1))
+        by_stream = soft.reshape((group, frames, num_streams, bits))
         return (
-            plan.restore_order(xp.concatenate(heads, axis=1), xp),
+            plan.restore_order(heads, xp),
             plan.restore_order(by_stream, xp).reshape(soft.shape),
             np.asarray(xp.to_numpy(clamped), dtype=np.int64),
         )
 
-    def _list_llrs(self, indices, ped, noise_var: float, xp) -> tuple:
+    def _list_layout(self) -> tuple:
+        """What the candidate list holds per (subcarrier, frame, path)
+        element on top of the walk (:func:`~repro.flexcore.detector.
+        walk_layout`'s rows continued): a symbol index fits a byte up to
+        256-QAM, and nothing is float64 per bit hypothesis.
+        :meth:`_labels` carves the first three rows, :meth:`_list_llrs`
+        the last four."""
+        constellation = self.system.constellation
+        num_streams = self.system.num_streams
+        width = num_streams * constellation.bits_per_symbol
+        narrow = "uint8" if constellation.order <= 256 else "int64"
+        return (
+            ("cells", "float64", num_streams),
+            ("labels", narrow, num_streams),
+            # Position-table cells, then the flat ranking gather.
+            ("gather", "int64", num_streams),
+            ("ranked", narrow, num_streams),
+            ("masked", narrow, width),
+            ("bits", "bool_", width),
+        )
+
+    def _labels(self, symbols, xp, scratch):
+        """:meth:`_symbol_indices` of every walked point ``(G, F, 2 Nt,
+        P)``, as ``(G, F, Nt, P)`` narrow integers in ``scratch``."""
+        constellation = self.system.constellation
+        group, frames, _, paths = symbols.shape
+        cells, labels, gather = scratch.carve(
+            self._list_layout()[:3], group, frames, paths
+        )
+        gather[...] = self._cells(symbols, xp, out=cells)
+        table = constellation.device_constant(
+            xp, constellation.grid_index_table
+        )
+        return xp.take(xp.astype(table, labels.dtype), gather, out=labels)
+
+    def _list_llrs(self, indices, ped, noise_var: float, xp, scratch=None):
         """Max-log LLRs of a candidate list: symbol indices ``(G, F, Nt,
         P)`` with PEDs ``(G, F, P)``, infinite where deactivated.
 
         Returns the best candidate's indices ``(G, F, Nt)`` (the first
         occurrence of the minimum PED), the LLRs ``(G, F, Nt * bits)`` and
-        the mask of clamped bits, all in detection order.
+        the mask of clamped bits, all in detection order and all the
+        caller's own; everything with a path axis lives in ``scratch``.
         """
-        constellation = self.system.constellation
-        bits_per_symbol = constellation.bits_per_symbol
+        bits_per_symbol = self.system.constellation.bits_per_symbol
         group, frames, num_streams, paths = indices.shape
-        narrow = xp.uint8 if constellation.order <= 256 else xp.int64
+        if scratch is None:
+            scratch = WalkWorkspace(xp)
+        gather, ranked, masked, bits = scratch.carve(
+            self._list_layout()[2:], group, frames, paths
+        )
+        narrow = ranked.dtype
+        if indices.dtype != narrow:
+            indices = xp.astype(indices, narrow)
         order = xp.argsort(ped, axis=2, stable=True)
         ranked_ped = xp.take_along_axis(ped, order, axis=2)
         # One flat gather: row r of the (G F Nt, P) index matrix starts
         # at r * P, and every stream of a frame is ranked by one order.
         rows = xp.arange(group * frames * num_streams) * paths
-        ranked = xp.astype(indices, narrow).reshape(-1)[
-            order[:, :, None, :] + rows.reshape(group, frames, num_streams, 1)
-        ]
+        xp.add(
+            order[:, :, None, :],
+            rows.reshape(group, frames, num_streams, 1),
+            out=gather,
+        )
+        xp.take(indices, gather, out=ranked)
         # A symbol index spelled in binary is its bit label, MSB first:
         # (G, F, Nt, bits, P) bit planes, ascending PED along the last
         # axis, so a hypothesis' minimum is at its first occurrence.
         masks = 2 ** (bits_per_symbol - 1 - xp.arange(bits_per_symbol))
-        bits = (ranked[:, :, :, None, :] & xp.astype(masks, narrow)[:, None]) != 0
+        planes = (group, frames, num_streams, bits_per_symbol, paths)
+        masked, bits = masked.reshape(planes), bits.reshape(planes)
+        xp.bitwise_and(
+            ranked[:, :, :, None, :], xp.astype(masks, narrow)[:, None], out=masked
+        )
+        xp.not_equal(masked, 0, out=bits)
 
         first_one = xp.argmax(bits, axis=4).reshape(group, frames, -1)
         first_zero = xp.argmin(bits, axis=4).reshape(group, frames, -1)

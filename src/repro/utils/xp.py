@@ -164,21 +164,51 @@ class NumpyArrayModule(ArrayModule):
     def take_along_axis(self, a, indices, axis):
         return self._np.take_along_axis(a, indices, axis=axis)
 
-    # -- math ----------------------------------------------------------
-    def matmul(self, a, b):
-        return self._np.matmul(a, b)
+    def take(self, a, indices, out=None):
+        """``a.reshape(-1)[indices]``; indices are the caller's to keep
+        in range (``mode="clip"`` is what lets numpy write ``out``
+        unbuffered)."""
+        return self._np.take(a, indices, out=out, mode="clip")
 
-    def abs(self, a):
-        return self._np.abs(a)
+    # -- math ----------------------------------------------------------
+    # ``out`` is where the walk's level loop puts every result: a view
+    # of its workspace, so a warm walk allocates nothing.
+    def matmul(self, a, b, out=None):
+        return self._np.matmul(a, b, out=out)
+
+    def add(self, a, b, out=None):
+        return self._np.add(a, b, out=out)
+
+    def subtract(self, a, b, out=None):
+        return self._np.subtract(a, b, out=out)
+
+    def multiply(self, a, b, out=None):
+        return self._np.multiply(a, b, out=out)
+
+    def greater(self, a, b, out=None):
+        return self._np.greater(a, b, out=out)
+
+    def not_equal(self, a, b, out=None):
+        return self._np.not_equal(a, b, out=out)
+
+    def bitwise_and(self, a, b, out=None):
+        return self._np.bitwise_and(a, b, out=out)
+
+    def copysign(self, magnitude, sign, out=None):
+        return self._np.copysign(magnitude, sign, out=out)
+
+    def abs(self, a, out=None):
+        return self._np.abs(a, out=out)
 
     def sqrt(self, a):
         return self._np.sqrt(a)
 
-    def round(self, a):
-        return self._np.round(a)
+    def round(self, a, out=None):
+        """Nearest integer, ties to even."""
+        return self._np.rint(a, out=out)
 
-    def clip(self, a, lo, hi):
-        return self._np.clip(a, lo, hi)
+    def clip(self, a, lo, hi, out=None):
+        return self._np.clip(a, lo, hi, out=out)
 
     def argmin(self, a, axis):
         """First index of the minimum (of the first ``False`` for bool)."""
@@ -229,6 +259,10 @@ class CupyArrayModule(NumpyArrayModule):
 
     def to_numpy(self, a):
         return self._np.asnumpy(a)
+
+    def take(self, a, indices, out=None):
+        # cupy's take has no ``mode`` (and nothing to buffer).
+        return self._np.take(a, indices, out=out)
 
     def argsort(self, a, axis=-1, stable=False):
         # cupy's only sort is a stable one and it takes no ``kind``.
@@ -305,21 +339,54 @@ class TorchArrayModule(ArrayModule):
         # contract always holds.
         return self._torch.gather(a, axis, indices)
 
-    # -- math ----------------------------------------------------------
-    def matmul(self, a, b):
-        return self._torch.matmul(a, b)
+    def take(self, a, indices, out=None):
+        return self._torch.take(a, indices, out=out)
 
-    def abs(self, a):
-        return self._torch.abs(a)
+    # -- math ----------------------------------------------------------
+    def matmul(self, a, b, out=None):
+        return self._torch.matmul(a, b, out=out)
+
+    def add(self, a, b, out=None):
+        return self._torch.add(a, b, out=out)
+
+    def subtract(self, a, b, out=None):
+        return self._torch.sub(a, b, out=out)
+
+    def multiply(self, a, b, out=None):
+        return self._torch.mul(a, b, out=out)
+
+    def greater(self, a, b, out=None):
+        # The walk wants its 0/1 flag as a float; compare into bool and
+        # let copy_ convert rather than rely on gt's handling of ``out``.
+        if out is None or out.dtype == self._torch.bool:
+            return self._torch.gt(a, b, out=out)
+        return out.copy_(self._torch.gt(a, b))
+
+    def not_equal(self, a, b, out=None):
+        return self._torch.ne(a, b, out=out)
+
+    def bitwise_and(self, a, b, out=None):
+        return self._torch.bitwise_and(a, b, out=out)
+
+    def copysign(self, magnitude, sign, out=None):
+        # torch wants a tensor magnitude: fill the result with the
+        # scalar, then sign it in place.
+        if out is None:
+            out = self._torch.empty_like(sign)
+        out.fill_(magnitude)
+        return self._torch.copysign(out, sign, out=out)
+
+    def abs(self, a, out=None):
+        return self._torch.abs(a, out=out)
 
     def sqrt(self, a):
         return self._torch.sqrt(a)
 
-    def round(self, a):
-        return self._torch.round(a)
+    def round(self, a, out=None):
+        return self._torch.round(a, out=out)
 
-    def clip(self, a, lo, hi):
-        return self._torch.clip(a, lo, hi)
+    def clip(self, a, lo, hi, out=None):
+        return self._torch.clip(a, lo, hi, out=out)
 
     def _ordered(self, a):
         # torch has no bool argmin/argmax kernels.

@@ -26,6 +26,7 @@ from repro.flexcore.soft import SoftFlexCoreDetector
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
 from repro.utils.flops import NULL_COUNTER
+from tests.conftest import make_block, make_stack
 
 #: (num_streams, num_rx) — fully loaded and underloaded APs.
 ANTENNA_CONFIGS = [(4, 4), (3, 6)]
@@ -135,3 +136,28 @@ class TestAntennaConfigs:
         detector = FlexCoreDetector(system, num_paths=16)
         result = detector.detect(channel, received, noise_var=1e-4)
         assert np.array_equal(result.indices, indices)
+
+
+class TestBlockWithoutFrames:
+    """``(S, 0, Nr)`` is an empty block, not an error: the walk runs zero
+    tiles, as ``S == 0`` runs zero groups."""
+
+    @pytest.mark.parametrize("backend", ["serial", "array"])
+    @pytest.mark.parametrize("use_soft", [False, True])
+    def test_empty_decisions_and_zero_counts(self, backend, use_soft):
+        system = MimoSystem(4, 4, QamConstellation(16))
+        detector = SoftFlexCoreDetector(system, 8)
+        channels, received, noise_var = make_block(system, 3, 0, 10.0, 1)
+        with make_stack(detector, backend) as stack:
+            result = stack.detect_batch(
+                channels, received, noise_var, use_soft=use_soft
+            )
+        assert result.indices.shape == (3, 0, 4)
+        assert result.indices.dtype == np.int64
+        count = "clamped_bits" if use_soft else "deactivated_path_evaluations"
+        assert result.per_subcarrier_metadata == [{"paths": 8, count: 0}] * 3
+        if use_soft:
+            assert result.llrs.shape == (3, 0, 16)
+            assert result.llrs.dtype == np.float64
+        else:
+            assert result.llrs is None

@@ -1,9 +1,12 @@
-"""The one walk core, pinned from three sides.
+"""The one walk core, pinned from four sides.
 
 * against ``tests/reference/flexcore_walk.py`` — the frozen complex
   level loop — over constellations, sizes, ragged groups, budget clamps
   and the exact-ordering ablation: equal decisions and counts,
   distances and LLRs to rounding;
+* against ``tests/reference/flexcore_walk_split.py`` — the frozen
+  allocating split-real loop — over the same grid and every tile limit:
+  the same tensors and FLOP charges, bit for bit;
 * against brute-force ML, the independent oracle: with every path
   walked FlexCore *is* the ML detector;
 * against itself: per-level picks at the triangle's boundaries equal
@@ -15,6 +18,8 @@ The stacked kernels run on the module ``REPRO_ARRAY_BACKEND`` names
 is asserted on numpy.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -22,7 +27,12 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import repro.flexcore.detector as detector_module
 from repro.detectors.ml import MlDetector
 from repro.flexcore.adaptive import AdaptiveFlexCoreDetector
-from repro.flexcore.detector import FlexCoreDetector, _StackedContexts
+from repro.flexcore.detector import (
+    FlexCoreDetector,
+    WalkWorkspace,
+    _StackedContexts,
+    walk_layout,
+)
 from repro.flexcore.ordering import TriangleOrdering
 from repro.flexcore.soft import SoftFlexCoreDetector
 from repro.mimo.system import MimoSystem
@@ -30,10 +40,11 @@ from repro.modulation.constellation import QamConstellation
 from repro.runtime.residency import ResidentContextStore
 # What the serial path hands the per-channel loop under a budget.
 from repro.runtime.service import clamp_context_paths as clamped
-from repro.utils.flops import NULL_COUNTER
+from repro.utils.flops import NULL_COUNTER, FlopCounter
 from repro.utils.xp import default_array_module, resolve_array_module
 from tests.conftest import make_block
 from tests.reference import flexcore_walk as reference
+from tests.reference import flexcore_walk_split as split
 
 NUMPY = resolve_array_module("numpy")
 ORDERINGS = {order: TriangleOrdering(QamConstellation(order)) for order in (4, 16, 64, 256)}
@@ -155,6 +166,81 @@ class TestAgainstTheFrozenLoop:
         assert np.allclose(ped[alive], expected_ped[alive], rtol=1e-9, atol=0.0)
 
 
+def boundary_axis(side):
+    """Where the triangle selection could go either way, per plane: dx
+    == 0, dy == 0, |dx| == |dy|, +-0.0, half-integer z/2 (ties of the
+    banker's rounding), points far outside the grid."""
+    return np.array(
+        [-0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 1.5, 2.0, -2.0, 3.0, -3.0, 2.5]
+        + [side - 2.0, side - 1.0, side + 0.0, -side - 1.0, 5.0 * side, -40.0 * side]
+    )
+
+
+def assert_same_walk(got, expected):
+    """The core's ``(symbols, ped, dead)`` against the frozen split
+    loop's: the core keeps symbols in half-grid units."""
+    assert np.array_equal(2.0 * got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+    assert np.array_equal(got[2], expected[2])
+
+
+class TestAgainstTheFrozenSplitLoop:
+    """The in-place tiled core returns what the allocating loop it
+    replaced returned."""
+
+    @settings(
+        max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        shape=shapes,
+        kind=raggedness,
+        num_paths=st.integers(1, 40),
+        budget=st.one_of(st.none(), st.integers(1, 40)),
+        exact=st.booleans(),
+        limit=st.one_of(st.integers(1, 1 << 16), st.sampled_from([1 << 19, 1 << 23])),
+        snr_db=st.sampled_from([2.0, 8.0, 14.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_tensors_and_flop_charges(
+        self, shape, kind, num_paths, budget, exact, limit, snr_db, seed
+    ):
+        order, num_streams = shape
+        assume(not exact or order <= 64)
+        system = MimoSystem(num_streams, num_streams, QamConstellation(order))
+        detector = build(kind, False, system, num_paths, exact)
+        channels, received, noise_var = make_block(system, 6, 3, snr_db, seed)
+        contexts = detector.prepare_many(channels, noise_var)
+        rng = np.random.default_rng(seed)
+        # One workspace for every group and tile, as a store's.
+        scratch = WalkWorkspace(NUMPY)
+        for (_, paths), members in detector._group_by_paths(contexts, budget).items():
+            plan = detector._plan(
+                [contexts[sc] for sc in members], NUMPY, None, paths
+            )
+            planes = plan.grid_planes(
+                np.matmul(received[members], plan.q_conj), NUMPY
+            )
+            # Half the coordinates sit on a boundary: the top level sees
+            # them as they are, the others behind their interference.
+            planes = np.where(
+                rng.random(planes.shape) < 0.5,
+                rng.choice(boundary_axis(system.constellation.side), planes.shape),
+                planes,
+            )
+            expected_counter, counter = FlopCounter(), FlopCounter()
+            expected = split.walk(detector, planes, plan, expected_counter, exact)
+            got = [np.full_like(tensor, 1) for tensor in expected]
+            with mock.patch.object(detector_module, "MAX_CHUNK_ELEMENTS", limit):
+                for rows, cols, *tile in detector._walk_tiles(
+                    plan, planes, NUMPY, counter, exact, scratch,
+                    walk_layout(num_streams),
+                ):
+                    for whole, part in zip(got, tile):
+                        whole[rows, cols] = part
+            assert_same_walk(got, expected)
+            assert counter == expected_counter
+
+
 class TestAgainstBruteForceMl:
     """Independent oracle: walking *every* path is exhaustive search.
 
@@ -215,13 +301,7 @@ class TestLevelPickBoundaries:
         detector = FlexCoreDetector(
             MimoSystem(1, 1, constellation), 1, ordering=ordering
         )
-        side = constellation.side
-        # dx == 0, dy == 0, |dx| == |dy|, +-0.0, half-integer z/2 (ties
-        # of the banker's rounding), points far outside the grid.
-        axis = np.array(
-            [-0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 1.5, 2.0, -2.0, 3.0, -3.0, 2.5]
-            + [side - 2.0, side - 1.0, side + 0.0, -side - 1.0, 5.0 * side, -40.0 * side]
-        )
+        axis = boundary_axis(constellation.side)
         real, imag = (grid.reshape(-1) for grid in np.meshgrid(axis, axis))
         # The lookup divides by the scale; keep points that survive.
         effective = (real + 1j * imag) * constellation.scale
@@ -235,8 +315,13 @@ class TestLevelPickBoundaries:
             effective[:, None], np.broadcast_to(ranks, (effective.size, ranks.size))
         )
         planes = np.stack([real, imag], axis=1)[None, :, None, :]
+        plan = self.one_level_plan(ordering, ranks)
         symbols, ped, dead = detector._walk(
-            planes, self.one_level_plan(ordering, ranks), NUMPY, NULL_COUNTER, False
+            planes, plan, NUMPY, NULL_COUNTER, False
+        )
+        assert_same_walk(
+            (symbols, ped, dead),
+            split.walk(detector, planes, plan, NULL_COUNTER, False),
         )
         assert np.array_equal(dead[0], expected < 0)
         assert dead[0][:, [0, -1, -2]].all()
