@@ -228,7 +228,7 @@ def test_paced_slots_meet_99pct_of_deadlines(workload):
     telemetry, elapsed = asyncio.run(paced_run(slot_interval))
     hit_rate = telemetry.deadline_hit_rate
     frames_per_s = telemetry.frames_detected / elapsed
-    quantiles = telemetry.latency_hist.quantiles()
+    quantiles = telemetry.latency_percentiles
     print(
         f"\nwarm slot {slot_work_s * 1e3:.1f} ms, interval/budget "
         f"{slot_interval * 1e3:.1f} ms: {telemetry.frames_detected} frames "

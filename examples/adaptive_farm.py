@@ -182,16 +182,16 @@ def main() -> int:
 
         print(f"\npolicy {args.policy}: paths in "
               f"[{args.paths_min}, {args.paths_max}]")
+        cell_stats = stack.farm.stats()
         for cell_id in cell_ids:
             trajectory = governor.telemetry.budget_trajectory(cell_id)
             if len(trajectory) > 12:
                 shown = ", ".join(map(str, trajectory[:12])) + ", ..."
             else:
                 shown = ", ".join(map(str, trajectory))
-            stats = stack.farm[cell_id].stats
             print(
                 f"  {cell_id}: budget trajectory [{shown}] "
-                f"(shed {stats.frames_shed} frames)"
+                f"(shed {cell_stats[cell_id]['frames_shed']} frames)"
             )
         summary = governor.as_dict()
         print(

@@ -201,9 +201,9 @@ def main() -> int:
           f"{'hit-rate':>9s} {'prepares':>9s} {'cache hits':>11s}")
     for cell_id, stats in sorted(farm.stats().items()):
         print(
-            f"{cell_id:8s} {stats.frames:>7d} {stats.flushes:>8d} "
-            f"{stats.frames_on_time:>8d} {stats.deadline_hit_rate:>8.1%} "
-            f"{stats.cache.misses:>9d} {stats.cache.hits:>11d}"
+            f"{cell_id:8s} {stats['frames']:>7d} {stats['flushes']:>8d} "
+            f"{stats['frames_on_time']:>8d} {stats['deadline_hit_rate']:>8.1%} "
+            f"{stats['cache']['misses']:>9d} {stats['cache']['hits']:>11d}"
         )
 
     hit_rate = telemetry.deadline_hit_rate

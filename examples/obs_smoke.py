@@ -8,8 +8,11 @@ Two modes, both used by the CI ``obs-smoke`` lane:
     scripted mid-run SIGKILL of worker 0, unpaced so governor ticks
     fire every flush opportunity.  Exit non-zero unless the merged
     Chrome trace carries one lane per worker, at least one
-    ``governor_tick`` span and the ``worker_restart`` instant, and the
-    Prometheus dump carries the deadline/latency series.  The trace
+    ``governor_tick`` span and the ``worker_restart`` instant, the
+    Prometheus dump carries the deadline/latency series, and the three
+    accounting planes agree across the replayed chunk: the dumped
+    ``repro_frames_detected_total{cell=...}`` series sum to the fleet
+    summary's ``frames_detected`` and to the per-cell stats.  The trace
     and metrics files land in ``--out`` and are re-validated from disk
     through the same checks as ``--validate``.
 
@@ -19,11 +22,13 @@ Two modes, both used by the CI ``obs-smoke`` lane:
     be Chrome trace-event JSON (every event carrying ``name``/``ph``/
     ``ts``/``pid``/``tid``, timestamps monotone within each lane) and
     the metrics dump must expose the ``repro_deadline_hit_rate`` gauge
-    and the ``repro_flush_latency_seconds`` histogram series.
+    and the ``repro_flush_latency_seconds`` histogram series (labelled
+    per cell or not).
 """
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -86,15 +91,21 @@ def validate_metrics(path: Path) -> "list[str]":
         return [f"{path}: unreadable metrics dump ({error})"]
     failures = []
     for required in (
-        "# TYPE repro_deadline_hit_rate gauge",
-        "repro_deadline_hit_rate ",
-        "# TYPE repro_flush_latency_seconds histogram",
-        'repro_flush_latency_seconds_bucket{le="+Inf"}',
-        "repro_flush_latency_seconds_count ",
+        r"^# TYPE repro_deadline_hit_rate gauge$",
+        r"^repro_deadline_hit_rate [0-9.e+-]+$",
+        r"^# TYPE repro_flush_latency_seconds histogram$",
+        r'^repro_flush_latency_seconds_bucket\{(.*,)?le="\+Inf"\} \d+$',
+        r"^repro_flush_latency_seconds_count(\{.*\})? \d+$",
     ):
-        if required not in text:
-            failures.append(f"{path}: missing {required!r}")
+        if not re.search(required, text, re.MULTILINE):
+            failures.append(f"{path}: no line matching {required!r}")
     return failures
+
+
+def exposed_total(path: Path, name: str) -> float:
+    """Sum of every ``name{...} value`` sample line in a metrics dump."""
+    sample = re.compile(rf"^{name}(\{{.*\}})? (\S+)$", re.MULTILINE)
+    return sum(float(match[2]) for match in sample.finditer(path.read_text()))
 
 
 def run_smoke(args) -> int:
@@ -168,6 +179,17 @@ def run_smoke(args) -> int:
         failures.append("no restart recorded in the fleet report")
     failures += validate_trace(trace_path)
     failures += validate_metrics(metrics_path)
+    planes = {
+        "dumped repro_frames_detected_total": exposed_total(
+            metrics_path, "repro_frames_detected_total"
+        ),
+        "report.frames_detected": report.frames_detected,
+        "sum of report.cells frames": sum(
+            cell["frames"] for cell in report.cells.values()
+        ),
+    }
+    if len(set(planes.values())) != 1:
+        failures.append(f"accounting planes disagree: {planes}")
 
     if failures:
         for failure in failures:
@@ -175,7 +197,8 @@ def run_smoke(args) -> int:
         return 1
     print(
         f"obs smoke OK: {trace_path} and {metrics_path} validated "
-        "(per-worker lanes, governor tick, restart instant)"
+        "(per-worker lanes, governor tick, restart instant, "
+        f"{report.frames_detected} frames in every accounting plane)"
     )
     return 0
 

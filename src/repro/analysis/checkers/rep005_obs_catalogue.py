@@ -18,8 +18,10 @@ This rule checks the call sites against it:
   argument is resolved through the module's imports (and the imported
   value checked), so ``tracer.span(SPAN_FLUSH)`` verifies against the
   live catalogue while a local variable stays out of scope;
-* ``*.counter("...")`` / ``*.gauge("...")`` / ``*.histogram("...")`` —
-  a string-literal name must be in ``METRIC_NAMES``.
+* ``*.counter("...")`` / ``*.gauge("...")`` / ``*.histogram("...")``
+  and the read side ``*.series("...")`` / ``*.total("...")`` — a
+  string-literal name must be in ``METRIC_NAMES`` (a misspelled read
+  is a view that silently reports zero).
 
 Variable metric names (the registry's own internals, tests) are not
 provable at the AST level and are skipped, as are the catalogue
@@ -34,7 +36,7 @@ import importlib
 from repro.analysis.base import Checker, ModuleSource, register
 
 _SPAN_METHODS = ("span", "instant")
-_METRIC_METHODS = ("counter", "gauge", "histogram")
+_METRIC_METHODS = ("counter", "gauge", "histogram", "series", "total")
 
 
 def _catalogue() -> "tuple[set, set]":
@@ -55,7 +57,7 @@ class ObsCatalogueChecker(Checker):
     rule = "REP005"
     name = "obs-catalogue"
     description = (
-        "span/instant and counter/gauge/histogram call sites use names "
+        "span/instant and counter/gauge/histogram/series/total call sites use names "
         "declared in the repro.obs catalogue (SPAN_NAMES / EVENT_NAMES "
         "/ METRIC_NAMES)"
     )

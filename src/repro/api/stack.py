@@ -35,15 +35,11 @@ from repro.control.workload import (
 )
 from repro.detectors.base import Detector
 from repro.errors import ConfigurationError, LoadShedError
-from repro.obs import get_global
+from repro.obs import FlushLedger, get_global, scheduler_summary
 from repro.ofdm.lte import SYMBOLS_PER_SLOT
-from repro.runtime.batch import (
-    BatchDetectionResult,
-    RuntimeStats,
-    UplinkBatch,
-)
+from repro.runtime.batch import BatchDetectionResult, UplinkBatch
 from repro.runtime.cells import CellFarm
-from repro.runtime.scheduler import FrameArrival, merge_scheduler_summaries
+from repro.runtime.scheduler import FLUSH_BATCH, FlushRecord, FrameArrival
 from repro.runtime.service import supports_soft
 from repro.utils.flops import NULL_COUNTER, FlopCounter
 
@@ -68,8 +64,8 @@ class UplinkStack:
       seeded :class:`~repro.control.workload.WorkloadScenario` through
       it (streaming stacks only);
     * :meth:`stats` — one JSON-friendly snapshot of the stack's
-      accounting (cache movement, per-cell stats, scheduler telemetry,
-      governor summary);
+      accounting: views of the farm's one ledger (per-cell stats, cache
+      movement, scheduler summary) plus the governor summary;
     * :meth:`close` — release backend resources; idempotent, and also
       run by the context manager.
     """
@@ -89,7 +85,8 @@ class UplinkStack:
         #: control state (AIMD budgets, shed flags) carries over a sweep.
         self.governor = governor
         #: The stack's :class:`~repro.obs.Observability` hub (tracer +
-        #: metrics registry), or None when tracing is off.
+        #: metrics registry), or None when tracing is off — which stops
+        #: spans and the exposition, not the counting.
         self.obs = farm.obs
         self._farm = farm
         #: What a batch stack hands the service: its one cell's cache,
@@ -97,8 +94,9 @@ class UplinkStack:
         self._cache = (
             farm[self.cell_ids[0]].cache if config.cache.enabled else None
         )
-        #: Merged summary of every scheduler :meth:`pace` has opened.
-        self._scheduler_summary: "dict | None" = None
+        #: The batch route's writer, straight into the farm's ledger
+        #: (streamed flushes get there through their scheduler's fold).
+        self._ledger = FlushLedger(farm.metrics)
         self._closed = False
 
     # -- surface ---------------------------------------------------------
@@ -159,13 +157,25 @@ class UplinkStack:
             )
         if self.config.farm.streaming:
             return self._stream_batch(batch, counter, use_soft)
-        return self.service.detect(
+        # One call is one flush of the stack's one cell.
+        cell, width = self.cell_ids[0], batch.num_subcarriers
+        frames = width * batch.num_frames
+        self._ledger.submitted(cell, frames)
+        start = time.monotonic()
+        result = self.service.detect(
             self.detector,
             batch,
             cache=self._cache,
             counter=counter,
             use_soft=use_soft,
         )
+        record = FlushRecord(
+            cell, FLUSH_BATCH, width, frames, start, start, time.monotonic(), math.inf
+        )
+        self._ledger.account(
+            record, width, 0, result.stats["cache"], result.stats.get("transfers")
+        )
+        return result
 
     def _stream_batch(
         self, batch: UplinkBatch, counter: FlopCounter, use_soft: bool
@@ -208,18 +218,19 @@ class UplinkStack:
             cell_id: after.since(cache_before[cell_id])
             for cell_id, after in self._farm.cache_stats().items()
         }
-        stats = RuntimeStats(
-            {
-                "backend": self.backend.name,
-                "streaming": True,
-                "cells": len(cell_ids),
-                "subcarriers": batch.num_subcarriers,
-                "frames": batch.num_frames,
-                "scheduler": telemetry.as_dict(),
-                # Per-cell cache snapshot ({cell_id: CacheStats}).
-                "cache": cache_delta,
-            }
-        )
+        stats = {
+            "backend": self.backend.name,
+            "streaming": True,
+            "cells": len(cell_ids),
+            "subcarriers": batch.num_subcarriers,
+            "frames": batch.num_frames,
+            "scheduler": telemetry.as_dict(),
+            # What the summary was rendered from: callers that run many
+            # batches fold these payloads, not the summaries.
+            "ledger": telemetry.metrics.to_dict(),
+            # Per-cell cache snapshot ({cell_id: CacheStats}).
+            "cache": cache_delta,
+        }
         return BatchDetectionResult(
             indices=np.stack([d.indices for d in detections]),
             llrs=(
@@ -261,9 +272,9 @@ class UplinkStack:
         configured one; ``None`` runs ungoverned.  ``slots`` is consumed
         lazily (see :func:`~repro.control.workload.pace_scenario`).
 
-        The scheduler's telemetry is folded into :meth:`stats` on the
-        way out, error or not: error paths must not lose the accounting
-        of work already done.
+        The scheduler's ledger folds into the farm's — what
+        :meth:`stats` reads — when its loop exits, error or not: error
+        paths must not lose the accounting of work already done.
 
         Returns ``(ScenarioOutcome, SchedulerTelemetry)``.
         """
@@ -290,12 +301,7 @@ class UplinkStack:
                     scheduler, slots, slot_interval_s, keep_detections
                 )
 
-        try:
-            return asyncio.run(paced()), scheduler.telemetry
-        finally:
-            self._scheduler_summary = merge_scheduler_summaries(
-                self._scheduler_summary, scheduler.telemetry.as_dict()
-            )
+        return asyncio.run(paced()), scheduler.telemetry
 
     def calibrate_slot_cost(
         self,
@@ -385,20 +391,16 @@ class UplinkStack:
             "backend": self.backend.name,
             "streaming": self.streaming,
         }
-        cache = self.cache_stats
         if self.streaming:
+            cells = payload["cells"] = self._farm.stats()
             payload["cache"] = {
-                cell_id: snapshot.as_dict()
-                for cell_id, snapshot in cache.items()
+                cell_id: row["cache"] for cell_id, row in cells.items()
             }
-            payload["cells"] = {
-                cell_id: stats.as_dict()
-                for cell_id, stats in self._farm.stats().items()
-            }
-            if self._scheduler_summary is not None:
-                payload["scheduler"] = dict(self._scheduler_summary)
+            summary = scheduler_summary(self._farm.metrics)
+            if summary["summaries_merged"]:
+                payload["scheduler"] = summary
         else:
-            payload["cache"] = cache.as_dict()
+            payload["cache"] = self.cache_stats.as_dict()
         if self.governor is not None:
             payload["governor"] = self.governor.as_dict()
         return payload

@@ -206,11 +206,6 @@ class ScenarioOutcome:
     #: there costs more than detecting them.
     detections: list = field(default_factory=list, repr=False)
 
-    @property
-    def shed_rate(self) -> float:
-        total = self.frames_detected + self.frames_shed
-        return self.frames_shed / total if total else 0.0
-
 
 async def pace_scenario(
     scheduler,

@@ -36,7 +36,7 @@ from repro.flexcore.detector import FlexCoreDetector
 from repro.link.throughput import user_phy_rate_bps
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
-from repro.runtime.scheduler import merge_scheduler_summaries
+from repro.obs import MetricsRegistry, scheduler_summary
 
 #: (streams, constellation order) panels of Fig. 9.
 DEFAULT_PANELS = ((8, 16), (8, 64), (12, 16), (12, 64))
@@ -100,7 +100,7 @@ def run(
             "throughput_mbps",
         ],
     )
-    scheduler_totals = None
+    ledger = MetricsRegistry()
     for num_streams, order in panels:
         system = MimoSystem(num_streams, num_streams, QamConstellation(order))
         config = make_link_config(system, profile)
@@ -126,7 +126,6 @@ def run(
             # engine per detector keeps prepared contexts hot across the
             # packets of its run (the trace sampler cycles frames).
             def measure(detector, seed_offset: int):
-                nonlocal scheduler_totals
                 with make_stack(detector, runtime_config) as engine:
                     link = run_point(
                         config,
@@ -137,11 +136,9 @@ def run(
                         seed_offset,
                         engine=engine,
                     )
-                summary = link.metadata.get("runtime", {}).get("scheduler")
-                if summary is not None:
-                    scheduler_totals = merge_scheduler_summaries(
-                        scheduler_totals, summary
-                    )
+                ledger.merge_dict(
+                    link.metadata.get("runtime", {}).get("ledger", {})
+                )
                 return link
 
             # ML bound: by construction of the calibration.
@@ -182,9 +179,9 @@ def run(
             "ML reference approximated by large-path FlexCore "
             f"({profile.ml_proxy_paths} paths); exact in the full profile"
         )
-    if scheduler_totals is not None:
+    if streaming:
         # The streaming runtime's own story: saved with the JSON report
         # instead of being discarded with the engines.
-        result.record_runtime("scheduler", scheduler_totals)
+        result.record_runtime("scheduler", scheduler_summary(ledger))
     result.config = runtime_config.to_dict()
     return result

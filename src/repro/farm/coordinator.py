@@ -16,7 +16,17 @@ slice**, re-handed the workload and its last awarded budgets, and the
 lost chunk is replayed — the seeds make the replayed frames identical
 to the ones that died with the process.  Every recovery is recorded as
 a :class:`WorkerRestart` in the merged telemetry, so a run that
-survived a crash says so.  A worker that *reports* an error (a
+survived a crash says so.
+
+Accounting is one fold: every ``slots_done`` reply carries that chunk's
+own complete ledger (a :meth:`~repro.obs.MetricsRegistry.to_dict`
+payload), which the coordinator ``merge_dict``-s into this run's fleet
+and per-worker ledgers (``report.scheduler`` / ``report.per_worker``)
+and into its one lifetime ledger — the hub's registry when there is a
+hub — that ``report.cells`` views.  A chunk that died with its worker
+never replied, so it is in no ledger and its replay is counted once;
+the lifetime totals live here, not in the workers, so they do not go
+backwards across a re-spawn.  A worker that *reports* an error (a
 deterministic exception escaped its stack) is not re-spawned: replaying
 deterministic work re-raises deterministic failures.
 """
@@ -52,9 +62,11 @@ from repro.obs import (
     NULL_TRACER,
     SPAN_CHUNK,
     WORKER_PID_BASE,
+    MetricsRegistry,
+    cell_summaries,
     get_global,
+    scheduler_summary,
 )
-from repro.runtime.scheduler import merge_scheduler_summaries
 
 #: How often a waiting coordinator re-checks the pipe and the process.
 _POLL_INTERVAL_S = 0.05
@@ -80,10 +92,14 @@ class WorkerRestart:
 class FleetReport:
     """What one :meth:`FarmCoordinator.run` produced, fleet-wide.
 
-    ``scheduler`` is the :func:`merge_scheduler_summaries` fold over
-    every chunk of every worker — its ``summaries_merged`` counts the
-    folded chunks and ``frames_missing`` exposes any submitted-but-
-    never-detected gap.  ``restarts`` records every worker recovery, so
+    ``scheduler`` is the :func:`~repro.obs.ledger.scheduler_summary`
+    view of this run's fold over every chunk of every worker — its
+    ``summaries_merged`` counts the folded chunks and ``frames_missing``
+    exposes any submitted-but-never-detected gap — and ``per_worker``
+    the same view per worker.  ``cells`` views the coordinator's
+    *lifetime* ledger: per-cell running totals over every ``run()`` so
+    far (over everything folded into the hub, when one is shared),
+    restarts or not.  ``restarts`` records every worker recovery, so
     telemetry from a run that survived a crash is distinguishable from
     a clean one.
     """
@@ -149,9 +165,6 @@ class _Handle:
         self.conn = None
         self.cells: "list[str]" = []
         self.restarts = 0
-        #: Fold of every *completed* chunk summary this worker returned
-        #: (survives the worker: kept coordinator-side).
-        self.summary = None
 
     @property
     def alive(self) -> bool:
@@ -191,9 +204,9 @@ class FarmCoordinator:
         folded into.  Defaults to the process-global hub (installed by
         the runner's ``--trace``), else what ``config.tracing`` builds.
         When a hub is present, every worker slice is shipped with
-        tracing force-enabled and each ``slots_done`` reply's spans and
-        metric deltas are merged here — one Chrome trace with a lane
-        per worker, restart instants and all.
+        tracing force-enabled and each ``slots_done`` reply's spans are
+        merged here — one Chrome trace with a lane per worker, restart
+        instants and all — and its registry is the lifetime ledger.
     """
 
     def __init__(
@@ -234,6 +247,8 @@ class FarmCoordinator:
             obs = config.tracing.build()
         self.obs = obs
         self._tracer = obs.tracer if obs is not None else NULL_TRACER
+        #: The coordinator's lifetime ledger (``report.cells``).
+        self.metrics = obs.metrics if obs is not None else MetricsRegistry()
         self._slices = config.split_cells(workers)
         if obs is not None:
             # Workers trace through their own (config-built) hub and
@@ -395,16 +410,15 @@ class FarmCoordinator:
             handle.conn.close()
         restart = WorkerRestart(handle.index, failure.reason, phase)
         self.restarts.append(restart)
-        if self.obs is not None:
-            # Mark the recovery on the *worker's* timeline lane: the
-            # spans that chunk produced died with the process, so the
-            # instant is what explains the gap.
-            self._tracer.instant(
-                EVENT_WORKER_RESTART,
-                restart.as_dict(),
-                pid=WORKER_PID_BASE + handle.index,
-            )
-            self.obs.metrics.counter("repro_worker_restarts_total").inc()
+        self.metrics.counter("repro_worker_restarts_total").inc()
+        # Mark the recovery on the *worker's* timeline lane: the spans
+        # that chunk produced died with the process, so the instant is
+        # what explains the gap.
+        self._tracer.instant(
+            EVENT_WORKER_RESTART,
+            restart.as_dict(),
+            pid=WORKER_PID_BASE + handle.index,
+        )
         self._spawn(handle)
         # The config rebuilt the stack; re-arm the workload and the
         # fleet's last budget awards so the replay resumes governed.
@@ -571,7 +585,7 @@ class FarmCoordinator:
 
         Each chunk: dispatch ``run_slots`` to every worker, apply any
         scripted kills, collect every reply (recovering + replaying as
-        needed), fold the summaries, then re-water-fill the global path
+        needed), fold their ledgers, then re-water-fill the global path
         budget from the workers' reported desires.
         """
         self._require_started()
@@ -598,7 +612,9 @@ class FarmCoordinator:
             (start, min(start + self.slots_per_chunk, scenario.slots))
             for start in range(0, scenario.slots, self.slots_per_chunk)
         ]
-        cells: dict = {}
+        # This run's ledgers: fleet-wide and per worker.
+        fleet = MetricsRegistry()
+        per_worker = [MetricsRegistry() for _ in self._handles]
         started_at = time.monotonic()
         for chunk_index, (start, stop) in enumerate(chunks):
             message = {
@@ -627,57 +643,32 @@ class FarmCoordinator:
             desires: "dict[str, int]" = {}
             floors: "dict[str, int]" = {}
             for handle, reply in zip(self._handles, replies):
-                handle.summary = merge_scheduler_summaries(
-                    handle.summary, reply["summary"]
-                )
-                cells.update(reply.get("cells", {}))
+                for ledger in (self.metrics, fleet, per_worker[handle.index]):
+                    ledger.merge_dict(reply["metrics"])
                 desires.update(reply.get("desired_budgets", {}))
                 floors.update(reply.get("floors", {}))
-                self._fold_obs(handle, reply)
+                if reply.get("spans"):
+                    # ``time.monotonic`` is CLOCK_MONOTONIC system-wide
+                    # on Linux, so forked workers' timestamps land on
+                    # the coordinator's timeline without translation.
+                    self._tracer.extend(
+                        reply["spans"], pid=WORKER_PID_BASE + handle.index
+                    )
             if self._total_budget is not None and desires:
                 self._tick_global_budget(desires, floors)
         elapsed = time.monotonic() - started_at
-        fleet_summary = None
-        for handle in self._handles:
-            fleet_summary = merge_scheduler_summaries(
-                fleet_summary, handle.summary
-            )
-        report = FleetReport(
+        return FleetReport(
             workers=len(self._handles),
             slots=scenario.slots,
             slot_interval_s=slot_interval_s,
             frames_offered=scenario.offered_frames(),
             elapsed_s=elapsed,
-            scheduler=fleet_summary or {},
-            per_worker=[
-                dict(handle.summary or {}) for handle in self._handles
-            ],
-            cells=cells,
+            scheduler=scheduler_summary(fleet),
+            per_worker=[scheduler_summary(ledger) for ledger in per_worker],
+            cells=cell_summaries(self.metrics, self.cell_ids),
             budgets=dict(self._last_awards),
             restarts=list(self.restarts),
         )
-        for handle in self._handles:
-            handle.summary = None
-        return report
-
-    def _fold_obs(self, handle: _Handle, reply: dict) -> None:
-        """Merge one chunk reply's spans + metric deltas into the hub.
-
-        Worker events are restamped onto that worker's pid lane;
-        ``time.monotonic`` is CLOCK_MONOTONIC system-wide on Linux, so
-        forked workers' timestamps land on the coordinator's timeline
-        without translation.
-        """
-        if self.obs is None:
-            return
-        spans = reply.get("spans")
-        if spans:
-            self._tracer.extend(
-                spans, pid=WORKER_PID_BASE + handle.index
-            )
-        metrics = reply.get("metrics")
-        if metrics:
-            self.obs.metrics.merge_dict(metrics)
 
     def _tick_global_budget(
         self, desires: "dict[str, int]", floors: "dict[str, int]"

@@ -20,12 +20,16 @@ Coordinator -> worker commands:
     exact and invariant under the worker count.
 ``run_slots``
     Pace slots ``[start, stop)`` of the installed scenario through the
-    worker's stack; reply is ``slots_done`` with the chunk's scheduler
-    summary and the governor's desired budgets.  When the worker's
-    config slice enables tracing, the reply additionally carries
-    ``spans`` (the chunk's drained Chrome-trace events) and ``metrics``
-    (a :meth:`~repro.obs.MetricsRegistry.drain` delta payload) for the
-    coordinator to fold into the fleet-wide timeline.
+    worker's stack; reply is ``slots_done`` with ``start`` / ``stop``,
+    ``metrics`` — the chunk's own scheduler ledger as a
+    :meth:`~repro.obs.MetricsRegistry.to_dict` payload, always present
+    and complete in itself (not a delta against anything the worker
+    keeps), which is the only accounting that crosses the pipe and what
+    the coordinator folds with ``merge_dict`` — and, on a governed
+    slice, the governor's ``desired_budgets`` / ``floors``.  When the
+    worker's config slice enables tracing, the reply additionally
+    carries ``spans`` (the chunk's drained Chrome-trace events) for the
+    fleet-wide timeline.
 ``set_budgets``
     Install globally-awarded per-cell path budgets
     (:meth:`~repro.control.governor.ComputeGovernor.install_budgets`).

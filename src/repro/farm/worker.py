@@ -6,9 +6,11 @@ the serialized config slice is the whole recovery plan): it rebuilds its
 share of the farm with :func:`repro.api.build_stack`, regenerates its
 cells' channels deterministically from the workload seeds, and then
 serves :mod:`repro.farm.protocol` commands until told to stop.  All
-state a worker holds — caches, governor lanes, cumulative telemetry — is
-reconstructible from the config plus the seeds, which is why a killed
-worker can be replaced mid-scenario without corrupting the run.
+state a worker holds — caches, governor lanes — is reconstructible from
+the config plus the seeds, and it keeps no accounting the coordinator
+needs: every ``slots_done`` reply carries that chunk's own complete
+ledger, which is why a killed worker can be replaced mid-scenario
+without corrupting the run or its counts.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from repro.farm.protocol import (
     scenario_from_payload,
 )
 from repro.obs import clear_global
-from repro.runtime.scheduler import merge_scheduler_summaries
 
 
 class _WorkerState:
@@ -58,8 +59,6 @@ class _WorkerState:
         self.channel_seed = None
         self.data_seed = None
         self.channels = None
-        #: Cumulative scheduler summary over every chunk served.
-        self.summary = None
 
     # ------------------------------------------------------------------
     def set_workload(self, message: dict) -> dict:
@@ -123,23 +122,18 @@ class _WorkerState:
                 f"slot range [{start}, {stop}) outside the scenario's "
                 f"{self.scenario.slots} slots"
             )
-        outcome, telemetry = self.stack.pace(
+        _, telemetry = self.stack.pace(
             (self._slot_arrivals(slot) for slot in range(start, stop)),
             float(message["slot_interval_s"]),
         )
-        summary = telemetry.as_dict()
-        self.summary = merge_scheduler_summaries(self.summary, summary)
         reply = {
             "type": MSG_DONE,
             "start": start,
             "stop": stop,
-            "summary": summary,
-            "frames_detected": outcome.frames_detected,
-            "frames_shed": outcome.frames_shed,
-            "cells": {
-                cell_id: stats.as_dict()
-                for cell_id, stats in self.stack.farm.stats().items()
-            },
+            # This chunk's scheduler ledger, complete in itself: a
+            # replayed chunk cannot be counted twice, and calibration
+            # passes (other schedulers) are not in it.
+            "metrics": telemetry.metrics.to_dict(),
         }
         governor = self.stack.governor
         if governor is not None:
@@ -150,10 +144,8 @@ class _WorkerState:
         obs = self.stack.obs
         if obs is not None:
             # Drain, don't snapshot: each chunk reply carries only the
-            # spans and metric deltas since the previous one, so the
-            # coordinator can fold replies without double counting.
+            # spans recorded since the previous one.
             reply["spans"] = obs.tracer.drain()
-            reply["metrics"] = obs.metrics.drain()
         return reply
 
     def _slot_arrivals(self, slot: int) -> list:
@@ -179,9 +171,6 @@ class _WorkerState:
                 governor.budgets() if governor is not None else {}
             ),
         }
-
-    def stop(self) -> dict:
-        return {"type": MSG_STOPPED, "summary": self.summary}
 
     def close(self) -> None:
         self.stack.close()
@@ -209,7 +198,7 @@ def worker_main(conn, config_payload: dict) -> None:
             message = conn.recv()
             kind = message.get("type")
             if kind == MSG_STOP:
-                conn.send(state.stop())
+                conn.send({"type": MSG_STOPPED})
                 return
             if kind == MSG_PING:
                 # ``delay_s`` is a latency-injection knob for exercising

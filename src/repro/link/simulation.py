@@ -24,7 +24,7 @@ from repro.errors import LinkSimulationError
 from repro.link.config import LinkConfig
 from repro.link.throughput import network_throughput_bps
 from repro.mimo.model import apply_channel, noise_variance_for_snr_db
-from repro.runtime.scheduler import merge_scheduler_summaries
+from repro.obs import MetricsRegistry, scheduler_summary
 from repro.utils.flops import NULL_COUNTER, FlopCounter
 from repro.utils.rng import as_rng
 
@@ -208,7 +208,7 @@ def simulate_link(
     active_paths_samples = 0
     contexts_prepared = 0
     context_cache_hits = 0
-    scheduler_summary = None
+    ledger = None
 
     for packet in range(num_packets):
         channels = np.asarray(channel_sampler(packet, generator))
@@ -272,11 +272,10 @@ def simulate_link(
         else:
             contexts_prepared += cache_delta.misses
             context_cache_hits += cache_delta.hits
-        batch_scheduler = batch.stats.get("scheduler")
-        if batch_scheduler is not None:
-            scheduler_summary = merge_scheduler_summaries(
-                scheduler_summary, batch_scheduler
-            )
+        if "ledger" in batch.stats:
+            if ledger is None:
+                ledger = MetricsRegistry()
+            ledger.merge_dict(batch.stats["ledger"])
         vector_errors += int(
             np.count_nonzero((rx_indices != tx_indices).any(axis=2))
         )
@@ -319,11 +318,13 @@ def simulate_link(
             "context_cache_hits": context_cache_hits,
         }
     }
-    if scheduler_summary is not None:
-        # Streaming stacks report their slot-deadline telemetry per
-        # batch; surface the run's accumulated summary instead of
-        # discarding it (hit-rate, latencies, flush count).
-        metadata["runtime"]["scheduler"] = scheduler_summary
+    if ledger is not None:
+        # Streaming stacks report their slot-deadline accounting per
+        # batch; surface the run's folded summary (hit-rate, latencies,
+        # flush count) and the ledger it came from, for callers that
+        # fold several runs.
+        metadata["runtime"]["scheduler"] = scheduler_summary(ledger)
+        metadata["runtime"]["ledger"] = ledger.to_dict()
     if active_paths_samples:
         metadata["average_active_paths"] = (
             active_paths_sum / active_paths_samples

@@ -11,15 +11,24 @@ to the process-global hub, which the runner installs for ``--trace`` /
 ``--metrics-dump`` so any experiment gets instrumented without
 plumbing.
 
-Everything is off by default: with no hub installed and no
+Spans are off by default: with no hub installed and no
 ``TracingSpec(enabled=True)``, instrumented code paths see
-:data:`~repro.obs.tracer.NULL_TRACER` and skip all recording.
+:data:`~repro.obs.tracer.NULL_TRACER` and record no events.  Counting
+is not optional — :mod:`repro.obs.ledger` is the stack's one accounting
+plane and every flush is written to it either way; a hub only decides
+whose registry the counts fold into and whether they are exposed.
 """
 
 from __future__ import annotations
 
 import time
 
+from repro.obs.ledger import (
+    FlushLedger,
+    cell_summaries,
+    exposition,
+    scheduler_summary,
+)
 from repro.obs.metrics import (
     DEADLINE_MARGIN_EDGES_S,
     DEFAULT_LATENCY_EDGES_S,
@@ -65,6 +74,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "FlushLedger",
+    "cell_summaries",
+    "exposition",
+    "scheduler_summary",
     "DEFAULT_LATENCY_EDGES_S",
     "DEADLINE_MARGIN_EDGES_S",
     "SPAN_PREPARE",
@@ -109,11 +122,11 @@ class Observability:
         self.tracer.export_chrome(path)
 
     def prometheus_text(self) -> str:
-        return self.metrics.prometheus_text()
+        return exposition(self.metrics)
 
     def dump_metrics(self, path) -> None:
         """Atomically write the Prometheus text exposition to ``path``."""
-        atomic_write_text(path, self.metrics.prometheus_text())
+        atomic_write_text(path, self.prometheus_text())
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,24 @@
-"""Counters, gauges, and mergeable fixed-bucket latency histograms.
+"""Labelled counters, gauges, and mergeable fixed-bucket histograms.
 
 The registry is deliberately Prometheus-shaped — metric names follow
-the ``repro_*_total`` / ``*_seconds`` conventions and
+the ``repro_*_total`` / ``*_seconds`` conventions, a series is a name
+plus labels (``counter("repro_flushes_total", cell="cell0")``) and
 :meth:`MetricsRegistry.prometheus_text` emits standard text
 exposition — but has zero dependencies and one extra capability the
-farm needs: **mergeability**.  Two histograms over the same bucket
-edges merge by element-wise count addition, so worker chunk replies
-fold into one fleet-wide distribution whose percentiles are exact to
-bucket resolution (no mean-of-means drift).
+farm needs: **mergeability**.  A series is stored under its exposition
+spelling (``repro_flushes_total{cell="cell0"}``), so
+:meth:`MetricsRegistry.to_dict` is a flat JSON-safe payload and
+:meth:`MetricsRegistry.merge_dict` is the stack's one fold: counters
+add, gauges take the incoming value, histograms over equal edges add
+bucket-wise — associative and commutative, so chunk replies fold into
+one fleet-wide ledger, percentiles exact to bucket resolution, in
+whatever order they arrive.  No ratio is stored (it would fold
+last-writer-wins); :mod:`repro.obs.ledger` derives them after the fold.
+
+Names are validated and kinds checked when a series is *created*; a
+lookup is one dict hit.  Label values may come from outside the program
+(cell ids): they are escaped the Prometheus way and a key that does not
+round-trip through :func:`parse_key` is refused.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
+from functools import lru_cache
 
 from repro.errors import ConfigurationError
 
@@ -26,6 +38,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "parse_key",
+    "series_key",
 ]
 
 #: The complete metric-name catalogue.  Instrumentation call sites
@@ -37,14 +51,22 @@ METRIC_NAMES = (
     "repro_deadline_hit_rate",
     "repro_deadline_margin_seconds",
     "repro_download_bytes_total",
+    "repro_downloads_total",
     "repro_flush_latency_seconds",
+    "repro_flush_records_dropped_total",
     "repro_flushes_total",
     "repro_frames_detected_total",
     "repro_frames_late_total",
     "repro_frames_shed_total",
+    "repro_frames_submitted_total",
+    "repro_groups_flushed_total",
+    "repro_prepare_cache_entries",
+    "repro_prepare_cache_evictions_total",
     "repro_prepare_cache_hits_total",
     "repro_prepare_cache_misses_total",
+    "repro_scheduler_runs_total",
     "repro_upload_bytes_total",
+    "repro_uploads_total",
     "repro_worker_restarts_total",
 )
 
@@ -79,14 +101,48 @@ DEADLINE_MARGIN_EDGES_S = (
 )
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
+#: One ``name="escaped value"`` pair of a series key, up to its comma.
+_LABEL_RE = re.compile(
+    r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\\n]|\\[\\"n])*)"(?:,|$)'
+)
+_UNESCAPE_RE = re.compile(r"\\(.)")
 
 
-def _check_name(name: str) -> str:
-    if not _NAME_RE.match(name):
+def series_key(name: str, labels: dict) -> str:
+    """The exposition spelling of one series: ``name{a="x",b="y"}``,
+    labels sorted and values escaped (backslash, quote, newline), so a
+    series has one key whoever spells it."""
+    if not labels:
+        return name
+    body = ",".join(
+        '%s="%s"'
+        % (label, str(value).replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n"))
+        for label, value in sorted(labels.items())
+    )
+    return f"{name}{{{body}}}"
+
+
+@lru_cache(maxsize=4096)
+def parse_key(key: str) -> "tuple[str, tuple]":
+    """``(name, ((label, value), ...))`` of a :func:`series_key` key.
+
+    The one validation point for a new series, spelled by a call site
+    or arrived in a payload: the name must be well formed and the key
+    exactly what :func:`series_key` writes for the parts read out of it
+    (the parse is lenient, the round trip is the check), so a corrupted
+    key cannot alias another series.  Cached: keys recur on every fold.
+    """
+    name, _, body = key.partition("{")
+    labels = tuple(
+        (pair[1], _UNESCAPE_RE.sub(lambda m: "\n" if m[1] == "n" else m[1], pair[2]))
+        for pair in _LABEL_RE.finditer(body[:-1])
+    )
+    if not _NAME_RE.match(name) or series_key(name, dict(labels)) != key:
         raise ConfigurationError(
-            f"invalid metric name {name!r} (must match {_NAME_RE.pattern})"
+            f"invalid metric series {key!r} (want name{{label=\"value\",...}} "
+            f"with the name matching {_NAME_RE.pattern})"
         )
-    return name
+    return name, labels
 
 
 class Counter:
@@ -108,11 +164,22 @@ class Gauge:
 
     __slots__ = ("value",)
 
-    def __init__(self, value: float = 0.0):
+    def __init__(self, value: float = 0):
         self.value = value
 
     def set(self, value: float) -> None:
-        self.value = float(value)
+        self.value = value
+
+
+@lru_cache(maxsize=64)
+def _checked_edges(edges: tuple) -> tuple:
+    """Validated float bucket edges; cached, a program has two sets."""
+    edges = tuple(float(edge) for edge in edges)
+    if not edges:
+        raise ConfigurationError("histogram needs at least one edge")
+    if any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ConfigurationError("histogram edges must be strictly increasing")
+    return edges
 
 
 class Histogram:
@@ -129,14 +196,7 @@ class Histogram:
     __slots__ = ("edges", "counts", "sum", "_min", "_max")
 
     def __init__(self, edges=DEFAULT_LATENCY_EDGES_S):
-        edges = tuple(float(edge) for edge in edges)
-        if not edges:
-            raise ConfigurationError("histogram needs at least one edge")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ConfigurationError(
-                "histogram edges must be strictly increasing"
-            )
-        self.edges = edges
+        self.edges = edges = _checked_edges(tuple(edges))
         self.counts = [0] * (len(edges) + 1)
         self.sum = 0.0
         self._min = math.inf
@@ -157,11 +217,6 @@ class Histogram:
         return sum(self.counts)
 
     @property
-    def mean(self) -> float:
-        count = self.count
-        return self.sum / count if count else 0.0
-
-    @property
     def min(self):
         return None if self._min is math.inf else self._min
 
@@ -171,11 +226,13 @@ class Histogram:
 
     # ------------------------------------------------------------------
     def percentile(self, q: float) -> float:
-        """Upper bucket edge covering the ``q``-quantile.
+        """Upper bucket edge covering the ``q``-quantile, capped at the
+        observed maximum.
 
         Conservative by construction: the true quantile is ≤ the
-        returned edge.  The overflow bucket reports the observed max
-        (its upper edge is infinite).  Empty histogram → 0.0.
+        returned value, and no sample is above ``max`` — which folds by
+        ``max``, so the cap is exact under merge.  The overflow bucket
+        (infinite upper edge) reports ``max`` itself.  Empty → 0.0.
         """
         if not 0.0 < q <= 1.0:
             raise ConfigurationError(f"quantile must be in (0, 1], got {q}")
@@ -186,11 +243,9 @@ class Histogram:
         cumulative = 0
         for index, bucket_count in enumerate(self.counts):
             cumulative += bucket_count
-            if cumulative >= rank:
-                if index == len(self.edges):
-                    return self._max
-                return self.edges[index]
-        return self._max  # pragma: no cover — rank <= total always hits
+            if cumulative >= rank and index < len(self.edges):
+                return min(self.edges[index], self._max)
+        return self._max
 
     def quantiles(self) -> dict:
         """The standard latency summary: p50/p95/p99/p999."""
@@ -202,17 +257,37 @@ class Histogram:
         }
 
     # ------------------------------------------------------------------
+    def check_edges(self, edges) -> "Histogram":
+        if tuple(edges) != self.edges:
+            raise ConfigurationError(
+                "histogram already holds different bucket edges"
+            )
+        return self
+
     def merge(self, other: "Histogram") -> "Histogram":
         """Fold ``other`` into this histogram in place."""
-        if self.edges != other.edges:
+        return self._add(
+            other.edges, other.counts, other.sum, other._min, other._max
+        )
+
+    def merge_dict(self, payload: dict) -> "Histogram":
+        """Fold a :meth:`to_dict` payload in place (the fold's hot path:
+        no intermediate histogram is built)."""
+        low, high = payload.get("min"), payload.get("max")
+        if low is None:
+            low, high = math.inf, -math.inf
+        return self._add(payload["edges"], payload["counts"], payload["sum"], low, high)
+
+    def _add(self, edges, counts, total, low, high) -> "Histogram":
+        if len(counts) != len(self.check_edges(edges).counts):
             raise ConfigurationError(
-                "cannot merge histograms with different bucket edges"
+                f"histogram payload has {len(counts)} counts for "
+                f"{len(self.edges)} edges"
             )
-        for index, bucket_count in enumerate(other.counts):
-            self.counts[index] += bucket_count
-        self.sum += other.sum
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
+        self.counts = [a + b for a, b in zip(self.counts, counts)]
+        self.sum += total
+        self._min = min(self._min, low)
+        self._max = max(self._max, high)
         return self
 
     # ------------------------------------------------------------------
@@ -227,18 +302,7 @@ class Histogram:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Histogram":
-        hist = cls(payload["edges"])
-        counts = list(payload["counts"])
-        if len(counts) != len(hist.counts):
-            raise ConfigurationError(
-                f"histogram payload has {len(counts)} counts for "
-                f"{len(hist.edges)} edges"
-            )
-        hist.counts = [int(c) for c in counts]
-        hist.sum = float(payload["sum"])
-        hist._min = math.inf if payload.get("min") is None else float(payload["min"])
-        hist._max = -math.inf if payload.get("max") is None else float(payload["max"])
-        return hist
+        return cls(payload["edges"]).merge_dict(payload)
 
 
 def _fmt(value: float) -> str:
@@ -251,51 +315,68 @@ def _fmt(value: float) -> str:
 
 
 class MetricsRegistry:
-    """Named counters/gauges/histograms with get-or-create access."""
+    """Labelled counters/gauges/histograms with get-or-create access."""
 
     def __init__(self):
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
+        self._tables = {kind: {} for kind in ("counter", "gauge", "histogram")}
+        #: name -> (kind, [(labels, series), ...]): what views and the
+        #: exposition read, so neither scans or re-parses the key tables.
+        self._families: "dict[str, tuple[str, list]]" = {}
 
     # ------------------------------------------------------------------
-    def _check_conflict(self, name: str, kind: dict) -> None:
-        for registered in (self._counters, self._gauges, self._histograms):
-            if registered is not kind and name in registered:
+    def _series(self, kind: str, key: str, factory):
+        """Get or create the series stored under ``key``.
+
+        Creation is the one place a key is validated and its name's
+        kind (and, for histograms, bucket edges) checked.
+        """
+        series = self._tables[kind].get(key)
+        if series is None:
+            name, labels = parse_key(key)
+            series = factory()
+            registered, members = self._families.setdefault(name, (kind, []))
+            if registered != kind:
                 raise ConfigurationError(
-                    f"metric {name!r} already registered as a different kind"
+                    f"metric {name!r} already registered as a {registered}"
                 )
+            if kind == "histogram" and members:
+                members[0][1].check_edges(series.edges)
+            members.append((dict(labels), series))
+            self._tables[kind][key] = series
+        return series
 
-    def counter(self, name: str) -> Counter:
-        _check_name(name)
-        self._check_conflict(name, self._counters)
-        return self._counters.setdefault(name, Counter())
+    def counter(self, name: str, **labels) -> Counter:
+        return self._series("counter", series_key(name, labels), Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        _check_name(name)
-        self._check_conflict(name, self._gauges)
-        return self._gauges.setdefault(name, Gauge())
+    def gauge(self, name: str, **labels) -> Gauge:
+        return self._series("gauge", series_key(name, labels), Gauge)
 
-    def histogram(self, name: str, edges=DEFAULT_LATENCY_EDGES_S) -> Histogram:
-        _check_name(name)
-        self._check_conflict(name, self._histograms)
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = self._histograms[name] = Histogram(edges)
-        elif hist.edges != tuple(float(e) for e in edges):
-            raise ConfigurationError(
-                f"histogram {name!r} already registered with different edges"
-            )
-        return hist
+    def histogram(
+        self, name: str, edges=DEFAULT_LATENCY_EDGES_S, **labels
+    ) -> Histogram:
+        return self._series(
+            "histogram", series_key(name, labels), lambda: Histogram(edges)
+        ).check_edges(edges)
+
+    # ------------------------------------------------------------------
+    def series(self, name: str) -> list:
+        """Every ``(labels, series)`` registered under ``name``."""
+        return self._families.get(name, ("", ()))[1]
+
+    def total(self, name: str):
+        """Sum of a counter over all its label sets (0 when absent)."""
+        return sum(series.value for _, series in self.series(name))
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-safe snapshot (the farm chunk-reply payload)."""
+        """JSON-safe snapshot (the farm chunk-reply payload), keyed by
+        :func:`series_key` spelling."""
+        tables = self._tables
         return {
-            "counters": {k: c.value for k, c in self._counters.items()},
-            "gauges": {k: g.value for k, g in self._gauges.items()},
+            "counters": {k: c.value for k, c in tables["counter"].items()},
+            "gauges": {k: g.value for k, g in tables["gauge"].items()},
             "histograms": {
-                k: h.to_dict() for k, h in self._histograms.items()
+                k: h.to_dict() for k, h in tables["histogram"].items()
             },
         }
 
@@ -303,47 +384,37 @@ class MetricsRegistry:
         """Fold a :meth:`to_dict` payload into this registry.
 
         Counters add, gauges take the incoming value (last write wins),
-        histograms merge by bucket addition.
+        histograms merge by bucket addition.  A key already in the table
+        costs one dict hit; a new one is validated on the way in.
         """
-        for name, value in payload.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in payload.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, hist_payload in payload.get("histograms", {}).items():
-            incoming = Histogram.from_dict(hist_payload)
-            self.histogram(name, incoming.edges).merge(incoming)
-
-    def drain(self) -> dict:
-        """Snapshot then reset counters and histograms (gauges keep
-        their last value).  Workers call this per chunk so replies
-        carry deltas and the coordinator's fold never double-counts."""
-        payload = self.to_dict()
-        for counter in self._counters.values():
-            counter.value = 0
-        for name, hist in list(self._histograms.items()):
-            self._histograms[name] = Histogram(hist.edges)
-        return payload
+        for key, value in payload.get("counters", {}).items():
+            self._series("counter", key, Counter).inc(value)
+        for key, value in payload.get("gauges", {}).items():
+            self._series("gauge", key, Gauge).set(value)
+        for key, incoming in payload.get("histograms", {}).items():
+            self._series(
+                "histogram", key, lambda: Histogram(incoming["edges"])
+            ).merge_dict(incoming)
 
     # ------------------------------------------------------------------
     def prometheus_text(self) -> str:
-        """Standard Prometheus text exposition of every metric."""
+        """Standard Prometheus text exposition of every series."""
         lines = []
-        for name in sorted(self._counters):
-            lines.append(f"# TYPE {name} counter")
-            lines.append(f"{name} {_fmt(self._counters[name].value)}")
-        for name in sorted(self._gauges):
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name} {_fmt(self._gauges[name].value)}")
-        for name in sorted(self._histograms):
-            hist = self._histograms[name]
-            lines.append(f"# TYPE {name} histogram")
-            cumulative = 0
-            for edge, bucket_count in zip(hist.edges, hist.counts):
-                cumulative += bucket_count
-                lines.append(
-                    f'{name}_bucket{{le="{_fmt(edge)}"}} {cumulative}'
-                )
-            lines.append(f'{name}_bucket{{le="+Inf"}} {hist.count}')
-            lines.append(f"{name}_sum {_fmt(hist.sum)}")
-            lines.append(f"{name}_count {hist.count}")
+
+        def sample(name, labels, value):
+            lines.append(f"{series_key(name, labels)} {value}")
+
+        for name in sorted(self._families):
+            kind, members = self._families[name]
+            lines.append(f"# TYPE {name} {kind}")
+            for labels, series in sorted(members, key=lambda member: sorted(member[0].items())):
+                if kind != "histogram":
+                    sample(name, labels, _fmt(series.value))
+                    continue
+                cumulative = 0
+                for edge, count in zip(series.edges + (math.inf,), series.counts):
+                    cumulative += count
+                    sample(name + "_bucket", {**labels, "le": _fmt(edge)}, cumulative)
+                sample(name + "_sum", labels, _fmt(series.sum))
+                sample(name + "_count", labels, cumulative)
         return "\n".join(lines) + "\n"

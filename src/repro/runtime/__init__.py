@@ -19,10 +19,11 @@ service-side down:
 * :class:`StreamingScheduler` / :class:`MicroBatcher` — the asyncio
   slot-deadline front-end: :class:`FrameArrival` events are grouped by
   coherence key and flushed on a batch target or the LTE 500 µs slot
-  deadline, with per-flush latency/deadline telemetry;
+  deadline, every flush counted once into the run's ledger
+  (:mod:`repro.obs.ledger`; :class:`SchedulerTelemetry` is its view);
 * :class:`Cell` / :class:`CellFarm` — multi-cell sharding: N cells
   share one backend with fair-share dispatch but keep per-cell context
-  caches and stats;
+  caches; the farm's one ledger is labelled by cell;
 * :class:`UplinkBatch` / :class:`BatchDetectionResult` — the
   ``(subcarriers x frames)`` workload (validated: shapes, finite
   values) and its stacked output;
@@ -41,18 +42,14 @@ from repro.runtime.backends import (
     available_backends,
     make_backend,
 )
-from repro.runtime.batch import (
-    BatchDetectionResult,
-    RuntimeStats,
-    UplinkBatch,
-)
+from repro.runtime.batch import BatchDetectionResult, UplinkBatch
 from repro.runtime.cache import (
     CacheStats,
     ContextCache,
     block_context_keys,
     context_key,
 )
-from repro.runtime.cells import Cell, CellFarm, CellStats
+from repro.runtime.cells import Cell, CellFarm
 from repro.runtime.residency import ResidencyStats, ResidentContextStore
 from repro.runtime.scheduler import (
     FlushRecord,
@@ -61,7 +58,6 @@ from repro.runtime.scheduler import (
     MicroBatcher,
     SchedulerTelemetry,
     StreamingScheduler,
-    merge_scheduler_summaries,
 )
 from repro.runtime.service import DetectionService, clamp_context_paths
 from repro.utils.xp import (
@@ -81,7 +77,6 @@ __all__ = [
     "CacheStats",
     "Cell",
     "CellFarm",
-    "CellStats",
     "ContextCache",
     "CountingArrayModule",
     "DetectionService",
@@ -92,7 +87,6 @@ __all__ = [
     "MicroBatcher",
     "ResidencyStats",
     "ResidentContextStore",
-    "RuntimeStats",
     "SchedulerTelemetry",
     "SerialBackend",
     "TransferStats",
@@ -104,6 +98,5 @@ __all__ = [
     "block_context_keys",
     "context_key",
     "make_backend",
-    "merge_scheduler_summaries",
     "resolve_array_module",
 ]

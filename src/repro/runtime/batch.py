@@ -18,18 +18,6 @@ import numpy as np
 from repro.errors import ConfigurationError, DimensionError
 
 
-class RuntimeStats(dict):
-    """The runtime's per-batch stats mapping.
-
-    A plain ``dict`` kept as a named type so the stats surface stays an
-    explicit part of the API.  Cache movement lives under the
-    ``"cache"`` key as a :class:`~repro.runtime.cache.CacheStats`
-    snapshot; the flat ``cache_hits`` / ``contexts_prepared`` aliases
-    from the pre-snapshot era were deprecated in PR 4/5 and have been
-    removed.
-    """
-
-
 @dataclass(frozen=True)
 class UplinkBatch:
     """A ``(subcarriers x frames)`` uplink detection workload.
@@ -126,11 +114,13 @@ class BatchDetectionResult:
         The scheme-specific metadata dict each subcarrier's
         ``detect_prepared`` produced, in subcarrier order.
     stats:
-        Runtime accounting: backend name, whether the stacked route ran,
-        and the batch's cache movement under ``stats["cache"]`` — a
-        :class:`~repro.runtime.cache.CacheStats` snapshot (a
-        ``{cell_id: CacheStats}`` mapping when the workload was sharded
-        across a cell farm).
+        Runtime accounting (a plain ``dict``): backend name, whether the
+        stacked route ran, and the batch's cache movement under
+        ``stats["cache"]`` — a :class:`~repro.runtime.cache.CacheStats`
+        snapshot (a ``{cell_id: CacheStats}`` mapping when the workload
+        was sharded across a cell farm, which also adds the batch's
+        ``"scheduler"`` summary and the ``"ledger"`` payload it was
+        rendered from, for callers that fold several batches).
     """
 
     indices: np.ndarray

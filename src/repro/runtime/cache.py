@@ -42,14 +42,6 @@ class CacheStats:
     evictions: int = 0
     entries: int = 0
 
-    def __getitem__(self, key: str):
-        # Mapping-style access keeps pre-snapshot call sites
-        # (``stats["entries"]``) working while they migrate to
-        # attributes.
-        if key in ("hits", "misses", "evictions", "entries"):
-            return getattr(self, key)
-        raise KeyError(key)
-
     def as_dict(self) -> dict:
         return {
             "hits": self.hits,

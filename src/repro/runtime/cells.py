@@ -11,7 +11,12 @@ worker hosts a farm of this module's cells.)
 Sharing stops at the compute: every cell keeps its **own**
 :class:`~repro.runtime.cache.ContextCache` (channels from different
 cells never collide, and one cell's coherence churn cannot evict a
-neighbour's contexts) and its **own** :class:`CellStats`.
+neighbour's contexts).  Accounting is one ledger per farm
+(``CellFarm.metrics``, labelled by cell): every scheduler the farm
+opens folds its own run's ledger into it when its loop exits, and
+:meth:`CellFarm.stats` is the per-cell view of that lifetime total.
+With an observability hub the ledger *is* the hub's registry, so
+``stats()`` and the Prometheus dump read the same numbers.
 
 :class:`repro.api.UplinkStack` closes the loop back to the batch world:
 on a streaming config its ``detect_batch`` routes every batch through
@@ -23,87 +28,16 @@ batch stack is the one-cell case of the same farm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.detectors.base import Detector
 from repro.errors import ConfigurationError
+from repro.obs import MetricsRegistry, cell_summaries
 from repro.runtime.cache import CacheStats, ContextCache
-from repro.runtime.scheduler import FlushRecord, StreamingScheduler
+from repro.runtime.scheduler import StreamingScheduler
 from repro.runtime.service import DetectionService
-from repro.utils.xp import TransferStats
-
-
-@dataclass
-class CellStats:
-    """Per-cell streaming counters, updated on every flush.
-
-    The cell's cache movement lives in the ``cache``
-    :class:`~repro.runtime.cache.CacheStats` snapshot (accumulated
-    flush deltas); the flat ``contexts_prepared`` / ``cache_hits``
-    aliases from the pre-snapshot era were deprecated in PR 4/5 and
-    have been removed.
-    """
-
-    frames: int = 0
-    flushes: int = 0
-    frames_on_time: int = 0
-    frames_late: int = 0
-    #: Frames refused by the control plane's admission control.
-    frames_shed: int = 0
-    #: The cell's accumulated cache movement (hits/misses/evictions are
-    #: summed flush deltas; ``entries`` is the latest occupancy).
-    cache: CacheStats = field(default_factory=CacheStats)
-    #: Accumulated host↔device transfer movement, present only once the
-    #: cell has flushed through a transfer-metering array module (see
-    #: :class:`~repro.utils.xp.CountingArrayModule`).
-    transfers: "TransferStats | None" = None
-
-    def account(
-        self,
-        record: FlushRecord,
-        cache_delta: CacheStats,
-        frames_on_time: "int | None" = None,
-        transfers: "TransferStats | None" = None,
-    ) -> None:
-        self.frames += record.frames
-        self.flushes += 1
-        if frames_on_time is None:
-            frames_on_time = record.frames if record.deadline_met else 0
-        self.frames_on_time += frames_on_time
-        self.frames_late += record.frames - frames_on_time
-        self.cache = CacheStats(
-            hits=self.cache.hits + cache_delta.hits,
-            misses=self.cache.misses + cache_delta.misses,
-            evictions=self.cache.evictions + cache_delta.evictions,
-            entries=cache_delta.entries,
-        )
-        if transfers is not None:
-            base = self.transfers or TransferStats()
-            self.transfers = base.plus(transfers)
-
-    @property
-    def deadline_hit_rate(self) -> float:
-        total = self.frames_on_time + self.frames_late
-        return self.frames_on_time / total if total else 1.0
-
-    def as_dict(self) -> dict:
-        """JSON-friendly snapshot (what ``UplinkStack.stats`` surfaces)."""
-        payload = {
-            "frames": self.frames,
-            "flushes": self.flushes,
-            "frames_on_time": self.frames_on_time,
-            "frames_late": self.frames_late,
-            "frames_shed": self.frames_shed,
-            "deadline_hit_rate": self.deadline_hit_rate,
-            "cache": self.cache.as_dict(),
-        }
-        if self.transfers is not None:
-            payload["transfers"] = self.transfers.as_dict()
-        return payload
 
 
 class Cell:
-    """One cell of the farm: a detector, a private cache, its stats."""
+    """One cell of the farm: a detector and a private cache."""
 
     def __init__(
         self,
@@ -119,7 +53,6 @@ class Cell:
         self.cell_id = str(cell_id)
         self.detector = detector
         self.cache = ContextCache(max_entries=max_cache_entries)
-        self.stats = CellStats()
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -156,6 +89,9 @@ class CellFarm:
         #: The farm's observability hub: the service's (which already
         #: fell back to the process-global hub when none was given).
         self.obs = self.service.obs
+        #: The farm's lifetime ledger: the hub's registry when there is
+        #: a hub, a private one otherwise.
+        self.metrics = self.obs.metrics if self.obs is not None else MetricsRegistry()
         self.cells: "dict[str, Cell]" = {}
 
     # ------------------------------------------------------------------
@@ -184,10 +120,13 @@ class CellFarm:
     def scheduler(self, **kwargs) -> StreamingScheduler:
         """A streaming scheduler serving this farm's cells on its service."""
         kwargs.setdefault("obs", self.obs)
+        kwargs.setdefault("parent", self.metrics)
         return StreamingScheduler(self.cells, service=self.service, **kwargs)
 
-    def stats(self) -> "dict[str, CellStats]":
-        return {cell_id: cell.stats for cell_id, cell in self.cells.items()}
+    def stats(self) -> "dict[str, dict]":
+        """Per-cell view of the farm's ledger (every cell, flushed or
+        not; see :func:`~repro.obs.ledger.cell_summaries`)."""
+        return cell_summaries(self.metrics, self.cells)
 
     def cache_stats(self) -> "dict[str, CacheStats]":
         return {

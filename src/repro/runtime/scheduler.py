@@ -10,8 +10,12 @@ content, noise level, cell), and flushes each assembled micro-batch
 through the shared :class:`~repro.runtime.service.DetectionService`
 either when a **batch target** is met or when the
 :mod:`repro.ofdm.lte` **slot deadline** expires — whichever comes
-first.  Per-flush latency and deadline-hit telemetry is recorded so an
-operator can see how close the deployment runs to the real-time edge.
+first.  Every flush is counted once, into the run's own ledger
+(:class:`~repro.obs.ledger.FlushLedger`: frames, deadline hits, latency,
+cache and transfer movement, labelled by cell), so an operator can see
+how close the deployment runs to the real-time edge;
+:class:`SchedulerTelemetry` is its read-only view, and at loop exit the
+ledger folds, exactly once, into the scheduler's parent (the farm's).
 
 Two layers, deliberately separated:
 
@@ -36,11 +40,11 @@ import numpy as np
 
 from repro.errors import ConfigurationError, LoadShedError
 from repro.obs import (
-    DEADLINE_MARGIN_EDGES_S,
     NULL_TRACER,
     SPAN_FLUSH,
-    Histogram,
+    FlushLedger,
     get_global,
+    scheduler_summary,
 )
 from repro.ofdm.lte import SLOT_DURATION_S, SYMBOLS_PER_SLOT, slot_deadline
 from repro.runtime.batch import UplinkBatch
@@ -50,10 +54,12 @@ from repro.utils.flops import NULL_COUNTER, FlopCounter
 
 DEFAULT_CELL = "cell0"
 
-#: Flush reasons recorded in telemetry.
+#: Flush reasons recorded in telemetry (``batch``: one synchronous
+#: ``detect_batch`` call of a batch stack, accounted as a flush).
 FLUSH_TARGET = "target"
 FLUSH_DEADLINE = "deadline"
 FLUSH_DRAIN = "drain"
+FLUSH_BATCH = "batch"
 
 
 @dataclass
@@ -143,221 +149,29 @@ class FrameDetection:
     flush: FlushRecord
 
 
-@dataclass
 class SchedulerTelemetry:
-    """Streaming counters: frames, flushes, deadline hits, latencies."""
+    """Read-only view of one scheduler run: every key of
+    :func:`~repro.obs.ledger.scheduler_summary` (``frames_detected``,
+    ``deadline_hit_rate``, ``frames_missing``, ``flush_reasons``, ...)
+    is an attribute, rendered from the run's ledger (``metrics``) when
+    read; ``records`` is the run's bounded :class:`FlushRecord` log (a
+    log does not fold, so it lives here, not in the ledger)."""
 
-    frames_submitted: int = 0
-    frames_detected: int = 0
-    frames_on_time: int = 0
-    frames_late: int = 0
-    frames_shed: int = 0
-    flushes: int = 0
-    groups_flushed: int = 0
-    flush_reasons: dict = field(default_factory=dict)
-    records: list = field(default_factory=list)
-    max_records: int = 4096
-    records_dropped: int = 0
-    latency_sum_s: float = 0.0
-    max_latency_s: float = 0.0
-    #: Fixed-bucket flush-latency histogram: p50/p95/p99/p999 exact to
-    #: bucket resolution, and mergeable across summaries by bucket
-    #: addition (see :func:`merge_scheduler_summaries`).
-    latency_hist: Histogram = field(default_factory=Histogram)
-    #: Host↔device transfer movement (array backend with a metering
-    #: module only; zero otherwise — see
-    #: :class:`~repro.utils.xp.CountingArrayModule`).
-    uploads: int = 0
-    upload_bytes: int = 0
-    downloads: int = 0
-    download_bytes: int = 0
+    max_records = 4096
 
-    def record(
-        self,
-        record: FlushRecord,
-        groups: int,
-        frames_on_time: "int | None" = None,
-        transfers=None,
-    ) -> None:
-        """Account one flush.
-
-        ``frames_on_time`` is the per-group deadline accounting (a group
-        counts as on time when the flush completed before *that group's*
-        deadline); when omitted the record's conservative earliest-
-        deadline verdict covers every frame.  ``transfers`` is the
-        flush's :class:`~repro.utils.xp.TransferStats` delta when the
-        backend's array module meters transfers.
-        """
-        self.flushes += 1
-        if transfers is not None:
-            self.uploads += transfers.uploads
-            self.upload_bytes += transfers.upload_bytes
-            self.downloads += transfers.downloads
-            self.download_bytes += transfers.download_bytes
-        self.groups_flushed += groups
-        self.frames_detected += record.frames
-        if frames_on_time is None:
-            frames_on_time = record.frames if record.deadline_met else 0
-        self.frames_on_time += frames_on_time
-        self.frames_late += record.frames - frames_on_time
-        self.flush_reasons[record.reason] = (
-            self.flush_reasons.get(record.reason, 0) + 1
-        )
-        self.latency_sum_s += record.latency_s
-        self.max_latency_s = max(self.max_latency_s, record.latency_s)
-        self.latency_hist.observe(record.latency_s)
-        if len(self.records) < self.max_records:
-            self.records.append(record)
-        else:
-            self.records_dropped += 1
-
-    @property
-    def deadline_hit_rate(self) -> float:
-        """Fraction of detected frames whose flush beat its deadline."""
-        total = self.frames_on_time + self.frames_late
-        return self.frames_on_time / total if total else 1.0
-
-    @property
-    def mean_latency_s(self) -> float:
-        """Mean flush latency (oldest arrival to completion)."""
-        return self.latency_sum_s / self.flushes if self.flushes else 0.0
-
-    @property
-    def frames_missing(self) -> int:
-        """Submitted frames neither detected nor explicitly shed.
-
-        Non-zero means work vanished — a crashed worker, an abandoned
-        future — and the summary's ``deadline_hit_rate`` (a ratio over
-        *detected* frames only) is flattering a lane that lost frames.
-        """
-        return (
-            self.frames_submitted - self.frames_detected - self.frames_shed
-        )
+    def __init__(self, metrics):
+        self.metrics = metrics
+        self.records: list = []
 
     def as_dict(self) -> dict:
-        return {
-            "frames_submitted": self.frames_submitted,
-            "frames_detected": self.frames_detected,
-            "frames_on_time": self.frames_on_time,
-            "frames_late": self.frames_late,
-            "frames_shed": self.frames_shed,
-            "frames_missing": self.frames_missing,
-            "flushes": self.flushes,
-            "groups_flushed": self.groups_flushed,
-            "flush_reasons": dict(self.flush_reasons),
-            "deadline_hit_rate": self.deadline_hit_rate,
-            "mean_latency_s": self.mean_latency_s,
-            "max_latency_s": self.max_latency_s,
-            "latency_sum_s": self.latency_sum_s,
-            "latency_percentiles": self.latency_hist.quantiles(),
-            "latency_hist": self.latency_hist.to_dict(),
-            "records_dropped": self.records_dropped,
-            "uploads": self.uploads,
-            "upload_bytes": self.upload_bytes,
-            "downloads": self.downloads,
-            "download_bytes": self.download_bytes,
-            "summaries_merged": 1,
-        }
+        return scheduler_summary(self.metrics)
 
-
-def merge_scheduler_summaries(
-    accumulated: "dict | None", summary: dict
-) -> dict:
-    """Fold one :meth:`SchedulerTelemetry.as_dict` summary into a total.
-
-    Long runs (a link sweep, a multi-batch experiment) spin up many
-    scheduler instances; this merges their summaries into one — counters
-    add, latency maxima max, latency histograms merge by bucket
-    addition, and the derived rates (``deadline_hit_rate``,
-    ``mean_latency_s``, ``latency_percentiles``) are recomputed from the
-    merged counters/buckets, so the result is invariant to fold order.
-    Pass ``accumulated=None`` to start.
-
-    A merged dict is itself mergeable (the fold is associative —
-    property-tested), and it keeps dead lanes visible: an empty or
-    crashed worker's summary still reads ``deadline_hit_rate == 1.0``
-    on its own (a ratio over zero detected frames), so the merge also
-    carries ``summaries_merged`` — how many leaf summaries went into
-    the total, so a fleet roll-up missing a worker is countable — and
-    ``frames_missing`` — submitted minus detected minus shed, the
-    frames that vanished rather than being served or explicitly
-    refused.
-    """
-    counters = (
-        "frames_submitted",
-        "frames_detected",
-        "frames_on_time",
-        "frames_late",
-        "frames_shed",
-        "flushes",
-        "groups_flushed",
-        "records_dropped",
-        "latency_sum_s",
-        "uploads",
-        "upload_bytes",
-        "downloads",
-        "download_bytes",
-    )
-    if accumulated is None:
-        merged = {key: summary.get(key, 0) for key in counters}
-        merged["flush_reasons"] = dict(summary.get("flush_reasons", {}))
-        merged["max_latency_s"] = summary.get("max_latency_s", 0.0)
-        merged["summaries_merged"] = summary.get("summaries_merged", 1)
-        hist_payload = summary.get("latency_hist")
-        if hist_payload is not None:
-            # Round-trip for a defensive copy — the fold must never
-            # share mutable bucket lists with the leaf summary.
-            merged["latency_hist"] = Histogram.from_dict(
-                hist_payload
-            ).to_dict()
-    else:
-        merged = dict(accumulated)
-        for key in counters:
-            merged[key] = merged.get(key, 0) + summary.get(key, 0)
-        reasons = dict(merged.get("flush_reasons", {}))
-        for reason, count in summary.get("flush_reasons", {}).items():
-            reasons[reason] = reasons.get(reason, 0) + count
-        merged["flush_reasons"] = reasons
-        merged["max_latency_s"] = max(
-            merged.get("max_latency_s", 0.0),
-            summary.get("max_latency_s", 0.0),
-        )
-        merged["summaries_merged"] = merged.get(
-            "summaries_merged", 1
-        ) + summary.get("summaries_merged", 1)
-        base_hist = merged.get("latency_hist")
-        incoming_hist = summary.get("latency_hist")
-        if incoming_hist is not None:
-            if base_hist is not None:
-                merged["latency_hist"] = (
-                    Histogram.from_dict(base_hist)
-                    .merge(Histogram.from_dict(incoming_hist))
-                    .to_dict()
-                )
-            else:
-                merged["latency_hist"] = Histogram.from_dict(
-                    incoming_hist
-                ).to_dict()
-    on_time = merged["frames_on_time"]
-    late = merged["frames_late"]
-    merged["deadline_hit_rate"] = (
-        on_time / (on_time + late) if on_time + late else 1.0
-    )
-    merged["mean_latency_s"] = (
-        merged["latency_sum_s"] / merged["flushes"]
-        if merged["flushes"]
-        else 0.0
-    )
-    merged["frames_missing"] = (
-        merged["frames_submitted"]
-        - merged["frames_detected"]
-        - merged["frames_shed"]
-    )
-    if merged.get("latency_hist") is not None:
-        merged["latency_percentiles"] = Histogram.from_dict(
-            merged["latency_hist"]
-        ).quantiles()
-    return merged
+    def __getattr__(self, name: str):
+        # Only reached for names that are not real attributes.
+        try:
+            return scheduler_summary(self.__dict__["metrics"])[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
 @dataclass
@@ -527,9 +341,13 @@ class StreamingScheduler:
     obs:
         An :class:`~repro.obs.Observability` hub: every flush becomes a
         ``flush`` span (cell, reason, coherence key, batch size, path
-        budget, latency, service time) and feeds the flush-latency / deadline-margin
-        histograms.  ``None`` falls back to the process-global hub;
-        with no hub at all instrumentation is a shared no-op.
+        budget, latency, service time).  ``None`` falls back to the
+        process-global hub; with no hub at all spans are a shared no-op
+        (the accounting below is not: it does not depend on tracing).
+    parent:
+        The ledger (a :class:`~repro.obs.MetricsRegistry`) each run's
+        own is folded into, once, at loop exit; a farm passes its own.
+        Defaults to the hub's registry, else none.
 
     Usage::
 
@@ -553,13 +371,16 @@ class StreamingScheduler:
         governor=None,
         clock=time.monotonic,
         obs=None,
+        parent=None,
     ):
         self.cells = self._normalise_cells(cells)
         if obs is None:
             obs = get_global()
         self.obs = obs
         self._tracer = obs.tracer if obs is not None else NULL_TRACER
-        self._metrics = obs.metrics if obs is not None else None
+        if parent is None and obs is not None:
+            parent = obs.metrics
+        self._parent = parent
         if service is None:
             self.service = DetectionService(backend, obs=obs)
             self._owns_service = True
@@ -584,7 +405,7 @@ class StreamingScheduler:
             if obs is not None and governor.tracer is NULL_TRACER:
                 governor.tracer = obs.tracer
         self.clock = clock
-        self.telemetry = SchedulerTelemetry()
+        self._open_ledger()
         self._queue: "asyncio.Queue | None" = None
         self._task: "asyncio.Task | None" = None
         self._rr_offset = 0
@@ -613,6 +434,12 @@ class StreamingScheduler:
             )
         return registry
 
+    def _open_ledger(self) -> None:
+        self._ledger = FlushLedger()
+        #: This run's ledger — the only thing a flush is written to.
+        self.metrics = self._ledger.metrics
+        self.telemetry = SchedulerTelemetry(self.metrics)
+
     # ------------------------------------------------------------------
     async def __aenter__(self) -> "StreamingScheduler":
         await self.start()
@@ -624,6 +451,10 @@ class StreamingScheduler:
     async def start(self) -> None:
         if self._task is not None:
             raise ConfigurationError("scheduler already running")
+        # Every run of the loop has its own ledger (a restarted
+        # scheduler's last one was folded into the parent at loop exit).
+        self._open_ledger()
+        self._ledger.run_started()
         self._queue = asyncio.Queue()
         self._task = asyncio.get_running_loop().create_task(self._run())
 
@@ -691,7 +522,7 @@ class StreamingScheduler:
         if arrival.arrival_s is None:
             arrival.arrival_s = self.clock()
         future = asyncio.get_running_loop().create_future()
-        self.telemetry.frames_submitted += arrival.num_frames
+        self._ledger.submitted(arrival.cell, arrival.num_frames)
         self._queue.put_nowait(("arrival", (arrival, future)))
         return future
 
@@ -703,6 +534,9 @@ class StreamingScheduler:
             clean = True
         finally:
             self._fail_stragglers(clean)
+            if self._parent is not None:
+                # The one fold of this run, clean exit or not.
+                self._parent.merge_dict(self.metrics.to_dict())
 
     def _fail_stragglers(self, clean: bool) -> None:
         """Resolve anything still pending when the loop exits.
@@ -783,12 +617,7 @@ class StreamingScheduler:
 
     def _shed(self, arrival: FrameArrival, future) -> None:
         """Refuse one arrival on the governor's admission verdict."""
-        self.telemetry.frames_shed += arrival.num_frames
-        if self._metrics is not None:
-            self._metrics.counter("repro_frames_shed_total").inc(
-                arrival.num_frames
-            )
-        self.cells[arrival.cell].stats.frames_shed += arrival.num_frames
+        self._ledger.shed(arrival.cell, arrival.num_frames)
         if not future.done():
             future.set_exception(
                 LoadShedError(
@@ -894,14 +723,18 @@ class StreamingScheduler:
                     service_s=completed_s - flushed_s,
                     deadline_met=record.deadline_met,
                 )
-                transfers = result.stats.get("transfers")
-                self.telemetry.record(
+                records = self.telemetry.records
+                logged = len(records) < self.telemetry.max_records
+                if logged:
+                    records.append(record)
+                self._ledger.account(
                     record,
-                    groups=len(bucket),
-                    frames_on_time=frames_on_time,
-                    transfers=transfers,
+                    len(bucket),
+                    record.frames - frames_on_time,
+                    result.stats["cache"],
+                    result.stats.get("transfers"),
+                    logged,
                 )
-                self._record_flush_metrics(record, frames_on_time)
                 if self.governor is not None:
                     self.governor.observe_flush(
                         cell.cell_id,
@@ -910,12 +743,6 @@ class StreamingScheduler:
                         channel=bucket[0].channel,
                         noise_var=noise_var,
                     )
-                cell.stats.account(
-                    record,
-                    result.stats["cache"],
-                    frames_on_time,
-                    transfers=transfers,
-                )
                 for sc, group in enumerate(bucket):
                     offset = 0
                     for arrival, future in group.arrivals:
@@ -936,24 +763,3 @@ class StreamingScheduler:
                                 )
                             )
                         offset = stop
-
-    def _record_flush_metrics(self, record: FlushRecord, frames_on_time: int):
-        metrics = self._metrics
-        if metrics is None:
-            return
-        metrics.histogram("repro_flush_latency_seconds").observe(
-            record.latency_s
-        )
-        if math.isfinite(record.deadline_s):
-            # Signed completion-minus-deadline margin: negative = early.
-            metrics.histogram(
-                "repro_deadline_margin_seconds", DEADLINE_MARGIN_EDGES_S
-            ).observe(record.completed_s - record.deadline_s)
-        metrics.counter("repro_flushes_total").inc()
-        metrics.counter("repro_frames_detected_total").inc(record.frames)
-        metrics.counter("repro_frames_late_total").inc(
-            record.frames - frames_on_time
-        )
-        metrics.gauge("repro_deadline_hit_rate").set(
-            self.telemetry.deadline_hit_rate
-        )

@@ -49,11 +49,7 @@ from repro.obs import (
     use_tracer,
 )
 from repro.runtime.backends import ArrayBackend, ExecutionBackend, make_backend
-from repro.runtime.batch import (
-    BatchDetectionResult,
-    RuntimeStats,
-    UplinkBatch,
-)
+from repro.runtime.batch import BatchDetectionResult, UplinkBatch
 from repro.runtime.cache import CacheStats, ContextCache
 from repro.utils.flops import NULL_COUNTER, FlopCounter
 
@@ -139,10 +135,13 @@ class DetectionService:
         ``"array"`` (stacked tensor walk), or any pre-built
         :class:`~repro.runtime.backends.ExecutionBackend`.
     obs:
-        An :class:`~repro.obs.Observability` hub for span tracing and
-        metrics; ``None`` (the default) falls back to the process-global
-        hub (installed by the runner's ``--trace``), and with no hub at
-        all every instrumentation point is a shared no-op.
+        An :class:`~repro.obs.Observability` hub for span tracing;
+        ``None`` (the default) falls back to the process-global hub
+        (installed by the runner's ``--trace``), and with no hub at all
+        every span is a shared no-op.  The service counts nothing
+        itself: a call's cache / transfer movement is returned in
+        ``stats`` and accounted once by the caller that owns the cell
+        (:class:`~repro.obs.ledger.FlushLedger`).
 
     Notes
     -----
@@ -163,7 +162,6 @@ class DetectionService:
             obs = get_global()
         self.obs = obs
         self._tracer = obs.tracer if obs is not None else NULL_TRACER
-        self._metrics = obs.metrics if obs is not None else None
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -268,17 +266,10 @@ class DetectionService:
                 )
                 delta = cache.stats.since(before)
             span.set(cache_hits=delta.hits, cache_misses=delta.misses)
-        if self._metrics is not None:
-            self._metrics.counter("repro_prepare_cache_hits_total").inc(
-                delta.hits
-            )
-            self._metrics.counter("repro_prepare_cache_misses_total").inc(
-                delta.misses
-            )
         return contexts, delta
 
-    def _record_transfers(self, delta) -> None:
-        """Upload/download instants + byte counters from one
+    def _trace_transfers(self, delta) -> None:
+        """Upload/download instants from one
         :class:`~repro.utils.xp.TransferStats` delta."""
         if self.obs is None:
             return
@@ -287,16 +278,10 @@ class DetectionService:
                 SPAN_UPLOAD,
                 {"uploads": delta.uploads, "bytes": delta.upload_bytes},
             )
-            self._metrics.counter("repro_upload_bytes_total").inc(
-                delta.upload_bytes
-            )
         if delta.downloads:
             self._tracer.instant(
                 SPAN_DOWNLOAD,
                 {"downloads": delta.downloads, "bytes": delta.download_bytes},
-            )
-            self._metrics.counter("repro_download_bytes_total").inc(
-                delta.download_bytes
             )
 
     # ------------------------------------------------------------------
@@ -372,7 +357,7 @@ class DetectionService:
                     indices, metadata = kernel(
                         contexts, batch.received, **walk
                     )
-        stats = RuntimeStats(
+        stats = dict(
             backend=backend.name,
             stacked=stacked,
             subcarriers=batch.num_subcarriers,
@@ -393,7 +378,7 @@ class DetectionService:
             )
         if transfers_before is not None:
             stats["transfers"] = xp.transfer_stats().since(transfers_before)
-            self._record_transfers(stats["transfers"])
+            self._trace_transfers(stats["transfers"])
         if resident_before is not None:
             stats["resident"] = store.stats.since(resident_before)
         return BatchDetectionResult(

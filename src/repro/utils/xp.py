@@ -436,14 +436,6 @@ class TransferStats:
     downloads: int = 0
     download_bytes: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "uploads": self.uploads,
-            "upload_bytes": self.upload_bytes,
-            "downloads": self.downloads,
-            "download_bytes": self.download_bytes,
-        }
-
     def since(self, before: "TransferStats") -> "TransferStats":
         """Counter deltas relative to an earlier snapshot."""
         return TransferStats(
@@ -451,15 +443,6 @@ class TransferStats:
             upload_bytes=self.upload_bytes - before.upload_bytes,
             downloads=self.downloads - before.downloads,
             download_bytes=self.download_bytes - before.download_bytes,
-        )
-
-    def plus(self, delta: "TransferStats") -> "TransferStats":
-        """Accumulate a delta (used by the per-cell streaming stats)."""
-        return TransferStats(
-            uploads=self.uploads + delta.uploads,
-            upload_bytes=self.upload_bytes + delta.upload_bytes,
-            downloads=self.downloads + delta.downloads,
-            download_bytes=self.download_bytes + delta.download_bytes,
         )
 
 

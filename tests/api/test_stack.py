@@ -27,10 +27,12 @@ from repro.api import (
     GovernorSpec,
     SchedulerSpec,
     StackConfig,
+    TracingSpec,
     build_stack,
 )
 from repro.channel.fading import rayleigh_channels
 from repro.control import ComputeGovernor, StaticPolicy, WorkloadScenario
+from repro.control.workload import slot_arrivals
 from repro.errors import ConfigurationError
 from repro.flexcore.detector import FlexCoreDetector
 from repro.flexcore.soft import SoftFlexCoreDetector
@@ -38,6 +40,7 @@ from repro.mimo.model import apply_channel, noise_variance_for_snr_db
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
 from repro.modulation.mapper import random_symbol_indices
+from repro.obs import MetricsRegistry
 from repro.ofdm.lte import SYMBOLS_PER_SLOT
 from repro.runtime import (
     CellFarm,
@@ -563,6 +566,168 @@ class TestAccountingConservation:
             summary = stack.stats()["scheduler"]
         assert summary["frames_submitted"] == NUM_SUBCARRIERS * NUM_FRAMES
         assert summary["frames_detected"] == 0
+
+
+    @staticmethod
+    def _counts(stats: dict) -> dict:
+        """``stats()`` minus what differs by design: the config block
+        and wall-clock latencies (nothing can be late back-to-back)."""
+        scheduler = {
+            key: value
+            for key, value in stats["scheduler"].items()
+            if "latency" not in key
+        }
+        return {**stats, "config": None, "scheduler": scheduler}
+
+    def test_stats_do_not_depend_on_tracing(self, workload):
+        """Tracing stops spans and the exposition, not the counting:
+        same key sets, same counts, same ledger series."""
+        _, channels, received, noise_var = workload
+        scenario, cell_channels = tiny_scenario(("cell0", "cell1"))
+        seen = {}
+        for traced in (False, True):
+            config = StackConfig(
+                detector=hard_spec(),
+                backend=BackendSpec("array"),
+                farm=FarmSpec(streaming=True, cells=2),
+                tracing=TracingSpec(enabled=traced),
+            )
+            rng = np.random.default_rng(9)
+            with build_stack(config) as stack:
+                stack.detect_batch(channels, received, noise_var)
+                stack.pace(
+                    slot_arrivals(
+                        row, cell_channels, stack.detector.system, 0.05, rng
+                    )
+                    for row in scenario.demand()
+                )
+                seen[traced] = stack.stats(), stack.farm.metrics.to_dict()
+                assert (stack.obs is not None) == traced
+                if traced:
+                    assert stack.farm.metrics is stack.obs.metrics
+        (plain, plain_ledger), (traced, traced_ledger) = seen[False], seen[True]
+
+        def key_sets(node):
+            if not isinstance(node, dict):
+                return None
+            return {key: key_sets(value) for key, value in node.items()}
+
+        assert key_sets(plain) == key_sets(traced)
+        assert self._counts(plain) == self._counts(traced)
+        assert plain["scheduler"]["summaries_merged"] == 2
+        assert plain["scheduler"]["flush_reasons"].keys() == {"target"}
+        assert plain["cache"] == {
+            cell: row["cache"] for cell, row in plain["cells"].items()
+        }
+        assert plain_ledger["counters"] == traced_ledger["counters"]
+        assert plain_ledger["gauges"] == traced_ledger["gauges"]
+
+    def test_a_directly_opened_scheduler_reaches_stats(self, workload):
+        """``stack.farm.scheduler()`` (no ``pace``) folds into the same
+        farm ledger ``stats()`` reads."""
+        _, channels, received, noise_var = workload
+        config = StackConfig(
+            detector=hard_spec(), farm=FarmSpec(streaming=True, cells=2)
+        )
+
+        async def drive(stack):
+            async with stack.farm.scheduler(
+                batch_target=NUM_FRAMES, slot_budget_s=math.inf
+            ) as scheduler:
+                futures = [
+                    await scheduler.submit(
+                        FrameArrival(
+                            channels[sc], received[sc], noise_var, cell=f"cell{sc % 2}"
+                        )
+                    )
+                    for sc in range(NUM_SUBCARRIERS)
+                ]
+                await asyncio.gather(*futures)
+                # Still running: nothing has reached the farm yet.
+                assert "scheduler" not in stack.stats()
+                return scheduler.telemetry
+
+        with build_stack(config) as stack:
+            telemetry = asyncio.run(drive(stack))
+            stats = stack.stats()
+        assert stats["scheduler"] == telemetry.as_dict()
+        assert stats["scheduler"]["frames_detected"] == NUM_SUBCARRIERS * NUM_FRAMES
+        assert sum(c["frames"] for c in stats["cells"].values()) == (
+            NUM_SUBCARRIERS * NUM_FRAMES
+        )
+
+    @pytest.mark.parametrize("fault", [None, RuntimeError, "loop-killing"])
+    def test_one_ledger_per_flush_one_fold_per_run(
+        self, workload, monkeypatch, fault
+    ):
+        """Flushes write the scheduler's own ledger and nothing else;
+        that ledger reaches its parent by exactly one ``merge_dict`` —
+        after a clean run, after a flush whose kernel raised (futures
+        fail, the loop keeps serving) and after a fault that kills the
+        loop itself."""
+        _, channels, received, noise_var = workload
+
+        class LoopKiller(BaseException):
+            pass
+
+        error = LoopKiller if fault == "loop-killing" else fault
+        if error is not None:
+
+            def broken(self, *args, **kwargs):
+                raise error("kernel fault")
+
+            monkeypatch.setattr(FlexCoreDetector, "detect_prepared", broken)
+        folds = []
+        merge_dict = MetricsRegistry.merge_dict
+
+        def spy(self, payload):
+            folds.append((self, payload))
+            return merge_dict(self, payload)
+
+        monkeypatch.setattr(MetricsRegistry, "merge_dict", spy)
+        config = StackConfig(
+            detector=hard_spec(),
+            farm=FarmSpec(streaming=True),
+            tracing=TracingSpec(enabled=True),
+        )
+        ledgers = []
+        scheduler_factory = CellFarm.scheduler
+
+        def watched(farm, **kwargs):
+            scheduler = scheduler_factory(farm, **kwargs)
+            dispatch = scheduler._dispatch
+
+            def dispatch_and_check(groups):
+                try:
+                    dispatch(groups)
+                finally:
+                    # Mid-run, right after the flushes: only the
+                    # scheduler's own ledger has been written.
+                    ledgers.append(scheduler.metrics)
+                    assert farm.metrics.to_dict()["counters"] == {}
+                    assert not folds
+
+            scheduler._dispatch = dispatch_and_check
+            return scheduler
+
+        monkeypatch.setattr(CellFarm, "scheduler", watched)
+        with build_stack(config) as stack:
+            if error is None:
+                stack.detect_batch(channels, received, noise_var)
+            else:
+                with pytest.raises(error, match="kernel fault"):
+                    stack.detect_batch(channels, received, noise_var)
+            summary = stack.stats()["scheduler"]
+            assert stack.farm.metrics is stack.obs.metrics
+            assert len(folds) == 1
+            target, payload = folds[0]
+            assert target is stack.farm.metrics
+            assert payload == ledgers[0].to_dict() == target.to_dict()
+        frames = NUM_SUBCARRIERS * NUM_FRAMES
+        assert summary["summaries_merged"] == 1
+        assert summary["frames_submitted"] == frames
+        assert summary["frames_detected"] == (frames if error is None else 0)
+        assert summary["frames_missing"] == (0 if error is None else frames)
 
 
 class TestSimulateLinkThroughApi:

@@ -33,6 +33,7 @@ from repro.errors import ConfigurationError, WorkerCrashError
 from repro.farm import FarmCoordinator
 from repro.farm.protocol import MSG_RUN
 from repro.mimo.model import noise_variance_for_snr_db
+from repro.obs import Observability
 
 NOISE_VAR = noise_variance_for_snr_db(20.0)
 
@@ -238,3 +239,97 @@ def test_scenario_must_cover_fleet_cells():
     with FarmCoordinator(config, 1) as coordinator:
         with pytest.raises(ConfigurationError, match="cells"):
             coordinator.install_workload(foreign, NOISE_VAR)
+
+
+# -- conservation across accounting planes ------------------------------
+#
+# One ledger, three renderings: the fleet summary (this run's fold of
+# chunk ledgers), the per-cell stats (the coordinator's lifetime ledger)
+# and — with a hub — the exposed Prometheus counters.  They are views of
+# merge_dict folds of the same chunk payloads, so they agree whether a
+# worker was killed mid-run (the re-spawned worker's totals restart at
+# zero; the coordinator's do not) or the run was calibrated first
+# (calibration passes are schedulers of their own, not in any chunk).
+
+RUN_KINDS = {
+    "clean": ({}, {"slot_interval_s": 0.0}),
+    "killed": ({"kill_script": {0: 1}}, {"slot_interval_s": 0.0}),
+    "calibrated": ({}, {"overload": 3.0}),
+}
+
+
+@pytest.mark.parametrize("with_hub", [False, True], ids=["no-hub", "hub"])
+@pytest.mark.parametrize("kind", sorted(RUN_KINDS))
+def test_every_plane_counts_the_same_frames(kind, with_hub):
+    coordinator_kwargs, run_kwargs = RUN_KINDS[kind]
+    config = make_config()
+    scenario = make_scenario(config, slots=8)
+    obs = Observability() if with_hub else None
+    with FarmCoordinator(
+        config, 2, slots_per_chunk=2, obs=obs, **coordinator_kwargs
+    ) as coordinator:
+        report = coordinator.run(scenario, NOISE_VAR, **run_kwargs)
+    assert len(report.restarts) == (kind == "killed")
+    assert report.frames_offered == scenario.offered_frames() == 448
+    assert report.scheduler["frames_missing"] == 0
+    assert (
+        report.scheduler["frames_detected"]
+        == sum(cell["frames"] for cell in report.cells.values())
+        == sum(worker["frames_detected"] for worker in report.per_worker)
+        == report.frames_offered
+    )
+    # 4 chunks x 2 workers: a chunk that died with its worker never
+    # replied, its replay is counted once.
+    assert report.scheduler["summaries_merged"] == 8
+    if with_hub:
+        assert coordinator.metrics is obs.metrics
+        exposed = [
+            float(line.rsplit(" ", 1)[1])
+            for line in obs.prometheus_text().splitlines()
+            if line.startswith("repro_frames_detected_total{cell=")
+        ]
+        assert len(exposed) == 4 and sum(exposed) == report.frames_offered
+
+
+@pytest.mark.parametrize("kill_script", [{}, {1: 1}], ids=["clean", "restart"])
+def test_cells_are_running_totals_across_runs(kill_script):
+    config = make_config()
+    scenario = make_scenario(config, slots=4)
+    per_cell = scenario.offered_frames() // 4
+    with FarmCoordinator(
+        config, 2, slots_per_chunk=2, kill_script=kill_script
+    ) as coordinator:
+        first = coordinator.run(scenario, NOISE_VAR, slot_interval_s=0.0)
+        coordinator.kill_script = dict(kill_script)
+        second = coordinator.run(slot_interval_s=0.0)
+    assert len(second.restarts) == 2 * len(kill_script)
+    for cell in config.farm.cell_ids():
+        assert first.cells[cell]["frames"] == per_cell
+        assert second.cells[cell]["frames"] == 2 * per_cell
+    # The per-run planes do not accumulate.
+    assert second.frames_detected == first.frames_detected == 4 * per_cell
+
+
+def test_exposed_hit_rate_is_derived_from_the_folded_counters():
+    """An overloaded two-worker run: a stored gauge would fold
+    last-writer-wins (the last chunk's lane); the exposed rate is
+    computed from the dump's own counters, so it is the fleet's."""
+    config = make_config()
+    scenario = make_scenario(config, slots=12)
+    obs = Observability()
+    with FarmCoordinator(config, 2, slots_per_chunk=2, obs=obs) as coordinator:
+        # Far below the slot cost: most flushes complete late.
+        report = coordinator.run(scenario, NOISE_VAR, slot_interval_s=2e-4)
+    detected = obs.metrics.total("repro_frames_detected_total")
+    late = obs.metrics.total("repro_frames_late_total")
+    assert 0 < late == report.scheduler["frames_late"] <= detected
+    exposed = [
+        line
+        for line in obs.prometheus_text().splitlines()
+        if line.startswith("repro_deadline_hit_rate ")
+    ]
+    assert len(exposed) == 1
+    rate = float(exposed[0].split()[1])
+    assert rate == pytest.approx(1 - late / detected)
+    assert rate == report.scheduler["deadline_hit_rate"] == report.hit_rate
+    assert "repro_deadline_hit_rate" not in str(obs.metrics.to_dict())

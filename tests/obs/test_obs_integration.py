@@ -6,11 +6,11 @@ Three layers under test:
   and ``build_stack`` attaching one hub to the whole stack;
 * the streaming scheduler — every coalesced flush emits one ``flush``
   span whose attributes agree with the returned telemetry, with the
-  ``detect``/``prepare`` kernel spans nested inside it, and feeds the
-  latency/deadline metric series;
-* the farm — worker chunk replies carry spans + metric deltas, the
+  ``detect``/``prepare`` kernel spans nested inside it, and its ledger
+  folds into the hub's registry (labelled series, derived hit rate);
+* the farm — worker chunk replies carry spans + the chunk's ledger, the
   coordinator folds them into per-worker lanes of one merged timeline
-  (restart instants included).
+  (restart instants included) and one fleet ledger.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from repro.obs import (
     SPAN_PREPARE,
     WORKER_PID_BASE,
     Observability,
+    scheduler_summary,
 )
 from repro.runtime import FrameArrival, StreamingScheduler
 
@@ -199,15 +200,21 @@ class TestSchedulerSpans:
     def test_metrics_series_recorded(self):
         obs = Observability()
         telemetry = self._run_scheduler(obs)
+        # The scheduler's ledger reached the hub: the hub's views are
+        # the telemetry's.
+        assert scheduler_summary(obs.metrics) == telemetry.as_dict()
         text = obs.prometheus_text()
         assert "# TYPE repro_flush_latency_seconds histogram" in text
         assert (
-            f"repro_flush_latency_seconds_count {telemetry.flushes}" in text
+            f'repro_flush_latency_seconds_count{{cell="cell0"}} '
+            f"{telemetry.flushes}" in text
         )
         assert (
-            f"repro_frames_detected_total {float(telemetry.frames_detected)}"
-            in text
+            f'repro_frames_detected_total{{cell="cell0"}} '
+            f"{float(telemetry.frames_detected)}" in text
         )
+        assert f'repro_flushes_total{{cell="cell0",reason="target"}}' in text
+        assert "# TYPE repro_deadline_hit_rate gauge" in text
         assert "repro_deadline_hit_rate 1.0" in text
         # An infinite slot budget never observes a deadline margin, so
         # the signed-margin series is never even registered.
@@ -270,11 +277,12 @@ class TestFleetTimeline:
             WORKER_PID_BASE: "worker-0",
             WORKER_PID_BASE + 1: "worker-1",
         }
-        # Worker metric deltas folded without double counting: the
-        # fleet detects what the summaries say it detected.
-        text = obs.prometheus_text()
+        # Chunk ledgers folded without double counting across the
+        # replay: the hub detects what the summary says was detected.
         assert (
-            f"repro_frames_detected_total {float(report.frames_detected)}"
-            in text
+            obs.metrics.total("repro_frames_detected_total")
+            == report.frames_detected
+            == report.frames_offered
         )
-        assert "repro_worker_restarts_total 1.0" in text
+        assert 'repro_frames_detected_total{cell="cell0"}' in obs.prometheus_text()
+        assert "repro_worker_restarts_total 1.0" in obs.prometheus_text()

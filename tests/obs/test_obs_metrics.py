@@ -85,6 +85,26 @@ class TestHistogram:
             upper = edges[0] if edges else max(values)
             assert estimate <= upper + 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(values=samples)
+    def test_percentiles_never_exceed_the_observed_max(self, values):
+        # A bucket's upper edge can sit far above anything observed
+        # (p99 = 10 ms with max 6.7 ms); the cap is exact under merge
+        # because max folds by max.
+        live = hist_of(values)
+        registry = MetricsRegistry()
+        registry.histogram("repro_lat_seconds", cell="a")
+        for _ in range(2):
+            registry.merge_dict(
+                {"histograms": {'repro_lat_seconds{cell="a"}': live.to_dict()}}
+            )
+        merged = registry.histogram("repro_lat_seconds", cell="a")
+        for hist in (live, merged):
+            quantiles = list(hist.quantiles().values())
+            assert quantiles == sorted(quantiles)
+            assert quantiles[-1] <= (hist.max if values else 0.0)
+        assert merged.count == 2 * len(values)
+
     def test_percentile_monotone_in_q(self):
         hist = hist_of([0.001, 0.004, 0.02, 0.4, 7.0])
         qs = (0.1, 0.5, 0.9, 0.99, 1.0)
@@ -148,28 +168,23 @@ class TestRegistry:
             line.startswith("repro_lat_seconds_count 3") for line in lines
         )
 
-    def test_drain_resets_counters_and_histograms_not_gauges(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_flushes_total").inc(2)
-        registry.gauge("repro_deadline_hit_rate").set(0.75)
-        registry.histogram("repro_lat_seconds").observe(0.01)
-        payload = registry.drain()
-        assert payload["counters"]["repro_flushes_total"] == 2
-        assert payload["gauges"]["repro_deadline_hit_rate"] == 0.75
-        # Counters and histogram buckets restart; the gauge holds.
-        second = registry.drain()
-        assert second["counters"]["repro_flushes_total"] == 0
-        assert sum(second["histograms"]["repro_lat_seconds"]["counts"]) == 0
-        assert second["gauges"]["repro_deadline_hit_rate"] == 0.75
-
     def test_merge_dict_folds_drained_deltas(self):
-        source = MetricsRegistry()
-        source.counter("repro_flushes_total").inc(5)
-        source.histogram("repro_lat_seconds").observe(0.3)
+        # Each payload is a complete ledger of its own (a chunk's), not
+        # a delta drained from a long-lived registry: folding two of
+        # them counts each once.
         sink = MetricsRegistry()
         sink.counter("repro_flushes_total").inc(1)
-        sink.merge_dict(source.drain())
-        sink.merge_dict(source.drain())  # second delta is empty
+        for flushes, latency in ((5, 0.3), (2, 0.004)):
+            source = MetricsRegistry()
+            source.counter("repro_flushes_total").inc(flushes)
+            source.counter("repro_flushes_total", cell="a").inc(flushes)
+            source.gauge("repro_prepare_cache_entries", cell="a").set(flushes)
+            source.histogram("repro_lat_seconds").observe(latency)
+            sink.merge_dict(source.to_dict())
         text = sink.prometheus_text()
-        assert "repro_flushes_total 6.0" in text
-        assert "repro_lat_seconds_count 1" in text
+        assert "repro_flushes_total 8.0" in text
+        assert 'repro_flushes_total{cell="a"} 7.0' in text
+        assert 'repro_prepare_cache_entries{cell="a"} 2.0' in text  # last write
+        assert "repro_lat_seconds_count 2" in text
+        assert text.count("# TYPE repro_flushes_total counter") == 1
+        assert sink.total("repro_flushes_total") == 15

@@ -87,7 +87,7 @@ class TestContextCache:
             hits=1, misses=1, evictions=0, entries=1
         )
         # Mapping-style access is the deprecated compatibility surface.
-        assert cache.stats["hits"] == 1
+        assert cache.stats.hits == 1
         assert cache.stats.as_dict()["entries"] == 1
 
     def test_lru_eviction(self, detector, rng):
@@ -177,7 +177,7 @@ class TestEngineCaching:
         engine.detect_batch(channels, received, 0.05)
         replay = engine.detect_batch(channels, received, 0.05)
         assert replay.stats["cache"].misses == 4
-        assert engine.cache_stats["entries"] == 0
+        assert engine.cache_stats.entries == 0
 
     def test_cache_disabled_skips_within_batch_dedup(self, detector, rng):
         # A flat-fading batch (identical channel on every subcarrier)

@@ -34,18 +34,22 @@ from repro.mimo.model import apply_channel, noise_variance_for_snr_db
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
 from repro.modulation.mapper import random_symbol_indices
+from repro.obs import (
+    FlushLedger,
+    MetricsRegistry,
+    cell_summaries,
+    scheduler_summary,
+)
 from repro.runtime import (
     ArrayBackend,
+    CacheStats,
     ContextCache,
     CountingArrayModule,
     DetectionService,
     ResidentContextStore,
-    SchedulerTelemetry,
     TransferStats,
     UplinkBatch,
-    merge_scheduler_summaries,
 )
-from repro.runtime.cells import CellStats
 from repro.runtime.scheduler import FlushRecord
 from repro.utils import xp as xp_module
 from repro.utils.xp import default_array_module, resolve_array_module
@@ -557,36 +561,34 @@ class TestTransferTelemetry:
         )
 
     def test_cell_stats_accumulate_transfers(self):
-        stats = CellStats()
+        ledger = FlushLedger()
         delta = TransferStats(uploads=2, upload_bytes=128, downloads=1,
                               download_bytes=64)
-        from repro.runtime import CacheStats
-
-        stats.account(self.flush_record(), CacheStats(), transfers=delta)
-        stats.account(self.flush_record(), CacheStats(), transfers=delta)
-        assert stats.transfers.uploads == 4
-        assert stats.transfers.download_bytes == 128
-        assert stats.as_dict()["transfers"]["upload_bytes"] == 256
+        ledger.account(self.flush_record(), 2, 0, CacheStats(), delta)
+        ledger.account(self.flush_record(), 2, 0, CacheStats(), delta)
+        transfers = cell_summaries(ledger.metrics)["cell-0"]["transfers"]
+        assert transfers["uploads"] == 4
+        assert transfers["download_bytes"] == 128
+        assert transfers["upload_bytes"] == 256
 
     def test_cell_stats_stay_lean_without_metering(self):
-        stats = CellStats()
-        from repro.runtime import CacheStats
-
-        stats.account(self.flush_record(), CacheStats())
-        assert stats.transfers is None
-        assert "transfers" not in stats.as_dict()
+        ledger = FlushLedger()
+        ledger.account(self.flush_record(), 2, 0, CacheStats())
+        assert "transfers" not in cell_summaries(ledger.metrics)["cell-0"]
 
     def test_scheduler_telemetry_counts_and_merges(self):
-        telemetry = SchedulerTelemetry()
+        ledger = FlushLedger()
         delta = TransferStats(uploads=3, upload_bytes=300, downloads=2,
                               download_bytes=200)
-        telemetry.record(self.flush_record(), groups=2, transfers=delta)
-        payload = telemetry.as_dict()
+        ledger.account(self.flush_record(), 2, 0, CacheStats(), delta)
+        payload = scheduler_summary(ledger.metrics)
         assert payload["uploads"] == 3
         assert payload["download_bytes"] == 200
-        merged = merge_scheduler_summaries(payload, payload)
-        assert merged["uploads"] == 6
-        assert merged["upload_bytes"] == 600
+        merged = MetricsRegistry()
+        merged.merge_dict(ledger.metrics.to_dict())
+        merged.merge_dict(ledger.metrics.to_dict())
+        assert scheduler_summary(merged)["uploads"] == 6
+        assert scheduler_summary(merged)["upload_bytes"] == 600
 
     def test_runtime_stats_expose_resident_and_transfers(self):
         system = MimoSystem(4, 4, QamConstellation(16))
