@@ -27,6 +27,7 @@ import time
 
 import numpy as np
 
+from repro import native
 from repro.api.specs import StackConfig
 from repro.control.workload import (
     WorkloadScenario,
@@ -65,7 +66,8 @@ class UplinkStack:
       it (streaming stacks only);
     * :meth:`stats` — one JSON-friendly snapshot of the stack's
       accounting: views of the farm's one ledger (per-cell stats, cache
-      movement, scheduler summary) plus the governor summary;
+      movement, scheduler summary) plus the governor summary and the
+      walk's lane (:func:`repro.native.status`);
     * :meth:`close` — release backend resources; idempotent, and also
       run by the context manager.
     """
@@ -390,6 +392,8 @@ class UplinkStack:
             "config": self.config.to_dict(),
             "backend": self.backend.name,
             "streaming": self.streaming,
+            # Which lane the walk takes in this process, and why.
+            "native": native.status(),
         }
         if self.streaming:
             cells = payload["cells"] = self._farm.stats()

@@ -14,7 +14,17 @@ Every path through this module — :meth:`FlexCoreDetector.detect_prepared`
 detect_block_prepared` (a coherence block grouped by path count), and
 the soft detector's two entry points — runs the same two pieces, so the
 per-channel loop and the stacked kernel are bit-identical by
-construction, on any array module (:mod:`repro.utils.xp`):
+construction, on any array module (:mod:`repro.utils.xp`) — *within a
+lane*.  The core has two: the **portable** level loop below, every
+operation an array-module op (torch, cupy, no compiler, the
+exact-ordering ablation; also the tests' oracle), and the **native**
+one, ``xp.walk_tile`` — the same arithmetic in the same order as one
+GIL-free C call per tile (:mod:`repro.native`, numpy only), which is
+what makes a tile a schedulable processing element.  Across entry
+points and tilings a lane agrees with itself to the bit; across lanes
+symbols, the dead mask and FLOP charges are equal and distances differ
+only by the summation order of the interference product (BLAS in one,
+increasing ``j`` in the other: a few ulp).
 
 **The plan** (:class:`_StackedContexts`) is everything about a group of
 ``G`` channels that no received frame changes, built once and kept
@@ -41,8 +51,9 @@ on the hard path, for every candidate in one pass on the soft path.
 
 Like the paper's processing element, the core holds a fixed amount of
 state and asks for no memory while it walks.  Everything with a path
-axis — ``symbols``, the distances, the dead mask and the level's five
-temporaries (:func:`walk_layout`) — is a view of a
+axis — ``symbols``, the distances, the dead mask and, on the portable
+lane, the level's temporaries (:func:`walk_layout`; the native lane has
+``(3 + 4 Nt) P`` doubles of scratch instead) — is a view of a
 :class:`WalkWorkspace`, and every operation of the level body writes
 into it through ``out=``.  The workspace belongs to the ``store`` a
 stacked entry point is handed (one per array module, kept until
@@ -109,13 +120,17 @@ MAX_CHUNK_ELEMENTS = 1 << 18
 _ITEM_BYTES = {"float64": 8, "int64": 8, "uint8": 1, "bool_": 1}
 
 
-def walk_layout(num_streams: int) -> tuple:
+def walk_layout(num_streams: int, native: bool = False) -> tuple:
     """What the core holds per (subcarrier, frame, path) element, as
     ``(name, dtype, planes)`` rows: the list :meth:`WalkWorkspace.carve`
-    turns into buffers and :func:`tile_shape` into a footprint."""
-    return (
-        ("symbols", "float64", 2 * num_streams),
-        ("ped", "float64", 1),
+    turns into buffers and :func:`tile_shape` into a footprint.  The
+    ``native`` lane keeps a level's temporaries in the kernel's own
+    ``(3 + 4 Nt) P`` scratch, so per element it holds the results only."""
+    results = (("symbols", "float64", 2 * num_streams), ("ped", "float64", 1))
+    if native:
+        return results + (("dead", "bool_", 1),)
+    return results + (
+        ("dead", "bool_", 2),
         ("z", "float64", 2),
         ("centre", "float64", 2),
         # Offset inside the detection square, then the unclipped pick.
@@ -124,7 +139,6 @@ def walk_layout(num_streams: int) -> tuple:
         # Diagonal-swap flag, then the level's distance.
         ("swap", "float64", 1),
         ("left", "bool_", 2),
-        ("dead", "bool_", 2),
     )
 
 
@@ -548,7 +562,6 @@ class FlexCoreDetector(Detector):
             counter,
             self.use_exact_ordering,
             scratch,
-            walk_layout(num_streams),
         ):
             winners[rows, cols] = self._winner(symbols, ped, xp)
             deactivated[rows] += xp.count_nonzero(dead, axis=(1, 2))
@@ -558,15 +571,18 @@ class FlexCoreDetector(Detector):
         )
 
     def _walk_tiles(
-        self, plan, planes, xp, counter, use_exact: bool, scratch, layout
+        self, plan, planes, xp, counter, use_exact: bool, scratch, extra=()
     ):
         """Yield ``(rows, cols, symbols, ped, dead)`` — two slices of a
         block's ``(G, F, Nt, 2)`` ``planes`` and :meth:`_walk`'s result
-        on them — for each tile :func:`tile_shape` cuts the block into:
-        the one place a block is walked, for the hard and the soft
-        detector alike.  A tile's tensors live in ``scratch`` until the
-        next tile is asked for; a block without frames has no tiles."""
-        group, frames, _, _ = planes.shape
+        on them — for each tile :func:`tile_shape` cuts the block into
+        (this lane's layout plus the caller's ``extra`` rows): the one
+        place a block is walked, for the hard and the soft detector alike.
+        A tile's tensors live in ``scratch`` until the next tile is asked
+        for; a block without frames has no tiles."""
+        group, frames, num_streams, _ = planes.shape
+        native = not use_exact and xp.walk_tile is not None
+        layout = walk_layout(num_streams, native) + extra
         tile_group, tile_frames = tile_shape(group, frames, plan.paths, layout)
         for first in range(0, group, tile_group):
             rows = slice(first, first + tile_group)
@@ -639,13 +655,25 @@ class FlexCoreDetector(Detector):
         clamp = 0.5 * max(side - 2, 0)
         if scratch is None:
             scratch = WalkWorkspace(xp)
-        symbols, ped, z, centre, step, sign, swap, left, dead = scratch.carve(
-            walk_layout(num_streams), group, frames, paths
+        kernel = None if use_exact else xp.walk_tile
+        symbols, ped, dead, *level_body = scratch.carve(
+            walk_layout(num_streams, kernel is not None), group, frames, paths
         )
-        ped, swap = ped[:, :, 0], swap[:, :, 0]
+        ped = ped[:, :, 0]
+        half = planes * 0.5
+        elements = group * frames * paths
+        counter.add_complex_mults(elements * num_streams * (num_streams - 1) // 2)
+        counter.add_real_mults(elements * num_streams * 5)
+        if kernel is not None:
+            # Every level in one GIL-free call; the kernel zeroes for itself.
+            (work,) = scratch.carve((("kernel", "float64", 3 + 4 * num_streams),), 1, 1, paths)
+            kernel(half, plan.rows, plan.weights, plan.offsets,
+                   plan.swap_delta, clamp, edge, symbols, ped, dead, work)  # fmt: skip
+            return symbols, ped, dead[:, :, 0]
+        z, centre, step, sign, swap, left = level_body
+        swap = swap[:, :, 0]
         ped[...] = 0.0
         dead[...] = False
-        half = planes * 0.5
         for level in range(num_streams - 1, -1, -1):
             decided = 2 * level + 2
             picked = symbols[:, :, decided - 2 : decided, :]
@@ -683,9 +711,6 @@ class FlexCoreDetector(Detector):
             distance = xp.add(z[:, :, 0], z[:, :, 1], out=swap)
             distance *= plan.weights[:, level][:, None, None]
             ped += distance
-            elements = group * frames * paths
-            counter.add_complex_mults(elements * (num_streams - 1 - level))
-            counter.add_real_mults(elements * 5)
         # Half units squared are a quarter of Eq. 1's.
         ped *= 4.0
         gone = dead[:, :, 0]

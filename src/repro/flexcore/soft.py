@@ -28,9 +28,10 @@ exact, and nothing float64 of shape ``(G, F, P, Nt * bits)`` is built.
 The list rides the walk's tiles and lives in the walk's workspace
 (:meth:`SoftFlexCoreDetector._list_layout`), so a warm soft block
 allocates only its sort order and its ``(G, F, Nt * bits)`` outputs.  On
-the benchmark's ``soft_llr`` block the ledger (README "Performance")
-puts a soft block at 5.3 ms against 3.2 ms for the hard block on the
-same plan: 1.6 times, where the dense reduction cost 3.4 times.
+the benchmark's ``soft_llr`` block the ledger puts a soft block at 3.3 ms
+against 0.85 ms for the hard block on the same plan on the walk's native
+lane (6.3 against 3.6 ms on the portable one): the list is now the
+larger half, where the dense reduction once cost 3.4 hard blocks.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from repro.flexcore.detector import (
     FlexCoreContext,
     FlexCoreDetector,
     WalkWorkspace,
-    walk_layout,
 )
 from repro.utils.flops import NULL_COUNTER, FlopCounter
 from repro.utils.xp import resolve_array_module
@@ -238,7 +238,7 @@ class SoftFlexCoreDetector(FlexCoreDetector):
             counter,
             False,
             scratch,
-            walk_layout(num_streams) + self._list_layout(),
+            self._list_layout(),
         ):
             heads[rows, cols], soft[rows, cols], missing = self._list_llrs(
                 self._labels(symbols, xp, scratch), ped, noise_var, xp, scratch

@@ -1,0 +1,219 @@
+"""The walk's native lane: ``walk.c`` built with the system compiler on
+first use, cached on disk, loaded through :mod:`ctypes` — no new
+dependency, no binary checked in, and every failure is the portable lane.
+
+:func:`kernel` is what ``NumpyArrayModule.walk_tile`` hands
+:meth:`~repro.flexcore.detector.FlexCoreDetector._walk`: one GIL-free
+call per ``(G, F, P)`` tile, or ``None`` (walk level by level).  It is
+resolved once per process and never at import: a ``DetectionService``
+resolves it when it is constructed — a 0.2-1 s compile must not land in
+a slot's flush — and a bare ``detect_prepared`` caller pays on its first
+walk.  :func:`status` (``python -m repro.native``) says which lane the
+process took and why: a silent fallback is a 4x regression nobody sees.
+
+**Compiler.**  ``CC`` when it is set, found or not; else ``cc`` / ``gcc``
+/ ``clang`` on ``PATH``.  ``CC=false`` is how CI and an operator force
+the portable lane; there is no other knob.  Never a fast-math flag.
+**Cache key.**  sha256 over the source, the flags, the compiler's path,
+size and mtime, the machine and the CPU-flags line of ``/proc/cpuinfo``:
+a home shared across hosts never loads another CPU's ``-march=native``
+object.  Objects are built under a temporary name and ``os.replace``-d
+into place, so processes racing a cold cache all succeed and none
+overwrites what another has mapped; one that does not load is rebuilt
+once.  **Trust rule.**  We ``dlopen`` what is in the cache directory, so
+it is created 0700 and refused unless it is the caller's own and not
+group- or world-writable: ``$XDG_CACHE_HOME`` or ``~/.cache``
+``/repro-flexcore``, else the temp directory's ``repro-flexcore-<uid>``,
+else a per-process ``mkdtemp``.  No compiler, a compile or load error,
+nowhere to write: one ``RuntimeWarning`` with the reason.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+import threading
+import time
+import warnings
+from importlib import resources
+
+FLAGS = (
+    "-O3", "-march=native", "-fno-math-errno", "-fno-trapping-math",
+    "-ffp-contract=off", "-shared", "-fPIC",
+)  # fmt: skip
+_LOCK = threading.Lock()
+#: This process's lane: ``(status dict, kernel or None)`` once resolved.
+_RESOLVED = None
+
+
+def _compiler(environ) -> "list[str] | None":
+    chosen = environ.get("CC", "").split()
+    for words in [chosen] if chosen else [["cc"], ["gcc"], ["clang"]]:
+        path = shutil.which(words[0], path=environ.get("PATH"))
+        if path is not None:
+            return [path, *words[1:]]
+    return None
+
+
+def _cache_dir(environ) -> "str | None":
+    """The first candidate directory that passes the trust rule."""
+    home = environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    shared = os.path.join(tempfile.gettempdir(), f"repro-flexcore-{os.getuid()}")
+    for path in (os.path.join(home, "repro-flexcore"), shared):
+        try:
+            os.makedirs(path, mode=0o700, exist_ok=True)
+            owner = os.stat(path)
+        except OSError:
+            continue
+        ours = owner.st_uid == os.getuid() and not owner.st_mode & 0o022
+        if ours and os.access(path, os.W_OK | os.X_OK):
+            return path
+    return None
+
+
+def _key(source: bytes, compiler: "list[str]") -> str:
+    binary = os.stat(compiler[0])
+    cpu = ""
+    if os.path.exists("/proc/cpuinfo"):
+        with open("/proc/cpuinfo") as lines:
+            cpu = next((line for line in lines if line.startswith("flags")), "")
+    parts = (*FLAGS, *compiler, binary.st_size, binary.st_mtime_ns, platform.machine(), cpu)
+    return hashlib.sha256(source + repr(parts).encode()).hexdigest()[:32]
+
+
+def _build(source: bytes, compiler: "list[str]", target: str) -> None:
+    handle, temporary = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".so")
+    os.close(handle)
+    try:
+        done = subprocess.run(
+            [*compiler, *FLAGS, "-x", "c", "-", "-o", temporary],
+            input=source, capture_output=True, timeout=60,
+        )  # fmt: skip
+        if done.returncode:
+            tail = done.stderr.decode(errors="replace")[-300:].strip()
+            raise OSError(f"{compiler[0]} exited {done.returncode}: {tail}")
+        os.replace(temporary, target)
+    finally:
+        if os.path.exists(temporary):
+            os.unlink(temporary)
+
+
+def _load(path: str):
+    function = ctypes.CDLL(path).flexcore_walk_tile
+    pointer, real = ctypes.c_void_p, ctypes.c_double
+    function.argtypes = [pointer] * 6 + [real, real] + [pointer] * 4
+    function.restype = None
+    return function
+
+
+def _resolve(environ=os.environ) -> tuple:
+    """Build or load the kernel: ``(status, kernel or None)``."""
+    status = dict(lane="portable", compiler=None, flags=" ".join(FLAGS),
+                  cache=None, build_s=0.0, reason=None)  # fmt: skip
+    private = None
+    try:
+        compiler = _compiler(environ)
+        if compiler is None:
+            raise OSError(f"no C compiler (CC={environ.get('CC')!r}, else cc, gcc, clang)")
+        status["compiler"] = " ".join(compiler)
+        source = resources.files(__name__).joinpath("walk.c").read_bytes()
+        directory = _cache_dir(environ)
+        if directory is None:
+            directory = private = tempfile.mkdtemp(prefix="repro-flexcore-")
+        status["cache"] = target = os.path.join(directory, _key(source, compiler) + ".so")
+        function = None
+        if os.path.exists(target):
+            try:
+                function = _load(target)
+            except (OSError, AttributeError):
+                pass  # a truncated object: rebuild, once
+        if function is None:
+            start = time.perf_counter()
+            _build(source, compiler, target)
+            status["build_s"] = time.perf_counter() - start
+            function = _load(target)
+        status["lane"] = "native"
+        return status, _bind(function)
+    except Exception as error:  # every failure is the portable lane
+        status["reason"] = f"{type(error).__name__}: {error}"
+        warnings.warn(f"repro.native: portable lane: {status['reason']}", RuntimeWarning)
+        return status, None
+    finally:
+        if private is not None:  # a loaded object outlives its file
+            shutil.rmtree(private, ignore_errors=True)
+
+
+def _bind(function):
+    """The tile op over ``function``: layout checks in Python, pointers
+    to C.  ``offsets`` / ``swap_delta`` ``(Nt, G, 1, 2, P)`` may be the
+    views a plan's ``clamp`` / ``subcarriers`` make; ``half`` ``(G, F,
+    Nt, 2)``, the plan's ``rows`` and ``weights`` and the workspace's
+    buffers (``scratch``: ``(3 + 4 Nt) P`` doubles) are contiguous."""
+
+    def walk_tile(half, rows, weights, offsets, swap_delta, clamp, edge,
+                  symbols, ped, dead, scratch):  # fmt: skip
+        group, frames, num_streams, _ = half.shape
+        paths = offsets.shape[-1]
+        elements = group * frames * paths
+        reals = (half, rows, weights, symbols, ped, scratch)
+        sizes = (symbols.size, ped.size, dead.nbytes)
+        if not (
+            all(a.dtype.char == "d" and a.flags.c_contiguous for a in reals)
+            and dead.flags.c_contiguous
+            and offsets.dtype.char in "bh"
+            and (offsets.dtype, offsets.strides) == (swap_delta.dtype, swap_delta.strides)
+            and offsets.strides[4] == offsets.itemsize
+            and rows.shape == (group, num_streams, 2, 2 * num_streams)
+            and weights.shape == (group, num_streams)
+            and offsets.shape == swap_delta.shape == (num_streams, group, 1, 2, paths)
+            and sizes == (2 * num_streams * elements, elements, elements)
+            and scratch.size >= (3 + 4 * num_streams) * paths
+        ):
+            raise ValueError("walk_tile: not the walk's layout")
+        by_level, by_group, _, by_plane, _ = offsets.strides
+        dims = (ctypes.c_int64 * 8)(
+            group, frames, num_streams, paths, by_level, by_group, by_plane, offsets.itemsize
+        )
+        function(
+            ctypes.addressof(dims), half.ctypes.data, rows.ctypes.data,
+            weights.ctypes.data, offsets.ctypes.data, swap_delta.ctypes.data,
+            clamp, edge, symbols.ctypes.data, ped.ctypes.data,
+            dead.ctypes.data, scratch.ctypes.data,
+        )  # fmt: skip
+
+    return walk_tile
+
+
+def _resolved() -> tuple:
+    global _RESOLVED
+    with _LOCK:
+        if _RESOLVED is None:
+            _RESOLVED = _resolve()
+        return _RESOLVED
+
+
+def kernel():
+    """The native tile walk, or ``None``: this process's lane is portable."""
+    return _resolved()[1]
+
+
+def status() -> dict:
+    """Lane (``"native"`` / ``"portable"``), compiler, flags, cache path,
+    build seconds and failure reason of this process — JSON-friendly."""
+    return dict(_resolved()[0])
+
+
+def clear(environ=os.environ) -> int:
+    """Delete every object in the cache directory; returns how many."""
+    directory = _cache_dir(environ)
+    if directory is None:
+        return 0
+    stale = [name for name in os.listdir(directory) if name.endswith(".so")]
+    for name in stale:
+        os.unlink(os.path.join(directory, name))
+    return len(stale)

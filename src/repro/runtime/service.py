@@ -38,6 +38,7 @@ import copy
 
 import numpy as np
 
+from repro import native
 from repro.errors import ConfigurationError, LinkSimulationError
 from repro.obs import (
     NULL_TRACER,
@@ -158,6 +159,8 @@ class DetectionService:
         self, backend: "str | ExecutionBackend" = "serial", obs=None
     ):
         self.backend = make_backend(backend)
+        # Build or load the walk's native lane now: never inside a flush.
+        native.kernel()
         if obs is None:
             obs = get_global()
         self.obs = obs

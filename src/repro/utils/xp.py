@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as _host_np
 
+from repro import native
 from repro.errors import ConfigurationError
 
 #: Environment variable naming the default array module.
@@ -240,11 +241,22 @@ class NumpyArrayModule(ArrayModule):
     def conj(self, a):
         return self._np.conj(a)
 
+    # -- the fused walk ------------------------------------------------
+    @property
+    def walk_tile(self):
+        """The walk's one fused op — every level of a ``(G, F, P)`` tile in
+        a single GIL-free native call, ``walk_tile(half, rows, weights,
+        offsets, swap_delta, clamp, edge, symbols, ped, dead, scratch)``
+        (:mod:`repro.native`) — or ``None`` where there is no native
+        lane and the caller walks level by level.  numpy only."""
+        return native.kernel()
+
 
 class CupyArrayModule(NumpyArrayModule):
     """CuPy shares numpy's API; only conversion crosses the device."""
 
     name = "cupy"
+    walk_tile = None
 
     def __init__(self):
         import cupy
@@ -273,6 +285,7 @@ class TorchArrayModule(ArrayModule):
     """Adapter mapping the kernel API onto torch tensors (CPU device)."""
 
     name = "torch"
+    walk_tile = None
 
     def __init__(self):
         import torch

@@ -109,3 +109,37 @@ def make_stack(
         governor=governor,
     )
     return build_stack(config, detector=detector)
+
+
+@pytest.fixture(params=["portable", "native"])
+def lane(request):
+    """Run a test on each lane of the walk: ``portable`` forces the
+    numpy level loop (what ``CC=false`` does to a whole process),
+    ``native`` is the compiled tile kernel and skips only where
+    ``repro.native.status()`` reports no compiler."""
+    from unittest import mock
+
+    from repro import native
+
+    status = native.status()
+    if request.param == "native":
+        if status["lane"] != "native":
+            pytest.skip(f"no native lane here: {status['reason']}")
+        yield "native"
+        return
+    forced = ({**status, "lane": "portable", "reason": "forced by a test"}, None)
+    with mock.patch.object(native, "_RESOLVED", forced):
+        yield "portable"
+
+
+def assert_same_distances(got, expected, weights, ulps=64):
+    """Two lanes' PEDs ``(G, F, P)``: deactivated (infinite) in the same
+    places and within ``ulps`` elsewhere — units in the last place of the
+    distance, or of one half-grid step at every level (``weights`` is the
+    plan's ``(G, Nt)``) where the distance is smaller than that.  The
+    lanes differ by the summation order of the interference product."""
+    finite = np.isfinite(expected)
+    assert np.array_equal(np.isfinite(got), finite)
+    floor = np.broadcast_to(weights.sum(axis=1)[:, None, None], expected.shape)
+    scale = np.maximum(np.abs(expected), floor)[finite]
+    assert (np.abs(got[finite] - expected[finite]) <= ulps * np.spacing(scale)).all()
