@@ -20,11 +20,18 @@ operation an array-module op (torch, cupy, no compiler, the
 exact-ordering ablation; also the tests' oracle), and the **native**
 one, ``xp.walk_tile`` — the same arithmetic in the same order as one
 GIL-free C call per tile (:mod:`repro.native`, numpy only), which is
-what makes a tile a schedulable processing element.  Across entry
-points and tilings a lane agrees with itself to the bit; across lanes
-symbols, the dead mask and FLOP charges are equal and distances differ
-only by the summation order of the interference product (BLAS in one,
-increasing ``j`` in the other: a few ulp).
+what makes a tile a schedulable processing element.  The detectors'
+own native lane goes one step further (``xp.detect_group``,
+:meth:`FlexCoreDetector._decide`): a whole equal-path group in one call
+that walks each frame into scratch and reduces it right there — arg-min,
+symbol lookup, stream order, the soft detector's list — so that, as from
+the paper's processing elements, only decisions leave the kernel;
+``walk_tile`` stays for the candidate list and as the oracle that call
+is pinned to.  Across entry points and tilings a lane agrees with itself
+to the bit; across lanes symbols, the dead mask and FLOP charges are
+equal and distances differ only by the summation order of the
+interference product (BLAS in one, increasing ``j`` in the other: a few
+ulp).
 
 **The plan** (:class:`_StackedContexts`) is everything about a group of
 ``G`` channels that no received frame changes, built once and kept
@@ -53,7 +60,8 @@ Like the paper's processing element, the core holds a fixed amount of
 state and asks for no memory while it walks.  Everything with a path
 axis — ``symbols``, the distances, the dead mask and, on the portable
 lane, the level's temporaries (:func:`walk_layout`; the native lane has
-``(3 + 4 Nt) P`` doubles of scratch instead) — is a view of a
+``(3 + 4 Nt) P`` doubles of scratch instead, the fused call ``(6 + 6 Nt)
+P`` and nothing else) — is a view of a
 :class:`WalkWorkspace`, and every operation of the level body writes
 into it through ``out=``.  The workspace belongs to the ``store`` a
 stacked entry point is handed (one per array module, kept until
@@ -66,11 +74,11 @@ grid units — halving is exact, the detection square's centre becomes
 ``clip(rint(z))``, and the clip writes each pick straight into its
 ``symbols`` rows — so ``symbols`` comes back halved and
 :meth:`~FlexCoreDetector._cells` absorbs the factor; the plan and the
-distances stay in grid units.  A block is walked in ``(G, F)`` tiles
-(:func:`tile_shape`) sized so that one tile's workspace fits the L2
-cache: subcarriers are cut first, frames only when one subcarrier's do
-not fit, and the plan is sliced along ``G`` as a budget clamp slices it
-along ``P``.
+distances stay in grid units.  Off the fused lane a block is walked in
+``(G, F)`` tiles (:func:`tile_shape`) sized so that one tile's workspace
+fits the L2 cache: subcarriers are cut first, frames only when one
+subcarrier's do not fit, and the plan is sliced along ``G`` as a budget
+clamp slices it along ``P``.
 
 A processing element whose pick leaves the constellation is
 *deactivated* (its distance becomes infinite), per §3.2: the pick is
@@ -124,8 +132,10 @@ def walk_layout(num_streams: int, native: bool = False) -> tuple:
     """What the core holds per (subcarrier, frame, path) element, as
     ``(name, dtype, planes)`` rows: the list :meth:`WalkWorkspace.carve`
     turns into buffers and :func:`tile_shape` into a footprint.  The
-    ``native`` lane keeps a level's temporaries in the kernel's own
-    ``(3 + 4 Nt) P`` scratch, so per element it holds the results only."""
+    ``native`` layout — results only, a level's temporaries live in the
+    kernel's scratch — is carved by :meth:`FlexCoreDetector._walk` alone,
+    for ``_candidate_list`` and the lane-equivalence tests: tiles are
+    sized for the portable rows, and the fused lane carves neither."""
     results = (("symbols", "float64", 2 * num_streams), ("ped", "float64", 1))
     if native:
         return results + (("dead", "bool_", 1),)
@@ -551,24 +561,57 @@ class FlexCoreDetector(Detector):
         device-side decisions ``(G, F, Nt)`` plus host per-subcarrier
         deactivation counts, downloaded once.
         """
-        group, frames, _ = received.shape
-        num_streams = self.system.num_streams
-        winners = xp.empty((group, frames, 2 * num_streams), dtype=xp.float64)
-        deactivated = xp.zeros((group,), dtype=xp.int64)
-        for rows, cols, symbols, ped, dead in self._walk_tiles(
-            plan,
-            plan.grid_planes(xp.matmul(received, plan.q_conj), xp),
-            xp,
-            counter,
-            self.use_exact_ordering,
-            scratch,
-        ):
-            winners[rows, cols] = self._winner(symbols, ped, xp)
-            deactivated[rows] += xp.count_nonzero(dead, axis=(1, 2))
-        return (
-            plan.restore_order(self._symbol_indices(winners, xp), xp),
-            np.asarray(xp.to_numpy(deactivated), dtype=np.int64),
+        planes = plan.grid_planes(xp.matmul(received, plan.q_conj), xp)
+        if not self.use_exact_ordering and xp.detect_group is not None:
+            indices, _, deactivated = self._decide(plan, planes, xp, counter, scratch)
+        else:
+            group, frames, num_streams, _ = planes.shape
+            winners = xp.empty((group, frames, 2 * num_streams), dtype=xp.float64)
+            deactivated = xp.zeros((group,), dtype=xp.int64)
+            for rows, cols, symbols, ped, dead in self._walk_tiles(
+                plan, planes, xp, counter, self.use_exact_ordering, scratch
+            ):
+                winners[rows, cols] = self._winner(symbols, ped, xp)
+                deactivated[rows] += xp.count_nonzero(dead, axis=(1, 2))
+            indices = plan.restore_order(self._symbol_indices(winners, xp), xp)
+        return indices, np.asarray(xp.to_numpy(deactivated), dtype=np.int64)
+
+    def _decide(
+        self, plan, planes, xp, counter, scratch, noise_var=None, llr_clip=0.0
+    ) -> tuple:
+        """The fused lane: ``xp.detect_group`` walks the group and reduces
+        each frame where it walked it.  Device-side ``(G, F, Nt)`` indices
+        in original stream order, ``None`` and per-subcarrier dead-path
+        counts — or, given a ``noise_var``, ``(G, F, Nt * bits)`` LLRs and
+        clamped-bit counts.  No tile, no candidate tensor: ``scratch``
+        lends ``(6 + 6 Nt) P`` doubles.  Charges what the tile loop would."""
+        group, frames, num_streams, _ = planes.shape
+        constellation = self.system.constellation
+        side, width = constellation.side, num_streams * constellation.bits_per_symbol
+        self._charge(counter, group * frames * plan.paths, num_streams)
+        indices = xp.empty((group, frames, num_streams), dtype=xp.int64)
+        counts = xp.empty((group,), dtype=xp.int64)
+        llrs = None
+        if noise_var is not None:
+            llrs = xp.empty((group, frames, width), dtype=xp.float64)
+            counter.add_comparisons(group * frames * plan.paths * width)
+        (work,) = scratch.carve(
+            (("kernel", "float64", 6 + 6 * num_streams),), 1, 1, plan.paths
         )
+        xp.detect_group(
+            planes * 0.5, plan.rows, plan.weights, plan.offsets, plan.swap_delta,
+            0.5 * max(side - 2, 0), 0.5 * (side - 1), plan.inverse_permutation,
+            constellation.device_constant(xp, constellation.grid_index_table),
+            0.0 if noise_var is None else noise_var, llr_clip,
+            indices, llrs, counts, work,
+        )  # fmt: skip
+        return indices, llrs, counts
+
+    @staticmethod
+    def _charge(counter: FlopCounter, elements: int, num_streams: int) -> None:
+        """The walk of ``elements`` (subcarrier, frame, path) elements."""
+        counter.add_complex_mults(elements * num_streams * (num_streams - 1) // 2)
+        counter.add_real_mults(elements * num_streams * 5)
 
     def _walk_tiles(
         self, plan, planes, xp, counter, use_exact: bool, scratch, extra=()
@@ -576,13 +619,12 @@ class FlexCoreDetector(Detector):
         """Yield ``(rows, cols, symbols, ped, dead)`` — two slices of a
         block's ``(G, F, Nt, 2)`` ``planes`` and :meth:`_walk`'s result
         on them — for each tile :func:`tile_shape` cuts the block into
-        (this lane's layout plus the caller's ``extra`` rows): the one
-        place a block is walked, for the hard and the soft detector alike.
+        (the portable layout plus the caller's ``extra`` rows): where a
+        block is walked off the fused lane, hard and soft detector alike.
         A tile's tensors live in ``scratch`` until the next tile is asked
         for; a block without frames has no tiles."""
         group, frames, num_streams, _ = planes.shape
-        native = not use_exact and xp.walk_tile is not None
-        layout = walk_layout(num_streams, native) + extra
+        layout = walk_layout(num_streams) + extra
         tile_group, tile_frames = tile_shape(group, frames, plan.paths, layout)
         for first in range(0, group, tile_group):
             rows = slice(first, first + tile_group)
@@ -596,12 +638,14 @@ class FlexCoreDetector(Detector):
     @staticmethod
     def _winner(values, ped, xp):
         """``values`` ``(G, F, K, P)`` on each frame's arg-min path:
-        ``(G, F, K)``."""
-        best = xp.broadcast_to(
-            xp.argmin(ped, axis=2)[:, :, None, None],
-            tuple(values.shape[:3]) + (1,),
+        ``(G, F, K)`` — one flat gather, row ``r`` of the ``(G F K, P)``
+        matrix starting at ``r * P``."""
+        group, frames, planes, paths = values.shape
+        rows = xp.arange(group * frames * planes) * paths
+        return xp.take(
+            values,
+            xp.argmin(ped, axis=2)[:, :, None] + rows.reshape((group, frames, planes)),
         )
-        return xp.take_along_axis(values, best, axis=3)[..., 0]
 
     def _cells(self, symbols, xp, out=None):
         """Row-major cell, in the constellation's ``side x side``
@@ -661,9 +705,7 @@ class FlexCoreDetector(Detector):
         )
         ped = ped[:, :, 0]
         half = planes * 0.5
-        elements = group * frames * paths
-        counter.add_complex_mults(elements * num_streams * (num_streams - 1) // 2)
-        counter.add_real_mults(elements * num_streams * 5)
+        self._charge(counter, group * frames * paths, num_streams)
         if kernel is not None:
             # Every level in one GIL-free call; the kernel zeroes for itself.
             (work,) = scratch.carve((("kernel", "float64", 3 + 4 * num_streams),), 1, 1, paths)

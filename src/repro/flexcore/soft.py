@@ -27,11 +27,17 @@ deactivated — infinite, hence last-ranked — candidate.  Selection is
 exact, and nothing float64 of shape ``(G, F, P, Nt * bits)`` is built.
 The list rides the walk's tiles and lives in the walk's workspace
 (:meth:`SoftFlexCoreDetector._list_layout`), so a warm soft block
-allocates only its sort order and its ``(G, F, Nt * bits)`` outputs.  On
-the benchmark's ``soft_llr`` block the ledger puts a soft block at 3.3 ms
-against 0.85 ms for the hard block on the same plan on the walk's native
-lane (6.3 against 3.6 ms on the portable one): the list is now the
-larger half, where the dense reduction once cost 3.4 hard blocks.
+allocates only its sort order and its ``(G, F, Nt * bits)`` outputs.
+
+That is the portable lane (torch, cupy, no compiler) and the oracle.  On
+the walk's native lane the list never exists: ``xp.detect_group`` reduces
+each frame's ``P`` PEDs where it walked them — per level and bit, the
+minimum under each hypothesis, taken over the PEDs' bit patterns, which
+order as non-negative doubles do; the same missing-hypothesis rule, clip
+and stream order — and writes only ``indices`` and ``llrs`` (:meth:`~repro.
+flexcore.detector.FlexCoreDetector._decide`), bit for bit what the sorted
+list gives.  On the benchmark's ``soft_llr`` block that took a soft block
+from 3.3 to 1.0 ms — from 4.0 to 1.8 hard blocks of the same plan.
 """
 
 from __future__ import annotations
@@ -220,25 +226,25 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         self, plan, received, noise_var: float, xp, counter, scratch
     ) -> tuple:
         """Soft-detect one equal-path-count group: the hard path's walk,
-        keeping every candidate.  Returns device-side ``(G, F, Nt)``
+        every candidate weighed — inside the fused call where ``xp`` has
+        one, else tile by tile.  Returns device-side ``(G, F, Nt)``
         decisions and ``(G, F, Nt * bits)`` LLRs plus host per-subcarrier
         clamped-bit counts, downloaded once."""
-        group, frames, _ = received.shape
-        num_streams = self.system.num_streams
+        planes = plan.grid_planes(xp.matmul(received, plan.q_conj), xp)
+        # The candidate walk ignores the exact-ordering ablation.
+        if xp.detect_group is not None:
+            heads, soft, clamped = self._decide(
+                plan, planes, xp, counter, scratch, noise_var, self.llr_clip
+            )
+            return heads, soft, np.asarray(xp.to_numpy(clamped), dtype=np.int64)
+        group, frames, num_streams, _ = planes.shape
         bits = self.system.constellation.bits_per_symbol
         width = num_streams * bits
         heads = xp.empty((group, frames, num_streams), dtype=xp.int64)
         soft = xp.empty((group, frames, width), dtype=xp.float64)
         clamped = xp.zeros((group,), dtype=xp.int64)
-        # The candidate walk ignores the exact-ordering ablation.
         for rows, cols, symbols, ped, _ in self._walk_tiles(
-            plan,
-            plan.grid_planes(xp.matmul(received, plan.q_conj), xp),
-            xp,
-            counter,
-            False,
-            scratch,
-            self._list_layout(),
+            plan, planes, xp, counter, False, scratch, self._list_layout()
         ):
             heads[rows, cols], soft[rows, cols], missing = self._list_llrs(
                 self._labels(symbols, xp, scratch), ped, noise_var, xp, scratch

@@ -4,7 +4,10 @@ dependency, no binary checked in, and every failure is the portable lane.
 
 :func:`kernel` is what ``NumpyArrayModule.walk_tile`` hands
 :meth:`~repro.flexcore.detector.FlexCoreDetector._walk`: one GIL-free
-call per ``(G, F, P)`` tile, or ``None`` (walk level by level).  It is
+call per ``(G, F, P)`` tile, or ``None`` (walk level by level).  Its
+``detect_group`` attribute — the same object's second entry point — is
+what the detectors take: a whole group walked and decided in one call,
+only indices, LLRs and counters written back.  The lane is
 resolved once per process and never at import: a ``DetectionService``
 resolves it when it is constructed — a 0.2-1 s compile must not land in
 a slot's flush — and a bare ``detect_prepared`` caller pays on its first
@@ -30,6 +33,7 @@ nowhere to write: one ``RuntimeWarning`` with the reason.
 
 from __future__ import annotations
 
+import _ctypes
 import ctypes
 import hashlib
 import os
@@ -103,18 +107,29 @@ def _build(source: bytes, compiler: "list[str]", target: str) -> None:
             os.unlink(temporary)
 
 
-def _load(path: str):
-    function = ctypes.CDLL(path).flexcore_walk_tile
+#: The entry points of ``walk.c``: a cached object lacking either is stale.
+ENTRY_POINTS = ("flexcore_walk_tile", "flexcore_detect_group")
+
+
+def _load(path: str) -> tuple:
+    library = ctypes.CDLL(path)
+    try:
+        tile, group = (getattr(library, name) for name in ENTRY_POINTS)
+    except AttributeError:
+        # Unmap it, or what is rebuilt at this path loads as this object again.
+        _ctypes.dlclose(library._handle)
+        raise
     pointer, real = ctypes.c_void_p, ctypes.c_double
-    function.argtypes = [pointer] * 6 + [real, real] + [pointer] * 4
-    function.restype = None
-    return function
+    tile.argtypes = [pointer] * 6 + [real, real] + [pointer] * 4
+    group.argtypes = [pointer] * 6 + [real, real] + [pointer] * 2 + [real, real] + [pointer] * 4
+    tile.restype = group.restype = None
+    return tile, group
 
 
 def _resolve(environ=os.environ) -> tuple:
     """Build or load the kernel: ``(status, kernel or None)``."""
     status = dict(lane="portable", compiler=None, flags=" ".join(FLAGS),
-                  cache=None, build_s=0.0, reason=None)  # fmt: skip
+                  cache=None, build_s=0.0, reason=None, entry_points=[])  # fmt: skip
     private = None
     try:
         compiler = _compiler(environ)
@@ -126,19 +141,19 @@ def _resolve(environ=os.environ) -> tuple:
         if directory is None:
             directory = private = tempfile.mkdtemp(prefix="repro-flexcore-")
         status["cache"] = target = os.path.join(directory, _key(source, compiler) + ".so")
-        function = None
+        functions = None
         if os.path.exists(target):
             try:
-                function = _load(target)
+                functions = _load(target)
             except (OSError, AttributeError):
-                pass  # a truncated object: rebuild, once
-        if function is None:
+                pass  # a truncated object, or one missing a symbol: rebuild, once
+        if functions is None:
             start = time.perf_counter()
             _build(source, compiler, target)
             status["build_s"] = time.perf_counter() - start
-            function = _load(target)
-        status["lane"] = "native"
-        return status, _bind(function)
+            functions = _load(target)
+        status.update(lane="native", entry_points=list(ENTRY_POINTS))
+        return status, _bind(*functions)
     except Exception as error:  # every failure is the portable lane
         status["reason"] = f"{type(error).__name__}: {error}"
         warnings.warn(f"repro.native: portable lane: {status['reason']}", RuntimeWarning)
@@ -148,44 +163,74 @@ def _resolve(environ=os.environ) -> tuple:
             shutil.rmtree(private, ignore_errors=True)
 
 
-def _bind(function):
-    """The tile op over ``function``: layout checks in Python, pointers
-    to C.  ``offsets`` / ``swap_delta`` ``(Nt, G, 1, 2, P)`` may be the
-    views a plan's ``clamp`` / ``subcarriers`` make; ``half`` ``(G, F,
-    Nt, 2)``, the plan's ``rows`` and ``weights`` and the workspace's
-    buffers (``scratch``: ``(3 + 4 Nt) P`` doubles) are contiguous."""
+def _inputs(op, half, rows, weights, offsets, swap_delta, tail, others) -> tuple:
+    """What both entry points start with: ``dims`` — ``G F Nt P``, the
+    byte strides and item size of ``offsets`` / ``swap_delta`` ``(Nt, G,
+    1, 2, P)`` (which may be the views a plan's ``clamp`` / ``subcarriers``
+    make), ``tail`` — and five pointers.  No pointer leaves Python before
+    ``half`` ``(G, F, Nt, 2)``, the plan's ``rows`` and ``weights`` and
+    every ``(array, dtype, size)`` of ``others(G, F, Nt, P)`` is a
+    contiguous array of that (native) type and size."""
+    group, frames, num_streams, _ = half.shape
+    paths = offsets.shape[-1]
+    flat = [(half, "f8", group * frames * num_streams * 2), (rows, "f8", group * 4 * num_streams**2),
+            (weights, "f8", group * num_streams), *others(group, frames, num_streams, paths)]  # fmt: skip
+    if not (
+        all(a.dtype == kind and a.flags.c_contiguous and a.size == size for a, kind, size in flat)
+        and offsets.dtype.char in "bh"
+        and (offsets.dtype, offsets.strides) == (swap_delta.dtype, swap_delta.strides)
+        and offsets.strides[4] == offsets.itemsize
+        and offsets.shape == swap_delta.shape == (num_streams, group, 1, 2, paths)
+    ):
+        raise ValueError(f"{op}: not the walk's layout")
+    by_level, by_group, _, by_plane, _ = offsets.strides
+    dims = (ctypes.c_int64 * 10)(
+        group, frames, num_streams, paths, by_level, by_group, by_plane, offsets.itemsize, *tail
+    )
+    return (dims, *(a.ctypes.data for a in (half, rows, weights, offsets, swap_delta)))
+
+
+def _bind(tile, group):
+    """``walk_tile`` over ``walk.c``'s two entry points; the fused op is
+    its ``detect_group`` attribute, so one object is the lane."""
 
     def walk_tile(half, rows, weights, offsets, swap_delta, clamp, edge,
                   symbols, ped, dead, scratch):  # fmt: skip
-        group, frames, num_streams, _ = half.shape
-        paths = offsets.shape[-1]
-        elements = group * frames * paths
-        reals = (half, rows, weights, symbols, ped, scratch)
-        sizes = (symbols.size, ped.size, dead.nbytes)
-        if not (
-            all(a.dtype.char == "d" and a.flags.c_contiguous for a in reals)
-            and dead.flags.c_contiguous
-            and offsets.dtype.char in "bh"
-            and (offsets.dtype, offsets.strides) == (swap_delta.dtype, swap_delta.strides)
-            and offsets.strides[4] == offsets.itemsize
-            and rows.shape == (group, num_streams, 2, 2 * num_streams)
-            and weights.shape == (group, num_streams)
-            and offsets.shape == swap_delta.shape == (num_streams, group, 1, 2, paths)
-            and sizes == (2 * num_streams * elements, elements, elements)
-            and scratch.size >= (3 + 4 * num_streams) * paths
-        ):
-            raise ValueError("walk_tile: not the walk's layout")
-        by_level, by_group, _, by_plane, _ = offsets.strides
-        dims = (ctypes.c_int64 * 8)(
-            group, frames, num_streams, paths, by_level, by_group, by_plane, offsets.itemsize
-        )
-        function(
-            ctypes.addressof(dims), half.ctypes.data, rows.ctypes.data,
-            weights.ctypes.data, offsets.ctypes.data, swap_delta.ctypes.data,
-            clamp, edge, symbols.ctypes.data, ped.ctypes.data,
-            dead.ctypes.data, scratch.ctypes.data,
-        )  # fmt: skip
+        """Every candidate of a tile: ``symbols`` ``(G, F, 2 Nt, P)``, ``ped``
+        and ``dead`` ``(G, F, P)``; ``scratch`` is ``(3 + 4 Nt) P`` doubles."""
+        inputs = _inputs("walk_tile", half, rows, weights, offsets, swap_delta, (0, 0),
+                         lambda G, F, Nt, P: ((symbols, "f8", 2 * Nt * G * F * P), (ped, "f8", G * F * P),
+                                              (dead, "b1", G * F * P), (scratch, "f8", (3 + 4 * Nt) * P)))  # fmt: skip
+        tile(*inputs, clamp, edge, symbols.ctypes.data, ped.ctypes.data,
+             dead.ctypes.data, scratch.ctypes.data)  # fmt: skip
 
+    def detect_group(half, rows, weights, offsets, swap_delta, clamp, edge, inverse,
+                     table, noise_var, llr_clip, indices, llrs, counts, scratch):  # fmt: skip
+        """What is decided from a group's candidates, none of which leave
+        the call: ``indices`` ``(G, F, Nt)`` int64 read from the ``(side,
+        side)`` int64 position ``table``, in the stream order ``inverse``
+        ``(G, Nt)`` restores, and ``counts`` ``(G,)`` dead paths — or, with
+        ``llrs`` ``(G, F, Nt * bits)`` rather than ``None``, max-log LLRs
+        and clamped bits.  ``scratch`` is ``(6 + 6 Nt) P`` doubles."""
+        side, bits = len(table), (table.size - 1).bit_length()
+        if not (
+            offsets.shape[-1] >= 1
+            and table.shape == (side, side)
+            and inverse.shape == (half.shape[0], half.shape[2])
+            and 0 <= inverse.min() <= inverse.max() < half.shape[2]
+        ):
+            raise ValueError("detect_group: not the walk's layout")
+        soft = () if llrs is None else (llrs,)
+        inputs = _inputs("detect_group", half, rows, weights, offsets, swap_delta, (side, bits),
+                         lambda G, F, Nt, P: ((inverse, "i8", G * Nt), (table, "i8", side * side),
+                                              (indices, "i8", G * F * Nt), (counts, "i8", G),
+                                              (scratch, "f8", (6 + 6 * Nt) * P),
+                                              *((a, "f8", G * F * Nt * bits) for a in soft)))  # fmt: skip
+        group(*inputs, clamp, edge, inverse.ctypes.data, table.ctypes.data, noise_var, llr_clip,
+              indices.ctypes.data, soft[0].ctypes.data if soft else None,
+              counts.ctypes.data, scratch.ctypes.data)  # fmt: skip
+
+    walk_tile.detect_group = detect_group
     return walk_tile
 
 
@@ -204,7 +249,8 @@ def kernel():
 
 def status() -> dict:
     """Lane (``"native"`` / ``"portable"``), compiler, flags, cache path,
-    build seconds and failure reason of this process — JSON-friendly."""
+    build seconds, failure reason and the entry points bound (both or
+    none) of this process — JSON-friendly."""
     return dict(_resolved()[0])
 
 

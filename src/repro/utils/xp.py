@@ -251,12 +251,21 @@ class NumpyArrayModule(ArrayModule):
         lane and the caller walks level by level.  numpy only."""
         return native.kernel()
 
+    @property
+    def detect_group(self):
+        """The same lane's other entry point, from the same compiled
+        object: an equal-path group walked *and decided* in one GIL-free
+        call — indices in stream order, max-log LLRs, per-subcarrier
+        counters; no candidate tensor is written back (:mod:`repro.native`
+        documents the arguments).  ``None`` wherever :attr:`walk_tile` is."""
+        return getattr(self.walk_tile, "detect_group", None)
+
 
 class CupyArrayModule(NumpyArrayModule):
     """CuPy shares numpy's API; only conversion crosses the device."""
 
     name = "cupy"
-    walk_tile = None
+    walk_tile = detect_group = None
 
     def __init__(self):
         import cupy
@@ -285,7 +294,7 @@ class TorchArrayModule(ArrayModule):
     """Adapter mapping the kernel API onto torch tensors (CPU device)."""
 
     name = "torch"
-    walk_tile = None
+    walk_tile = detect_group = None
 
     def __init__(self):
         import torch

@@ -1,0 +1,323 @@
+"""The fused lane — ``xp.detect_group``, one native call per equal-path
+group — against what it fuses: the portable reductions (``_winner`` /
+``_symbol_indices`` / ``_labels`` / ``_list_llrs`` / ``restore_order``,
+numpy passes) applied to the tensors the native ``_walk`` hands back.
+The walk inside both is the same C frame body, so *everything* is equal
+bit for bit: indices, LLRs down to the sign of zero, dead and clamped
+counts, FLOP and comparison charges.  No candidate tensor leaves the
+call, and none is carved.
+
+Skips only where ``repro.native.status()`` reports no compiler.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import native
+from repro.flexcore.detector import FlexCoreDetector, WalkWorkspace
+from repro.flexcore.ordering import TriangleOrdering
+from repro.flexcore.soft import SoftFlexCoreDetector
+from repro.mimo.system import MimoSystem
+from repro.modulation.constellation import QamConstellation
+from repro.runtime.residency import ResidentContextStore
+from repro.runtime.service import clamp_context_paths
+from repro.utils.flops import FlopCounter
+from repro.utils.xp import CountingArrayModule, CupyArrayModule, TorchArrayModule
+from tests.conftest import make_block
+from tests.flexcore.test_native_walk import NUMPY, ORDERINGS, PORTABLE, detector_for, synthetic
+from tests.flexcore.test_walk_equivalence import build
+from tests.flexcore.test_workspace import peak_kib_of_a_warm_call
+
+pytestmark = pytest.mark.skipif(
+    native.status()["lane"] != "native",
+    reason=f"no native lane here: {native.status()['reason']}",
+)
+
+# 1024-QAM: labels no longer fit a byte on the portable list.
+ORDERINGS.setdefault(1024, TriangleOrdering(QamConstellation(1024)))
+NOISE_VAR = 0.37
+
+
+def group(order, num_streams, shape, paths, seed, quiet=False):
+    """A soft detector and a synthetic ``(G, F, P)`` group whose plan
+    carries a stream permutation per subcarrier."""
+    rng = np.random.default_rng(seed)
+    plan, planes = synthetic(order, num_streams, *shape, paths, rng, quiet)
+    order_of = np.stack([rng.permutation(num_streams) for _ in range(shape[0])])
+    detector = detector_for(order, num_streams, SoftFlexCoreDetector)
+    return detector, replace(plan, inverse_permutation=order_of), planes
+
+
+def fused(detector, plan, planes, soft, counter=None, scratch=None):
+    """``(indices, llrs, counts)`` of the one native call."""
+    counter = FlopCounter() if counter is None else counter
+    scratch = WalkWorkspace(NUMPY) if scratch is None else scratch
+    extra = (NOISE_VAR, detector.llr_clip) if soft else ()
+    return detector._decide(plan, planes, NUMPY, counter, scratch, *extra)
+
+
+def reduced(detector, plan, planes, soft, counter=None):
+    """The same three from the portable reductions of the native walk's
+    tensors, as ``_detect_group`` / ``_detect_soft_group`` apply them."""
+    counter = FlopCounter() if counter is None else counter
+    num_groups, frames, num_streams, _ = planes.shape
+    bits = detector.system.constellation.bits_per_symbol
+    if frames == 0:  # a block without frames has no tiles
+        empty = np.empty((num_groups, 0, num_streams), dtype=np.int64)
+        llrs = np.empty((num_groups, 0, num_streams * bits)) if soft else None
+        return empty, llrs, np.zeros(num_groups, dtype=np.int64)
+    scratch = WalkWorkspace(NUMPY)
+    symbols, ped, dead = detector._walk(planes, plan, NUMPY, counter, False, scratch)
+    if not soft:
+        winners = detector._winner(symbols, ped, NUMPY)
+        indices = plan.restore_order(detector._symbol_indices(winners, NUMPY), NUMPY)
+        return indices, None, np.count_nonzero(dead, axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # inf - inf, where both are missing
+        heads, llrs, missing = detector._list_llrs(
+            detector._labels(symbols, NUMPY, scratch), ped, NOISE_VAR, NUMPY, scratch
+        )
+    counter.add_comparisons(ped.size * num_streams * bits)
+    by_stream = llrs.reshape(num_groups, frames, num_streams, bits)
+    return (
+        plan.restore_order(heads, NUMPY),
+        plan.restore_order(by_stream, NUMPY).reshape(llrs.shape),
+        np.count_nonzero(missing, axis=(1, 2)),
+    )
+
+
+def assert_same_decisions(got, expected):
+    for ours, theirs in zip(got, expected):
+        assert (ours is None) == (theirs is None)
+        if ours is not None:
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert np.array_equal(ours, theirs)
+    if got[1] is not None:
+        assert np.array_equal(np.signbit(got[1]), np.signbit(expected[1]))
+
+
+class TestAgainstThePortableReductions:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        order=st.sampled_from([4, 16, 64, 256, 1024]),
+        num_streams=st.integers(2, 12),
+        paths=st.sampled_from([1, 2, 3, 17, 64, 129, 1500]),
+        shape=st.sampled_from([(1, 1), (1, 4), (3, 1), (2, 3), (5, 2), (2, 0)]),
+        soft=st.booleans(),
+        wide=st.booleans(),
+        quiet=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_indices_llrs_counts_and_charges(
+        self, order, num_streams, paths, shape, soft, wide, quiet, seed
+    ):
+        detector, plan, planes = group(order, num_streams, shape, paths, seed, quiet)
+        if wide:  # the kernel's other item size
+            plan = replace(
+                plan,
+                offsets=plan.offsets.astype(np.int16),
+                swap_delta=plan.swap_delta.astype(np.int16),
+            )
+        ours, theirs = FlopCounter(), FlopCounter()
+        got = fused(detector, plan, planes, soft, ours)
+        assert_same_decisions(got, reduced(detector, plan, planes, soft, theirs))
+        assert ours == theirs and (ours.total_flops > 0) == (shape[1] > 0)
+        if soft:
+            assert (np.abs(got[1]) <= detector.llr_clip).all()
+
+    @pytest.mark.parametrize("soft", [False, True])
+    @pytest.mark.parametrize("budget", [1, 7, 23])
+    def test_a_clamped_cut_plan_is_its_contiguous_copy(self, budget, soft):
+        detector, plan, planes = group(16, 6, (5, 4), 24, 11)
+        part = plan.subcarriers(slice(1, 4)).clamp(budget)
+        assert not part.offsets.flags.c_contiguous
+        copy = replace(
+            part,
+            offsets=np.ascontiguousarray(part.offsets),
+            swap_delta=np.ascontiguousarray(part.swap_delta),
+        )
+        got = fused(detector, part, planes[1:4], soft)
+        assert_same_decisions(got, fused(detector, copy, planes[1:4], soft))
+        assert_same_decisions(got, reduced(detector, part, planes[1:4], soft))
+
+    def test_every_path_deactivated(self):
+        """Sentinel offsets on every path: the head is path 0 (whose
+        clipped picks are symbols all the same), both hypotheses of
+        every bit are missing and zero's ``-llr_clip`` wins."""
+        detector, plan, planes = group(64, 3, (2, 3), 5, 8)
+        offsets, swap_delta = ORDERINGS[64].path_offsets(
+            np.zeros((3, 2, 1, 5), dtype=np.int64), NUMPY
+        )
+        plan = replace(plan, offsets=offsets, swap_delta=swap_delta)
+        hard, soft = fused(detector, plan, planes, False), fused(detector, plan, planes, True)
+        assert_same_decisions(hard, reduced(detector, plan, planes, False))
+        assert_same_decisions(soft, reduced(detector, plan, planes, True))
+        assert np.array_equal(hard[0], soft[0])
+        assert hard[2].tolist() == [3 * 5] * 2
+        assert (soft[1] == -detector.llr_clip).all()
+        assert soft[2].tolist() == [3 * 3 * 6] * 2
+
+    def test_exact_ties_go_to_the_first_path(self):
+        """The four corners of a detection square, from its centre: four
+        equal distances, and path 0 is not the rank-1 pick."""
+        detector = detector_for(16, 1, SoftFlexCoreDetector)
+        _, plan, _ = group(16, 1, (1, 1), 4, 0, quiet=True)
+        ranks = np.array([3, 1, 4, 2])[None, None, None, :]
+        offsets, swap_delta = ORDERINGS[16].path_offsets(ranks, NUMPY)
+        plan = replace(plan, offsets=offsets, swap_delta=swap_delta)
+        planes = np.zeros((1, 1, 1, 2))
+        symbols, ped, dead = detector._walk(planes, plan, NUMPY, FlopCounter(), False)
+        assert not dead.any() and np.unique(ped).size == 1
+        assert len({tuple(symbols[0, 0, :, p]) for p in range(4)}) == 4
+        first = detector._symbol_indices(symbols[..., 0], NUMPY)
+        for soft in (False, True):
+            got = fused(detector, plan, planes, soft)
+            assert np.array_equal(got[0], first)
+            assert_same_decisions(got, reduced(detector, plan, planes, soft))
+        # Equal minima where both hypotheses are held: +0.0, never -0.0.
+        measured = got[1][np.abs(got[1]) < detector.llr_clip]
+        assert measured.size == 2 and not measured.any() and not np.signbit(measured).any()
+
+    def test_nan_and_inf_received(self):
+        """NaN deactivates every path of its frame (the picks are NaN:
+        cell 0, as the portable list's clipping ``take`` reads them);
+        inf is infinitely far on every path and deactivates none."""
+        detector, plan, planes = group(16, 3, (2, 4), 17, 5)
+        planes[0, 1, 2, 0] = np.nan
+        planes[1, 2, 1, 1] = np.inf
+        planes[1, 3, 0, 0] = -np.inf
+        soft = fused(detector, plan, planes, True)
+        assert_same_decisions(soft, reduced(detector, plan, planes, True))
+        hard = fused(detector, plan, planes, False)
+        assert np.array_equal(hard[0], soft[0])
+        assert hard[2][0] >= 17 and (np.abs(soft[1][0, 1]) == detector.llr_clip).all()
+        assert (np.abs(soft[1][1, 2:]) == detector.llr_clip).all()
+
+
+class TestThroughTheEntryPoints:
+    """Real contexts, ragged groups, budget clamps: the detector's four
+    entry points on the fused lane."""
+
+    @pytest.mark.parametrize("kind", ["full", "early-stop"])
+    @pytest.mark.parametrize("budget", [None, 9])
+    def test_per_channel_equals_stacked(self, kind, budget):
+        system = MimoSystem(6, 6, QamConstellation(16))
+        detector = build(kind, True, system, 24)
+        channels, received, noise_var = make_block(system, 7, 5, 9.0, 41)
+        contexts = detector.prepare_many(channels, noise_var)
+        store = ResidentContextStore()
+        hard = detector.detect_block_prepared(contexts, received, store=store, max_paths=budget)
+        soft = detector.detect_soft_block_prepared(
+            contexts, received, noise_var, store=store, max_paths=budget
+        )
+        assert set(store.scratch(NUMPY, WalkWorkspace)._flat) == {"kernel"}
+        for sc, context in enumerate(contexts):
+            context = clamp_context_paths(context, budget)
+            alone = detector.detect_prepared(context, received[sc])
+            assert np.array_equal(alone.indices, hard[0][sc]) and alone.metadata == hard[1][sc]
+            alone = detector.detect_soft_prepared(context, received[sc], noise_var)
+            assert np.array_equal(alone.indices, soft[0][sc])
+            assert np.array_equal(alone.llrs, soft[1][sc])
+            assert np.array_equal(np.signbit(alone.llrs), np.signbit(soft[1][sc]))
+            assert alone.metadata == soft[2][sc]
+
+    def test_charges_and_metadata_equal_the_portable_lanes(self):
+        detector = detector_for(16, 6, SoftFlexCoreDetector, 24)
+        channels, received, noise_var = make_block(detector.system, 5, 9, 12.0, 99)
+        contexts = detector.prepare_many(channels, noise_var)
+        counters = [FlopCounter() for _ in range(3)]
+        ours = detector.detect_soft_block_prepared(
+            contexts, received, noise_var, counter=counters[0], xp=NUMPY
+        )
+        theirs = detector.detect_soft_block_prepared(
+            contexts, received, noise_var, counter=counters[1], xp=PORTABLE
+        )
+        for context, frames in zip(contexts, received):
+            detector.detect_soft_prepared(context, frames, noise_var, counter=counters[2])
+        assert counters[0] == counters[1] == counters[2]
+        assert counters[0].comparisons > 0
+        assert ours[2] == theirs[2] and np.array_equal(ours[0], theirs[0])
+        hard = [detector.detect_block_prepared(contexts, received, xp=xp) for xp in (NUMPY, PORTABLE)]
+        assert hard[0][1] == hard[1][1] and np.array_equal(hard[0][0], hard[1][0])
+
+    def test_the_exact_ordering_ablation_stays_off_the_hard_fused_lane(self):
+        system = MimoSystem(3, 3, QamConstellation(16))
+        detector = FlexCoreDetector(system, 8, use_exact_ordering=True)
+        channels, received, noise_var = make_block(system, 2, 3, 10.0, 1)
+        store = ResidentContextStore()
+        detector.detect_block_prepared(
+            detector.prepare_many(channels, noise_var), received, store=store
+        )
+        assert "kernel" not in store.scratch(NUMPY, WalkWorkspace)._flat
+
+    @pytest.mark.parametrize("soft", [False, True])
+    def test_a_warm_call_allocates_nothing_with_a_path_axis(self, soft):
+        scratch = WalkWorkspace(NUMPY)
+        detector, plan, planes = group(64, 12, (8, 7), 128, 3)
+        # The walk's own gate is 24 KiB (``half`` is 10.5, the indices
+        # 5.25); the soft call also owns its (8, 7, 72) LLRs, 31.5 KiB —
+        # still less than one (8, 7, 128) float64 path plane, 56 KiB.
+        peak = peak_kib_of_a_warm_call(
+            lambda: fused(detector, plan, planes, soft, scratch=scratch)
+        )
+        assert peak < (56.0 if soft else 24.0)
+        assert set(scratch._flat) == {"kernel"}
+
+
+class TestTheOp:
+    def test_only_numpy_with_a_kernel_has_it(self):
+        assert TorchArrayModule.detect_group is None
+        assert CupyArrayModule.detect_group is None
+        assert PORTABLE.detect_group is None
+        assert NUMPY.detect_group is native.kernel().detect_group
+        assert CountingArrayModule("numpy").detect_group is NUMPY.detect_group
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            lambda plan: replace(plan, offsets=plan.offsets.astype(np.int64)),
+            lambda plan: replace(plan, rows=plan.rows[:, :, :, ::-1]),
+            lambda plan: replace(plan, weights=plan.weights[:1]),
+            lambda plan: replace(
+                plan, inverse_permutation=plan.inverse_permutation.astype(np.int32)
+            ),
+            lambda plan: replace(plan, inverse_permutation=plan.inverse_permutation[:, ::-1]),
+            lambda plan: replace(plan, inverse_permutation=plan.inverse_permutation + 1),
+            lambda plan: replace(plan, inverse_permutation=plan.inverse_permutation - 1),
+            lambda plan: replace(plan, inverse_permutation=plan.inverse_permutation[:, :2]),
+            lambda plan: plan.clamp(0),
+        ],
+    )
+    def test_it_refuses_what_is_not_the_walks_layout(self, wrong):
+        detector, plan, planes = group(16, 3, (2, 2), 5, 0)
+        with pytest.raises(ValueError, match="layout"):
+            fused(detector, wrong(plan), planes, True)
+
+    def test_it_refuses_buffers_of_the_wrong_size_or_type(self):
+        detector, plan, planes = group(16, 3, (2, 2), 5, 0)
+        table = detector.system.constellation.grid_index_table
+        good = dict(
+            inverse=plan.inverse_permutation, table=table,
+            indices=np.empty((2, 2, 3), dtype=np.int64), llrs=np.empty((2, 2, 12)),
+            counts=np.empty(2, dtype=np.int64), scratch=np.empty(24 * 5),
+        )  # fmt: skip
+        bad = dict(
+            table=table[:, :3], indices=np.empty((2, 2, 3), dtype=np.int32),
+            llrs=np.empty((2, 2, 11)), counts=np.empty(3, dtype=np.int64),
+            scratch=np.empty(24 * 5 - 1),
+        )  # fmt: skip
+
+        def call(**buffers):
+            b = {**good, **buffers}
+            NUMPY.detect_group(
+                planes * 0.5, plan.rows, plan.weights, plan.offsets, plan.swap_delta,
+                1.0, 1.5, b["inverse"], b["table"], NOISE_VAR, 4.0,
+                b["indices"], b["llrs"], b["counts"], b["scratch"],
+            )  # fmt: skip
+
+        call()
+        for name, buffer in bad.items():
+            with pytest.raises(ValueError, match="layout"):
+                call(**{name: buffer})

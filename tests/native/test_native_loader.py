@@ -69,7 +69,7 @@ def script(tmp_path, name, body) -> str:
 
 def assert_portable(resolved, caught, *reason):
     status, kernel = resolved
-    assert kernel is None and status["lane"] == "portable"
+    assert kernel is None and status["lane"] == "portable" and status["entry_points"] == []
     assert all(word in status["reason"] for word in reason), status["reason"]
     assert len(caught) == 1 and issubclass(caught[0].category, RuntimeWarning)
     assert json.loads(json.dumps(status)) == status
@@ -152,6 +152,48 @@ class TestTheCache:
         assert not caught and resolved[0]["lane"] == "native"
         assert resolved[0]["cache"] == first["cache"] and resolved[0]["build_s"] > 0.0
         assert detects_correctly(resolved)
+
+    def test_both_entry_points_are_bound_from_the_one_object(self, tmp_path):
+        (status, kernel), caught = resolve(tmp_path)
+        assert not caught and status["entry_points"] == list(native.ENTRY_POINTS)
+        assert status["entry_points"] == ["flexcore_walk_tile", "flexcore_detect_group"]
+        assert callable(kernel) and callable(kernel.detect_group)
+        assert os.listdir(tmp_path / "cache" / "repro-flexcore") == [Path(status["cache"]).name]
+
+    def test_an_object_with_only_the_old_symbol_is_rebuilt_once(self, tmp_path):
+        """A kernel that loads but lacks the fused entry point must not
+        leave the process on the portable reductions: it is unmapped and
+        rebuilt where it lies, as a truncated one is."""
+        (first, _), _ = resolve(tmp_path)
+        stale = tmp_path / "stale.so"
+        subprocess.run(
+            [*native._compiler({"PATH": os.environ["PATH"]}), "-shared", "-fPIC", "-x", "c", "-", "-o", str(stale)],
+            input=b"void flexcore_walk_tile(void) {}", check=True, timeout=60,
+        )  # fmt: skip
+        # A fresh process maps the stale object first (this one has the good
+        # one mapped under that path already, and would be handed it again).
+        os.replace(stale, first["cache"])
+        code = (
+            "import json, subprocess\n"
+            "from repro import native\n"
+            "status = native.status()\n"
+            "assert native.kernel().detect_group is not None\n"
+            "subprocess.run = None\n"
+            "native._RESOLVED = None\n"
+            "print(json.dumps([status, native.status()]))\n"
+        )
+        environ = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                   "XDG_CACHE_HOME": str(tmp_path / "cache")}  # fmt: skip
+        environ.pop("CC", None)
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code],
+            check=True, env=environ, timeout=120, capture_output=True, text=True,
+        )  # fmt: skip
+        rebuilt, again = json.loads(done.stdout)
+        assert rebuilt["lane"] == again["lane"] == "native"
+        assert rebuilt["cache"] == again["cache"] == first["cache"]
+        assert rebuilt["build_s"] > 0.0 and again["build_s"] == 0.0
+        assert rebuilt["entry_points"] == list(native.ENTRY_POINTS)
 
     @pytest.mark.parametrize("flaw", ["world-writable", "someone-else's"])
     def test_an_untrusted_directory_is_refused_for_the_next(self, tmp_path, flaw):
@@ -262,12 +304,13 @@ class TestResolvedOncePerProcessAndNeverInAFlush:
 class TestPackaging:
     def test_the_source_ships_with_the_package(self):
         source = resources.files("repro.native").joinpath("walk.c")
-        assert source.is_file() and b"flexcore_walk_tile" in source.read_bytes()
+        assert source.is_file()
+        assert all(name.encode() in source.read_bytes() for name in native.ENTRY_POINTS)
         pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
         assert '"repro.native" = ["*.c"]' in pyproject.read_text()
 
     def test_never_fast_math(self):
-        assert not any("fast-math" in flag for flag in native.FLAGS)
+        assert not any("fast-math" in flag or "finite-math" in flag for flag in native.FLAGS)
         assert "-ffp-contract=off" in native.FLAGS
 
     def test_the_module_prints_its_status(self, tmp_path):
