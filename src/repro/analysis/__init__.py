@@ -9,14 +9,14 @@ another host.  The hypothesis pins catch the *regressions* these
 hazards cause; this package catches the hazards themselves, at CI
 time, before a test runs.
 
-Five rules (see ``python -m repro.analysis --list-rules``):
+Four rules (``python -m repro.analysis --list-rules``; the id REP003 is
+retired, not reused — spec serialization is derived from the fields):
 
 ========  =================  =============================================
 REP001    async-blocking     blocking calls reachable from ``async def``
 REP002    kernel-determinism unordered iteration / legacy global RNG
-REP003    spec-drift         spec dataclass fields vs to_dict/from_dict
 REP004    protocol-json      farm messages JSON-native + REPLY_FOR-paired
-REP005    obs-catalogue      span/metric names declared in ``repro.obs``
+REP005    obs-catalogue      span/instant names declared in ``repro.obs``
 ========  =================  =============================================
 
 Reviewed exceptions live in ``.analysis-baseline.json`` — every entry

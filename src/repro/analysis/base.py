@@ -2,7 +2,7 @@
 
 Every checker sees one :class:`ModuleSource` at a time — the parsed AST
 plus enough resolution machinery to follow imports (``ImportMap``) and,
-for the import-and-inspect rules (REP003/REP004/REP005), to actually
+for the import-and-inspect rules (REP004/REP005), to actually
 import the module or the modules it names.  Checkers register
 themselves with :func:`register`; the runner instantiates every
 registered checker (or the ``--rules`` subset) per run.

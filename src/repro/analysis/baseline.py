@@ -17,7 +17,7 @@ the re-review you want.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.errors import AnalysisError
@@ -35,12 +35,7 @@ class Suppression:
     justification: str
 
     def as_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "snippet": self.snippet,
-            "justification": self.justification,
-        }
+        return asdict(self)
 
     def matches(self, finding) -> bool:
         return (

@@ -12,15 +12,6 @@ from __future__ import annotations
 from repro.analysis.checkers import (  # noqa: F401  (import = register)
     rep001_async_blocking,
     rep002_determinism,
-    rep003_spec_drift,
     rep004_protocol,
     rep005_obs_catalogue,
 )
-
-__all__ = [
-    "rep001_async_blocking",
-    "rep002_determinism",
-    "rep003_spec_drift",
-    "rep004_protocol",
-    "rep005_obs_catalogue",
-]

@@ -9,7 +9,7 @@ checkers only produce them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.errors import AnalysisError
 
@@ -28,7 +28,7 @@ class Finding:
     Attributes
     ----------
     rule:
-        Rule id (``"REP001"`` ... ``"REP005"``, or ``"PARSE"`` for a
+        Rule id (``"REP001"``, ``"REP002"``, ..., or ``"PARSE"`` for a
         file the analyzer could not parse).
     message:
         Human-readable one-line diagnosis.
@@ -66,16 +66,7 @@ class Finding:
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:
         """JSON-native payload for the ``json`` output format."""
-        return {
-            "rule": self.rule,
-            "message": self.message,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "severity": self.severity,
-            "fix_hint": self.fix_hint,
-            "snippet": self.snippet,
-        }
+        return asdict(self)
 
     def text_line(self) -> str:
         """``path:line:col: RULE severity: message`` (text format)."""

@@ -31,8 +31,6 @@ from repro.analysis.findings import (
 )
 from repro.errors import AnalysisError
 
-FORMATS = ("text", "json", "github")
-
 
 def iter_python_files(paths: "list[Path]") -> "list[Path]":
     """Every ``.py`` file under ``paths`` (files pass through), sorted."""
@@ -169,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Repo-native static analysis: real-time, determinism and "
-            "protocol invariants of the repro stack (rules REP001-REP005)."
+            "protocol invariants of the repro stack (see --list-rules)."
         ),
     )
     parser.add_argument(
@@ -180,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=FORMATS,
+        choices=tuple(FORMATTERS),
         default="text",
         help="output format (default: text)",
     )

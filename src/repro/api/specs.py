@@ -1,14 +1,11 @@
 """Typed, frozen, serializable specs for one whole detection stack.
 
 FlexCore's pitch is *flexibility* — one detection core reconfigured per
-deployment — but until this module the repository's public surface was a
-handful of disjoint constructor protocols (``make_detector`` kwargs,
-batch / streaming engine arguments,
-``StreamingScheduler(governor=...)``, runner CLI flags), none of which
-could be serialized, diffed, or shipped to a worker process.  RaPro and
-Decentralized Baseband Processing (PAPERS.md) both coordinate pooled
-baseband compute through explicit, transferable configuration; this
-module is that coordination primitive for the repro runtime.
+deployment.  RaPro and Decentralized Baseband Processing (PAPERS.md)
+both coordinate pooled baseband compute through explicit, transferable
+configuration; this module is that coordination primitive for the repro
+runtime: a stack description that can be serialized, diffed, and shipped
+to a worker process.
 
 Every spec here is a **frozen dataclass** that validates at construction
 (raising :class:`~repro.errors.ConfigurationError`) and round-trips
@@ -17,10 +14,12 @@ losslessly through plain JSON-safe dicts::
     config = StackConfig(detector=DetectorSpec("flexcore", 8, params={"num_paths": 64}))
     assert StackConfig.from_dict(config.to_dict()) == config
 
-``from_dict`` is strict: unknown keys, bad registry names, and
-cross-field violations (a governor on a non-streaming stack, say) are
-rejected with a :class:`~repro.errors.ConfigurationError` — a config
-file cannot silently misconfigure a stack.
+Both directions are computed from ``dataclasses.fields`` by one mixin,
+so a field cannot be added without being serialized.  ``from_dict`` is
+strict: unknown keys, bad registry names, and cross-field violations (a
+governor on a non-streaming stack, say) are rejected with a
+:class:`~repro.errors.ConfigurationError` — a config file cannot
+silently misconfigure a stack.
 
 The composed :class:`StackConfig` is what
 :func:`repro.api.build_stack` assembles into a live
@@ -33,7 +32,9 @@ JSON is reproducible from its own metadata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cache
+from typing import get_args, get_type_hints
 
 from repro.control.policy import (
     POLICY_NAMES,
@@ -60,25 +61,51 @@ from repro.runtime.backends import (
 ARRAY_MODULE_NAMES = ("cupy", "numpy", "torch")
 
 
-def _check_unknown_keys(cls, payload: dict) -> dict:
-    """Strict-dict guard shared by every spec's ``from_dict``."""
-    if not isinstance(payload, dict):
-        raise ConfigurationError(
-            f"{cls.__name__} payload must be a mapping, got "
-            f"{type(payload).__name__}"
-        )
-    allowed = {spec_field.name for spec_field in fields(cls)}
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise ConfigurationError(
-            f"{cls.__name__} does not accept {unknown}; known keys: "
-            f"{sorted(allowed)}"
-        )
-    return payload
+@cache
+def _nested_specs(cls) -> dict:
+    """``{field name: spec class}`` of the fields annotated with a spec
+    (``BackendSpec``) or an optional one (``DetectorSpec | None``)."""
+    return {
+        name: part
+        for name, hint in get_type_hints(cls).items()
+        for part in (hint, *get_args(hint))
+        if isinstance(part, type) and issubclass(part, _SpecDict)
+    }
+
+
+class _SpecDict:
+    """``to_dict`` and a strict ``from_dict`` for every spec, computed
+    from ``dataclasses.fields``: keys are the fields in field order,
+    nested specs recurse, ``None`` stays ``None``, ``params`` is copied."""
+
+    def to_dict(self) -> dict:
+        """A JSON-native dict; inverse of :meth:`from_dict`."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, payload: dict):
+        """Parse (strictly) what :meth:`to_dict` produced."""
+        if not isinstance(payload, dict):
+            raise ConfigurationError(
+                f"{cls.__name__} payload must be a mapping, got "
+                f"{type(payload).__name__}"
+            )
+        allowed = {spec_field.name for spec_field in fields(cls)}
+        unknown = sorted(set(payload) - allowed)
+        if unknown:
+            raise ConfigurationError(
+                f"{cls.__name__} does not accept {unknown}; known keys: "
+                f"{sorted(allowed)}"
+            )
+        kwargs = dict(payload)
+        for name, spec in _nested_specs(cls).items():
+            if kwargs.get(name) is not None:
+                kwargs[name] = spec.from_dict(kwargs[name])
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
-class DetectorSpec:
+class DetectorSpec(_SpecDict):
     """Which detector, on which MIMO system, with which knobs.
 
     Attributes
@@ -145,22 +172,9 @@ class DetectorSpec:
         """Instantiate the detector through the registry."""
         return make_detector(self.name, self.system(), **self.params)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "num_streams": self.num_streams,
-            "num_rx_antennas": self.num_rx_antennas,
-            "qam_order": self.qam_order,
-            "params": dict(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DetectorSpec":
-        return cls(**_check_unknown_keys(cls, payload))
-
 
 @dataclass(frozen=True)
-class BackendSpec:
+class BackendSpec(_SpecDict):
     """Which execution backend runs the detection work.
 
     Attributes
@@ -217,20 +231,9 @@ class BackendSpec:
             kwargs["residency"] = self.residency
         return make_backend(self.name, **kwargs)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "array_module": self.array_module,
-            "residency": self.residency,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "BackendSpec":
-        return cls(**_check_unknown_keys(cls, payload))
-
 
 @dataclass(frozen=True)
-class CacheSpec:
+class CacheSpec(_SpecDict):
     """The coherence context cache every cell carries."""
 
     enabled: bool = True
@@ -240,16 +243,9 @@ class CacheSpec:
         if self.max_entries < 1:
             raise ConfigurationError("cache max_entries must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {"enabled": self.enabled, "max_entries": self.max_entries}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CacheSpec":
-        return cls(**_check_unknown_keys(cls, payload))
-
 
 @dataclass(frozen=True)
-class SchedulerSpec:
+class SchedulerSpec(_SpecDict):
     """Flush policy of the streaming slot-deadline scheduler.
 
     Only meaningful on a streaming stack (``FarmSpec.streaming``);
@@ -291,20 +287,9 @@ class SchedulerSpec:
             return math.inf
         return float(self.slot_budget_s)
 
-    def to_dict(self) -> dict:
-        return {
-            "batch_target": self.batch_target,
-            "slot_budget_s": self.slot_budget_s,
-            "flush_margin_s": self.flush_margin_s,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SchedulerSpec":
-        return cls(**_check_unknown_keys(cls, payload))
-
 
 @dataclass(frozen=True)
-class FarmSpec:
+class FarmSpec(_SpecDict):
     """Stack topology: batch adapter, or a streaming farm of N cells.
 
     Attributes
@@ -346,21 +331,9 @@ class FarmSpec:
             for index in range(self.cells)
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "streaming": self.streaming,
-            "cells": self.cells,
-            "cell_prefix": self.cell_prefix,
-            "cell_offset": self.cell_offset,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FarmSpec":
-        return cls(**_check_unknown_keys(cls, payload))
-
 
 @dataclass(frozen=True)
-class GovernorSpec:
+class GovernorSpec(_SpecDict):
     """The adaptive control plane: policy, budget range, escalation.
 
     One flat spec covers all three policies — fields irrelevant to the
@@ -494,31 +467,9 @@ class GovernorSpec:
             probe_every=self.probe_every,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "paths_min": self.paths_min,
-            "paths_max": self.paths_max,
-            "start": self.start,
-            "increase": self.increase,
-            "backoff": self.backoff,
-            "headroom": self.headroom,
-            "peak_frames_hint": self.peak_frames_hint,
-            "target_error_rate": self.target_error_rate,
-            "control_interval_s": self.control_interval_s,
-            "total_path_budget": self.total_path_budget,
-            "shed_below": self.shed_below,
-            "resume_above": self.resume_above,
-            "probe_every": self.probe_every,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GovernorSpec":
-        return cls(**_check_unknown_keys(cls, payload))
-
 
 @dataclass(frozen=True)
-class TracingSpec:
+class TracingSpec(_SpecDict):
     """Observability switch: span tracing + metrics for the stack.
 
     Off by default — a disabled spec builds no tracer and the
@@ -554,16 +505,9 @@ class TracingSpec:
 
         return Observability(max_events=self.max_events)
 
-    def to_dict(self) -> dict:
-        return {"enabled": self.enabled, "max_events": self.max_events}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TracingSpec":
-        return cls(**_check_unknown_keys(cls, payload))
-
 
 @dataclass(frozen=True)
-class StackConfig:
+class StackConfig(_SpecDict):
     """One declarative description of a whole detection stack.
 
     Composes the per-layer specs — detector, execution backend, context
@@ -591,15 +535,7 @@ class StackConfig:
     tracing: TracingSpec = field(default_factory=TracingSpec)
 
     def __post_init__(self) -> None:
-        for name, cls in (
-            ("detector", DetectorSpec),
-            ("backend", BackendSpec),
-            ("cache", CacheSpec),
-            ("farm", FarmSpec),
-            ("scheduler", SchedulerSpec),
-            ("governor", GovernorSpec),
-            ("tracing", TracingSpec),
-        ):
+        for name, cls in _nested_specs(StackConfig).items():
             value = getattr(self, name)
             if value is None and name in ("detector", "governor"):
                 continue
@@ -709,42 +645,3 @@ class StackConfig:
         if self.tracing.enabled:
             parts.append("traced")
         return ", ".join(parts)
-
-    def to_dict(self) -> dict:
-        """A JSON-native dict; inverse of :meth:`from_dict`."""
-        return {
-            "detector": (
-                self.detector.to_dict() if self.detector is not None else None
-            ),
-            "backend": self.backend.to_dict(),
-            "cache": self.cache.to_dict(),
-            "farm": self.farm.to_dict(),
-            "scheduler": self.scheduler.to_dict(),
-            "governor": (
-                self.governor.to_dict() if self.governor is not None else None
-            ),
-            "tracing": self.tracing.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "StackConfig":
-        """Parse (strictly) what :meth:`to_dict` produced."""
-        payload = _check_unknown_keys(cls, payload)
-        kwargs = {}
-        if payload.get("detector") is not None:
-            kwargs["detector"] = DetectorSpec.from_dict(payload["detector"])
-        if "backend" in payload:
-            kwargs["backend"] = BackendSpec.from_dict(payload["backend"])
-        if "cache" in payload:
-            kwargs["cache"] = CacheSpec.from_dict(payload["cache"])
-        if "farm" in payload:
-            kwargs["farm"] = FarmSpec.from_dict(payload["farm"])
-        if "scheduler" in payload:
-            kwargs["scheduler"] = SchedulerSpec.from_dict(
-                payload["scheduler"]
-            )
-        if payload.get("governor") is not None:
-            kwargs["governor"] = GovernorSpec.from_dict(payload["governor"])
-        if "tracing" in payload:
-            kwargs["tracing"] = TracingSpec.from_dict(payload["tracing"])
-        return cls(**kwargs)

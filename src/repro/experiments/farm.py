@@ -16,8 +16,8 @@ this experiment's default shape) and assembled through
 :func:`repro.api.build_stack`; the effective config is embedded in the
 saved result, so a published JSON reproduces its own farm.
 
-The interesting outcome (benchmarked harder in
-``benchmarks/test_bench_governor.py``): the ungoverned farm burns its
+The interesting outcome (measured at a fixed overload by flexbench's
+``governor.on_time_ratio.r90`` row): the ungoverned farm burns its
 entire budget missing deadlines, while the governed farm trades paths —
 accuracy the channel may not even need — for slots that arrive on time.
 """

@@ -16,9 +16,9 @@ what that buys:
   replays the lost chunk, and the merged telemetry records the restart.
 
 On a single-CPU host the scaling rows still run (the coordinator is
-correct regardless); they just cannot show speedup — the bench lane
-(``benchmarks/test_bench_farm.py``) asserts the scaling floor only
-where cores exist.
+correct regardless); they just cannot show speedup — the scaling
+number to trust is flexbench's ``farm.scaling_2w_over_1w`` row, whose
+record carries the CPU count.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ one fleet-wide ledger, percentiles exact to bucket resolution, in
 whatever order they arrive.  No ratio is stored (it would fold
 last-writer-wins); :mod:`repro.obs.ledger` derives them after the fold.
 
-Names are validated and kinds checked when a series is *created*; a
-lookup is one dict hit.  Label values may come from outside the program
+Names are validated — well formed and in :data:`METRIC_NAMES` — and
+kinds checked when a series is *created*; a lookup is one dict hit.
+Label values may come from outside the program
 (cell ids): they are escaped the Prometheus way and a key that does not
 round-trip through :func:`parse_key` is refused.
 """
@@ -42,11 +43,12 @@ __all__ = [
     "series_key",
 ]
 
-#: The complete metric-name catalogue.  Instrumentation call sites
-#: (``metrics.counter("...")`` etc.) must use one of these names —
-#: enforced by the REP005 static-analysis rule, so a renamed metric
-#: cannot silently orphan the dashboards and regression thresholds
-#: keyed on it.  New instrumentation starts by adding its name here.
+#: The complete metric-name catalogue.  :class:`MetricsRegistry` refuses
+#: to create or read a series under any other base name, whoever spells
+#: it (a call site, a name built at run time, a worker's chunk-reply
+#: payload), so a renamed metric cannot silently orphan the dashboards
+#: and regression thresholds keyed on it.  New instrumentation starts
+#: by adding its name here.
 METRIC_NAMES = (
     "repro_deadline_hit_rate",
     "repro_deadline_margin_seconds",
@@ -100,6 +102,7 @@ DEADLINE_MARGIN_EDGES_S = (
     1e-2,
 )
 
+_CATALOGUE = frozenset(METRIC_NAMES)
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 #: One ``name="escaped value"`` pair of a series key, up to its comma.
 _LABEL_RE = re.compile(
@@ -327,12 +330,18 @@ class MetricsRegistry:
     def _series(self, kind: str, key: str, factory):
         """Get or create the series stored under ``key``.
 
-        Creation is the one place a key is validated and its name's
-        kind (and, for histograms, bucket edges) checked.
+        Creation is the one place a key is validated, its name looked
+        up in the catalogue and its kind (and, for histograms, bucket
+        edges) checked.
         """
         series = self._tables[kind].get(key)
         if series is None:
             name, labels = parse_key(key)
+            if name not in _CATALOGUE:
+                raise ConfigurationError(
+                    f"metric series {key!r} is outside the catalogue: "
+                    f"{name!r} is not in METRIC_NAMES"
+                )
             series = factory()
             registered, members = self._families.setdefault(name, (kind, []))
             if registered != kind:
@@ -360,8 +369,17 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def series(self, name: str) -> list:
-        """Every ``(labels, series)`` registered under ``name``."""
-        return self._families.get(name, ("", ()))[1]
+        """Every ``(labels, series)`` registered under ``name``.
+
+        A name outside the catalogue can hold no series, so reading one
+        is a misspelling: it raises instead of reporting nothing.
+        """
+        family = self._families.get(name)
+        if family is not None:
+            return family[1]
+        if name not in _CATALOGUE:
+            raise ConfigurationError(f"metric {name!r} is not in METRIC_NAMES")
+        return ()
 
     def total(self, name: str):
         """Sum of a counter over all its label sets (0 when absent)."""

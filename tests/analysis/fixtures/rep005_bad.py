@@ -1,6 +1,6 @@
-"""REP005 positive fixture: invented span and metric names."""
+"""REP005 positive fixture: invented span and instant names."""
 
 
-def record(tracer, metrics):
+def record(tracer):
     with tracer.span("made_up_span"):
-        metrics.counter("bogus_metric_total").inc()
+        tracer.instant("made_up_event")

@@ -79,8 +79,9 @@ class TestOutputFormats:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("REP001", "REP002", "REP003", "REP004", "REP005"):
+        for rule in ("REP001", "REP002", "REP004", "REP005"):
             assert rule in out
+        assert "REP003" not in out  # retired, not reused
 
 
 def _finding_path(filename):

@@ -8,6 +8,7 @@ names, cross-field violations — is rejected at construction with a
 """
 
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from repro.api import (
     GovernorSpec,
     SchedulerSpec,
     StackConfig,
+    TracingSpec,
 )
 from repro.control.policy import POLICY_NAMES
 from repro.errors import ConfigurationError
@@ -117,6 +119,56 @@ def stack_configs(draw):
     )
 
 
+#: ``json.dumps(preset.to_dict())`` as the hand-written ``to_dict`` pairs
+#: produced it at the commit before serialization was derived from the
+#: fields — what ``farm/worker.py`` parses and result metadata stores.
+PRESET_JSON = {
+    "ap-farm": (
+        '{"detector": {"name": "flexcore", "num_streams": 4, "num_rx_antennas": 4'
+        ', "qam_order": 16, "params": {"num_paths": 16}}'
+        ', "backend": {"name": "serial", "array_module": null, "residency": null}'
+        ', "cache": {"enabled": true, "max_entries": 1024}'
+        ', "farm": {"streaming": true, "cells": 4, "cell_prefix": "cell", "cell_offset": 0}'
+        ', "scheduler": {"batch_target": 7, "slot_budget_s": null, "flush_margin_s": 0.0}'
+        ', "governor": null'
+        ', "tracing": {"enabled": false, "max_events": 65536}}'
+    ),
+    "array-soft": (
+        '{"detector": {"name": "soft-flexcore", "num_streams": 8, "num_rx_antennas": 8'
+        ', "qam_order": 16, "params": {"num_paths": 32}}'
+        ', "backend": {"name": "array", "array_module": null, "residency": null}'
+        ', "cache": {"enabled": true, "max_entries": 1024}'
+        ', "farm": {"streaming": false, "cells": 1, "cell_prefix": "cell", "cell_offset": 0}'
+        ', "scheduler": {"batch_target": null, "slot_budget_s": null, "flush_margin_s": 0.0}'
+        ', "governor": null'
+        ', "tracing": {"enabled": false, "max_events": 65536}}'
+    ),
+    "farm-overload": (
+        '{"detector": {"name": "flexcore", "num_streams": 8, "num_rx_antennas": 8'
+        ', "qam_order": 16, "params": {"num_paths": 128}}'
+        ', "backend": {"name": "array", "array_module": null, "residency": null}'
+        ', "cache": {"enabled": true, "max_entries": 1024}'
+        ', "farm": {"streaming": true, "cells": 2, "cell_prefix": "cell", "cell_offset": 0}'
+        ', "scheduler": {"batch_target": 7, "slot_budget_s": null, "flush_margin_s": 0.0}'
+        ', "governor": {"policy": "aimd", "paths_min": 2, "paths_max": 128, "start": null'
+        ', "increase": 1, "backoff": 0.5, "headroom": 0.5, "peak_frames_hint": 56'
+        ', "target_error_rate": 0.05, "control_interval_s": null, "total_path_budget": null'
+        ', "shed_below": 0.5, "resume_above": 0.95, "probe_every": 8}'
+        ', "tracing": {"enabled": false, "max_events": 65536}}'
+    ),
+    "paper-fig9": (
+        '{"detector": {"name": "flexcore", "num_streams": 8, "num_rx_antennas": 8'
+        ', "qam_order": 16, "params": {"num_paths": 64}}'
+        ', "backend": {"name": "serial", "array_module": null, "residency": null}'
+        ', "cache": {"enabled": true, "max_entries": 1024}'
+        ', "farm": {"streaming": false, "cells": 1, "cell_prefix": "cell", "cell_offset": 0}'
+        ', "scheduler": {"batch_target": null, "slot_budget_s": null, "flush_margin_s": 0.0}'
+        ', "governor": null'
+        ', "tracing": {"enabled": false, "max_events": 65536}}'
+    ),
+}
+
+
 class TestRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(config=stack_configs())
@@ -139,6 +191,32 @@ class TestRoundTrip:
             config = presets.get(name)
             payload = json.loads(json.dumps(config.to_dict()))
             assert StackConfig.from_dict(payload) == config
+
+    def test_preset_json_is_byte_stable(self):
+        from repro.api import presets
+
+        assert set(presets.names()) == set(PRESET_JSON)
+        for name, text in PRESET_JSON.items():
+            assert json.dumps(presets.get(name).to_dict()) == text
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DetectorSpec("mmse", 4),
+            BackendSpec(),
+            CacheSpec(),
+            SchedulerSpec(),
+            FarmSpec(),
+            GovernorSpec(),
+            TracingSpec(),
+            StackConfig(),
+        ],
+        ids=lambda spec: type(spec).__name__,
+    )
+    def test_every_field_is_a_to_dict_key(self, spec):
+        """The runtime remnant of the retired REP003: a field cannot be
+        declared without being serialized, in declaration order."""
+        assert list(spec.to_dict()) == [f.name for f in fields(spec)]
 
 
 class TestUnknownKeys:

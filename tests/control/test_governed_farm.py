@@ -40,24 +40,29 @@ def system():
     return MimoSystem(4, 4, QamConstellation(16))
 
 
-@pytest.fixture
-def uplink(system):
+def draw_uplink(system, num_sc, num_frames):
+    """Seeded ``(channels, received, noise_var, sent indices)`` at 16 dB."""
     rng = np.random.default_rng(42)
-    num_sc, num_frames = 6, 5
     channels = rayleigh_channels(num_sc, 4, 4, rng)
     noise_var = noise_variance_for_snr_db(16.0)
     received = np.empty((num_sc, num_frames, 4), dtype=np.complex128)
+    sent = np.empty((num_sc, num_frames, 4), dtype=np.int64)
     for sc in range(num_sc):
-        indices = random_symbol_indices(
+        sent[sc] = random_symbol_indices(
             num_frames, 4, system.constellation, rng
         )
         received[sc] = apply_channel(
             channels[sc],
-            system.constellation.points[indices],
+            system.constellation.points[sent[sc]],
             noise_var,
             rng,
         )
-    return channels, received, noise_var
+    return channels, received, noise_var, sent
+
+
+@pytest.fixture
+def uplink(system):
+    return draw_uplink(system, num_sc=6, num_frames=5)[:3]
 
 
 class TestStaticEquivalence:
@@ -114,6 +119,29 @@ class TestBudgetDial:
         reference = service.detect(small, batch)
         assert np.array_equal(clamped.indices, reference.indices)
         assert clamped.stats["path_budget"] == 8
+
+    def test_floor_budget_accuracy_cost_is_bounded(self, system):
+        """Governing trades paths for punctuality; this prices the trade:
+        the floor budget (``GovernorSpec().paths_min``) may cost at most
+        5 points of uncoded vector-error rate over the full budget, on
+        480 seeded vectors (no clock)."""
+        channels, received, noise_var, sent = draw_uplink(
+            system, num_sc=16, num_frames=30
+        )
+        detector = FlexCoreDetector(system, num_paths=32)
+        service = DetectionService()
+        batch = UplinkBatch(
+            channels=channels, received=received, noise_var=noise_var
+        )
+
+        def vector_error_rate(max_paths):
+            result = service.detect(detector, batch, max_paths=max_paths)
+            return float((result.indices != sent).any(axis=2).mean())
+
+        penalty = vector_error_rate(GovernorSpec().paths_min) - (
+            vector_error_rate(None)
+        )
+        assert penalty <= 0.05
 
     @pytest.mark.parametrize("backend", ["serial", "array"])
     def test_budget_consistent_across_backends(

@@ -1,7 +1,7 @@
 """Structural tests for the fleet (multi-process farm) experiment.
 
-Scaling magnitudes belong to the bench lane
-(``benchmarks/test_bench_farm.py``); here we pin the experiment's
+Scaling magnitudes belong to flexbench
+(``farm.scaling_2w_over_1w``); here we pin the experiment's
 structure — one scale row per worker count, a kill-recovery row whose
 restart is recorded, exact frame accounting, and the config-first
 plumbing (the embedded ``config`` reproduces the fleet) — with

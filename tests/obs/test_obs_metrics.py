@@ -93,12 +93,12 @@ class TestHistogram:
         # because max folds by max.
         live = hist_of(values)
         registry = MetricsRegistry()
-        registry.histogram("repro_lat_seconds", cell="a")
+        registry.histogram("repro_flush_latency_seconds", cell="a")
         for _ in range(2):
             registry.merge_dict(
-                {"histograms": {'repro_lat_seconds{cell="a"}': live.to_dict()}}
+                {"histograms": {'repro_flush_latency_seconds{cell="a"}': live.to_dict()}}
             )
-        merged = registry.histogram("repro_lat_seconds", cell="a")
+        merged = registry.histogram("repro_flush_latency_seconds", cell="a")
         for hist in (live, merged):
             quantiles = list(hist.quantiles().values())
             assert quantiles == sorted(quantiles)
@@ -145,27 +145,56 @@ class TestRegistry:
 
     def test_name_and_kind_conflicts_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("repro_x_total")
+        registry.counter("repro_flushes_total")
         with pytest.raises(ConfigurationError):
-            registry.gauge("repro_x_total")
+            registry.gauge("repro_flushes_total")
         with pytest.raises(ConfigurationError):
             registry.counter("not a metric name")
-        registry.histogram("repro_lat_seconds")
+        registry.histogram("repro_flush_latency_seconds")
         with pytest.raises(ConfigurationError):
-            registry.histogram("repro_lat_seconds", edges=[1.0, 2.0])
+            registry.histogram("repro_flush_latency_seconds", edges=[1.0, 2.0])
+
+    def test_uncatalogued_payload_name_fails_the_fold(self):
+        # A worker's chunk reply is outside input: a series under a base
+        # name the catalogue does not hold is refused when it would be
+        # created, by name, and nothing of it is left behind.
+        registry = MetricsRegistry()
+        registry.counter("repro_flushes_total", cell="a").inc(2)
+        before = registry.to_dict()
+        with pytest.raises(ConfigurationError, match="repro_bogus_total"):
+            registry.merge_dict(
+                {
+                    "counters": {"repro_bogus_total": 1},
+                    "gauges": {'repro_prepare_cache_entries{cell="a"}': 3},
+                    "histograms": {
+                        "repro_flush_latency_seconds": hist_of([0.2]).to_dict()
+                    },
+                }
+            )
+        assert registry.to_dict() == before
+        assert "repro_bogus_total" not in registry.prometheus_text()
+
+    def test_misspelled_read_raises_instead_of_reporting_zero(self):
+        registry = MetricsRegistry()
+        registry.counter("repro_frames_detected_total").inc(5)
+        assert registry.total("repro_frames_late_total") == 0  # absent, known
+        with pytest.raises(ConfigurationError, match="repro_frames_detectd_total"):
+            registry.total("repro_frames_detectd_total")
+        with pytest.raises(ConfigurationError, match="METRIC_NAMES"):
+            registry.series("repro_frames_detectd_total")
 
     def test_prometheus_histogram_exposition(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("repro_lat_seconds", edges=[0.1, 1.0])
+        hist = registry.histogram("repro_flush_latency_seconds", edges=[0.1, 1.0])
         for value in (0.05, 0.5, 5.0):
             hist.observe(value)
         lines = registry.prometheus_text().splitlines()
-        assert "# TYPE repro_lat_seconds histogram" in lines
-        assert 'repro_lat_seconds_bucket{le="0.1"} 1' in lines
-        assert 'repro_lat_seconds_bucket{le="1.0"} 2' in lines
-        assert 'repro_lat_seconds_bucket{le="+Inf"} 3' in lines
+        assert "# TYPE repro_flush_latency_seconds histogram" in lines
+        assert 'repro_flush_latency_seconds_bucket{le="0.1"} 1' in lines
+        assert 'repro_flush_latency_seconds_bucket{le="1.0"} 2' in lines
+        assert 'repro_flush_latency_seconds_bucket{le="+Inf"} 3' in lines
         assert any(
-            line.startswith("repro_lat_seconds_count 3") for line in lines
+            line.startswith("repro_flush_latency_seconds_count 3") for line in lines
         )
 
     def test_merge_dict_folds_drained_deltas(self):
@@ -179,12 +208,12 @@ class TestRegistry:
             source.counter("repro_flushes_total").inc(flushes)
             source.counter("repro_flushes_total", cell="a").inc(flushes)
             source.gauge("repro_prepare_cache_entries", cell="a").set(flushes)
-            source.histogram("repro_lat_seconds").observe(latency)
+            source.histogram("repro_flush_latency_seconds").observe(latency)
             sink.merge_dict(source.to_dict())
         text = sink.prometheus_text()
         assert "repro_flushes_total 8.0" in text
         assert 'repro_flushes_total{cell="a"} 7.0' in text
         assert 'repro_prepare_cache_entries{cell="a"} 2.0' in text  # last write
-        assert "repro_lat_seconds_count 2" in text
+        assert "repro_flush_latency_seconds_count 2" in text
         assert text.count("# TYPE repro_flushes_total counter") == 1
         assert sink.total("repro_flushes_total") == 15
