@@ -1,21 +1,21 @@
 """Repo-native static analysis: the invariants tests cannot see.
 
-The stack holds three classes of invariant purely by convention — the
-asyncio scheduler must never block the event loop inside a flush path,
-the FlexCore kernels must stay bit-identical across serial/array/block
+The stack holds a few invariants purely by convention — the asyncio
+scheduler must never block the event loop inside a flush path, the
+FlexCore kernels must stay bit-identical across serial/array/block
 paths (which unordered iteration and global RNG silently break), and
-the farm protocol must stay JSON-native so it can ride a socket to
-another host.  The hypothesis pins catch the *regressions* these
-hazards cause; this package catches the hazards themselves, at CI
-time, before a test runs.
+every span/instant name must be catalogued.  The hypothesis pins catch
+the *regressions* these hazards cause; this package catches the hazards
+themselves, at CI time, before a test runs.
 
-Four rules (``python -m repro.analysis --list-rules``; the id REP003 is
-retired, not reused — spec serialization is derived from the fields):
+Three rules (``python -m repro.analysis --list-rules``).  The ids REP003
+and REP004 are retired, not reused: spec serialization is derived from
+the fields, and the farm wire is JSON by construction
+(``repro.farm.protocol.send``).
 
 ========  =================  =============================================
 REP001    async-blocking     blocking calls reachable from ``async def``
 REP002    kernel-determinism unordered iteration / legacy global RNG
-REP004    protocol-json      farm messages JSON-native + REPLY_FOR-paired
 REP005    obs-catalogue      span/instant names declared in ``repro.obs``
 ========  =================  =============================================
 

@@ -1,26 +1,20 @@
 """Checker plumbing: parsed module context, import resolution, registry.
 
 Every checker sees one :class:`ModuleSource` at a time — the parsed AST
-plus enough resolution machinery to follow imports (``ImportMap``) and,
-for the import-and-inspect rules (REP004/REP005), to actually
-import the module or the modules it names.  Checkers register
-themselves with :func:`register`; the runner instantiates every
-registered checker (or the ``--rules`` subset) per run.
+plus enough resolution machinery to follow imports (``ImportMap``).
+Checkers register themselves with :func:`register`; the runner
+instantiates every registered checker (or the ``--rules`` subset) per
+run.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import importlib
-import importlib.util
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.findings import SEVERITY_ERROR, Finding
 from repro.errors import AnalysisError
-
-_UNSET = object()
 
 
 @dataclass
@@ -118,7 +112,6 @@ class ModuleSource:
         self.lines = source.splitlines()
         self.tree = tree
         self.imports = ImportMap.from_tree(tree)
-        self._imported = _UNSET
 
     # ------------------------------------------------------------------
     @classmethod
@@ -137,54 +130,6 @@ class ModuleSource:
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1].strip()
         return ""
-
-    # ------------------------------------------------------------------
-    def module_name(self) -> "str | None":
-        """Dotted import name, derived from enclosing ``__init__.py``s.
-
-        ``.../src/repro/api/specs.py`` -> ``"repro.api.specs"``; a
-        standalone file outside any package -> ``None``.
-        """
-        parts = [] if self.path.stem == "__init__" else [self.path.stem]
-        parent = self.path.parent
-        while (parent / "__init__.py").exists():
-            parts.append(parent.name)
-            parent = parent.parent
-        if not parts or parts == [self.path.stem]:
-            return None
-        return ".".join(reversed(parts))
-
-    def import_module(self):
-        """Import this module for inspection, or ``None`` on failure.
-
-        Package files import by dotted name (so the inspected module
-        object is the same one the application uses); standalone files
-        (test fixtures) load under a private unique name.  Failures —
-        an unimportable dependency, a module-level raise — degrade to
-        ``None``: the import-and-inspect half of a rule is skipped, the
-        pure-AST half still runs.
-        """
-        if self._imported is not _UNSET:
-            return self._imported
-        self._imported = None
-        dotted = self.module_name()
-        try:
-            if dotted is not None:
-                self._imported = importlib.import_module(dotted)
-            else:
-                digest = hashlib.sha1(
-                    str(self.path).encode("utf-8")
-                ).hexdigest()[:12]
-                spec = importlib.util.spec_from_file_location(
-                    f"_repro_analysis_{digest}", self.path
-                )
-                if spec is not None and spec.loader is not None:
-                    module = importlib.util.module_from_spec(spec)
-                    spec.loader.exec_module(module)
-                    self._imported = module
-        except Exception:
-            self._imported = None
-        return self._imported
 
     # ------------------------------------------------------------------
     def finding(

@@ -12,6 +12,5 @@ from __future__ import annotations
 from repro.analysis.checkers import (  # noqa: F401  (import = register)
     rep001_async_blocking,
     rep002_determinism,
-    rep004_protocol,
     rep005_obs_catalogue,
 )

@@ -167,7 +167,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Repo-native static analysis: real-time, determinism and "
-            "protocol invariants of the repro stack (see --list-rules)."
+            "trace-catalogue invariants of the repro stack (see "
+            "--list-rules)."
         ),
     )
     parser.add_argument(
@@ -185,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--rules",
         default=None,
-        help="comma-separated rule subset, e.g. REP001,REP004",
+        help="comma-separated rule subset, e.g. REP001,REP005",
     )
     parser.add_argument(
         "--baseline",

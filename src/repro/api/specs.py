@@ -31,7 +31,6 @@ JSON is reproducible from its own metadata.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache
 from typing import get_args, get_type_hints
@@ -279,13 +278,6 @@ class SchedulerSpec(_SpecDict):
             )
         if self.flush_margin_s < 0:
             raise ConfigurationError("flush_margin_s must be >= 0")
-
-    @property
-    def effective_slot_budget_s(self) -> float:
-        """The runtime value: ``None`` maps to ``inf`` (drain-driven)."""
-        if self.slot_budget_s is None:
-            return math.inf
-        return float(self.slot_budget_s)
 
 
 @dataclass(frozen=True)
@@ -568,10 +560,6 @@ class StackConfig(_SpecDict):
             )
 
     # ------------------------------------------------------------------
-    def with_detector(self, detector: "DetectorSpec | None") -> "StackConfig":
-        """This config with the detector spec swapped."""
-        return replace(self, detector=detector)
-
     def split_cells(self, workers: int) -> "tuple[StackConfig, ...]":
         """Partition this streaming farm's cells across ``workers``.
 

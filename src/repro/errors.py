@@ -54,9 +54,9 @@ class WorkerCrashError(ReproError):
 
     Raised by :class:`~repro.farm.coordinator.FarmCoordinator` — the
     only code that starts worker processes — when a worker fails its
-    startup handshake, reports a deterministic error, or exceeds its
-    restart budget.  ``worker`` names the worker slot that could not be
-    kept alive.
+    startup handshake, reports a deterministic error, sends a reply that
+    is not JSON, or exceeds its restart budget.  ``worker`` names the
+    worker slot that could not be kept alive.
     """
 
     def __init__(self, message: str, worker: "int | None" = None):

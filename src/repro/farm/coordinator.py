@@ -7,7 +7,9 @@
 :func:`repro.api.build_stack` — no live objects cross the pipe), paces
 workload scenarios through the fleet in slot chunks, and governs the
 whole fleet against one global path budget with
-:func:`repro.control.policy.allocate_budget`.
+:func:`repro.control.policy.allocate_budget`.  Every frame on a worker
+pipe — handshake, commands, replies, ``stop`` — is JSON written by
+``protocol.send`` and read by ``protocol.recv``.
 
 The chunk is the recovery quantum.  Every worker's chunk reply doubles
 as its heartbeat; a worker that dies (SIGKILL, OOM, segfault) or hangs
@@ -27,8 +29,9 @@ hub — that ``report.cells`` views.  A chunk that died with its worker
 never replied, so it is in no ledger and its replay is counted once;
 the lifetime totals live here, not in the workers, so they do not go
 backwards across a re-spawn.  A worker that *reports* an error (a
-deterministic exception escaped its stack) is not re-spawned: replaying
-deterministic work re-raises deterministic failures.
+deterministic exception escaped its stack) or sends a reply that is not
+JSON is not re-spawned: replaying deterministic work re-raises
+deterministic failures.
 """
 
 from __future__ import annotations
@@ -44,18 +47,7 @@ from repro.api import StackConfig
 from repro.control.policy import allocate_budget
 from repro.control.workload import WorkloadScenario
 from repro.errors import ConfigurationError, WorkerCrashError
-from repro.farm.protocol import (
-    MSG_BUDGETS,
-    MSG_CALIBRATE,
-    MSG_ERROR,
-    MSG_PING,
-    MSG_READY,
-    MSG_RUN,
-    MSG_STOP,
-    MSG_WORKLOAD,
-    REPLY_FOR,
-    scenario_to_payload,
-)
+from repro.farm.protocol import REPLY_FOR, recv, scenario_to_payload, send
 from repro.farm.worker import worker_main
 from repro.obs import (
     EVENT_WORKER_RESTART,
@@ -302,7 +294,7 @@ class FarmCoordinator:
         for handle in self._handles:
             if handle.alive and handle.conn is not None:
                 try:
-                    handle.conn.send({"type": MSG_STOP})
+                    send(handle.conn, {"type": "stop"})
                 except (OSError, ValueError):
                     pass
         deadline = time.monotonic() + 2.0
@@ -337,7 +329,7 @@ class FarmCoordinator:
         handle.conn = parent_conn
         try:
             ready = self._await_reply(
-                handle, MSG_READY, self.reply_timeout_s
+                handle, "ready", self.reply_timeout_s
             )
         except _WorkerFailure as failure:
             raise WorkerCrashError(
@@ -361,17 +353,24 @@ class FarmCoordinator:
         while True:
             try:
                 if handle.conn.poll(_POLL_INTERVAL_S):
-                    reply = handle.conn.recv()
+                    reply = recv(handle.conn)
                     break
             except (EOFError, OSError):
                 raise _WorkerFailure("died") from None
+            except ValueError as error:
+                # Undecodable bytes are not a crash a re-spawn would cure.
+                raise WorkerCrashError(
+                    f"worker {handle.index} sent a reply that is not JSON "
+                    f"(not re-spawned): {error}",
+                    worker=handle.index,
+                ) from None
             if not handle.alive:
                 # Drain any reply that raced the death notice.
                 if not handle.conn.poll(0):
                     raise _WorkerFailure("died")
             elif time.monotonic() > deadline:
                 raise _WorkerFailure("hung")
-        if reply.get("type") == MSG_ERROR:
+        if reply.get("type") == "error":
             raise WorkerCrashError(
                 f"worker {handle.index} reported an error (deterministic; "
                 f"not re-spawned): {reply.get('error')}\n"
@@ -388,7 +387,7 @@ class FarmCoordinator:
 
     def _send(self, handle: _Handle, message: dict) -> None:
         try:
-            handle.conn.send(message)
+            send(handle.conn, message)
         except (OSError, ValueError):
             raise _WorkerFailure("died") from None
 
@@ -451,7 +450,7 @@ class FarmCoordinator:
         if awards:
             self._request(
                 handle,
-                {"type": MSG_BUDGETS, "budgets": awards},
+                {"type": "set_budgets", "budgets": awards},
                 self.reply_timeout_s,
                 phase="set_budgets",
             )
@@ -464,10 +463,10 @@ class FarmCoordinator:
         hung-worker recovery path on a perfectly healthy fleet.
         """
         self._require_started()
-        probe = {"type": MSG_PING, "delay_s": delay_s}
+        probe = {"type": "ping", "delay_s": delay_s}
         # The injected delay is one-shot: a recovery replay pings clean,
         # so a worker re-spawned for "hanging" proves itself healthy.
-        replay = {"type": MSG_PING}
+        replay = {"type": "ping"}
         for handle in self._handles:
             self._send_checked(handle, probe, phase="ping")
         return [
@@ -529,7 +528,7 @@ class FarmCoordinator:
                 f"fleet's cells {sorted(self.cell_ids)}"
             )
         message = {
-            "type": MSG_WORKLOAD,
+            "type": "workload",
             "scenario": scenario_to_payload(scenario),
             "noise_var": float(noise_var),
             "channel_seed": (
@@ -555,7 +554,7 @@ class FarmCoordinator:
             raise ConfigurationError(
                 "install_workload must run before calibrate"
             )
-        message = {"type": MSG_CALIBRATE}
+        message = {"type": "calibrate"}
         for handle in self._handles:
             self._send_checked(handle, message, phase="calibrate")
         replies = [
@@ -618,7 +617,7 @@ class FarmCoordinator:
         started_at = time.monotonic()
         for chunk_index, (start, stop) in enumerate(chunks):
             message = {
-                "type": MSG_RUN,
+                "type": "run_slots",
                 "start": start,
                 "stop": stop,
                 "slot_interval_s": slot_interval_s,

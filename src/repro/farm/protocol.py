@@ -1,15 +1,18 @@
 """The coordinator <-> worker wire protocol of the multi-process farm.
 
-Every message is a plain ``{"type": ..., ...}`` dict of JSON-native
-values — the same design rule as :class:`repro.api.StackConfig` — so the
-protocol that today rides a :class:`multiprocessing.Pipe` could ride a
-socket to another host without changing shape (the RaPro / decentralized
--baseband direction in PAPERS.md).  The stack a worker runs is **not**
-shipped as live objects: the worker receives the serialized
-``StackConfig`` slice and rebuilds everything with
+Every message is a ``{"type": ..., ...}`` dict, and it crosses the pipe
+as JSON by construction: :func:`send` and :func:`recv` are the only code
+that touches a farm pipe, and :func:`send` refuses — before writing a
+byte — a message whose ``type`` is not in the protocol or whose values
+``json.dumps`` rejects (a numpy scalar, a set, bytes).  The same frames
+could therefore ride a socket to another host without changing shape
+(the RaPro / decentralized-baseband direction in PAPERS.md).  The stack
+a worker runs is **not** shipped as live objects: the worker receives
+the serialized ``StackConfig`` slice and rebuilds everything with
 :func:`repro.api.build_stack` — which is exactly what makes the config
 the recovery plan when a worker has to be re-spawned.
 
+The whole protocol is :data:`REPLY_FOR` plus two unpaired messages.
 Coordinator -> worker commands:
 
 ``workload``
@@ -39,61 +42,62 @@ Coordinator -> worker commands:
 ``ping`` / ``stop``
     Health check and orderly shutdown.
 
-Worker -> coordinator replies: ``ready`` (spawn handshake, lists the
-cells served), ``workload_set``, ``slots_done``, ``budgets_set``,
-``calibrated``, ``pong``, ``stopped``, and ``error`` (an exception
-escaped — the payload carries its repr; deterministic errors are *not*
-retried by re-spawning).
+Worker -> coordinator: the reply :data:`REPLY_FOR` names for each
+command, plus ``ready`` (the spawn handshake, lists the cells served)
+and ``error`` (an exception escaped — the payload carries its repr and
+traceback; deterministic errors are *not* retried by re-spawning),
+neither of which answers a command.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict
 
 from repro.control.workload import WorkloadScenario
+from repro.errors import ConfigurationError
 
-# Coordinator -> worker.
-MSG_WORKLOAD = "workload"
-MSG_RUN = "run_slots"
-MSG_BUDGETS = "set_budgets"
-MSG_CALIBRATE = "calibrate"
-MSG_PING = "ping"
-MSG_STOP = "stop"
-
-# Worker -> coordinator.
-MSG_READY = "ready"
-MSG_WORKLOAD_SET = "workload_set"
-MSG_DONE = "slots_done"
-MSG_BUDGETS_SET = "budgets_set"
-MSG_CALIBRATED = "calibrated"
-MSG_PONG = "pong"
-MSG_STOPPED = "stopped"
-MSG_ERROR = "error"
-
-#: Replies the coordinator treats as request acknowledgements, keyed by
-#: the command that elicits them.
+#: Command -> the reply that acknowledges it.
 REPLY_FOR = {
-    MSG_WORKLOAD: MSG_WORKLOAD_SET,
-    MSG_RUN: MSG_DONE,
-    MSG_BUDGETS: MSG_BUDGETS_SET,
-    MSG_CALIBRATE: MSG_CALIBRATED,
-    MSG_PING: MSG_PONG,
-    MSG_STOP: MSG_STOPPED,
+    "workload": "workload_set",
+    "run_slots": "slots_done",
+    "set_budgets": "budgets_set",
+    "calibrate": "calibrated",
+    "ping": "pong",
+    "stop": "stopped",
 }
 
-#: Messages that are deliberately *not* a command/ack pair: the spawn
-#: handshake the worker volunteers before any command arrives, and the
-#: error report that can replace any expected reply.  Every ``MSG_*``
-#: must appear in :data:`REPLY_FOR` (either side) or here — enforced by
-#: the REP004 static-analysis rule.
-UNPAIRED_MESSAGES = (MSG_READY, MSG_ERROR)
+#: Every message type :func:`send` accepts.
+_TYPES = {*REPLY_FOR, *REPLY_FOR.values(), "ready", "error"}
+
+
+def send(conn, message: dict) -> None:
+    """Write one message to a farm pipe as a JSON frame.
+
+    Raises :class:`~repro.errors.ConfigurationError`, having written
+    nothing, when ``message["type"]`` is not in the protocol or a value
+    is not JSON-serializable.
+    """
+    kind = message.get("type")
+    if kind not in _TYPES:
+        raise ConfigurationError(f"unknown farm message type {kind!r}")
+    try:
+        frame = json.dumps(message).encode()
+    except (TypeError, ValueError) as error:
+        raise ConfigurationError(
+            f"farm message {kind!r} is not JSON-serializable: {error}"
+        ) from None
+    conn.send_bytes(frame)
+
+
+def recv(conn) -> dict:
+    """Read one message from a farm pipe (``ValueError`` if not JSON)."""
+    return json.loads(conn.recv_bytes())
 
 
 def scenario_to_payload(scenario: WorkloadScenario) -> dict:
-    """A :class:`WorkloadScenario` as a JSON-native dict."""
-    payload = asdict(scenario)
-    payload["cells"] = list(payload["cells"])
-    return payload
+    """A :class:`WorkloadScenario` as a JSON-serializable dict."""
+    return asdict(scenario)
 
 
 def scenario_from_payload(payload: dict) -> WorkloadScenario:

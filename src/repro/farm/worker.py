@@ -5,7 +5,10 @@ The entry point :func:`worker_main` is what
 the serialized config slice is the whole recovery plan): it rebuilds its
 share of the farm with :func:`repro.api.build_stack`, regenerates its
 cells' channels deterministically from the workload seeds, and then
-serves :mod:`repro.farm.protocol` commands until told to stop.  All
+serves :mod:`repro.farm.protocol` commands until told to stop: every
+frame is read with ``protocol.recv`` and written with ``protocol.send``
+(JSON), each command is served by its :data:`HANDLERS` entry, and the
+reply type is the one ``REPLY_FOR`` pairs with the command.  All
 state a worker holds — caches, governor lanes — is reconstructible from
 the config plus the seeds, and it keeps no accounting the coordinator
 needs: every ``slots_done`` reply carries that chunk's own complete
@@ -25,23 +28,7 @@ from repro.api import StackConfig, build_stack
 from repro.channel.fading import rayleigh_channels
 from repro.control.workload import slot_arrivals
 from repro.errors import ConfigurationError
-from repro.farm.protocol import (
-    MSG_BUDGETS,
-    MSG_BUDGETS_SET,
-    MSG_CALIBRATE,
-    MSG_CALIBRATED,
-    MSG_DONE,
-    MSG_ERROR,
-    MSG_PING,
-    MSG_PONG,
-    MSG_READY,
-    MSG_RUN,
-    MSG_STOP,
-    MSG_STOPPED,
-    MSG_WORKLOAD,
-    MSG_WORKLOAD_SET,
-    scenario_from_payload,
-)
+from repro.farm.protocol import REPLY_FOR, recv, scenario_from_payload, send
 from repro.obs import clear_global
 
 
@@ -89,7 +76,7 @@ class _WorkerState:
             )
             for index, cell_id in enumerate(self.cell_ids)
         }
-        return {"type": MSG_WORKLOAD_SET, "cells": self.cell_ids}
+        return {"cells": self.cell_ids}
 
     def _require_workload(self) -> None:
         if self.scenario is None:
@@ -98,7 +85,7 @@ class _WorkerState:
             )
 
     # ------------------------------------------------------------------
-    def calibrate(self) -> dict:
+    def calibrate(self, message: dict) -> dict:
         """Warm wall-clock cost of this worker's share of a full slot."""
         self._require_workload()
         cost = self.stack.calibrate_slot_cost(
@@ -106,7 +93,7 @@ class _WorkerState:
             self.channels,
             self.noise_var,
         )
-        return {"type": MSG_CALIBRATED, "slot_cost_s": cost}
+        return {"slot_cost_s": cost}
 
     def run_slots(self, message: dict) -> dict:
         """Pace slots ``[start, stop)`` of the demand table; own cells only.
@@ -127,7 +114,6 @@ class _WorkerState:
             float(message["slot_interval_s"]),
         )
         reply = {
-            "type": MSG_DONE,
             "start": start,
             "stop": stop,
             # This chunk's scheduler ledger, complete in itself: a
@@ -166,14 +152,33 @@ class _WorkerState:
         if governor is not None:
             governor.install_budgets(message["budgets"])
         return {
-            "type": MSG_BUDGETS_SET,
             "budgets": (
                 governor.budgets() if governor is not None else {}
             ),
         }
 
+    def ping(self, message: dict) -> dict:
+        # ``delay_s`` is a latency-injection knob for exercising the
+        # coordinator's hung-worker detection.
+        delay = float(message.get("delay_s", 0.0))
+        if delay > 0:
+            time.sleep(delay)
+        return {"cells": self.cell_ids}
+
     def close(self) -> None:
         self.stack.close()
+
+
+#: Command -> the handler that serves it.  A handler returns its reply's
+#: payload; the serve loop stamps ``REPLY_FOR[command]`` on it.  ``stop``
+#: is the serve loop's own.
+HANDLERS = {
+    "workload": _WorkerState.set_workload,
+    "run_slots": _WorkerState.run_slots,
+    "set_budgets": _WorkerState.set_budgets,
+    "calibrate": _WorkerState.calibrate,
+    "ping": _WorkerState.ping,
+}
 
 
 def worker_main(conn, config_payload: dict) -> None:
@@ -193,40 +198,29 @@ def worker_main(conn, config_payload: dict) -> None:
         # each slots_done reply instead.
         clear_global()
         state = _WorkerState(StackConfig.from_dict(config_payload))
-        conn.send({"type": MSG_READY, "cells": state.cell_ids})
+        send(conn, {"type": "ready", "cells": state.cell_ids})
         while True:
-            message = conn.recv()
+            message = recv(conn)
             kind = message.get("type")
-            if kind == MSG_STOP:
-                conn.send({"type": MSG_STOPPED})
+            if kind == "stop":
+                send(conn, {"type": REPLY_FOR[kind]})
                 return
-            if kind == MSG_PING:
-                # ``delay_s`` is a latency-injection knob for exercising
-                # the coordinator's hung-worker detection.
-                delay = float(message.get("delay_s", 0.0))
-                if delay > 0:
-                    time.sleep(delay)
-                conn.send({"type": MSG_PONG, "cells": state.cell_ids})
-            elif kind == MSG_WORKLOAD:
-                conn.send(state.set_workload(message))
-            elif kind == MSG_CALIBRATE:
-                conn.send(state.calibrate())
-            elif kind == MSG_RUN:
-                conn.send(state.run_slots(message))
-            elif kind == MSG_BUDGETS:
-                conn.send(state.set_budgets(message))
-            else:
+            if kind not in HANDLERS:
                 raise ConfigurationError(f"unknown command {kind!r}")
+            reply = HANDLERS[kind](state, message)
+            reply["type"] = REPLY_FOR[kind]
+            send(conn, reply)
     except EOFError:
         pass  # the coordinator went away; nothing to report to
     except Exception as error:
         try:
-            conn.send(
+            send(
+                conn,
                 {
-                    "type": MSG_ERROR,
+                    "type": "error",
                     "error": repr(error),
                     "traceback": traceback.format_exc(),
-                }
+                },
             )
         except OSError:
             pass

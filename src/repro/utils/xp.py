@@ -137,14 +137,8 @@ class NumpyArrayModule(ArrayModule):
     def zeros(self, shape, dtype=None):
         return self._np.zeros(shape, dtype=dtype)
 
-    def ones(self, shape, dtype=None):
-        return self._np.ones(shape, dtype=dtype)
-
     def empty(self, shape, dtype=None):
         return self._np.empty(shape, dtype=dtype)
-
-    def full(self, shape, value, dtype=None):
-        return self._np.full(shape, value, dtype=dtype)
 
     def arange(self, n):
         return self._np.arange(n)
@@ -155,9 +149,6 @@ class NumpyArrayModule(ArrayModule):
 
     def broadcast_to(self, a, shape):
         return self._np.broadcast_to(a, shape)
-
-    def concatenate(self, arrays, axis=0):
-        return self._np.concatenate(arrays, axis=axis)
 
     def stack(self, arrays, axis=0):
         return self._np.stack(arrays, axis=axis)
@@ -201,9 +192,6 @@ class NumpyArrayModule(ArrayModule):
     def abs(self, a, out=None):
         return self._np.abs(a, out=out)
 
-    def sqrt(self, a):
-        return self._np.sqrt(a)
-
     def round(self, a, out=None):
         """Nearest integer, ties to even."""
         return self._np.rint(a, out=out)
@@ -237,9 +225,6 @@ class NumpyArrayModule(ArrayModule):
 
     def imag(self, a):
         return self._np.imag(a)
-
-    def conj(self, a):
-        return self._np.conj(a)
 
     # -- the fused walk ------------------------------------------------
     @property
@@ -325,14 +310,8 @@ class TorchArrayModule(ArrayModule):
     def zeros(self, shape, dtype=None):
         return self._torch.zeros(shape, dtype=dtype)
 
-    def ones(self, shape, dtype=None):
-        return self._torch.ones(shape, dtype=dtype)
-
     def empty(self, shape, dtype=None):
         return self._torch.empty(shape, dtype=dtype)
-
-    def full(self, shape, value, dtype=None):
-        return self._torch.full(shape, value, dtype=dtype)
 
     def arange(self, n):
         return self._torch.arange(n)
@@ -349,9 +328,6 @@ class TorchArrayModule(ArrayModule):
 
     def broadcast_to(self, a, shape):
         return self._torch.broadcast_to(a, shape)
-
-    def concatenate(self, arrays, axis=0):
-        return self._torch.cat(list(arrays), dim=axis)
 
     def stack(self, arrays, axis=0):
         return self._torch.stack(list(arrays), dim=axis)
@@ -401,9 +377,6 @@ class TorchArrayModule(ArrayModule):
     def abs(self, a, out=None):
         return self._torch.abs(a, out=out)
 
-    def sqrt(self, a):
-        return self._torch.sqrt(a)
-
     def round(self, a, out=None):
         return self._torch.round(a, out=out)
 
@@ -436,9 +409,6 @@ class TorchArrayModule(ArrayModule):
 
     def imag(self, a):
         return self._torch.imag(a)
-
-    def conj(self, a):
-        return self._torch.conj(a)
 
 
 @dataclass(frozen=True)
@@ -523,12 +493,6 @@ class CountingArrayModule(ArrayModule):
             downloads=self.downloads,
             download_bytes=self.download_bytes,
         )
-
-    def reset_transfer_stats(self) -> None:
-        self.uploads = 0
-        self.upload_bytes = 0
-        self.downloads = 0
-        self.download_bytes = 0
 
 
 class DeviceConstantCache:

@@ -43,21 +43,6 @@ class TestRep002Determinism:
         assert findings_for("REP002", "rep002_good.py") == []
 
 
-class TestRep004Protocol:
-    def test_fires_on_unpaired_literal_and_non_json(self):
-        findings = findings_for("REP004", "rep004_bad.py")
-        messages = "\n".join(f.message for f in findings)
-        assert len(findings) == 5
-        assert "MSG_ROGUE" in messages
-        assert "string literal 'ping'" in messages
-        assert "non-JSON constant of type bytes" in messages
-        assert "set literal in a protocol message" in messages
-        assert "absent from REPLY_FOR and UNPAIRED_MESSAGES" in messages
-
-    def test_silent_on_paired_json_native_protocol(self):
-        assert findings_for("REP004", "rep004_good.py") == []
-
-
 class TestRep005ObsCatalogue:
     def test_fires_on_invented_span_and_instant_names(self):
         findings = findings_for("REP005", "rep005_bad.py")

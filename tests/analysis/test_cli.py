@@ -31,6 +31,13 @@ class TestExitCodes:
         assert code == 2
         assert "unknown rule(s) NOPE" in capsys.readouterr().err
 
+    def test_retired_rule_exits_two(self, capsys):
+        code = main(
+            [str(FIXTURES / "rep001_good.py"), "--rules", "REP004", "--no-baseline"]
+        )
+        assert code == 2
+        assert "unknown rule(s) REP004" in capsys.readouterr().err
+
     def test_missing_explicit_baseline_exits_two(self, capsys):
         code = main(
             [
@@ -79,9 +86,10 @@ class TestOutputFormats:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("REP001", "REP002", "REP004", "REP005"):
+        for rule in ("REP001", "REP002", "REP005"):
             assert rule in out
-        assert "REP003" not in out  # retired, not reused
+        for retired in ("REP003", "REP004"):
+            assert retired not in out  # retired, not reused
 
 
 def _finding_path(filename):

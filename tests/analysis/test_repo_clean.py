@@ -18,7 +18,7 @@ class TestRepoIsClean:
         baseline = Baseline.load(REPO_ROOT / BASELINE_FILENAME)
         report = run_analysis([SRC], root=REPO_ROOT, baseline=baseline)
         assert report.findings == [], [f.text_line() for f in report.findings]
-        assert report.rules_run == ("REP001", "REP002", "REP004", "REP005")
+        assert report.rules_run == ("REP001", "REP002", "REP005")
         assert report.files_checked > 100
 
     def test_no_stale_baseline_entries(self):
@@ -34,9 +34,9 @@ class TestRepoIsClean:
 
 
 class TestRegistry:
-    def test_four_rules_registered(self):
+    def test_three_rules_registered(self):
         all_checkers()  # imports the checkers package
-        assert sorted(REGISTRY) == ["REP001", "REP002", "REP004", "REP005"]
+        assert sorted(REGISTRY) == ["REP001", "REP002", "REP005"]
 
     def test_unknown_rule_raises_analysis_error(self):
         with pytest.raises(AnalysisError):

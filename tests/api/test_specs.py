@@ -378,24 +378,9 @@ class TestSpecHelpers:
         with pytest.raises(ConfigurationError, match="constellation"):
             spec.build_policy()
 
-    def test_scheduler_none_budget_maps_to_inf(self):
-        import math
-
-        assert SchedulerSpec().effective_slot_budget_s == math.inf
-        assert SchedulerSpec(
-            slot_budget_s=0.5
-        ).effective_slot_budget_s == 0.5
-
     def test_farm_cell_ids(self):
         farm = FarmSpec(streaming=True, cells=3, cell_prefix="ap")
         assert farm.cell_ids() == ("ap0", "ap1", "ap2")
-
-    def test_with_detector_replaces_only_detector(self):
-        config = StackConfig(detector=DetectorSpec("mmse", 4))
-        stripped = config.with_detector(None)
-        assert stripped.detector is None
-        assert stripped.backend == config.backend
-        assert config.detector is not None  # original untouched
 
 
 class TestSplitCells:

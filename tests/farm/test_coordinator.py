@@ -8,8 +8,9 @@ The supervision contract under test:
   config slice*, the lost chunk is replayed from the same seeds, and
   the restart lands in the merged telemetry;
 * a hung worker (reply past the timeout) takes the same recovery path;
-* a worker that *reports* an exception is a deterministic failure —
-  typed error out, no futile re-spawn loop;
+* a worker that *reports* an exception, or replies with bytes that are
+  not JSON, is a deterministic failure — typed error out, no futile
+  re-spawn loop;
 * global path-budget awards never exceed the configured pool.
 
 Everything runs the tiny 2x2 4-QAM stack so the whole file stays
@@ -17,6 +18,8 @@ tier-1 fast.
 """
 
 from __future__ import annotations
+
+import multiprocessing
 
 import pytest
 
@@ -31,7 +34,7 @@ from repro.api import (
 from repro.control.workload import WorkloadScenario
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.farm import FarmCoordinator
-from repro.farm.protocol import MSG_RUN
+from repro.farm.coordinator import _Handle
 from repro.mimo.model import noise_variance_for_snr_db
 from repro.obs import Observability
 
@@ -186,7 +189,7 @@ def test_worker_error_is_deterministic_not_respawned():
             coordinator._request(
                 handle,
                 {
-                    "type": MSG_RUN,
+                    "type": "run_slots",
                     "start": 0,
                     "stop": 1,
                     "slot_interval_s": 0.0,
@@ -195,6 +198,24 @@ def test_worker_error_is_deterministic_not_respawned():
                 phase="run_slots[0:1)",
             )
         assert not coordinator.restarts
+
+
+class _AliveProcess:
+    def is_alive(self):
+        return True
+
+
+def test_garbled_reply_is_a_typed_failure_not_respawned():
+    coordinator = FarmCoordinator(make_config(cells=2), 1)
+    handle = _Handle(0, {})
+    handle.conn, worker_end = multiprocessing.Pipe()
+    handle.process = _AliveProcess()
+    with handle.conn, worker_end:
+        worker_end.send_bytes(b"\x80 not json")
+        with pytest.raises(WorkerCrashError, match="worker 0") as excinfo:
+            coordinator._await_reply(handle, "pong", timeout=1.0)
+    assert excinfo.value.worker == 0
+    assert not coordinator.restarts
 
 
 def test_global_budget_awards_respect_the_pool():
