@@ -17,7 +17,6 @@ __all__ = [
     "ExperimentError",
     "WorkerCrashError",
     "LoadShedError",
-    "AnalysisError",
 ]
 
 
@@ -74,12 +73,3 @@ class LoadShedError(ReproError):
     late.
     """
 
-
-class AnalysisError(ReproError):
-    """The static-analysis harness itself failed.
-
-    Raised by :mod:`repro.analysis` for *internal* problems — unusable
-    CLI arguments, a malformed or unjustified baseline file, a checker
-    crash — never for findings in the analyzed code (findings are data,
-    reported with exit code 1; this error is the exit-code-2 path).
-    """

@@ -39,20 +39,19 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.tracer import (
+    EVENT_DOWNLOAD,
     EVENT_NAMES,
+    EVENT_UPLOAD,
     EVENT_WORKER_RESTART,
     NULL_TRACER,
     SPAN_CHUNK,
-    SPAN_DECODE,
     SPAN_DETECT,
-    SPAN_DOWNLOAD,
     SPAN_FLUSH,
     SPAN_GOVERNOR_TICK,
     SPAN_NAMES,
     SPAN_PREPARE,
     SPAN_QR,
     SPAN_TREE_SEARCH,
-    SPAN_UPLOAD,
     NullTracer,
     Tracer,
     current_tracer,
@@ -84,12 +83,11 @@ __all__ = [
     "SPAN_QR",
     "SPAN_TREE_SEARCH",
     "SPAN_DETECT",
-    "SPAN_UPLOAD",
-    "SPAN_DOWNLOAD",
     "SPAN_FLUSH",
     "SPAN_GOVERNOR_TICK",
-    "SPAN_DECODE",
     "SPAN_CHUNK",
+    "EVENT_UPLOAD",
+    "EVENT_DOWNLOAD",
     "EVENT_WORKER_RESTART",
     "SPAN_NAMES",
     "EVENT_NAMES",

@@ -37,12 +37,11 @@ __all__ = [
     "SPAN_QR",
     "SPAN_TREE_SEARCH",
     "SPAN_DETECT",
-    "SPAN_UPLOAD",
-    "SPAN_DOWNLOAD",
     "SPAN_FLUSH",
     "SPAN_GOVERNOR_TICK",
-    "SPAN_DECODE",
     "SPAN_CHUNK",
+    "EVENT_UPLOAD",
+    "EVENT_DOWNLOAD",
     "EVENT_WORKER_RESTART",
     "SPAN_NAMES",
     "EVENT_NAMES",
@@ -59,35 +58,32 @@ SPAN_PREPARE = "prepare"
 SPAN_QR = "qr"
 SPAN_TREE_SEARCH = "tree_search"
 SPAN_DETECT = "detect"
-SPAN_UPLOAD = "upload"
-SPAN_DOWNLOAD = "download"
 SPAN_FLUSH = "flush"
 SPAN_GOVERNOR_TICK = "governor_tick"
-SPAN_DECODE = "decode"
 SPAN_CHUNK = "chunk"
 
+EVENT_UPLOAD = "upload"
+EVENT_DOWNLOAD = "download"
 EVENT_WORKER_RESTART = "worker_restart"
 
-#: The complete span-name vocabulary.  ``tracer.span(...)`` call sites
-#: must use one of these (via its ``SPAN_*`` constant) — enforced by the
-#: REP005 static-analysis rule, so dashboards keyed on a span name never
-#: silently go dark after a rename.
+#: The complete span (``ph="X"``) vocabulary: every ``tracer.span(...)``
+#: call site uses one of these via its ``SPAN_*`` constant, so
+#: dashboards keyed on a span name never silently go dark after a
+#: rename.  A tier-1 test traces real runs and checks they emit exactly
+#: this set.
 SPAN_NAMES = (
     SPAN_PREPARE,
     SPAN_QR,
     SPAN_TREE_SEARCH,
     SPAN_DETECT,
-    SPAN_UPLOAD,
-    SPAN_DOWNLOAD,
     SPAN_FLUSH,
     SPAN_GOVERNOR_TICK,
-    SPAN_DECODE,
     SPAN_CHUNK,
 )
 
 #: Instant (``ph="i"``) marker vocabulary, same contract as
 #: :data:`SPAN_NAMES` for ``tracer.instant(...)`` call sites.
-EVENT_NAMES = (EVENT_WORKER_RESTART,)
+EVENT_NAMES = (EVENT_UPLOAD, EVENT_DOWNLOAD, EVENT_WORKER_RESTART)
 
 
 class _NullSpan:

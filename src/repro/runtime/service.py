@@ -41,11 +41,11 @@ import numpy as np
 from repro import native
 from repro.errors import ConfigurationError, LinkSimulationError
 from repro.obs import (
+    EVENT_DOWNLOAD,
+    EVENT_UPLOAD,
     NULL_TRACER,
     SPAN_DETECT,
-    SPAN_DOWNLOAD,
     SPAN_PREPARE,
-    SPAN_UPLOAD,
     get_global,
     use_tracer,
 )
@@ -278,12 +278,12 @@ class DetectionService:
             return
         if delta.uploads:
             self._tracer.instant(
-                SPAN_UPLOAD,
+                EVENT_UPLOAD,
                 {"uploads": delta.uploads, "bytes": delta.upload_bytes},
             )
         if delta.downloads:
             self._tracer.instant(
-                SPAN_DOWNLOAD,
+                EVENT_DOWNLOAD,
                 {"downloads": delta.downloads, "bytes": delta.download_bytes},
             )
 

@@ -214,8 +214,8 @@ class TestRoundTrip:
         ids=lambda spec: type(spec).__name__,
     )
     def test_every_field_is_a_to_dict_key(self, spec):
-        """The runtime remnant of the retired REP003: a field cannot be
-        declared without being serialized, in declaration order."""
+        """A field cannot be declared without being serialized, in
+        declaration order."""
         assert list(spec.to_dict()) == [f.name for f in fields(spec)]
 
 

@@ -1,12 +1,110 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and the blocking-call tripwire."""
 
 from __future__ import annotations
+
+import asyncio
+import builtins
+import concurrent.futures
+import functools
+import multiprocessing.connection
+import os
+import subprocess
+import threading
+import time
+import traceback
 
 import numpy as np
 import pytest
 
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
+
+# ----------------------------------------------------------------------
+# Blocking-call tripwire.  The streaming scheduler runs every flush on
+# the asyncio event loop, so one synchronous wait anywhere below it —
+# in any module — stalls every cell's slot deadline at once.  For the
+# whole session these primitives are wrapped; a call made on a thread
+# whose event loop is running is recorded with its stack, and the
+# autouse ``blocking_calls`` fixture fails the test that made it.  A
+# call that returns at once (a done future, a finished thread, a
+# ``WNOHANG`` wait) is not a blocking call.
+
+
+def _always(*args, **kwargs):
+    return True
+
+
+_PRIMITIVES = (
+    (time, "sleep", _always),
+    (subprocess.Popen, "__init__", _always),
+    (os, "system", _always),
+    (os, "waitpid", lambda pid, options: not options & os.WNOHANG),
+    (builtins, "open", _always),
+    (multiprocessing.connection.Connection, "recv", _always),
+    (multiprocessing.connection.Connection, "recv_bytes", _always),
+    (
+        concurrent.futures.Future,
+        "result",
+        lambda future, timeout=None: not future.done(),
+    ),
+    (threading.Thread, "join", lambda thread, timeout=None: thread.is_alive()),
+)
+
+_BLOCKING_CALLS: list = []
+_TRIPWIRE = pytest.MonkeyPatch()
+
+
+def _on_running_loop() -> bool:
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return False
+    return True
+
+
+def _tripwire(owner, name, blocks):
+    original = getattr(owner, name)
+    label = f"{getattr(owner, '__qualname__', owner.__name__)}.{name}"
+
+    @functools.wraps(original)
+    def wrapper(*args, **kwargs):
+        if _on_running_loop() and blocks(*args, **kwargs):
+            stack = "".join(traceback.format_stack(limit=16)[:-1])
+            _BLOCKING_CALLS.append((label, stack))
+        return original(*args, **kwargs)
+
+    return wrapper
+
+
+def pytest_sessionstart(session):
+    from repro import native
+
+    # A cold cache compiles walk.c here (``subprocess.run``), once,
+    # instead of inside whichever test first builds a stack on a loop.
+    native.status()
+    for owner, name, blocks in _PRIMITIVES:
+        _TRIPWIRE.setattr(owner, name, _tripwire(owner, name, blocks))
+
+
+def pytest_sessionfinish(session, exitstatus):
+    _TRIPWIRE.undo()
+
+
+@pytest.fixture(autouse=True)
+def blocking_calls():
+    """``(primitive, stack)`` for each blocking call this test made on a
+    running event loop; any left at teardown fail the test.  A test that
+    provokes one on purpose empties the list itself."""
+    _BLOCKING_CALLS.clear()
+    yield _BLOCKING_CALLS
+    if _BLOCKING_CALLS:
+        pytest.fail(
+            "\n".join(
+                f"{label}() blocked a running event loop:\n{stack}"
+                for label, stack in _BLOCKING_CALLS
+            ),
+            pytrace=False,
+        )
 
 
 @pytest.fixture

@@ -11,6 +11,9 @@ Three layers under test:
 * the farm — worker chunk replies carry spans + the chunk's ledger, the
   coordinator folds them into per-worker lanes of one merged timeline
   (restart instants included) and one fleet ledger.
+
+Across those traced runs the span and instant names emitted are exactly
+the ``SPAN_NAMES`` / ``EVENT_NAMES`` catalogue.
 """
 
 from __future__ import annotations
@@ -41,18 +44,28 @@ from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
 from repro.modulation.mapper import random_symbol_indices
 from repro.obs import (
+    EVENT_NAMES,
     EVENT_WORKER_RESTART,
     MAIN_PID,
     SPAN_CHUNK,
     SPAN_DETECT,
     SPAN_FLUSH,
     SPAN_GOVERNOR_TICK,
+    SPAN_NAMES,
     SPAN_PREPARE,
     WORKER_PID_BASE,
     Observability,
     scheduler_summary,
 )
-from repro.runtime import FrameArrival, StreamingScheduler
+from repro.runtime import (
+    ArrayBackend,
+    ContextCache,
+    CountingArrayModule,
+    DetectionService,
+    FrameArrival,
+    StreamingScheduler,
+    UplinkBatch,
+)
 
 NOISE_VAR = noise_variance_for_snr_db(18.0)
 
@@ -117,52 +130,81 @@ class TestTracingSpec:
             stack.close()
 
 
-class TestSchedulerSpans:
-    def _run_scheduler(self, obs, subcarriers=3, frames=4):
-        system = MimoSystem(3, 3, QamConstellation(4))
-        detector = FlexCoreDetector(system, num_paths=4)
-        rng = np.random.default_rng(7)
-        channels = rayleigh_channels(subcarriers, 3, 3, rng)
-        received = np.empty(
-            (subcarriers, frames, 3), dtype=np.complex128
+def run_scheduler(obs, subcarriers=3, frames=4):
+    """The traced streaming farm: one cell, flushed by batch target."""
+    system = MimoSystem(3, 3, QamConstellation(4))
+    detector = FlexCoreDetector(system, num_paths=4)
+    rng = np.random.default_rng(7)
+    channels = rayleigh_channels(subcarriers, 3, 3, rng)
+    received = np.empty((subcarriers, frames, 3), dtype=np.complex128)
+    for sc in range(subcarriers):
+        indices = random_symbol_indices(frames, 3, system.constellation, rng)
+        received[sc] = apply_channel(
+            channels[sc],
+            system.constellation.points[indices],
+            NOISE_VAR,
+            rng,
         )
-        for sc in range(subcarriers):
-            indices = random_symbol_indices(
-                frames, 3, system.constellation, rng
-            )
-            received[sc] = apply_channel(
-                channels[sc],
-                system.constellation.points[indices],
-                NOISE_VAR,
-                rng,
-            )
 
-        async def run():
-            async with StreamingScheduler(
-                detector,
-                batch_target=frames,
-                slot_budget_s=math.inf,
-                obs=obs,
-            ) as scheduler:
-                futures = [
-                    await scheduler.submit(
-                        FrameArrival(
-                            channels[sc], received[sc, frame], NOISE_VAR
-                        )
-                    )
-                    for sc in range(subcarriers)
-                    for frame in range(frames)
-                ]
-                await scheduler.flush()
-                for future in futures:
-                    await future
-                return scheduler.telemetry
+    async def run():
+        async with StreamingScheduler(
+            detector,
+            batch_target=frames,
+            slot_budget_s=math.inf,
+            obs=obs,
+        ) as scheduler:
+            futures = [
+                await scheduler.submit(
+                    FrameArrival(channels[sc], received[sc, frame], NOISE_VAR)
+                )
+                for sc in range(subcarriers)
+                for frame in range(frames)
+            ]
+            await scheduler.flush()
+            for future in futures:
+                await future
+            return scheduler.telemetry
 
-        return asyncio.run(run())
+    return asyncio.run(run())
 
+
+def run_fleet():
+    """The traced kill-recovery fleet: two governed workers, worker 0
+    killed once; returns the report and the coordinator's hub."""
+    config = tiny_config(TracingSpec(enabled=True), governed=True)
+    scenario = WorkloadScenario(
+        scenario="steady",
+        cells=config.farm.cell_ids(),
+        slots=6,
+        subcarriers=3,
+        seed=11,
+    )
+    with FarmCoordinator(
+        config, 2, slots_per_chunk=2, kill_script={0: 1}
+    ) as coordinator:
+        report = coordinator.run(scenario, NOISE_VAR, slot_interval_s=0.0)
+        return report, coordinator.obs
+
+
+def run_array_batch(obs):
+    """A cold then a warm batch on a transfer-counting array backend."""
+    rng = np.random.default_rng(3)
+    detector = FlexCoreDetector(MimoSystem(2, 2, QamConstellation(4)), num_paths=4)
+    batch = UplinkBatch(
+        channels=rayleigh_channels(3, 2, 2, rng),
+        received=rng.standard_normal((3, 2, 2)) + 0j,
+        noise_var=0.1,
+    )
+    service = DetectionService(ArrayBackend(CountingArrayModule()), obs=obs)
+    cache = ContextCache()
+    for _ in range(2):
+        service.detect(detector, batch, cache=cache)
+
+
+class TestSchedulerSpans:
     def test_flush_spans_match_telemetry(self):
         obs = Observability()
-        telemetry = self._run_scheduler(obs)
+        telemetry = run_scheduler(obs)
         events = obs.tracer.events
         flushes = [e for e in events if e["name"] == SPAN_FLUSH]
         assert len(flushes) == telemetry.flushes
@@ -183,7 +225,7 @@ class TestSchedulerSpans:
 
     def test_kernel_spans_nest_inside_flush(self):
         obs = Observability()
-        self._run_scheduler(obs)
+        run_scheduler(obs)
         events = obs.tracer.events
         detects = [e for e in events if e["name"] == SPAN_DETECT]
         prepares = [e for e in events if e["name"] == SPAN_PREPARE]
@@ -199,7 +241,7 @@ class TestSchedulerSpans:
 
     def test_metrics_series_recorded(self):
         obs = Observability()
-        telemetry = self._run_scheduler(obs)
+        telemetry = run_scheduler(obs)
         # The scheduler's ledger reached the hub: the hub's views are
         # the telemetry's.
         assert scheduler_summary(obs.metrics) == telemetry.as_dict()
@@ -221,7 +263,7 @@ class TestSchedulerSpans:
         assert "repro_deadline_margin_seconds" not in text
 
     def test_telemetry_summary_has_percentiles(self):
-        telemetry = self._run_scheduler(obs=None)
+        telemetry = run_scheduler(obs=None)
         summary = telemetry.as_dict()
         quantiles = summary["latency_percentiles"]
         assert set(quantiles) == {"p50", "p95", "p99", "p999"}
@@ -232,21 +274,7 @@ class TestSchedulerSpans:
 
 class TestFleetTimeline:
     def test_merged_timeline_has_worker_lanes_and_restart(self):
-        config = tiny_config(TracingSpec(enabled=True), governed=True)
-        scenario = WorkloadScenario(
-            scenario="steady",
-            cells=config.farm.cell_ids(),
-            slots=6,
-            subcarriers=3,
-            seed=11,
-        )
-        with FarmCoordinator(
-            config, 2, slots_per_chunk=2, kill_script={0: 1}
-        ) as coordinator:
-            report = coordinator.run(
-                scenario, NOISE_VAR, slot_interval_s=0.0
-            )
-            obs = coordinator.obs
+        report, obs = run_fleet()
         assert [r.reason for r in report.restarts] == ["died"]
         events = obs.tracer.events
         names = {e["name"] for e in events}
@@ -286,3 +314,33 @@ class TestFleetTimeline:
         )
         assert 'repro_frames_detected_total{cell="cell0"}' in obs.prometheus_text()
         assert "repro_worker_restarts_total 1.0" in obs.prometheus_text()
+
+
+class TestSpanCatalogue:
+    """The span twin of ``TestMetricCatalogue``: the traced runs above —
+    streaming farm, kill-recovery fleet, cold + warm array batch — emit
+    only catalogued names, and every catalogued name is emitted."""
+
+    @staticmethod
+    def assert_traces_match_catalogue():
+        scheduler_obs, array_obs = Observability(), Observability()
+        run_scheduler(scheduler_obs)
+        run_array_batch(array_obs)
+        _, fleet_obs = run_fleet()
+        events = [
+            event
+            for obs in (scheduler_obs, fleet_obs, array_obs)
+            for event in obs.tracer.events
+        ]
+        spans = {e["name"] for e in events if e["ph"] == "X"}
+        instants = {e["name"] for e in events if e["ph"] == "i"}
+        assert spans == set(SPAN_NAMES), spans ^ set(SPAN_NAMES)
+        assert instants == set(EVENT_NAMES), instants ^ set(EVENT_NAMES)
+
+    def test_traced_runs_emit_exactly_the_catalogue(self):
+        self.assert_traces_match_catalogue()
+
+    def test_an_uncatalogued_span_name_fails(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.scheduler.SPAN_FLUSH", "flsh")
+        with pytest.raises(AssertionError, match="flsh"):
+            self.assert_traces_match_catalogue()

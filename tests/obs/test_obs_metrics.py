@@ -11,6 +11,7 @@ the true quantile falls in.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,8 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
 )
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 samples = st.lists(
     st.floats(
@@ -217,3 +220,89 @@ class TestRegistry:
         assert "repro_flush_latency_seconds_count 2" in text
         assert text.count("# TYPE repro_flushes_total counter") == 1
         assert sink.total("repro_flushes_total") == 15
+
+
+class TestMetricCatalogue:
+    """The registry refuses a series outside ``METRIC_NAMES``, so what a
+    run writes is catalogued by construction; these prove the converse —
+    nothing in the catalogue is dead."""
+
+    def test_a_real_runs_series_are_catalogued(self):
+        import asyncio
+
+        import numpy as np
+
+        from repro.flexcore.detector import FlexCoreDetector
+        from repro.mimo.system import MimoSystem
+        from repro.modulation.constellation import QamConstellation
+        from repro.obs import METRIC_NAMES, Observability
+        from repro.obs.metrics import parse_key
+        from repro.runtime import (
+            ArrayBackend,
+            CellFarm,
+            CountingArrayModule,
+            FrameArrival,
+        )
+
+        detector = FlexCoreDetector(MimoSystem(2, 2, QamConstellation(4)), num_paths=4)
+        obs = Observability()
+        farm = CellFarm(ArrayBackend(CountingArrayModule()), obs=obs)
+        farm.add_cell("a", detector)
+        farm.add_cell("b", detector)
+        rng = np.random.default_rng(1)
+
+        async def drive():
+            async with farm.scheduler(batch_target=2, slot_budget_s=0.5) as scheduler:
+                scheduler.telemetry.max_records = 1  # exercise the drop count
+                futures = [
+                    await scheduler.submit(
+                        FrameArrival(
+                            rng.standard_normal((2, 2)) + 0j,
+                            rng.standard_normal((frames, 2)) + 0j,
+                            0.1,
+                            cell=cell,
+                        )
+                    )
+                    for cell, frames in (("a", 2), ("b", 2), ("a", 1))
+                ]
+                await scheduler.flush()
+                await asyncio.gather(*futures)
+
+        asyncio.run(drive())
+        farm.close()
+        written = {
+            parse_key(key)[0]
+            for table in obs.metrics.to_dict().values()
+            for key in table
+        }
+        # A broad run: everything but the restart count (no fleet here)
+        # and the derived gauge, which is never stored.
+        assert set(METRIC_NAMES) - written == {
+            "repro_deadline_hit_rate",
+            "repro_worker_restarts_total",
+        }
+        assert "repro_deadline_hit_rate" in obs.prometheus_text()
+
+    def test_every_catalogue_name_has_a_call_site(self):
+        import ast
+        import re
+
+        from repro.obs import METRIC_NAMES
+
+        written = set()
+        for path in SRC.rglob("*.py"):
+            if path.name == "metrics.py" and path.parent.name == "obs":
+                continue  # the catalogue itself
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("counter", "gauge", "histogram")
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                ):
+                    written.add(node.args[0].value)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    # A series written as exposition text (the derived gauge).
+                    written.update(re.findall(r"# TYPE (\w+) ", node.value))
+        assert set(METRIC_NAMES) <= written, set(METRIC_NAMES) - written

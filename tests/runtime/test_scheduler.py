@@ -38,6 +38,7 @@ from repro.modulation.mapper import random_symbol_indices
 from repro.ofdm.lte import SLOT_DURATION_S
 from repro.runtime import (
     Cell,
+    DetectionService,
     FrameArrival,
     MicroBatcher,
     StreamingScheduler,
@@ -546,3 +547,29 @@ class TestTelemetry:
         assert payload["frames_detected"] == total
         assert payload["deadline_hit_rate"] == 1.0
         assert payload["max_latency_s"] > 0.0
+
+
+class TestBlockingCallTripwire:
+    """The session's tripwire (``tests/conftest.py``) on live code: a
+    blocking call reached from a flush through another module is
+    recorded with its stack.  Every other streaming test is the clean
+    case: the autouse fixture fails it on any record."""
+
+    def test_sleep_inside_a_flush_is_recorded(self, monkeypatch, blocking_calls):
+        detect = DetectionService.detect
+
+        def sleepy_detect(self, *args, **kwargs):
+            time.sleep(0)
+            return detect(self, *args, **kwargs)
+
+        monkeypatch.setattr(DetectionService, "detect", sleepy_detect)
+        system = MimoSystem(3, 3, QamConstellation(4))
+        detector = FlexCoreDetector(system, num_paths=4)
+        channels, received, noise_var = make_workload(system, seed=6)
+        with make_stack(detector, cells=1) as streaming:
+            streaming.detect_batch(channels, received, noise_var)
+        assert blocking_calls
+        assert {label for label, _ in blocking_calls} == {"time.sleep"}
+        for _, stack in blocking_calls:
+            assert "in _dispatch_cell" in stack and "in sleepy_detect" in stack
+        blocking_calls.clear()  # provoked on purpose; the fixture would fail it

@@ -5,6 +5,8 @@ import importlib
 import pytest
 
 import repro
+import repro.errors
+from repro.errors import ReproError
 
 
 class TestPublicApi:
@@ -23,6 +25,7 @@ class TestPublicApi:
             "repro.coding",
             "repro.control",
             "repro.detectors",
+            "repro.errors",
             "repro.experiments",
             "repro.farm",
             "repro.flexcore",
@@ -83,3 +86,20 @@ class TestPublicApi:
             item = getattr(repro, name)
             if callable(item):
                 assert item.__doc__, f"{name} lacks a docstring"
+
+
+class TestErrorSurface:
+    def test_all_typed_errors_exported_and_importable(self):
+        exported = repro.errors.__all__
+        for name in exported:
+            error_cls = getattr(repro.errors, name)
+            assert isinstance(error_cls, type), name
+            assert issubclass(error_cls, Exception), name
+
+    def test_every_repro_error_subclass_is_in_all(self):
+        subclasses = {
+            cls.__name__
+            for cls in ReproError.__subclasses__()
+            if cls.__module__ == "repro.errors"
+        }
+        assert subclasses <= set(repro.errors.__all__)
