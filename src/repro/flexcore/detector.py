@@ -27,11 +27,14 @@ that walks each frame into scratch and reduces it right there — arg-min,
 symbol lookup, stream order, the soft detector's list — so that, as from
 the paper's processing elements, only decisions leave the kernel;
 ``walk_tile`` stays for the candidate list and as the oracle that call
-is pinned to.  Across entry points and tilings a lane agrees with itself
-to the bit; across lanes symbols, the dead mask and FLOP charges are
-equal and distances differ only by the summation order of the
-interference product (BLAS in one, increasing ``j`` in the other: a few
-ulp).
+is pinned to.  A group with enough walk to share is cut along ``G`` into
+runs, one call each, spread over the process's CPUs (:func:`repro.
+native.fan_out`) — which is only sound while nothing couples one
+subcarrier's walk to another's, in either lane: keep it that way.
+Across entry points and tilings a lane agrees with itself to the bit;
+across lanes symbols, the dead mask and FLOP charges are equal and
+distances differ only by the summation order of the interference
+product (BLAS in one, increasing ``j`` in the other: a few ulp).
 
 **The plan** (:class:`_StackedContexts`) is everything about a group of
 ``G`` channels that no received frame changes, built once and kept
@@ -96,6 +99,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from repro import native
 from repro.detectors.base import DetectionResult, Detector
 from repro.errors import ConfigurationError, DimensionError
 from repro.flexcore.ordering import TriangleOrdering
@@ -584,34 +588,52 @@ class FlexCoreDetector(Detector):
         in original stream order, ``None`` and per-subcarrier dead-path
         counts — or, given a ``noise_var``, ``(G, F, Nt * bits)`` LLRs and
         clamped-bit counts.  No tile, no candidate tensor: ``scratch``
-        lends ``(6 + 6 Nt) P`` doubles.  Charges what the tile loop would."""
+        lends ``(6 + 6 Nt) P`` doubles per run.  Charges what the tile
+        loop would.
+
+        A group carrying :data:`repro.native.RUN_FLOPS` of walk per run is
+        cut along ``G`` into up to :func:`repro.native.pes` contiguous
+        runs, one call each, fanned out over the PE pool: every run reads
+        its own subcarriers' plan and writes its own rows, so the result
+        is the one call's to the bit."""
         group, frames, num_streams, _ = planes.shape
         constellation = self.system.constellation
         side, width = constellation.side, num_streams * constellation.bits_per_symbol
-        self._charge(counter, group * frames * plan.paths, num_streams)
+        walk_flops = self._charge(counter, group * frames * plan.paths, num_streams)
         indices = xp.empty((group, frames, num_streams), dtype=xp.int64)
         counts = xp.empty((group,), dtype=xp.int64)
         llrs = None
         if noise_var is not None:
             llrs = xp.empty((group, frames, width), dtype=xp.float64)
             counter.add_comparisons(group * frames * plan.paths * width)
+        runs = max(1, min(native.pes(), group, walk_flops // native.RUN_FLOPS))
         (work,) = scratch.carve(
-            (("kernel", "float64", 6 + 6 * num_streams),), 1, 1, plan.paths
+            (("kernel", "float64", 6 + 6 * num_streams),), runs, 1, plan.paths
         )
-        xp.detect_group(
-            planes * 0.5, plan.rows, plan.weights, plan.offsets, plan.swap_delta,
-            0.5 * max(side - 2, 0), 0.5 * (side - 1), plan.inverse_permutation,
-            constellation.device_constant(xp, constellation.grid_index_table),
-            0.0 if noise_var is None else noise_var, llr_clip,
-            indices, llrs, counts, work,
-        )  # fmt: skip
+        half = planes * 0.5
+        table = constellation.device_constant(xp, constellation.grid_index_table)
+
+        def run(k):
+            rows = slice(group * k // runs, group * (k + 1) // runs)
+            part = plan if runs == 1 else plan.subcarriers(rows)
+            xp.detect_group(
+                half[rows], part.rows, part.weights, part.offsets, part.swap_delta,
+                0.5 * max(side - 2, 0), 0.5 * (side - 1), part.inverse_permutation,
+                table, 0.0 if noise_var is None else noise_var, llr_clip,
+                indices[rows], None if llrs is None else llrs[rows], counts[rows], work[k],
+            )  # fmt: skip
+
+        native.fan_out(run, runs)
         return indices, llrs, counts
 
     @staticmethod
-    def _charge(counter: FlopCounter, elements: int, num_streams: int) -> None:
-        """The walk of ``elements`` (subcarrier, frame, path) elements."""
-        counter.add_complex_mults(elements * num_streams * (num_streams - 1) // 2)
+    def _charge(counter: FlopCounter, elements: int, num_streams: int) -> int:
+        """The walk of ``elements`` (subcarrier, frame, path) elements;
+        returns the FLOPs charged."""
+        complex_mults = elements * num_streams * (num_streams - 1) // 2
+        counter.add_complex_mults(complex_mults)
         counter.add_real_mults(elements * num_streams * 5)
+        return 6 * complex_mults + elements * num_streams * 5
 
     def _walk_tiles(
         self, plan, planes, xp, counter, use_exact: bool, scratch, extra=()

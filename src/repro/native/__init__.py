@@ -14,6 +14,14 @@ a slot's flush — and a bare ``detect_prepared`` caller pays on its first
 walk.  :func:`status` (``python -m repro.native``) says which lane the
 process took and why: a silent fallback is a 4x regression nobody sees.
 
+**Processing elements.**  The native lane also owns this process's PE
+pool: :func:`pes` CPUs — ``os.sched_getaffinity``, resolved with the
+lane; the portable lane's level loop holds the GIL and has one — and
+:func:`fan_out`, which walks all but one of a group's subcarrier runs
+on :func:`pool`'s ``pes() - 1`` threads while the caller walks the
+first.  A run is worth a thread only above :data:`RUN_FLOPS` of walk.
+A child forked after the pool started builds its own on first use.
+
 **Compiler.**  ``CC`` when it is set, found or not; else ``cc`` / ``gcc``
 / ``clang`` on ``PATH``.  ``CC=false`` is how CI and an operator force
 the portable lane; there is no other knob.  Never a fast-math flag.
@@ -34,6 +42,7 @@ nowhere to write: one ``RuntimeWarning`` with the reason.
 from __future__ import annotations
 
 import _ctypes
+import concurrent.futures
 import ctypes
 import hashlib
 import os
@@ -53,6 +62,12 @@ FLAGS = (
 _LOCK = threading.Lock()
 #: This process's lane: ``(status dict, kernel or None)`` once resolved.
 _RESOLVED = None
+#: The least walk, in FLOPs, a subcarrier run must carry to go to another
+#: PE: ~330 us at the kernel's ~12 GFLOP/s, against a hand-off of tens
+#: (the sweep is in CHANGES.md).
+RUN_FLOPS = 4_000_000
+#: :func:`pool`'s executor once started.
+_POOL = None
 
 
 def _compiler(environ) -> "list[str] | None":
@@ -128,8 +143,8 @@ def _load(path: str) -> tuple:
 
 def _resolve(environ=os.environ) -> tuple:
     """Build or load the kernel: ``(status, kernel or None)``."""
-    status = dict(lane="portable", compiler=None, flags=" ".join(FLAGS),
-                  cache=None, build_s=0.0, reason=None, entry_points=[])  # fmt: skip
+    status = dict(lane="portable", compiler=None, flags=" ".join(FLAGS), cache=None,
+                  build_s=0.0, reason=None, entry_points=[], pes=1, run_flops=RUN_FLOPS)  # fmt: skip
     private = None
     try:
         compiler = _compiler(environ)
@@ -152,7 +167,8 @@ def _resolve(environ=os.environ) -> tuple:
             _build(source, compiler, target)
             status["build_s"] = time.perf_counter() - start
             functions = _load(target)
-        status.update(lane="native", entry_points=list(ENTRY_POINTS))
+        pes = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        status.update(lane="native", entry_points=list(ENTRY_POINTS), pes=pes)
         return status, _bind(*functions)
     except Exception as error:  # every failure is the portable lane
         status["reason"] = f"{type(error).__name__}: {error}"
@@ -249,9 +265,48 @@ def kernel():
 
 def status() -> dict:
     """Lane (``"native"`` / ``"portable"``), compiler, flags, cache path,
-    build seconds, failure reason and the entry points bound (both or
-    none) of this process — JSON-friendly."""
+    build seconds, failure reason, the entry points bound (both or
+    none), ``pes`` and ``run_flops`` of this process — JSON-friendly."""
     return dict(_resolved()[0])
+
+
+def pes() -> int:
+    """Processing elements a group's walk may fan out over: the CPUs this
+    process may run on on the native lane, one on the portable lane."""
+    return _resolved()[0]["pes"]
+
+
+def pool() -> concurrent.futures.ThreadPoolExecutor:
+    """This process's PE pool: ``pes() - 1`` threads (at least one),
+    started as runs arrive."""
+    global _POOL
+    threads = max(pes() - 1, 1)
+    with _LOCK:
+        if _POOL is None:
+            _POOL = concurrent.futures.ThreadPoolExecutor(threads, "flexcore-pe")
+        return _POOL
+
+
+def fan_out(run, runs: int) -> None:
+    """``run(k)`` for each ``k < runs``: ``1 .. runs - 1`` on :func:`pool`,
+    ``0`` on the calling thread, which returns once every run has, and
+    raises if one did.  One run is a plain call."""
+    futures = [pool().submit(run, k) for k in range(1, runs)]
+    try:
+        run(0)
+    finally:
+        for future in futures:
+            future.result()
+
+
+def _forget_pool() -> None:
+    """A forked child inherits the pool's executor but none of its
+    threads (and maybe a held lock): it starts its own."""
+    global _POOL, _LOCK
+    _POOL, _LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def clear(environ=os.environ) -> int:

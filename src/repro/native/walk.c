@@ -5,7 +5,10 @@
  * portable lane's, in its order; only the interference product sums in another
  * order than BLAS (increasing j, no FMA).  Built by repro/native — never with
  * fast-math flags: banker's rint, the sign of zero through copysign, inf
- * distances and NaN => dead all carry meaning. */
+ * distances and NaN => dead all carry meaning.  The subcarrier loop of either
+ * entry point must stay coupling-free — no state carried from g to g + 1 but
+ * the scratch it rewrites — because the detectors cut a group along G into
+ * runs that separate threads walk at once. */
 #include <math.h>
 #include <stdint.h>
 

@@ -12,6 +12,7 @@ import subprocess
 import threading
 import time
 import traceback
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +29,11 @@ from repro.modulation.constellation import QamConstellation
 # autouse ``blocking_calls`` fixture fails the test that made it.  A
 # call that returns at once (a done future, a finished thread, a
 # ``WNOHANG`` wait) is not a blocking call.
+#
+# A fused walk that fans out over the PE pool (``repro.native.fan_out``)
+# is still the detect call: the join on the pool's futures is its
+# compute, not a wait, and is not recorded — but whatever a PE thread
+# runs for a join made on the loop counts as on the loop.
 
 
 def _always(*args, **kwargs):
@@ -45,16 +51,22 @@ _PRIMITIVES = (
     (
         concurrent.futures.Future,
         "result",
-        lambda future, timeout=None: not future.done(),
+        lambda future, timeout=None: not future.done() and future not in _PE_JOINS,
     ),
     (threading.Thread, "join", lambda thread, timeout=None: thread.is_alive()),
 )
 
 _BLOCKING_CALLS: list = []
 _TRIPWIRE = pytest.MonkeyPatch()
+#: Futures of the PE pool: joining one is part of the detect call.
+_PE_JOINS: "weakref.WeakSet" = weakref.WeakSet()
+#: ``loop_side`` is set on a PE thread while it runs for a loop-side join.
+_PE_THREAD = threading.local()
 
 
 def _on_running_loop() -> bool:
+    if getattr(_PE_THREAD, "loop_side", False):
+        return True
     try:
         asyncio.get_running_loop()
     except RuntimeError:
@@ -76,6 +88,29 @@ def _tripwire(owner, name, blocks):
     return wrapper
 
 
+class _LoopSidePool:
+    """``repro.native.pool()`` as the tripwire sees it: each run carries
+    whether it was submitted from a running loop onto its PE thread, and
+    its future is a PE join."""
+
+    def __init__(self, pool):
+        self._pool = pool
+
+    def submit(self, run, *args):
+        loop_side = _on_running_loop()
+
+        def pe_run(*args):
+            _PE_THREAD.loop_side = loop_side
+            try:
+                return run(*args)
+            finally:
+                _PE_THREAD.loop_side = False
+
+        future = self._pool.submit(pe_run, *args)
+        _PE_JOINS.add(future)
+        return future
+
+
 def pytest_sessionstart(session):
     from repro import native
 
@@ -84,6 +119,8 @@ def pytest_sessionstart(session):
     native.status()
     for owner, name, blocks in _PRIMITIVES:
         _TRIPWIRE.setattr(owner, name, _tripwire(owner, name, blocks))
+    pool = native.pool
+    _TRIPWIRE.setattr(native, "pool", lambda: _LoopSidePool(pool()))
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -20,9 +20,11 @@ tier-1 fast.
 from __future__ import annotations
 
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
+from repro import native
 from repro.api import (
     BackendSpec,
     DetectorSpec,
@@ -35,8 +37,12 @@ from repro.control.workload import WorkloadScenario
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.farm import FarmCoordinator
 from repro.farm.coordinator import _Handle
+from repro.flexcore.detector import FlexCoreDetector
 from repro.mimo.model import noise_variance_for_snr_db
+from repro.mimo.system import MimoSystem
+from repro.modulation.constellation import QamConstellation
 from repro.obs import Observability
+from tests.conftest import make_block
 
 NOISE_VAR = noise_variance_for_snr_db(20.0)
 
@@ -354,3 +360,29 @@ def test_exposed_hit_rate_is_derived_from_the_folded_counters():
     assert rate == pytest.approx(1 - late / detected)
     assert rate == report.scheduler["deadline_hit_rate"] == report.hit_rate
     assert "repro_deadline_hit_rate" not in str(obs.metrics.to_dict())
+
+
+@pytest.mark.skipif(
+    native.status()["lane"] != "native"
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fused lane and the fork start method",
+)
+def test_forked_workers_start_their_own_pe_pool(monkeypatch):
+    """A worker forked after this process's PE pool started inherits the
+    executor but none of its threads: unless it starts its own, its
+    first fanned-out walk waits forever."""
+    # Two PEs and no floor, here and — forked — in every worker.
+    monkeypatch.setattr(native, "pes", lambda: 2)
+    monkeypatch.setattr(native, "RUN_FLOPS", 1)
+    system = MimoSystem(12, 12, QamConstellation(64))
+    detector = FlexCoreDetector(system, 128)
+    channels, received, noise_var = make_block(system, 64, 7, 22.0, 2017)
+    detector.detect_block_prepared(detector.prepare_many(channels, noise_var), received)
+    assert native._POOL is not None
+    config = replace(make_config(cells=2), backend=BackendSpec("array"))
+    with FarmCoordinator(
+        config, 2, start_method="fork", reply_timeout_s=30.0, max_restarts=0
+    ) as coordinator:
+        report = coordinator.run(make_scenario(config), NOISE_VAR, slot_interval_s=0.0)
+    assert not report.restarts and report.scheduler["frames_missing"] == 0
+    assert report.frames_detected == report.frames_offered

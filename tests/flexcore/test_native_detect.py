@@ -11,6 +11,7 @@ Skips only where ``repro.native.status()`` reports no compiler.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -96,6 +97,32 @@ def assert_same_decisions(got, expected):
             assert np.array_equal(ours, theirs)
     if got[1] is not None:
         assert np.array_equal(np.signbit(got[1]), np.signbit(expected[1]))
+
+
+#: ``(order, Nt, (G, F), P, soft)`` of one block of each benchmark
+#: workload, and the MFLOP of its walk: only ``warm_walk``'s reaches the
+#: floor, six times over.
+WORKLOADS = {
+    "warm_walk": (64, 12, (64, 7), 128, False),  # 26.1
+    "soft_llr": (16, 8, (64, 7), 32, True),  # 3.0
+    "cold_mobility": (16, 8, (64, 2), 64, False),  # 1.7
+    "paced_farm": (16, 8, (8, 7), 64, False),  # 0.75
+    "fleet_2w": (16, 8, (8, 7), 64, False),  # 0.75
+}
+
+
+def count_submits(call) -> tuple:
+    """``call()``'s result and how many runs it handed to the PE pool."""
+    pool, submits = native.pool, []
+
+    class Counting:
+        def submit(self, *args):
+            submits.append(args)
+            return pool().submit(*args)
+
+    with mock.patch.object(native, "pool", Counting):
+        result = call()
+    return result, len(submits)
 
 
 class TestAgainstThePortableReductions:
@@ -253,17 +280,67 @@ class TestThroughTheEntryPoints:
         assert "kernel" not in store.scratch(NUMPY, WalkWorkspace)._flat
 
     @pytest.mark.parametrize("soft", [False, True])
-    def test_a_warm_call_allocates_nothing_with_a_path_axis(self, soft):
+    @pytest.mark.parametrize(
+        "subcarriers, pes, gates", [(8, 1, (24.0, 56.0)), (64, 2, (160.0, 420.0))],
+        ids=["one-run", "warm_walk-over-two-PEs"],
+    )  # fmt: skip
+    def test_a_warm_call_allocates_nothing_with_a_path_axis(self, soft, subcarriers, pes, gates):
+        """One run: the walk's own gate is 24 KiB (``half`` is 10.5, the
+        indices 5.25); the soft call also owns its (8, 7, 72) LLRs, 31.5
+        KiB — still less than one (8, 7, 128) float64 path plane, 56 KiB.
+        ``warm_walk``'s group over two PEs, each run on its row of the
+        one ``kernel`` buffer: ``half`` is 84 KiB, the indices 42, the
+        LLRs 252 — less than one (64, 7, 128) path plane, 448 KiB."""
         scratch = WalkWorkspace(NUMPY)
-        detector, plan, planes = group(64, 12, (8, 7), 128, 3)
-        # The walk's own gate is 24 KiB (``half`` is 10.5, the indices
-        # 5.25); the soft call also owns its (8, 7, 72) LLRs, 31.5 KiB —
-        # still less than one (8, 7, 128) float64 path plane, 56 KiB.
-        peak = peak_kib_of_a_warm_call(
-            lambda: fused(detector, plan, planes, soft, scratch=scratch)
-        )
-        assert peak < (56.0 if soft else 24.0)
+        detector, plan, planes = group(64, 12, (subcarriers, 7), 128, 3)
+        with mock.patch.object(native, "pes", lambda: pes):
+            _, submits = count_submits(lambda: fused(detector, plan, planes, soft, scratch=scratch))
+            peak = peak_kib_of_a_warm_call(
+                lambda: fused(detector, plan, planes, soft, scratch=scratch)
+            )
+        assert submits == pes - 1
+        assert peak < gates[soft]
         assert set(scratch._flat) == {"kernel"}
+
+
+class TestRunsOverThePEs:
+    """``_decide`` cuts a group along ``G`` into runs over the PE pool:
+    any cut is the one call, bit for bit, and only a walk of
+    ``RUN_FLOPS`` per run is cut at all."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        order=st.sampled_from([4, 16, 64, 256]),
+        num_streams=st.integers(2, 8),
+        subcarriers=st.integers(1, 17),
+        frames=st.integers(0, 4),
+        paths=st.sampled_from([1, 3, 17, 64]),
+        budget=st.one_of(st.none(), st.integers(1, 63)),
+        soft=st.booleans(),
+        pes=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_cut_is_the_one_call(
+        self, order, num_streams, subcarriers, frames, paths, budget, soft, pes, seed
+    ):
+        detector, plan, planes = group(order, num_streams, (subcarriers, frames), paths, seed)
+        plan = plan.clamp(budget)
+        ours, theirs = FlopCounter(), FlopCounter()
+        with mock.patch.object(native, "pes", lambda: 1):
+            expected = fused(detector, plan, planes, soft, theirs)
+        with mock.patch.object(native, "pes", lambda: pes), mock.patch.object(native, "RUN_FLOPS", 1):
+            got, submits = count_submits(lambda: fused(detector, plan, planes, soft, ours))
+        assert_same_decisions(got, expected)
+        assert ours == theirs
+        runs = min(pes, subcarriers) if frames else 1
+        assert submits == runs - 1
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_only_a_walk_above_the_floor_fans_out(self, workload):
+        detector, plan, planes = group(*WORKLOADS[workload][:4], 7)
+        _, submits = count_submits(lambda: fused(detector, plan, planes, WORKLOADS[workload][4]))
+        fans_out = workload == "warm_walk"
+        assert submits == (min(native.pes(), 6) - 1 if fans_out else 0)
 
 
 class TestTheOp:

@@ -70,6 +70,7 @@ def script(tmp_path, name, body) -> str:
 def assert_portable(resolved, caught, *reason):
     status, kernel = resolved
     assert kernel is None and status["lane"] == "portable" and status["entry_points"] == []
+    assert status["pes"] == 1 and status["run_flops"] == native.RUN_FLOPS
     assert all(word in status["reason"] for word in reason), status["reason"]
     assert len(caught) == 1 and issubclass(caught[0].category, RuntimeWarning)
     assert json.loads(json.dumps(status)) == status
@@ -158,6 +159,7 @@ class TestTheCache:
         assert not caught and status["entry_points"] == list(native.ENTRY_POINTS)
         assert status["entry_points"] == ["flexcore_walk_tile", "flexcore_detect_group"]
         assert callable(kernel) and callable(kernel.detect_group)
+        assert status["pes"] == len(os.sched_getaffinity(0)) and status["run_flops"] == native.RUN_FLOPS
         assert os.listdir(tmp_path / "cache" / "repro-flexcore") == [Path(status["cache"]).name]
 
     def test_an_object_with_only_the_old_symbol_is_rebuilt_once(self, tmp_path):

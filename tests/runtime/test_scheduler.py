@@ -20,6 +20,7 @@ activate when the plugin is installed (the CI optional-deps job).
 
 import asyncio
 import math
+import threading
 import time
 
 import numpy as np
@@ -27,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.channel.fading import rayleigh_channels
 from repro.errors import ConfigurationError, LinkSimulationError
 from repro.flexcore.detector import FlexCoreDetector
@@ -572,4 +574,34 @@ class TestBlockingCallTripwire:
         assert {label for label, _ in blocking_calls} == {"time.sleep"}
         for _, stack in blocking_calls:
             assert "in _dispatch_cell" in stack and "in sleepy_detect" in stack
+        blocking_calls.clear()  # provoked on purpose; the fixture would fail it
+
+    @pytest.mark.skipif(native.status()["lane"] != "native", reason="no fused lane")
+    def test_sleep_in_a_pooled_run_of_a_flush_is_recorded(self, monkeypatch, blocking_calls):
+        """A fused walk fanned out over the PE pool is still the flush's
+        detect call: the join is not a blocking call, what a PE thread
+        runs for it is on the loop."""
+        pool, threads = native.pool, []
+
+        class SleepyPool:
+            def submit(self, run, *args):
+                def sleepy_run(*args):
+                    threads.append(threading.current_thread().name)
+                    time.sleep(0)
+                    return run(*args)
+
+                return pool().submit(sleepy_run, *args)
+
+        monkeypatch.setattr(native, "pes", lambda: 2)
+        monkeypatch.setattr(native, "RUN_FLOPS", 1)
+        monkeypatch.setattr(native, "pool", SleepyPool)
+        system = MimoSystem(3, 3, QamConstellation(4))
+        detector = FlexCoreDetector(system, num_paths=4)
+        channels, received, noise_var = make_workload(system, seed=6)
+        with make_stack(detector, backend="array", cells=1) as streaming:
+            streaming.detect_batch(channels, received, noise_var)
+        assert threads and all(name.startswith("flexcore-pe") for name in threads)
+        assert [label for label, _ in blocking_calls] == ["time.sleep"] * len(threads)
+        for _, stack in blocking_calls:
+            assert "in sleepy_run" in stack and "in _dispatch_cell" not in stack
         blocking_calls.clear()  # provoked on purpose; the fixture would fail it
