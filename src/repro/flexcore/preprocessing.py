@@ -26,15 +26,19 @@ frontier nodes per round, modelling the parallel pre-processing variant
 whose loss §3.1.1 reports as negligible for ``N_PE / B >= 10``.
 
 :func:`find_promising_paths_block` runs ``C`` independent searches — one
-per channel of a coherence block — in lockstep on one dense ``(C, 1 +
-P·Nt)`` key array in *slab layout*: the root is slot 0 and the children
-of a channel's ``i``-th selected node own the fixed-stride slab of slots
-``1 + i·Nt + w``, children that do not exist being holes that hold
-``+inf``.  Nothing is compacted and nothing but the keys is stored per
-frontier node, so a round is a dozen array operations however many
-channels ride it.  It is bit- and FLOP-identical to calling
-:func:`find_promising_paths` once per channel; see its docstring for
-why.
+per channel of a coherence block — in one call, on one of two lanes, the
+walk's (:mod:`repro.native`).  The native lane is this heap in C
+(``repro/native/search.c``): every channel's searches in one GIL-free
+call.  The portable lane (``CC=false``, or no compiler) runs them in
+lockstep on one dense ``(C, 1 + P·Nt)`` key array in *slab layout*: the
+root is slot 0 and the children of a channel's ``i``-th selected node own
+the fixed-stride slab of slots ``1 + i·Nt + w``, children that do not
+exist being holes that hold ``+inf``.  Nothing is compacted and nothing
+but the keys is stored per frontier node, so a round is a dozen array
+operations however many channels ride it.  Both lanes are bit- and
+FLOP-identical to calling :func:`find_promising_paths` once per channel;
+see its docstring for why.  :func:`find_promising_paths` itself stays
+the oracle and the serial backend's path.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import native
 from repro.errors import ConfigurationError, DimensionError
 from repro.flexcore.probability import LevelErrorModel
 from repro.utils.flops import NULL_COUNTER, FlopCounter
@@ -179,7 +184,7 @@ def find_promising_paths_block(
     batch_size: int = 1,
     counter: FlopCounter = NULL_COUNTER,
 ) -> list[PreprocessingResult]:
-    """``C`` best-first searches in lockstep — the batched cold path.
+    """``C`` best-first searches in one call — the batched cold path.
 
     Parameters
     ----------
@@ -198,8 +203,14 @@ def find_promising_paths_block(
     (same expansion order, tie-break serials, ``real_multiplications``
     and ``candidate_peak``), each owning its arrays.
 
-    **Slab layout.**  Per channel the frontier is one row of ``keys``
-    (``-Pc``, so the best node is the minimum): slot 0 is the root and
+    **Native lane.**  When this process's lane is native
+    (:func:`repro.native.kernel`), ``search.c`` runs the heap of
+    :func:`find_promising_paths` for every channel in one call.  Its
+    entries are ``(-Pc, slot)``, the slot being the slab's below, so a
+    position row is built only when its node is popped.
+
+    **Slab layout.**  On the portable lane the frontier is one row of
+    ``keys`` (``-Pc``, so the best node is the minimum): slot 0 is the root and
     the ``w``-th child of the channel's ``i``-th selected node lives at
     slot ``1 + i·Nt + w``, written when that node is popped as one
     ``where(valid, popped_key * Pe, +inf)`` slab (``popped_key * Pe`` is
@@ -264,7 +275,34 @@ def find_promising_paths_block(
     if num_paths > max_rank**num_levels:
         num_paths = int(max_rank**num_levels)
     thresholds = _as_thresholds(stop_threshold, num_channels)
+    kernel = native.kernel()
+    search = _slab if kernel is None else kernel.tree_search
+    selected, probabilities, tally = search(
+        np.ascontiguousarray(pe_block), num_paths, max_rank, batch_size, thresholds
+    )
+    counter.add_real_mults(
+        num_channels * (num_levels - 1) + int(tally[:, 1].sum())
+    )
+    return [
+        PreprocessingResult(
+            position_vectors=selected[c, :n].copy(),
+            probabilities=probabilities[c, :n].copy(),
+            expanded_nodes=n,
+            real_multiplications=num_levels - 1 + pushed,
+            candidate_peak=peak,
+            stopped_early=bool(stopped),
+        )
+        for c, (n, pushed, peak, stopped) in enumerate(tally.tolist())
+    ]
 
+
+def _slab(pe_block, num_paths, max_rank, batch_size, thresholds) -> tuple:
+    """The portable lane of :func:`find_promising_paths_block`: the
+    lockstep search in slab layout.  Returns what the native lane's
+    ``tree_search`` does: position rows and probabilities, valid up to
+    each channel's count, and the ``(C, 4)`` tally of paths selected,
+    children pushed, peak frontier and stopped early."""
+    num_channels, num_levels = pe_block.shape
     # Row / slab ``num_paths`` is the scratch target of channels sitting
     # a pop out; row -1 of ``selected`` is the root's virtual parent.
     keys = np.full((num_channels, 1 + (num_paths + 1) * num_levels), np.inf)
@@ -344,22 +382,8 @@ def find_promising_paths_block(
             # ``stopped_early``.
             if thresholds is not None:
                 stopped_early |= (round_size > 0) & (cumulative >= thresholds)
-
-    counter.add_real_mults(
-        num_channels * (num_levels - 1) + int(pushed.sum())
-    )
-    probabilities = -neg_probs
-    return [
-        PreprocessingResult(
-            position_vectors=selected[c, :n].copy(),
-            probabilities=probabilities[c, :n].copy(),
-            expanded_nodes=n,
-            real_multiplications=num_levels - 1 + int(pushed[c]),
-            candidate_peak=int(peak[c]),
-            stopped_early=bool(stopped_early[c]),
-        )
-        for c, n in enumerate(count.tolist())
-    ]
+    tally = np.stack([count, pushed, peak, stopped_early], axis=1)
+    return selected, -neg_probs, tally
 
 
 def _as_thresholds(stop_threshold, num_channels: int) -> "np.ndarray | None":

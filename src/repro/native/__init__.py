@@ -1,13 +1,17 @@
-"""The walk's native lane: ``walk.c`` built with the system compiler on
-first use, cached on disk, loaded through :mod:`ctypes` — no new
-dependency, no binary checked in, and every failure is the portable lane.
+"""The native lane: ``walk.c`` and ``search.c`` built as one object with
+the system compiler on first use, cached on disk, loaded through
+:mod:`ctypes` — no new dependency, no binary checked in, and every
+failure is the portable lane.
 
 :func:`kernel` is what ``NumpyArrayModule.walk_tile`` hands
 :meth:`~repro.flexcore.detector.FlexCoreDetector._walk`: one GIL-free
 call per ``(G, F, P)`` tile, or ``None`` (walk level by level).  Its
 ``detect_group`` attribute — the same object's second entry point — is
 what the detectors take: a whole group walked and decided in one call,
-only indices, LLRs and counters written back.  The lane is
+only indices, LLRs and counters written back.  Its ``tree_search``
+attribute, the third, is what
+:func:`~repro.flexcore.preprocessing.find_promising_paths_block` takes:
+every channel's §3.1.1 best-first heap in one call.  The lane is
 resolved once per process and never at import: a ``DetectionService``
 resolves it when it is constructed — a 0.2-1 s compile must not land in
 a slot's flush — and a bare ``detect_prepared`` caller pays on its first
@@ -25,7 +29,7 @@ A child forked after the pool started builds its own on first use.
 **Compiler.**  ``CC`` when it is set, found or not; else ``cc`` / ``gcc``
 / ``clang`` on ``PATH``.  ``CC=false`` is how CI and an operator force
 the portable lane; there is no other knob.  Never a fast-math flag.
-**Cache key.**  sha256 over the source, the flags, the compiler's path,
+**Cache key.**  sha256 over both sources, the flags, the compiler's path,
 size and mtime, the machine and the CPU-flags line of ``/proc/cpuinfo``:
 a home shared across hosts never loads another CPU's ``-march=native``
 object.  Objects are built under a temporary name and ``os.replace``-d
@@ -45,6 +49,7 @@ import _ctypes
 import concurrent.futures
 import ctypes
 import hashlib
+import operator
 import os
 import platform
 import shutil
@@ -54,6 +59,8 @@ import threading
 import time
 import warnings
 from importlib import resources
+
+import numpy as np
 
 FLAGS = (
     "-O3", "-march=native", "-fno-math-errno", "-fno-trapping-math",
@@ -122,14 +129,21 @@ def _build(source: bytes, compiler: "list[str]", target: str) -> None:
             os.unlink(temporary)
 
 
-#: The entry points of ``walk.c``: a cached object lacking either is stale.
-ENTRY_POINTS = ("flexcore_walk_tile", "flexcore_detect_group")
+#: The sources compiled, in this order, into the one object.
+SOURCES = ("walk.c", "search.c")
+#: The entry points of that object: a cached one lacking any is stale.
+ENTRY_POINTS = ("flexcore_walk_tile", "flexcore_detect_group", "flexcore_tree_search")
+
+
+def _source() -> bytes:
+    """What is piped to the compiler and hashed: every source, one unit."""
+    return b"".join(resources.files(__name__).joinpath(name).read_bytes() for name in SOURCES)
 
 
 def _load(path: str) -> tuple:
     library = ctypes.CDLL(path)
     try:
-        tile, group = (getattr(library, name) for name in ENTRY_POINTS)
+        tile, group, search = (getattr(library, name) for name in ENTRY_POINTS)
     except AttributeError:
         # Unmap it, or what is rebuilt at this path loads as this object again.
         _ctypes.dlclose(library._handle)
@@ -137,8 +151,9 @@ def _load(path: str) -> tuple:
     pointer, real = ctypes.c_void_p, ctypes.c_double
     tile.argtypes = [pointer] * 6 + [real, real] + [pointer] * 4
     group.argtypes = [pointer] * 6 + [real, real] + [pointer] * 2 + [real, real] + [pointer] * 4
-    tile.restype = group.restype = None
-    return tile, group
+    search.argtypes = [pointer] * 8
+    tile.restype = group.restype = search.restype = None
+    return tile, group, search
 
 
 def _resolve(environ=os.environ) -> tuple:
@@ -151,7 +166,7 @@ def _resolve(environ=os.environ) -> tuple:
         if compiler is None:
             raise OSError(f"no C compiler (CC={environ.get('CC')!r}, else cc, gcc, clang)")
         status["compiler"] = " ".join(compiler)
-        source = resources.files(__name__).joinpath("walk.c").read_bytes()
+        source = _source()
         directory = _cache_dir(environ)
         if directory is None:
             directory = private = tempfile.mkdtemp(prefix="repro-flexcore-")
@@ -206,9 +221,10 @@ def _inputs(op, half, rows, weights, offsets, swap_delta, tail, others) -> tuple
     return (dims, *(a.ctypes.data for a in (half, rows, weights, offsets, swap_delta)))
 
 
-def _bind(tile, group):
-    """``walk_tile`` over ``walk.c``'s two entry points; the fused op is
-    its ``detect_group`` attribute, so one object is the lane."""
+def _bind(tile, group, search):
+    """``walk_tile`` over the object's three entry points; the fused op
+    is its ``detect_group`` attribute and the §3.1.1 search its
+    ``tree_search``, so one object is the lane."""
 
     def walk_tile(half, rows, weights, offsets, swap_delta, clamp, edge,
                   symbols, ped, dead, scratch):  # fmt: skip
@@ -246,7 +262,38 @@ def _bind(tile, group):
               indices.ctypes.data, soft[0].ctypes.data if soft else None,
               counts.ctypes.data, scratch.ctypes.data)  # fmt: skip
 
+    def tree_search(pe, num_paths, max_rank, batch_size, thresholds):
+        """The best-first searches of ``find_promising_paths`` for every
+        row of ``pe`` ``(C, Nt)`` in one call, ``thresholds`` ``(C,)``
+        (``+inf``: never stop) or ``None``.  Returns ``positions`` ``(C,
+        P, Nt)`` and ``probabilities`` ``(C, P)``, valid up to each
+        channel's count, and ``tally`` ``(C, 4)``: paths selected,
+        children pushed, peak frontier, stopped early."""
+        sizes = [operator.index(n) for n in (num_paths, max_rank, batch_size)]
+        if not (
+            isinstance(pe, np.ndarray) and pe.dtype == np.float64 and pe.ndim == 2
+            and pe.shape[1] >= 1 and pe.flags.c_contiguous and min(sizes) >= 1
+            and (thresholds is None or (
+                isinstance(thresholds, np.ndarray) and thresholds.dtype == np.float64
+                and thresholds.shape == pe.shape[:1] and thresholds.flags.c_contiguous))
+        ):  # fmt: skip
+            raise ValueError("tree_search: not the search's layout")
+        channels, levels = pe.shape
+        paths = sizes[0]
+        root = -np.prod(1.0 - pe, axis=1)
+        positions = np.empty((channels, paths, levels), dtype=np.int64)
+        probabilities = np.empty((channels, paths))
+        tally = np.empty((channels, 4), dtype=np.int64)
+        scratch = np.empty(2 * (1 + paths * (levels + 1)))  # (key, serial) pairs
+        dims = (ctypes.c_int64 * 5)(channels, levels, *sizes)
+        search(dims, pe.ctypes.data, root.ctypes.data,
+               None if thresholds is None else thresholds.ctypes.data,
+               positions.ctypes.data, probabilities.ctypes.data,
+               tally.ctypes.data, scratch.ctypes.data)  # fmt: skip
+        return positions, probabilities, tally
+
     walk_tile.detect_group = detect_group
+    walk_tile.tree_search = tree_search
     return walk_tile
 
 
@@ -265,7 +312,7 @@ def kernel():
 
 def status() -> dict:
     """Lane (``"native"`` / ``"portable"``), compiler, flags, cache path,
-    build seconds, failure reason, the entry points bound (both or
+    build seconds, failure reason, the entry points bound (all three or
     none), ``pes`` and ``run_flops`` of this process — JSON-friendly."""
     return dict(_resolved()[0])
 

@@ -12,20 +12,36 @@ production runs (``Nt`` up to 12, 64-channel blocks) and to the regimes
 where only the tie-break decides the order — and checks the block search
 against the exhaustive ``brute_force_top_paths`` as an oracle that
 shares no code with either search.
+
+Every class but ``TestResultMemory`` runs on both lanes
+(``tests/conftest.py::lane``): ``portable`` is the numpy slab, ``native``
+the heap of ``repro/native/search.c``; ``TestNativeLane`` pins the
+kernel to the slab on the shapes production runs.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro import native
+from repro.channel.fading import rayleigh_channels
 from repro.errors import ConfigurationError, DimensionError
+from repro.flexcore import preprocessing
 from repro.flexcore.preprocessing import (
     brute_force_top_paths,
     find_promising_paths,
     find_promising_paths_block,
 )
 from repro.flexcore.probability import _PE_MAX, _PE_MIN, LevelErrorModel
+from repro.mimo.qr import stacked_sorted_qr
+from repro.modulation.constellation import QamConstellation
 from repro.utils.flops import FlopCounter
+
+
+# The lane is patched once for all of a test's examples, as meant.
+LANE = [HealthCheck.function_scoped_fixture]
 
 
 def assert_results_identical(serial, block):
@@ -73,6 +89,7 @@ def run_both(pe_block, num_paths, max_rank, stop_threshold, batch_size):
     return per_channel, block, serial_counter, block_counter
 
 
+@pytest.mark.usefixtures("lane")
 class TestHypothesisGrid:
     @given(
         pe_rows=st.lists(
@@ -85,7 +102,7 @@ class TestHypothesisGrid:
         batch_size=st.integers(1, 8),
         threshold=st.one_of(st.none(), st.floats(0.2, 1.0)),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, suppress_health_check=LANE)
     def test_block_matches_per_channel(
         self, pe_rows, num_paths, max_rank, batch_size, threshold
     ):
@@ -103,7 +120,7 @@ class TestHypothesisGrid:
         num_levels=st.integers(2, 6),
         num_channels=st.integers(1, 8),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, suppress_health_check=LANE)
     def test_tied_probabilities_expand_in_the_same_order(
         self, seed, num_levels, num_channels
     ):
@@ -143,6 +160,7 @@ def draw_thresholds(mode, rng, num_channels):
     return thresholds
 
 
+@pytest.mark.usefixtures("lane")
 class TestWidenedGrid:
     @given(
         seed=st.integers(0, 2**31),
@@ -164,7 +182,7 @@ class TestWidenedGrid:
     @example(2, "pe_min", 5, 9, 4, 60, 13, "ragged")
     @example(3, "equal_levels", 12, 17, 2, 96, 5, "scalar")
     @example(4, "pe_max", 3, 4, 64, 50, 16, "ragged")
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120, deadline=None, suppress_health_check=LANE)
     def test_block_matches_per_channel(
         self,
         seed,
@@ -195,7 +213,7 @@ class TestWidenedGrid:
         batch_size=st.integers(1, 9),
         threshold_mode=st.sampled_from(["none", "ragged"]),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, suppress_health_check=LANE)
     def test_exhausted_frontiers(
         self, seed, regime, num_levels, max_rank, batch_size, threshold_mode
     ):
@@ -217,6 +235,7 @@ class TestWidenedGrid:
         assert serial_counter.real_mults == block_counter.real_mults
 
 
+@pytest.mark.usefixtures("lane")
 class TestIndependentOracle:
     @pytest.mark.parametrize(
         "num_levels, max_rank, num_paths",
@@ -260,6 +279,7 @@ class TestResultMemory:
             assert result.probabilities.dtype == np.float64
 
 
+@pytest.mark.usefixtures("lane")
 class TestRaggedStops:
     def test_per_channel_thresholds_stop_channels_independently(self):
         """Channels crossing their threshold at different rounds sit out
@@ -298,6 +318,7 @@ class TestRaggedStops:
         assert serial_counter.real_mults == block_counter.real_mults
 
 
+@pytest.mark.usefixtures("lane")
 class TestInputs:
     def test_accepts_models_and_pe_stack(self):
         pe_block = np.array([[0.2, 0.3], [0.1, 0.4]])
@@ -334,3 +355,70 @@ class TestInputs:
             find_promising_paths_block(np.zeros(3), 4, 4)
         with pytest.raises(DimensionError):
             find_promising_paths_block(pe_block, 4, 4, stop_threshold=[0.5, 0.5])
+
+
+def on_the_slab(*args, **kwargs):
+    """``find_promising_paths_block`` with the lane forced portable."""
+    forced = ({**native.status(), "lane": "portable"}, None)
+    with mock.patch.object(native, "_RESOLVED", forced):
+        return find_promising_paths_block(*args, **kwargs)
+
+
+class TestNativeLane:
+    """The heap of ``search.c`` against the slab and the per-channel heap,
+    on the cases the grids above reach only by chance."""
+
+    @pytest.fixture(autouse=True)
+    def native_lane(self):
+        if native.kernel() is None:
+            pytest.skip(f"no native lane here: {native.status()['reason']}")
+
+    def assert_all_agree(self, pe_block, num_paths, max_rank, thresholds, batch_size):
+        slab_counter, native_counter = FlopCounter(), FlopCounter()
+        slab = on_the_slab(pe_block, num_paths, max_rank, thresholds, batch_size, slab_counter)
+        with mock.patch.object(preprocessing, "_slab", side_effect=AssertionError):
+            block = find_promising_paths_block(
+                pe_block, num_paths, max_rank, thresholds, batch_size, native_counter
+            )
+        per_channel, _, serial_counter, _ = run_both(
+            pe_block, num_paths, max_rank, thresholds, batch_size
+        )
+        for serial, portable, batched in zip(per_channel, slab, block, strict=True):
+            assert_results_identical(portable, batched)
+            assert_results_identical(serial, batched)
+        assert native_counter == slab_counter == serial_counter
+        return block
+
+    def test_more_paths_than_the_tree_holds(self):
+        pe_block = np.random.default_rng(11).uniform(0.01, 0.5, size=(4, 3))
+        block = self.assert_all_agree(pe_block, 4**3 + 40, 4, None, 1)
+        assert all(result.expanded_nodes == 4**3 for result in block)
+        assert all(result.candidate_peak <= 4**3 for result in block)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 4])
+    def test_one_channel(self, batch_size):
+        pe_block = np.random.default_rng(12).uniform(0.01, 0.5, size=(1, 6))
+        self.assert_all_agree(pe_block, 50, 16, 0.9, batch_size)
+
+    def test_per_channel_nan_thresholds_in_rounds_of_three(self):
+        rng = np.random.default_rng(13)
+        pe_block = rng.uniform(0.001, 0.4, size=(9, 5))
+        thresholds = rng.uniform(0.3, 1.0, size=9)
+        thresholds[::3] = np.nan
+        block = self.assert_all_agree(pe_block, 40, 8, thresholds, 3)
+        assert not any(block[c].stopped_early for c in range(0, 9, 3))
+
+    @pytest.mark.parametrize("snr_db", [5.0, 20.0, 35.0])
+    def test_the_production_shape(self, snr_db):
+        """64 channels of 12x12 64-QAM, 128 paths: at high SNR most levels
+        clip to ``_PE_MIN``, whose products underflow and tie."""
+        system = QamConstellation(64)
+        channels = rayleigh_channels(64, 12, 12, np.random.default_rng(int(snr_db)))
+        qrs = stacked_sorted_qr(channels)
+        models = LevelErrorModel.from_channels(
+            np.stack([np.diagonal(qr.r) for qr in qrs]), 10 ** (-snr_db / 10), system
+        )
+        pe_block = np.stack([model.pe for model in models])
+        if snr_db == 35.0:
+            assert np.mean(pe_block == _PE_MIN) > 0.5
+        self.assert_all_agree(pe_block, 128, system.order, None, 1)

@@ -18,6 +18,7 @@ import tempfile
 import warnings
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -136,6 +137,18 @@ class TestTheCache:
         assert second["lane"] == "native" and second["cache"] != first["cache"]
         assert native._key(b"a", [wrapped]) != native._key(b"b", [wrapped])
 
+    @pytest.mark.parametrize("edited", native.SOURCES)
+    def test_a_byte_changed_in_any_one_source_changes_the_key(self, tmp_path, edited):
+        compiler = native._compiler({"PATH": os.environ["PATH"]})
+        shipped = resources.files("repro.native")
+        for name in native.SOURCES:
+            text = shipped.joinpath(name).read_bytes()
+            (tmp_path / name).write_bytes(text + b" " if name == edited else text)
+        with mock.patch.object(native, "resources", SimpleNamespace(files=lambda _: tmp_path)):
+            changed = native._source()
+        assert changed != native._source()
+        assert native._key(changed, compiler) != native._key(native._source(), compiler)
+
     def test_a_truncated_object_is_rebuilt_once(self, tmp_path):
         # Built by another process: truncating an object this process has
         # mapped would fault it, which is why builds go through os.replace.
@@ -154,23 +167,27 @@ class TestTheCache:
         assert resolved[0]["cache"] == first["cache"] and resolved[0]["build_s"] > 0.0
         assert detects_correctly(resolved)
 
-    def test_both_entry_points_are_bound_from_the_one_object(self, tmp_path):
+    def test_all_three_entry_points_are_bound_from_the_one_object(self, tmp_path):
         (status, kernel), caught = resolve(tmp_path)
         assert not caught and status["entry_points"] == list(native.ENTRY_POINTS)
-        assert status["entry_points"] == ["flexcore_walk_tile", "flexcore_detect_group"]
-        assert callable(kernel) and callable(kernel.detect_group)
+        assert status["entry_points"] == [
+            "flexcore_walk_tile", "flexcore_detect_group", "flexcore_tree_search"
+        ]  # fmt: skip
+        assert callable(kernel) and callable(kernel.detect_group) and callable(kernel.tree_search)
         assert status["pes"] == len(os.sched_getaffinity(0)) and status["run_flops"] == native.RUN_FLOPS
         assert os.listdir(tmp_path / "cache" / "repro-flexcore") == [Path(status["cache"]).name]
 
-    def test_an_object_with_only_the_old_symbol_is_rebuilt_once(self, tmp_path):
-        """A kernel that loads but lacks the fused entry point must not
-        leave the process on the portable reductions: it is unmapped and
-        rebuilt where it lies, as a truncated one is."""
+    @pytest.mark.parametrize("present", [native.ENTRY_POINTS[:1], native.ENTRY_POINTS[:2]])
+    def test_an_object_lacking_an_entry_point_is_rebuilt_once(self, tmp_path, present):
+        """A kernel that loads but lacks the fused walk or the tree search
+        must not leave the process on the portable lane for either: it is
+        unmapped and rebuilt where it lies, as a truncated one is."""
         (first, _), _ = resolve(tmp_path)
         stale = tmp_path / "stale.so"
         subprocess.run(
             [*native._compiler({"PATH": os.environ["PATH"]}), "-shared", "-fPIC", "-x", "c", "-", "-o", str(stale)],
-            input=b"void flexcore_walk_tile(void) {}", check=True, timeout=60,
+            input="".join(f"void {name}(void) {{}}\n" for name in present).encode(),
+            check=True, timeout=60,
         )  # fmt: skip
         # A fresh process maps the stale object first (this one has the good
         # one mapped under that path already, and would be handed it again).
@@ -180,6 +197,7 @@ class TestTheCache:
             "from repro import native\n"
             "status = native.status()\n"
             "assert native.kernel().detect_group is not None\n"
+            "assert native.kernel().tree_search is not None\n"
             "subprocess.run = None\n"
             "native._RESOLVED = None\n"
             "print(json.dumps([status, native.status()]))\n"
@@ -304,10 +322,10 @@ class TestResolvedOncePerProcessAndNeverInAFlush:
 
 
 class TestPackaging:
-    def test_the_source_ships_with_the_package(self):
-        source = resources.files("repro.native").joinpath("walk.c")
-        assert source.is_file()
-        assert all(name.encode() in source.read_bytes() for name in native.ENTRY_POINTS)
+    def test_the_sources_ship_with_the_package(self):
+        shipped = resources.files("repro.native")
+        assert all(shipped.joinpath(name).is_file() for name in native.SOURCES)
+        assert all(name.encode() in native._source() for name in native.ENTRY_POINTS)
         pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
         assert '"repro.native" = ["*.c"]' in pyproject.read_text()
 
