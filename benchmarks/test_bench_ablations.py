@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out."""
+"""Ablation benches: each FlexCore design choice, switched alone."""
 
 
 from repro.experiments import ablations

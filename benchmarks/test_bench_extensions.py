@@ -1,10 +1,9 @@
 """Benches for the extension features (soft output, adaptive K-best,
-lattice reduction, mobility-driven pre-processing duty cycle)."""
+lattice reduction)."""
 
 import numpy as np
 import pytest
 
-from repro.channel.doppler import coherence_frames
 from repro.channel.fading import rayleigh_channel, rayleigh_channels
 from repro.detectors.kbest_adaptive import AdaptiveKBestDetector
 from repro.detectors.lattice import LrAidedZfDetector
@@ -95,19 +94,6 @@ def test_lr_zf_kernel(benchmark):
     received = rng.standard_normal((96, 8)) + 1j * rng.standard_normal((96, 8))
     result = benchmark(detector.detect_prepared, context, received)
     assert result.indices.shape == (96, 8)
-
-
-def test_mobility_duty_cycle(benchmark):
-    """Pre-processing re-run rate across walking-speed Dopplers."""
-
-    def duty_table():
-        return [
-            coherence_frames(doppler, 1e-3)
-            for doppler in (1.0, 5.0, 10.0, 30.0, 100.0)
-        ]
-
-    frames = benchmark(duty_table)
-    assert frames[0] >= frames[-1]
 
 
 def test_soft_gain_regeneration(benchmark, tiny_profile):

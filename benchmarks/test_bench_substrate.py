@@ -1,4 +1,4 @@
-"""Substrate kernel benches: the coding/OFDM machinery under the
+"""Substrate kernel benches: the coding machinery and QR under the
 link-level experiments (PER Monte-Carlo cost is dominated by these)."""
 
 import numpy as np
@@ -15,8 +15,6 @@ from repro.link.simulation import simulate_link
 from repro.mimo.qr import sorted_qr
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
-from repro.ofdm.modem import OfdmModem
-from repro.ofdm.params import WIFI_20MHZ
 
 
 @pytest.fixture(scope="module")
@@ -55,19 +53,6 @@ def test_interleaver_roundtrip(benchmark):
 
     out = benchmark(roundtrip)
     assert np.array_equal(out, data)
-
-
-def test_ofdm_modem_roundtrip(benchmark):
-    modem = OfdmModem(WIFI_20MHZ)
-    rng = np.random.default_rng(2)
-    constellation = QamConstellation(16)
-    grid = constellation.points[rng.integers(0, 16, (56, 48))]
-
-    def roundtrip():
-        return modem.demodulate(modem.modulate(grid))
-
-    out = benchmark(roundtrip)
-    assert np.allclose(out, grid, atol=1e-9)
 
 
 def test_sorted_qr_12x12(benchmark):

@@ -1,10 +1,6 @@
-"""Channel models: Rayleigh/Rician fading, correlation, testbed traces."""
+"""Channel models: Rayleigh/Rician fading, the indoor testbed, traces."""
 
-from repro.channel.correlation import exponential_correlation, kronecker_correlated
-from repro.channel.doppler import coherence_frames, doppler_trace, evolve_channel, jakes_correlation
-from repro.channel.estimation import estimate_channel_ls, pilot_matrix
 from repro.channel.fading import rayleigh_channel, rayleigh_channels, rician_channel
-from repro.channel.metrics import condition_number_db, mimo_capacity_bits
 from repro.channel.testbed import IndoorTestbed, TestbedGeometry
 from repro.channel.traces import ChannelTrace, combine_user_traces
 
@@ -12,17 +8,7 @@ __all__ = [
     "ChannelTrace",
     "IndoorTestbed",
     "TestbedGeometry",
-    "coherence_frames",
     "combine_user_traces",
-    "condition_number_db",
-    "doppler_trace",
-    "evolve_channel",
-    "jakes_correlation",
-    "estimate_channel_ls",
-    "exponential_correlation",
-    "kronecker_correlated",
-    "mimo_capacity_bits",
-    "pilot_matrix",
     "rayleigh_channel",
     "rayleigh_channels",
     "rician_channel",

@@ -1,10 +1,8 @@
 """802.11-style channel coding: convolutional code, Viterbi, interleaving."""
 
 from repro.coding.convolutional import ConvolutionalCode
-from repro.coding.crc import append_crc, check_crc, crc32_bits
 from repro.coding.interleaver import BlockInterleaver
 from repro.coding.puncturing import PUNCTURE_PATTERNS, Puncturer
-from repro.coding.scrambler import Scrambler
 from repro.coding.viterbi import ViterbiDecoder
 
 __all__ = [
@@ -12,9 +10,5 @@ __all__ = [
     "ConvolutionalCode",
     "PUNCTURE_PATTERNS",
     "Puncturer",
-    "Scrambler",
     "ViterbiDecoder",
-    "append_crc",
-    "check_crc",
-    "crc32_bits",
 ]

@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies: each FlexCore design choice below, switched alone.
 
 Not a paper artefact — these quantify the contribution of individual
 FlexCore design decisions on top of the reproduction:

@@ -108,7 +108,7 @@ def render_report(results: dict[str, dict]) -> str:
         "Generated by `python -m repro.experiments.report <results dirs>`; "
         "regenerate after new runs. Absolute numbers are expected to "
         "differ from the paper (our substrate simulates the WARP testbed, "
-        "GTX 970 and XCVU440 — see DESIGN.md §1.3); the *shapes* — who "
+        "GTX 970 and XCVU440, none of which is in the loop); the *shapes* — who "
         "wins, by what factor, where crossovers sit — are the "
         "reproduction targets.",
         "",

@@ -16,25 +16,20 @@ the soft detector's two entry points — runs the same two pieces, so the
 per-channel loop and the stacked kernel are bit-identical by
 construction, on any array module (:mod:`repro.utils.xp`) — *within a
 lane*.  The core has two: the **portable** level loop below, every
-operation an array-module op (torch, cupy, no compiler, the
-exact-ordering ablation; also the tests' oracle), and the **native**
-one, ``xp.walk_tile`` — the same arithmetic in the same order as one
-GIL-free C call per tile (:mod:`repro.native`, numpy only), which is
-what makes a tile a schedulable processing element.  The detectors'
-own native lane goes one step further (``xp.detect_group``,
-:meth:`FlexCoreDetector._decide`): a whole equal-path group in one call
-that walks each frame into scratch and reduces it right there — arg-min,
-symbol lookup, stream order, the soft detector's list — so that, as from
-the paper's processing elements, only decisions leave the kernel;
-``walk_tile`` stays for the candidate list and as the oracle that call
-is pinned to.  A group with enough walk to share is cut along ``G`` into
-runs, one call each, spread over the process's CPUs (:func:`repro.
-native.fan_out`) — which is only sound while nothing couples one
-subcarrier's walk to another's, in either lane: keep it that way.
-Across entry points and tilings a lane agrees with itself to the bit;
-across lanes symbols, the dead mask and FLOP charges are equal and
-distances differ only by the summation order of the interference
-product (BLAS in one, increasing ``j`` in the other: a few ulp).
+operation an array-module op — torch, cupy, no compiler, the
+exact-ordering ablation, the soft candidate list, the tests' oracle —
+and the **native** ``xp.detect_group`` (:meth:`~FlexCoreDetector.
+_decide`, :mod:`repro.native`, numpy only): the same arithmetic in one
+GIL-free call per equal-path group that walks each frame into scratch
+and reduces it right there, so that, as from the paper's processing
+elements, only decisions leave the kernel.  A group with enough walk to
+share is cut along ``G`` into runs, one call each, spread over the
+process's CPUs (:func:`repro.native.fan_out`) — sound only while nothing
+couples one subcarrier's walk to another's, in either lane: keep it that
+way.  Across lanes counts and FLOP charges are equal, distances differ
+by the summation order of the interference product (BLAS in one,
+increasing ``j`` in the other: a few ulp), and so decisions only where
+two paths' distances are that close.
 
 **The plan** (:class:`_StackedContexts`) is everything about a group of
 ``G`` channels that no received frame changes, built once and kept
@@ -61,10 +56,9 @@ on the hard path, for every candidate in one pass on the soft path.
 
 Like the paper's processing element, the core holds a fixed amount of
 state and asks for no memory while it walks.  Everything with a path
-axis — ``symbols``, the distances, the dead mask and, on the portable
-lane, the level's temporaries (:func:`walk_layout`; the native lane has
-``(3 + 4 Nt) P`` doubles of scratch instead, the fused call ``(6 + 6 Nt)
-P`` and nothing else) — is a view of a
+axis — ``symbols``, the distances, the dead mask and the level's
+temporaries (:func:`walk_layout`; the fused call has ``(6 + 6 Nt) P``
+doubles of scratch instead, and nothing else) — is a view of a
 :class:`WalkWorkspace`, and every operation of the level body writes
 into it through ``out=``.  The workspace belongs to the ``store`` a
 stacked entry point is handed (one per array module, kept until
@@ -132,18 +126,14 @@ MAX_CHUNK_ELEMENTS = 1 << 18
 _ITEM_BYTES = {"float64": 8, "int64": 8, "uint8": 1, "bool_": 1}
 
 
-def walk_layout(num_streams: int, native: bool = False) -> tuple:
-    """What the core holds per (subcarrier, frame, path) element, as
-    ``(name, dtype, planes)`` rows: the list :meth:`WalkWorkspace.carve`
-    turns into buffers and :func:`tile_shape` into a footprint.  The
-    ``native`` layout — results only, a level's temporaries live in the
-    kernel's scratch — is carved by :meth:`FlexCoreDetector._walk` alone,
-    for ``_candidate_list`` and the lane-equivalence tests: tiles are
-    sized for the portable rows, and the fused lane carves neither."""
-    results = (("symbols", "float64", 2 * num_streams), ("ped", "float64", 1))
-    if native:
-        return results + (("dead", "bool_", 1),)
-    return results + (
+def walk_layout(num_streams: int) -> tuple:
+    """What the portable core holds per (subcarrier, frame, path)
+    element, as ``(name, dtype, planes)`` rows: the list
+    :meth:`WalkWorkspace.carve` turns into buffers and :func:`tile_shape`
+    into a footprint."""
+    return (
+        ("symbols", "float64", 2 * num_streams),
+        ("ped", "float64", 1),
         ("dead", "bool_", 2),
         ("z", "float64", 2),
         ("centre", "float64", 2),
@@ -701,7 +691,7 @@ class FlexCoreDetector(Detector):
         use_exact: bool,
         scratch: "WalkWorkspace | None" = None,
     ):
-        """The level loop: walk ``(G, F, P)`` elements down the tree.
+        """The portable level loop: walk ``(G, F, P)`` elements down the tree.
 
         ``planes`` is ``(G, F, Nt, 2)``: the rotated received block in
         grid units, real and imaginary parts apart.  Returns
@@ -715,27 +705,15 @@ class FlexCoreDetector(Detector):
         are the caller's own.
         """
         group, frames, num_streams, _ = planes.shape
-        paths = plan.paths
-        side = self.system.constellation.side
-        edge = 0.5 * (side - 1)
-        clamp = 0.5 * max(side - 2, 0)
-        if scratch is None:
-            scratch = WalkWorkspace(xp)
-        kernel = None if use_exact else xp.walk_tile
-        symbols, ped, dead, *level_body = scratch.carve(
-            walk_layout(num_streams, kernel is not None), group, frames, paths
+        paths, side = plan.paths, self.system.constellation.side
+        edge, clamp = 0.5 * (side - 1), 0.5 * max(side - 2, 0)
+        scratch = WalkWorkspace(xp) if scratch is None else scratch
+        symbols, ped, dead, z, centre, step, sign, swap, left = scratch.carve(
+            walk_layout(num_streams), group, frames, paths
         )
-        ped = ped[:, :, 0]
+        ped, swap = ped[:, :, 0], swap[:, :, 0]
         half = planes * 0.5
         self._charge(counter, group * frames * paths, num_streams)
-        if kernel is not None:
-            # Every level in one GIL-free call; the kernel zeroes for itself.
-            (work,) = scratch.carve((("kernel", "float64", 3 + 4 * num_streams),), 1, 1, paths)
-            kernel(half, plan.rows, plan.weights, plan.offsets,
-                   plan.swap_delta, clamp, edge, symbols, ped, dead, work)  # fmt: skip
-            return symbols, ped, dead[:, :, 0]
-        z, centre, step, sign, swap, left = level_body
-        swap = swap[:, :, 0]
         ped[...] = 0.0
         dead[...] = False
         for level in range(num_streams - 1, -1, -1):

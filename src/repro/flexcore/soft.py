@@ -29,14 +29,16 @@ The list rides the walk's tiles and lives in the walk's workspace
 (:meth:`SoftFlexCoreDetector._list_layout`), so a warm soft block
 allocates only its sort order and its ``(G, F, Nt * bits)`` outputs.
 
-That is the portable lane (torch, cupy, no compiler) and the oracle.  On
-the walk's native lane the list never exists: ``xp.detect_group`` reduces
+That is the portable lane (torch, cupy, no compiler, and
+:meth:`SoftFlexCoreDetector._candidate_list` on any lane) and the oracle.
+On the walk's native lane the list never exists: ``xp.detect_group`` reduces
 each frame's ``P`` PEDs where it walked them — per level and bit, the
 minimum under each hypothesis, taken over the PEDs' bit patterns, which
 order as non-negative doubles do; the same missing-hypothesis rule, clip
 and stream order — and writes only ``indices`` and ``llrs`` (:meth:`~repro.
-flexcore.detector.FlexCoreDetector._decide`), bit for bit what the sorted
-list gives.  On the benchmark's ``soft_llr`` block that took a soft block
+flexcore.detector.FlexCoreDetector._decide`): the sorted list's
+reduction, so the lanes' LLRs differ only as their distances do, by a few
+ulp.  On the benchmark's ``soft_llr`` block that took a soft block
 from 3.3 to 1.0 ms — from 4.0 to 1.8 hard blocks of the same plan.
 """
 
@@ -148,7 +150,8 @@ class SoftFlexCoreDetector(FlexCoreDetector):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Indices ``(n, P, Nt)`` and PEDs ``(n, P)`` of all paths of one
         channel (detection order; infinite PED marks a deactivated
-        path) — the walk's candidate list, for diagnostics."""
+        path) — the walk's candidate list, for diagnostics, from the
+        portable level loop on either lane."""
         xp = resolve_array_module(None)
         plan = self._plan([context], xp)
         planes = plan.grid_planes(xp.asarray(rotated)[None], xp)

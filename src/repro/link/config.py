@@ -4,8 +4,8 @@ A *packet* here is one user's coded transmission spanning
 ``ofdm_symbols_per_packet`` OFDM symbols over the data subcarriers — a
 scaled-down version of the paper's 500-kByte packets (the full size is a
 ``packets x symbols`` product; shrinking the packet keeps the PER ->
-throughput mapping while making Monte-Carlo tractable; see DESIGN.md
-§1.3).  The channel stays static over a packet, as in §5.
+throughput mapping while making Monte-Carlo tractable: a PER point
+takes hundreds of packets).  The channel stays static over a packet, as in §5.
 """
 
 from __future__ import annotations

@@ -3,15 +3,12 @@ the system compiler on first use, cached on disk, loaded through
 :mod:`ctypes` — no new dependency, no binary checked in, and every
 failure is the portable lane.
 
-:func:`kernel` is what ``NumpyArrayModule.walk_tile`` hands
-:meth:`~repro.flexcore.detector.FlexCoreDetector._walk`: one GIL-free
-call per ``(G, F, P)`` tile, or ``None`` (walk level by level).  Its
-``detect_group`` attribute — the same object's second entry point — is
-what the detectors take: a whole group walked and decided in one call,
-only indices, LLRs and counters written back.  Its ``tree_search``
-attribute, the third, is what
-:func:`~repro.flexcore.preprocessing.find_promising_paths_block` takes:
-every channel's §3.1.1 best-first heap in one call.  The lane is
+:func:`kernel` holds the object's two entry points, or is ``None``.
+Its ``detect_group`` — ``NumpyArrayModule.detect_group`` — is what the
+detectors take: a whole group walked and decided in one GIL-free call,
+only indices, LLRs and counters written back.  Its ``tree_search`` is
+what :func:`~repro.flexcore.preprocessing.find_promising_paths_block`
+takes: every channel's §3.1.1 best-first heap in one call.  The lane is
 resolved once per process and never at import: a ``DetectionService``
 resolves it when it is constructed — a 0.2-1 s compile must not land in
 a slot's flush — and a bare ``detect_prepared`` caller pays on its first
@@ -57,6 +54,7 @@ import subprocess
 import tempfile
 import threading
 import time
+import types
 import warnings
 from importlib import resources
 
@@ -132,7 +130,7 @@ def _build(source: bytes, compiler: "list[str]", target: str) -> None:
 #: The sources compiled, in this order, into the one object.
 SOURCES = ("walk.c", "search.c")
 #: The entry points of that object: a cached one lacking any is stale.
-ENTRY_POINTS = ("flexcore_walk_tile", "flexcore_detect_group", "flexcore_tree_search")
+ENTRY_POINTS = ("flexcore_detect_group", "flexcore_tree_search")
 
 
 def _source() -> bytes:
@@ -143,17 +141,16 @@ def _source() -> bytes:
 def _load(path: str) -> tuple:
     library = ctypes.CDLL(path)
     try:
-        tile, group, search = (getattr(library, name) for name in ENTRY_POINTS)
+        group, search = (getattr(library, name) for name in ENTRY_POINTS)
     except AttributeError:
         # Unmap it, or what is rebuilt at this path loads as this object again.
         _ctypes.dlclose(library._handle)
         raise
     pointer, real = ctypes.c_void_p, ctypes.c_double
-    tile.argtypes = [pointer] * 6 + [real, real] + [pointer] * 4
     group.argtypes = [pointer] * 6 + [real, real] + [pointer] * 2 + [real, real] + [pointer] * 4
     search.argtypes = [pointer] * 8
-    tile.restype = group.restype = search.restype = None
-    return tile, group, search
+    group.restype = search.restype = None
+    return group, search
 
 
 def _resolve(environ=os.environ) -> tuple:
@@ -194,47 +191,9 @@ def _resolve(environ=os.environ) -> tuple:
             shutil.rmtree(private, ignore_errors=True)
 
 
-def _inputs(op, half, rows, weights, offsets, swap_delta, tail, others) -> tuple:
-    """What both entry points start with: ``dims`` — ``G F Nt P``, the
-    byte strides and item size of ``offsets`` / ``swap_delta`` ``(Nt, G,
-    1, 2, P)`` (which may be the views a plan's ``clamp`` / ``subcarriers``
-    make), ``tail`` — and five pointers.  No pointer leaves Python before
-    ``half`` ``(G, F, Nt, 2)``, the plan's ``rows`` and ``weights`` and
-    every ``(array, dtype, size)`` of ``others(G, F, Nt, P)`` is a
-    contiguous array of that (native) type and size."""
-    group, frames, num_streams, _ = half.shape
-    paths = offsets.shape[-1]
-    flat = [(half, "f8", group * frames * num_streams * 2), (rows, "f8", group * 4 * num_streams**2),
-            (weights, "f8", group * num_streams), *others(group, frames, num_streams, paths)]  # fmt: skip
-    if not (
-        all(a.dtype == kind and a.flags.c_contiguous and a.size == size for a, kind, size in flat)
-        and offsets.dtype.char in "bh"
-        and (offsets.dtype, offsets.strides) == (swap_delta.dtype, swap_delta.strides)
-        and offsets.strides[4] == offsets.itemsize
-        and offsets.shape == swap_delta.shape == (num_streams, group, 1, 2, paths)
-    ):
-        raise ValueError(f"{op}: not the walk's layout")
-    by_level, by_group, _, by_plane, _ = offsets.strides
-    dims = (ctypes.c_int64 * 10)(
-        group, frames, num_streams, paths, by_level, by_group, by_plane, offsets.itemsize, *tail
-    )
-    return (dims, *(a.ctypes.data for a in (half, rows, weights, offsets, swap_delta)))
-
-
-def _bind(tile, group, search):
-    """``walk_tile`` over the object's three entry points; the fused op
-    is its ``detect_group`` attribute and the §3.1.1 search its
-    ``tree_search``, so one object is the lane."""
-
-    def walk_tile(half, rows, weights, offsets, swap_delta, clamp, edge,
-                  symbols, ped, dead, scratch):  # fmt: skip
-        """Every candidate of a tile: ``symbols`` ``(G, F, 2 Nt, P)``, ``ped``
-        and ``dead`` ``(G, F, P)``; ``scratch`` is ``(3 + 4 Nt) P`` doubles."""
-        inputs = _inputs("walk_tile", half, rows, weights, offsets, swap_delta, (0, 0),
-                         lambda G, F, Nt, P: ((symbols, "f8", 2 * Nt * G * F * P), (ped, "f8", G * F * P),
-                                              (dead, "b1", G * F * P), (scratch, "f8", (3 + 4 * Nt) * P)))  # fmt: skip
-        tile(*inputs, clamp, edge, symbols.ctypes.data, ped.ctypes.data,
-             dead.ctypes.data, scratch.ctypes.data)  # fmt: skip
+def _bind(fused, search) -> types.SimpleNamespace:
+    """The object's two entry points as Python calls: ``detect_group``,
+    the walk, and ``tree_search``, the §3.1.1 search."""
 
     def detect_group(half, rows, weights, offsets, swap_delta, clamp, edge, inverse,
                      table, noise_var, llr_clip, indices, llrs, counts, scratch):  # fmt: skip
@@ -243,23 +202,39 @@ def _bind(tile, group, search):
         side)`` int64 position ``table``, in the stream order ``inverse``
         ``(G, Nt)`` restores, and ``counts`` ``(G,)`` dead paths — or, with
         ``llrs`` ``(G, F, Nt * bits)`` rather than ``None``, max-log LLRs
-        and clamped bits.  ``scratch`` is ``(6 + 6 Nt) P`` doubles."""
+        and clamped bits.  ``scratch`` is ``(6 + 6 Nt) P`` doubles.
+        ``offsets`` / ``swap_delta`` ``(Nt, G, 1, 2, P)`` may be the views
+        a plan's ``clamp`` / ``subcarriers`` make: ``dims`` carries their
+        byte strides and item size.  No pointer leaves Python before every
+        other array is contiguous and of the (native) type and size the
+        kernel reads."""
+        (G, F, Nt, _), P = half.shape, offsets.shape[-1]
         side, bits = len(table), (table.size - 1).bit_length()
+        flat = [(half, "f8", G * F * Nt * 2), (rows, "f8", G * 4 * Nt**2),
+                (weights, "f8", G * Nt), (inverse, "i8", G * Nt), (table, "i8", side * side),
+                (indices, "i8", G * F * Nt), (counts, "i8", G),
+                (scratch, "f8", (6 + 6 * Nt) * P)]  # fmt: skip
+        if llrs is not None:
+            flat.append((llrs, "f8", G * F * Nt * bits))
         if not (
-            offsets.shape[-1] >= 1
+            P >= 1
+            and all(a.dtype == t and a.flags.c_contiguous and a.size == n for a, t, n in flat)
             and table.shape == (side, side)
-            and inverse.shape == (half.shape[0], half.shape[2])
-            and 0 <= inverse.min() <= inverse.max() < half.shape[2]
+            and inverse.shape == (G, Nt)
+            and 0 <= inverse.min() <= inverse.max() < Nt
+            and offsets.dtype.char in "bh"
+            and (offsets.dtype, offsets.strides) == (swap_delta.dtype, swap_delta.strides)
+            and offsets.strides[4] == offsets.itemsize
+            and offsets.shape == swap_delta.shape == (Nt, G, 1, 2, P)
         ):
             raise ValueError("detect_group: not the walk's layout")
-        soft = () if llrs is None else (llrs,)
-        inputs = _inputs("detect_group", half, rows, weights, offsets, swap_delta, (side, bits),
-                         lambda G, F, Nt, P: ((inverse, "i8", G * Nt), (table, "i8", side * side),
-                                              (indices, "i8", G * F * Nt), (counts, "i8", G),
-                                              (scratch, "f8", (6 + 6 * Nt) * P),
-                                              *((a, "f8", G * F * Nt * bits) for a in soft)))  # fmt: skip
-        group(*inputs, clamp, edge, inverse.ctypes.data, table.ctypes.data, noise_var, llr_clip,
-              indices.ctypes.data, soft[0].ctypes.data if soft else None,
+        by_level, by_group, _, by_plane, _ = offsets.strides
+        dims = (ctypes.c_int64 * 10)(
+            G, F, Nt, P, by_level, by_group, by_plane, offsets.itemsize, side, bits
+        )  # fmt: skip
+        fused(dims, *(a.ctypes.data for a in (half, rows, weights, offsets, swap_delta)),
+              clamp, edge, inverse.ctypes.data, table.ctypes.data, noise_var, llr_clip,
+              indices.ctypes.data, None if llrs is None else llrs.ctypes.data,
               counts.ctypes.data, scratch.ctypes.data)  # fmt: skip
 
     def tree_search(pe, num_paths, max_rank, batch_size, thresholds):
@@ -292,9 +267,7 @@ def _bind(tile, group, search):
                tally.ctypes.data, scratch.ctypes.data)  # fmt: skip
         return positions, probabilities, tally
 
-    walk_tile.detect_group = detect_group
-    walk_tile.tree_search = tree_search
-    return walk_tile
+    return types.SimpleNamespace(detect_group=detect_group, tree_search=tree_search)
 
 
 def _resolved() -> tuple:
@@ -305,14 +278,15 @@ def _resolved() -> tuple:
         return _RESOLVED
 
 
-def kernel():
-    """The native tile walk, or ``None``: this process's lane is portable."""
+def kernel() -> "types.SimpleNamespace | None":
+    """The native lane's ``detect_group`` and ``tree_search``, or
+    ``None``: this process's lane is portable."""
     return _resolved()[1]
 
 
 def status() -> dict:
     """Lane (``"native"`` / ``"portable"``), compiler, flags, cache path,
-    build seconds, failure reason, the entry points bound (all three or
+    build seconds, failure reason, the entry points bound (both or
     none), ``pes`` and ``run_flops`` of this process — JSON-friendly."""
     return dict(_resolved()[0])
 

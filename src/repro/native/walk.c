@@ -1,14 +1,13 @@
-/* FlexCore's level loop as single calls: the native lane of FlexCoreDetector
- * (repro/flexcore/detector.py), which documents the layout and the arithmetic.
- * flexcore_walk_tile hands back every candidate of a (G, F, P) tile,
- * flexcore_detect_group only what is decided from them.  Every operation is the
- * portable lane's, in its order; only the interference product sums in another
- * order than BLAS (increasing j, no FMA).  Built by repro/native — never with
- * fast-math flags: banker's rint, the sign of zero through copysign, inf
- * distances and NaN => dead all carry meaning.  The subcarrier loop of either
- * entry point must stay coupling-free — no state carried from g to g + 1 but
- * the scratch it rewrites — because the detectors cut a group along G into
- * runs that separate threads walk at once. */
+/* FlexCore's level loop and the decisions taken from it, as one call per
+ * (G, F, P) group: the native lane of FlexCoreDetector
+ * (repro/flexcore/detector.py), which documents the layout and the
+ * arithmetic.  Every operation is the portable lane's, in its order; only the
+ * interference product sums in another order than BLAS (increasing j, no
+ * FMA).  Built by repro/native — never with fast-math flags: banker's rint,
+ * the sign of zero through copysign, inf distances and NaN => dead all carry
+ * meaning.  The subcarrier loop must stay coupling-free — no state carried
+ * from g to g + 1 but the scratch it rewrites — because the detectors cut a
+ * group along G into runs that separate threads walk at once. */
 #include <math.h>
 #include <stdint.h>
 
@@ -96,31 +95,6 @@ static inline void walk_frame(i64 Nt, i64 P, const double *h, const double *rows
         acc[p] = gone[p] != 0.0 ? INFINITY : acc[p] * 4.0;
 }
 
-/* dims: G F Nt P, the byte strides of offsets and swap_delta (Nt, G, 1, 2, P)
- * along level, subcarrier and plane — a plan clamped along P and cut along G
- * is passed as the views it is — and their item size.  half (G, F, Nt, 2),
- * rows (G, Nt, 2, 2 Nt), weights (G, Nt), symbols (G, F, 2 Nt, P), ped and
- * dead (G, F, P) are contiguous; scratch holds (3 + 4 Nt) P doubles. */
-void flexcore_walk_tile(const i64 *dims, const double *half, const double *rows,
-                        const double *weights, const char *offsets,
-                        const char *swap_delta, double clamp, double edge,
-                        double *restrict symbols, double *restrict ped,
-                        uint8_t *restrict dead, double *restrict scratch)
-{
-    const i64 G = dims[0], F = dims[1], Nt = dims[2], P = dims[3];
-    for (i64 g = 0; g < G; g++) {
-        widen_plan(dims, g, offsets, swap_delta, scratch + 3 * P);
-        for (i64 f = 0; f < F; f++) {
-            const i64 at = g * F + f;
-            walk_frame(Nt, P, half + at * Nt * 2, rows + g * Nt * 4 * Nt,
-                       weights + g * Nt, clamp, edge, symbols + at * 2 * Nt * P,
-                       ped + at * P, scratch);
-            for (i64 p = 0; p < P; p++)
-                dead[at * P + p] = scratch[2 * P + p] != 0.0;
-        }
-    }
-}
-
 /* A PED is >= +0, +inf or NaN, so its bit pattern orders as it does (NaN
  * last, where a stable argsort puts it) — and an integer minimum, unlike
  * `c < m ? c : m` on doubles, vectorises without fast-math. */
@@ -134,14 +108,18 @@ static inline i64 cell_of(double u, double v, double side, i64 cells)
     return c >= 0.0 ? (c < (double)cells ? (i64)c : cells - 1) : 0;
 }
 
-/* flexcore_walk_tile's dims and inputs, then side and bits per symbol.  Each
- * frame is walked into scratch — (6 + 6 Nt) P doubles — and reduced there:
- * indices (G, F, Nt) are table[cell] of its arg-min path, stream s being level
- * inverse[g, s]; counts (G) its subcarrier's dead paths.  With llrs (G, F,
- * Nt * bits) the reduction is SoftFlexCoreDetector._list_llrs': per bit, MSB
- * first, the two hypothesis minima over the P PEDs, (one - zero) / noise_var,
- * +-llr_clip where no finite candidate holds a hypothesis (zero's wins), the
- * clip; counts is then the clamped bits. */
+/* dims: G F Nt P, the byte strides of offsets and swap_delta (Nt, G, 1, 2, P)
+ * along level, subcarrier and plane — a plan clamped along P and cut along G
+ * is passed as the views it is — their item size, side and bits per symbol.
+ * half (G, F, Nt, 2), rows (G, Nt, 2, 2 Nt) and weights (G, Nt) are
+ * contiguous.  Each frame is walked into scratch — (6 + 6 Nt) P doubles — and
+ * reduced there: indices (G, F, Nt) are table[cell] of its arg-min path,
+ * stream s being level inverse[g, s]; counts (G) its subcarrier's dead paths.
+ * With llrs (G, F, Nt * bits) the reduction is
+ * SoftFlexCoreDetector._list_llrs': per bit, MSB first, the two hypothesis
+ * minima over the P PEDs, (one - zero) / noise_var, +-llr_clip where no
+ * finite candidate holds a hypothesis (zero's wins), the clip; counts is
+ * then the clamped bits. */
 void flexcore_detect_group(const i64 *dims, const double *half, const double *rows,
                            const double *weights, const char *offsets,
                            const char *swap_delta, double clamp, double edge,

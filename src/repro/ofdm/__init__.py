@@ -10,14 +10,12 @@ from repro.ofdm.lte import (
     lte_mode,
     slot_deadline,
 )
-from repro.ofdm.modem import OfdmModem
 from repro.ofdm.params import WIFI_20MHZ, OfdmParams
 
 __all__ = [
     "FRAME_DURATION_S",
     "LTE_MODES",
     "LteMode",
-    "OfdmModem",
     "OfdmParams",
     "SLOT_DURATION_S",
     "SLOTS_PER_FRAME",

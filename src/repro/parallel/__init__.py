@@ -1,11 +1,10 @@
 """Processing-element abstractions and GPU/FPGA execution models.
 
 Real hardware (the paper's GTX 970 and XCVU440) is replaced by analytic
-models calibrated against the figures the paper itself publishes; see
-DESIGN.md §1.3 for the substitution rationale.
+models calibrated against the figures the paper itself publishes: with
+neither device at hand, those figures are the only ground truth.
 """
 
-from repro.parallel.elements import PePool, schedule_paths
 from repro.parallel.fpga import (
     FPGA_DEVICE_XCVU440,
     FpgaDevice,
@@ -21,7 +20,5 @@ __all__ = [
     "FpgaEngineModel",
     "GpuExecutionModel",
     "GpuModelParams",
-    "PePool",
     "RtlCostModel",
-    "schedule_paths",
 ]

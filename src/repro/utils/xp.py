@@ -228,29 +228,22 @@ class NumpyArrayModule(ArrayModule):
 
     # -- the fused walk ------------------------------------------------
     @property
-    def walk_tile(self):
-        """The walk's one fused op — every level of a ``(G, F, P)`` tile in
-        a single GIL-free native call, ``walk_tile(half, rows, weights,
-        offsets, swap_delta, clamp, edge, symbols, ped, dead, scratch)``
-        (:mod:`repro.native`) — or ``None`` where there is no native
-        lane and the caller walks level by level.  numpy only."""
-        return native.kernel()
-
-    @property
     def detect_group(self):
-        """The same lane's other entry point, from the same compiled
-        object: an equal-path group walked *and decided* in one GIL-free
-        call — indices in stream order, max-log LLRs, per-subcarrier
-        counters; no candidate tensor is written back (:mod:`repro.native`
-        documents the arguments).  ``None`` wherever :attr:`walk_tile` is."""
-        return getattr(self.walk_tile, "detect_group", None)
+        """The walk's one native op: an equal-path group walked *and
+        decided* in a single GIL-free call — indices in stream order,
+        max-log LLRs, per-subcarrier counters; no candidate tensor is
+        written back (:mod:`repro.native` documents the arguments) — or
+        ``None`` where there is no native lane and the caller walks level
+        by level.  numpy only."""
+        kernel = native.kernel()
+        return None if kernel is None else kernel.detect_group
 
 
 class CupyArrayModule(NumpyArrayModule):
     """CuPy shares numpy's API; only conversion crosses the device."""
 
     name = "cupy"
-    walk_tile = detect_group = None
+    detect_group = None
 
     def __init__(self):
         import cupy
@@ -279,7 +272,7 @@ class TorchArrayModule(ArrayModule):
     """Adapter mapping the kernel API onto torch tensors (CPU device)."""
 
     name = "torch"
-    walk_tile = detect_group = None
+    detect_group = None
 
     def __init__(self):
         import torch

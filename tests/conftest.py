@@ -249,9 +249,10 @@ def make_stack(
 @pytest.fixture(params=["portable", "native"])
 def lane(request):
     """Run a test on each lane of the walk: ``portable`` forces the
-    numpy level loop (what ``CC=false`` does to a whole process),
-    ``native`` is the compiled tile kernel and skips only where
-    ``repro.native.status()`` reports no compiler."""
+    numpy level loop and slab search (what ``CC=false`` does to a whole
+    process), ``native`` is the compiled object — the fused group walk
+    and the tree search — and skips only where ``repro.native.status()``
+    reports no compiler."""
     from unittest import mock
 
     from repro import native
@@ -267,14 +268,11 @@ def lane(request):
         yield "portable"
 
 
-def assert_same_distances(got, expected, weights, ulps=64):
-    """Two lanes' PEDs ``(G, F, P)``: deactivated (infinite) in the same
-    places and within ``ulps`` elsewhere — units in the last place of the
-    distance, or of one half-grid step at every level (``weights`` is the
-    plan's ``(G, Nt)``) where the distance is smaller than that.  The
-    lanes differ by the summation order of the interference product."""
-    finite = np.isfinite(expected)
-    assert np.array_equal(np.isfinite(got), finite)
+def distance_bound(expected, weights, ulps=64):
+    """How far another lane's PEDs may lie from ``expected`` ``(G, F,
+    P)``, per element: ``ulps`` units in the last place of the distance,
+    or of one half-grid step at every level (``weights`` is the plan's
+    ``(G, Nt)``) where the distance is smaller than that.  The lanes
+    differ by the summation order of the interference product."""
     floor = np.broadcast_to(weights.sum(axis=1)[:, None, None], expected.shape)
-    scale = np.maximum(np.abs(expected), floor)[finite]
-    assert (np.abs(got[finite] - expected[finite]) <= ulps * np.spacing(scale)).all()
+    return ulps * np.spacing(np.maximum(np.abs(expected), floor))

@@ -240,6 +240,31 @@ class TestLoadShedding:
         assert governor.shedding()["cell0"]
 
 
+class TestFleetCoordination:
+    """The hooks a farm coordinator drives: collect every worker's
+    desires and floors, fit them under the global budget, install the
+    awards back."""
+
+    def test_desires_and_floors_cover_cells_not_yet_flushed(self):
+        governor = ComputeGovernor(AimdPolicy(4, 64, start=16))
+        governor.path_budget("cell0")
+        assert governor.desired_budgets() == {"cell0": 16}
+        assert governor.desired_budgets(["cell1"]) == {"cell0": 16, "cell1": 16}
+        assert governor.floor_budgets(["cell2"]) == {"cell0": 4, "cell1": 4, "cell2": 4}
+
+    @pytest.mark.parametrize(
+        "award, installed, moves",
+        [(200, 64, (1, 0)), (1, 4, (0, 1)), (16, 16, (0, 0))],
+        ids=["above-the-ceiling", "below-the-floor", "unchanged"],
+    )
+    def test_an_award_is_clamped_to_the_policy_and_counted(self, award, installed, moves):
+        governor = ComputeGovernor(AimdPolicy(4, 64, start=16))
+        governor.install_budgets({"cell0": award})
+        assert governor.path_budget("cell0") == installed
+        telemetry = governor.telemetry
+        assert (telemetry.budget_increases, telemetry.budget_decreases) == moves
+
+
 class TestReporting:
     def test_as_dict_round_trip(self):
         governor = ComputeGovernor(AimdPolicy(2, 64, start=8))

@@ -39,6 +39,23 @@ observations = st.builds(
 )
 
 
+class TestObservation:
+    @pytest.mark.parametrize(
+        "window, hit_rate, service_per_frame, busy",
+        [
+            (dict(), 1.0, 0.0, False),
+            (dict(frames_shed=3), 1.0, 0.0, True),
+            (dict(frames=8, frames_on_time=6, frames_late=2, service_sum_s=0.004), 0.75, 0.0005, True),
+        ],
+        ids=["idle", "all-shed", "busy"],
+    )
+    def test_derived_rates(self, window, hit_rate, service_per_frame, busy):
+        observation = CellObservation(cell_id="cell0", budget=8, **window)
+        assert observation.deadline_hit_rate == hit_rate
+        assert observation.mean_service_per_frame_s == pytest.approx(service_per_frame)
+        assert observation.busy is busy
+
+
 class TestBudgetBounds:
     """Every policy's budget stays within [paths_min, paths_max]."""
 

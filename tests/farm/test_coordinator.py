@@ -19,6 +19,7 @@ tier-1 fast.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 from dataclasses import replace
 
@@ -36,7 +37,7 @@ from repro.api import (
 from repro.control.workload import WorkloadScenario
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.farm import FarmCoordinator
-from repro.farm.coordinator import _Handle
+from repro.farm.coordinator import FleetReport, WorkerRestart, _Handle
 from repro.flexcore.detector import FlexCoreDetector
 from repro.mimo.model import noise_variance_for_snr_db
 from repro.mimo.system import MimoSystem
@@ -82,6 +83,21 @@ def test_requires_streaming_config():
     )
     with pytest.raises(ConfigurationError, match="streaming"):
         FarmCoordinator(batch_config, 1)
+
+
+@pytest.mark.parametrize("elapsed_s, throughput", [(2.0, 50.0), (0.0, 0.0)], ids=["ran", "empty"])
+def test_report_throughput_and_payload(elapsed_s, throughput):
+    """The report's rate is detected frames over wall time (zero for a
+    run that took none), and its payload is plain JSON."""
+    report = FleetReport(
+        workers=2, slots=4, slot_interval_s=0.0, frames_offered=120, elapsed_s=elapsed_s,
+        scheduler={"frames_detected": 100, "deadline_hit_rate": 0.9}, per_worker=[],
+        cells={}, budgets={"cell0": 8}, restarts=[WorkerRestart(1, "died", "run_slots[0:2)")],
+    )  # fmt: skip
+    assert report.throughput_fps == throughput
+    payload = json.loads(json.dumps(report.as_dict()))
+    assert payload["throughput_fps"] == throughput and payload["frames_detected"] == 100
+    assert payload["restarts"] == [{"worker": 1, "reason": "died", "phase": "run_slots[0:2)"}]
 
 
 def test_fleet_accounts_for_every_frame():

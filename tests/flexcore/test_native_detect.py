@@ -1,11 +1,17 @@
 """The fused lane — ``xp.detect_group``, one native call per equal-path
-group — against what it fuses: the portable reductions (``_winner`` /
-``_symbol_indices`` / ``_labels`` / ``_list_llrs`` / ``restore_order``,
-numpy passes) applied to the tensors the native ``_walk`` hands back.
-The walk inside both is the same C frame body, so *everything* is equal
-bit for bit: indices, LLRs down to the sign of zero, dead and clamped
-counts, FLOP and comparison charges.  No candidate tensor leaves the
-call, and none is carved.
+group — against its oracle, the portable lane: the level loop ``_walk``
+(numpy passes, BLAS's summation order) and the reductions off the fused
+lane (``_winner`` / ``_symbol_indices`` / ``_labels`` / ``_list_llrs`` /
+``restore_order``).  The lanes differ only by the summation order of
+the interference product, so dead and clamped counts, FLOP and
+comparison charges are equal; distances — hence LLRs — agree within
+the 64 ulp of ``tests/conftest.py::distance_bound``; and decisions are
+equal but where the portable lane's best distances lie that close — a
+tie, rare, where the fused pick is one of the tied paths.  With no
+interference nothing is summed and the lanes agree to the bit.  The
+fused lane is bit-identical *to itself* however a group is strided,
+clamped, cut or entered.  No candidate tensor leaves the call, and none
+is carved.
 
 Skips only where ``repro.native.status()`` reports no compiler.
 """
@@ -18,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import native
-from repro.flexcore.detector import FlexCoreDetector, WalkWorkspace
+from repro.flexcore.detector import FlexCoreDetector, WalkWorkspace, _StackedContexts
 from repro.flexcore.ordering import TriangleOrdering
 from repro.flexcore.soft import SoftFlexCoreDetector
 from repro.mimo.system import MimoSystem
@@ -26,10 +32,15 @@ from repro.modulation.constellation import QamConstellation
 from repro.runtime.residency import ResidentContextStore
 from repro.runtime.service import clamp_context_paths
 from repro.utils.flops import FlopCounter
-from repro.utils.xp import CountingArrayModule, CupyArrayModule, TorchArrayModule
-from tests.conftest import make_block
-from tests.flexcore.test_native_walk import NUMPY, ORDERINGS, PORTABLE, detector_for, synthetic
-from tests.flexcore.test_walk_equivalence import build
+from repro.utils.xp import (
+    CountingArrayModule,
+    CupyArrayModule,
+    NumpyArrayModule,
+    TorchArrayModule,
+    resolve_array_module,
+)
+from tests.conftest import distance_bound, make_block
+from tests.flexcore.test_walk_equivalence import boundary_axis, build
 from tests.flexcore.test_workspace import peak_kib_of_a_warm_call
 
 pytestmark = pytest.mark.skipif(
@@ -37,9 +48,52 @@ pytestmark = pytest.mark.skipif(
     reason=f"no native lane here: {native.status()['reason']}",
 )
 
+NUMPY = resolve_array_module("numpy")
 # 1024-QAM: labels no longer fit a byte on the portable list.
-ORDERINGS.setdefault(1024, TriangleOrdering(QamConstellation(1024)))
+ORDERINGS = {order: TriangleOrdering(QamConstellation(order)) for order in (4, 16, 64, 256, 1024)}
 NOISE_VAR = 0.37
+
+
+class _Portable(NumpyArrayModule):
+    """numpy without the fused op: the level loop, in the same process."""
+
+    detect_group = None
+
+
+PORTABLE = _Portable()
+
+
+def detector_for(order, num_streams, cls=FlexCoreDetector, paths=1):
+    system = MimoSystem(num_streams, num_streams, QamConstellation(order))
+    return cls(system, paths, ordering=ORDERINGS[order])
+
+
+def synthetic(order, num_streams, group, frames, paths, rng, quiet=False):
+    """A plan and planes of any shape, no pre-processing needed: ranks
+    drawn over (and a little beyond) the LUT, interference rows the size
+    of an ``R / diag`` off-diagonal — or zero (``quiet``), so that every
+    level meets the boundary values exactly, on both lanes alike."""
+    ordering = ORDERINGS[order]
+    side = QamConstellation(order).side
+    ranks = rng.integers(0, ordering.max_rank + 2, (num_streams, group, 1, paths))
+    ranks[:, :, :, 0] = 1
+    offsets, swap_delta = ordering.path_offsets(ranks, NUMPY)
+    rows = rng.normal(0.0, 0.0 if quiet else 0.3, (group, num_streams, 2, 2 * num_streams))
+    plan = _StackedContexts(
+        q_conj=None,
+        inverse_permutation=None,
+        to_grid=np.ones((group, 1, num_streams)),
+        rows=rows,
+        weights=rng.uniform(0.5, 2.0, (group, num_streams)),
+        offsets=offsets,
+        swap_delta=swap_delta,
+        positions=None,
+    )
+    planes = rng.normal(0.0, 0.6 * side, (group, frames, num_streams, 2))
+    planes = np.where(
+        rng.random(planes.shape) < 0.5, rng.choice(boundary_axis(side), planes.shape), planes
+    )
+    return plan, planes
 
 
 def group(order, num_streams, shape, paths, seed, quiet=False):
@@ -60,36 +114,41 @@ def fused(detector, plan, planes, soft, counter=None, scratch=None):
     return detector._decide(plan, planes, NUMPY, counter, scratch, *extra)
 
 
-def reduced(detector, plan, planes, soft, counter=None):
-    """The same three from the portable reductions of the native walk's
-    tensors, as ``_detect_group`` / ``_detect_soft_group`` apply them."""
+def portable(detector, plan, planes, soft, counter=None):
+    """The same three from the portable lane — the level loop and the
+    reductions ``_detect_group`` / ``_detect_soft_group`` apply to it —
+    and the walk's every candidate: its decisions ``(G, F, Nt, P)`` in
+    stream order and its distances ``(G, F, P)``."""
     counter = FlopCounter() if counter is None else counter
     num_groups, frames, num_streams, _ = planes.shape
     bits = detector.system.constellation.bits_per_symbol
     if frames == 0:  # a block without frames has no tiles
         empty = np.empty((num_groups, 0, num_streams), dtype=np.int64)
         llrs = np.empty((num_groups, 0, num_streams * bits)) if soft else None
-        return empty, llrs, np.zeros(num_groups, dtype=np.int64)
+        nothing = np.empty((num_groups, 0, num_streams, plan.paths), dtype=np.int64)
+        return (empty, llrs, np.zeros(num_groups, dtype=np.int64)), nothing, np.empty((0,))
     scratch = WalkWorkspace(NUMPY)
-    symbols, ped, dead = detector._walk(planes, plan, NUMPY, counter, False, scratch)
+    symbols, ped, dead = detector._walk(planes, plan, PORTABLE, counter, False, scratch)
+    labels = detector._labels(symbols, NUMPY, scratch)
+    candidates = plan.restore_order(labels.astype(np.int64), NUMPY)
     if not soft:
         winners = detector._winner(symbols, ped, NUMPY)
         indices = plan.restore_order(detector._symbol_indices(winners, NUMPY), NUMPY)
-        return indices, None, np.count_nonzero(dead, axis=(1, 2))
+        return (indices, None, np.count_nonzero(dead, axis=(1, 2))), candidates, ped.copy()
     with np.errstate(invalid="ignore"):  # inf - inf, where both are missing
-        heads, llrs, missing = detector._list_llrs(
-            detector._labels(symbols, NUMPY, scratch), ped, NOISE_VAR, NUMPY, scratch
-        )
+        heads, llrs, missing = detector._list_llrs(labels, ped, NOISE_VAR, NUMPY, scratch)
     counter.add_comparisons(ped.size * num_streams * bits)
     by_stream = llrs.reshape(num_groups, frames, num_streams, bits)
-    return (
+    decided = (
         plan.restore_order(heads, NUMPY),
         plan.restore_order(by_stream, NUMPY).reshape(llrs.shape),
         np.count_nonzero(missing, axis=(1, 2)),
     )
+    return decided, candidates, ped.copy()
 
 
 def assert_same_decisions(got, expected):
+    """Bit for bit, down to the sign of a zero LLR."""
     for ours, theirs in zip(got, expected):
         assert (ours is None) == (theirs is None)
         if ours is not None:
@@ -97,6 +156,36 @@ def assert_same_decisions(got, expected):
             assert np.array_equal(ours, theirs)
     if got[1] is not None:
         assert np.array_equal(np.signbit(got[1]), np.signbit(expected[1]))
+
+
+def assert_agree(got, oracle, weights) -> int:
+    """The fused lane's ``(indices, llrs, counts)`` against
+    :func:`portable`'s ``oracle``: counts equal; a frame's fused pick is
+    the portable one, or one whose portable distance is within the two
+    lanes' bounds of the best (a tie); LLRs within twice the bound of the
+    frame's largest finite distance, over the noise variance.  Returns
+    how many frames were ties."""
+    expected, candidates, ped = oracle
+    for ours, theirs in zip(got, expected):
+        assert (ours is None) == (theirs is None)
+        if ours is not None:
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+    assert np.array_equal(got[2], expected[2])
+    if not ped.size:
+        return 0
+    best = ped.min(axis=2, keepdims=True)
+    with np.errstate(invalid="ignore"):  # inf - inf: every path of the frame is dead
+        tied = (ped == best) | (ped - best <= 2 * distance_bound(ped, weights))
+    picked = (candidates == got[0][..., None]).all(axis=2)
+    assert (picked & tied).any(axis=2).all(), "the fused pick is one of the tied paths"
+    others = tied & ~(candidates == expected[0][..., None]).all(axis=2)
+    ties = others.any(axis=2)
+    assert np.array_equal(got[0][~ties], expected[0][~ties])
+    if got[1] is not None:
+        finite = np.where(np.isfinite(ped), ped, 0.0).max(axis=2, keepdims=True)
+        slack = 2 * distance_bound(finite, weights) / NOISE_VAR
+        assert (np.abs(got[1] - expected[1]) <= slack).all()
+    return int(ties.sum())
 
 
 #: ``(order, Nt, (G, F), P, soft)`` of one block of each benchmark
@@ -125,34 +214,88 @@ def count_submits(call) -> tuple:
     return result, len(submits)
 
 
+#: The property test's inputs.
+ORDERS = [4, 16, 64, 256, 1024]
+PATHS = [1, 2, 3, 17, 64, 129, 1500]
+SHAPES = [(1, 1), (1, 4), (3, 1), (2, 3), (5, 2), (2, 0)]
+
+
+def wide(plan):
+    """The plan with the kernel's other item size."""
+    return replace(
+        plan, offsets=plan.offsets.astype(np.int16), swap_delta=plan.swap_delta.astype(np.int16)
+    )
+
+
 class TestAgainstThePortableReductions:
     @settings(max_examples=120, deadline=None)
     @given(
-        order=st.sampled_from([4, 16, 64, 256, 1024]),
+        order=st.sampled_from(ORDERS),
         num_streams=st.integers(2, 12),
-        paths=st.sampled_from([1, 2, 3, 17, 64, 129, 1500]),
-        shape=st.sampled_from([(1, 1), (1, 4), (3, 1), (2, 3), (5, 2), (2, 0)]),
+        paths=st.sampled_from(PATHS),
+        shape=st.sampled_from(SHAPES),
         soft=st.booleans(),
-        wide=st.booleans(),
+        widen=st.booleans(),
         quiet=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     def test_indices_llrs_counts_and_charges(
-        self, order, num_streams, paths, shape, soft, wide, quiet, seed
+        self, order, num_streams, paths, shape, soft, widen, quiet, seed
     ):
         detector, plan, planes = group(order, num_streams, shape, paths, seed, quiet)
-        if wide:  # the kernel's other item size
-            plan = replace(
-                plan,
-                offsets=plan.offsets.astype(np.int16),
-                swap_delta=plan.swap_delta.astype(np.int16),
-            )
+        plan = wide(plan) if widen else plan
         ours, theirs = FlopCounter(), FlopCounter()
         got = fused(detector, plan, planes, soft, ours)
-        assert_same_decisions(got, reduced(detector, plan, planes, soft, theirs))
+        oracle = portable(detector, plan, planes, soft, theirs)
         assert ours == theirs and (ours.total_flops > 0) == (shape[1] > 0)
+        assert_agree(got, oracle, plan.weights)
+        if quiet:
+            # No interference: nothing is summed, so nothing may differ.
+            assert_same_decisions(got, oracle[0])
         if soft:
             assert (np.abs(got[1]) <= detector.llr_clip).all()
+
+    def test_ties_are_rare(self):
+        """The property test's inputs with interference, drawn 200 times:
+        a frame whose portable distances leave the fused lane a second
+        decision within the bound is a tie, and there are few."""
+        rng = np.random.default_rng(2017)
+        ties = frames = 0
+        for _ in range(200):
+            shape = SHAPES[rng.integers(len(SHAPES))]
+            detector, plan, planes = group(
+                ORDERS[rng.integers(len(ORDERS))], int(rng.integers(2, 13)), shape,
+                PATHS[rng.integers(len(PATHS) - 1)], int(rng.integers(2**16)),
+            )  # fmt: skip
+            soft = bool(rng.integers(2))
+            got = fused(detector, plan, planes, soft)
+            ties += assert_agree(got, portable(detector, plan, planes, soft), plan.weights)
+            frames += shape[0] * shape[1]
+        assert frames > 500 and ties <= frames // 100
+
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
+    def test_the_boundary_grid_and_out_of_range_ranks(self, order):
+        """Every pair of ``boundary_axis`` coordinates (±0.0, half
+        integers, ``|dx| == |dy|``, far outside) under every rank, the
+        sentinel offsets of ranks 0 and > max_rank included: one level,
+        no interference — the lanes agree to the bit, hard and soft."""
+        ordering = ORDERINGS[order]
+        detector = detector_for(order, 1, SoftFlexCoreDetector)
+        axis = boundary_axis(QamConstellation(order).side)
+        real, imag = (grid.reshape(-1) for grid in np.meshgrid(axis, axis))
+        planes = np.stack([real, imag], axis=1)[None, :, None, :]
+        ranks = np.arange(0, ordering.max_rank + 3)[None, None, None, :]
+        offsets, swap_delta = ordering.path_offsets(ranks, NUMPY)
+        plan = _StackedContexts(
+            None, np.zeros((1, 1), dtype=np.int64), np.ones((1, 1, 1)), np.zeros((1, 1, 2, 2)),
+            np.ones((1, 1)), offsets, swap_delta, None,
+        )  # fmt: skip
+        for soft in (False, True):
+            assert_same_decisions(
+                fused(detector, plan, planes, soft), portable(detector, plan, planes, soft)[0]
+            )
+        # The three sentinels deactivate on every frame, rank 1 on none.
+        assert fused(detector, plan, planes, False)[2][0] >= 3 * len(real)
 
     @pytest.mark.parametrize("soft", [False, True])
     @pytest.mark.parametrize("budget", [1, 7, 23])
@@ -167,7 +310,9 @@ class TestAgainstThePortableReductions:
         )
         got = fused(detector, part, planes[1:4], soft)
         assert_same_decisions(got, fused(detector, copy, planes[1:4], soft))
-        assert_same_decisions(got, reduced(detector, part, planes[1:4], soft))
+        whole = fused(detector, plan.clamp(budget), planes, soft)
+        assert_same_decisions(got, [None if x is None else x[1:4] for x in whole])
+        assert_agree(got, portable(detector, part, planes[1:4], soft), part.weights)
 
     def test_every_path_deactivated(self):
         """Sentinel offsets on every path: the head is path 0 (whose
@@ -179,8 +324,8 @@ class TestAgainstThePortableReductions:
         )
         plan = replace(plan, offsets=offsets, swap_delta=swap_delta)
         hard, soft = fused(detector, plan, planes, False), fused(detector, plan, planes, True)
-        assert_same_decisions(hard, reduced(detector, plan, planes, False))
-        assert_same_decisions(soft, reduced(detector, plan, planes, True))
+        assert_same_decisions(hard, portable(detector, plan, planes, False)[0])
+        assert_same_decisions(soft, portable(detector, plan, planes, True)[0])
         assert np.array_equal(hard[0], soft[0])
         assert hard[2].tolist() == [3 * 5] * 2
         assert (soft[1] == -detector.llr_clip).all()
@@ -202,7 +347,7 @@ class TestAgainstThePortableReductions:
         for soft in (False, True):
             got = fused(detector, plan, planes, soft)
             assert np.array_equal(got[0], first)
-            assert_same_decisions(got, reduced(detector, plan, planes, soft))
+            assert_same_decisions(got, portable(detector, plan, planes, soft)[0])
         # Equal minima where both hypotheses are held: +0.0, never -0.0.
         measured = got[1][np.abs(got[1]) < detector.llr_clip]
         assert measured.size == 2 and not measured.any() and not np.signbit(measured).any()
@@ -216,7 +361,7 @@ class TestAgainstThePortableReductions:
         planes[1, 2, 1, 1] = np.inf
         planes[1, 3, 0, 0] = -np.inf
         soft = fused(detector, plan, planes, True)
-        assert_same_decisions(soft, reduced(detector, plan, planes, True))
+        assert_agree(soft, portable(detector, plan, planes, True), plan.weights)
         hard = fused(detector, plan, planes, False)
         assert np.array_equal(hard[0], soft[0])
         assert hard[2][0] >= 17 and (np.abs(soft[1][0, 1]) == detector.llr_clip).all()
@@ -254,20 +399,20 @@ class TestThroughTheEntryPoints:
         detector = detector_for(16, 6, SoftFlexCoreDetector, 24)
         channels, received, noise_var = make_block(detector.system, 5, 9, 12.0, 99)
         contexts = detector.prepare_many(channels, noise_var)
-        counters = [FlopCounter() for _ in range(3)]
-        ours = detector.detect_soft_block_prepared(
-            contexts, received, noise_var, counter=counters[0], xp=NUMPY
-        )
-        theirs = detector.detect_soft_block_prepared(
-            contexts, received, noise_var, counter=counters[1], xp=PORTABLE
-        )
-        for context, frames in zip(contexts, received):
-            detector.detect_soft_prepared(context, frames, noise_var, counter=counters[2])
-        assert counters[0] == counters[1] == counters[2]
-        assert counters[0].comparisons > 0
-        assert ours[2] == theirs[2] and np.array_equal(ours[0], theirs[0])
-        hard = [detector.detect_block_prepared(contexts, received, xp=xp) for xp in (NUMPY, PORTABLE)]
-        assert hard[0][1] == hard[1][1] and np.array_equal(hard[0][0], hard[1][0])
+        for soft in (False, True):
+            counters = [FlopCounter() for _ in range(3)]
+            if soft:
+                call, alone = detector.detect_soft_block_prepared, detector.detect_soft_prepared
+                args = (noise_var,)
+            else:
+                call, alone, args = detector.detect_block_prepared, detector.detect_prepared, ()
+            ours = call(contexts, received, *args, counter=counters[0], xp=NUMPY)
+            theirs = call(contexts, received, *args, counter=counters[1], xp=PORTABLE)
+            for context, frames in zip(contexts, received):
+                alone(context, frames, *args, counter=counters[2])
+            assert counters[0] == counters[1] == counters[2]
+            assert counters[0].total_flops > 0 and (counters[0].comparisons > 0) == soft
+            assert ours[-1] == theirs[-1] and np.array_equal(ours[0], theirs[0])
 
     def test_the_exact_ordering_ablation_stays_off_the_hard_fused_lane(self):
         system = MimoSystem(3, 3, QamConstellation(16))

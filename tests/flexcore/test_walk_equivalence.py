@@ -7,20 +7,22 @@
 * against ``tests/reference/flexcore_walk_split.py`` — the frozen
   allocating split-real loop — over the same grid and every tile limit,
   on both lanes of the walk (``tests/conftest.py::lane``): the same FLOP
-  charges and tensors — bit for bit on the portable lane; on the native
-  lane symbols and dead mask bit for bit and distances within 64 ulp
-  (its interference product sums in another order than BLAS);
+  charges and tensors, bit for bit — the tiles are walked by the
+  portable level loop whatever the lane (the native lane's one call,
+  ``xp.detect_group``, is pinned in ``test_native_detect.py``);
 * against brute-force ML, the independent oracle: with every path
   walked FlexCore *is* the ML detector;
 * against itself: per-level picks at the triangle's boundaries equal
   the public ``kth_symbol_indices`` lookup, and the core's tensors are
-  bit-identical however the work is stacked, chunked or clamped.
+  bit-identical however the work is stacked, chunked, tiled, clamped or
+  strided.
 
 The stacked kernels run on the module ``REPRO_ARRAY_BACKEND`` names
 (CI repeats this file under torch); bit-identity is numpy's promise and
 is asserted on numpy.
 """
 
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -44,7 +46,7 @@ from repro.runtime.residency import ResidentContextStore
 from repro.runtime.service import clamp_context_paths as clamped
 from repro.utils.flops import NULL_COUNTER, FlopCounter
 from repro.utils.xp import default_array_module, resolve_array_module
-from tests.conftest import assert_same_distances, make_block
+from tests.conftest import make_block
 from tests.reference import flexcore_walk as reference
 from tests.reference import flexcore_walk_split as split
 
@@ -178,15 +180,11 @@ def boundary_axis(side):
     )
 
 
-def assert_same_walk(got, expected, weights=None):
+def assert_same_walk(got, expected):
     """The core's ``(symbols, ped, dead)`` against the frozen split
-    loop's: the core keeps symbols in half-grid units.  ``weights`` (the
-    plan's) says the core walked natively: distances to 64 ulp."""
+    loop's, bit for bit: the core keeps symbols in half-grid units."""
     assert np.array_equal(2.0 * got[0], expected[0])
-    if weights is None:
-        assert np.array_equal(got[1], expected[1])
-    else:
-        assert_same_distances(got[1], expected[1], weights)
+    assert np.array_equal(got[1], expected[1])
     assert np.array_equal(got[2], expected[2])
 
 
@@ -245,9 +243,7 @@ class TestAgainstTheFrozenSplitLoop:
                 ):
                     for whole, part in zip(got, tile):
                         whole[rows, cols] = part
-            # The exact-ordering ablation walks level by level on any lane.
-            native = lane == "native" and not exact
-            assert_same_walk(got, expected, plan.weights if native else None)
+            assert_same_walk(got, expected)
             assert counter == expected_counter
 
 
@@ -412,3 +408,76 @@ class TestCoreIsShapeBlind:
             self.contexts, self.received, store=store, max_paths=budget
         )
         assert np.array_equal(hard[0], sliced[0])
+
+
+class TestTheTiledWalkIsItsContiguousCopy:
+    """The portable walk on a strided view of a plan — a path budget, a
+    run of subcarriers, one tile of :func:`tile_shape` — returns the
+    tensors it returns on the contiguous copy, and the tiles of a block
+    put back together are the untiled walk, bit for bit."""
+
+    def setup_method(self):
+        system = MimoSystem(6, 6, QamConstellation(16))
+        self.detector = SoftFlexCoreDetector(system, 24, ordering=ORDERINGS[16])
+        channels, received, noise_var = make_block(system, 5, 9, 12.0, 99)
+        contexts = self.detector.prepare_many(channels, noise_var)
+        self.plan = self.detector._plan(contexts, NUMPY)
+        self.planes = self.plan.grid_planes(np.matmul(received, self.plan.q_conj), NUMPY)
+
+    def walk(self, plan, planes):
+        return [
+            np.array(tensor)
+            for tensor in self.detector._walk(planes, plan, NUMPY, FlopCounter(), False)
+        ]
+
+    @staticmethod
+    def contiguous(plan):
+        return replace(
+            plan,
+            **{
+                field.name: np.ascontiguousarray(value)
+                for field in fields(plan)
+                if (value := getattr(plan, field.name)) is not None
+            },
+        )
+
+    @staticmethod
+    def assert_bit_identical(got, expected):
+        for ours, theirs in zip(got, expected):
+            assert np.array_equal(ours, theirs)
+        assert np.array_equal(np.signbit(got[0]), np.signbit(expected[0]))
+
+    @pytest.mark.parametrize("budget", [1, 7, 23])
+    def test_a_clamped_plan_is_its_contiguous_copy(self, budget):
+        clamped_plan = self.plan.clamp(budget)
+        assert not clamped_plan.offsets.flags.c_contiguous
+        self.assert_bit_identical(
+            self.walk(clamped_plan, self.planes),
+            self.walk(self.contiguous(clamped_plan), self.planes),
+        )
+
+    @pytest.mark.parametrize("rows", [slice(0, 1), slice(1, 4), slice(3, 5)])
+    def test_a_tile_of_subcarriers_is_its_contiguous_copy(self, rows):
+        part = self.plan.subcarriers(rows).clamp(19)
+        assert not part.swap_delta.flags.c_contiguous
+        whole = self.walk(self.plan.clamp(19), self.planes)
+        got = self.walk(part, self.planes[rows])
+        self.assert_bit_identical(got, self.walk(self.contiguous(part), self.planes[rows]))
+        self.assert_bit_identical(got, [tensor[rows] for tensor in whole])
+
+    @pytest.mark.parametrize("limit", [1, 7, 600, 5000, 40000, 1 << 18, 1 << 23])
+    def test_every_tile_limit(self, limit, monkeypatch):
+        expected = self.walk(self.plan, self.planes)
+        monkeypatch.setattr(detector_module, "MAX_CHUNK_ELEMENTS", limit)
+        got = [np.full_like(tensor, 1) for tensor in expected]
+        tiles = 0
+        for rows, cols, *tile in self.detector._walk_tiles(
+            self.plan, self.planes, NUMPY, FlopCounter(), False, WalkWorkspace(NUMPY)
+        ):
+            tiles += 1
+            for whole, part in zip(got, tile):
+                whole[rows, cols] = part
+        # One tile per (subcarrier, frame) cell while a frame's 24 paths
+        # overflow the tile, one per subcarrier at 5000, one in all above.
+        assert tiles == (45 if limit <= 600 else 5 if limit == 5000 else 1)
+        self.assert_bit_identical(got, expected)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConstellationError
 from repro.modulation.constellation import QamConstellation
+from repro.utils.xp import CountingArrayModule
 
 
 class TestGeometry:
@@ -110,3 +111,32 @@ class TestEquality:
         assert QamConstellation(16) == QamConstellation(16)
         assert QamConstellation(16) != QamConstellation(64)
         assert hash(QamConstellation(16)) == hash(QamConstellation(16))
+
+
+class TestGridAndDeviceTables:
+    def test_bits_to_indices_inverts_indices_to_bits(self, constellation):
+        indices = np.arange(constellation.order)[::-1]
+        bits = constellation.indices_to_bits(indices)
+        assert bits.size == constellation.order * constellation.bits_per_symbol
+        assert np.array_equal(constellation.bits_to_indices(bits), indices)
+        # MSB first: the last index's first bit is the top bit of order - 1.
+        assert bits[0] == 1 and not bits[-constellation.bits_per_symbol :].any()
+
+    def test_slice_to_grid_is_the_nearest_odd_point_inside(self, constellation, rng):
+        edge = constellation.side - 1
+        received = (rng.normal(size=400) + 1j * rng.normal(size=400)) * 1.5
+        u, v = constellation.slice_to_grid(received)
+        for axis in (u, v):
+            assert (np.abs(axis) % 2 == 1).all() and (np.abs(axis) <= edge).all()
+        nearest = np.argmin(np.abs(constellation.points[None, :] - received[:, None]), axis=1)
+        assert np.array_equal(constellation.grid_to_index(u, v), nearest)
+
+    def test_device_points_upload_once_per_module(self, constellation):
+        counting, other = CountingArrayModule("numpy"), CountingArrayModule("numpy")
+        first = constellation.device_points(counting)
+        assert constellation.device_points(counting) is first
+        assert np.array_equal(first, constellation.points)
+        assert counting.uploads == 1
+        assert counting.upload_bytes == constellation.points.nbytes
+        constellation.device_points(other)
+        assert other.uploads == 1 and counting.uploads == 1

@@ -8,6 +8,7 @@ complex loop of ``tests/reference``), with the documented lane in
 ``status()`` and at most one warning.  Nothing here may raise.
 """
 
+import ctypes
 import json
 import multiprocessing
 import os
@@ -167,17 +168,30 @@ class TestTheCache:
         assert resolved[0]["cache"] == first["cache"] and resolved[0]["build_s"] > 0.0
         assert detects_correctly(resolved)
 
-    def test_all_three_entry_points_are_bound_from_the_one_object(self, tmp_path):
+    def test_both_entry_points_are_bound_from_the_one_object(self, tmp_path):
         (status, kernel), caught = resolve(tmp_path)
         assert not caught and status["entry_points"] == list(native.ENTRY_POINTS)
-        assert status["entry_points"] == [
-            "flexcore_walk_tile", "flexcore_detect_group", "flexcore_tree_search"
-        ]  # fmt: skip
-        assert callable(kernel) and callable(kernel.detect_group) and callable(kernel.tree_search)
+        assert status["entry_points"] == ["flexcore_detect_group", "flexcore_tree_search"]
+        assert callable(kernel.detect_group) and callable(kernel.tree_search)
         assert status["pes"] == len(os.sched_getaffinity(0)) and status["run_flops"] == native.RUN_FLOPS
         assert os.listdir(tmp_path / "cache" / "repro-flexcore") == [Path(status["cache"]).name]
 
-    @pytest.mark.parametrize("present", [native.ENTRY_POINTS[:1], native.ENTRY_POINTS[:2]])
+    @pytest.mark.parametrize(
+        "symbol, exported",
+        [(name, True) for name in native.ENTRY_POINTS]
+        + [("flexcore_walk_tile", False), ("walk_frame", False)],
+    )
+    def test_the_object_exports_the_entry_points_and_nothing_else(
+        self, tmp_path, symbol, exported
+    ):
+        """The shared object's dynamic symbols are its two entry points:
+        the tile walk is gone, and the frame walk the fused call shares
+        stays internal to ``walk.c``."""
+        (status, _), caught = resolve(tmp_path)
+        assert not caught and status["lane"] == "native"
+        assert hasattr(ctypes.CDLL(status["cache"]), symbol) is exported
+
+    @pytest.mark.parametrize("present", [native.ENTRY_POINTS[:1], native.ENTRY_POINTS[1:]])
     def test_an_object_lacking_an_entry_point_is_rebuilt_once(self, tmp_path, present):
         """A kernel that loads but lacks the fused walk or the tree search
         must not leave the process on the portable lane for either: it is

@@ -2,7 +2,7 @@
 
 ``repro.native``'s ``tree_search`` hands raw pointers to ``search.c``, so
 every shape, dtype, contiguity and size is checked in Python first —
-as ``_inputs`` does for the walk — and a refusal is a ``ValueError``
+as ``detect_group`` does for the walk — and a refusal is a ``ValueError``
 that leaves nothing written.
 """
 

@@ -55,6 +55,9 @@ from repro.obs import (
     SPAN_PREPARE,
     WORKER_PID_BASE,
     Observability,
+    clear_global,
+    get_global,
+    install_global,
     scheduler_summary,
 )
 from repro.runtime import (
@@ -115,6 +118,24 @@ class TestTracingSpec:
         try:
             assert isinstance(stack.obs, Observability)
             assert stack.service.obs is stack.obs
+        finally:
+            stack.close()
+
+    def test_a_global_hub_takes_precedence_until_cleared(self):
+        hub = install_global(Observability())
+        try:
+            assert get_global() is hub
+            stack = build_stack(tiny_config())
+            try:
+                assert stack.obs is hub and stack.service.obs is hub
+            finally:
+                stack.close()
+        finally:
+            clear_global()
+        assert get_global() is None
+        stack = build_stack(tiny_config())
+        try:
+            assert stack.obs is None
         finally:
             stack.close()
 

@@ -24,6 +24,7 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
 )
+from repro.obs.metrics import parse_key, series_key
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -220,6 +221,61 @@ class TestRegistry:
         assert "repro_flush_latency_seconds_count 2" in text
         assert text.count("# TYPE repro_flushes_total counter") == 1
         assert sink.total("repro_flushes_total") == 15
+
+
+class TestSeriesKeys:
+    """A series is stored under its exposition spelling, and label values
+    may come from outside the program (cell ids): every value survives
+    the escape and the parse, and a key no :func:`series_key` call could
+    have written is refused rather than aliasing another series."""
+
+    @pytest.mark.parametrize(
+        "value",
+        ["cell0", "a\\b", 'say "hi"', "two\nlines", "", "zürich", "ends\\", "a,b}c{d=e"],
+        ids=["plain", "backslash", "quotes", "newline", "empty", "unicode", "trailing-backslash", "delimiters"],
+    )
+    def test_a_label_value_round_trips(self, value):
+        key = series_key("repro_flushes_total", {"cell": value})
+        assert "\n" not in key  # one line of exposition
+        assert parse_key(key) == ("repro_flushes_total", (("cell", value),))
+
+    def test_labels_are_sorted_whoever_spells_them(self):
+        one = series_key("repro_flushes_total", {"cell": "a", "backend": "numpy"})
+        other = series_key("repro_flushes_total", {"backend": "numpy", "cell": "a"})
+        assert one == other == 'repro_flushes_total{backend="numpy",cell="a"}'
+        assert series_key("repro_flushes_total", {}) == "repro_flushes_total"
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "1repro_flushes_total",
+            "repro flushes",
+            'repro_flushes_total{cell="a"b"}',
+            'repro_flushes_total{cell="a",}',
+            'repro_flushes_total{z="1",a="2"}',
+            'repro_flushes_total{cell="a"',
+            'repro_flushes_total{cell="a\\q"}',
+            "repro_flushes_total{cell=a}",
+        ],
+        ids=["digit-first", "space", "bare-quote", "trailing-comma", "unsorted", "unclosed", "bad-escape", "unquoted"],
+    )
+    def test_a_key_series_key_cannot_write_is_refused(self, key):
+        with pytest.raises(ConfigurationError, match="invalid metric series"):
+            parse_key(key)
+
+    def test_an_outside_cell_id_folds_and_exposes_escaped(self):
+        cell = 'east\n"7"\\'
+        source = MetricsRegistry()
+        source.counter("repro_flushes_total", cell=cell).inc(2)
+        sink = MetricsRegistry()
+        sink.merge_dict(source.to_dict())
+        sink.merge_dict(source.to_dict())
+        assert sink.total("repro_flushes_total") == 4
+        (line,) = [
+            line for line in sink.prometheus_text().splitlines()
+            if line.startswith("repro_flushes_total{")
+        ]
+        assert line == 'repro_flushes_total{cell="east\\n\\"7\\"\\\\"} 4.0'
 
 
 class TestMetricCatalogue:

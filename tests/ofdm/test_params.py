@@ -43,3 +43,21 @@ class TestValidation:
         params = OfdmParams(fft_size=128, num_data_subcarriers=100)
         assert params.data_subcarrier_indices.size == 100
         assert np.unique(params.data_subcarrier_indices).size == 100
+
+
+class TestNumerologyScales:
+    """802.11 numerology: the sample period is one over the bandwidth,
+    so the symbol stretches as the channel narrows; doubling the FFT
+    with the bandwidth keeps the 4 µs symbol."""
+
+    @pytest.mark.parametrize(
+        "bandwidth_hz, fft_size, prefix, symbol_s",
+        [(5e6, 64, 16, 16e-6), (10e6, 64, 16, 8e-6), (20e6, 64, 16, 4e-6), (40e6, 128, 32, 4e-6)],
+        ids=["5MHz", "10MHz", "20MHz", "40MHz"],
+    )
+    def test_symbol_duration_and_rate(self, bandwidth_hz, fft_size, prefix, symbol_s):
+        params = OfdmParams(fft_size, 48, prefix, bandwidth_hz)
+        assert params.sample_period_s == pytest.approx(1.0 / bandwidth_hz)
+        assert params.symbol_duration_s == pytest.approx(symbol_s)
+        # 48 data tones of 16-QAM at rate 1/2 per symbol.
+        assert params.user_bit_rate(4, 0.5) == pytest.approx(96 / symbol_s)

@@ -8,6 +8,8 @@ chunking boundary.  Optional modules (torch/cupy) run the same kernel
 and are checked for numerical agreement when importable.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from repro.runtime import (
     resolve_array_module,
 )
 from repro.utils.flops import FlopCounter
+from repro.utils.xp import CountingArrayModule, DeviceConstantCache, TransferStats
 from tests.conftest import make_stack
 
 NUM_SUBCARRIERS = 6
@@ -320,6 +323,60 @@ class TestFlopParity:
         for c, result in enumerate(results):
             reference = detector.detect(channels[c], received[c], noise_var)
             assert np.array_equal(result.indices, reference.indices)
+
+
+class TestTheNumpyModule:
+    """What the walk's level loop and the residency accounting rely on:
+    in-place math into a workspace view, and transfers metered only at
+    the host boundary."""
+
+    @pytest.mark.parametrize(
+        "name, operands",
+        [
+            ("add", (np.array([1.5, -2.0, 0.0]), np.array([0.5, 2.0, -0.0]))),
+            ("subtract", (np.array([1.5, -2.0, 0.0]), np.array([0.5, 2.0, 0.0]))),
+            ("multiply", (np.array([1.5, -2.0, 0.0]), np.array([-2.0, 0.25, -1.0]))),
+            ("greater", (np.array([1.0, 2.0, np.nan]), np.array([1.0, 1.0, 0.0]))),
+            ("not_equal", (np.array([1.0, 2.0, np.nan]), np.array([1.0, 1.0, np.nan]))),
+            ("bitwise_and", (np.array([True, True, False]), np.array([True, False, True]))),
+            ("copysign", (np.array([1.5, 2.0, 3.0]), np.array([-0.0, 1.0, -4.0]))),
+        ],
+    )
+    def test_a_binary_op_writes_out_and_meters_nothing(self, name, operands):
+        xp = CountingArrayModule("numpy")
+        expected = getattr(np, name)(*operands)
+        out = np.empty_like(expected)
+        assert getattr(xp, name)(*operands, out=out) is out
+        assert np.array_equal(out, expected) and out.dtype == expected.dtype
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+        assert xp.transfer_stats() == TransferStats(0, 0, 0, 0)
+
+    def test_round_is_ties_to_even(self):
+        xp = resolve_array_module("numpy")
+        halves = np.array([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5])
+        assert xp.round(halves).tolist() == [-2.0, -2.0, -0.0, 0.0, 2.0, 2.0]
+
+    def test_only_the_host_boundary_is_metered(self):
+        xp = CountingArrayModule("numpy")
+        host = np.arange(6.0)
+        device = xp.asarray(host)
+        xp.ensure(device, dtype=xp.float64)
+        xp.add(device, device)
+        assert (xp.uploads, xp.upload_bytes, xp.downloads) == (1, 48, 0)
+        xp.to_numpy(device[:2])
+        assert (xp.downloads, xp.download_bytes) == (1, 16)
+        assert resolve_array_module("numpy").transfer_stats() is None
+
+    def test_a_device_constant_uploads_once_per_module(self):
+        table = np.arange(4.0)
+        cache, xp, other = DeviceConstantCache(), CountingArrayModule(), CountingArrayModule()
+        assert cache.get(xp, table) is cache.get(xp, table)
+        cache.get(other, table)
+        assert xp.uploads == other.uploads == 1
+        # Device copies are per-process: the cache pickles empty.
+        again = pickle.loads(pickle.dumps(cache))
+        again.get(xp, table)
+        assert xp.uploads == 2
 
 
 class TestModuleResolution:

@@ -64,6 +64,41 @@ class TestPublicApi:
             with pytest.raises(ConfigurationError, match="streaming"):
                 stack.farm
 
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.channel.correlation",
+            "repro.channel.doppler",
+            "repro.channel.estimation",
+            "repro.channel.metrics",
+            "repro.coding.crc",
+            "repro.coding.scrambler",
+            "repro.ofdm.modem",
+            "repro.parallel.elements",
+        ],
+    )
+    def test_no_module_that_nothing_reaches(self, module):
+        """Substrate no code path reached is gone, not kept alive by its
+        package's ``__init__`` and its own tests."""
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
+    @pytest.mark.parametrize("module", ["numpy", "counting", "torch", "cupy"])
+    def test_no_second_native_walk_entry_point(self, module):
+        """``detect_group`` is the one native walk: no array module, nor
+        the counting wrapper that forwards to one, offers a tile walk.
+        Torch and cupy are asked of their classes, so neither library
+        need be installed."""
+        from repro.utils import xp
+
+        modules = {
+            "numpy": lambda: xp.resolve_array_module("numpy"),
+            "counting": lambda: xp.CountingArrayModule("numpy"),
+            "torch": lambda: xp.TorchArrayModule,
+            "cupy": lambda: xp.CupyArrayModule,
+        }
+        assert not hasattr(modules[module](), "walk_tile")
+
     def test_detector_registry_covers_paper_schemes(self):
         names = set(repro.available_detectors())
         assert {
