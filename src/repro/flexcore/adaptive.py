@@ -45,10 +45,10 @@ class AdaptiveFlexCoreDetector(FlexCoreDetector):
             )
         self.probability_target = float(probability_target)
 
-    def _finalize_context(self, qr, preprocessing) -> FlexCoreContext:
+    def _finalize_context(self, qr, preprocessing, diag) -> FlexCoreContext:
         # Hooking the shared context builder keeps the single-channel
         # ``prepare`` and the stacked ``prepare_many`` paths in lockstep.
-        context = super()._finalize_context(qr, preprocessing)
+        context = super()._finalize_context(qr, preprocessing, diag)
         cumulative = np.cumsum(context.preprocessing.probabilities)
         covered = np.searchsorted(cumulative, self.probability_target) + 1
         context.active_paths = int(

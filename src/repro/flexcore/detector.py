@@ -344,7 +344,7 @@ class FlexCoreDetector(Detector):
                 batch_size=self.batch_expansion,
                 counter=counter,
             )
-        return self._finalize_context(qr, preprocessing)
+        return self._finalize_context(qr, preprocessing, np.real(np.diagonal(qr.r)).copy())
 
     def _contexts_from_qrs(
         self,
@@ -366,11 +366,9 @@ class FlexCoreDetector(Detector):
         """
         if not qrs:
             return []
+        diags = np.stack([np.diagonal(qr.r) for qr in qrs])
         models = LevelErrorModel.from_channels(
-            np.stack([np.diagonal(qr.r) for qr in qrs]),
-            noise_var,
-            self.system.constellation,
-            formula=self.pe_formula,
+            diags, noise_var, self.system.constellation, formula=self.pe_formula
         )
         with current_tracer().span(
             SPAN_TREE_SEARCH,
@@ -386,20 +384,20 @@ class FlexCoreDetector(Detector):
                 counter=counter,
             )
         return [
-            self._finalize_context(qr, preprocessing)
-            for qr, preprocessing in zip(qrs, block)
+            self._finalize_context(qr, preprocessing, diag)
+            for qr, preprocessing, diag in zip(qrs, block, diags.real.copy())
         ]
 
     def _finalize_context(
-        self, qr: QrDecomposition, preprocessing: PreprocessingResult
+        self, qr: QrDecomposition, preprocessing: PreprocessingResult, diag: np.ndarray
     ) -> FlexCoreContext:
-        """Assemble one context from a QR and its search result.
+        """Assemble one context from a QR, its search result and ``R``'s
+        real diagonal.
 
         The shared hook of the single and stacked prepare paths:
         subclasses overriding it (a-FlexCore trims ``active_paths``)
         stay in lockstep across both automatically.
         """
-        diag = np.real(np.diagonal(qr.r)).copy()
         return FlexCoreContext(
             qr=qr,
             diag=diag,

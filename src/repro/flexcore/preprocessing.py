@@ -101,7 +101,9 @@ def find_promising_paths(
     Parameters
     ----------
     model:
-        Per-level error probabilities for the current channel.
+        Per-level error probabilities for the current channel, each in
+        ``[0, 1]`` (anything else, NaN included, is a
+        ``ConfigurationError``).
     num_paths:
         ``N_PE`` — processing elements available.
     max_rank:
@@ -118,6 +120,7 @@ def find_promising_paths(
     if batch_size <= 0:
         raise ConfigurationError("batch_size must be positive")
     pe = model.pe
+    _check_pe(pe)
     num_levels = pe.size
     if num_paths > max_rank**num_levels:
         num_paths = int(max_rank**num_levels)
@@ -190,7 +193,8 @@ def find_promising_paths_block(
     ----------
     models:
         A sequence of :class:`~repro.flexcore.probability.LevelErrorModel`
-        (one per channel) or a stacked ``(C, Nt)`` ``Pe`` array.
+        (one per channel) or a stacked ``(C, Nt)`` ``Pe`` array, every
+        entry in ``[0, 1]`` as for :func:`find_promising_paths`.
     num_paths, max_rank, batch_size:
         As :func:`find_promising_paths`; shared by every channel.
     stop_threshold:
@@ -269,6 +273,7 @@ def find_promising_paths_block(
             f"find_promising_paths_block wants (C, Nt) error "
             f"probabilities, got {pe_block.shape}"
         )
+    _check_pe(pe_block)
     num_channels, num_levels = pe_block.shape
     if num_channels == 0:
         return []
@@ -294,6 +299,14 @@ def find_promising_paths_block(
         )
         for c, (n, pushed, peak, stopped) in enumerate(tally.tolist())
     ]
+
+
+def _check_pe(pe: np.ndarray) -> None:
+    """Refuse a ``Pe`` that is NaN, infinite or outside ``[0, 1]``: each
+    lane would order its search differently, and ``search.c``'s compare
+    takes every key to be ``<= 0``."""
+    if not ((pe >= 0.0) & (pe <= 1.0)).all():
+        raise ConfigurationError("error probabilities must lie in [0, 1]")
 
 
 def _slab(pe_block, num_paths, max_rank, batch_size, thresholds) -> tuple:

@@ -17,6 +17,12 @@ Three flavours are used across the paper:
 All routines also expose ZF / MMSE filter construction for the linear
 baselines; real-multiplication accounting for Table 2 uses the ``4 Nt^3``
 convention stated there.
+
+The sorted QR has the walk's two lanes (:mod:`repro.native`): ``qr.c``,
+or a numpy recursion over the block (``CC=false``).  :func:`sorted_qr` is
+the one-channel block, so serial and stacked paths are bit-identical
+within a lane; across lanes ``Q`` and ``R`` agree to a few ulp and the
+permutation except at residual-norm ties.  Plain and FCSD QR are numpy.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import native
 from repro.errors import DimensionError
 from repro.utils.flops import NULL_COUNTER, FlopCounter
 
@@ -99,31 +106,13 @@ def plain_qr(channel: np.ndarray, counter: FlopCounter = NULL_COUNTER) -> QrDeco
 def sorted_qr(
     channel: np.ndarray, counter: FlopCounter = NULL_COUNTER
 ) -> QrDecomposition:
-    """Wübben sorted QR (weakest stream first, strongest at the tree top)."""
+    """Wübben sorted QR (weakest stream first, strongest at the tree top):
+    :func:`stacked_sorted_qr` of a one-channel block, on this process's
+    lane."""
     channel = np.asarray(channel)
     if channel.ndim != 2 or channel.shape[0] < channel.shape[1]:
         raise DimensionError("sorted_qr expects a tall (Nr >= Nt) matrix")
-    num_rx, num_streams = channel.shape
-    work = channel.astype(np.complex128, copy=True)
-    q = np.zeros((num_rx, num_streams), dtype=np.complex128)
-    r = np.zeros((num_streams, num_streams), dtype=np.complex128)
-    permutation = np.arange(num_streams, dtype=np.int64)
-
-    for k in range(num_streams):
-        norms = np.sum(np.abs(work[:, k:]) ** 2, axis=0)
-        pick = k + int(np.argmin(norms))
-        if pick != k:
-            work[:, [k, pick]] = work[:, [pick, k]]
-            r[:, [k, pick]] = r[:, [pick, k]]
-            permutation[[k, pick]] = permutation[[pick, k]]
-        r[k, k] = np.sqrt(np.sum(np.abs(work[:, k]) ** 2))
-        if r[k, k] > 0:
-            q[:, k] = work[:, k] / r[k, k]
-        projections = q[:, k].conj() @ work[:, k + 1 :]
-        r[k, k + 1 :] = projections
-        work[:, k + 1 :] -= np.outer(q[:, k], projections)
-    counter.add_real_mults(4 * num_streams**3)
-    return QrDecomposition(q=q, r=r.astype(np.complex128), permutation=permutation)
+    return stacked_sorted_qr(channel[None], counter=counter)[0]
 
 
 def fcsd_sorted_qr(
@@ -192,18 +181,28 @@ def stacked_plain_qr(
 def stacked_sorted_qr(
     channels: np.ndarray, counter: FlopCounter = NULL_COUNTER
 ) -> list[QrDecomposition]:
-    """Wübben sorted QR of a ``(B, Nr, Nt)`` block, vectorised over B.
-
-    The column-pick/Gram-Schmidt recursion runs once per tree level
-    instead of once per (channel, level); every elementwise and BLAS
-    operation decomposes into the same per-channel computations as
-    :func:`sorted_qr`, keeping the outputs bit-identical.
-    """
+    """Wübben sorted QR of a ``(B, Nr, Nt)`` block: one ``qr.c`` call on
+    the native lane, else the column-pick/Gram-Schmidt recursion once per
+    tree level, vectorised over B — the same steps, summed in another
+    order."""
     channels = _check_stacked_channels(channels, "stacked_sorted_qr")
-    num_matrices, num_rx, num_streams = channels.shape
+    num_matrices, _, num_streams = channels.shape
     if num_matrices == 0:
         return []
-    work = channels.astype(np.complex128, copy=True)
+    kernel = native.kernel()
+    factorise = _sorted_recursion if kernel is None else kernel.sorted_qr
+    q, r, permutation = factorise(np.array(channels, dtype=np.complex128, order="C"))
+    counter.add_real_mults(4 * num_streams**3 * num_matrices)
+    return [
+        QrDecomposition(q=q[b], r=r[b].copy(), permutation=permutation[b])
+        for b in range(num_matrices)
+    ]
+
+
+def _sorted_recursion(work: np.ndarray) -> tuple:
+    """The portable lane of :func:`stacked_sorted_qr` on ``work``, a
+    complex128 copy of the block it overwrites: ``(q, r, permutation)``."""
+    num_matrices, num_rx, num_streams = work.shape
     q = np.zeros((num_matrices, num_rx, num_streams), dtype=np.complex128)
     r = np.zeros((num_matrices, num_streams, num_streams), dtype=np.complex128)
     permutation = np.tile(
@@ -237,11 +236,7 @@ def stacked_sorted_qr(
         )[:, 0, :]
         r[:, k, k + 1 :] = projections
         work[:, :, k + 1 :] -= q[:, :, k][:, :, None] * projections[:, None, :]
-    counter.add_real_mults(4 * num_streams**3 * num_matrices)
-    return [
-        QrDecomposition(q=q[b], r=r[b].copy(), permutation=permutation[b])
-        for b in range(num_matrices)
-    ]
+    return q, r, permutation
 
 
 def stacked_fcsd_sorted_qr(

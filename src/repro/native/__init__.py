@@ -1,14 +1,16 @@
-"""The native lane: ``walk.c`` and ``search.c`` built as one object with
-the system compiler on first use, cached on disk, loaded through
-:mod:`ctypes` — no new dependency, no binary checked in, and every
-failure is the portable lane.
+"""The native lane: ``walk.c``, ``search.c`` and ``qr.c`` built as one
+object with the system compiler on first use, cached on disk, loaded
+through :mod:`ctypes` — no new dependency, no binary checked in, and
+every failure is the portable lane.
 
-:func:`kernel` holds the object's two entry points, or is ``None``.
+:func:`kernel` holds the object's three entry points, or is ``None``.
 Its ``detect_group`` — ``NumpyArrayModule.detect_group`` — is what the
 detectors take: a whole group walked and decided in one GIL-free call,
 only indices, LLRs and counters written back.  Its ``tree_search`` is
 what :func:`~repro.flexcore.preprocessing.find_promising_paths_block`
-takes: every channel's §3.1.1 best-first heap in one call.  The lane is
+takes: every channel's §3.1.1 best-first heap in one call.  Its
+``sorted_qr`` is what :func:`~repro.mimo.qr.stacked_sorted_qr` (and so
+``sorted_qr``) takes: a block's Wübben sorted QR in one call.  The lane is
 resolved once per process and never at import: a ``DetectionService``
 resolves it when it is constructed — a 0.2-1 s compile must not land in
 a slot's flush — and a bare ``detect_prepared`` caller pays on its first
@@ -128,9 +130,9 @@ def _build(source: bytes, compiler: "list[str]", target: str) -> None:
 
 
 #: The sources compiled, in this order, into the one object.
-SOURCES = ("walk.c", "search.c")
+SOURCES = ("walk.c", "search.c", "qr.c")
 #: The entry points of that object: a cached one lacking any is stale.
-ENTRY_POINTS = ("flexcore_detect_group", "flexcore_tree_search")
+ENTRY_POINTS = ("flexcore_detect_group", "flexcore_tree_search", "flexcore_sorted_qr")
 
 
 def _source() -> bytes:
@@ -141,7 +143,7 @@ def _source() -> bytes:
 def _load(path: str) -> tuple:
     library = ctypes.CDLL(path)
     try:
-        group, search = (getattr(library, name) for name in ENTRY_POINTS)
+        group, search, qr = (getattr(library, name) for name in ENTRY_POINTS)
     except AttributeError:
         # Unmap it, or what is rebuilt at this path loads as this object again.
         _ctypes.dlclose(library._handle)
@@ -149,8 +151,9 @@ def _load(path: str) -> tuple:
     pointer, real = ctypes.c_void_p, ctypes.c_double
     group.argtypes = [pointer] * 6 + [real, real] + [pointer] * 2 + [real, real] + [pointer] * 4
     search.argtypes = [pointer] * 8
-    group.restype = search.restype = None
-    return group, search
+    qr.argtypes = [pointer] * 5
+    group.restype = search.restype = qr.restype = None
+    return group, search, qr
 
 
 def _resolve(environ=os.environ) -> tuple:
@@ -191,9 +194,9 @@ def _resolve(environ=os.environ) -> tuple:
             shutil.rmtree(private, ignore_errors=True)
 
 
-def _bind(fused, search) -> types.SimpleNamespace:
-    """The object's two entry points as Python calls: ``detect_group``,
-    the walk, and ``tree_search``, the §3.1.1 search."""
+def _bind(fused, search, qr) -> types.SimpleNamespace:
+    """The object's three entry points as Python calls: ``detect_group``,
+    the walk, ``tree_search``, the §3.1.1 search, and ``sorted_qr``."""
 
     def detect_group(half, rows, weights, offsets, swap_delta, clamp, edge, inverse,
                      table, noise_var, llr_clip, indices, llrs, counts, scratch):  # fmt: skip
@@ -267,7 +270,27 @@ def _bind(fused, search) -> types.SimpleNamespace:
                tally.ctypes.data, scratch.ctypes.data)  # fmt: skip
         return positions, probabilities, tally
 
-    return types.SimpleNamespace(detect_group=detect_group, tree_search=tree_search)
+    def sorted_qr(work):
+        """Wübben's sorted QR of every channel of ``work`` ``(C, Nr, Nt)``
+        complex128, which the call overwrites with the residuals.  Returns
+        ``q`` ``(C, Nr, Nt)``, ``r`` ``(C, Nt, Nt)`` and ``permutation``
+        ``(C, Nt)`` int64."""
+        if not (
+            isinstance(work, np.ndarray) and work.dtype == np.complex128 and work.ndim == 3
+            and work.shape[1] >= work.shape[2] and work.flags.c_contiguous
+            and work.flags.writeable
+        ):  # fmt: skip
+            raise ValueError("sorted_qr: not the QR's layout")
+        channels, _, streams = work.shape
+        q, r = np.zeros_like(work), np.zeros((channels, streams, streams), np.complex128)
+        permutation = np.empty((channels, streams), dtype=np.int64)
+        qr((ctypes.c_int64 * 3)(*work.shape), work.ctypes.data, q.ctypes.data,
+           r.ctypes.data, permutation.ctypes.data)  # fmt: skip
+        return q, r, permutation
+
+    return types.SimpleNamespace(
+        detect_group=detect_group, tree_search=tree_search, sorted_qr=sorted_qr
+    )
 
 
 def _resolved() -> tuple:
@@ -279,15 +302,15 @@ def _resolved() -> tuple:
 
 
 def kernel() -> "types.SimpleNamespace | None":
-    """The native lane's ``detect_group`` and ``tree_search``, or
-    ``None``: this process's lane is portable."""
+    """The native lane's ``detect_group``, ``tree_search`` and
+    ``sorted_qr``, or ``None``: this process's lane is portable."""
     return _resolved()[1]
 
 
 def status() -> dict:
     """Lane (``"native"`` / ``"portable"``), compiler, flags, cache path,
-    build seconds, failure reason, the entry points bound (both or
-    none), ``pes`` and ``run_flops`` of this process — JSON-friendly."""
+    build seconds, failure reason, the entry points bound (all three
+    or none), ``pes`` and ``run_flops`` of this process — JSON-friendly."""
     return dict(_resolved()[0])
 
 

@@ -10,14 +10,50 @@
  * children are pushed in (selection, level) order, so slot order is push
  * order, and the slot alone names the parent row and the level incremented.
  * Position rows exist for popped nodes only, each built at pop time as its
- * parent's row plus one unit step. */
+ * parent's row plus one unit step.
+ *
+ * Order is one unsigned 128-bit compare of (~key bits << 64 | serial): Pe lies
+ * in [0, 1] (the Python entry checks), so every key is <= 0 or -0.0, and among
+ * those a larger bit pattern is the lesser key.  Child keys come from mul():
+ * IEEE's round-to-nearest product, formed in integers where it underflows — at
+ * Pe's 1e-300 floor most do — so no product takes the FPU's subnormal assist. */
 #include <stdint.h>
+#include <string.h>
 
 typedef struct { double key; int64_t serial; } entry;
+typedef unsigned __int128 u128;
 
-static inline int before(entry a, entry b)
+static inline u128 order(entry e)
 {
-    return a.key < b.key || (a.key == b.key && a.serial < b.serial);
+    uint64_t bits;
+    memcpy(&bits, &e.key, sizeof bits);
+    return (u128)~bits << 64 | (uint64_t)e.serial;
+}
+
+static inline int before(entry a, entry b) { return order(a) < order(b); }
+
+/* a * b, bit for bit.  Biased exponents summing to >= 1024 make a normal
+ * product: the hardware's.  Below that, the exact 106-bit product of the
+ * significands is rounded to nearest-even in units of 2^-1074; the encoding is
+ * linear there, so a carry into exponent 1 (or 2) encodes as itself. */
+static inline double mul(double a, double b)
+{
+    uint64_t x, y, n = 0, unit = (uint64_t)1 << 52;
+    memcpy(&x, &a, sizeof x), memcpy(&y, &b, sizeof y);
+    const int64_t ex = x >> 52 & 0x7ff, ey = y >> 52 & 0x7ff;
+    if (ex + ey >= 1024)
+        return a * b;
+    const uint64_t mx = (x & (unit - 1)) | (ex ? unit : 0), my = (y & (unit - 1)) | (ey ? unit : 0);
+    const u128 m = (u128)mx * my;
+    const int64_t shift = 1076 - (ex ? ex : 1) - (ey ? ey : 1);
+    if (shift < 107) {  /* else m < 2^106 <= half a unit: zero */
+        const u128 rest = m & (((u128)1 << shift) - 1), half = (u128)1 << (shift - 1);
+        n = (uint64_t)(m >> shift);
+        n += rest > half || (rest == half && (n & 1));
+    }
+    n |= (x ^ y) & (uint64_t)1 << 63;
+    memcpy(&a, &n, sizeof a);
+    return a;
 }
 
 static void push(entry *heap, int64_t size, entry e)
@@ -36,8 +72,7 @@ static entry pop(entry *heap, int64_t size)
     const entry top = heap[0], last = heap[--size];
     int64_t at = 0;
     for (int64_t child = 1; child < size; child = 2 * at + 1) {
-        if (child + 1 < size && before(heap[child + 1], heap[child]))
-            child++;
+        child += child + 1 < size && before(heap[child + 1], heap[child]);
         if (!before(heap[child], last))
             break;
         heap[at] = heap[child];
@@ -84,12 +119,12 @@ void flexcore_tree_search(const int64_t *dims, const double *pe, const double *r
                 probabilities[c * P + count] = -key;
                 cumulative += -key;
                 /* Children w <= last (the dedup rule) still below max_rank;
-                 * key * pe[w] is bit-equal to the heap's -(Pc * Pe). */
+                 * mul(key, pe[w]) is bit-equal to the heap's -(Pc * Pe). */
                 for (int64_t w = 0; w <= last; w++) {
                     if (row[w] >= max_rank)
                         continue;
                     pushed++;
-                    push(heap, size++, (entry){key * level_pe[w], 1 + count * Nt + w});
+                    push(heap, size++, (entry){mul(key, level_pe[w]), 1 + count * Nt + w});
                 }
             }
             peak = size > peak ? size : peak;

@@ -48,13 +48,15 @@ print(json.dumps({
 }))
 """
 
-#: A global-RNG term in the per-level error-probability kernel.
+#: A global-RNG term in the per-level error-probability kernel.  Each
+#: hazard scales ``Pe`` down, so it stays a probability the tree search
+#: accepts.
 GLOBAL_RNG = """
 import numpy as np
 from repro.flexcore import probability
 pe = probability.pe_corrected
 probability.pe_corrected = lambda *args, **kwargs: pe(*args, **kwargs) * (
-    1.0 + 0.1 * np.random.random()
+    1.0 - 0.1 * np.random.random()
 )
 """
 
@@ -63,7 +65,7 @@ SET_ORDER = """
 from repro.flexcore import probability
 pe = probability.pe_corrected
 probability.pe_corrected = lambda *args, **kwargs: pe(*args, **kwargs) * (
-    1.0 + 0.1 * list({"qr", "tree_search", "detect", "flush"}).index("qr")
+    1.0 - 0.1 * list({"qr", "tree_search", "detect", "flush"}).index("qr")
 )
 """
 

@@ -48,8 +48,8 @@ def assert_results_identical(serial, block):
     """The full bit- and FLOP-identity contract, field by field."""
     assert np.array_equal(serial.position_vectors, block.position_vectors)
     assert serial.position_vectors.dtype == block.position_vectors.dtype
-    # Exact equality, not approx: identical IEEE operations.
-    assert np.array_equal(serial.probabilities, block.probabilities)
+    # Bit for bit, signed zeros included: identical IEEE operations.
+    assert serial.probabilities.tobytes() == block.probabilities.tobytes()
     assert serial.expanded_nodes == block.expanded_nodes
     assert serial.real_multiplications == block.real_multiplications
     assert serial.candidate_peak == block.candidate_peak
@@ -146,6 +146,13 @@ def draw_pe_block(regime, rng, num_channels, num_levels):
         return np.full(shape, _PE_MAX)
     if regime == "equal_levels":  # one Pe per channel on every level
         return np.tile(rng.uniform(0.05, 0.5, size=(num_channels, 1)), num_levels)
+    if regime == "near_floor":  # at and just above the floor, and what
+        # takes a floor-sized key down across the subnormal range
+        kinds = rng.integers(0, 4, size=shape)
+        return np.choose(kinds, [np.full(shape, _PE_MIN),
+                                 _PE_MIN * 10 ** rng.uniform(0, 8, size=shape),
+                                 10 ** rng.uniform(-24, -1, size=shape),
+                                 rng.uniform(0.05, 0.5, size=shape)])  # fmt: skip
     # A few values shared by several levels, the clip bounds among them.
     return rng.choice([_PE_MIN, 1e-9, 0.25, 0.5, _PE_MAX], size=shape)
 
@@ -165,7 +172,7 @@ class TestWidenedGrid:
     @given(
         seed=st.integers(0, 2**31),
         regime=st.sampled_from(
-            ["random", "pe_min", "pe_max", "equal_levels", "shared_values"]
+            ["random", "pe_min", "pe_max", "equal_levels", "shared_values", "near_floor"]
         ),
         num_levels=st.integers(2, 12),
         num_channels=st.integers(1, 64),
@@ -182,6 +189,7 @@ class TestWidenedGrid:
     @example(2, "pe_min", 5, 9, 4, 60, 13, "ragged")
     @example(3, "equal_levels", 12, 17, 2, 96, 5, "scalar")
     @example(4, "pe_max", 3, 4, 64, 50, 16, "ragged")
+    @example(5, "near_floor", 8, 64, 16, 64, 1, "none")
     @settings(max_examples=120, deadline=None, suppress_health_check=LANE)
     def test_block_matches_per_channel(
         self,
@@ -207,7 +215,7 @@ class TestWidenedGrid:
 
     @given(
         seed=st.integers(0, 2**31),
-        regime=st.sampled_from(["random", "pe_min", "shared_values"]),
+        regime=st.sampled_from(["random", "pe_min", "shared_values", "near_floor"]),
         num_levels=st.integers(2, 4),
         max_rank=st.sampled_from([2, 4]),
         batch_size=st.integers(1, 9),
@@ -343,6 +351,24 @@ class TestInputs:
         for serial, batched in zip(per_channel, block):
             assert_results_identical(serial, batched)
 
+    @pytest.mark.parametrize("bad", [np.nan, -1e-300, 1.0 + 1e-12, np.inf, -np.inf])
+    def test_error_probabilities_outside_zero_one_are_refused(self, bad):
+        """A NaN or out-of-range ``Pe`` would order each lane's search
+        differently: both lanes and the per-channel heap refuse it."""
+        pe_block = np.array([[0.1, 0.2, 0.3], [0.2, 0.1, 0.4]])
+        pe_block[1, 1] = bad
+        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+            find_promising_paths_block(pe_block, 8, 4)
+        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+            find_promising_paths(LevelErrorModel(pe=pe_block[1]), 8, 4)
+        assert len(find_promising_paths_block(pe_block[:1], 8, 4)) == 1
+
+    def test_the_bounds_themselves_are_probabilities(self):
+        pe_block = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 5e-324]])
+        per_channel, block, _, _ = run_both(pe_block, 20, 4, None, 1)
+        for serial, batched in zip(per_channel, block):
+            assert_results_identical(serial, batched)
+
     def test_invalid_args(self):
         pe_block = np.array([[0.1, 0.2]])
         with pytest.raises(ConfigurationError):
@@ -407,6 +433,18 @@ class TestNativeLane:
         thresholds[::3] = np.nan
         block = self.assert_all_agree(pe_block, 40, 8, thresholds, 3)
         assert not any(block[c].stopped_early for c in range(0, 9, 3))
+
+    def test_products_across_the_subnormal_range(self):
+        """Keys a floor-sized ``Pe`` takes below 2^-1022, and to ``-0.0``:
+        the heap's integer-rounded products equal the per-channel heap's
+        hardware ones bit for bit, and its ties among ``-0.0`` keys pop in
+        the same order."""
+        pe_block = draw_pe_block("near_floor", np.random.default_rng(21), 64, 8)
+        block = self.assert_all_agree(pe_block, 128, 16, None, 1)
+        probabilities = np.concatenate([result.probabilities for result in block])
+        assert np.mean(probabilities == 0.0) > 0.01
+        subnormal = (probabilities > 0.0) & (probabilities < np.finfo(float).tiny)
+        assert len(np.unique(np.floor(np.log2(probabilities[subnormal])))) > 20
 
     @pytest.mark.parametrize("snr_db", [5.0, 20.0, 35.0])
     def test_the_production_shape(self, snr_db):

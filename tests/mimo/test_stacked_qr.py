@@ -2,9 +2,12 @@
 
 The batched cache-miss path factorises a whole coherence block in one
 call; each stacked decomposition must match its per-channel counterpart
-to machine precision across dtypes (they are in fact bit-identical —
-same LAPACK calls / same elementwise recursion — which is what makes
-the stacked runtime path safe to substitute).
+to machine precision across dtypes.  They are in fact bit-identical,
+which is what makes the stacked runtime path safe to substitute: the
+plain and FCSD variants make the same LAPACK calls per matrix, and
+``sorted_qr`` *is* the one-channel ``stacked_sorted_qr`` on either lane
+(``qr.c`` on the native lane, the numpy recursion on the portable one;
+``test_native_qr.py`` pins the two lanes to each other).
 """
 
 import numpy as np
