@@ -10,9 +10,9 @@ MMSE and FCSD — a one-panel, low-trial slice of Fig. 9.
 Run:  python examples/office_uplink.py [serial|array]
 
 The optional argument selects the runtime execution backend; ``array``
-runs the stacked tensor-walk kernel and honours ``REPRO_ARRAY_BACKEND``
-(numpy default, torch/cupy optional) for its array module.  Results are
-identical across backends.
+runs the stacked tensor-walk kernel (natively, where ``repro.native``
+has a lane) with its walk plans kept resident across packets.  Results
+are identical across backends.
 """
 
 import sys

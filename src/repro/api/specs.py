@@ -53,13 +53,6 @@ from repro.runtime.backends import (
     make_backend,
 )
 
-#: Names the ``array_module`` field of :class:`BackendSpec` accepts —
-#: the registry of :mod:`repro.utils.xp` (importability is checked at
-#: build time, not spec time, so a config authored on a GPU box still
-#: parses on a laptop).
-ARRAY_MODULE_NAMES = ("cupy", "numpy", "torch")
-
-
 @cache
 def _nested_specs(cls) -> dict:
     """``{field name: spec class}`` of the fields annotated with a spec
@@ -181,21 +174,9 @@ class BackendSpec(_SpecDict):
     name:
         A :func:`repro.runtime.backends.make_backend` registry name
         (``"serial"``, ``"array"``).
-    array_module:
-        Array module for the ``array`` backend (``"numpy"``, ``"cupy"``,
-        ``"torch"``); ``None`` honours ``REPRO_ARRAY_BACKEND``.
-    residency:
-        Whether the ``array`` backend keeps stacked context tensors
-        device-resident across calls (see
-        :class:`~repro.runtime.residency.ResidentContextStore`).
-        ``None`` — the default — means the backend's default, which is
-        *on*; ``False`` rebuilds the stacks every call.  Only meaningful
-        for the array backend.
     """
 
     name: str = "serial"
-    array_module: "str | None" = None
-    residency: "bool | None" = None
 
     def __post_init__(self) -> None:
         if self.name not in available_backends():
@@ -203,32 +184,11 @@ class BackendSpec(_SpecDict):
                 f"unknown backend {self.name!r}; registered backends: "
                 f"{', '.join(available_backends())}"
             )
-        if self.array_module is not None:
-            if self.name != "array":
-                raise ConfigurationError(
-                    "array_module only applies to the array backend, "
-                    f"not {self.name!r}"
-                )
-            if self.array_module not in ARRAY_MODULE_NAMES:
-                raise ConfigurationError(
-                    f"unknown array_module {self.array_module!r}; "
-                    f"options: {', '.join(ARRAY_MODULE_NAMES)}"
-                )
-        if self.residency is not None and self.name != "array":
-            raise ConfigurationError(
-                "residency only applies to the array backend, "
-                f"not {self.name!r}"
-            )
 
     # ------------------------------------------------------------------
     def build(self) -> ExecutionBackend:
         """Instantiate the backend through the registry."""
-        kwargs = {}
-        if self.array_module is not None:
-            kwargs["array_module"] = self.array_module
-        if self.residency is not None:
-            kwargs["residency"] = self.residency
-        return make_backend(self.name, **kwargs)
+        return make_backend(self.name)
 
 
 @dataclass(frozen=True)

@@ -168,8 +168,8 @@ def main(argv=None) -> int:
         "--backend",
         default=None,
         help="runtime execution backend for experiments that take one "
-        "(serial | array); the array backend honours "
-        "REPRO_ARRAY_BACKEND for its array module",
+        "(serial | array); array walks a coherence block as one stacked "
+        "tensor, natively where repro.native has a lane",
     )
     parser.add_argument(
         "--streaming",

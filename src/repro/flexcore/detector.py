@@ -14,22 +14,21 @@ Every path through this module — :meth:`FlexCoreDetector.detect_prepared`
 detect_block_prepared` (a coherence block grouped by path count), and
 the soft detector's two entry points — runs the same two pieces, so the
 per-channel loop and the stacked kernel are bit-identical by
-construction, on any array module (:mod:`repro.utils.xp`) — *within a
-lane*.  The core has two: the **portable** level loop below, every
-operation an array-module op — torch, cupy, no compiler, the
-exact-ordering ablation, the soft candidate list, the tests' oracle —
-and the **native** ``xp.detect_group`` (:meth:`~FlexCoreDetector.
-_decide`, :mod:`repro.native`, numpy only): the same arithmetic in one
-GIL-free call per equal-path group that walks each frame into scratch
-and reduces it right there, so that, as from the paper's processing
-elements, only decisions leave the kernel.  A group with enough walk to
-share is cut along ``G`` into runs, one call each, spread over the
-process's CPUs (:func:`repro.native.fan_out`) — sound only while nothing
-couples one subcarrier's walk to another's, in either lane: keep it that
-way.  Across lanes counts and FLOP charges are equal, distances differ
-by the summation order of the interference product (BLAS in one,
-increasing ``j`` in the other: a few ulp), and so decisions only where
-two paths' distances are that close.
+construction — *within a lane*.  The core has two: the **portable**
+level loop below, numpy passes — no compiler, the exact-ordering
+ablation, the soft candidate list, the tests' oracle — and the
+**native** ``detect_group`` (:meth:`~FlexCoreDetector._decide`, taken
+whenever :func:`repro.native.kernel` is not ``None``): the same
+arithmetic in one GIL-free call per equal-path group that walks each
+frame into scratch and reduces it right there, so that, as from the
+paper's processing elements, only decisions leave the kernel.  A group
+with enough walk to share is cut along ``G`` into runs, one call each,
+spread over the process's CPUs (:func:`repro.native.fan_out`) — sound
+only while nothing couples one subcarrier's walk to another's, in either
+lane: keep it that way.  Across lanes counts and FLOP charges are
+equal, distances differ by the summation order of the interference
+product (BLAS in one, increasing ``j`` in the other: a few ulp), and so
+decisions only where two paths' distances are that close.
 
 **The plan** (:class:`_StackedContexts`) is everything about a group of
 ``G`` channels that no received frame changes, built once and kept
@@ -61,7 +60,7 @@ temporaries (:func:`walk_layout`; the fused call has ``(6 + 6 Nt) P``
 doubles of scratch instead, and nothing else) — is a view of a
 :class:`WalkWorkspace`, and every operation of the level body writes
 into it through ``out=``.  The workspace belongs to the ``store`` a
-stacked entry point is handed (one per array module, kept until
+stacked entry point is handed (one per store, kept until
 ``store.clear()``), so a warm call allocates nothing and faults no page;
 without a store the call makes a private one, which is what keeps
 :meth:`~FlexCoreDetector.detect_prepared` and a bare ``_walk`` re-entrant
@@ -165,7 +164,7 @@ def tile_shape(group: int, frames: int, paths: int, layout) -> "tuple[int, int]"
 
 
 class WalkWorkspace:
-    """Grow-only scratch memory of the walk on one array module.
+    """Grow-only scratch memory of the walk.
 
     Each named buffer is flat, grows to the largest size ever asked of
     it (a tile bounds that) and is handed out as a view, so a warm walk
@@ -173,8 +172,7 @@ class WalkWorkspace:
     next :meth:`carve` of the same names reuses their memory.
     """
 
-    def __init__(self, xp):
-        self._xp = xp
+    def __init__(self):
         self._flat: dict = {}
 
     def carve(self, layout, group: int, frames: int, paths: int) -> list:
@@ -184,9 +182,7 @@ class WalkWorkspace:
             size = group * frames * planes * paths
             flat = self._flat.get(name)
             if flat is None or flat.shape[0] < size:
-                flat = self._flat[name] = self._xp.empty(
-                    (size,), dtype=getattr(self._xp, dtype)
-                )
+                flat = self._flat[name] = np.empty((size,), dtype=getattr(np, dtype))
             views.append(flat[:size].reshape((group, frames, planes, paths)))
         return views
 
@@ -420,7 +416,7 @@ class FlexCoreDetector(Detector):
             received[None],
             xp,
             counter,
-            WalkWorkspace(xp),
+            WalkWorkspace(),
         )
         return DetectionResult(
             indices=indices[0],
@@ -447,9 +443,10 @@ class FlexCoreDetector(Detector):
         Subcarriers sharing an active path count are stacked into one
         ``(G, F, P)`` element tensor and all their tree levels walk in a
         handful of array operations — the §5.2 "thousands of independent
-        processing elements" mapping.  ``xp`` selects the array module
-        (numpy default; cupy/torch run the same kernel on their own
-        arrays).  Under numpy the result is bit-identical to calling
+        processing elements" mapping.  ``xp`` is where arrays cross
+        between host and device (numpy default; a
+        :class:`~repro.utils.xp.CountingArrayModule` meters the
+        crossings).  The result is bit-identical to calling
         :meth:`detect_prepared` per subcarrier.
 
         ``store`` is an optional
@@ -471,11 +468,11 @@ class FlexCoreDetector(Detector):
         num_streams = self.system.num_streams
         # One upload per call: groups slice it device-side.
         received_dev = xp.asarray(received)
-        indices_dev = xp.zeros(
-            (num_subcarriers, num_frames, num_streams), dtype=xp.int64
+        indices_dev = np.zeros(
+            (num_subcarriers, num_frames, num_streams), dtype=np.int64
         )
         metadata: list = [None] * num_subcarriers
-        scratch = self._scratch(xp, store)
+        scratch = self._scratch(store)
         groups = self._group_by_paths(contexts, max_paths)
         for (_prepared, paths), members in groups.items():
             block_indices, deactivated = self._detect_group(
@@ -538,11 +535,11 @@ class FlexCoreDetector(Detector):
         return groups
 
     @staticmethod
-    def _scratch(xp, store) -> WalkWorkspace:
-        """The store's workspace on ``xp``; a private one without a store."""
+    def _scratch(store) -> WalkWorkspace:
+        """The store's workspace; a private one without a store."""
         if store is None:
-            return WalkWorkspace(xp)
-        return store.scratch(xp, WalkWorkspace)
+            return WalkWorkspace()
+        return store.scratch(WalkWorkspace)
 
     def _detect_group(
         self, plan, received, xp, counter: FlopCounter, scratch: WalkWorkspace
@@ -553,25 +550,25 @@ class FlexCoreDetector(Detector):
         device-side decisions ``(G, F, Nt)`` plus host per-subcarrier
         deactivation counts, downloaded once.
         """
-        planes = plan.grid_planes(xp.matmul(received, plan.q_conj), xp)
-        if not self.use_exact_ordering and xp.detect_group is not None:
+        planes = plan.grid_planes(np.matmul(received, plan.q_conj))
+        if not self.use_exact_ordering and native.kernel() is not None:
             indices, _, deactivated = self._decide(plan, planes, xp, counter, scratch)
         else:
             group, frames, num_streams, _ = planes.shape
-            winners = xp.empty((group, frames, 2 * num_streams), dtype=xp.float64)
-            deactivated = xp.zeros((group,), dtype=xp.int64)
+            winners = np.empty((group, frames, 2 * num_streams), dtype=np.float64)
+            deactivated = np.zeros((group,), dtype=np.int64)
             for rows, cols, symbols, ped, dead in self._walk_tiles(
                 plan, planes, xp, counter, self.use_exact_ordering, scratch
             ):
-                winners[rows, cols] = self._winner(symbols, ped, xp)
-                deactivated[rows] += xp.count_nonzero(dead, axis=(1, 2))
-            indices = plan.restore_order(self._symbol_indices(winners, xp), xp)
+                winners[rows, cols] = self._winner(symbols, ped)
+                deactivated[rows] += np.count_nonzero(dead, axis=(1, 2))
+            indices = plan.restore_order(self._symbol_indices(winners, xp))
         return indices, np.asarray(xp.to_numpy(deactivated), dtype=np.int64)
 
     def _decide(
         self, plan, planes, xp, counter, scratch, noise_var=None, llr_clip=0.0
     ) -> tuple:
-        """The fused lane: ``xp.detect_group`` walks the group and reduces
+        """The fused lane: the native ``detect_group`` walks the group and reduces
         each frame where it walked it.  Device-side ``(G, F, Nt)`` indices
         in original stream order, ``None`` and per-subcarrier dead-path
         counts — or, given a ``noise_var``, ``(G, F, Nt * bits)`` LLRs and
@@ -588,11 +585,11 @@ class FlexCoreDetector(Detector):
         constellation = self.system.constellation
         side, width = constellation.side, num_streams * constellation.bits_per_symbol
         walk_flops = self._charge(counter, group * frames * plan.paths, num_streams)
-        indices = xp.empty((group, frames, num_streams), dtype=xp.int64)
-        counts = xp.empty((group,), dtype=xp.int64)
+        indices = np.empty((group, frames, num_streams), dtype=np.int64)
+        counts = np.empty((group,), dtype=np.int64)
         llrs = None
         if noise_var is not None:
-            llrs = xp.empty((group, frames, width), dtype=xp.float64)
+            llrs = np.empty((group, frames, width), dtype=np.float64)
             counter.add_comparisons(group * frames * plan.paths * width)
         runs = max(1, min(native.pes(), group, walk_flops // native.RUN_FLOPS))
         (work,) = scratch.carve(
@@ -600,11 +597,12 @@ class FlexCoreDetector(Detector):
         )
         half = planes * 0.5
         table = constellation.device_constant(xp, constellation.grid_index_table)
+        detect_group = native.kernel().detect_group
 
         def run(k):
             rows = slice(group * k // runs, group * (k + 1) // runs)
             part = plan if runs == 1 else plan.subcarriers(rows)
-            xp.detect_group(
+            detect_group(
                 half[rows], part.rows, part.weights, part.offsets, part.swap_delta,
                 0.5 * max(side - 2, 0), 0.5 * (side - 1), part.inverse_permutation,
                 table, 0.0 if noise_var is None else noise_var, llr_clip,
@@ -646,25 +644,26 @@ class FlexCoreDetector(Detector):
                 )
 
     @staticmethod
-    def _winner(values, ped, xp):
+    def _winner(values, ped):
         """``values`` ``(G, F, K, P)`` on each frame's arg-min path:
         ``(G, F, K)`` — one flat gather, row ``r`` of the ``(G F K, P)``
         matrix starting at ``r * P``."""
         group, frames, planes, paths = values.shape
-        rows = xp.arange(group * frames * planes) * paths
-        return xp.take(
+        rows = np.arange(group * frames * planes) * paths
+        return np.take(
             values,
-            xp.argmin(ped, axis=2)[:, :, None] + rows.reshape((group, frames, planes)),
+            np.argmin(ped, axis=2)[:, :, None] + rows.reshape((group, frames, planes)),
+            mode="clip",
         )
 
-    def _cells(self, symbols, xp, out=None):
+    def _cells(self, symbols, out=None):
         """Row-major cell, in the constellation's ``side x side``
         position table, of each walked point: axis 2 of ``symbols``
         interleaves ``u`` and ``v`` in half-grid units (the core's
         layout) and comes back half as long.  Integer-valued float64:
         ``(2u + side - 1) / 2 * side + (2v + side - 1) / 2``."""
         side = self.system.constellation.side
-        cells = xp.multiply(symbols[:, :, 0::2], float(side), out=out)
+        cells = np.multiply(symbols[:, :, 0::2], float(side), out=out)
         cells += symbols[:, :, 1::2]
         cells += 0.5 * (side * side - 1)
         return cells
@@ -676,9 +675,7 @@ class FlexCoreDetector(Detector):
         table = constellation.device_constant(
             xp, constellation.grid_index_table
         )
-        return table.reshape(-1)[
-            xp.astype(self._cells(symbols, xp), xp.int64)
-        ]
+        return table.reshape(-1)[self._cells(symbols).astype(np.int64)]
 
     def _walk(
         self,
@@ -705,7 +702,7 @@ class FlexCoreDetector(Detector):
         group, frames, num_streams, _ = planes.shape
         paths, side = plan.paths, self.system.constellation.side
         edge, clamp = 0.5 * (side - 1), 0.5 * max(side - 2, 0)
-        scratch = WalkWorkspace(xp) if scratch is None else scratch
+        scratch = WalkWorkspace() if scratch is None else scratch
         symbols, ped, dead, z, centre, step, sign, swap, left = scratch.carve(
             walk_layout(num_streams), group, frames, paths
         )
@@ -718,7 +715,7 @@ class FlexCoreDetector(Detector):
             decided = 2 * level + 2
             picked = symbols[:, :, decided - 2 : decided, :]
             # Eq. 5 in half-grid units; the top level's product is empty.
-            xp.matmul(
+            np.matmul(
                 plan.rows[:, None, level, :, decided:],
                 symbols[:, :, decided:, :],
                 out=z,
@@ -729,33 +726,33 @@ class FlexCoreDetector(Detector):
             else:
                 # Detection-square centre: nearest even grid point,
                 # clamped so its four corners are symbols.
-                xp.clip(xp.round(z, out=centre), -clamp, clamp, out=centre)
-                within = xp.subtract(z, centre, out=step)
+                np.clip(np.rint(z, out=centre), -clamp, clamp, out=centre)
+                within = np.subtract(z, centre, out=step)
                 # Which of the eight triangles: the reflections are a
                 # sign per plane (of half a unit: the plan's offsets are
                 # in grid units), the diagonal swap a 0/1 weight on the
                 # plan's (dv - du, du - dv).
-                xp.copysign(0.5, within, out=sign)
-                xp.abs(within, out=within)
-                xp.greater(within[:, :, 1], within[:, :, 0], out=swap)
-                xp.multiply(
+                np.copysign(0.5, within, out=sign)
+                np.abs(within, out=within)
+                np.greater(within[:, :, 1], within[:, :, 0], out=swap)
+                np.multiply(
                     plan.swap_delta[level], swap[:, :, None, :], out=step
                 )
                 step += plan.offsets[level]
                 step *= sign
                 step += centre
-                xp.clip(step, -edge, edge, out=picked)
-                dead |= xp.not_equal(picked, step, out=left)
+                np.clip(step, -edge, edge, out=picked)
+                dead |= np.not_equal(picked, step, out=left)
             z -= picked
             z *= z
-            distance = xp.add(z[:, :, 0], z[:, :, 1], out=swap)
+            distance = np.add(z[:, :, 0], z[:, :, 1], out=swap)
             distance *= plan.weights[:, level][:, None, None]
             ped += distance
         # Half units squared are a quarter of Eq. 1's.
         ped *= 4.0
         gone = dead[:, :, 0]
         gone |= dead[:, :, 1]
-        ped[gone] = xp.inf
+        ped[gone] = np.inf
         return symbols, ped, gone
 
     def _exact_pick(self, z, ranks, xp):
@@ -767,10 +764,10 @@ class FlexCoreDetector(Detector):
         distances = (z[:, :, 0, :, None] - grid[0]) ** 2 + (
             z[:, :, 1, :, None] - grid[1]
         ) ** 2
-        order = xp.argsort(distances, axis=-1)
-        ranks = xp.broadcast_to(ranks, tuple(order.shape[:3]))
-        kth = xp.take_along_axis(order, ranks[..., None] - 1, axis=-1)[..., 0]
-        return xp.stack([grid[0][kth], grid[1][kth]], axis=2)
+        order = np.argsort(distances, axis=-1)
+        ranks = np.broadcast_to(ranks, tuple(order.shape[:3]))
+        kth = np.take_along_axis(order, ranks[..., None] - 1, axis=-1)[..., 0]
+        return np.stack([grid[0][kth], grid[1][kth]], axis=2)
 
     # ------------------------------------------------------------------
     def _plan(
@@ -809,12 +806,12 @@ class FlexCoreDetector(Detector):
                 )
             )[:, :, None, :]
         )
-        real = xp.real(r) / diag[:, :, None]
-        imag = xp.imag(r) / diag[:, :, None]
+        real = np.real(r) / diag[:, :, None]
+        imag = np.imag(r) / diag[:, :, None]
         # Negated, so the core adds the product to the received point.
-        rows = xp.zeros(
+        rows = np.zeros(
             (len(contexts), num_streams, 2, 2 * num_streams),
-            dtype=xp.float64,
+            dtype=np.float64,
         )
         rows[:, :, 0, 0::2] = -real
         rows[:, :, 0, 1::2] = imag
@@ -846,7 +843,7 @@ _LEVEL_MAJOR = ("offsets", "swap_delta", "positions")
 class _StackedContexts:
     """The walk plan of one group: what no received frame changes.
 
-    Every field lives on the kernel's array module.  A plan is built
+    Every field is on the kernel's side of ``xp``.  A plan is built
     (uploaded and derived) once per group and — when a
     :class:`~repro.runtime.residency.ResidentContextStore` is in play —
     reused device-side across calls; path budgets are applied with
@@ -877,22 +874,22 @@ class _StackedContexts:
     def paths(self) -> int:
         return int(self.offsets.shape[-1])
 
-    def grid_planes(self, rotated, xp):
+    def grid_planes(self, rotated):
         """Rotated ``(G, F, Nt)`` points as ``(G, F, Nt, 2)`` real /
         imaginary planes in grid units."""
-        return xp.stack(
-            [xp.real(rotated) * self.to_grid, xp.imag(rotated) * self.to_grid],
+        return np.stack(
+            [np.real(rotated) * self.to_grid, np.imag(rotated) * self.to_grid],
             axis=3,
         )
 
-    def restore_order(self, values, xp):
+    def restore_order(self, values):
         """Un-permute axis 2 of ``(G, F, Nt)`` or ``(G, F, Nt, bits)``
         per-stream values to original stream order."""
         order = self.inverse_permutation[:, None, :]
         if len(values.shape) == 4:
             order = order[..., None]
-        return xp.take_along_axis(
-            values, xp.broadcast_to(order, tuple(values.shape)), axis=2
+        return np.take_along_axis(
+            values, np.broadcast_to(order, tuple(values.shape)), axis=2
         )
 
     def subcarriers(self, rows: slice) -> "_StackedContexts":

@@ -35,7 +35,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.modulation.constellation import QamConstellation
 from repro.utils.rng import as_rng
-from repro.utils.xp import DeviceConstantCache, resolve_array_module
+from repro.utils.xp import DeviceConstantCache
 
 #: Centroid of the canonical triangle with vertices (0,0), (1,0), (1,1).
 _T1_CENTROID = (2.0 / 3.0, 1.0 / 3.0)
@@ -123,7 +123,7 @@ class TriangleOrdering:
 
     # ------------------------------------------------------------------
     def kth_symbol_indices(
-        self, effective: np.ndarray, ranks: np.ndarray, xp=None
+        self, effective: np.ndarray, ranks: np.ndarray
     ) -> np.ndarray:
         """Vectorised k-th-closest lookup.
 
@@ -135,47 +135,38 @@ class TriangleOrdering:
             in the constellation's unit-energy units.
         ranks:
             Same-shape integer array of 1-based ranks.
-        xp:
-            Array module the lookup runs on (see :mod:`repro.utils.xp`);
-            numpy by default, in which case the arithmetic is identical
-            to plain numpy code.
 
         Returns
         -------
         Same-shape integer array of symbol indices, with ``-1`` marking
         deactivated lookups (k-th candidate outside the constellation).
         """
-        xp = resolve_array_module(xp)
         constellation = self.constellation
         side = constellation.side
-        z = xp.ensure(effective) / constellation.scale
-        zr, zi = xp.real(z), xp.imag(z)
+        z = np.asarray(effective) / constellation.scale
+        zr, zi = np.real(z), np.imag(z)
 
         clamp = max(side - 2, 0)
-        centre_u = xp.clip(
-            2 * xp.astype(xp.round(zr / 2.0), xp.int64), -clamp, clamp
-        )
-        centre_v = xp.clip(
-            2 * xp.astype(xp.round(zi / 2.0), xp.int64), -clamp, clamp
-        )
+        centre_u = np.clip(2 * np.rint(zr / 2.0).astype(np.int64), -clamp, clamp)
+        centre_v = np.clip(2 * np.rint(zi / 2.0).astype(np.int64), -clamp, clamp)
 
         dx = zr - centre_u
         dy = zi - centre_v
-        sign_x = xp.where(dx >= 0, 1, -1)
-        sign_y = xp.where(dy >= 0, 1, -1)
-        swap = xp.abs(dy) > xp.abs(dx)
+        sign_x = np.where(dx >= 0, 1, -1)
+        sign_y = np.where(dy >= 0, 1, -1)
+        swap = np.abs(dy) > np.abs(dx)
 
-        ranks = xp.ensure(ranks)
+        ranks = np.asarray(ranks)
         valid_rank = (ranks >= 1) & (ranks <= self.max_rank)
-        safe = xp.where(valid_rank, ranks, 1) - 1
-        # (..., 2) canonical offsets from the per-module device LUT.
-        base = self._device_tables.get(xp, self.offsets)[safe]
-        du = xp.where(swap, base[..., 1], base[..., 0])
-        dv = xp.where(swap, base[..., 0], base[..., 1])
+        safe = np.where(valid_rank, ranks, 1) - 1
+        # (..., 2) canonical offsets from the LUT.
+        base = self.offsets[safe]
+        du = np.where(swap, base[..., 1], base[..., 0])
+        dv = np.where(swap, base[..., 0], base[..., 1])
         u = centre_u + sign_x * du
         v = centre_v + sign_y * dv
-        indices = constellation.grid_to_index(u, v, xp=xp)
-        return xp.where(valid_rank, indices, -1)
+        indices = constellation.grid_to_index(u, v)
+        return np.where(valid_rank, indices, -1)
 
     def path_offsets(self, ranks, xp) -> tuple:
         """Triangle offsets of 1-based ``ranks``, as the walk applies them.
@@ -190,11 +181,11 @@ class TriangleOrdering:
         """
         table = self._device_tables.get(xp, self._walk_offsets)
         valid = (ranks >= 1) & (ranks <= self.max_rank)
-        rows = xp.where(valid, ranks - 1, self.max_rank)
+        rows = np.where(valid, ranks - 1, self.max_rank)
         du, dv = table[:, 0][rows], table[:, 1][rows]
         return (
-            xp.stack([du, dv], axis=-2),
-            xp.stack([dv - du, du - dv], axis=-2),
+            np.stack([du, dv], axis=-2),
+            np.stack([dv - du, du - dv], axis=-2),
         )
 
     def order_for_point(self, effective: complex) -> np.ndarray:

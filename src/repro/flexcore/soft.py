@@ -29,9 +29,9 @@ The list rides the walk's tiles and lives in the walk's workspace
 (:meth:`SoftFlexCoreDetector._list_layout`), so a warm soft block
 allocates only its sort order and its ``(G, F, Nt * bits)`` outputs.
 
-That is the portable lane (torch, cupy, no compiler, and
+That is the portable lane (no compiler, and
 :meth:`SoftFlexCoreDetector._candidate_list` on any lane) and the oracle.
-On the walk's native lane the list never exists: ``xp.detect_group`` reduces
+On the walk's native lane the list never exists: ``detect_group`` reduces
 each frame's ``P`` PEDs where it walked them — per level and bit, the
 minimum under each hypothesis, taken over the PEDs' bit patterns, which
 order as non-negative doubles do; the same missing-hypothesis rule, clip
@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import native
 from repro.errors import ConfigurationError
 from repro.flexcore.detector import (
     FlexCoreContext,
@@ -118,7 +119,7 @@ class SoftFlexCoreDetector(FlexCoreDetector):
             noise_var,
             xp,
             counter,
-            WalkWorkspace(xp),
+            WalkWorkspace(),
         )
         return SoftDetectionResult(
             indices=indices[0],
@@ -154,7 +155,7 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         portable level loop on either lane."""
         xp = resolve_array_module(None)
         plan = self._plan([context], xp)
-        planes = plan.grid_planes(xp.asarray(rotated)[None], xp)
+        planes = plan.grid_planes(xp.asarray(rotated)[None])
         symbols, ped, _ = self._walk(planes, plan, xp, counter, False)
         return self._symbol_indices(symbols, xp)[0].swapaxes(1, 2), ped[0]
 
@@ -176,9 +177,8 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         The stacked analogue of :meth:`detect_soft_prepared`: subcarriers
         sharing a path count walk as one ``(G, F, P)`` element tensor
         (the hard detector's core) and each frame's ``P`` candidates are
-        ranked into one list that every bit scans.  Under numpy the hard
-        decisions *and* the LLRs are bit-identical to the per-subcarrier
-        path.
+        ranked into one list that every bit scans.  The hard decisions
+        *and* the LLRs are bit-identical to the per-subcarrier path.
 
         ``store``/``max_paths`` behave exactly as on
         :meth:`~repro.flexcore.detector.FlexCoreDetector.detect_block_prepared`:
@@ -196,14 +196,12 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         num_streams = self.system.num_streams
         width = num_streams * self.system.constellation.bits_per_symbol
         received_dev = xp.asarray(received)
-        indices_dev = xp.zeros(
-            (num_subcarriers, num_frames, num_streams), dtype=xp.int64
+        indices_dev = np.zeros(
+            (num_subcarriers, num_frames, num_streams), dtype=np.int64
         )
-        llrs_dev = xp.zeros(
-            (num_subcarriers, num_frames, width), dtype=xp.float64
-        )
+        llrs_dev = np.zeros((num_subcarriers, num_frames, width), dtype=np.float64)
         metadata: list = [None] * num_subcarriers
-        scratch = self._scratch(xp, store)
+        scratch = self._scratch(store)
         groups = self._group_by_paths(contexts, max_paths)
         for (_prepared, paths), members in groups.items():
             block_indices, block_llrs, clamped = self._detect_soft_group(
@@ -229,13 +227,13 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         self, plan, received, noise_var: float, xp, counter, scratch
     ) -> tuple:
         """Soft-detect one equal-path-count group: the hard path's walk,
-        every candidate weighed — inside the fused call where ``xp`` has
-        one, else tile by tile.  Returns device-side ``(G, F, Nt)``
+        every candidate weighed — inside the fused call on the native
+        lane, else tile by tile.  Returns device-side ``(G, F, Nt)``
         decisions and ``(G, F, Nt * bits)`` LLRs plus host per-subcarrier
         clamped-bit counts, downloaded once."""
-        planes = plan.grid_planes(xp.matmul(received, plan.q_conj), xp)
+        planes = plan.grid_planes(np.matmul(received, plan.q_conj))
         # The candidate walk ignores the exact-ordering ablation.
-        if xp.detect_group is not None:
+        if native.kernel() is not None:
             heads, soft, clamped = self._decide(
                 plan, planes, xp, counter, scratch, noise_var, self.llr_clip
             )
@@ -243,21 +241,21 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         group, frames, num_streams, _ = planes.shape
         bits = self.system.constellation.bits_per_symbol
         width = num_streams * bits
-        heads = xp.empty((group, frames, num_streams), dtype=xp.int64)
-        soft = xp.empty((group, frames, width), dtype=xp.float64)
-        clamped = xp.zeros((group,), dtype=xp.int64)
+        heads = np.empty((group, frames, num_streams), dtype=np.int64)
+        soft = np.empty((group, frames, width), dtype=np.float64)
+        clamped = np.zeros((group,), dtype=np.int64)
         for rows, cols, symbols, ped, _ in self._walk_tiles(
             plan, planes, xp, counter, False, scratch, self._list_layout()
         ):
             heads[rows, cols], soft[rows, cols], missing = self._list_llrs(
-                self._labels(symbols, xp, scratch), ped, noise_var, xp, scratch
+                self._labels(symbols, xp, scratch), ped, noise_var, scratch
             )
-            clamped[rows] += xp.count_nonzero(missing, axis=(1, 2))
+            clamped[rows] += np.count_nonzero(missing, axis=(1, 2))
             counter.add_comparisons(math.prod(ped.shape) * width)
         by_stream = soft.reshape((group, frames, num_streams, bits))
         return (
-            plan.restore_order(heads, xp),
-            plan.restore_order(by_stream, xp).reshape(soft.shape),
+            plan.restore_order(heads),
+            plan.restore_order(by_stream).reshape(soft.shape),
             np.asarray(xp.to_numpy(clamped), dtype=np.int64),
         )
 
@@ -290,13 +288,13 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         cells, labels, gather = scratch.carve(
             self._list_layout()[:3], group, frames, paths
         )
-        gather[...] = self._cells(symbols, xp, out=cells)
+        gather[...] = self._cells(symbols, out=cells)
         table = constellation.device_constant(
             xp, constellation.grid_index_table
         )
-        return xp.take(xp.astype(table, labels.dtype), gather, out=labels)
+        return np.take(table.astype(labels.dtype), gather, out=labels, mode="clip")
 
-    def _list_llrs(self, indices, ped, noise_var: float, xp, scratch=None):
+    def _list_llrs(self, indices, ped, noise_var: float, scratch=None):
         """Max-log LLRs of a candidate list: symbol indices ``(G, F, Nt,
         P)`` with PEDs ``(G, F, P)``, infinite where deactivated.
 
@@ -308,50 +306,48 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         bits_per_symbol = self.system.constellation.bits_per_symbol
         group, frames, num_streams, paths = indices.shape
         if scratch is None:
-            scratch = WalkWorkspace(xp)
+            scratch = WalkWorkspace()
         gather, ranked, masked, bits = scratch.carve(
             self._list_layout()[2:], group, frames, paths
         )
         narrow = ranked.dtype
         if indices.dtype != narrow:
-            indices = xp.astype(indices, narrow)
-        order = xp.argsort(ped, axis=2, stable=True)
-        ranked_ped = xp.take_along_axis(ped, order, axis=2)
+            indices = indices.astype(narrow)
+        order = np.argsort(ped, axis=2, kind="stable")
+        ranked_ped = np.take_along_axis(ped, order, axis=2)
         # One flat gather: row r of the (G F Nt, P) index matrix starts
         # at r * P, and every stream of a frame is ranked by one order.
-        rows = xp.arange(group * frames * num_streams) * paths
-        xp.add(
+        rows = np.arange(group * frames * num_streams) * paths
+        np.add(
             order[:, :, None, :],
             rows.reshape(group, frames, num_streams, 1),
             out=gather,
         )
-        xp.take(indices, gather, out=ranked)
+        np.take(indices, gather, out=ranked, mode="clip")
         # A symbol index spelled in binary is its bit label, MSB first:
         # (G, F, Nt, bits, P) bit planes, ascending PED along the last
         # axis, so a hypothesis' minimum is at its first occurrence.
-        masks = 2 ** (bits_per_symbol - 1 - xp.arange(bits_per_symbol))
+        masks = 2 ** (bits_per_symbol - 1 - np.arange(bits_per_symbol))
         planes = (group, frames, num_streams, bits_per_symbol, paths)
         masked, bits = masked.reshape(planes), bits.reshape(planes)
-        xp.bitwise_and(
-            ranked[:, :, :, None, :], xp.astype(masks, narrow)[:, None], out=masked
-        )
-        xp.not_equal(masked, 0, out=bits)
+        np.bitwise_and(ranked[:, :, :, None, :], masks.astype(narrow)[:, None], out=masked)
+        np.not_equal(masked, 0, out=bits)
 
-        first_one = xp.argmax(bits, axis=4).reshape(group, frames, -1)
-        first_zero = xp.argmin(bits, axis=4).reshape(group, frames, -1)
-        ped_one = xp.take_along_axis(ranked_ped, first_one, axis=2)
-        ped_zero = xp.take_along_axis(ranked_ped, first_zero, axis=2)
+        first_one = np.argmax(bits, axis=4).reshape(group, frames, -1)
+        first_zero = np.argmin(bits, axis=4).reshape(group, frames, -1)
+        ped_one = np.take_along_axis(ranked_ped, first_one, axis=2)
+        ped_zero = np.take_along_axis(ranked_ped, first_zero, axis=2)
         # A scan that finds nothing also answers 0: only the head's own
         # bit tells "first" from "nowhere".  Deactivated candidates sort
         # last, so a hit with an infinite PED is no hit either.
         head_bit = bits[..., 0].reshape(group, frames, -1)
-        missing_one = ~xp.isfinite(ped_one) | ((first_one == 0) & ~head_bit)
-        missing_zero = ~xp.isfinite(ped_zero) | ((first_zero == 0) & head_bit)
+        missing_one = ~np.isfinite(ped_one) | ((first_one == 0) & ~head_bit)
+        missing_zero = ~np.isfinite(ped_zero) | ((first_zero == 0) & head_bit)
         llrs = (ped_one - ped_zero) / noise_var
-        llrs = xp.where(missing_one, self.llr_clip, llrs)
-        llrs = xp.where(missing_zero, -self.llr_clip, llrs)
+        llrs = np.where(missing_one, self.llr_clip, llrs)
+        llrs = np.where(missing_zero, -self.llr_clip, llrs)
         return (
-            xp.astype(ranked[..., 0], xp.int64),
-            xp.clip(llrs, -self.llr_clip, self.llr_clip),
+            ranked[..., 0].astype(np.int64),
+            np.clip(llrs, -self.llr_clip, self.llr_clip),
             missing_one | missing_zero,
         )

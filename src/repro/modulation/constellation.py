@@ -111,37 +111,30 @@ class QamConstellation:
         pos_q = self._position_of_gray[gray_q]
         return self._levels_grid[pos_i], self._levels_grid[pos_q]
 
-    def grid_to_index(self, u: np.ndarray, v: np.ndarray, xp=None) -> np.ndarray:
+    def grid_to_index(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Map odd-integer grid coordinates to symbol indices.
 
         Coordinates outside the constellation map to ``-1`` (FlexCore's
-        "deactivated" marker).  ``u`` / ``v`` may have any shape; ``xp``
-        selects the array module the lookup runs on (numpy default — see
-        :mod:`repro.utils.xp`), so detection kernels can keep the whole
-        index computation on their device.
+        "deactivated" marker).  ``u`` / ``v`` may have any shape.
         """
-        xp = resolve_array_module(xp)
-        # ensure(): inputs from the detection kernels already live on the
-        # module — this is dtype normalisation, not a host→device upload.
-        u = xp.ensure(u, dtype=xp.int64)
-        v = xp.ensure(v, dtype=xp.int64)
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
         pos_i = (u + self.side - 1) >> 1
         pos_q = (v + self.side - 1) >> 1
         valid = (
-            (xp.abs(u) % 2 == 1)
-            & (xp.abs(v) % 2 == 1)
+            (np.abs(u) % 2 == 1)
+            & (np.abs(v) % 2 == 1)
             & (pos_i >= 0)
             & (pos_i < self.side)
             & (pos_q >= 0)
             & (pos_q < self.side)
         )
-        pos_i = xp.clip(pos_i, 0, self.side - 1)
-        pos_q = xp.clip(pos_q, 0, self.side - 1)
-        gray_table = self.device_constant(xp, self._gray_of_position)
-        gray_i = gray_table[pos_i]
-        gray_q = gray_table[pos_q]
+        pos_i = np.clip(pos_i, 0, self.side - 1)
+        pos_q = np.clip(pos_q, 0, self.side - 1)
+        gray_i = self._gray_of_position[pos_i]
+        gray_q = self._gray_of_position[pos_q]
         index = (gray_i << self._axis_bits) | gray_q
-        return xp.where(valid, index, -1)
+        return np.where(valid, index, -1)
 
     # ------------------------------------------------------------------
     # Bit mapping

@@ -3,11 +3,11 @@ object with the system compiler on first use, cached on disk, loaded
 through :mod:`ctypes` — no new dependency, no binary checked in, and
 every failure is the portable lane.
 
-:func:`kernel` holds the object's three entry points, or is ``None``.
-Its ``detect_group`` — ``NumpyArrayModule.detect_group`` — is what the
-detectors take: a whole group walked and decided in one GIL-free call,
-only indices, LLRs and counters written back.  Its ``tree_search`` is
-what :func:`~repro.flexcore.preprocessing.find_promising_paths_block`
+:func:`kernel` holds the object's three entry points, or is ``None``:
+the one lane switch.  Its ``detect_group`` is what the detectors take:
+a whole group walked and decided in one GIL-free call, only indices,
+LLRs and counters written back.  Its ``tree_search`` is what
+:func:`~repro.flexcore.preprocessing.find_promising_paths_block`
 takes: every channel's §3.1.1 best-first heap in one call.  Its
 ``sorted_qr`` is what :func:`~repro.mimo.qr.stacked_sorted_qr` (and so
 ``sorted_qr``) takes: a block's Wübben sorted QR in one call.  The lane is

@@ -31,8 +31,10 @@ service-side down:
   coherence cache of prepared channel contexts, with a stacked-QR
   block-prepare path for misses;
 * :class:`SerialBackend` / :class:`ArrayBackend` — the two routes:
-  per-subcarrier loop, or one stacked ``(S, F, P, Nt)`` tensor walk on
-  a numpy/cupy/torch array module (``REPRO_ARRAY_BACKEND``).
+  per-subcarrier loop, or one stacked ``(S, F, P, Nt)`` tensor walk
+  (native where :mod:`repro.native` has a lane) with resident plans;
+* :class:`CountingArrayModule` / :class:`TransferStats` — the metering
+  fake of the walk's host↔device boundary (:mod:`repro.utils.xp`).
 """
 
 from repro.runtime.backends import (
@@ -61,16 +63,13 @@ from repro.runtime.scheduler import (
 )
 from repro.runtime.service import DetectionService, clamp_context_paths
 from repro.utils.xp import (
-    ARRAY_BACKEND_ENV,
     ArrayModule,
     CountingArrayModule,
     TransferStats,
-    available_array_modules,
     resolve_array_module,
 )
 
 __all__ = [
-    "ARRAY_BACKEND_ENV",
     "ArrayBackend",
     "ArrayModule",
     "BatchDetectionResult",
@@ -92,7 +91,6 @@ __all__ = [
     "TransferStats",
     "StreamingScheduler",
     "UplinkBatch",
-    "available_array_modules",
     "available_backends",
     "clamp_context_paths",
     "block_context_keys",

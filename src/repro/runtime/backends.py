@@ -10,11 +10,11 @@ given:
   and the equivalence suites run it to check the stacked walk bit for
   bit.
 * ``array`` — detectors providing a stacked kernel walk the whole
-  coherence block as one ``(S, F, P, Nt)`` tensor on a pluggable array
-  module (numpy default, cupy/torch via ``REPRO_ARRAY_BACKEND`` — see
-  :mod:`repro.utils.xp`), which is the paper's actual execution model —
-  every (subcarrier x path) processing element in flight at once (§3.2,
-  §5.2).  Owns the array module and the device-resident context store.
+  coherence block as one ``(S, F, P, Nt)`` tensor — in one native call
+  per group where :mod:`repro.native` has a lane — which is the paper's
+  actual execution model: every (subcarrier x path) processing element
+  in flight at once (§3.2, §5.2).  Owns the resident context store and
+  the ``xp`` boundary its kernels upload through (:mod:`repro.utils.xp`).
 
 The paper's other parallel axis — subcarrier ranges spread across
 devices (§5.2) — is not a backend: :mod:`repro.farm` is the one
@@ -25,7 +25,8 @@ whole stack on one of these backends.
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.utils.xp import ArrayModule, default_array_module, resolve_array_module
+from repro.runtime.residency import ResidentContextStore
+from repro.utils.xp import ArrayModule, resolve_array_module
 
 
 class ExecutionBackend:
@@ -50,7 +51,7 @@ class SerialBackend(ExecutionBackend):
 
 
 class ArrayBackend(ExecutionBackend):
-    """Stacked tensor-walk execution on a pluggable array module.
+    """Stacked tensor-walk execution with resident walk plans.
 
     Contexts for the whole batch are prepared through the cache (cache
     misses factorised by one stacked QR) and detectors with a block
@@ -59,51 +60,29 @@ class ArrayBackend(ExecutionBackend):
     tensor.  Detectors without one run the same per-subcarrier loop
     :class:`SerialBackend` selects — the backend is always safe to pick.
 
+    Every group's walk plan stays resident across calls in one
+    :class:`~repro.runtime.residency.ResidentContextStore` shared by
+    every cell on this backend, so warm coherence-cache hits upload zero
+    context bytes.
+
     Parameters
     ----------
     array_module:
-        An :class:`~repro.utils.xp.ArrayModule`, a name (``"numpy"``,
-        ``"cupy"``, ``"torch"``), or ``None`` to honour the
-        ``REPRO_ARRAY_BACKEND`` environment variable (numpy when unset).
-    residency:
-        Keep stacked context tensors device-resident across calls (a
-        :class:`~repro.runtime.residency.ResidentContextStore` shared by
-        every cell on this backend).  On by default: warm coherence-cache
-        hits then upload zero context bytes.  Turn off to rebuild the
-        stacks every call (the pre-residency behaviour; results are
-        identical either way).
-    max_resident_groups:
-        Capacity of the resident store (LRU over context groups).
+        The :class:`~repro.utils.xp.ArrayModule` the kernels cross the
+        host↔device boundary through: ``"numpy"`` (``None``, the
+        default) or an instance — a
+        :class:`~repro.utils.xp.CountingArrayModule` meters the
+        transfers into each result's ``stats["transfers"]``.
     """
 
     name = "array"
 
-    def __init__(
-        self,
-        array_module: "str | ArrayModule | None" = None,
-        residency: bool = True,
-        max_resident_groups: int = 256,
-    ):
-        if array_module is None:
-            self.array_module = default_array_module()
-        else:
-            self.array_module = resolve_array_module(array_module)
-        if residency:
-            from repro.runtime.residency import ResidentContextStore
-
-            self.resident_store = ResidentContextStore(
-                max_groups=max_resident_groups
-            )
-        else:
-            self.resident_store = None
-
-    @property
-    def residency(self) -> bool:
-        return self.resident_store is not None
+    def __init__(self, array_module: "str | ArrayModule | None" = None):
+        self.array_module = resolve_array_module(array_module)
+        self.resident_store = ResidentContextStore()
 
     def close(self) -> None:
-        if self.resident_store is not None:
-            self.resident_store.clear()
+        self.resident_store.clear()
 
 
 _BACKENDS = {"serial": SerialBackend, "array": ArrayBackend}

@@ -23,7 +23,7 @@ upload), so an AIMD governor sweeping ``max_paths`` up and down costs no
 transfers at all.
 
 The store also owns the kernels' *working* memory: one grow-only
-workspace per array module (:meth:`ResidentContextStore.scratch`; the
+workspace (:meth:`ResidentContextStore.scratch`; the
 kernel layer supplies the class, :class:`~repro.flexcore.detector.
 WalkWorkspace`), bounded by one tile of the walk whatever the block
 size, alive from the first stacked call to :meth:`~ResidentContextStore.
@@ -102,9 +102,7 @@ class ResidentContextStore:
             raise ConfigurationError("max_groups must be >= 1")
         self.max_groups = int(max_groups)
         self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._scratch: "weakref.WeakKeyDictionary" = (
-            weakref.WeakKeyDictionary()
-        )
+        self._scratch = None
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -178,22 +176,21 @@ class ResidentContextStore:
             del self._entries[key]
             self._invalidations += 1
 
-    def scratch(self, xp, factory):
-        """The store's one workspace on module ``xp``, built by
-        ``factory(xp)`` on first use and kept until :meth:`clear`.
+    def scratch(self, factory):
+        """The store's one workspace, built by ``factory()`` on first
+        use and kept until :meth:`clear`.
 
         Kernels called with this store walk inside it instead of
         allocating, so nothing they return may alias it, and two calls
         on one store must not overlap — the store is as single-threaded
-        as the backend that owns it.  Modules are held weakly.
+        as the backend that owns it.
         """
-        scratch = self._scratch.get(xp)
-        if scratch is None:
-            scratch = self._scratch[xp] = factory(xp)
-        return scratch
+        if self._scratch is None:
+            self._scratch = factory()
+        return self._scratch
 
     def clear(self) -> None:
-        """Drop every resident group and every workspace (counters keep
+        """Drop every resident group and the workspace (counters keep
         accumulating)."""
         self._entries.clear()
-        self._scratch.clear()
+        self._scratch = None

@@ -147,8 +147,8 @@ class DetectionService:
     Notes
     -----
     The service holds no detector and no cache — both arrive with each
-    :meth:`detect` call, so one service (one backend, one array module,
-    one resident store) safely serves many cells with isolated per-cell
+    :meth:`detect` call, so one service (one backend, one resident
+    store) safely serves many cells with isolated per-cell
     caches.  Results are bit-identical across backends and identical to
     driving the detector one received vector at a time; see the
     batching contract on
@@ -308,10 +308,9 @@ class DetectionService:
         per-subcarrier loop owns its own (single) clamp in
         :func:`_detect_block`.
 
-        On an ``ArrayBackend`` ``stats`` also carries ``array_module``,
-        ``path_groups`` (stacked only), and the per-batch ``transfers`` /
-        ``resident`` deltas when the module meters transfers / the
-        backend keeps a store.
+        On an ``ArrayBackend`` ``stats`` also carries the per-batch
+        ``resident`` delta, and ``transfers`` when its module meters
+        them.
         """
         backend = self.backend
         on_array = isinstance(backend, ArrayBackend)
@@ -324,7 +323,7 @@ class DetectionService:
         xp = backend.array_module if on_array else None
         store = backend.resident_store if on_array else None
         transfers_before = xp.transfer_stats() if on_array else None
-        resident_before = store.stats if store is not None else None
+        resident_before = store.stats if on_array else None
         contexts, delta = self._prepare_contexts(
             detector, batch, cache, counter, stacked
         )
@@ -369,16 +368,6 @@ class DetectionService:
         )
         if max_paths is not None:
             stats["path_budget"] = int(max_paths)
-        if on_array:
-            stats["array_module"] = xp.name
-        if stacked:
-            budget = np.inf if max_paths is None else max_paths
-            stats["path_groups"] = len(
-                {
-                    min(getattr(context, "active_paths", 0), budget)
-                    for context in contexts
-                }
-            )
         if transfers_before is not None:
             stats["transfers"] = xp.transfer_stats().since(transfers_before)
             self._trace_transfers(stats["transfers"])

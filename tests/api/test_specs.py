@@ -26,7 +26,7 @@ from repro.api import (
 )
 from repro.control.policy import POLICY_NAMES
 from repro.errors import ConfigurationError
-from repro.runtime import available_backends
+from repro.runtime import available_backends, resolve_array_module
 
 
 # ---------------------------------------------------------------------------
@@ -52,14 +52,7 @@ detector_specs = st.builds(
     == (spec.name in ("flexcore", "soft-flexcore"))
 )
 
-backend_specs = st.one_of(
-    st.builds(BackendSpec, name=st.just("serial")),
-    st.builds(
-        BackendSpec,
-        name=st.just("array"),
-        array_module=st.one_of(st.none(), st.just("numpy")),
-    ),
-)
+backend_specs = st.builds(BackendSpec, name=st.sampled_from(["serial", "array"]))
 
 cache_specs = st.builds(
     CacheSpec,
@@ -121,12 +114,13 @@ def stack_configs(draw):
 
 #: ``json.dumps(preset.to_dict())`` as the hand-written ``to_dict`` pairs
 #: produced it at the commit before serialization was derived from the
-#: fields — what ``farm/worker.py`` parses and result metadata stores.
+#: fields, less the two ``backend`` keys numpy-only deleted — what
+#: ``farm/worker.py`` parses and result metadata stores.
 PRESET_JSON = {
     "ap-farm": (
         '{"detector": {"name": "flexcore", "num_streams": 4, "num_rx_antennas": 4'
         ', "qam_order": 16, "params": {"num_paths": 16}}'
-        ', "backend": {"name": "serial", "array_module": null, "residency": null}'
+        ', "backend": {"name": "serial"}'
         ', "cache": {"enabled": true, "max_entries": 1024}'
         ', "farm": {"streaming": true, "cells": 4, "cell_prefix": "cell", "cell_offset": 0}'
         ', "scheduler": {"batch_target": 7, "slot_budget_s": null, "flush_margin_s": 0.0}'
@@ -136,7 +130,7 @@ PRESET_JSON = {
     "array-soft": (
         '{"detector": {"name": "soft-flexcore", "num_streams": 8, "num_rx_antennas": 8'
         ', "qam_order": 16, "params": {"num_paths": 32}}'
-        ', "backend": {"name": "array", "array_module": null, "residency": null}'
+        ', "backend": {"name": "array"}'
         ', "cache": {"enabled": true, "max_entries": 1024}'
         ', "farm": {"streaming": false, "cells": 1, "cell_prefix": "cell", "cell_offset": 0}'
         ', "scheduler": {"batch_target": null, "slot_budget_s": null, "flush_margin_s": 0.0}'
@@ -146,7 +140,7 @@ PRESET_JSON = {
     "farm-overload": (
         '{"detector": {"name": "flexcore", "num_streams": 8, "num_rx_antennas": 8'
         ', "qam_order": 16, "params": {"num_paths": 128}}'
-        ', "backend": {"name": "array", "array_module": null, "residency": null}'
+        ', "backend": {"name": "array"}'
         ', "cache": {"enabled": true, "max_entries": 1024}'
         ', "farm": {"streaming": true, "cells": 2, "cell_prefix": "cell", "cell_offset": 0}'
         ', "scheduler": {"batch_target": 7, "slot_budget_s": null, "flush_margin_s": 0.0}'
@@ -159,7 +153,7 @@ PRESET_JSON = {
     "paper-fig9": (
         '{"detector": {"name": "flexcore", "num_streams": 8, "num_rx_antennas": 8'
         ', "qam_order": 16, "params": {"num_paths": 64}}'
-        ', "backend": {"name": "serial", "array_module": null, "residency": null}'
+        ', "backend": {"name": "serial"}'
         ', "cache": {"enabled": true, "max_entries": 1024}'
         ', "farm": {"streaming": false, "cells": 1, "cell_prefix": "cell", "cell_offset": 0}'
         ', "scheduler": {"batch_target": null, "slot_budget_s": null, "flush_margin_s": 0.0}'
@@ -255,9 +249,21 @@ class TestBadEnumValues:
         with pytest.raises(ConfigurationError, match="unknown governor"):
             GovernorSpec(policy="pid")
 
+    def test_array_library_selection_is_gone(self):
+        """A backend written when it named its array library fails
+        loudly, naming the keys; and numpy is the only module."""
+        stale = json.loads('{"name": "array", "array_module": null, "residency": null}')
+        with pytest.raises(ConfigurationError, match="array_module") as excinfo:
+            BackendSpec.from_dict(stale)
+        assert "residency" in str(excinfo.value)
+        with pytest.raises(ConfigurationError, match="torch"):
+            resolve_array_module("torch")
+
     def test_unknown_array_module(self):
+        with pytest.raises(ConfigurationError, match="unknown array module"):
+            resolve_array_module("jax")
         with pytest.raises(ConfigurationError, match="array_module"):
-            BackendSpec("array", array_module="jax")
+            BackendSpec.from_dict({"name": "array", "array_module": "jax"})
 
     def test_bad_qam_order(self):
         with pytest.raises(ConfigurationError, match="qam_order"):
@@ -303,7 +309,7 @@ class TestFieldValidation:
             (
                 {"name": "serial", "max_workers": 4},
                 "max_workers",
-                ["array_module", "name", "residency"],
+                ["name"],
             ),
             ({"name": "process-pool"}, "process-pool", ["array", "serial"]),
         ],
@@ -320,7 +326,7 @@ class TestFieldValidation:
 
     def test_array_module_on_serial_rejected(self):
         with pytest.raises(ConfigurationError, match="array_module"):
-            BackendSpec("serial", array_module="numpy")
+            BackendSpec.from_dict({"name": "serial", "array_module": "numpy"})
 
 
 class TestCrossFieldValidation:
@@ -358,10 +364,10 @@ class TestSpecHelpers:
         assert detector.system.num_rx_antennas == 4
 
     def test_backend_spec_builds_named_backend(self):
-        backend = BackendSpec("array", residency=False).build()
+        backend = BackendSpec("array").build()
         try:
             assert backend.name == "array"
-            assert not backend.residency
+            assert backend.resident_store is not None
         finally:
             backend.close()
 

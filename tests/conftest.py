@@ -246,15 +246,24 @@ def make_stack(
     return build_stack(config, detector=detector)
 
 
+def portable_lane():
+    """A context in which ``repro.native.kernel()`` is ``None``: the
+    numpy level loop, slab search and QR recursion, as ``CC=false`` makes
+    them for a whole process."""
+    from unittest import mock
+
+    from repro import native
+
+    forced = ({**native.status(), "lane": "portable", "reason": "forced by a test"}, None)
+    return mock.patch.object(native, "_RESOLVED", forced)
+
+
 @pytest.fixture(params=["portable", "native"])
 def lane(request):
     """Run a test on each lane of the walk: ``portable`` forces the
-    numpy level loop and slab search (what ``CC=false`` does to a whole
-    process), ``native`` is the compiled object — the fused group walk
-    and the tree search — and skips only where ``repro.native.status()``
-    reports no compiler."""
-    from unittest import mock
-
+    numpy level loop and slab search (:func:`portable_lane`), ``native``
+    is the compiled object — the fused group walk and the tree search —
+    and skips only where ``repro.native.status()`` reports no compiler."""
     from repro import native
 
     status = native.status()
@@ -263,8 +272,7 @@ def lane(request):
             pytest.skip(f"no native lane here: {status['reason']}")
         yield "native"
         return
-    forced = ({**status, "lane": "portable", "reason": "forced by a test"}, None)
-    with mock.patch.object(native, "_RESOLVED", forced):
+    with portable_lane():
         yield "portable"
 
 

@@ -22,7 +22,6 @@ from repro.modulation.constellation import QamConstellation
 from repro.modulation.mapper import random_symbol_indices
 from repro.runtime.service import clamp_context_paths
 from repro.utils.flops import FlopCounter
-from repro.utils.xp import default_array_module
 
 SYSTEM = MimoSystem(4, 4, QamConstellation(16))
 NUM_SUBCARRIERS = 3
@@ -89,11 +88,11 @@ RAGGED_CONTEXTS, RAGGED_RECEIVED = _ragged_workload()
 
 
 def _ragged(counter):
-    # On the module REPRO_ARRAY_BACKEND names: CI repeats this under torch.
-    walk = dict(counter=counter, xp=default_array_module())
-    hard = HARD.detect_block_prepared(RAGGED_CONTEXTS, RAGGED_RECEIVED, **walk)
+    hard = HARD.detect_block_prepared(
+        RAGGED_CONTEXTS, RAGGED_RECEIVED, counter=counter
+    )
     soft = SOFT.detect_soft_block_prepared(
-        RAGGED_CONTEXTS, RAGGED_RECEIVED, NOISE_VAR, **walk
+        RAGGED_CONTEXTS, RAGGED_RECEIVED, NOISE_VAR, counter=counter
     )
     return hard, soft
 
@@ -167,10 +166,7 @@ def test_ragged_stacked_block_invariant_to_tiling(limit):
     assert np.array_equal(indices, expected)
     assert metadata == expected_metadata
     assert np.array_equal(soft_indices, expected_soft[0])
-    if default_array_module().name == "numpy":
-        assert np.array_equal(llrs, expected_soft[1])
-    else:
-        assert np.allclose(llrs, expected_soft[1], rtol=1e-9, atol=1e-9)
+    assert np.array_equal(llrs, expected_soft[1])
     assert soft_metadata == expected_soft[2]
     assert counter == REFERENCE_RAGGED_COUNTER
 

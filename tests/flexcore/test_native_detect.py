@@ -1,11 +1,11 @@
-"""The fused lane — ``xp.detect_group``, one native call per equal-path
-group — against its oracle, the portable lane: the level loop ``_walk``
-(numpy passes, BLAS's summation order) and the reductions off the fused
-lane (``_winner`` / ``_symbol_indices`` / ``_labels`` / ``_list_llrs`` /
-``restore_order``).  The lanes differ only by the summation order of
-the interference product, so dead and clamped counts, FLOP and
-comparison charges are equal; distances — hence LLRs — agree within
-the 64 ulp of ``tests/conftest.py::distance_bound``; and decisions are
+"""The fused lane — ``native.kernel().detect_group``, one call per
+equal-path group — against its oracle, the portable lane: the level
+loop ``_walk`` (numpy passes, BLAS's summation order) and the reductions
+off the fused lane (``_winner`` / ``_symbol_indices`` / ``_labels`` /
+``_list_llrs`` / ``restore_order``).  The lanes differ only by the
+summation order of the interference product, so dead and clamped
+counts, FLOP and comparison charges are equal; distances — hence LLRs —
+agree within the 64 ulp of ``tests/conftest.py::distance_bound``; and decisions are
 equal but where the portable lane's best distances lie that close — a
 tie, rare, where the fused pick is one of the tied paths.  With no
 interference nothing is summed and the lanes agree to the bit.  The
@@ -32,14 +32,8 @@ from repro.modulation.constellation import QamConstellation
 from repro.runtime.residency import ResidentContextStore
 from repro.runtime.service import clamp_context_paths
 from repro.utils.flops import FlopCounter
-from repro.utils.xp import (
-    CountingArrayModule,
-    CupyArrayModule,
-    NumpyArrayModule,
-    TorchArrayModule,
-    resolve_array_module,
-)
-from tests.conftest import distance_bound, make_block
+from repro.utils.xp import resolve_array_module
+from tests.conftest import distance_bound, make_block, portable_lane
 from tests.flexcore.test_walk_equivalence import boundary_axis, build
 from tests.flexcore.test_workspace import peak_kib_of_a_warm_call
 
@@ -52,15 +46,6 @@ NUMPY = resolve_array_module("numpy")
 # 1024-QAM: labels no longer fit a byte on the portable list.
 ORDERINGS = {order: TriangleOrdering(QamConstellation(order)) for order in (4, 16, 64, 256, 1024)}
 NOISE_VAR = 0.37
-
-
-class _Portable(NumpyArrayModule):
-    """numpy without the fused op: the level loop, in the same process."""
-
-    detect_group = None
-
-
-PORTABLE = _Portable()
 
 
 def detector_for(order, num_streams, cls=FlexCoreDetector, paths=1):
@@ -109,7 +94,7 @@ def group(order, num_streams, shape, paths, seed, quiet=False):
 def fused(detector, plan, planes, soft, counter=None, scratch=None):
     """``(indices, llrs, counts)`` of the one native call."""
     counter = FlopCounter() if counter is None else counter
-    scratch = WalkWorkspace(NUMPY) if scratch is None else scratch
+    scratch = WalkWorkspace() if scratch is None else scratch
     extra = (NOISE_VAR, detector.llr_clip) if soft else ()
     return detector._decide(plan, planes, NUMPY, counter, scratch, *extra)
 
@@ -127,21 +112,22 @@ def portable(detector, plan, planes, soft, counter=None):
         llrs = np.empty((num_groups, 0, num_streams * bits)) if soft else None
         nothing = np.empty((num_groups, 0, num_streams, plan.paths), dtype=np.int64)
         return (empty, llrs, np.zeros(num_groups, dtype=np.int64)), nothing, np.empty((0,))
-    scratch = WalkWorkspace(NUMPY)
-    symbols, ped, dead = detector._walk(planes, plan, PORTABLE, counter, False, scratch)
-    labels = detector._labels(symbols, NUMPY, scratch)
-    candidates = plan.restore_order(labels.astype(np.int64), NUMPY)
-    if not soft:
-        winners = detector._winner(symbols, ped, NUMPY)
-        indices = plan.restore_order(detector._symbol_indices(winners, NUMPY), NUMPY)
-        return (indices, None, np.count_nonzero(dead, axis=(1, 2))), candidates, ped.copy()
-    with np.errstate(invalid="ignore"):  # inf - inf, where both are missing
-        heads, llrs, missing = detector._list_llrs(labels, ped, NOISE_VAR, NUMPY, scratch)
+    scratch = WalkWorkspace()
+    symbols, ped, dead = detector._walk(planes, plan, NUMPY, counter, False, scratch)
+    # A NaN pick casts to no cell; inf - inf, where both hypotheses are missing.
+    with np.errstate(invalid="ignore"):
+        labels = detector._labels(symbols, NUMPY, scratch)
+        candidates = plan.restore_order(labels.astype(np.int64))
+        if not soft:
+            winners = detector._winner(symbols, ped)
+            indices = plan.restore_order(detector._symbol_indices(winners, NUMPY))
+            return (indices, None, np.count_nonzero(dead, axis=(1, 2))), candidates, ped.copy()
+        heads, llrs, missing = detector._list_llrs(labels, ped, NOISE_VAR, scratch)
     counter.add_comparisons(ped.size * num_streams * bits)
     by_stream = llrs.reshape(num_groups, frames, num_streams, bits)
     decided = (
-        plan.restore_order(heads, NUMPY),
-        plan.restore_order(by_stream, NUMPY).reshape(llrs.shape),
+        plan.restore_order(heads),
+        plan.restore_order(by_stream).reshape(llrs.shape),
         np.count_nonzero(missing, axis=(1, 2)),
     )
     return decided, candidates, ped.copy()
@@ -384,7 +370,7 @@ class TestThroughTheEntryPoints:
         soft = detector.detect_soft_block_prepared(
             contexts, received, noise_var, store=store, max_paths=budget
         )
-        assert set(store.scratch(NUMPY, WalkWorkspace)._flat) == {"kernel"}
+        assert set(store.scratch(WalkWorkspace)._flat) == {"kernel"}
         for sc, context in enumerate(contexts):
             context = clamp_context_paths(context, budget)
             alone = detector.detect_prepared(context, received[sc])
@@ -406,8 +392,9 @@ class TestThroughTheEntryPoints:
                 args = (noise_var,)
             else:
                 call, alone, args = detector.detect_block_prepared, detector.detect_prepared, ()
-            ours = call(contexts, received, *args, counter=counters[0], xp=NUMPY)
-            theirs = call(contexts, received, *args, counter=counters[1], xp=PORTABLE)
+            ours = call(contexts, received, *args, counter=counters[0])
+            with portable_lane():
+                theirs = call(contexts, received, *args, counter=counters[1])
             for context, frames in zip(contexts, received):
                 alone(context, frames, *args, counter=counters[2])
             assert counters[0] == counters[1] == counters[2]
@@ -422,7 +409,7 @@ class TestThroughTheEntryPoints:
         detector.detect_block_prepared(
             detector.prepare_many(channels, noise_var), received, store=store
         )
-        assert "kernel" not in store.scratch(NUMPY, WalkWorkspace)._flat
+        assert "kernel" not in store.scratch(WalkWorkspace)._flat
 
     @pytest.mark.parametrize("soft", [False, True])
     @pytest.mark.parametrize(
@@ -436,7 +423,7 @@ class TestThroughTheEntryPoints:
         ``warm_walk``'s group over two PEs, each run on its row of the
         one ``kernel`` buffer: ``half`` is 84 KiB, the indices 42, the
         LLRs 252 — less than one (64, 7, 128) path plane, 448 KiB."""
-        scratch = WalkWorkspace(NUMPY)
+        scratch = WalkWorkspace()
         detector, plan, planes = group(64, 12, (subcarriers, 7), 128, 3)
         with mock.patch.object(native, "pes", lambda: pes):
             _, submits = count_submits(lambda: fused(detector, plan, planes, soft, scratch=scratch))
@@ -490,11 +477,34 @@ class TestRunsOverThePEs:
 
 class TestTheOp:
     def test_only_numpy_with_a_kernel_has_it(self):
-        assert TorchArrayModule.detect_group is None
-        assert CupyArrayModule.detect_group is None
-        assert PORTABLE.detect_group is None
-        assert NUMPY.detect_group is native.kernel().detect_group
-        assert CountingArrayModule("numpy").detect_group is NUMPY.detect_group
+        """The op is the kernel's, bound once, and nothing else's: no
+        array module carries it, and the portable lane has no kernel."""
+        kernel = native.kernel()
+        assert kernel.detect_group is native.kernel().detect_group
+        assert not hasattr(NUMPY, "detect_group")
+        with portable_lane():
+            assert native.kernel() is None
+        assert native.kernel() is kernel
+
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    def test_the_kernel_is_the_lane_switch(self, soft):
+        """``native.kernel()`` alone picks the walk's lane: forced to
+        ``None`` a stacked call walks the level loop, whose workspace
+        has no ``kernel`` row; else it makes the fused call."""
+        cls = SoftFlexCoreDetector if soft else FlexCoreDetector
+        detector = detector_for(16, 3, cls=cls, paths=8)
+        channels, received, noise_var = make_block(detector.system, 2, 3, 10.0, 1)
+        contexts = detector.prepare_many(channels, noise_var)
+        if soft:
+            call, args = detector.detect_soft_block_prepared, (noise_var,)
+        else:
+            call, args = detector.detect_block_prepared, ()
+        store = ResidentContextStore()
+        with portable_lane():
+            call(contexts, received, *args, store=store)
+        assert "kernel" not in store.scratch(WalkWorkspace)._flat
+        call(contexts, received, *args, store=store)
+        assert "kernel" in store.scratch(WalkWorkspace)._flat
 
     @pytest.mark.parametrize(
         "wrong",
@@ -533,7 +543,7 @@ class TestTheOp:
 
         def call(**buffers):
             b = {**good, **buffers}
-            NUMPY.detect_group(
+            native.kernel().detect_group(
                 planes * 0.5, plan.rows, plan.weights, plan.offsets, plan.swap_delta,
                 1.0, 1.5, b["inverse"], b["table"], NOISE_VAR, 4.0,
                 b["indices"], b["llrs"], b["counts"], b["scratch"],

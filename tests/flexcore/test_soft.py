@@ -3,10 +3,8 @@
 The sorted candidate list is pinned to ``tests/reference/flexcore_llr.py``
 — the frozen dense ``where``/``min`` reduction — with ``np.array_equal``:
 both pick one of the same PEDs per hypothesis, so nothing may differ.
-The list suite runs on the module ``REPRO_ARRAY_BACKEND`` names (CI
-repeats it under torch); a block's PEDs are bit-identical to the
-oracle's only where numpy walks the portable level loop, so whole-block
-LLRs are compared to rounding elsewhere — under torch, and on the native
+A block's PEDs are bit-identical to the oracle's only on the portable
+level loop, so whole-block LLRs are compared to rounding on the native
 lane, whose fused call ``test_native_detect.py`` pins to this lane.
 """
 
@@ -17,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.flexcore.detector as detector_module
+from repro import native
 from repro.errors import ConfigurationError, LinkSimulationError
 from repro.flexcore.soft import SoftFlexCoreDetector
 from repro.link.channels import rayleigh_sampler
@@ -25,7 +24,6 @@ from repro.link.simulation import simulate_link
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
 from repro.utils.bits import ints_to_bits
-from repro.utils.xp import default_array_module
 from tests.conftest import make_block, random_link
 from tests.reference import flexcore_llr as reference
 
@@ -144,15 +142,9 @@ class TestCodedLink:
 def list_llrs(detector, indices, ped, noise_var=0.5):
     """``(head, llrs, missing)`` of one candidate list — ``indices``
     ``(Nt, P)``, ``ped`` ``(P,)`` — checked against the oracle's."""
-    xp = default_array_module()
     indices = np.asarray(indices, dtype=np.int64)[None, None]
     ped = np.asarray(ped, dtype=np.float64)[None, None]
-    got = [
-        np.asarray(xp.to_numpy(out))
-        for out in detector._list_llrs(
-            xp.asarray(indices), xp.asarray(ped), noise_var, xp
-        )
-    ]
+    got = detector._list_llrs(indices, ped, noise_var)
     expected = reference.list_llrs(
         detector.system.constellation, indices, ped, noise_var, detector.llr_clip
     )
@@ -184,8 +176,7 @@ class TestSortedListAgainstTheDenseReduction:
         expected = reference.detect_soft_block(
             detector, contexts, received, noise_var, budget
         )
-        module = default_array_module()
-        exact = module.name == "numpy" and module.detect_group is None
+        exact = native.kernel() is None
 
         def check(rows):
             indices, llrs, metadata = detector.detect_soft_block_prepared(

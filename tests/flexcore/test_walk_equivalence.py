@@ -9,17 +9,13 @@
   on both lanes of the walk (``tests/conftest.py::lane``): the same FLOP
   charges and tensors, bit for bit — the tiles are walked by the
   portable level loop whatever the lane (the native lane's one call,
-  ``xp.detect_group``, is pinned in ``test_native_detect.py``);
+  ``detect_group``, is pinned in ``test_native_detect.py``);
 * against brute-force ML, the independent oracle: with every path
   walked FlexCore *is* the ML detector;
 * against itself: per-level picks at the triangle's boundaries equal
   the public ``kth_symbol_indices`` lookup, and the core's tensors are
   bit-identical however the work is stacked, chunked, tiled, clamped or
   strided.
-
-The stacked kernels run on the module ``REPRO_ARRAY_BACKEND`` names
-(CI repeats this file under torch); bit-identity is numpy's promise and
-is asserted on numpy.
 """
 
 from dataclasses import fields, replace
@@ -45,7 +41,7 @@ from repro.runtime.residency import ResidentContextStore
 # What the serial path hands the per-channel loop under a budget.
 from repro.runtime.service import clamp_context_paths as clamped
 from repro.utils.flops import NULL_COUNTER, FlopCounter
-from repro.utils.xp import default_array_module, resolve_array_module
+from repro.utils.xp import resolve_array_module
 from tests.conftest import make_block
 from tests.reference import flexcore_walk as reference
 from tests.reference import flexcore_walk_split as split
@@ -104,7 +100,6 @@ class TestAgainstTheFrozenLoop:
         indices, metadata = detector.detect_block_prepared(
             contexts,
             received,
-            xp=default_array_module(),
             store=ResidentContextStore(),
             max_paths=budget,
         )
@@ -141,7 +136,6 @@ class TestAgainstTheFrozenLoop:
             contexts,
             received,
             noise_var,
-            xp=default_array_module(),
             store=ResidentContextStore(),
             max_paths=budget,
         )
@@ -219,14 +213,12 @@ class TestAgainstTheFrozenSplitLoop:
         contexts = detector.prepare_many(channels, noise_var)
         rng = np.random.default_rng(seed)
         # One workspace for every group and tile, as a store's.
-        scratch = WalkWorkspace(NUMPY)
+        scratch = WalkWorkspace()
         for (_, paths), members in detector._group_by_paths(contexts, budget).items():
             plan = detector._plan(
                 [contexts[sc] for sc in members], NUMPY, None, paths
             )
-            planes = plan.grid_planes(
-                np.matmul(received[members], plan.q_conj), NUMPY
-            )
+            planes = plan.grid_planes(np.matmul(received[members], plan.q_conj))
             # Half the coordinates sit on a boundary: the top level sees
             # them as they are, the others behind their interference.
             planes = np.where(
@@ -270,9 +262,7 @@ class TestAgainstBruteForceMl:
             context.position_vectors.shape[0] == order**num_streams
             for context in contexts
         )
-        indices, metadata = detector.detect_block_prepared(
-            contexts, received, xp=default_array_module()
-        )
+        indices, metadata = detector.detect_block_prepared(contexts, received)
         ml = MlDetector(system)
         for sc in range(len(contexts)):
             expected = ml.detect(channels[sc], received[sc], noise_var).indices
@@ -358,7 +348,7 @@ class TestCoreIsShapeBlind:
         # Rotation happens once per call, before any chunking: only the
         # walk sees a subset of frames.
         plan = self.detector._plan(contexts, NUMPY)
-        planes = plan.grid_planes(np.matmul(received, plan.q_conj), NUMPY)
+        planes = plan.grid_planes(np.matmul(received, plan.q_conj))
         return self.detector._walk(
             planes[:, frames], plan, NUMPY, NULL_COUNTER, False
         )
@@ -422,7 +412,7 @@ class TestTheTiledWalkIsItsContiguousCopy:
         channels, received, noise_var = make_block(system, 5, 9, 12.0, 99)
         contexts = self.detector.prepare_many(channels, noise_var)
         self.plan = self.detector._plan(contexts, NUMPY)
-        self.planes = self.plan.grid_planes(np.matmul(received, self.plan.q_conj), NUMPY)
+        self.planes = self.plan.grid_planes(np.matmul(received, self.plan.q_conj))
 
     def walk(self, plan, planes):
         return [
@@ -472,7 +462,7 @@ class TestTheTiledWalkIsItsContiguousCopy:
         got = [np.full_like(tensor, 1) for tensor in expected]
         tiles = 0
         for rows, cols, *tile in self.detector._walk_tiles(
-            self.plan, self.planes, NUMPY, FlopCounter(), False, WalkWorkspace(NUMPY)
+            self.plan, self.planes, NUMPY, FlopCounter(), False, WalkWorkspace()
         ):
             tiles += 1
             for whole, part in zip(got, tile):

@@ -1,17 +1,13 @@
 """The walk workspace: allocated once, aliased by nothing a caller holds.
 
-The stacked kernels walk inside one grow-only workspace per array
-module, owned by the ``ResidentContextStore`` they are handed
+The stacked kernels walk inside one grow-only workspace, owned by the
+``ResidentContextStore`` they are handed
 (``repro.flexcore.detector.WalkWorkspace``).  Two contracts follow:
 
 * a warm call allocates nothing with a path axis — gated here with
   ``tracemalloc``, which numpy reports its buffers to;
 * nothing a public entry point returns lives in the workspace, and a
   walk made without one (``scratch=None``) owns what it returns.
-
-The kernels run on the module ``REPRO_ARRAY_BACKEND`` names (CI repeats
-this file under torch); the allocation gate traces numpy's allocator and
-is asserted on numpy.
 """
 
 import tracemalloc
@@ -26,7 +22,7 @@ from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
 from repro.runtime.residency import ResidentContextStore
 from repro.utils.flops import NULL_COUNTER
-from repro.utils.xp import default_array_module, resolve_array_module
+from repro.utils.xp import resolve_array_module
 from tests.conftest import make_block
 
 NUMPY = resolve_array_module("numpy")
@@ -88,10 +84,10 @@ class TestAWarmCallAllocatesNothingWithAPathAxis:
 
     def test_the_store_owns_one_workspace_per_module_until_cleared(self):
         store = ResidentContextStore()
-        workspace = store.scratch(NUMPY, WalkWorkspace)
-        assert store.scratch(NUMPY, WalkWorkspace) is workspace
+        workspace = store.scratch(WalkWorkspace)
+        assert store.scratch(WalkWorkspace) is workspace
         store.clear()
-        assert store.scratch(NUMPY, WalkWorkspace) is not workspace
+        assert store.scratch(WalkWorkspace) is not workspace
 
 
 class TestNothingACallerHoldsLivesInTheWorkspace:
@@ -99,16 +95,15 @@ class TestNothingACallerHoldsLivesInTheWorkspace:
         self.detector = SoftFlexCoreDetector(SYSTEM, 32)
         self.contexts, self.received, self.noise_var = block(self.detector, 20)
         _, self.other, _ = block(self.detector, 21)
-        self.xp = default_array_module()
 
     def test_hard_results_survive_the_next_call_on_the_store(self):
         store = ResidentContextStore()
         kernel = self.detector.detect_block_prepared
         indices, metadata = kernel(
-            self.contexts, self.received, xp=self.xp, store=store
+            self.contexts, self.received, store=store
         )
         kept = indices.copy(), [dict(entry) for entry in metadata]
-        again, _ = kernel(self.contexts, self.other, xp=self.xp, store=store)
+        again, _ = kernel(self.contexts, self.other, store=store)
         assert not np.array_equal(again, indices)
         assert np.array_equal(indices, kept[0]) and metadata == kept[1]
 
@@ -116,11 +111,11 @@ class TestNothingACallerHoldsLivesInTheWorkspace:
         store = ResidentContextStore()
         kernel = self.detector.detect_soft_block_prepared
         indices, llrs, metadata = kernel(
-            self.contexts, self.received, self.noise_var, xp=self.xp, store=store
+            self.contexts, self.received, self.noise_var, store=store
         )
         kept = indices.copy(), llrs.copy(), [dict(entry) for entry in metadata]
         again = kernel(
-            self.contexts, self.other, self.noise_var, xp=self.xp, store=store
+            self.contexts, self.other, self.noise_var, store=store
         )
         assert not np.array_equal(again[1], llrs)
         assert np.array_equal(indices, kept[0])
@@ -141,7 +136,7 @@ class TestNothingACallerHoldsLivesInTheWorkspace:
 
     def walk(self, received, scratch=None):
         plan = self.detector._plan(self.contexts, NUMPY)
-        planes = plan.grid_planes(np.matmul(received, plan.q_conj), NUMPY)
+        planes = plan.grid_planes(np.matmul(received, plan.q_conj))
         return self.detector._walk(
             planes, plan, NUMPY, NULL_COUNTER, False, scratch
         )
@@ -155,7 +150,7 @@ class TestNothingACallerHoldsLivesInTheWorkspace:
 
     def test_a_walk_inside_a_workspace_is_overwritten_by_the_next(self):
         # The other side of the contract: the views are the workspace's.
-        scratch = WalkWorkspace(NUMPY)
+        scratch = WalkWorkspace()
         symbols, ped, _ = self.walk(self.received, scratch)
         kept = np.array(ped)
         again = self.walk(self.other, scratch)
@@ -171,13 +166,12 @@ def test_a_workspace_grown_by_one_shape_serves_every_other(limit, monkeypatch):
     detector = SoftFlexCoreDetector(SYSTEM, 12)
     contexts, received, noise_var = block(detector, 22)
     store = ResidentContextStore()
-    xp = default_array_module()
     for rows in [slice(None), slice(3, 5), slice(None), slice(0, 1)]:
         args = contexts[rows], received[rows], noise_var
-        shared = detector.detect_soft_block_prepared(*args, xp=xp, store=store)
-        private = detector.detect_soft_block_prepared(*args, xp=xp)
+        shared = detector.detect_soft_block_prepared(*args, store=store)
+        private = detector.detect_soft_block_prepared(*args)
         assert np.array_equal(shared[0], private[0])
         assert np.array_equal(shared[1], private[1])
         assert shared[2] == private[2]
-        hard = detector.detect_block_prepared(*args[:2], xp=xp, store=store)
+        hard = detector.detect_block_prepared(*args[:2], store=store)
         assert np.array_equal(hard[0], private[0])

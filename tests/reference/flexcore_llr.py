@@ -63,9 +63,7 @@ def detect_soft_block(detector, contexts, received, noise_var, max_paths=None):
     hard, soft, clamped = [], [], []
     for sc, context in enumerate(contexts):
         plan = detector._plan([context], NUMPY, None, max_paths)
-        planes = plan.grid_planes(
-            np.matmul(received[sc : sc + 1], plan.q_conj), NUMPY
-        )
+        planes = plan.grid_planes(np.matmul(received[sc : sc + 1], plan.q_conj))
         # The candidate walk ignores the exact-ordering ablation.
         symbols, ped, _ = detector._walk(planes, plan, NUMPY, NULL_COUNTER, False)
         head, llrs, missing = list_llrs(
@@ -76,7 +74,7 @@ def detect_soft_block(detector, contexts, received, noise_var, max_paths=None):
             detector.llr_clip,
         )
         by_stream = llrs.reshape(llrs.shape[:2] + (detector.system.num_streams, -1))
-        hard.append(plan.restore_order(head, NUMPY)[0])
-        soft.append(plan.restore_order(by_stream, NUMPY).reshape(llrs.shape)[0])
+        hard.append(plan.restore_order(head)[0])
+        soft.append(plan.restore_order(by_stream).reshape(llrs.shape)[0])
         clamped.append(int(np.count_nonzero(missing)))
     return np.stack(hard), np.stack(soft), clamped

@@ -83,21 +83,29 @@ class TestPublicApi:
         with pytest.raises(ImportError):
             importlib.import_module(module)
 
-    @pytest.mark.parametrize("module", ["numpy", "counting", "torch", "cupy"])
+    @pytest.mark.parametrize("module", ["numpy", "counting"])
     def test_no_second_native_walk_entry_point(self, module):
-        """``detect_group`` is the one native walk: no array module, nor
-        the counting wrapper that forwards to one, offers a tile walk.
-        Torch and cupy are asked of their classes, so neither library
-        need be installed."""
+        """``native.kernel()`` is the one lane switch: an array module,
+        the counting fake included, offers no walk and no array op —
+        only the host↔device crossings."""
         from repro.utils import xp
 
         modules = {
             "numpy": lambda: xp.resolve_array_module("numpy"),
             "counting": lambda: xp.CountingArrayModule("numpy"),
-            "torch": lambda: xp.TorchArrayModule,
-            "cupy": lambda: xp.CupyArrayModule,
         }
-        assert not hasattr(modules[module](), "walk_tile")
+        instance = modules[module]()
+        for name in ("walk_tile", "detect_group", "matmul", "take", "ensure"):
+            assert not hasattr(instance, name), name
+
+    @pytest.mark.parametrize("name", ["ARRAY_BACKEND_ENV", "available_array_modules"])
+    def test_no_array_backend_selection(self, name):
+        """numpy is the one array library: nothing selects another."""
+        import repro.runtime
+        from repro.utils import xp
+
+        assert name not in repro.runtime.__all__
+        assert not hasattr(repro.runtime, name) and not hasattr(xp, name)
 
     def test_detector_registry_covers_paper_schemes(self):
         names = set(repro.available_detectors())
