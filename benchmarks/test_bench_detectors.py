@@ -6,7 +6,6 @@ relative per-vector cost of each scheme at a fixed batch size.
 
 
 from repro.detectors.fcsd import FcsdDetector
-from repro.detectors.kbest import KBestDetector
 from repro.detectors.linear import MmseDetector
 from repro.detectors.sphere import SphereDecoder
 from repro.detectors.trellis import TrellisDetector
@@ -58,12 +57,6 @@ def test_fcsd_l1_kernel(benchmark, system_12x12_64qam, detection_batch):
 def test_trellis_kernel(benchmark, system_12x12_64qam, detection_batch):
     _bench_detect(
         benchmark, TrellisDetector(system_12x12_64qam), detection_batch
-    )
-
-
-def test_kbest_16_kernel(benchmark, system_12x12_64qam, detection_batch):
-    _bench_detect(
-        benchmark, KBestDetector(system_12x12_64qam, k=16), detection_batch
     )
 
 

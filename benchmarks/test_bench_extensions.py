@@ -1,18 +1,13 @@
-"""Benches for the extension features (soft output, adaptive K-best,
-lattice reduction)."""
+"""Benches for the soft-output extension: the soft FlexCore kernels and
+the soft-gain experiment."""
 
 import numpy as np
 import pytest
 
-from repro.channel.fading import rayleigh_channel, rayleigh_channels
-from repro.detectors.kbest_adaptive import AdaptiveKBestDetector
-from repro.detectors.lattice import LrAidedZfDetector
+from repro.channel.fading import rayleigh_channels
 from repro.experiments import soft_gain
 from repro.flexcore.soft import SoftFlexCoreDetector
-from repro.mimo.lattice import clll_reduce
 from repro.mimo.model import noise_variance_for_snr_db
-from repro.mimo.system import MimoSystem
-from repro.modulation.constellation import QamConstellation
 from repro.runtime.residency import ResidentContextStore
 
 
@@ -62,38 +57,6 @@ def test_soft_flexcore_block_kernel(benchmark, request, system_fixture, num_path
     )
     assert indices.shape == (64, 7, system.num_streams)
     assert llrs.shape == (64, 7, system.num_streams * system.constellation.bits_per_symbol)
-
-
-def test_adaptive_kbest_kernel(benchmark, system_12x12_64qam, detection_batch):
-    channel, received, noise_var = detection_batch
-    detector = AdaptiveKBestDetector(system_12x12_64qam, coverage=0.99)
-    context = detector.prepare(channel, noise_var)
-    result = benchmark.pedantic(
-        detector.detect_prepared,
-        args=(context, received[:48]),
-        rounds=2,
-        iterations=1,
-    )
-    assert result.indices.shape == (48, 12)
-
-
-def test_clll_reduction_12x12(benchmark):
-    channel = rayleigh_channel(12, 12, rng=3)
-    reduced, transform = benchmark.pedantic(
-        clll_reduce, args=(channel,), rounds=3, iterations=1
-    )
-    assert transform.shape == (12, 12)
-
-
-def test_lr_zf_kernel(benchmark):
-    system = MimoSystem(8, 8, QamConstellation(16))
-    rng = np.random.default_rng(0)
-    channel = rayleigh_channel(8, 8, rng)
-    detector = LrAidedZfDetector(system)
-    context = detector.prepare(channel, 0.05)
-    received = rng.standard_normal((96, 8)) + 1j * rng.standard_normal((96, 8))
-    result = benchmark(detector.detect_prepared, context, received)
-    assert result.indices.shape == (96, 8)
 
 
 def test_soft_gain_regeneration(benchmark, tiny_profile):

@@ -41,7 +41,6 @@ from repro.detectors import (
     DetectionResult,
     Detector,
     FcsdDetector,
-    KBestDetector,
     MlDetector,
     MmseDetector,
     SicDetector,
@@ -84,7 +83,6 @@ __all__ = [
     "Detector",
     "FcsdDetector",
     "FlexCoreDetector",
-    "KBestDetector",
     "LevelErrorModel",
     "MimoSystem",
     "MlDetector",

@@ -111,8 +111,8 @@ class DetectorSpec(_SpecDict):
     qam_order:
         Constellation order of every user.
     params:
-        Extra detector constructor kwargs (``num_paths``, ``k``,
-        ``num_expanded``, ...), JSON-native values only.
+        Extra detector constructor kwargs (``num_paths``,
+        ``num_expanded``, ``qr_method``, ...), JSON-native values only.
     """
 
     name: str

@@ -1,6 +1,6 @@
-"""Channel models: Rayleigh/Rician fading, the indoor testbed, traces."""
+"""Channel models: Rayleigh fading, the indoor testbed, traces."""
 
-from repro.channel.fading import rayleigh_channel, rayleigh_channels, rician_channel
+from repro.channel.fading import rayleigh_channel, rayleigh_channels
 from repro.channel.testbed import IndoorTestbed, TestbedGeometry
 from repro.channel.traces import ChannelTrace, combine_user_traces
 
@@ -11,5 +11,4 @@ __all__ = [
     "combine_user_traces",
     "rayleigh_channel",
     "rayleigh_channels",
-    "rician_channel",
 ]

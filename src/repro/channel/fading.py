@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.utils.rng import as_rng
 
 
@@ -26,34 +25,3 @@ def rayleigh_channels(
     return (
         generator.standard_normal(shape) + 1j * generator.standard_normal(shape)
     ) / np.sqrt(2.0)
-
-
-def rician_channel(
-    num_rx: int,
-    num_tx: int,
-    k_factor: float,
-    los_matrix: np.ndarray | None = None,
-    rng=None,
-) -> np.ndarray:
-    """Rician fading: deterministic LoS component plus Rayleigh scatter.
-
-    Parameters
-    ----------
-    k_factor:
-        Linear Rician K (LoS power / scattered power); 0 degenerates to
-        Rayleigh.
-    los_matrix:
-        Unit-modulus LoS steering matrix of shape ``(num_rx, num_tx)``;
-        defaults to the all-ones matrix.
-    """
-    if k_factor < 0:
-        raise ConfigurationError(f"k_factor must be >= 0, got {k_factor}")
-    if los_matrix is None:
-        los_matrix = np.ones((num_rx, num_tx), dtype=np.complex128)
-    los_matrix = np.asarray(los_matrix)
-    if los_matrix.shape != (num_rx, num_tx):
-        raise ConfigurationError("los_matrix shape mismatch")
-    scattered = rayleigh_channel(num_rx, num_tx, rng)
-    los_gain = np.sqrt(k_factor / (k_factor + 1.0))
-    nlos_gain = np.sqrt(1.0 / (k_factor + 1.0))
-    return los_gain * los_matrix + nlos_gain * scattered

@@ -7,9 +7,6 @@ can treat every scheme uniformly.
 
 from repro.detectors.base import DetectionResult, Detector
 from repro.detectors.fcsd import FcsdDetector
-from repro.detectors.kbest import KBestDetector
-from repro.detectors.kbest_adaptive import AdaptiveKBestDetector
-from repro.detectors.lattice import LrAidedZfDetector
 from repro.detectors.linear import MmseDetector, ZfDetector
 from repro.detectors.ml import MlDetector
 from repro.detectors.registry import available_detectors, make_detector
@@ -18,12 +15,9 @@ from repro.detectors.sphere import SphereDecoder
 from repro.detectors.trellis import TrellisDetector
 
 __all__ = [
-    "AdaptiveKBestDetector",
     "DetectionResult",
     "Detector",
     "FcsdDetector",
-    "KBestDetector",
-    "LrAidedZfDetector",
     "MlDetector",
     "MmseDetector",
     "SicDetector",

@@ -1,7 +1,7 @@
 """Exhaustive maximum-likelihood detection.
 
 Feasible only for small ``|Q|**Nt``; serves as the ground truth the sphere
-decoder, FCSD, K-best and FlexCore are validated against in the test
+decoder, FCSD, trellis and FlexCore are validated against in the test
 suite.  For large systems the exact-ML reference is
 :class:`repro.detectors.sphere.SphereDecoder`.
 """

@@ -57,24 +57,6 @@ def _build_sphere(system: MimoSystem, **kwargs) -> Detector:
     return SphereDecoder(system, **kwargs)
 
 
-def _build_kbest(system: MimoSystem, **kwargs) -> Detector:
-    from repro.detectors.kbest import KBestDetector
-
-    return KBestDetector(system, **kwargs)
-
-
-def _build_kbest_adaptive(system: MimoSystem, **kwargs) -> Detector:
-    from repro.detectors.kbest_adaptive import AdaptiveKBestDetector
-
-    return AdaptiveKBestDetector(system, **kwargs)
-
-
-def _build_lr_zf(system: MimoSystem, **kwargs) -> Detector:
-    from repro.detectors.lattice import LrAidedZfDetector
-
-    return LrAidedZfDetector(system, **kwargs)
-
-
 def _build_fcsd(system: MimoSystem, **kwargs) -> Detector:
     from repro.detectors.fcsd import FcsdDetector
 
@@ -94,9 +76,6 @@ _REGISTRY: dict[str, Callable[..., Detector]] = {
     "ml": _build_ml,
     "sphere": _build_sphere,
     "geosphere": _build_sphere,  # the paper's name for the exact-ML baseline
-    "kbest": _build_kbest,
-    "kbest-adaptive": _build_kbest_adaptive,
-    "lr-zf": _build_lr_zf,
     "fcsd": _build_fcsd,
     "trellis": _build_trellis,
     "flexcore": _build_flexcore,

@@ -38,12 +38,11 @@ from repro.api import (
     build_stack,
 )
 from repro.channel.fading import rayleigh_channels
-from repro.control import POLICY_NAMES, WorkloadScenario
+from repro.control import WorkloadScenario
 from repro.control.workload import SCENARIOS
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.common import ExperimentResult, get_profile
 from repro.mimo.model import noise_variance_for_snr_db
-from repro.modulation.constellation import QamConstellation
 from repro.ofdm.lte import SYMBOLS_PER_SLOT
 
 #: Path-budget range the governed run may move within.
@@ -52,29 +51,6 @@ PATHS_MAX = 128
 #: Offered-load dial: slot interval = OVERLOAD x full-budget slot cost.
 OVERLOAD = 0.6
 SNR_DB = 20.0
-
-
-def make_policy(
-    name: str,
-    constellation: QamConstellation,
-    peak_frames: "int | None" = None,
-):
-    """The governed run's policy prototype, by CLI name.
-
-    Kept as the pre-``repro.api`` surface; equivalent to
-    ``GovernorSpec(policy=name, ...).build_policy(constellation)``.
-    """
-    if name not in POLICY_NAMES:
-        raise ExperimentError(
-            f"unknown governor policy {name!r}; options: "
-            f"{', '.join(POLICY_NAMES)}"
-        )
-    return GovernorSpec(
-        policy=name,
-        paths_min=PATHS_MIN,
-        paths_max=PATHS_MAX,
-        peak_frames_hint=peak_frames,
-    ).build_policy(constellation)
 
 
 def _effective_config(

@@ -1,6 +1,5 @@
 """MIMO system descriptors, channel model glue and QR decompositions."""
 
-from repro.mimo.lattice import clll_reduce, orthogonality_defect
 from repro.mimo.model import apply_channel, noise_variance_for_snr_db, snr_db_for_noise_variance
 from repro.mimo.qr import (
     QrDecomposition,
@@ -14,13 +13,11 @@ from repro.mimo.system import MimoSystem
 
 __all__ = [
     "MimoSystem",
-    "clll_reduce",
     "QrDecomposition",
     "apply_channel",
     "fcsd_sorted_qr",
     "mmse_filter",
     "noise_variance_for_snr_db",
-    "orthogonality_defect",
     "plain_qr",
     "snr_db_for_noise_variance",
     "sorted_qr",

@@ -1,17 +1,9 @@
 """Square M-QAM constellations with Gray labelling, mapping and slicing."""
 
 from repro.modulation.constellation import QamConstellation
-from repro.modulation.mapper import (
-    demap_bits,
-    hard_demap,
-    map_bits,
-    random_symbol_indices,
-)
+from repro.modulation.mapper import random_symbol_indices
 
 __all__ = [
     "QamConstellation",
-    "demap_bits",
-    "hard_demap",
-    "map_bits",
     "random_symbol_indices",
 ]

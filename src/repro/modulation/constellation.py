@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.utils.bits import bits_to_ints, gray_encode, ints_to_bits
 from repro.utils.validation import check_square_qam_order
-from repro.utils.xp import DeviceConstantCache, resolve_array_module
+from repro.utils.xp import DeviceConstantCache
 
 
 class QamConstellation:
@@ -94,10 +94,6 @@ class QamConstellation:
         :class:`~repro.utils.xp.DeviceConstantCache`.
         """
         return self._device_tables.get(xp, host)
-
-    def device_points(self, xp=None) -> "np.ndarray":
-        """:attr:`points` on module ``xp`` (memoized; numpy passes through)."""
-        return self.device_constant(resolve_array_module(xp), self.points)
 
     # ------------------------------------------------------------------
     # Index <-> grid-coordinate conversions

@@ -1,53 +1,16 @@
-"""Bit <-> symbol-vector mapping for multi-antenna frames.
+"""Random transmit-symbol indices for multi-antenna frames.
 
-These helpers shape flat coded bit streams into the ``Nt``-element transmit
-vectors ``s`` of the uplink model ``y = Hs + n`` and back.
+Each row is one ``Nt``-element transmit vector ``s`` of the uplink model
+``y = Hs + n``, as indices into the constellation; bits <-> symbols is
+:class:`~repro.modulation.constellation.QamConstellation`'s job.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import DimensionError
 from repro.modulation.constellation import QamConstellation
 from repro.utils.rng import as_rng
-
-
-def map_bits(
-    bits: np.ndarray, constellation: QamConstellation, num_streams: int
-) -> np.ndarray:
-    """Map a flat bit array onto transmit vectors.
-
-    Returns an array of shape ``(num_vectors, num_streams)`` of complex
-    symbols, filling stream 0 of vector 0 first (stream-major within a
-    vector, matching how the link simulator serialises user bits).
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
-    bits_per_vector = constellation.bits_per_symbol * num_streams
-    if bits.size == 0 or bits.size % bits_per_vector != 0:
-        raise DimensionError(
-            f"bit count {bits.size} is not a multiple of "
-            f"{bits_per_vector} (= {num_streams} streams x "
-            f"{constellation.bits_per_symbol} bits)"
-        )
-    symbols = constellation.modulate(bits)
-    return symbols.reshape(-1, num_streams)
-
-
-def demap_bits(
-    indices: np.ndarray, constellation: QamConstellation
-) -> np.ndarray:
-    """Map detected symbol indices of shape ``(n, Nt)`` back to a bit array."""
-    indices = np.asarray(indices)
-    return constellation.indices_to_bits(indices.reshape(-1))
-
-
-def hard_demap(
-    symbols: np.ndarray, constellation: QamConstellation
-) -> np.ndarray:
-    """Slice arbitrary complex estimates to bits (used by linear detectors)."""
-    indices = constellation.slice_to_index(np.asarray(symbols).reshape(-1))
-    return constellation.indices_to_bits(indices)
 
 
 def random_symbol_indices(

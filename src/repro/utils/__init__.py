@@ -12,8 +12,6 @@ from repro.utils.flops import NULL_COUNTER, FlopCounter
 from repro.utils.rng import as_rng
 from repro.utils.validation import (
     check_positive_int,
-    check_power_of_two,
-    check_probability,
     check_square_qam_order,
 )
 
@@ -23,8 +21,6 @@ __all__ = [
     "as_rng",
     "bits_to_ints",
     "check_positive_int",
-    "check_power_of_two",
-    "check_probability",
     "check_square_qam_order",
     "gray_decode",
     "gray_encode",

@@ -14,21 +14,6 @@ def check_positive_int(value: int, name: str) -> int:
     return value
 
 
-def check_power_of_two(value: int, name: str) -> int:
-    """Return ``value`` if it is a positive power of two, else raise."""
-    check_positive_int(value, name)
-    if value & (value - 1):
-        raise ConfigurationError(f"{name} must be a power of two, got {value}")
-    return value
-
-
-def check_probability(value: float, name: str) -> float:
-    """Return ``value`` if it lies in [0, 1], else raise."""
-    if not (0.0 <= value <= 1.0) or math.isnan(value):
-        raise ConfigurationError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(value)
-
-
 def check_square_qam_order(order: int) -> int:
     """Validate a square-QAM constellation order (4, 16, 64, 256, ...)."""
     check_positive_int(order, "constellation order")

@@ -241,6 +241,15 @@ class TestBadEnumValues:
         with pytest.raises(ConfigurationError, match="unknown detector"):
             DetectorSpec("flexcure", 4)
 
+    @pytest.mark.parametrize("name", ["kbest", "kbest-adaptive", "lr-zf"])
+    def test_deleted_detector_name(self, name):
+        """A config naming a detector the paper never compares against
+        is refused when it is parsed, not when the stack is built."""
+        payload = StackConfig(detector=DetectorSpec("mmse", 4)).to_dict()
+        payload["detector"]["name"] = name
+        with pytest.raises(ConfigurationError, match="unknown detector"):
+            StackConfig.from_dict(payload)
+
     def test_unknown_backend_name(self):
         with pytest.raises(ConfigurationError, match="unknown backend"):
             BackendSpec("gpu")

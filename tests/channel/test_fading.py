@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel.fading import rayleigh_channel, rayleigh_channels, rician_channel
-from repro.errors import ConfigurationError
+from repro.channel.fading import rayleigh_channel, rayleigh_channels
 
 
 class TestRayleigh:
@@ -30,29 +29,3 @@ class TestRayleigh:
         assert np.array_equal(
             rayleigh_channel(3, 3, rng=9), rayleigh_channel(3, 3, rng=9)
         )
-
-
-class TestRician:
-    def test_k_zero_is_rayleigh_scale(self):
-        channel = rician_channel(4, 4, k_factor=0.0, rng=0)
-        assert channel.shape == (4, 4)
-
-    def test_unit_power_for_any_k(self):
-        for k in (0.5, 4.0, 50.0):
-            samples = np.stack(
-                [rician_channel(4, 4, k, rng=i) for i in range(500)]
-            )
-            assert np.mean(np.abs(samples) ** 2) == pytest.approx(1.0, rel=0.1)
-
-    def test_large_k_approaches_los(self):
-        los = np.exp(1j * np.linspace(0, 3, 8)).reshape(4, 2)
-        channel = rician_channel(4, 2, k_factor=1e6, los_matrix=los, rng=0)
-        assert np.allclose(channel, los, atol=0.01)
-
-    def test_negative_k_raises(self):
-        with pytest.raises(ConfigurationError):
-            rician_channel(2, 2, k_factor=-1.0)
-
-    def test_bad_los_shape_raises(self):
-        with pytest.raises(ConfigurationError):
-            rician_channel(2, 2, 1.0, los_matrix=np.ones((3, 3)))

@@ -86,3 +86,22 @@ class TestUplinkTrace:
             matrix = trace.response[0, sc]
             smallest = np.linalg.svd(matrix, compute_uv=False)[-1]
             assert smallest > 1e-6
+
+
+class TestRicianTap:
+    """The first tap is Rician: a LoS steering vector plus scatter."""
+
+    def test_large_k_is_the_los_steering_vector(self):
+        testbed = IndoorTestbed(num_rx=4, num_taps=1, rician_k_db=60.0, rng=0)
+        position = np.array([3.0, 5.0])
+        tap = testbed._user_taps(position)[0]
+        ap_x, ap_y = testbed.geometry.ap_position
+        los = testbed._steering_vector(np.arctan2(position[0] - ap_x, position[1] - ap_y))
+        assert abs(np.vdot(los, tap)) / testbed.num_rx == pytest.approx(1.0, abs=0.01)
+        assert np.allclose(np.abs(tap), 1.0, atol=0.01)
+
+    @pytest.mark.parametrize("k_db", [-10.0, 4.0, 30.0])
+    def test_unit_power_for_any_k(self, k_db):
+        testbed = IndoorTestbed(num_rx=4, num_taps=1, rician_k_db=k_db, rng=1)
+        taps = np.stack([testbed._user_taps(np.array([3.0, 5.0])) for _ in range(400)])
+        assert np.mean(np.abs(taps) ** 2) == pytest.approx(1.0, rel=0.1)

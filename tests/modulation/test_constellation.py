@@ -131,12 +131,12 @@ class TestGridAndDeviceTables:
         nearest = np.argmin(np.abs(constellation.points[None, :] - received[:, None]), axis=1)
         assert np.array_equal(constellation.grid_to_index(u, v), nearest)
 
-    def test_device_points_upload_once_per_module(self, constellation):
+    def test_device_constant_uploads_once_per_module(self, constellation):
         counting, other = CountingArrayModule("numpy"), CountingArrayModule("numpy")
-        first = constellation.device_points(counting)
-        assert constellation.device_points(counting) is first
+        first = constellation.device_constant(counting, constellation.points)
+        assert constellation.device_constant(counting, constellation.points) is first
         assert np.array_equal(first, constellation.points)
         assert counting.uploads == 1
         assert counting.upload_bytes == constellation.points.nbytes
-        constellation.device_points(other)
+        constellation.device_constant(other, constellation.points)
         assert other.uploads == 1 and counting.uploads == 1

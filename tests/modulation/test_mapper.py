@@ -1,44 +1,8 @@
-"""Tests for multi-stream bit mapping."""
+"""Tests for random transmit-symbol indices."""
 
 import numpy as np
-import pytest
 
-from repro.errors import DimensionError
-from repro.modulation.mapper import (
-    demap_bits,
-    hard_demap,
-    map_bits,
-    random_symbol_indices,
-)
-
-
-class TestMapBits:
-    def test_shapes(self, qam16, rng):
-        bits = rng.integers(0, 2, 4 * 4 * 10).astype(np.uint8)
-        vectors = map_bits(bits, qam16, num_streams=4)
-        assert vectors.shape == (10, 4)
-
-    def test_roundtrip(self, qam16, rng):
-        bits = rng.integers(0, 2, 4 * 3 * 7).astype(np.uint8)
-        vectors = map_bits(bits, qam16, num_streams=3)
-        indices = qam16.slice_to_index(vectors.reshape(-1)).reshape(7, 3)
-        assert np.array_equal(demap_bits(indices, qam16), bits)
-
-    def test_bad_length_raises(self, qam16):
-        with pytest.raises(DimensionError):
-            map_bits(np.zeros(13, dtype=np.uint8), qam16, num_streams=3)
-
-    def test_empty_raises(self, qam16):
-        with pytest.raises(DimensionError):
-            map_bits(np.zeros(0, dtype=np.uint8), qam16, num_streams=3)
-
-
-class TestHardDemap:
-    def test_matches_slice_then_demap(self, qam16, rng):
-        noisy = rng.normal(size=12) + 1j * rng.normal(size=12)
-        bits = hard_demap(noisy, qam16)
-        indices = qam16.slice_to_index(noisy)
-        assert np.array_equal(bits, qam16.indices_to_bits(indices))
+from repro.modulation.mapper import random_symbol_indices
 
 
 class TestRandomIndices:

@@ -282,11 +282,13 @@ class TestFlopParity:
         ).detect_batch(channels, received, noise_var, counter=array_counter)
         assert counters_equal(serial_counter, array_counter)
 
-    def test_detect_many_routing_matches_naive_loop(self):
-        """``detect_many`` routes through the stacked kernel; results and
-        FLOPs must equal the naive per-channel loop it replaces."""
+    @pytest.mark.parametrize("name", ["flexcore", "a-flexcore", "soft-flexcore"])
+    def test_detect_many_routing_matches_naive_loop(self, name):
+        """Every registry detector with a block kernel: ``detect_many``
+        routes through the stacked kernel; results and FLOPs must equal
+        the naive per-channel loop it replaces."""
         system = MimoSystem(4, 4, QamConstellation(16))
-        detector = FlexCoreDetector(system, num_paths=12)
+        detector = make_detector(name, system, num_paths=12)
         channels, received, noise_var = make_workload(system, seed=37)
         assert detector.has_block_kernel
         naive_counter = FlopCounter()
@@ -305,9 +307,14 @@ class TestFlopParity:
             assert np.array_equal(ref.indices, got.indices)
             assert ref.metadata == got.metadata
 
-    def test_third_party_detector_uses_documented_fallback(self):
+    @pytest.mark.parametrize(
+        "name", ["zf", "mmse", "sic", "ml", "sphere", "fcsd", "trellis"]
+    )
+    def test_third_party_detector_uses_documented_fallback(self, name):
+        """Every registry baseline without a block kernel: ``detect_many``
+        is the per-channel loop."""
         system = MimoSystem(3, 4, QamConstellation(16))
-        detector = make_detector("kbest", system, k=8)
+        detector = make_detector(name, system)
         assert not detector.has_block_kernel
         channels, received, noise_var = make_workload(system, seed=41)
         results = detector.detect_many(channels, received, noise_var)

@@ -96,8 +96,11 @@ class TestHardEquivalence:
         [
             ("mmse", {}),
             ("sic", {}),
-            ("kbest", {"k": 8}),
+            ("trellis", {}),
             ("fcsd", {"num_expanded": 1}),
+            ("zf", {}),
+            ("ml", {}),
+            ("sphere", {}),
         ],
     )
     def test_registry_baselines(self, name, kwargs):

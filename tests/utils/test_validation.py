@@ -5,8 +5,6 @@ import pytest
 from repro.errors import ConfigurationError, ConstellationError
 from repro.utils.validation import (
     check_positive_int,
-    check_power_of_two,
-    check_probability,
     check_square_qam_order,
 )
 
@@ -19,28 +17,6 @@ class TestCheckPositiveInt:
     def test_rejects(self, bad):
         with pytest.raises(ConfigurationError):
             check_positive_int(bad, "x")
-
-
-class TestCheckPowerOfTwo:
-    @pytest.mark.parametrize("good", [1, 2, 4, 64, 1024])
-    def test_accepts(self, good):
-        assert check_power_of_two(good, "x") == good
-
-    @pytest.mark.parametrize("bad", [3, 6, 12, 100])
-    def test_rejects(self, bad):
-        with pytest.raises(ConfigurationError):
-            check_power_of_two(bad, "x")
-
-
-class TestCheckProbability:
-    @pytest.mark.parametrize("good", [0.0, 0.5, 1.0])
-    def test_accepts(self, good):
-        assert check_probability(good, "p") == good
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
-    def test_rejects(self, bad):
-        with pytest.raises(ConfigurationError):
-            check_probability(bad, "p")
 
 
 class TestCheckSquareQam:
