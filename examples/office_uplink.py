@@ -85,10 +85,8 @@ def main() -> None:
         )
         for name, pes, stats in resident_rows:
             print(
-                f"  {name:16s} ({pes:>3d} PEs): {stats.entries} groups "
-                f"resident, {stats.hits} warm hits, "
-                f"{stats.misses} uploads, "
-                f"{stats.invalidations} invalidations"
+                f"  {name:16s} ({pes:>3d} PEs): {stats.hits} warm hits, "
+                f"{stats.misses} uploads"
             )
 
     print(

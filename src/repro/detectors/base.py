@@ -18,6 +18,7 @@ channel changes.
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -98,9 +99,11 @@ class Detector(abc.ABC):
         the runtime's ``array`` execution backend; everything else falls
         back to the documented per-channel loop.
 
-        The runtime always passes all four keywords (as it does to the
-        soft twin, ``detect_soft_block_prepared(contexts, received,
-        noise_var, ...)``): ``store`` is the backend's
+        ``contexts`` is what :meth:`prepare_many` (or the cache, which
+        gathers its rows the same way) returned.  The runtime always
+        passes all four keywords (as it does to the soft twin,
+        ``detect_soft_block_prepared(contexts, received, noise_var,
+        ...)``): ``store`` is the backend's
         :class:`~repro.runtime.residency.ResidentContextStore` or
         ``None``, and ``max_paths`` is the per-call path budget, which
         the kernel applies itself — contexts arrive unclamped.
@@ -112,13 +115,14 @@ class Detector(abc.ABC):
         channels: np.ndarray,
         noise_var: float,
         counter: FlopCounter = NULL_COUNTER,
-    ) -> list:
-        """One context per ``(C, Nr, Nt)`` channel.
+    ) -> Sequence:
+        """The ``(C, Nr, Nt)`` channels prepared: a sequence indexable by
+        channel, item ``c`` channel ``c``'s context.
 
-        The base implementation loops :meth:`prepare`; detectors with a
-        batched prepare path (e.g. FlexCore's stacked QR) override it.
-        Either way the returned contexts — and the FLOPs charged — must
-        be identical to preparing each channel individually.
+        The base implementation is a list of :meth:`prepare` results;
+        detectors with a batched prepare path (FlexCore's one stacked
+        block) override it.  Either way each item — and the FLOPs
+        charged — must be identical to preparing that channel alone.
         """
         channels = np.asarray(channels)
         return [

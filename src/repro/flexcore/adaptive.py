@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.detectors.base import DetectionResult
 from repro.errors import ConfigurationError
-from repro.flexcore.detector import FlexCoreContext, FlexCoreDetector
+from repro.flexcore.detector import FlexCoreDetector
+from repro.flexcore.preprocessing import PathSearchBlock
 from repro.mimo.system import MimoSystem
-from repro.utils.flops import NULL_COUNTER, FlopCounter
 
 
 class AdaptiveFlexCoreDetector(FlexCoreDetector):
@@ -45,50 +44,16 @@ class AdaptiveFlexCoreDetector(FlexCoreDetector):
             )
         self.probability_target = float(probability_target)
 
-    def _finalize_context(self, qr, preprocessing, diag) -> FlexCoreContext:
-        # Hooking the shared context builder keeps the single-channel
-        # ``prepare`` and the stacked ``prepare_many`` paths in lockstep.
-        context = super()._finalize_context(qr, preprocessing, diag)
-        cumulative = np.cumsum(context.preprocessing.probabilities)
-        covered = np.searchsorted(cumulative, self.probability_target) + 1
-        context.active_paths = int(
-            min(covered, context.preprocessing.position_vectors.shape[0])
-        )
-        return context
+    def _active_paths(self, search: PathSearchBlock) -> np.ndarray:
+        """The shortest prefix of each channel's paths whose cumulative
+        ``Pc`` reaches the target, all of them if none does."""
+        selected = search.probabilities
+        counts = search.expanded_nodes
+        within = np.arange(selected.shape[1]) < counts[:, None]
+        cumulative = np.cumsum(np.where(within, selected, 0.0), axis=1)
+        # ``searchsorted`` of the target in each non-decreasing row.
+        covered = np.count_nonzero(cumulative < self.probability_target, axis=1) + 1
+        return np.minimum(covered, counts)
 
-    def detect_prepared(
-        self,
-        context: FlexCoreContext,
-        received: np.ndarray,
-        counter: FlopCounter = NULL_COUNTER,
-    ) -> DetectionResult:
-        result = super().detect_prepared(context, received, counter=counter)
-        result.metadata["active_paths"] = context.active_paths
-        return result
-
-    def detect_block_prepared(
-        self,
-        contexts,
-        received: np.ndarray,
-        counter: FlopCounter = NULL_COUNTER,
-        xp=None,
-        store=None,
-        max_paths: "int | None" = None,
-    ):
-        indices, metadata = super().detect_block_prepared(
-            contexts,
-            received,
-            counter=counter,
-            xp=xp,
-            store=store,
-            max_paths=max_paths,
-        )
-        # The kernel sees the *unclamped* cached contexts (the budget is
-        # a slice inside it), so report the effective activation the way
-        # the serial path's clamped copies would.
-        for entry, context in zip(metadata, contexts):
-            active = context.active_paths
-            if max_paths is not None:
-                active = min(active, int(max_paths))
-            entry["active_paths"] = int(active)
-        return indices, metadata
+    def _entry(self, paths: int, deactivated) -> dict:
+        return {**super()._entry(paths, deactivated), "active_paths": paths}

@@ -30,10 +30,17 @@ equal, distances differ by the summation order of the interference
 product (BLAS in one, increasing ``j`` in the other: a few ulp), and so
 decisions only where two paths' distances are that close.
 
-**The plan** (:class:`_StackedContexts`) is everything about a group of
-``G`` channels that no received frame changes, built once and kept
-device-side by the :class:`~repro.runtime.residency.
-ResidentContextStore`.  Hoisted into it: each path's canonical triangle
+**The prepared block** (:class:`~repro.flexcore.preprocessing.
+PreparedBlock`) is what :meth:`~FlexCoreDetector.prepare_many` makes of a
+coherence block: its channels' QR, path search, diagonal and active path
+counts, stacked, never split into per-channel objects on the way to the
+walk.  A ``FlexCoreContext`` is one row of it, built only when asked for.
+
+**The plan** (:class:`_StackedContexts`) is everything about an
+equal-path group of ``G`` rows of a block that no received frame
+changes, derived from the block's arrays once and — when a
+:class:`~repro.runtime.residency.ResidentContextStore` is in the call —
+kept on the block, device-side.  Hoisted into it: each path's canonical triangle
 offsets per level (a LUT gather on the position vectors, stored as small
 integers with the path axis last so a budget clamp is a slice); the
 interference rows of ``R`` divided by the diagonal and embedded as real
@@ -97,16 +104,14 @@ from repro.detectors.base import DetectionResult, Detector
 from repro.errors import ConfigurationError, DimensionError
 from repro.flexcore.ordering import TriangleOrdering
 from repro.flexcore.preprocessing import (
-    PreprocessingResult,
-    find_promising_paths,
+    BlockRows,
+    FlexCoreContext,
+    PathSearchBlock,
+    PreparedBlock,
     find_promising_paths_block,
 )
 from repro.flexcore.probability import LevelErrorModel
 from repro.mimo.qr import (
-    QrDecomposition,
-    fcsd_sorted_qr,
-    plain_qr,
-    sorted_qr,
     stacked_fcsd_sorted_qr,
     stacked_plain_qr,
     stacked_sorted_qr,
@@ -123,6 +128,12 @@ from repro.utils.xp import resolve_array_module
 MAX_CHUNK_ELEMENTS = 1 << 18
 
 _ITEM_BYTES = {"float64": 8, "int64": 8, "uint8": 1, "bool_": 1}
+
+#: The rows one block's plans may cover, in multiples of the block's: a
+#: warm block's groups cover it once, a streaming cell's flush shapes
+#: (the block, several slots of it stacked) a few times.  Past this the
+#: block's table starts over rather than grow with every new shape.
+PLAN_COVER = 8
 
 
 def walk_layout(num_streams: int) -> tuple:
@@ -187,21 +198,6 @@ class WalkWorkspace:
         return views
 
 
-@dataclass
-class FlexCoreContext:
-    """Per-channel state produced by :meth:`FlexCoreDetector.prepare`."""
-
-    qr: QrDecomposition
-    diag: np.ndarray
-    weights: np.ndarray
-    preprocessing: PreprocessingResult
-    active_paths: int
-
-    @property
-    def position_vectors(self) -> np.ndarray:
-        return self.preprocessing.position_vectors[: self.active_paths]
-
-
 class FlexCoreDetector(Detector):
     """The FlexCore detector.
 
@@ -263,43 +259,33 @@ class FlexCoreDetector(Detector):
         noise_var: float,
         counter: FlopCounter = NULL_COUNTER,
     ) -> FlexCoreContext:
+        """Row 0 of :meth:`prepare_many` on a one-channel block."""
         channel = self._check_channel(channel)
-        with current_tracer().span(
-            SPAN_QR, method=self.qr_method, channels=1
-        ):
-            if self.qr_method == "sorted":
-                qr = sorted_qr(channel, counter=counter)
-            elif self.qr_method == "fcsd":
-                qr = fcsd_sorted_qr(channel, 1, noise_var, counter=counter)
-            else:
-                qr = plain_qr(channel, counter=counter)
-        return self._context_from_qr(qr, noise_var, counter)
+        return self.prepare_many(channel[None], noise_var, counter=counter)[0]
 
     def prepare_many(
         self,
         channels: np.ndarray,
         noise_var: float,
         counter: FlopCounter = NULL_COUNTER,
-    ) -> list[FlexCoreContext]:
+    ) -> PreparedBlock:
         """Prepare a ``(C, Nr, Nt)`` block with no per-channel Python.
 
         The QR of every channel runs in a single stacked call
         (:func:`~repro.mimo.qr.stacked_sorted_qr` and friends), the
         stacked R-diagonals feed one vectorised error-model evaluation,
-        and the ``C`` best-first tree searches run in lockstep
+        and the ``C`` best-first tree searches run in one call
         (:func:`~repro.flexcore.preprocessing.find_promising_paths_block`)
-        — the batched cache-miss path of the runtime, end to end.
-        Contexts and charged FLOPs are bit-identical to calling
-        :meth:`prepare` once per channel.
+        — the batched cache-miss path of the runtime, end to end.  Each
+        step hands the next its stacked arrays, and so does the result.
         """
         channels = np.asarray(channels)
-        if channels.ndim != 3:
+        expected = (self.system.num_rx_antennas, self.system.num_streams)
+        if channels.ndim != 3 or channels.shape[1:] != expected:
             raise DimensionError(
-                f"{self.name}: prepare_many wants (C, Nr, Nt) channels, "
-                f"got {channels.shape}"
+                f"{self.name}: prepare_many wants (C, Nr, Nt) = (C, "
+                f"{expected[0]}, {expected[1]}) channels, got {channels.shape}"
             )
-        for c in range(channels.shape[0]):
-            self._check_channel(channels[c])
         # The ambient tracer (installed by DetectionService.detect) is
         # how these kernels report without threading a tracer through
         # every prepare signature — cache-miss path only, so the
@@ -309,69 +295,19 @@ class FlexCoreDetector(Detector):
             SPAN_QR, method=self.qr_method, channels=channels.shape[0]
         ):
             if self.qr_method == "sorted":
-                qrs = stacked_sorted_qr(channels, counter=counter)
+                qr = stacked_sorted_qr(channels, counter=counter)
             elif self.qr_method == "fcsd":
-                qrs = stacked_fcsd_sorted_qr(
-                    channels, 1, noise_var, counter=counter
-                )
+                qr = stacked_fcsd_sorted_qr(channels, 1, noise_var, counter=counter)
             else:
-                qrs = stacked_plain_qr(channels, counter=counter)
-        return self._contexts_from_qrs(qrs, noise_var, counter)
-
-    def _context_from_qr(
-        self,
-        qr: QrDecomposition,
-        noise_var: float,
-        counter: FlopCounter,
-    ) -> FlexCoreContext:
-        """Single-channel tail of ``prepare``: error model, path search,
-        context assembly."""
-        model = LevelErrorModel.from_channel(
-            qr.r, noise_var, self.system.constellation, formula=self.pe_formula
-        )
-        with current_tracer().span(
-            SPAN_TREE_SEARCH, channels=1, path_budget=self.num_paths
-        ):
-            preprocessing = find_promising_paths(
-                model,
-                num_paths=self.num_paths,
-                max_rank=self.system.constellation.order,
-                stop_threshold=self.stop_threshold,
-                batch_size=self.batch_expansion,
-                counter=counter,
-            )
-        return self._finalize_context(qr, preprocessing, np.real(np.diagonal(qr.r)).copy())
-
-    def _contexts_from_qrs(
-        self,
-        qrs: "list[QrDecomposition]",
-        noise_var: float,
-        counter: FlopCounter,
-    ) -> list[FlexCoreContext]:
-        """Block tail of ``prepare_many``: stacked error model, lockstep
-        path search, per-channel context assembly.
-
-        The stacked QR's R-diagonals feed one vectorised
-        :meth:`LevelErrorModel.from_channels` call and the ``C``
-        tree searches run as a single
-        :func:`~repro.flexcore.preprocessing.find_promising_paths_block`
-        — no per-channel Python on the miss path.  Contexts and charged
-        FLOPs are bit-identical to :meth:`_context_from_qr` per channel;
-        subclasses customise both paths through
-        :meth:`_finalize_context` (a-FlexCore trims ``active_paths``).
-        """
-        if not qrs:
-            return []
-        diags = np.stack([np.diagonal(qr.r) for qr in qrs])
+                qr = stacked_plain_qr(channels, counter=counter)
+        diag = np.diagonal(qr.r, axis1=1, axis2=2)
         models = LevelErrorModel.from_channels(
-            diags, noise_var, self.system.constellation, formula=self.pe_formula
+            diag, noise_var, self.system.constellation, formula=self.pe_formula
         )
-        with current_tracer().span(
-            SPAN_TREE_SEARCH,
-            channels=len(qrs),
-            path_budget=self.num_paths,
+        with tracer.span(
+            SPAN_TREE_SEARCH, channels=channels.shape[0], path_budget=self.num_paths
         ):
-            block = find_promising_paths_block(
+            search = find_promising_paths_block(
                 models,
                 num_paths=self.num_paths,
                 max_rank=self.system.constellation.order,
@@ -379,28 +315,18 @@ class FlexCoreDetector(Detector):
                 batch_size=self.batch_expansion,
                 counter=counter,
             )
-        return [
-            self._finalize_context(qr, preprocessing, diag)
-            for qr, preprocessing, diag in zip(qrs, block, diags.real.copy())
-        ]
-
-    def _finalize_context(
-        self, qr: QrDecomposition, preprocessing: PreprocessingResult, diag: np.ndarray
-    ) -> FlexCoreContext:
-        """Assemble one context from a QR, its search result and ``R``'s
-        real diagonal.
-
-        The shared hook of the single and stacked prepare paths:
-        subclasses overriding it (a-FlexCore trims ``active_paths``)
-        stay in lockstep across both automatically.
-        """
-        return FlexCoreContext(
-            qr=qr,
-            diag=diag,
-            weights=diag**2,
-            preprocessing=preprocessing,
-            active_paths=preprocessing.position_vectors.shape[0],
+        return PreparedBlock(
+            qr=qr, search=search, diag=diag.real.copy(), active=self._active_paths(search)
         )
+
+    def _active_paths(self, search: PathSearchBlock) -> np.ndarray:
+        """``(C,)`` paths each channel walks: all it selected (a-FlexCore
+        trims them)."""
+        return search.expanded_nodes
+
+    def _entry(self, paths: int, deactivated) -> dict:
+        """One subcarrier's metadata."""
+        return {"paths": paths, "deactivated_path_evaluations": int(deactivated)}
 
     # ------------------------------------------------------------------
     def detect_prepared(
@@ -412,18 +338,11 @@ class FlexCoreDetector(Detector):
         received = self._check_received(received)
         xp = resolve_array_module(None)
         indices, deactivated = self._detect_group(
-            self._plan([context], xp),
-            received[None],
-            xp,
-            counter,
-            WalkWorkspace(),
+            self._row_plan(context, xp), received[None], xp, counter, WalkWorkspace()
         )
         return DetectionResult(
             indices=indices[0],
-            metadata={
-                "paths": context.position_vectors.shape[0],
-                "deactivated_path_evaluations": int(deactivated[0]),
-            },
+            metadata=self._entry(context.position_vectors.shape[0], deactivated[0]),
         )
 
     # ------------------------------------------------------------------
@@ -438,8 +357,12 @@ class FlexCoreDetector(Detector):
         store=None,
         max_paths: "int | None" = None,
     ) -> "tuple[np.ndarray, list[dict]]":
-        """Detect a ``(S, F, Nr)`` block over ``S`` prepared contexts.
+        """Detect a ``(S, F, Nr)`` block over ``S`` prepared channels.
 
+        ``contexts`` is a :class:`PreparedBlock` or any sequence of its
+        :class:`FlexCoreContext` rows, in any order and with repeats (a
+        streaming flush); rows of several blocks, or with a lowered
+        ``active_paths``, are gathered into a block of their own.
         Subcarriers sharing an active path count are stacked into one
         ``(G, F, P)`` element tensor and all their tree levels walk in a
         handful of array operations — the §5.2 "thousands of independent
@@ -450,12 +373,11 @@ class FlexCoreDetector(Detector):
         :meth:`detect_prepared` per subcarrier.
 
         ``store`` is an optional
-        :class:`~repro.runtime.residency.ResidentContextStore`: the
-        group's walk plan is fetched from it device-side on warm calls,
-        so only ``received`` is uploaded.  ``max_paths`` applies the
-        control plane's path budget by *slicing* the (resident) plan —
-        a view, never a re-upload, and never a mutation of the cached
-        contexts.
+        :class:`~repro.runtime.residency.ResidentContextStore`: with it
+        each group's walk plan is derived once and kept on the block, so
+        a warm call uploads only ``received``.  ``max_paths`` applies the
+        control plane's path budget by *slicing* the plan — a view,
+        never a re-upload, and never a change to the block.
 
         Returns ``(indices, metadata)``: ``(S, F, Nt)`` hard decisions in
         original stream order plus one metadata dict per subcarrier,
@@ -465,29 +387,19 @@ class FlexCoreDetector(Detector):
         xp = resolve_array_module(xp)
         received = self._check_block_received(contexts, received)
         num_subcarriers, num_frames, _ = received.shape
-        num_streams = self.system.num_streams
-        # One upload per call: groups slice it device-side.
-        received_dev = xp.asarray(received)
         indices_dev = np.zeros(
-            (num_subcarriers, num_frames, num_streams), dtype=np.int64
+            (num_subcarriers, num_frames, self.system.num_streams), dtype=np.int64
         )
         metadata: list = [None] * num_subcarriers
         scratch = self._scratch(store)
-        groups = self._group_by_paths(contexts, max_paths)
-        for (_prepared, paths), members in groups.items():
-            block_indices, deactivated = self._detect_group(
-                self._plan([contexts[sc] for sc in members], xp, store, paths),
-                received_dev[members],
-                xp,
-                counter,
-                scratch,
+        # One upload per call: groups slice it device-side.
+        received = xp.asarray(received)
+        for members, paths, plan in self._plans(contexts, xp, store, max_paths):
+            indices_dev[members], deactivated = self._detect_group(
+                plan, received[members], xp, counter, scratch
             )
-            indices_dev[members] = block_indices
             for j, sc in enumerate(members):
-                metadata[sc] = {
-                    "paths": paths,
-                    "deactivated_path_evaluations": int(deactivated[j]),
-                }
+                metadata[sc] = self._entry(paths, deactivated[j])
         indices = np.asarray(xp.to_numpy(indices_dev), dtype=np.int64)
         return indices, metadata
 
@@ -511,28 +423,48 @@ class FlexCoreDetector(Detector):
         return received
 
     @staticmethod
-    def _group_by_paths(
-        contexts, max_paths: "int | None" = None
-    ) -> "dict[tuple[int, int], list[int]]":
-        """Subcarrier indices grouped by ``(prepared, effective)`` paths.
+    def _selection(contexts) -> "tuple[PreparedBlock, np.ndarray]":
+        """``contexts`` as a block and the rows of it they are: a block's
+        own rows or a :class:`BlockRows`' as they are, any other sequence
+        of rows gathered into a block of their own, each at its own
+        ``active_paths``."""
+        if isinstance(contexts, BlockRows):
+            return contexts.block, contexts.rows
+        if not isinstance(contexts, PreparedBlock):
+            contexts = list(contexts)
+            active = np.array([context.active_paths for context in contexts], dtype=np.int64)
+            contexts = PreparedBlock.gather([(context.block, context.row) for context in contexts])
+            contexts = replace(contexts, active=active)
+        return contexts, np.arange(len(contexts))
 
-        Contexts in a group stack into one rectangular ``(G, F, P)``
-        walk; groups differ only when pre-processing stopped early or
+    @staticmethod
+    def _group_by_paths(
+        block: PreparedBlock, rows: np.ndarray, max_paths: "int | None"
+    ) -> "dict[tuple[int, int], np.ndarray]":
+        """Indices into ``rows`` grouped by ``(prepared, effective)`` paths.
+
+        Rows in a group stack into one rectangular ``(G, F, P)`` walk;
+        groups differ only when pre-processing stopped early or
         a-FlexCore trimmed the active set.  ``effective`` is the prepared
         count clamped to the ``max_paths`` budget — a pure function of
         ``prepared`` within one call, so group membership (and therefore
-        the residency key of each group's plan) is stable while an AIMD
-        governor sweeps the budget up and down."""
-        groups: dict[tuple[int, int], list[int]] = {}
-        for sc, context in enumerate(contexts):
-            prepared = context.position_vectors.shape[0]
-            effective = (
-                prepared
-                if max_paths is None
-                else min(prepared, int(max_paths))
-            )
-            groups.setdefault((prepared, effective), []).append(sc)
-        return groups
+        each group's plan) is stable while an AIMD governor sweeps the
+        budget up and down."""
+        active = block.active[rows]
+        budget = np.inf if max_paths is None else max_paths
+        return {
+            (int(prepared), int(min(prepared, budget))): np.flatnonzero(active == prepared)
+            for prepared in np.unique(active)
+        }
+
+    def _plans(self, contexts, xp, store, max_paths):
+        """Yield ``(members, paths, plan)`` for each equal-path group of
+        ``contexts``: its subcarriers, its budgeted path count and its
+        plan clamped to it."""
+        block, rows = self._selection(contexts)
+        for (prepared, paths), members in self._group_by_paths(block, rows, max_paths).items():
+            plan = self._group_plan(block, rows[members], prepared, xp, store)
+            yield members, paths, plan.clamp(paths)
 
     @staticmethod
     def _scratch(store) -> WalkWorkspace:
@@ -770,23 +702,27 @@ class FlexCoreDetector(Detector):
         return np.stack([grid[0][kth], grid[1][kth]], axis=2)
 
     # ------------------------------------------------------------------
-    def _plan(
-        self, contexts, xp, store=None, max_paths: "int | None" = None
-    ) -> "_StackedContexts":
-        """The group's walk plan, resident when a store is given.
+    def _row_plan(self, context: FlexCoreContext, xp) -> "_StackedContexts":
+        """The plan of one row, read straight off its block."""
+        return self._build_plan(context.block, [context.row], context.active_paths, xp)
 
-        The store is keyed on the identity of the *unclamped* cached
-        contexts, so governor clamps (applied afterwards by slicing)
-        always hit the same resident entry.
-        """
+    def _group_plan(self, block: PreparedBlock, members, paths, xp, store) -> "_StackedContexts":
+        """The unclamped plan of rows ``members`` of ``block``, all of
+        ``paths`` paths: kept on the block under those rows when a store
+        is given (the store counts the hit or miss), so governor clamps,
+        applied afterwards by slicing, always find it."""
         if store is None:
-            plan = self._build_plan(contexts, xp)
-        else:
-            plan = store.get_or_build(contexts, xp, self._build_plan)
-        return plan.clamp(max_paths)
+            return self._build_plan(block, members, paths, xp)
+        key = (xp, paths, members.tobytes())
+        covered = sum(len(plan.weights) for plan in block.plans.values())
+        if key not in block.plans and covered + len(members) > PLAN_COVER * len(block):
+            block.plans.clear()
+        return store.plan(
+            block.plans, key, lambda: self._build_plan(block, members, paths, xp)
+        )
 
-    def _build_plan(self, contexts, xp) -> "_StackedContexts":
-        """Upload a group's context arrays and derive its plan.
+    def _build_plan(self, block: PreparedBlock, members, paths: int, xp) -> "_StackedContexts":
+        """Upload a group's rows of the block and derive its plan.
 
         Six uploads — ``Q*``, ``R``, the diagonal, the weights, the
         position vectors, the inverse permutations — and everything the
@@ -794,23 +730,21 @@ class FlexCoreDetector(Detector):
         """
         num_streams = self.system.num_streams
         scale = self.system.constellation.scale
-        r = xp.asarray(np.stack([c.qr.r for c in contexts]))
-        diag = xp.asarray(np.stack([c.diag for c in contexts]))
-        weights = xp.asarray(np.stack([c.weights for c in contexts]))
+        r = xp.asarray(block.qr.r[members])
+        diag = xp.asarray(block.diag[members])
+        weights = xp.asarray(block.diag[members] ** 2)
         # Level-major, path axis last: one level is one slab, one budget
         # clamp is one slice.
         positions = xp.asarray(
             np.ascontiguousarray(
-                np.stack([c.position_vectors for c in contexts]).transpose(
-                    2, 0, 1
-                )
+                block.search.position_vectors[members, :paths].transpose(2, 0, 1)
             )[:, :, None, :]
         )
         real = np.real(r) / diag[:, :, None]
         imag = np.imag(r) / diag[:, :, None]
         # Negated, so the core adds the product to the received point.
         rows = np.zeros(
-            (len(contexts), num_streams, 2, 2 * num_streams),
+            (len(members), num_streams, 2, 2 * num_streams),
             dtype=np.float64,
         )
         rows[:, :, 0, 0::2] = -real
@@ -819,11 +753,9 @@ class FlexCoreDetector(Detector):
         rows[:, :, 1, 1::2] = -real
         offsets, swap_delta = self.ordering.path_offsets(positions, xp)
         return _StackedContexts(
-            q_conj=xp.asarray(np.conj(np.stack([c.qr.q for c in contexts]))),
+            q_conj=xp.asarray(np.conj(block.qr.q[members])),
             inverse_permutation=xp.asarray(
-                np.argsort(
-                    np.stack([c.qr.permutation for c in contexts]), axis=1
-                )
+                np.argsort(block.qr.permutation[members], axis=1)
             ),
             to_grid=(1.0 / (diag * scale))[:, None, :],
             rows=rows,

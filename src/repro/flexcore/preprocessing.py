@@ -37,20 +37,28 @@ exist being holes that hold ``+inf``.  Nothing is compacted and nothing
 but the keys is stored per frontier node, so a round is a dozen array
 operations however many channels ride it.  Both lanes are bit- and
 FLOP-identical to calling :func:`find_promising_paths` once per channel;
-see its docstring for why.  :func:`find_promising_paths` itself stays
-the oracle and the serial backend's path.
+see its docstring for why.  The result is one :class:`PathSearchBlock`
+of stacked arrays; :func:`find_promising_paths` itself stays the oracle
+(and the SNR policy's one-channel search).
+
+What pre-processing leaves for the walk is one :class:`PreparedBlock` per
+prepared coherence block: its QR and search results and active path
+counts, stacked, and the walk plans derived from them.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
 from repro import native
 from repro.errors import ConfigurationError, DimensionError
-from repro.flexcore.probability import LevelErrorModel
+from repro.flexcore.probability import ErrorModelBlock, LevelErrorModel
+from repro.mimo.qr import QrBlock
 from repro.utils.flops import NULL_COUNTER, FlopCounter
 
 
@@ -86,6 +94,136 @@ class PreprocessingResult:
     def cumulative_probability(self) -> float:
         """Total probability mass captured by the selected paths."""
         return float(self.probabilities.sum())
+
+
+@dataclass(frozen=True, eq=False)
+class PathSearchBlock(Sequence):
+    """The searches of ``C`` channels, stacked.
+
+    ``position_vectors`` ``(C, P, Nt)`` and ``probabilities`` ``(C, P)``
+    are valid up to each channel's ``expanded_nodes``; the other fields
+    are ``(C,)`` columns of :class:`PreprocessingResult`'s scalars.  Row
+    ``c`` is channel ``c``'s result, its arrays views of the block's.
+    """
+
+    position_vectors: np.ndarray
+    probabilities: np.ndarray
+    expanded_nodes: np.ndarray
+    real_multiplications: np.ndarray
+    candidate_peak: np.ndarray
+    stopped_early: np.ndarray
+
+    def __len__(self) -> int:
+        return self.expanded_nodes.shape[0]
+
+    def __getitem__(self, c) -> PreprocessingResult:
+        count = int(self.expanded_nodes[c])
+        return PreprocessingResult(
+            position_vectors=self.position_vectors[c, :count],
+            probabilities=self.probabilities[c, :count],
+            expanded_nodes=count,
+            real_multiplications=int(self.real_multiplications[c]),
+            candidate_peak=int(self.candidate_peak[c]),
+            stopped_early=bool(self.stopped_early[c]),
+        )
+
+
+class FlexCoreContext:
+    """One channel of a :class:`PreparedBlock`: a row view, built only
+    when a channel is asked for on its own (``FlexCoreDetector.prepare``,
+    the per-subcarrier route).  ``active_paths`` starts at the block's
+    count and is the one field a caller may lower (a path budget on a
+    copy); everything else reads the block."""
+
+    def __init__(self, block: "PreparedBlock", row: int):
+        self.block, self.row = block, row
+        self.active_paths = int(block.active[row])
+
+    qr = property(lambda self: self.block.qr[self.row])
+    diag = property(lambda self: self.block.diag[self.row])
+    weights = property(lambda self: self.diag**2)
+    preprocessing = property(lambda self: self.block.search[self.row])
+
+    @property
+    def position_vectors(self) -> np.ndarray:
+        return self.block.search.position_vectors[self.row, : self.active_paths]
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedBlock(Sequence):
+    """What ``FlexCoreDetector.prepare_many`` makes of ``C`` channels, as
+    stacked arrays: the QR, the path search, ``R``'s real diagonal ``(C,
+    Nt)`` and each channel's active path count ``(C,)``.  Row ``c`` is
+    channel ``c``'s :class:`FlexCoreContext`; rows are a :class:`BlockRows`.
+
+    ``plans`` holds the walk plans resident calls derived from these
+    arrays, one per module, path count and rows walked — for a warm
+    block, one per equal-path group: a plan lives exactly as long as its
+    block.
+    """
+
+    qr: QrBlock
+    search: PathSearchBlock
+    diag: np.ndarray
+    active: np.ndarray
+    plans: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __len__(self) -> int:
+        return self.active.shape[0]
+
+    def __getitem__(self, row) -> "FlexCoreContext | BlockRows":
+        if isinstance(row, slice):
+            return self.select(np.arange(len(self))[row])
+        return FlexCoreContext(self, range(len(self))[row])
+
+    def select(self, rows) -> "BlockRows":
+        """These ``rows`` of the block, in this order, as a sequence."""
+        return BlockRows(self, np.asarray(rows, dtype=np.intp))
+
+    @staticmethod
+    def gather(pairs) -> "PreparedBlock":
+        """One new block of the ``(block, row)`` ``pairs``' rows, in order,
+        from any number of blocks of one detector."""
+        blocks = list({id(block): block for block, _ in pairs}.values())
+        start = dict(zip(map(id, blocks), accumulate(map(len, blocks), initial=0)))
+        index = np.array([start[id(block)] + row for block, row in pairs], dtype=np.intp)
+        return _join(
+            blocks,
+            lambda arrays: (arrays[0] if len(arrays) == 1 else np.concatenate(arrays))[index],
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class BlockRows(Sequence):
+    """``rows`` of one :class:`PreparedBlock`, in any order and with
+    repeats — a streaming flush stacking several slots of a cell — read
+    from the block as they are, its plans included."""
+
+    block: PreparedBlock
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, row: int) -> "FlexCoreContext":
+        return self.block[int(self.rows[row])]
+
+
+def _join(parts, take):
+    """A stacked result like ``parts[0]`` whose every array is ``take`` of
+    that array in each of ``parts`` (nested stacked results alike)."""
+    values = {
+        item.name: [getattr(part, item.name) for part in parts]
+        for item in fields(parts[0])
+        if item.init
+    }
+    return replace(
+        parts[0],
+        **{
+            name: _join(arrays, take) if is_dataclass(arrays[0]) else take(arrays)
+            for name, arrays in values.items()
+        },
+    )
 
 
 def find_promising_paths(
@@ -186,13 +324,14 @@ def find_promising_paths_block(
     stop_threshold=None,
     batch_size: int = 1,
     counter: FlopCounter = NULL_COUNTER,
-) -> list[PreprocessingResult]:
+) -> PathSearchBlock:
     """``C`` best-first searches in one call — the batched cold path.
 
     Parameters
     ----------
     models:
-        A sequence of :class:`~repro.flexcore.probability.LevelErrorModel`
+        An :class:`~repro.flexcore.probability.ErrorModelBlock`, a
+        sequence of :class:`~repro.flexcore.probability.LevelErrorModel`
         (one per channel) or a stacked ``(C, Nt)`` ``Pe`` array, every
         entry in ``[0, 1]`` as for :func:`find_promising_paths`.
     num_paths, max_rank, batch_size:
@@ -202,10 +341,10 @@ def find_promising_paths_block(
         sequence of per-channel thresholds (``nan`` entries disable the
         criterion for that channel).
 
-    Returns one :class:`PreprocessingResult` per channel, **bit- and
+    Returns one :class:`PathSearchBlock` whose rows are **bit- and
     FLOP-identical** to ``[find_promising_paths(m, ...) for m in models]``
     (same expansion order, tie-break serials, ``real_multiplications``
-    and ``candidate_peak``), each owning its arrays.
+    and ``candidate_peak``).
 
     **Native lane.**  When this process's lane is native
     (:func:`repro.native.kernel`), ``search.c`` runs the heap of
@@ -259,15 +398,11 @@ def find_promising_paths_block(
         raise ConfigurationError("max_rank must be positive")
     if batch_size <= 0:
         raise ConfigurationError("batch_size must be positive")
-    if isinstance(models, np.ndarray):
-        pe_block = np.asarray(models, dtype=np.float64)
-    else:
-        models = list(models)
-        if not models:
-            return []
-        pe_block = np.stack(
-            [np.asarray(model.pe, dtype=np.float64) for model in models]
-        )
+    if isinstance(models, ErrorModelBlock):
+        models = models.pe
+    if not isinstance(models, np.ndarray):
+        models = [model.pe for model in models] or np.empty((0, 1))
+    pe_block = np.asarray(models, dtype=np.float64)
     if pe_block.ndim != 2:
         raise DimensionError(
             f"find_promising_paths_block wants (C, Nt) error "
@@ -275,30 +410,24 @@ def find_promising_paths_block(
         )
     _check_pe(pe_block)
     num_channels, num_levels = pe_block.shape
-    if num_channels == 0:
-        return []
     if num_paths > max_rank**num_levels:
         num_paths = int(max_rank**num_levels)
     thresholds = _as_thresholds(stop_threshold, num_channels)
     kernel = native.kernel()
-    search = _slab if kernel is None else kernel.tree_search
+    search = _slab if kernel is None or num_channels == 0 else kernel.tree_search
     selected, probabilities, tally = search(
         np.ascontiguousarray(pe_block), num_paths, max_rank, batch_size, thresholds
     )
-    counter.add_real_mults(
-        num_channels * (num_levels - 1) + int(tally[:, 1].sum())
+    pushed = tally[:, 1]
+    counter.add_real_mults(num_channels * (num_levels - 1) + int(pushed.sum()))
+    return PathSearchBlock(
+        position_vectors=selected[:, :num_paths],
+        probabilities=probabilities[:, :num_paths],
+        expanded_nodes=tally[:, 0],
+        real_multiplications=num_levels - 1 + pushed,
+        candidate_peak=tally[:, 2],
+        stopped_early=tally[:, 3].astype(bool),
     )
-    return [
-        PreprocessingResult(
-            position_vectors=selected[c, :n].copy(),
-            probabilities=probabilities[c, :n].copy(),
-            expanded_nodes=n,
-            real_multiplications=num_levels - 1 + pushed,
-            candidate_peak=peak,
-            stopped_early=bool(stopped),
-        )
-        for c, (n, pushed, peak, stopped) in enumerate(tally.tolist())
-    ]
 
 
 def _check_pe(pe: np.ndarray) -> None:
@@ -364,7 +493,7 @@ def _slab(pe_block, num_paths, max_rank, batch_size, thresholds) -> tuple:
                 np.minimum(batch_size, num_paths - count), 1 + pushed - count
             )
             round_size[stopped_early] = 0
-            width = int(round_size.max())
+            width = int(round_size.max(initial=0))
             if width == 0:
                 break
             # Every pop of the round is chosen before any child is

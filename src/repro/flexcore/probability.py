@@ -33,6 +33,7 @@ matches Monte-Carlo rank statistics closely at both low and high SNR.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,18 +144,11 @@ class LevelErrorModel:
         symbol_energy: float = 1.0,
         formula: str = "corrected",
     ) -> "LevelErrorModel":
-        """Build from an upper-triangular ``R`` (or its diagonal)."""
-        r_matrix = np.asarray(r_matrix)
-        diag = np.diagonal(r_matrix) if r_matrix.ndim == 2 else r_matrix
-        if formula == "corrected":
-            pe = pe_corrected(np.abs(diag), noise_var, constellation, symbol_energy)
-        elif formula == "paper":
-            pe = pe_paper_literal(
-                np.abs(diag), noise_var, constellation, symbol_energy
-            )
-        else:
-            raise ConfigurationError(f"unknown Pe formula {formula!r}")
-        return cls(pe=np.asarray(pe, dtype=np.float64))
+        """Build from an upper-triangular ``R`` (or its diagonal): row 0
+        of :meth:`from_channels` on a one-channel block."""
+        return cls.from_channels(
+            np.asarray(r_matrix)[None], noise_var, constellation, symbol_energy, formula
+        )[0]
 
     @classmethod
     def from_channels(
@@ -164,16 +158,12 @@ class LevelErrorModel:
         constellation: QamConstellation,
         symbol_energy: float = 1.0,
         formula: str = "corrected",
-    ) -> "list[LevelErrorModel]":
-        """One model per channel of a coherence block, vectorised.
+    ) -> "ErrorModelBlock":
+        """The models of a coherence block, in one elementwise call.
 
         ``r_stack`` is a ``(C, Nt, Nt)`` stack of upper-triangular ``R``
         matrices or a ``(C, Nt)`` stack of their diagonals — the shape
-        the stacked QR factorisations hand over.  The per-level error
-        probabilities of the whole block are computed in **one**
-        elementwise call, so every returned model is bit-identical to
-        :meth:`from_channel` of the corresponding channel while the cold
-        path pays a single erfc evaluation instead of ``C``.
+        the stacked QR factorisations hand over.
         """
         r_stack = np.asarray(r_stack)
         if r_stack.ndim == 3:
@@ -195,8 +185,7 @@ class LevelErrorModel:
             )
         else:
             raise ConfigurationError(f"unknown Pe formula {formula!r}")
-        pe = np.ascontiguousarray(pe, dtype=np.float64)
-        return [cls(pe=pe[c]) for c in range(pe.shape[0])]
+        return ErrorModelBlock(pe=np.ascontiguousarray(pe, dtype=np.float64))
 
     @property
     def num_levels(self) -> int:
@@ -222,3 +211,17 @@ class LevelErrorModel:
         """``P_l(k)`` for ``k = 1..max_rank`` at 0-based ``level`` (Fig. 14)."""
         ranks = np.arange(1, max_rank + 1)
         return rank_probability(self.pe[level], ranks)
+
+
+@dataclass(frozen=True, eq=False)
+class ErrorModelBlock(Sequence):
+    """The models of ``C`` channels: ``pe`` ``(C, Nt)``.  Row ``c`` is
+    channel ``c``'s :class:`LevelErrorModel`, built when asked for."""
+
+    pe: np.ndarray
+
+    def __len__(self) -> int:
+        return self.pe.shape[0]
+
+    def __getitem__(self, c) -> LevelErrorModel:
+        return LevelErrorModel(pe=self.pe[c])

@@ -114,7 +114,7 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         received = self._check_received(received)
         xp = resolve_array_module(None)
         indices, llrs, clamped = self._detect_soft_group(
-            self._plan([context], xp),
+            self._row_plan(context, xp),
             received[None],
             noise_var,
             xp,
@@ -154,7 +154,7 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         path) — the walk's candidate list, for diagnostics, from the
         portable level loop on either lane."""
         xp = resolve_array_module(None)
-        plan = self._plan([context], xp)
+        plan = self._row_plan(context, xp)
         planes = plan.grid_planes(xp.asarray(rotated)[None])
         symbols, ped, _ = self._walk(planes, plan, xp, counter, False)
         return self._symbol_indices(symbols, xp)[0].swapaxes(1, 2), ped[0]
@@ -172,7 +172,7 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         store=None,
         max_paths: "int | None" = None,
     ) -> "tuple[np.ndarray, np.ndarray, list[dict]]":
-        """Soft-detect a ``(S, F, Nr)`` block over prepared contexts.
+        """Soft-detect a ``(S, F, Nr)`` block over prepared channels.
 
         The stacked analogue of :meth:`detect_soft_prepared`: subcarriers
         sharing a path count walk as one ``(G, F, P)`` element tensor
@@ -180,11 +180,10 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         ranked into one list that every bit scans.  The hard decisions
         *and* the LLRs are bit-identical to the per-subcarrier path.
 
-        ``store``/``max_paths`` behave exactly as on
+        ``contexts``, ``store`` and ``max_paths`` behave exactly as on
         :meth:`~repro.flexcore.detector.FlexCoreDetector.detect_block_prepared`:
         resident walk plans are reused device-side and the path budget
-        slices them (a view, never an upload or a mutation of the cached
-        contexts).
+        slices them (a view, never an upload or a change to the block).
 
         Returns ``(indices, llrs, metadata)`` with shapes ``(S, F, Nt)``
         / ``(S, F, Nt * bits_per_symbol)``; each comes home in a single
@@ -195,25 +194,17 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         num_subcarriers, num_frames, _ = received.shape
         num_streams = self.system.num_streams
         width = num_streams * self.system.constellation.bits_per_symbol
-        received_dev = xp.asarray(received)
         indices_dev = np.zeros(
             (num_subcarriers, num_frames, num_streams), dtype=np.int64
         )
         llrs_dev = np.zeros((num_subcarriers, num_frames, width), dtype=np.float64)
         metadata: list = [None] * num_subcarriers
         scratch = self._scratch(store)
-        groups = self._group_by_paths(contexts, max_paths)
-        for (_prepared, paths), members in groups.items():
-            block_indices, block_llrs, clamped = self._detect_soft_group(
-                self._plan([contexts[sc] for sc in members], xp, store, paths),
-                received_dev[members],
-                noise_var,
-                xp,
-                counter,
-                scratch,
+        received = xp.asarray(received)
+        for members, paths, plan in self._plans(contexts, xp, store, max_paths):
+            indices_dev[members], llrs_dev[members], clamped = self._detect_soft_group(
+                plan, received[members], noise_var, xp, counter, scratch
             )
-            indices_dev[members] = block_indices
-            llrs_dev[members] = block_llrs
             for j, sc in enumerate(members):
                 metadata[sc] = {
                     "paths": max(paths, 1),

@@ -18,15 +18,19 @@ All routines also expose ZF / MMSE filter construction for the linear
 baselines; real-multiplication accounting for Table 2 uses the ``4 Nt^3``
 convention stated there.
 
-The sorted QR has the walk's two lanes (:mod:`repro.native`): ``qr.c``,
-or a numpy recursion over the block (``CC=false``).  :func:`sorted_qr` is
-the one-channel block, so serial and stacked paths are bit-identical
-within a lane; across lanes ``Q`` and ``R`` agree to a few ulp and the
-permutation except at residual-norm ties.  Plain and FCSD QR are numpy.
+Each stacked routine returns one :class:`QrBlock` of ``(B, ...)`` arrays,
+whose rows are :class:`QrDecomposition` views, and each single-channel
+routine is row 0 of its stacked twin on a one-channel block.  The sorted
+QR has the walk's two lanes (:mod:`repro.native`): ``qr.c``, or a numpy
+recursion over the block (``CC=false``); serial and stacked paths are
+bit-identical within a lane, and across lanes ``Q`` and ``R`` agree to a
+few ulp and the permutation except at residual-norm ties.  Plain and
+FCSD QR are numpy.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,20 +91,35 @@ def _fix_diagonal_phase(q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.nd
     return q, np.triu(r)
 
 
-def plain_qr(channel: np.ndarray, counter: FlopCounter = NULL_COUNTER) -> QrDecomposition:
-    """Unsorted thin QR of the channel matrix."""
+@dataclass(frozen=True, eq=False)
+class QrBlock(Sequence):
+    """The QR factorisations of a ``(B, Nr, Nt)`` channel block, stacked:
+    ``q`` ``(B, Nr, Nt)``, ``r`` ``(B, Nt, Nt)`` and ``permutation``
+    ``(B, Nt)``.  Row ``b`` is channel ``b``'s :class:`QrDecomposition`,
+    built as a view when it is asked for."""
+
+    q: np.ndarray
+    r: np.ndarray
+    permutation: np.ndarray
+
+    def __len__(self) -> int:
+        return self.q.shape[0]
+
+    def __getitem__(self, b) -> QrDecomposition:
+        return QrDecomposition(q=self.q[b], r=self.r[b], permutation=self.permutation[b])
+
+
+def _single(channel: np.ndarray, who: str) -> np.ndarray:
     channel = np.asarray(channel)
     if channel.ndim != 2 or channel.shape[0] < channel.shape[1]:
-        raise DimensionError("plain_qr expects a tall (Nr >= Nt) matrix")
-    q, r = np.linalg.qr(channel)
-    q, r = _fix_diagonal_phase(q, r)
-    num_streams = channel.shape[1]
-    # Table 2 convention: a QR decomposition of an Nt x Nt complex matrix
-    # costs about 4 * Nt^3 real multiplications.
-    counter.add_real_mults(4 * num_streams**3)
-    return QrDecomposition(
-        q=q, r=r, permutation=np.arange(channel.shape[1], dtype=np.int64)
-    )
+        raise DimensionError(f"{who} expects a tall (Nr >= Nt) matrix")
+    return channel[None]
+
+
+def plain_qr(channel: np.ndarray, counter: FlopCounter = NULL_COUNTER) -> QrDecomposition:
+    """Unsorted thin QR of the channel matrix: :func:`stacked_plain_qr`
+    of a one-channel block."""
+    return stacked_plain_qr(_single(channel, "plain_qr"), counter=counter)[0]
 
 
 def sorted_qr(
@@ -109,10 +128,7 @@ def sorted_qr(
     """Wübben sorted QR (weakest stream first, strongest at the tree top):
     :func:`stacked_sorted_qr` of a one-channel block, on this process's
     lane."""
-    channel = np.asarray(channel)
-    if channel.ndim != 2 or channel.shape[0] < channel.shape[1]:
-        raise DimensionError("sorted_qr expects a tall (Nr >= Nt) matrix")
-    return stacked_sorted_qr(channel[None], counter=counter)[0]
+    return stacked_sorted_qr(_single(channel, "sorted_qr"), counter=counter)[0]
 
 
 def fcsd_sorted_qr(
@@ -121,7 +137,8 @@ def fcsd_sorted_qr(
     noise_var: float = 0.0,
     counter: FlopCounter = NULL_COUNTER,
 ) -> QrDecomposition:
-    """Barbero-Thompson FCSD ordering.
+    """Barbero-Thompson FCSD ordering: :func:`stacked_fcsd_sorted_qr` of a
+    one-channel block.
 
     The detection order runs from QR position ``Nt`` (tree top) down to 1.
     For the first ``num_expanded`` detected levels the *least* reliable
@@ -130,15 +147,9 @@ def fcsd_sorted_qr(
     style.  Reliability is measured by the post-nulling noise amplification
     (pseudo-inverse row norms), optionally MMSE-regularised.
     """
-    channel = np.asarray(channel)
-    if channel.ndim != 2 or channel.shape[0] < channel.shape[1]:
-        raise DimensionError("fcsd_sorted_qr expects a tall (Nr >= Nt) matrix")
-    num_streams = channel.shape[1]
-    # Position Nt (last QR column) is detected first.
-    permutation = _fcsd_ordering(channel, num_expanded, noise_var)
-    base = plain_qr(channel[:, permutation])
-    counter.add_real_mults(4 * num_streams**3)
-    return QrDecomposition(q=base.q, r=base.r, permutation=permutation)
+    return stacked_fcsd_sorted_qr(
+        _single(channel, "fcsd_sorted_qr"), num_expanded, noise_var, counter=counter
+    )[0]
 
 
 def _check_stacked_channels(channels: np.ndarray, who: str) -> np.ndarray:
@@ -153,50 +164,36 @@ def _check_stacked_channels(channels: np.ndarray, who: str) -> np.ndarray:
 
 def stacked_plain_qr(
     channels: np.ndarray, counter: FlopCounter = NULL_COUNTER
-) -> list[QrDecomposition]:
-    """Unsorted QR of a whole ``(B, Nr, Nt)`` channel block in one shot.
-
-    ``np.linalg.qr`` runs the same LAPACK factorisation per stacked
-    matrix, so each returned decomposition is bit-identical to
-    :func:`plain_qr` of the corresponding channel — the batched
-    cache-miss path of the runtime can substitute freely.
-    """
+) -> QrBlock:
+    """Unsorted QR of a whole ``(B, Nr, Nt)`` channel block in one shot,
+    each with a positive real diagonal: ``np.linalg.qr`` runs the same
+    LAPACK factorisation per stacked matrix."""
     channels = _check_stacked_channels(channels, "stacked_plain_qr")
     num_matrices, _, num_streams = channels.shape
-    if num_matrices == 0:
-        return []
     q, r = np.linalg.qr(channels)
     q, r = _fix_diagonal_phase(q, r)
+    # Table 2 convention: a QR decomposition of an Nt x Nt complex matrix
+    # costs about 4 * Nt^3 real multiplications.
     counter.add_real_mults(4 * num_streams**3 * num_matrices)
-    return [
-        QrDecomposition(
-            q=q[b],
-            r=r[b],
-            permutation=np.arange(num_streams, dtype=np.int64),
-        )
-        for b in range(num_matrices)
-    ]
+    return QrBlock(
+        q=q, r=r, permutation=np.tile(np.arange(num_streams, dtype=np.int64), (num_matrices, 1))
+    )
 
 
 def stacked_sorted_qr(
     channels: np.ndarray, counter: FlopCounter = NULL_COUNTER
-) -> list[QrDecomposition]:
+) -> QrBlock:
     """Wübben sorted QR of a ``(B, Nr, Nt)`` block: one ``qr.c`` call on
     the native lane, else the column-pick/Gram-Schmidt recursion once per
     tree level, vectorised over B — the same steps, summed in another
     order."""
     channels = _check_stacked_channels(channels, "stacked_sorted_qr")
     num_matrices, _, num_streams = channels.shape
-    if num_matrices == 0:
-        return []
     kernel = native.kernel()
-    factorise = _sorted_recursion if kernel is None else kernel.sorted_qr
+    factorise = _sorted_recursion if kernel is None or num_matrices == 0 else kernel.sorted_qr
     q, r, permutation = factorise(np.array(channels, dtype=np.complex128, order="C"))
     counter.add_real_mults(4 * num_streams**3 * num_matrices)
-    return [
-        QrDecomposition(q=q[b], r=r[b].copy(), permutation=permutation[b])
-        for b in range(num_matrices)
-    ]
+    return QrBlock(q=q, r=r, permutation=permutation)
 
 
 def _sorted_recursion(work: np.ndarray) -> tuple:
@@ -244,34 +241,26 @@ def stacked_fcsd_sorted_qr(
     num_expanded: int,
     noise_var: float = 0.0,
     counter: FlopCounter = NULL_COUNTER,
-) -> list[QrDecomposition]:
+) -> QrBlock:
     """FCSD-ordered QR of a ``(B, Nr, Nt)`` block.
 
     The greedy reliability ordering is inherently sequential per channel
     (each step's pinv depends on the previous pick), so it stays a small
     per-channel loop; the heavy factorisation then runs as one stacked
-    QR of the permuted block.  Outputs are bit-identical to
-    :func:`fcsd_sorted_qr` per channel.
+    QR of the permuted block.
     """
     channels = _check_stacked_channels(channels, "stacked_fcsd_sorted_qr")
     num_matrices, _, num_streams = channels.shape
-    if num_matrices == 0:
-        return []
-    permutations = [
-        _fcsd_ordering(channels[b], num_expanded, noise_var)
-        for b in range(num_matrices)
-    ]
-    permuted = np.stack(
-        [channels[b][:, permutations[b]] for b in range(num_matrices)]
-    )
-    # Mirrors fcsd_sorted_qr: the inner plain QR is not charged
-    # separately; the 4 Nt^3 convention covers the whole factorisation.
-    bases = stacked_plain_qr(permuted)
+    permutation = np.array(
+        [_fcsd_ordering(channel, num_expanded, noise_var) for channel in channels],
+        dtype=np.int64,
+    ).reshape(num_matrices, num_streams)
+    permuted = np.take_along_axis(channels, permutation[:, None, :], axis=2)
+    # The inner plain QR is not charged separately; the 4 Nt^3
+    # convention covers the whole factorisation.
+    base = stacked_plain_qr(permuted)
     counter.add_real_mults(4 * num_streams**3 * num_matrices)
-    return [
-        QrDecomposition(q=base.q, r=base.r, permutation=perm)
-        for base, perm in zip(bases, permutations)
-    ]
+    return QrBlock(q=base.q, r=base.r, permutation=permutation)
 
 
 def _fcsd_ordering(

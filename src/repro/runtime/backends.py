@@ -60,10 +60,10 @@ class ArrayBackend(ExecutionBackend):
     tensor.  Detectors without one run the same per-subcarrier loop
     :class:`SerialBackend` selects — the backend is always safe to pick.
 
-    Every group's walk plan stays resident across calls in one
-    :class:`~repro.runtime.residency.ResidentContextStore` shared by
-    every cell on this backend, so warm coherence-cache hits upload zero
-    context bytes.
+    Every group's walk plan stays resident on its cached prepared block
+    (:class:`~repro.runtime.residency.ResidentContextStore` counts the
+    hits and owns the walk's workspace), so warm coherence-cache hits
+    upload zero context bytes.
 
     Parameters
     ----------

@@ -139,6 +139,9 @@ class CellFarm:
             cell.cache.clear()
 
     def close(self) -> None:
+        # The cells' cached blocks carry their walk plans, device memory
+        # like the service's: closing releases both.
+        self.clear_caches()
         if self._owns_service:
             self.service.close()
 

@@ -35,6 +35,7 @@ flight (§5.2).
 from __future__ import annotations
 
 import copy
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -79,7 +80,7 @@ def _detect_block(
     channels: np.ndarray,
     received: np.ndarray,
     noise_var: float,
-    contexts: "list | None",
+    contexts: "Sequence | None",
     counter: FlopCounter,
     use_soft: bool,
     max_paths: "int | None" = None,
@@ -237,8 +238,9 @@ class DetectionService:
         cache: "ContextCache | None",
         counter: FlopCounter,
         stacked: bool,
-    ) -> "tuple[list | None, CacheStats]":
-        """Contexts for every subcarrier, and the batch's cache movement.
+    ) -> "tuple[Sequence | None, CacheStats]":
+        """Contexts for every subcarrier — a sequence indexable by
+        subcarrier — and the batch's cache movement.
 
         Through a cache, the misses of the whole batch are deduplicated
         and prepared in one ``prepare_many`` call
@@ -300,13 +302,12 @@ class DetectionService:
         """The one route: prepare, detect under one span, assemble stats.
 
         ``stacked`` is the only branch.  The block kernel gets its
-        contexts *unclamped*: the path budget is applied exactly once, as
-        a slice of the (resident) stacked tensors inside the kernel —
-        never by copying contexts, never twice.  The cached context
-        objects are the residency keys, so warm coherence-cache hits find
-        their stacks device-side and upload zero context bytes.  The
-        per-subcarrier loop owns its own (single) clamp in
-        :func:`_detect_block`.
+        prepared block *unclamped*: the path budget is applied exactly
+        once, as a slice of the (resident) plan inside the kernel —
+        never by copying contexts, never twice.  A warm batch gets the
+        cached block itself, whose plans are already built, so it
+        uploads zero context bytes.  The per-subcarrier loop owns its
+        own (single) clamp in :func:`_detect_block`.
 
         On an ``ArrayBackend`` ``stats`` also carries the per-batch
         ``resident`` delta, and ``transfers`` when its module meters

@@ -273,16 +273,18 @@ class TestIndependentOracle:
 
 class TestResultMemory:
     @pytest.mark.parametrize("batch_size, threshold", [(1, None), (3, 0.9)])
-    def test_results_own_their_arrays(self, batch_size, threshold):
-        """A cached result must not be a view pinning the block's key
-        slab or its siblings' rows after they are evicted."""
+    def test_rows_are_views_of_the_block(self, batch_size, threshold):
+        """A channel's result is the block's arrays cut at its count — no
+        copy per channel.  What a cached block may keep alive is bounded
+        by the cache (``tests/runtime/test_cache.py``)."""
         pe_block = np.random.default_rng(3).uniform(0.01, 0.4, size=(6, 5))
         block = find_promising_paths_block(
             pe_block, 24, 16, stop_threshold=threshold, batch_size=batch_size
         )
-        for result in block:
-            assert result.position_vectors.base is None
-            assert result.probabilities.base is None
+        for c, result in enumerate(block):
+            assert np.shares_memory(result.position_vectors, block.position_vectors)
+            assert np.shares_memory(result.probabilities, block.probabilities)
+            assert len(result.position_vectors) == block.expanded_nodes[c]
             assert result.position_vectors.dtype == np.int64
             assert result.probabilities.dtype == np.float64
 
@@ -337,8 +339,8 @@ class TestInputs:
             assert_results_identical(a, b)
 
     def test_empty_block(self):
-        assert find_promising_paths_block([], 8, 4) == []
-        assert find_promising_paths_block(np.empty((0, 3)), 8, 4) == []
+        assert len(find_promising_paths_block([], 8, 4)) == 0
+        assert len(find_promising_paths_block(np.empty((0, 3)), 8, 4)) == 0
 
     def test_count_capped_by_tree_size(self):
         block = find_promising_paths_block(np.array([[0.2, 0.3]]), 100, 3)

@@ -214,10 +214,7 @@ class TestAgainstTheFrozenSplitLoop:
         rng = np.random.default_rng(seed)
         # One workspace for every group and tile, as a store's.
         scratch = WalkWorkspace()
-        for (_, paths), members in detector._group_by_paths(contexts, budget).items():
-            plan = detector._plan(
-                [contexts[sc] for sc in members], NUMPY, None, paths
-            )
+        for members, paths, plan in detector._plans(contexts, NUMPY, None, budget):
             planes = plan.grid_planes(np.matmul(received[members], plan.q_conj))
             # Half the coordinates sit on a boundary: the top level sees
             # them as they are, the others behind their interference.
@@ -347,7 +344,7 @@ class TestCoreIsShapeBlind:
     def walk(self, contexts, received, frames=slice(None)):
         # Rotation happens once per call, before any chunking: only the
         # walk sees a subset of frames.
-        plan = self.detector._plan(contexts, NUMPY)
+        ((_, _, plan),) = self.detector._plans(contexts, NUMPY, None, None)
         planes = plan.grid_planes(np.matmul(received, plan.q_conj))
         return self.detector._walk(
             planes[:, frames], plan, NUMPY, NULL_COUNTER, False
@@ -411,7 +408,7 @@ class TestTheTiledWalkIsItsContiguousCopy:
         self.detector = SoftFlexCoreDetector(system, 24, ordering=ORDERINGS[16])
         channels, received, noise_var = make_block(system, 5, 9, 12.0, 99)
         contexts = self.detector.prepare_many(channels, noise_var)
-        self.plan = self.detector._plan(contexts, NUMPY)
+        ((_, _, self.plan),) = self.detector._plans(contexts, NUMPY, None, None)
         self.planes = self.plan.grid_planes(np.matmul(received, self.plan.q_conj))
 
     def walk(self, plan, planes):

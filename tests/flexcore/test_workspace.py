@@ -135,7 +135,7 @@ class TestNothingACallerHoldsLivesInTheWorkspace:
         assert np.array_equal(ped, kept[1])
 
     def walk(self, received, scratch=None):
-        plan = self.detector._plan(self.contexts, NUMPY)
+        ((_, _, plan),) = self.detector._plans(self.contexts, NUMPY, None, None)
         planes = plan.grid_planes(np.matmul(received, plan.q_conj))
         return self.detector._walk(
             planes, plan, NUMPY, NULL_COUNTER, False, scratch

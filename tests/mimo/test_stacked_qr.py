@@ -116,7 +116,7 @@ class TestStackedValidation:
             stacked_sorted_qr(np.zeros((2, 3, 5), dtype=complex))
 
     def test_empty_block_is_empty_list(self):
-        assert stacked_plain_qr(np.zeros((0, 4, 3), dtype=complex)) == []
+        assert len(stacked_plain_qr(np.zeros((0, 4, 3), dtype=complex))) == 0
 
     def test_fcsd_bad_expansion_rejected(self):
         with pytest.raises(DimensionError):

@@ -62,7 +62,7 @@ def detect_soft_block(detector, contexts, received, noise_var, max_paths=None):
     constellation = detector.system.constellation
     hard, soft, clamped = [], [], []
     for sc, context in enumerate(contexts):
-        plan = detector._plan([context], NUMPY, None, max_paths)
+        ((_, _, plan),) = detector._plans([context], NUMPY, None, max_paths)
         planes = plan.grid_planes(np.matmul(received[sc : sc + 1], plan.q_conj))
         # The candidate walk ignores the exact-ordering ablation.
         symbols, ped, _ = detector._walk(planes, plan, NUMPY, NULL_COUNTER, False)

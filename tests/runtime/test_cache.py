@@ -1,12 +1,18 @@
 """Tests for the coherence context cache, backends, and runtime plumbing."""
 
+import weakref
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.channel.fading import rayleigh_channel, rayleigh_channels
 from repro.channel.testbed import IndoorTestbed
 from repro.errors import ConfigurationError
 from repro.flexcore.detector import FlexCoreDetector
+from repro.flexcore.preprocessing import PreparedBlock
 from repro.link.channels import testbed_sampler
 from repro.link.config import LinkConfig
 from repro.link.simulation import simulate_link
@@ -20,6 +26,7 @@ from repro.runtime import (
     context_key,
     make_backend,
 )
+from repro.utils.flops import FlopCounter
 from tests.conftest import make_stack
 
 
@@ -77,12 +84,13 @@ class TestBlockContextKeys:
 
 
 class TestContextCache:
-    def test_hit_returns_same_context_object(self, detector, rng):
+    def test_hit_serves_the_cached_row(self, detector, rng):
         cache = ContextCache()
         channel = rayleigh_channel(3, 3, rng)
         first = cache.get_or_prepare(detector, channel, 0.05)
         second = cache.get_or_prepare(detector, channel, 0.05)
-        assert first is second
+        # The same row of the same prepared block, read again.
+        assert (first.block, first.row) == (second.block, second.row)
         assert cache.stats == CacheStats(
             hits=1, misses=1, evictions=0, entries=1
         )
@@ -125,6 +133,51 @@ class TestContextCache:
         cache.get_or_prepare(detector, channel, 0.05, counter=again)
         assert first.real_mults > 0
         assert again.real_mults == 0
+
+
+class TestBlockEntries:
+    """Entries are rows of prepared blocks: however blocks overlap, the
+    rows live blocks hold stay within the capacity plus one block, and
+    the bookkeeping is the per-subcarrier replay's."""
+
+    SYSTEM = MimoSystem(2, 2, QamConstellation(4))
+    POOL = rayleigh_channels(8, 2, 2, np.random.default_rng(11))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        capacity=st.integers(1, 6),
+        batches=st.lists(
+            st.lists(st.integers(0, 7), min_size=1, max_size=7), min_size=1, max_size=8
+        ),
+    )
+    def test_bounded_rows_and_replayed_bookkeeping(self, capacity, batches):
+        detector = FlexCoreDetector(self.SYSTEM, num_paths=3)
+        live = weakref.WeakSet()
+        original = PreparedBlock.__init__
+
+        def tracked(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            live.add(self)
+
+        cache, replay = ContextCache(capacity), ContextCache(capacity)
+        counter, replay_counter = FlopCounter(), FlopCounter()
+        largest = 0
+        for batch in batches:
+            channels = self.POOL[batch]
+            with mock.patch.object(PreparedBlock, "__init__", tracked):
+                block = cache.get_or_prepare_block(detector, channels, 0.1, counter)
+            rows = [
+                replay.get_or_prepare(detector, channel, 0.1, replay_counter)
+                for channel in channels
+            ]
+            for got, want in zip(block, rows):
+                assert np.array_equal(got.qr.r, want.qr.r)
+                assert np.array_equal(got.position_vectors, want.position_vectors)
+            del block, got
+            largest = max(largest, len(batch))
+            assert sum(len(held) for held in live) <= capacity + largest
+            assert cache.stats == replay.stats
+            assert counter == replay_counter
 
 
 class TestBackends:

@@ -14,8 +14,11 @@ import pytest
 
 from repro.channel.fading import rayleigh_channels
 from repro.flexcore.adaptive import AdaptiveFlexCoreDetector
-from repro.flexcore.detector import FlexCoreDetector
+from repro.flexcore.detector import FlexCoreContext, FlexCoreDetector
+from repro.flexcore.preprocessing import PreprocessingResult
+from repro.flexcore.probability import LevelErrorModel
 from repro.flexcore.soft import SoftFlexCoreDetector
+from repro.mimo.qr import QrDecomposition
 from repro.mimo.model import apply_channel, noise_variance_for_snr_db
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
@@ -107,9 +110,8 @@ def test_prepare_many_bit_identical_to_per_channel(block, kind):
 def test_production_blocks_match_per_channel_prepare(
     num_streams, order, num_paths, snr_db
 ):
-    """The 64-channel blocks the benchmark runs cold, against the heap
-    search of ``prepare``; each context owns its search arrays, so
-    evicting one frees it whatever its block siblings do."""
+    """The 64-channel blocks the benchmark runs cold, against each channel
+    prepared alone."""
     system = MimoSystem(num_streams, num_streams, QamConstellation(order))
     channels = rayleigh_channels(
         64, num_streams, num_streams, np.random.default_rng(2017)
@@ -124,14 +126,11 @@ def test_production_blocks_match_per_channel_prepare(
     batched = detector.prepare_many(channels, noise_var, counter=block_counter)
     assert_contexts_identical(serial, batched)
     assert serial_counter.real_mults == block_counter.real_mults
-    for context in batched:
-        assert context.preprocessing.position_vectors.base is None
-        assert context.preprocessing.probabilities.base is None
 
 
 def test_adaptive_trim_applies_on_the_block_path(block):
-    """The a-FlexCore override runs inside the block tail (the shared
-    ``_finalize_context`` hook), not only in single-channel prepare."""
+    """The a-FlexCore trim runs on the block path (one vectorised pass
+    over the block), not only in single-channel prepare."""
     system, channels, _, noise_var = block
     detector = AdaptiveFlexCoreDetector(
         system, num_paths=16, probability_target=0.5
@@ -186,3 +185,37 @@ def test_warm_path_unchanged_by_block_prepare(block):
     assert warm.stats["cache"].hits == NUM_SUBCARRIERS
     assert warm.stats["cache"].misses == 0
     assert np.array_equal(cold.indices, warm.indices)
+
+
+@pytest.mark.usefixtures("lane")
+@pytest.mark.parametrize("kind", ["hard", "soft", "adaptive"])
+def test_cold_array_batch_builds_no_per_channel_object(block, kind, monkeypatch):
+    """A miss block stays arrays from the QR to the walk: not one
+    per-channel QR, error model, search result or context is built."""
+    system, channels, received, noise_var = block
+    built = []
+    for cls in (QrDecomposition, LevelErrorModel, PreprocessingResult, FlexCoreContext):
+
+        def spy(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    engine = make_stack(DETECTORS[kind](system), backend="array")
+    cold = engine.detect_batch(channels, received, noise_var, use_soft=kind == "soft")
+    assert cold.stats["cache"].misses == NUM_SUBCARRIERS
+    assert cold.stats["stacked"]
+    assert built == []
+
+
+@pytest.mark.parametrize("backend", ["serial", "array"])
+def test_empty_batch_detects_nothing(block, backend):
+    """No subcarrier, no prepare: the cache hands the kernel the
+    detector's own empty block."""
+    system = block[0]
+    engine = make_stack(FlexCoreDetector(system, num_paths=16), backend=backend)
+    empty = engine.detect_batch(
+        np.zeros((0, 4, 4), dtype=complex), np.zeros((0, 2, 4), dtype=complex), 0.1
+    )
+    assert empty.indices.shape == (0, 2, 4)
+    assert empty.stats["cache"].misses == 0

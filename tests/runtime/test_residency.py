@@ -8,8 +8,9 @@ The tentpole contract, pinned with the transfer-counting module
   nothing else;
 * governor path budgets (``max_paths``) slice the resident stacks
   (views) and never trigger a re-upload, never mutate a cached context;
-* residency invalidates with the coherence cache: an evicted channel is
-  re-uploaded exactly once on return, a cached one never;
+* residency follows the coherence cache: an evicted channel is
+  re-uploaded exactly once on return, a cached one never, and a plan
+  dies with the prepared block it lives on;
 * results stay bit-identical to the serial backend across hard/soft ×
   governed/ungoverned.
 """
@@ -26,7 +27,12 @@ from repro.api import BackendSpec
 from repro.channel.fading import rayleigh_channels
 from repro.errors import ConfigurationError
 from repro.flexcore.adaptive import AdaptiveFlexCoreDetector
-from repro.flexcore.detector import FlexCoreDetector
+from repro.flexcore.detector import (
+    PLAN_COVER,
+    FlexCoreDetector,
+    WalkWorkspace,
+    _StackedContexts,
+)
 from repro.flexcore.soft import SoftFlexCoreDetector
 from repro.mimo.model import apply_channel, noise_variance_for_snr_db
 from repro.mimo.system import MimoSystem
@@ -44,12 +50,12 @@ from repro.runtime import (
     ContextCache,
     CountingArrayModule,
     DetectionService,
+    ResidencyStats,
     ResidentContextStore,
     TransferStats,
     UplinkBatch,
 )
 from repro.runtime.scheduler import FlushRecord
-from repro.utils.xp import resolve_array_module
 
 NUM_FRAMES = 4
 
@@ -87,74 +93,101 @@ def counting_backend():
 # The resident store itself
 # ----------------------------------------------------------------------
 class TestResidentContextStore:
-    class Ctx:
-        """Weakref-able stand-in for a prepared context."""
-
     def test_builds_once_then_hits(self):
         store = ResidentContextStore()
-        xp = resolve_array_module("numpy")
-        contexts = [self.Ctx(), self.Ctx()]
+        plans = {}
         builds = []
 
-        def build(ctxs, module):
-            builds.append(ctxs)
+        def build():
+            builds.append(1)
             return "payload"
 
-        assert store.get_or_build(contexts, xp, build) == "payload"
-        assert store.get_or_build(contexts, xp, build) == "payload"
+        assert store.plan(plans, "group", build) == "payload"
+        assert store.plan(plans, "group", build) == "payload"
         assert len(builds) == 1
+        assert plans == {"group": "payload"}
         assert store.stats.hits == 1
         assert store.stats.misses == 1
-        assert store.stats.entries == 1
 
-    def test_lru_eviction_bounds_entries(self):
-        store = ResidentContextStore(max_groups=2)
-        xp = resolve_array_module("numpy")
-        groups = [[self.Ctx()] for _ in range(3)]
-        for group in groups:
-            store.get_or_build(group, xp, lambda c, m: id(c))
-        assert len(store) == 2
-        assert store.stats.evictions == 1
-        # The evicted (oldest) group rebuilds; the newest still hits.
-        store.get_or_build(groups[2], xp, lambda c, m: id(c))
-        assert store.stats.hits == 1
-
-    def test_sweep_prefers_dead_entries_over_live_eviction(self):
-        store = ResidentContextStore(max_groups=2)
-        xp = resolve_array_module("numpy")
-        doomed = [self.Ctx()]
-        live = [self.Ctx()]
-        store.get_or_build(doomed, xp, lambda c, m: "dead-soon")
-        store.get_or_build(live, xp, lambda c, m: "alive")
-        del doomed
-        gc.collect()
-        # At capacity: insertion sweeps the dead group instead of
-        # evicting the live one.
-        store.get_or_build([self.Ctx()], xp, lambda c, m: "new")
-        assert store.stats.evictions == 0
-        assert store.stats.invalidations == 1
-        assert store.get_or_build(live, xp, lambda c, m: "rebuilt") == "alive"
-
-    def test_unweakrefable_contexts_bypass_the_store(self):
+    def test_stats_since(self):
         store = ResidentContextStore()
-        xp = resolve_array_module("numpy")
-        assert store.get_or_build([object(), 7], xp, lambda c, m: "x") == "x"
-        assert len(store) == 0
-
-    def test_stats_since_and_dict(self):
-        store = ResidentContextStore()
-        xp = resolve_array_module("numpy")
         before = store.stats
-        store.get_or_build([self.Ctx()], xp, lambda c, m: 1)
+        store.plan({}, "group", lambda: 1)
         delta = store.stats.since(before)
         assert delta.misses == 1 and delta.hits == 0
-        assert set(delta.as_dict()) == {
-            "hits", "misses", "evictions", "invalidations", "entries",
-        }
+        assert delta == ResidencyStats(hits=0, misses=1, invalidations=0)
 
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ConfigurationError):
-            ResidentContextStore(max_groups=0)
+
+class TestPlansDieWithTheirBlocks:
+    def test_no_plan_outlives_its_block(self):
+        """Cold blocks cycling through twice the cache's capacity: the only
+        walk plans left are those of the blocks the cache still holds."""
+        def plans():
+            gc.collect()
+            return [obj for obj in gc.get_objects() if isinstance(obj, _StackedContexts)]
+
+        # Held, so their ids stay theirs: plans other tests left alive.
+        before = plans()
+        system = MimoSystem(4, 4, QamConstellation(16))
+        detector = FlexCoreDetector(system, num_paths=8)
+        service = DetectionService(ArrayBackend())
+        cache = ContextCache(max_entries=12)
+        for seed in range(4):
+            channels, received, noise_var = make_workload(system, seed)
+            result = service.detect(
+                detector, UplinkBatch(channels, received, noise_var), cache=cache
+            )
+            assert result.stats["resident"].misses == 1
+        del result
+        existing = {id(plan) for plan in before}
+        # The last two 6-channel blocks, one equal-path group each.
+        assert len([plan for plan in plans() if id(plan) not in existing]) == 2
+
+
+class TestSelectionsOfACachedBlock:
+    def test_flush_shapes_keep_their_plans_and_entries(self):
+        """A streaming cell's flushes draw one cached block's rows in
+        several shapes — the block, the block twice over, its rows
+        reversed.  Each shape builds its plan once on the block; a shape
+        seen before uploads only ``received``, and no shape moves the
+        cache's entries off the block."""
+        system = MimoSystem(4, 4, QamConstellation(16))
+        detector = FlexCoreDetector(system, num_paths=16)
+        channels, received, noise_var = make_workload(system, seed=41)
+        backend, _ = counting_backend()
+        service = DetectionService(backend)
+        cache = ContextCache()
+        shapes = [np.arange(6), np.tile(np.arange(6), 2), np.arange(6)[::-1]]
+        for cycle in range(2):
+            for rows in shapes:
+                batch = UplinkBatch(channels[rows], received[rows], noise_var)
+                result = service.detect(detector, batch, cache=cache)
+                serial = DetectionService("serial").detect(
+                    detector, batch, cache=ContextCache()
+                )
+                assert np.array_equal(result.indices, serial.indices)
+                assert result.stats["resident"].misses == 1 - cycle
+                if cycle:
+                    assert result.stats["transfers"].uploads == 1
+        assert len({id(block) for block, _ in cache._entries.values()}) == 1
+
+
+    def test_many_shapes_stay_within_the_cover_bound(self):
+        """Every flush a new shape: the block's plans never cover more
+        than ``PLAN_COVER`` times its rows."""
+        system = MimoSystem(4, 4, QamConstellation(16))
+        detector = FlexCoreDetector(system, num_paths=16)
+        channels, received, noise_var = make_workload(system, seed=42)
+        service = DetectionService(ArrayBackend())
+        cache = ContextCache()
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            rows = rng.permutation(6)
+            batch = UplinkBatch(channels[rows], received[rows], noise_var)
+            service.detect(detector, batch, cache=cache)
+            ((block, _),) = {id(entry[0]): entry for entry in cache._entries.values()}.values()
+            covered = sum(len(plan.weights) for plan in block.plans.values())
+            assert covered <= PLAN_COVER * len(block)
 
 
 # ----------------------------------------------------------------------
@@ -485,17 +518,11 @@ class TestBackendSpecResidency:
         assert BackendSpec.from_dict(spec.to_dict()) == spec
         assert spec.to_dict() == {"name": "array"}
 
-    def test_close_clears_the_store(self):
+    def test_close_drops_the_workspace(self):
         backend = BackendSpec("array").build()
-        xp = resolve_array_module("numpy")
-
-        class Ctx:
-            pass
-
-        ctx = Ctx()
-        backend.resident_store.get_or_build([ctx], xp, lambda c, m: 1)
+        first = backend.resident_store.scratch(WalkWorkspace)
         backend.close()
-        assert len(backend.resident_store) == 0
+        assert backend.resident_store.scratch(WalkWorkspace) is not first
 
 
 class TestTransferTelemetry:

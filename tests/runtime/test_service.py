@@ -147,22 +147,19 @@ class TestSingleRoute:
         self, detector, system, rng, monkeypatch
     ):
         """``cache=None`` on the reference route is the naive baseline:
-        one ``prepare`` per subcarrier, never the batched cold path."""
+        one ``prepare`` — a one-channel block — per subcarrier, never the
+        batched cold path."""
         prepared = []
-        original = FlexCoreDetector.prepare
+        original = FlexCoreDetector.prepare_many
 
-        def counting(self, channel, *args, **kwargs):
-            prepared.append(channel)
-            return original(self, channel, *args, **kwargs)
+        def counting(self, channels, *args, **kwargs):
+            prepared.append(len(channels))
+            return original(self, channels, *args, **kwargs)
 
-        def unreachable(*args, **kwargs):
-            raise AssertionError("serial cache=None used prepare_many")
-
-        monkeypatch.setattr(FlexCoreDetector, "prepare", counting)
-        monkeypatch.setattr(FlexCoreDetector, "prepare_many", unreachable)
+        monkeypatch.setattr(FlexCoreDetector, "prepare_many", counting)
         batch = make_batch(system, rng)
         DetectionService("serial").detect(detector, batch, cache=None)
-        assert len(prepared) == batch.num_subcarriers
+        assert prepared == [1] * batch.num_subcarriers
 
     @pytest.mark.parametrize("backend", ROUTES)
     def test_detect_span_attributes_are_route_independent(
