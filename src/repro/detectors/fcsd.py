@@ -7,41 +7,33 @@ paths are independent, so the scheme parallelises — but only in units of
 ``|Q|**L`` processing elements, cannot focus work on promising paths, and
 cannot adapt to channel conditions (§2's three drawbacks).
 
-The implementation is vectorised across received vectors x paths with
-memory-bounded chunking.
+§2's argument is that FCSD is FlexCore's walk over a path set that ignores
+the channel, and so it runs here: a :class:`~repro.flexcore.detector.
+FlexCoreDetector` whose prepare step skips the §3.1.1 search and whose
+plan marks the top ``L`` levels *absolute* — there each path takes the
+symbol the plan holds for it, below them rank 1, the slicer's pick.  The
+path set is the detector's, held once and read by every channel's plan
+through a zero stride, so FCSD has FlexCore's block kernel, native lane,
+residency and workspace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.detectors.base import DetectionResult, Detector
 from repro.errors import ConfigurationError
-from repro.mimo.qr import QrDecomposition, fcsd_sorted_qr, sorted_qr
+from repro.flexcore.detector import FlexCoreDetector
 from repro.mimo.system import MimoSystem
-from repro.utils.flops import NULL_COUNTER, FlopCounter
-
-#: Upper bound on (batch-chunk x paths) elements held live at once.
-MAX_CHUNK_ELEMENTS = 1 << 18
+from repro.utils.xp import resolve_array_module
 
 
-@dataclass
-class _FcsdContext:
-    qr: QrDecomposition
-    diag: np.ndarray
-    weights: np.ndarray
-    path_assignments: np.ndarray  # (paths, L) symbol indices for top levels
-
-
-class FcsdDetector(Detector):
+class FcsdDetector(FlexCoreDetector):
     """FCSD with ``L`` fully-expanded levels.
 
     Parameters
     ----------
     num_expanded:
-        ``L``; the detector evaluates ``|Q|**L`` parallel paths.
+        ``L``; the detector evaluates ``num_paths = |Q|**L`` parallel paths.
     qr_method:
         ``"fcsd"`` (Barbero-Thompson ordering, default) or ``"sorted"``
         (Wübben); §5.1 tries both and keeps the better.
@@ -49,114 +41,38 @@ class FcsdDetector(Detector):
 
     name = "fcsd"
 
-    def __init__(
-        self,
-        system: MimoSystem,
-        num_expanded: int = 1,
-        qr_method: str = "fcsd",
-    ):
-        super().__init__(system)
-        if not 0 <= num_expanded <= system.num_streams:
-            raise ConfigurationError(
-                f"num_expanded must lie in [0, {system.num_streams}]"
-            )
+    def __init__(self, system: MimoSystem, num_expanded: int = 1, qr_method: str = "fcsd"):
+        num_streams, constellation = system.num_streams, system.constellation
+        if not 0 <= num_expanded <= num_streams:
+            raise ConfigurationError(f"num_expanded must lie in [0, {num_streams}]")
         if qr_method not in ("fcsd", "sorted"):
             raise ConfigurationError(f"unknown qr_method {qr_method!r}")
-        self.num_expanded = int(num_expanded)
-        self.qr_method = qr_method
-
-    @property
-    def num_paths(self) -> int:
-        """Parallel paths (= processing elements at minimum latency)."""
-        return self.system.constellation.order**self.num_expanded
-
-    def prepare(
-        self,
-        channel: np.ndarray,
-        noise_var: float,
-        counter: FlopCounter = NULL_COUNTER,
-    ) -> _FcsdContext:
-        channel = self._check_channel(channel)
-        if self.qr_method == "fcsd":
-            qr = fcsd_sorted_qr(
-                channel, self.num_expanded, noise_var, counter=counter
-            )
-        else:
-            qr = sorted_qr(channel, counter=counter)
-        diag = np.real(np.diagonal(qr.r)).copy()
-        order = self.system.constellation.order
-        if self.num_expanded:
-            grids = np.indices((order,) * self.num_expanded)
-            assignments = grids.reshape(self.num_expanded, -1).T
-        else:
-            assignments = np.zeros((1, 0), dtype=np.int64)
-        return _FcsdContext(
-            qr=qr,
-            diag=diag,
-            weights=diag**2,
-            path_assignments=assignments.astype(np.int64),
+        super().__init__(system, constellation.order**num_expanded, qr_method=qr_method)
+        self.num_expanded = expanded = int(num_expanded)
+        # The path set, level-major as a plan holds it: rank 1 everywhere
+        # but at level Nt - 1 - c, where path p holds the symbol of p's
+        # c-th most significant digit in base |Q|, as grid coordinates.
+        ranks = np.ones((num_streams, 1, 1, self.num_paths), dtype=np.int64)
+        self._offsets, self._swap_delta = self.ordering.path_offsets(
+            ranks, resolve_array_module(None)
         )
+        digits = np.indices((constellation.order,) * expanded).reshape(expanded, self.num_paths)
+        grid = np.stack(constellation.index_to_grid(digits), axis=1)
+        self._offsets[num_streams - expanded :, 0, 0] = grid[::-1]
 
-    def detect_prepared(
-        self,
-        context: _FcsdContext,
-        received: np.ndarray,
-        counter: FlopCounter = NULL_COUNTER,
-    ) -> DetectionResult:
-        received = self._check_received(received)
-        rotated = context.qr.rotate_received(received)
-        paths = context.path_assignments.shape[0]
-        chunk = max(1, MAX_CHUNK_ELEMENTS // paths)
-        pieces = []
-        for start in range(0, rotated.shape[0], chunk):
-            block = rotated[start : start + chunk]
-            pieces.append(self._detect_chunk(context, block, counter))
-        indices = np.concatenate(pieces, axis=0)
-        restored = context.qr.restore_order(indices)
-        return DetectionResult(
-            indices=restored, metadata={"paths": paths}
+    def _factor(self, channels, noise_var, counter):
+        return super()._factor(channels, noise_var, counter, self.num_expanded)
+
+    def _search(self, diag, noise_var, counter) -> tuple:
+        """No search: every channel walks the whole path set."""
+        return None, np.full(diag.shape[0], self.num_paths, dtype=np.int64)
+
+    def _path_plan(self, block, members, paths: int, xp) -> dict:
+        """The path set's first ``paths``, the same for every row."""
+        shape = (self.system.num_streams, len(members), 1, 2, paths)
+        return dict(
+            offsets=np.broadcast_to(self._offsets[..., :paths], shape),
+            swap_delta=np.broadcast_to(self._swap_delta[..., :paths], shape),
+            positions=None,
+            absolute=self.num_expanded,
         )
-
-    def _detect_chunk(
-        self,
-        context: _FcsdContext,
-        rotated: np.ndarray,
-        counter: FlopCounter,
-    ) -> np.ndarray:
-        constellation = self.system.constellation
-        points = constellation.points
-        num_streams = self.system.num_streams
-        batch = rotated.shape[0]
-        paths = context.path_assignments.shape[0]
-        r = context.qr.r
-
-        symbols = np.zeros((batch, paths, num_streams), dtype=np.complex128)
-        indices = np.zeros((batch, paths, num_streams), dtype=np.int64)
-        ped = np.zeros((batch, paths))
-        first_greedy = num_streams - self.num_expanded
-        for level in range(num_streams - 1, -1, -1):
-            if level + 1 < num_streams:
-                interference = symbols[:, :, level + 1 :] @ r[level, level + 1 :]
-            else:
-                interference = np.zeros((batch, paths))
-            effective = (
-                rotated[:, level][:, None] - interference
-            ) / context.diag[level]
-            if level >= first_greedy:
-                column = num_streams - 1 - level
-                level_indices = np.broadcast_to(
-                    context.path_assignments[:, column][None, :], (batch, paths)
-                )
-            else:
-                level_indices = constellation.slice_to_index(effective)
-            symbols[:, :, level] = points[level_indices]
-            indices[:, :, level] = level_indices
-            ped += context.weights[level] * (
-                np.abs(effective - symbols[:, :, level]) ** 2
-            )
-            counter.add_complex_mults(batch * paths * (num_streams - 1 - level))
-            counter.add_real_mults(batch * paths * 5)
-        best = np.argmin(ped, axis=1)
-        return np.take_along_axis(
-            indices, best[:, None, None], axis=1
-        )[:, 0, :]

@@ -2,67 +2,21 @@
 
 QR-based SIC: detect the top tree level first, slice, cancel, descend.
 The paper's Fig. 12 treats SIC as "essentially a single-path FlexCore",
-which is exactly what this implementation is — the greedy path through the
-sphere-decoder tree under a sorted QR.
+which is exactly what this implementation is: FCSD with no expanded
+level under a sorted QR — one path, rank 1 at every level, walked by
+FlexCore's kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.detectors.base import DetectionResult, Detector
-from repro.mimo.qr import QrDecomposition, sorted_qr
-from repro.utils.flops import NULL_COUNTER, FlopCounter
+from repro.detectors.fcsd import FcsdDetector
+from repro.mimo.system import MimoSystem
 
 
-@dataclass
-class _SicContext:
-    qr: QrDecomposition
-
-
-class SicDetector(Detector):
+class SicDetector(FcsdDetector):
     """Sorted-QR successive interference cancellation."""
 
     name = "sic"
 
-    def prepare(
-        self,
-        channel: np.ndarray,
-        noise_var: float,
-        counter: FlopCounter = NULL_COUNTER,
-    ) -> _SicContext:
-        channel = self._check_channel(channel)
-        return _SicContext(qr=sorted_qr(channel, counter=counter))
-
-    def detect_prepared(
-        self,
-        context: _SicContext,
-        received: np.ndarray,
-        counter: FlopCounter = NULL_COUNTER,
-    ) -> DetectionResult:
-        received = self._check_received(received)
-        qr = context.qr
-        constellation = self.system.constellation
-        num_streams = self.system.num_streams
-        rotated = qr.rotate_received(received)  # (n, Nt)
-        batch = received.shape[0]
-
-        detected_symbols = np.empty((batch, num_streams), dtype=np.complex128)
-        detected_indices = np.empty((batch, num_streams), dtype=np.int64)
-        diag = np.real(np.diagonal(qr.r))
-        for level in range(num_streams - 1, -1, -1):
-            interference = (
-                detected_symbols[:, level + 1 :] @ qr.r[level, level + 1 :]
-                if level + 1 < num_streams
-                else 0.0
-            )
-            effective = (rotated[:, level] - interference) / diag[level]
-            indices = constellation.slice_to_index(effective)
-            detected_indices[:, level] = indices
-            detected_symbols[:, level] = constellation.points[indices]
-            counter.add_complex_mults(batch * (num_streams - 1 - level))
-            counter.add_real_mults(2 * batch)  # division by the real diagonal
-        restored = qr.restore_order(detected_indices)
-        return DetectionResult(indices=restored)
+    def __init__(self, system: MimoSystem):
+        super().__init__(system, num_expanded=0, qr_method="sorted")

@@ -11,10 +11,14 @@ wide parallel hardware.
 
 Every path through this module — :meth:`FlexCoreDetector.detect_prepared`
 (one channel, a group of one), :meth:`~FlexCoreDetector.
-detect_block_prepared` (a coherence block grouped by path count), and
-the soft detector's two entry points — runs the same two pieces, so the
-per-channel loop and the stacked kernel are bit-identical by
-construction — *within a lane*.  The core has two: the **portable**
+detect_block_prepared` (a coherence block grouped by path count), the
+soft detector's two entry points, and FCSD and SIC
+(:mod:`repro.detectors.fcsd`), whose plans hold a path set that ignores
+the channel and mark its top ``L`` levels *absolute* (there a path takes
+the symbol its plan holds, not a LUT rank, and is never deactivated: one
+per-level test in each lane; FlexCore's ``L`` is 0) — runs the same two
+pieces, so the per-channel loop and the stacked kernel are bit-identical
+by construction — *within a lane*.  The core has two: the **portable**
 level loop below, numpy passes — no compiler, the exact-ordering
 ablation, the soft candidate list, the tests' oracle — and the
 **native** ``detect_group`` (:meth:`~FlexCoreDetector._decide`, taken
@@ -111,11 +115,7 @@ from repro.flexcore.preprocessing import (
     find_promising_paths_block,
 )
 from repro.flexcore.probability import LevelErrorModel
-from repro.mimo.qr import (
-    stacked_fcsd_sorted_qr,
-    stacked_plain_qr,
-    stacked_sorted_qr,
-)
+from repro.mimo.qr import QrBlock, stacked_fcsd_sorted_qr, stacked_plain_qr, stacked_sorted_qr
 from repro.mimo.system import MimoSystem
 from repro.obs import SPAN_QR, SPAN_TREE_SEARCH, current_tracer
 from repro.utils.flops import NULL_COUNTER, FlopCounter
@@ -286,38 +286,39 @@ class FlexCoreDetector(Detector):
                 f"{self.name}: prepare_many wants (C, Nr, Nt) = (C, "
                 f"{expected[0]}, {expected[1]}) channels, got {channels.shape}"
             )
-        # The ambient tracer (installed by DetectionService.detect) is
-        # how these kernels report without threading a tracer through
-        # every prepare signature — cache-miss path only, so the
-        # contextvar lookup never taxes the warm path.
-        tracer = current_tracer()
-        with tracer.span(
-            SPAN_QR, method=self.qr_method, channels=channels.shape[0]
-        ):
-            if self.qr_method == "sorted":
-                qr = stacked_sorted_qr(channels, counter=counter)
-            elif self.qr_method == "fcsd":
-                qr = stacked_fcsd_sorted_qr(channels, 1, noise_var, counter=counter)
-            else:
-                qr = stacked_plain_qr(channels, counter=counter)
+        qr = self._factor(channels, noise_var, counter)
         diag = np.diagonal(qr.r, axis1=1, axis2=2)
+        search, active = self._search(diag, noise_var, counter)
+        return PreparedBlock(qr=qr, search=search, diag=diag.real.copy(), active=active)
+
+    def _factor(self, channels, noise_var, counter, fcsd_levels: int = 1) -> QrBlock:
+        """The block's QR by ``qr_method``: ``"fcsd"`` orders for
+        ``fcsd_levels`` fully expanded levels — one for FlexCore, ``L``
+        for FCSD.  The ambient tracer (installed by
+        ``DetectionService.detect``) is how this and the search report
+        without threading a tracer through every prepare signature —
+        cache-miss path only, so the lookup never taxes the warm path."""
+        with current_tracer().span(SPAN_QR, method=self.qr_method, channels=channels.shape[0]):
+            if self.qr_method == "sorted":
+                return stacked_sorted_qr(channels, counter=counter)
+            if self.qr_method == "fcsd":
+                return stacked_fcsd_sorted_qr(channels, fcsd_levels, noise_var, counter=counter)
+            return stacked_plain_qr(channels, counter=counter)
+
+    def _search(self, diag, noise_var, counter) -> tuple:
+        """The block's §3.1.1 searches and each channel's active path
+        count."""
         models = LevelErrorModel.from_channels(
             diag, noise_var, self.system.constellation, formula=self.pe_formula
         )
-        with tracer.span(
-            SPAN_TREE_SEARCH, channels=channels.shape[0], path_budget=self.num_paths
+        with current_tracer().span(
+            SPAN_TREE_SEARCH, channels=diag.shape[0], path_budget=self.num_paths
         ):
             search = find_promising_paths_block(
-                models,
-                num_paths=self.num_paths,
-                max_rank=self.system.constellation.order,
-                stop_threshold=self.stop_threshold,
-                batch_size=self.batch_expansion,
-                counter=counter,
-            )
-        return PreparedBlock(
-            qr=qr, search=search, diag=diag.real.copy(), active=self._active_paths(search)
-        )
+                models, self.num_paths, self.system.constellation.order,
+                self.stop_threshold, self.batch_expansion, counter,
+            )  # fmt: skip
+        return search, self._active_paths(search)
 
     def _active_paths(self, search: PathSearchBlock) -> np.ndarray:
         """``(C,)`` paths each channel walks: all it selected (a-FlexCore
@@ -342,7 +343,7 @@ class FlexCoreDetector(Detector):
         )
         return DetectionResult(
             indices=indices[0],
-            metadata=self._entry(context.position_vectors.shape[0], deactivated[0]),
+            metadata=self._entry(context.active_paths, deactivated[0]),
         )
 
     # ------------------------------------------------------------------
@@ -539,6 +540,7 @@ class FlexCoreDetector(Detector):
                 0.5 * max(side - 2, 0), 0.5 * (side - 1), part.inverse_permutation,
                 table, 0.0 if noise_var is None else noise_var, llr_clip,
                 indices[rows], None if llrs is None else llrs[rows], counts[rows], work[k],
+                part.absolute,
             )  # fmt: skip
 
         native.fan_out(run, runs)
@@ -653,7 +655,11 @@ class FlexCoreDetector(Detector):
                 out=z,
             )
             z += half[:, :, level, :, None]
-            if use_exact:
+            if level >= num_streams - plan.absolute:
+                # An expanded level: the plan's symbol, which never
+                # deactivates, in half-grid units.
+                np.multiply(plan.offsets[level], 0.5, out=picked)
+            elif use_exact:
                 picked[...] = self._exact_pick(z, plan.positions[level], xp)
             else:
                 # Detection-square centre: nearest even grid point,
@@ -733,6 +739,26 @@ class FlexCoreDetector(Detector):
         r = xp.asarray(block.qr.r[members])
         diag = xp.asarray(block.diag[members])
         weights = xp.asarray(block.diag[members] ** 2)
+        real = np.real(r) / diag[:, :, None]
+        imag = np.imag(r) / diag[:, :, None]
+        # Negated, so the core adds the product to the received point.
+        rows = np.zeros((len(members), num_streams, 2, 2 * num_streams), dtype=np.float64)
+        rows[:, :, 0, 0::2] = -real
+        rows[:, :, 0, 1::2] = imag
+        rows[:, :, 1, 0::2] = -imag
+        rows[:, :, 1, 1::2] = -real
+        return _StackedContexts(
+            q_conj=xp.asarray(np.conj(block.qr.q[members])),
+            inverse_permutation=xp.asarray(np.argsort(block.qr.permutation[members], axis=1)),
+            to_grid=(1.0 / (diag * scale))[:, None, :],
+            rows=rows,
+            weights=weights * scale**2,
+            **self._path_plan(block, members, paths, xp),
+        )
+
+    def _path_plan(self, block: PreparedBlock, members, paths: int, xp) -> dict:
+        """The plan's per-path fields for rows ``members``: the LUT
+        offsets of their first ``paths`` position vectors."""
         # Level-major, path axis last: one level is one slab, one budget
         # clamp is one slice.
         positions = xp.asarray(
@@ -740,26 +766,8 @@ class FlexCoreDetector(Detector):
                 block.search.position_vectors[members, :paths].transpose(2, 0, 1)
             )[:, :, None, :]
         )
-        real = np.real(r) / diag[:, :, None]
-        imag = np.imag(r) / diag[:, :, None]
-        # Negated, so the core adds the product to the received point.
-        rows = np.zeros(
-            (len(members), num_streams, 2, 2 * num_streams),
-            dtype=np.float64,
-        )
-        rows[:, :, 0, 0::2] = -real
-        rows[:, :, 0, 1::2] = imag
-        rows[:, :, 1, 0::2] = -imag
-        rows[:, :, 1, 1::2] = -real
         offsets, swap_delta = self.ordering.path_offsets(positions, xp)
-        return _StackedContexts(
-            q_conj=xp.asarray(np.conj(block.qr.q[members])),
-            inverse_permutation=xp.asarray(
-                np.argsort(block.qr.permutation[members], axis=1)
-            ),
-            to_grid=(1.0 / (diag * scale))[:, None, :],
-            rows=rows,
-            weights=weights * scale**2,
+        return dict(
             offsets=offsets,
             swap_delta=swap_delta,
             positions=positions if self.use_exact_ordering else None,
@@ -801,6 +809,9 @@ class _StackedContexts:
     swap_delta: "object"
     #: ``(Nt, G, 1, P)`` ranks — the exact-ordering ablation only.
     positions: "object | None"
+    #: Top levels at which every path takes the symbol ``offsets`` holds
+    #: for it (grid coordinates), not a LUT rank: FCSD's ``L``.
+    absolute: int = 0
 
     @property
     def paths(self) -> int:
@@ -832,7 +843,7 @@ class _StackedContexts:
             **{
                 field.name: value[:, rows] if field.name in _LEVEL_MAJOR else value[rows]
                 for field in fields(self)
-                if (value := getattr(self, field.name)) is not None
+                if field.name != "absolute" and (value := getattr(self, field.name)) is not None
             },
         )
 

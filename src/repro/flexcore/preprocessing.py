@@ -152,9 +152,10 @@ class FlexCoreContext:
 @dataclass(frozen=True, eq=False)
 class PreparedBlock(Sequence):
     """What ``FlexCoreDetector.prepare_many`` makes of ``C`` channels, as
-    stacked arrays: the QR, the path search, ``R``'s real diagonal ``(C,
-    Nt)`` and each channel's active path count ``(C,)``.  Row ``c`` is
-    channel ``c``'s :class:`FlexCoreContext`; rows are a :class:`BlockRows`.
+    stacked arrays: the QR, the path search (``None`` for FCSD, whose path
+    set is the detector's), ``R``'s real diagonal ``(C, Nt)`` and each
+    channel's active path count ``(C,)``.  Row ``c`` is channel ``c``'s
+    :class:`FlexCoreContext`; rows are a :class:`BlockRows`.
 
     ``plans`` holds the walk plans resident calls derived from these
     arrays, one per module, path count and rows walked — for a warm
@@ -171,9 +172,7 @@ class PreparedBlock(Sequence):
     def __len__(self) -> int:
         return self.active.shape[0]
 
-    def __getitem__(self, row) -> "FlexCoreContext | BlockRows":
-        if isinstance(row, slice):
-            return self.select(np.arange(len(self))[row])
+    def __getitem__(self, row: int) -> "FlexCoreContext":
         return FlexCoreContext(self, range(len(self))[row])
 
     def select(self, rows) -> "BlockRows":
@@ -211,7 +210,8 @@ class BlockRows(Sequence):
 
 def _join(parts, take):
     """A stacked result like ``parts[0]`` whose every array is ``take`` of
-    that array in each of ``parts`` (nested stacked results alike)."""
+    that array in each of ``parts`` (nested stacked results alike; a
+    field that is ``None``, as an FCSD block's ``search``, stays so)."""
     values = {
         item.name: [getattr(part, item.name) for part in parts]
         for item in fields(parts[0])
@@ -222,6 +222,7 @@ def _join(parts, take):
         **{
             name: _join(arrays, take) if is_dataclass(arrays[0]) else take(arrays)
             for name, arrays in values.items()
+            if arrays[0] is not None
         },
     )
 

@@ -32,7 +32,6 @@ matches Monte-Carlo rank statistics closely at both low and high SNR.
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -45,37 +44,6 @@ from repro.modulation.constellation import QamConstellation
 #: Numerical floor/ceiling keeping the geometric model well defined.
 _PE_MIN = 1e-300
 _PE_MAX = 1.0 - 1e-12
-
-#: Constellation-derived constants of the ``Pe`` formulas, memoized per
-#: ``(constellation, formula)`` the way
-#: :class:`~repro.utils.xp.DeviceConstantCache` memoizes device tables —
-#: repeated cache misses stop re-deriving them.  Constellations are held
-#: weakly, so a discarded one releases its entry.
-_PE_CONSTANT_CACHE: "weakref.WeakKeyDictionary[QamConstellation, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _pe_constants(
-    constellation: QamConstellation, formula: str
-) -> tuple[float, ...]:
-    """``(prefactor, half_distance)`` for ``"corrected"``; ``(prefactor,)``
-    for ``"paper"``.  Derived once per (constellation, formula)."""
-    per_formula = _PE_CONSTANT_CACHE.get(constellation)
-    if per_formula is None:
-        per_formula = {}
-        _PE_CONSTANT_CACHE[constellation] = per_formula
-    entry = per_formula.get(formula)
-    if entry is None:
-        if formula == "corrected":
-            entry = (
-                1.0 - 1.0 / constellation.side,
-                constellation.min_distance / 2.0,
-            )
-        else:
-            entry = (2.0 + 2.0 / np.sqrt(constellation.order),)
-        per_formula[formula] = entry
-    return entry
 
 
 def pe_corrected(
@@ -91,11 +59,11 @@ def pe_corrected(
     if noise_var <= 0:
         raise ConfigurationError("noise variance must be positive")
     r_diag_abs = np.abs(np.asarray(r_diag_abs, dtype=np.float64))
-    prefactor, half_distance = _pe_constants(constellation, "corrected")
+    half_distance = constellation.min_distance / 2.0
     argument = (
         r_diag_abs * half_distance * np.sqrt(symbol_energy) / np.sqrt(noise_var)
     )
-    p_axis = prefactor * erfc(argument)
+    p_axis = (1.0 - 1.0 / constellation.side) * erfc(argument)
     pe = 1.0 - (1.0 - p_axis) ** 2
     return np.clip(pe, _PE_MIN, _PE_MAX)
 
@@ -110,9 +78,8 @@ def pe_paper_literal(
     if noise_var <= 0:
         raise ConfigurationError("noise variance must be positive")
     r_diag_abs = np.abs(np.asarray(r_diag_abs, dtype=np.float64))
-    (prefactor,) = _pe_constants(constellation, "paper")
     argument = r_diag_abs * np.sqrt(symbol_energy) / np.sqrt(noise_var)
-    pe = prefactor * erfc(argument)
+    pe = (2.0 + 2.0 / np.sqrt(constellation.order)) * erfc(argument)
     return np.clip(pe, _PE_MIN, _PE_MAX)
 
 

@@ -199,7 +199,7 @@ def _bind(fused, search, qr) -> types.SimpleNamespace:
     the walk, ``tree_search``, the §3.1.1 search, and ``sorted_qr``."""
 
     def detect_group(half, rows, weights, offsets, swap_delta, clamp, edge, inverse,
-                     table, noise_var, llr_clip, indices, llrs, counts, scratch):  # fmt: skip
+                     table, noise_var, llr_clip, indices, llrs, counts, scratch, absolute=0):  # fmt: skip
         """What is decided from a group's candidates, none of which leave
         the call: ``indices`` ``(G, F, Nt)`` int64 read from the ``(side,
         side)`` int64 position ``table``, in the stream order ``inverse``
@@ -208,9 +208,10 @@ def _bind(fused, search, qr) -> types.SimpleNamespace:
         and clamped bits.  ``scratch`` is ``(6 + 6 Nt) P`` doubles.
         ``offsets`` / ``swap_delta`` ``(Nt, G, 1, 2, P)`` may be the views
         a plan's ``clamp`` / ``subcarriers`` make: ``dims`` carries their
-        byte strides and item size.  No pointer leaves Python before every
-        other array is contiguous and of the (native) type and size the
-        kernel reads."""
+        byte strides and item size.  At the top ``absolute`` levels (FCSD's
+        ``L``) ``offsets`` holds each path's symbol.  No pointer leaves
+        Python before every other array is contiguous and of the (native)
+        type and size the kernel reads."""
         (G, F, Nt, _), P = half.shape, offsets.shape[-1]
         side, bits = len(table), (table.size - 1).bit_length()
         flat = [(half, "f8", G * F * Nt * 2), (rows, "f8", G * 4 * Nt**2),
@@ -227,13 +228,14 @@ def _bind(fused, search, qr) -> types.SimpleNamespace:
             and 0 <= inverse.min() <= inverse.max() < Nt
             and offsets.dtype.char in "bh"
             and (offsets.dtype, offsets.strides) == (swap_delta.dtype, swap_delta.strides)
-            and offsets.strides[4] == offsets.itemsize
+            and (offsets.strides[4] == offsets.itemsize or P == 1)
             and offsets.shape == swap_delta.shape == (Nt, G, 1, 2, P)
+            and 0 <= absolute <= Nt
         ):
             raise ValueError("detect_group: not the walk's layout")
         by_level, by_group, _, by_plane, _ = offsets.strides
-        dims = (ctypes.c_int64 * 10)(
-            G, F, Nt, P, by_level, by_group, by_plane, offsets.itemsize, side, bits
+        dims = (ctypes.c_int64 * 11)(
+            G, F, Nt, P, by_level, by_group, by_plane, offsets.itemsize, side, bits, absolute
         )  # fmt: skip
         fused(dims, *(a.ctypes.data for a in (half, rows, weights, offsets, swap_delta)),
               clamp, edge, inverse.ctypes.data, table.ctypes.data, noise_var, llr_clip,

@@ -1,7 +1,8 @@
 /* FlexCore's level loop and the decisions taken from it, as one call per
  * (G, F, P) group: the native lane of FlexCoreDetector
  * (repro/flexcore/detector.py), which documents the layout and the
- * arithmetic.  Every operation is the portable lane's, in its order; only the
+ * arithmetic — and so of FCSD and SIC, its plans with absolute levels.
+ * Every operation is the portable lane's, in its order; only the
  * interference product sums in another order than BLAS (increasing j, no
  * FMA).  Built by repro/native — never with fast-math flags: banker's rint,
  * the sign of zero through copysign, inf distances and NaN => dead all carry
@@ -42,8 +43,9 @@ static void widen_plan(const i64 *dims, i64 g, const char *offsets,
  * sym (2 Nt, P) and acc (P).  h (Nt, 2) is the frame's point, rows (Nt, 2,
  * 2 Nt) and weights (Nt) its subcarrier's; scratch holds z0, z1, gone — the
  * dead mask as a double lane (a byte in the fused pass stops the vectoriser),
- * left for the caller — and widen_plan's 4 Nt P. */
-static inline void walk_frame(i64 Nt, i64 P, const double *h, const double *rows,
+ * left for the caller — and widen_plan's 4 Nt P.  The top L levels are
+ * absolute (FCSD's expanded ones): there (du, dv) is the path's symbol. */
+static inline void walk_frame(i64 Nt, i64 P, i64 L, const double *h, const double *rows,
                               const double *weights, double clamp, double edge,
                               double *restrict sym, double *restrict acc,
                               double *restrict scratch)
@@ -69,6 +71,15 @@ static inline void walk_frame(i64 Nt, i64 P, const double *h, const double *rows
         const double *restrict du = wide + 4 * level * P, *restrict dv = du + P;
         const double *restrict tu = dv + P, *restrict tv = tu + P;
         double *restrict u = sym + 2 * level * P, *restrict v = u + P;
+        if (level >= Nt - L) { /* the plan's symbol, which never deactivates */
+            for (i64 p = 0; p < P; p++) {
+                u[p] = 0.5 * du[p];
+                v[p] = 0.5 * dv[p];
+                const double a = z0[p] + h0 - u[p], b = z1[p] + h1 - v[p];
+                acc[p] += (a * a + b * b) * w;
+            }
+            continue;
+        }
         for (i64 p = 0; p < P; p++) {
             double a = z0[p] + h0, b = z1[p] + h1;
             /* Detection-square centre, then the triangle: a sign per
@@ -110,7 +121,8 @@ static inline i64 cell_of(double u, double v, double side, i64 cells)
 
 /* dims: G F Nt P, the byte strides of offsets and swap_delta (Nt, G, 1, 2, P)
  * along level, subcarrier and plane — a plan clamped along P and cut along G
- * is passed as the views it is — their item size, side and bits per symbol.
+ * is passed as the views it is, FCSD's with stride 0 along G — their item
+ * size, side, bits per symbol and the absolute levels L.
  * half (G, F, Nt, 2), rows (G, Nt, 2, 2 Nt) and weights (G, Nt) are
  * contiguous.  Each frame is walked into scratch — (6 + 6 Nt) P doubles — and
  * reduced there: indices (G, F, Nt) are table[cell] of its arg-min path,
@@ -140,7 +152,7 @@ void flexcore_detect_group(const i64 *dims, const double *half, const double *ro
         counts[g] = 0;
         for (i64 f = 0; f < F; f++) {
             const i64 at = g * F + f;
-            walk_frame(Nt, P, half + at * Nt * 2, rows + g * Nt * 4 * Nt,
+            walk_frame(Nt, P, dims[10], half + at * Nt * 2, rows + g * Nt * 4 * Nt,
                        weights + g * Nt, clamp, edge, sym, acc, scratch);
             i64 head = 0;
             if (llrs) { /* the head of the stable order */

@@ -74,16 +74,16 @@ class TestBehaviour:
         channel, _, received, noise_var = random_link(
             small_system, 12.0, 40, rng
         )
-        import repro.detectors.fcsd as fcsd_module
+        import repro.flexcore.detector as walk_module
 
         detector = FcsdDetector(small_system, num_expanded=2)
         full = detector.detect(channel, received, noise_var).indices
-        original = fcsd_module.MAX_CHUNK_ELEMENTS
+        original = walk_module.MAX_CHUNK_ELEMENTS
         try:
-            fcsd_module.MAX_CHUNK_ELEMENTS = 300
+            walk_module.MAX_CHUNK_ELEMENTS = 300
             chunked = detector.detect(channel, received, noise_var).indices
         finally:
-            fcsd_module.MAX_CHUNK_ELEMENTS = original
+            walk_module.MAX_CHUNK_ELEMENTS = original
         assert np.array_equal(full, chunked)
 
 

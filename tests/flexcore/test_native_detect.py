@@ -354,6 +354,69 @@ class TestAgainstThePortableReductions:
         assert (np.abs(soft[1][1, 2:]) == detector.llr_clip).all()
 
 
+def expand(plan, order, levels, shared, seed):
+    """The plan with its top ``levels`` absolute, as FCSD's: there each
+    path holds a symbol, drawn at random, as grid coordinates — with
+    ``shared`` one path set for every subcarrier, read through a zero
+    stride along ``G``, as FCSD's plans read the detector's."""
+    rng = np.random.default_rng(seed)
+    side = QamConstellation(order).side
+    num_streams = plan.offsets.shape[0]
+    offsets, swap_delta = np.array(plan.offsets), np.array(plan.swap_delta)
+    top = offsets[num_streams - levels :]
+    top[...] = 2 * rng.integers(0, side, top.shape) - (side - 1)
+    if shared:
+        offsets, swap_delta = (
+            np.broadcast_to(table[:, :1], table.shape) for table in (offsets, swap_delta)
+        )
+    return replace(plan, offsets=offsets, swap_delta=swap_delta, absolute=levels)
+
+
+class TestAbsoluteLevels:
+    """FCSD's and SIC's plans: at the top ``absolute`` levels every path
+    takes the symbol the plan holds and is never deactivated there.  The
+    cross-lane contract holds for them as for FlexCore's, cut into runs
+    over the PEs and clamped to a budget."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        order=st.sampled_from([4, 16, 64, 256]),
+        num_streams=st.integers(1, 8),
+        levels=st.integers(0, 8),
+        paths=st.sampled_from([1, 3, 16, 64, 256]),
+        shape=st.sampled_from(SHAPES),
+        budget=st.one_of(st.none(), st.integers(1, 63)),
+        soft=st.booleans(),
+        shared=st.booleans(),
+        widen=st.booleans(),
+        pes=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_the_cross_lane_contract(
+        self, order, num_streams, levels, paths, shape, budget, soft, shared, widen, pes, seed
+    ):
+        levels = min(levels, num_streams)
+        detector, plan, planes = group(order, num_streams, shape, paths, seed)
+        plan = expand(wide(plan) if widen else plan, order, levels, shared, seed).clamp(budget)
+        ours, theirs = FlopCounter(), FlopCounter()
+        with mock.patch.object(native, "pes", lambda: 1):
+            one = fused(detector, plan, planes, soft, ours)
+        oracle = portable(detector, plan, planes, soft, theirs)
+        assert ours == theirs
+        assert_agree(one, oracle, plan.weights)
+        if levels == num_streams and not soft:
+            assert not one[2].any()
+        with mock.patch.object(native, "pes", lambda: pes), mock.patch.object(native, "RUN_FLOPS", 1):
+            got, submits = count_submits(lambda: fused(detector, plan, planes, soft))
+        assert_same_decisions(got, one)
+        assert submits == (min(pes, shape[0]) if shape[1] else 1) - 1
+
+    def test_it_refuses_more_absolute_levels_than_the_tree_has(self):
+        detector, plan, planes = group(16, 3, (2, 2), 5, 0)
+        with pytest.raises(ValueError, match="layout"):
+            fused(detector, replace(plan, absolute=4), planes, False)
+
+
 class TestThroughTheEntryPoints:
     """Real contexts, ragged groups, budget clamps: the detector's four
     entry points on the fused lane."""

@@ -10,7 +10,6 @@ from repro.flexcore.probability import (
     pe_paper_literal,
     rank_probability,
 )
-from repro.modulation.constellation import QamConstellation
 
 
 class TestPeFormulas:
@@ -166,42 +165,3 @@ class TestFromChannels:
             LevelErrorModel.from_channels(
                 np.ones((2, 3)), 0.1, qam16, formula="bogus"
             )
-
-
-class TestConstantMemoization:
-    """Constellation-derived Pe constants are derived once per
-    (constellation, formula) — and memoizing must not change results."""
-
-    def test_cache_populates_and_hits(self, qam16):
-        from repro.flexcore import probability as module
-
-        module._PE_CONSTANT_CACHE.pop(qam16, None)
-        first = module._pe_constants(qam16, "corrected")
-        assert module._pe_constants(qam16, "corrected") is first
-        assert module._pe_constants(qam16, "paper") != first
-
-    def test_memoized_values_match_fresh_derivation(self, constellation):
-        from repro.flexcore import probability as module
-
-        diag = np.linspace(0.1, 2.0, 8)
-        warm_corr = pe_corrected(diag, 0.07, constellation)
-        warm_paper = pe_paper_literal(diag, 0.07, constellation)
-        prefactor, half_distance = module._pe_constants(
-            constellation, "corrected"
-        )
-        assert prefactor == 1.0 - 1.0 / constellation.side
-        assert half_distance == constellation.min_distance / 2.0
-        # Evicting and re-deriving reproduces the exact same outputs.
-        module._PE_CONSTANT_CACHE.pop(constellation, None)
-        assert np.array_equal(pe_corrected(diag, 0.07, constellation), warm_corr)
-        assert np.array_equal(
-            pe_paper_literal(diag, 0.07, constellation), warm_paper
-        )
-
-    def test_distinct_constellations_do_not_collide(self):
-        from repro.flexcore import probability as module
-
-        a, b = QamConstellation(16), QamConstellation(64)
-        assert module._pe_constants(a, "corrected") != module._pe_constants(
-            b, "corrected"
-        )

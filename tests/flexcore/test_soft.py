@@ -180,7 +180,10 @@ class TestSortedListAgainstTheDenseReduction:
 
         def check(rows):
             indices, llrs, metadata = detector.detect_soft_block_prepared(
-                contexts[rows], received[rows], noise_var, max_paths=budget
+                contexts.select(np.arange(len(contexts))[rows]),
+                received[rows],
+                noise_var,
+                max_paths=budget,
             )
             assert np.array_equal(indices, expected[0][rows])
             if exact:

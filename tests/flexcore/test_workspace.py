@@ -167,7 +167,7 @@ def test_a_workspace_grown_by_one_shape_serves_every_other(limit, monkeypatch):
     contexts, received, noise_var = block(detector, 22)
     store = ResidentContextStore()
     for rows in [slice(None), slice(3, 5), slice(None), slice(0, 1)]:
-        args = contexts[rows], received[rows], noise_var
+        args = contexts.select(np.arange(len(contexts))[rows]), received[rows], noise_var
         shared = detector.detect_soft_block_prepared(*args, store=store)
         private = detector.detect_soft_block_prepared(*args)
         assert np.array_equal(shared[0], private[0])

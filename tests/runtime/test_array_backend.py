@@ -189,6 +189,29 @@ class TestArrayBackendEquivalence:
             array.per_subcarrier_metadata == serial.per_subcarrier_metadata
         )
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [("fcsd", {}), ("fcsd", {"num_expanded": 2, "qr_method": "sorted"}), ("sic", {})],
+    )
+    def test_fcsd_and_sic_take_the_stacked_route(self, name, params):
+        """FCSD and SIC are walk plans: the array backend walks them
+        stacked, bit for bit the serial backend's per-subcarrier loop,
+        metadata and FLOPs included."""
+        system = MimoSystem(4, 4, QamConstellation(16))
+        detector = make_detector(name, system, **params)
+        channels, received, noise_var = make_workload(system, seed=29)
+        counters = FlopCounter(), FlopCounter()
+        serial = make_stack(detector).detect_batch(
+            channels, received, noise_var, counter=counters[0]
+        )
+        array = make_stack(detector, backend="array").detect_batch(
+            channels, received, noise_var, counter=counters[1]
+        )
+        assert array.stats["stacked"] and not serial.stats["stacked"]
+        assert np.array_equal(array.indices, serial.indices)
+        assert array.per_subcarrier_metadata == serial.per_subcarrier_metadata
+        assert counters_equal(*counters) and counters[0].real_mults > 0
+
     def test_non_block_detector_falls_back(self):
         system = MimoSystem(3, 4, QamConstellation(16))
         detector = make_detector("mmse", system)
@@ -307,9 +330,7 @@ class TestFlopParity:
             assert np.array_equal(ref.indices, got.indices)
             assert ref.metadata == got.metadata
 
-    @pytest.mark.parametrize(
-        "name", ["zf", "mmse", "sic", "ml", "sphere", "fcsd", "trellis"]
-    )
+    @pytest.mark.parametrize("name", ["zf", "mmse", "ml", "sphere", "trellis"])
     def test_third_party_detector_uses_documented_fallback(self, name):
         """Every registry baseline without a block kernel: ``detect_many``
         is the per-channel loop."""
