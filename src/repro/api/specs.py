@@ -221,13 +221,10 @@ class SchedulerSpec(_SpecDict):
         Deadline budget from a group's first arrival; ``None`` means
         unbounded for ``detect_batch`` (offline replay — JSON has no
         ``inf``) and the pacing interval for a paced run.
-    flush_margin_s:
-        How much before the deadline an under-target group flushes.
     """
 
     batch_target: "int | None" = None
     slot_budget_s: "float | None" = None
-    flush_margin_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.batch_target is not None and self.batch_target < 1:
@@ -236,8 +233,6 @@ class SchedulerSpec(_SpecDict):
             raise ConfigurationError(
                 f"slot budget must be positive, got {self.slot_budget_s}"
             )
-        if self.flush_margin_s < 0:
-            raise ConfigurationError("flush_margin_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -253,12 +248,10 @@ class FarmSpec(_SpecDict):
     cells:
         Cells sharing the execution backend, each with a private
         context cache; ``cells > 1`` requires ``streaming``.
-    cell_prefix:
-        Cell ids are ``f"{cell_prefix}{index}"`` — the naming every
-        farm driver in the repo shares.
     cell_offset:
         First cell index this farm serves: ids run
-        ``prefix{offset} .. prefix{offset + cells - 1}``.  Zero for a
+        ``cell{offset} .. cell{offset + cells - 1}`` (the first is
+        :data:`~repro.runtime.scheduler.DEFAULT_CELL`).  Zero for a
         whole farm; non-zero slices are what
         :meth:`StackConfig.split_cells` hands each coordinated worker
         so global cell ids stay unique across the fleet.
@@ -266,20 +259,17 @@ class FarmSpec(_SpecDict):
 
     streaming: bool = False
     cells: int = 1
-    cell_prefix: str = "cell"
     cell_offset: int = 0
 
     def __post_init__(self) -> None:
         if self.cells < 1:
             raise ConfigurationError("cells must be >= 1")
-        if not self.cell_prefix:
-            raise ConfigurationError("cell_prefix must be non-empty")
         if self.cell_offset < 0:
             raise ConfigurationError("cell_offset must be >= 0")
 
     def cell_ids(self) -> "tuple[str, ...]":
         return tuple(
-            f"{self.cell_prefix}{self.cell_offset + index}"
+            f"cell{self.cell_offset + index}"
             for index in range(self.cells)
         )
 
@@ -293,31 +283,23 @@ class GovernorSpec(_SpecDict):
     without re-plumbing:
 
     * ``static`` — fixed budget of ``paths_max``;
-    * ``aimd`` — AIMD on deadline misses between ``paths_min`` and
-      ``paths_max`` (``start`` / ``increase`` / ``backoff`` /
-      ``headroom`` / ``peak_frames_hint``);
+    * ``aimd`` — AIMD on deadline misses from ``paths_min`` up to
+      ``paths_max``, its headroom gate sized by ``peak_frames_hint``;
     * ``snr`` — a-FlexCore minimum budget meeting ``target_error_rate``
       under the level-error model (needs the stack's constellation,
       supplied at build time).
 
-    The remaining fields configure the
-    :class:`~repro.control.governor.ComputeGovernor` itself.
+    ``total_path_budget`` bounds the sum of the cells' budgets (see
+    :class:`~repro.control.governor.ComputeGovernor`).  The AIMD steps
+    and the shedding hysteresis are the control modules' constants.
     """
 
     policy: str = "aimd"
     paths_min: int = 2
     paths_max: int = 128
-    start: "int | None" = None
-    increase: int = 1
-    backoff: float = 0.5
-    headroom: float = 0.5
     peak_frames_hint: "int | None" = None
     target_error_rate: float = 0.05
-    control_interval_s: "float | None" = None
     total_path_budget: "int | None" = None
-    shed_below: float = 0.5
-    resume_above: float = 0.95
-    probe_every: int = 8
 
     def __post_init__(self) -> None:
         if self.policy not in POLICY_NAMES:
@@ -332,63 +314,27 @@ class GovernorSpec(_SpecDict):
                 f"paths_max ({self.paths_max}) must be >= paths_min "
                 f"({self.paths_min})"
             )
-        if self.start is not None and not (
-            self.paths_min <= self.start <= self.paths_max
-        ):
-            raise ConfigurationError(
-                "start must lie within [paths_min, paths_max]"
-            )
-        if self.increase < 1:
-            raise ConfigurationError("increase must be >= 1")
-        if not 0.0 < self.backoff < 1.0:
-            raise ConfigurationError("backoff must lie in (0, 1)")
-        if not 0.0 < self.headroom <= 1.0:
-            raise ConfigurationError("headroom must lie in (0, 1]")
         if self.peak_frames_hint is not None and self.peak_frames_hint < 1:
             raise ConfigurationError("peak_frames_hint must be >= 1")
         if not 0.0 < self.target_error_rate < 1.0:
             raise ConfigurationError(
                 "target_error_rate must lie in (0, 1)"
             )
-        if self.control_interval_s is not None and self.control_interval_s < 0:
-            raise ConfigurationError("control_interval_s must be >= 0")
         if self.total_path_budget is not None and self.total_path_budget < 1:
             raise ConfigurationError("total_path_budget must be >= 1")
-        if not 0.0 <= self.shed_below <= 1.0:
-            raise ConfigurationError("shed_below must lie in [0, 1]")
-        if not 0.0 <= self.resume_above <= 1.0:
-            raise ConfigurationError("resume_above must lie in [0, 1]")
-        if self.probe_every < 1:
-            raise ConfigurationError("probe_every must be >= 1")
 
     # ------------------------------------------------------------------
     def build_policy(
-        self,
-        constellation: "QamConstellation | None" = None,
-        peak_frames_hint: "int | None" = None,
+        self, constellation: "QamConstellation | None" = None
     ) -> PathBudgetPolicy:
-        """The policy prototype this spec describes.
-
-        ``peak_frames_hint`` is a caller-supplied fallback (e.g.
-        ``subcarriers x 7`` when the radio capacity is known at run
-        time); an explicit spec value always wins.
-        """
+        """The policy prototype this spec describes."""
         if self.policy == "static":
             return StaticPolicy(self.paths_max)
         if self.policy == "aimd":
-            hint = (
-                self.peak_frames_hint
-                if self.peak_frames_hint is not None
-                else peak_frames_hint
-            )
             return AimdPolicy(
                 self.paths_min,
                 self.paths_max,
-                start=self.start,
-                increase=self.increase,
-                backoff=self.backoff,
-                headroom=self.headroom,
-                peak_frames_hint=hint,
+                peak_frames_hint=self.peak_frames_hint,
             )
         if constellation is None:
             raise ConfigurationError(
@@ -402,21 +348,13 @@ class GovernorSpec(_SpecDict):
             target_error_rate=self.target_error_rate,
         )
 
-    def build(
-        self,
-        constellation: "QamConstellation | None" = None,
-        peak_frames_hint: "int | None" = None,
-    ):
+    def build(self, constellation: "QamConstellation | None" = None):
         """A fresh :class:`~repro.control.governor.ComputeGovernor`."""
         from repro.control.governor import ComputeGovernor
 
         return ComputeGovernor(
-            self.build_policy(constellation, peak_frames_hint),
-            control_interval_s=self.control_interval_s,
+            self.build_policy(constellation),
             total_path_budget=self.total_path_budget,
-            shed_below=self.shed_below,
-            resume_above=self.resume_above,
-            probe_every=self.probe_every,
         )
 
 

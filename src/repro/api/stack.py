@@ -266,10 +266,9 @@ class UplinkStack:
         The only place the stack opens a scheduler, so the only place
         the configured :class:`~repro.api.specs.SchedulerSpec` meets a
         driver's defaults.  The spec's ``batch_target`` wins over the
-        caller's and its ``flush_margin_s`` always applies; the
-        deadline budget is the caller's ``slot_budget_s`` if given,
-        else the spec's, else the pacing interval — the real-time
-        contract of a paced run, unbounded back-to-back
+        caller's; the deadline budget is the caller's ``slot_budget_s``
+        if given, else the spec's, else the pacing interval — the
+        real-time contract of a paced run, unbounded back-to-back
         (``slot_interval_s == 0``).  ``governor`` defaults to the
         configured one; ``None`` runs ungoverned.  ``slots`` is consumed
         lazily (see :func:`~repro.control.workload.pace_scenario`).
@@ -291,7 +290,6 @@ class UplinkStack:
         scheduler = self._farm.scheduler(
             batch_target=batch_target,
             slot_budget_s=slot_budget_s,
-            flush_margin_s=spec.flush_margin_s,
             governor=self.governor if governor is _CONFIGURED else governor,
             use_soft=use_soft,
             counter=counter,

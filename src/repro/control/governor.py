@@ -44,6 +44,15 @@ from repro.control.policy import (
 from repro.errors import ConfigurationError
 from repro.obs import NULL_TRACER, SPAN_GOVERNOR_TICK
 
+#: Admission-control hysteresis: a cell whose dial is exhausted starts
+#: shedding when a window's hit-rate falls below ``SHED_BELOW``; while
+#: shedding, every ``PROBE_EVERY``-th arrival is admitted as a probe, and
+#: the cell resumes when a window's probes meet their deadlines at
+#: ``RESUME_ABOVE`` or better (or the window was idle).
+SHED_BELOW = 0.5
+RESUME_ABOVE = 0.95
+PROBE_EVERY = 8
+
 
 @dataclass(frozen=True)
 class GovernorDecision:
@@ -112,11 +121,9 @@ class _Lane:
 
     def reset_window(self) -> None:
         self.frames = 0
-        self.flushes = 0
         self.frames_on_time = 0
         self.frames_late = 0
         self.frames_shed = 0
-        self.latency_sum_s = 0.0
         self.latency_max_s = 0.0
         self.service_sum_s = 0.0
 
@@ -125,13 +132,9 @@ class _Lane:
             cell_id=self.cell_id,
             budget=self.budget,
             frames=self.frames,
-            flushes=self.flushes,
             frames_on_time=self.frames_on_time,
             frames_late=self.frames_late,
             frames_shed=self.frames_shed,
-            mean_latency_s=(
-                self.latency_sum_s / self.flushes if self.flushes else 0.0
-            ),
             max_latency_s=self.latency_max_s,
             service_sum_s=self.service_sum_s,
             peak_flush_frames=self.peak_flush_frames,
@@ -150,30 +153,17 @@ class ComputeGovernor:
         The :class:`~repro.control.policy.PathBudgetPolicy` prototype;
         every cell gets its own :meth:`~PathBudgetPolicy.clone` so
         stateful policies (AIMD) never share state across cells.
-    control_interval_s:
-        Spacing of control ticks.  ``None`` (default) ticks once per
-        slot budget (learned from the scheduler it attaches to); ``0``
-        ticks on every opportunity the scheduler offers — the
-        fastest-reacting, most expensive setting.
-    slot_budget_s:
-        Deadline budget observations are framed against.  Normally left
-        ``None`` and bound by the scheduler on attach.
     total_path_budget:
         Optional global budget: the sum of awarded per-cell budgets
         never exceeds it (see
         :func:`~repro.control.policy.allocate_budget`).
-    shed_below / resume_above:
-        Admission-control hysteresis: a cell at its floor budget whose
-        window hit-rate falls below ``shed_below`` starts shedding.
-        While shedding, every ``probe_every``-th arrival is still
-        admitted as a *probe*; the cell resumes only when a window's
-        probes meet their deadlines at ``resume_above`` or better (or
-        the window was completely idle — nothing offered, nothing to
-        shed).
-    probe_every:
-        Probe cadence during shedding (1 admits everything — shedding
-        disabled in effect; large values probe rarely and recover
-        slowly).
+
+    The scheduler it attaches to binds its slot budget
+    (:meth:`bind_slot_budget`): observations are framed against it, and
+    control ticks are spaced by it — on every opportunity the scheduler
+    offers while the budget is unbounded or not yet bound.  Shedding
+    follows :data:`SHED_BELOW`, :data:`RESUME_ABOVE` and
+    :data:`PROBE_EVERY`.
     """
 
     #: Span tracer control ticks record under; the scheduler swaps in a
@@ -183,41 +173,22 @@ class ComputeGovernor:
     def __init__(
         self,
         policy: PathBudgetPolicy,
-        control_interval_s: "float | None" = None,
-        slot_budget_s: "float | None" = None,
         total_path_budget: "int | None" = None,
-        shed_below: float = 0.5,
-        resume_above: float = 0.95,
-        probe_every: int = 8,
     ):
         if not isinstance(policy, PathBudgetPolicy):
             raise ConfigurationError(
                 "ComputeGovernor needs a PathBudgetPolicy, got "
                 f"{type(policy).__name__}"
             )
-        if control_interval_s is not None and control_interval_s < 0:
-            raise ConfigurationError(
-                "control_interval_s must be >= 0"
-            )
         if total_path_budget is not None and total_path_budget < 1:
             raise ConfigurationError("total_path_budget must be >= 1")
-        if not 0.0 <= shed_below <= 1.0:
-            raise ConfigurationError("shed_below must lie in [0, 1]")
-        if not 0.0 <= resume_above <= 1.0:
-            raise ConfigurationError("resume_above must lie in [0, 1]")
-        if probe_every < 1:
-            raise ConfigurationError("probe_every must be >= 1")
         self.policy = policy
-        self.control_interval_s = control_interval_s
-        self.slot_budget_s = slot_budget_s
         self.total_path_budget = total_path_budget
-        self.shed_below = float(shed_below)
-        self.resume_above = float(resume_above)
-        self.probe_every = int(probe_every)
+        #: The attached scheduler's deadline budget; ``None`` until bound.
+        self.slot_budget_s: "float | None" = None
         self.telemetry = GovernorTelemetry()
         self._lanes: "dict[str, _Lane]" = {}
         self._last_tick_s: "float | None" = None
-        self._slot_budget_from_scheduler = False
 
     # ------------------------------------------------------------------
     def _lane(self, cell_id: str) -> _Lane:
@@ -229,8 +200,7 @@ class ComputeGovernor:
 
     @property
     def _interval_s(self) -> float:
-        if self.control_interval_s is not None:
-            return self.control_interval_s
+        """One slot budget between ticks; 0 while it is unbounded."""
         if self.slot_budget_s is not None and math.isfinite(
             self.slot_budget_s
         ):
@@ -241,16 +211,12 @@ class ComputeGovernor:
     def bind_slot_budget(self, slot_budget_s: float) -> None:
         """Adopt the attaching scheduler's deadline frame of reference.
 
-        A value the *operator* configured at construction is never
-        overwritten; a value learned from a previous scheduler is — so
-        a governor reused across schedulers (e.g. a stack's governor
-        surviving many ``detect_batch`` calls, then attached to a
-        real-time farm) always judges observations against the budget
-        currently in force.
+        Every attach rebinds, so a governor reused across schedulers
+        (e.g. a stack's governor surviving many ``detect_batch`` calls,
+        then attached to a real-time farm) always judges observations
+        against the budget currently in force.
         """
-        if self.slot_budget_s is None or self._slot_budget_from_scheduler:
-            self.slot_budget_s = slot_budget_s
-            self._slot_budget_from_scheduler = True
+        self.slot_budget_s = slot_budget_s
 
     def path_budget(self, cell_id: str) -> int:
         """The budget the next flush of ``cell_id`` should run at."""
@@ -259,14 +225,14 @@ class ComputeGovernor:
     def admit(self, cell_id: str, frames: int, now: float) -> bool:
         """Admission control: False means shed this arrival.
 
-        While shedding, every ``probe_every``-th arrival is still let
-        through — the probe traffic whose deadline fate decides whether
-        the cell may resume (see ``resume_above``).
+        While shedding, every :data:`PROBE_EVERY`-th arrival is still
+        let through — the probe traffic whose deadline fate decides
+        whether the cell may resume (see :data:`RESUME_ABOVE`).
         """
         lane = self._lane(cell_id)
         if lane.shedding:
             lane.shed_streak += 1
-            if lane.shed_streak % self.probe_every == 0:
+            if lane.shed_streak % PROBE_EVERY == 0:
                 return True  # probe
             lane.frames_shed += frames
             self.telemetry.frames_shed += frames
@@ -286,10 +252,8 @@ class ComputeGovernor:
         if frames_on_time is None:
             frames_on_time = record.frames if record.deadline_met else 0
         lane.frames += record.frames
-        lane.flushes += 1
         lane.frames_on_time += frames_on_time
         lane.frames_late += record.frames - frames_on_time
-        lane.latency_sum_s += record.latency_s
         lane.latency_max_s = max(lane.latency_max_s, record.latency_s)
         lane.service_sum_s += record.completed_s - record.flushed_s
         lane.peak_flush_frames = max(lane.peak_flush_frames, record.frames)
@@ -390,18 +354,18 @@ class ComputeGovernor:
             if (
                 dial_exhausted
                 and observation.frames_late > 0
-                and observation.deadline_hit_rate < self.shed_below
+                and observation.deadline_hit_rate < SHED_BELOW
             ):
                 lane.shedding = True
                 lane.shed_streak = 0
                 self.telemetry.sheds_started += 1
         else:
             # Resume only on evidence: a window whose admitted probes
-            # met their deadlines at resume_above or better, or a
+            # met their deadlines at RESUME_ABOVE or better, or a
             # completely idle window (nothing offered, nothing shed).
             probes_recovered = (
                 observation.frames > 0
-                and observation.deadline_hit_rate >= self.resume_above
+                and observation.deadline_hit_rate >= RESUME_ABOVE
             )
             if probes_recovered or not observation.busy:
                 lane.shedding = False

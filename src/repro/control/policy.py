@@ -53,6 +53,10 @@ from repro.runtime.cache import context_key
 #: all share.
 POLICY_NAMES = ("static", "aimd", "snr")
 
+#: AIMD: paths a clean, busy window adds; the factor a late window
+#: applies; the slot-budget share a raised budget's peak must fit in.
+INCREASE, BACKOFF, HEADROOM = 1, 0.5, 0.5
+
 
 @dataclass(frozen=True)
 class CellObservation:
@@ -68,14 +72,14 @@ class CellObservation:
         The observed cell.
     budget:
         Path budget that was in force during the window.
-    frames / flushes:
-        Detected frames and service calls in the window.
+    frames:
+        Detected frames in the window.
     frames_on_time / frames_late:
         Per-frame deadline accounting within the window.
     frames_shed:
         Frames refused by admission control during the window.
-    mean_latency_s / max_latency_s:
-        Flush latency (oldest arrival to completion) over the window.
+    max_latency_s:
+        Worst flush latency (oldest arrival to completion) in the window.
     service_sum_s:
         Total *service* time (flush dispatch to completion, queueing
         excluded) over the window — the per-frame cost estimator's
@@ -96,11 +100,9 @@ class CellObservation:
     cell_id: str
     budget: int
     frames: int = 0
-    flushes: int = 0
     frames_on_time: int = 0
     frames_late: int = 0
     frames_shed: int = 0
-    mean_latency_s: float = 0.0
     max_latency_s: float = 0.0
     service_sum_s: float = 0.0
     peak_flush_frames: int = 0
@@ -196,10 +198,10 @@ class AimdPolicy(PathBudgetPolicy):
     """Additive-increase / multiplicative-decrease on deadline misses.
 
     The classic congestion-control law applied to compute: a window
-    containing any late frame multiplies the budget by ``backoff``; a
-    clean, busy window adds ``increase`` paths — but only through the
-    **load-aware headroom gate**.  A naive latency gate probes straight
-    into the deadline on bursty traffic: quiet windows have tiny
+    containing any late frame multiplies the budget by :data:`BACKOFF`;
+    a clean, busy window adds :data:`INCREASE` paths — but only through
+    the **load-aware headroom gate**.  A naive latency gate probes
+    straight into the deadline on bursty traffic: quiet windows have tiny
     flushes, so latency looks harmless, the budget climbs to the
     ceiling, and the next burst lands late.  Instead the gate predicts
     what the *peak* slot would cost at the raised budget — measured
@@ -207,12 +209,13 @@ class AimdPolicy(PathBudgetPolicy):
     times the largest flush the cell has ever produced (or the caller's
     ``peak_frames_hint``, e.g. ``subcarriers x 7`` when the radio's
     capacity is known) — and grows only while that prediction and the
-    window's observed worst latency both fit inside ``headroom`` of the
-    slot budget.
+    window's observed worst latency both fit inside :data:`HEADROOM` of
+    the slot budget.
 
-    Under sustained misses the budget is monotone non-increasing down to
-    ``paths_min`` (property-tested), which is the precondition for the
-    governor's load-shedding escalation.
+    ``start`` places the law anywhere in ``[paths_min, paths_max]``
+    (default: the floor).  Under sustained misses the budget is monotone
+    non-increasing down to ``paths_min`` (property-tested), the
+    precondition for the governor's load-shedding escalation.
     """
 
     name = "aimd"
@@ -222,23 +225,11 @@ class AimdPolicy(PathBudgetPolicy):
         paths_min: int,
         paths_max: int,
         start: "int | None" = None,
-        increase: int = 1,
-        backoff: float = 0.5,
-        headroom: float = 0.5,
         peak_frames_hint: "int | None" = None,
     ):
         super().__init__(paths_min, paths_max)
-        if not 0.0 < backoff < 1.0:
-            raise ConfigurationError("backoff must lie in (0, 1)")
-        if increase < 1:
-            raise ConfigurationError("increase must be >= 1")
-        if not 0.0 < headroom <= 1.0:
-            raise ConfigurationError("headroom must lie in (0, 1]")
         if peak_frames_hint is not None and peak_frames_hint < 1:
             raise ConfigurationError("peak_frames_hint must be >= 1")
-        self.increase = int(increase)
-        self.backoff = float(backoff)
-        self.headroom = float(headroom)
         self.peak_frames_hint = peak_frames_hint
         self._budget = self.clamp(paths_min if start is None else start)
 
@@ -246,7 +237,7 @@ class AimdPolicy(PathBudgetPolicy):
         return self._budget
 
     def _increase_is_safe(self, observation: CellObservation) -> bool:
-        allowance = self.headroom * observation.slot_budget_s
+        allowance = HEADROOM * observation.slot_budget_s
         if not math.isfinite(allowance):
             return True  # drain-driven operation: no deadline to protect
         if observation.max_latency_s > allowance:
@@ -262,17 +253,15 @@ class AimdPolicy(PathBudgetPolicy):
         # The measurement was taken at the budget the window actually
         # ran at (observation.budget — a global path budget may have
         # clamped it below this policy's desire), so scale from there.
-        raised = self.clamp(self._budget + self.increase)
+        raised = self.clamp(self._budget + INCREASE)
         predicted = per_frame * peak * raised / max(observation.budget, 1)
         return predicted <= allowance
 
     def update(self, observation: CellObservation) -> int:
         if observation.frames_late > 0:
-            self._budget = self.clamp(
-                math.floor(self._budget * self.backoff)
-            )
+            self._budget = self.clamp(math.floor(self._budget * BACKOFF))
         elif observation.frames > 0 and self._increase_is_safe(observation):
-            self._budget = self.clamp(self._budget + self.increase)
+            self._budget = self.clamp(self._budget + INCREASE)
         return self._budget
 
 
@@ -302,7 +291,6 @@ class SnrAwarePolicy(PathBudgetPolicy):
         paths_min: int,
         paths_max: int,
         target_error_rate: float = 0.05,
-        pe_formula: str = "corrected",
     ):
         super().__init__(paths_min, paths_max)
         if not 0.0 < target_error_rate < 1.0:
@@ -311,7 +299,6 @@ class SnrAwarePolicy(PathBudgetPolicy):
             )
         self.constellation = constellation
         self.target_error_rate = float(target_error_rate)
-        self.pe_formula = pe_formula
         self._budget = self.paths_max
         # Memo of the last decision, keyed on channel *content*: under
         # coherence the same channel matrix recurs every slot (as fresh
@@ -328,9 +315,7 @@ class SnrAwarePolicy(PathBudgetPolicy):
     ) -> int:
         """The minimum admissible budget for one channel realisation."""
         qr = sorted_qr(np.asarray(channel))
-        model = LevelErrorModel.from_channel(
-            qr.r, noise_var, self.constellation, formula=self.pe_formula
-        )
+        model = LevelErrorModel.from_channel(qr.r, noise_var, self.constellation)
         search = find_promising_paths(
             model,
             num_paths=self.paths_max,

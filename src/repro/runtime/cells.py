@@ -118,10 +118,9 @@ class CellFarm:
 
     # ------------------------------------------------------------------
     def scheduler(self, **kwargs) -> StreamingScheduler:
-        """A streaming scheduler serving this farm's cells on its service."""
-        kwargs.setdefault("obs", self.obs)
-        kwargs.setdefault("parent", self.metrics)
-        return StreamingScheduler(self.cells, service=self.service, **kwargs)
+        """A streaming scheduler serving this farm's cells on its service
+        (``kwargs``: :class:`StreamingScheduler`'s after ``farm``)."""
+        return StreamingScheduler(self, **kwargs)
 
     def stats(self) -> "dict[str, dict]":
         """Per-cell view of the farm's ledger (every cell, flushed or

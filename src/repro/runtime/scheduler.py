@@ -43,13 +43,11 @@ from repro.obs import (
     NULL_TRACER,
     SPAN_FLUSH,
     FlushLedger,
-    get_global,
     scheduler_summary,
 )
 from repro.ofdm.lte import SLOT_DURATION_S, SYMBOLS_PER_SLOT, slot_deadline
 from repro.runtime.batch import UplinkBatch
 from repro.runtime.cache import context_key
-from repro.runtime.service import DetectionService
 from repro.utils.flops import NULL_COUNTER, FlopCounter
 
 DEFAULT_CELL = "cell0"
@@ -216,20 +214,13 @@ class MicroBatcher:
         Deadline budget measured from a group's first arrival.
         Defaults to the LTE 500 µs slot; ``math.inf`` disables deadline
         flushes (drain-driven operation, e.g. offline batch replay).
-    flush_margin_s:
-        How much *before* the deadline an under-target group is flushed.
-        A flush fired exactly at the deadline necessarily completes
-        after it — a guaranteed miss — so real-time deployments set this
-        to their expected straggler service time, trading batch width
-        for completion headroom.  The deadline-hit accounting always
-        measures against the true deadline, never the armed one.
+        An under-target group is flushed at its deadline.
     """
 
     def __init__(
         self,
         batch_target: int = SYMBOLS_PER_SLOT,
         slot_budget_s: float = SLOT_DURATION_S,
-        flush_margin_s: float = 0.0,
     ):
         if batch_target < 1:
             raise ConfigurationError("batch_target must be >= 1")
@@ -237,11 +228,8 @@ class MicroBatcher:
             raise ConfigurationError(
                 f"slot budget must be positive, got {slot_budget_s}"
             )
-        if flush_margin_s < 0.0:
-            raise ConfigurationError("flush_margin_s must be >= 0")
         self.batch_target = int(batch_target)
         self.slot_budget_s = float(slot_budget_s)
-        self.flush_margin_s = float(flush_margin_s)
         self._groups: "OrderedDict[tuple, _Group]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -279,20 +267,16 @@ class MicroBatcher:
         return None
 
     def next_deadline(self) -> "float | None":
-        """Earliest pending *armed* deadline (margin already applied),
-        or ``None`` when nothing waits."""
+        """Earliest pending deadline, or ``None`` when nothing waits."""
         if not self._groups:
             return None
-        return (
-            min(group.deadline_s for group in self._groups.values())
-            - self.flush_margin_s
-        )
+        return min(group.deadline_s for group in self._groups.values())
 
     def pop_expired(self, now: float) -> list:
-        """Remove and return every group whose armed deadline passed."""
+        """Remove and return every group whose deadline passed."""
         expired = []
         for key, group in list(self._groups.items()):
-            if group.deadline_s - self.flush_margin_s <= now:
+            if group.deadline_s <= now:
                 del self._groups[key]
                 group.reason = FLUSH_DEADLINE
                 expired.append(group)
@@ -312,15 +296,14 @@ class StreamingScheduler:
 
     Parameters
     ----------
-    cells:
-        The cells this scheduler serves: a single
-        :class:`~repro.runtime.cells.Cell`, an iterable of them, or a
-        ``{cell_id: Cell}`` mapping.  A bare detector is also accepted
-        and wrapped in a default single cell.
-    service:
-        A shared :class:`~repro.runtime.service.DetectionService`; when
-        ``None`` a private one is built from ``backend`` and closed with
-        the scheduler.
+    farm:
+        The :class:`~repro.runtime.cells.CellFarm` whose cells this
+        scheduler serves.  Its service runs every flush, its
+        observability hub traces them (every flush becomes a ``flush``
+        span: cell, reason, coherence key, batch size, path budget,
+        latency, service time; with no hub spans are a shared no-op,
+        the accounting is not), and its ledger is the parent each run's
+        own ledger folds into, once, at loop exit.
     batch_target / slot_budget_s:
         Flush policy, see :class:`MicroBatcher`.
     use_soft:
@@ -338,20 +321,10 @@ class StreamingScheduler:
         (``maybe_tick(now)``) once per service loop.
     clock:
         Monotonic time source; injectable for tests.
-    obs:
-        An :class:`~repro.obs.Observability` hub: every flush becomes a
-        ``flush`` span (cell, reason, coherence key, batch size, path
-        budget, latency, service time).  ``None`` falls back to the
-        process-global hub; with no hub at all spans are a shared no-op
-        (the accounting below is not: it does not depend on tracing).
-    parent:
-        The ledger (a :class:`~repro.obs.MetricsRegistry`) each run's
-        own is folded into, once, at loop exit; a farm passes its own.
-        Defaults to the hub's registry, else none.
 
     Usage::
 
-        async with StreamingScheduler(cells, service=svc) as sched:
+        async with farm.scheduler(slot_budget_s=budget) as sched:
             fut = await sched.submit(FrameArrival(h, y, noise_var))
             ...
             await sched.flush()          # force-dispatch stragglers
@@ -360,45 +333,32 @@ class StreamingScheduler:
 
     def __init__(
         self,
-        cells,
-        service: "DetectionService | None" = None,
-        backend: str = "serial",
+        farm,
         batch_target: int = SYMBOLS_PER_SLOT,
         slot_budget_s: float = SLOT_DURATION_S,
-        flush_margin_s: float = 0.0,
         use_soft: bool = False,
         counter: FlopCounter = NULL_COUNTER,
         governor=None,
         clock=time.monotonic,
-        obs=None,
-        parent=None,
     ):
-        self.cells = self._normalise_cells(cells)
-        if obs is None:
-            obs = get_global()
-        self.obs = obs
+        if not farm.cells:
+            raise ConfigurationError(
+                "StreamingScheduler needs at least one cell"
+            )
+        self.cells = farm.cells
+        self.service = farm.service
+        obs = farm.obs
         self._tracer = obs.tracer if obs is not None else NULL_TRACER
-        if parent is None and obs is not None:
-            parent = obs.metrics
-        self._parent = parent
-        if service is None:
-            self.service = DetectionService(backend, obs=obs)
-            self._owns_service = True
-        else:
-            self.service = service
-            self._owns_service = False
+        self._parent = farm.metrics
         self.batcher = MicroBatcher(
-            batch_target=batch_target,
-            slot_budget_s=slot_budget_s,
-            flush_margin_s=flush_margin_s,
+            batch_target=batch_target, slot_budget_s=slot_budget_s
         )
         self.use_soft = bool(use_soft)
         self.counter = counter
         self.governor = governor
         if governor is not None:
             # Bind the deadline frame of reference the governor's
-            # observations are judged against (operator-preconfigured
-            # values are respected; see ComputeGovernor.bind_slot_budget).
+            # observations are judged against.
             governor.bind_slot_budget(self.batcher.slot_budget_s)
             # Hand the governor a tracer for its tick spans, unless the
             # caller already attached one.
@@ -409,30 +369,6 @@ class StreamingScheduler:
         self._queue: "asyncio.Queue | None" = None
         self._task: "asyncio.Task | None" = None
         self._rr_offset = 0
-
-    @staticmethod
-    def _normalise_cells(cells) -> dict:
-        from repro.runtime.cells import Cell  # local: avoid import cycle
-        from repro.detectors.base import Detector
-
-        if isinstance(cells, Detector):
-            cells = [Cell(DEFAULT_CELL, cells)]
-        elif isinstance(cells, Cell):
-            cells = [cells]
-        if isinstance(cells, dict):
-            cells = list(cells.values())
-        registry = {}
-        for cell in cells:
-            if cell.cell_id in registry:
-                raise ConfigurationError(
-                    f"duplicate cell id {cell.cell_id!r}"
-                )
-            registry[cell.cell_id] = cell
-        if not registry:
-            raise ConfigurationError(
-                "StreamingScheduler needs at least one cell"
-            )
-        return registry
 
     def _open_ledger(self) -> None:
         self._ledger = FlushLedger()
@@ -466,8 +402,6 @@ class StreamingScheduler:
         await self._task
         self._task = None
         self._queue = None
-        if self._owns_service:
-            self.service.close()
 
     async def flush(self) -> None:
         """Force-dispatch every pending group and wait for completion."""
@@ -534,9 +468,8 @@ class StreamingScheduler:
             clean = True
         finally:
             self._fail_stragglers(clean)
-            if self._parent is not None:
-                # The one fold of this run, clean exit or not.
-                self._parent.merge_dict(self.metrics.to_dict())
+            # The one fold of this run, clean exit or not.
+            self._parent.merge_dict(self.metrics.to_dict())
 
     def _fail_stragglers(self, clean: bool) -> None:
         """Resolve anything still pending when the loop exits.

@@ -7,8 +7,9 @@ names, cross-field violations — is rejected at construction with a
 :class:`~repro.errors.ConfigurationError`.
 """
 
+import inspect
 import json
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -24,9 +25,17 @@ from repro.api import (
     StackConfig,
     TracingSpec,
 )
+from repro.control import AimdPolicy, ComputeGovernor, SnrAwarePolicy
 from repro.control.policy import POLICY_NAMES
 from repro.errors import ConfigurationError
-from repro.runtime import available_backends, resolve_array_module
+from repro.experiments.runner import main as runner_main
+from repro.runtime import (
+    MicroBatcher,
+    StreamingScheduler,
+    available_backends,
+    resolve_array_module,
+)
+from repro.runtime.scheduler import DEFAULT_CELL
 
 
 # ---------------------------------------------------------------------------
@@ -65,14 +74,13 @@ governor_specs = st.builds(
     policy=st.sampled_from(POLICY_NAMES),
     paths_min=st.integers(min_value=1, max_value=4),
     paths_max=st.integers(min_value=4, max_value=128),
-    increase=st.integers(min_value=1, max_value=4),
-    backoff=st.floats(min_value=0.1, max_value=0.9),
-    headroom=st.floats(min_value=0.1, max_value=1.0),
+    peak_frames_hint=st.one_of(
+        st.none(), st.integers(min_value=1, max_value=512)
+    ),
     target_error_rate=st.floats(min_value=0.01, max_value=0.5),
     total_path_budget=st.one_of(
         st.none(), st.integers(min_value=1, max_value=512)
     ),
-    probe_every=st.integers(min_value=1, max_value=16),
 )
 
 scheduler_specs = st.builds(
@@ -83,7 +91,6 @@ scheduler_specs = st.builds(
     slot_budget_s=st.one_of(
         st.none(), st.floats(min_value=1e-4, max_value=10.0)
     ),
-    flush_margin_s=st.floats(min_value=0.0, max_value=1e-3),
 )
 
 
@@ -114,7 +121,8 @@ def stack_configs(draw):
 
 #: ``json.dumps(preset.to_dict())`` as the hand-written ``to_dict`` pairs
 #: produced it at the commit before serialization was derived from the
-#: fields, less the two ``backend`` keys numpy-only deleted — what
+#: fields, less the two ``backend`` keys numpy-only deleted and the ten
+#: keys only tests ever set (:data:`DELETED_KEYS`) — what
 #: ``farm/worker.py`` parses and result metadata stores.
 PRESET_JSON = {
     "ap-farm": (
@@ -122,8 +130,8 @@ PRESET_JSON = {
         ', "qam_order": 16, "params": {"num_paths": 16}}'
         ', "backend": {"name": "serial"}'
         ', "cache": {"enabled": true, "max_entries": 1024}'
-        ', "farm": {"streaming": true, "cells": 4, "cell_prefix": "cell", "cell_offset": 0}'
-        ', "scheduler": {"batch_target": 7, "slot_budget_s": null, "flush_margin_s": 0.0}'
+        ', "farm": {"streaming": true, "cells": 4, "cell_offset": 0}'
+        ', "scheduler": {"batch_target": 7, "slot_budget_s": null}'
         ', "governor": null'
         ', "tracing": {"enabled": false, "max_events": 65536}}'
     ),
@@ -132,8 +140,8 @@ PRESET_JSON = {
         ', "qam_order": 16, "params": {"num_paths": 32}}'
         ', "backend": {"name": "array"}'
         ', "cache": {"enabled": true, "max_entries": 1024}'
-        ', "farm": {"streaming": false, "cells": 1, "cell_prefix": "cell", "cell_offset": 0}'
-        ', "scheduler": {"batch_target": null, "slot_budget_s": null, "flush_margin_s": 0.0}'
+        ', "farm": {"streaming": false, "cells": 1, "cell_offset": 0}'
+        ', "scheduler": {"batch_target": null, "slot_budget_s": null}'
         ', "governor": null'
         ', "tracing": {"enabled": false, "max_events": 65536}}'
     ),
@@ -142,12 +150,10 @@ PRESET_JSON = {
         ', "qam_order": 16, "params": {"num_paths": 128}}'
         ', "backend": {"name": "array"}'
         ', "cache": {"enabled": true, "max_entries": 1024}'
-        ', "farm": {"streaming": true, "cells": 2, "cell_prefix": "cell", "cell_offset": 0}'
-        ', "scheduler": {"batch_target": 7, "slot_budget_s": null, "flush_margin_s": 0.0}'
-        ', "governor": {"policy": "aimd", "paths_min": 2, "paths_max": 128, "start": null'
-        ', "increase": 1, "backoff": 0.5, "headroom": 0.5, "peak_frames_hint": 56'
-        ', "target_error_rate": 0.05, "control_interval_s": null, "total_path_budget": null'
-        ', "shed_below": 0.5, "resume_above": 0.95, "probe_every": 8}'
+        ', "farm": {"streaming": true, "cells": 2, "cell_offset": 0}'
+        ', "scheduler": {"batch_target": 7, "slot_budget_s": null}'
+        ', "governor": {"policy": "aimd", "paths_min": 2, "paths_max": 128'
+        ', "peak_frames_hint": 56, "target_error_rate": 0.05, "total_path_budget": null}'
         ', "tracing": {"enabled": false, "max_events": 65536}}'
     ),
     "paper-fig9": (
@@ -155,11 +161,28 @@ PRESET_JSON = {
         ', "qam_order": 16, "params": {"num_paths": 64}}'
         ', "backend": {"name": "serial"}'
         ', "cache": {"enabled": true, "max_entries": 1024}'
-        ', "farm": {"streaming": false, "cells": 1, "cell_prefix": "cell", "cell_offset": 0}'
-        ', "scheduler": {"batch_target": null, "slot_budget_s": null, "flush_margin_s": 0.0}'
+        ', "farm": {"streaming": false, "cells": 1, "cell_offset": 0}'
+        ', "scheduler": {"batch_target": null, "slot_budget_s": null}'
         ', "governor": null'
         ', "tracing": {"enabled": false, "max_events": 65536}}'
     ),
+}
+
+#: The settings an older payload may still carry, with the value every
+#: run used: ``{section: {key: value}}``.
+DELETED_KEYS = {
+    "scheduler": {"flush_margin_s": 0.0},
+    "farm": {"cell_prefix": "cell"},
+    "governor": {
+        "start": None,
+        "increase": 1,
+        "backoff": 0.5,
+        "headroom": 0.5,
+        "control_interval_s": None,
+        "shed_below": 0.5,
+        "resume_above": 0.95,
+        "probe_every": 8,
+    },
 }
 
 
@@ -308,10 +331,6 @@ class TestFieldValidation:
         with pytest.raises(ConfigurationError, match="paths_max"):
             GovernorSpec(paths_min=8, paths_max=4)
 
-    def test_governor_start_within_bounds(self):
-        with pytest.raises(ConfigurationError, match="start"):
-            GovernorSpec(paths_min=2, paths_max=8, start=16)
-
     @pytest.mark.parametrize(
         "payload, stale, catalogue",
         [
@@ -394,8 +413,9 @@ class TestSpecHelpers:
             spec.build_policy()
 
     def test_farm_cell_ids(self):
-        farm = FarmSpec(streaming=True, cells=3, cell_prefix="ap")
-        assert farm.cell_ids() == ("ap0", "ap1", "ap2")
+        assert FarmSpec().cell_ids() == (DEFAULT_CELL,)
+        farm = FarmSpec(streaming=True, cells=3, cell_offset=2)
+        assert farm.cell_ids() == ("cell2", "cell3", "cell4")
 
 
 class TestSplitCells:
@@ -463,3 +483,126 @@ class TestSplitCells:
             StackConfig(
                 detector=DetectorSpec("flexcore", 2, 2, 4)
             ).split_cells(1)
+
+
+class TestSettableSurface:
+    """Every value a caller can set, by name.  A new setting has to be
+    added here on purpose."""
+
+    LEAVES = (
+        "detector.name",
+        "detector.num_streams",
+        "detector.num_rx_antennas",
+        "detector.qam_order",
+        "detector.params",
+        "backend.name",
+        "cache.enabled",
+        "cache.max_entries",
+        "farm.streaming",
+        "farm.cells",
+        "farm.cell_offset",
+        "scheduler.batch_target",
+        "scheduler.slot_budget_s",
+        "governor.policy",
+        "governor.paths_min",
+        "governor.paths_max",
+        "governor.peak_frames_hint",
+        "governor.target_error_rate",
+        "governor.total_path_budget",
+        "tracing.enabled",
+        "tracing.max_events",
+    )
+
+    @staticmethod
+    def leaves(spec, prefix=""):
+        for spec_field in fields(spec):
+            value = getattr(spec, spec_field.name)
+            if is_dataclass(value):
+                yield from TestSettableSurface.leaves(
+                    value, f"{prefix}{spec_field.name}."
+                )
+            else:
+                yield prefix + spec_field.name
+
+    def test_stack_config_leaf_fields(self):
+        config = StackConfig(
+            detector=DetectorSpec("mmse", 4),
+            farm=FarmSpec(streaming=True),
+            governor=GovernorSpec(),
+        )
+        assert tuple(self.leaves(config)) == self.LEAVES
+        assert len(self.LEAVES) == 21
+
+    @pytest.mark.parametrize(
+        "cls, parameters",
+        [
+            (ComputeGovernor, ("policy", "total_path_budget")),
+            (AimdPolicy, ("paths_min", "paths_max", "start", "peak_frames_hint")),
+            (
+                SnrAwarePolicy,
+                ("constellation", "paths_min", "paths_max", "target_error_rate"),
+            ),
+            (MicroBatcher, ("batch_target", "slot_budget_s")),
+            (
+                StreamingScheduler,
+                (
+                    "farm",
+                    "batch_target",
+                    "slot_budget_s",
+                    "use_soft",
+                    "counter",
+                    "governor",
+                    "clock",
+                ),
+            ),
+        ],
+        ids=[
+            "ComputeGovernor",
+            "AimdPolicy",
+            "SnrAwarePolicy",
+            "MicroBatcher",
+            "StreamingScheduler",
+        ],
+    )
+    def test_constructor_parameters(self, cls, parameters):
+        assert tuple(inspect.signature(cls).parameters) == parameters
+
+
+class TestDeletedKeys:
+    """A payload written before the ten test-only settings were deleted
+    is refused by name, not silently read with a different meaning."""
+
+    @staticmethod
+    def stale_payload(section, key):
+        payload = StackConfig(
+            detector=DetectorSpec("flexcore", 4, params={"num_paths": 8}),
+            farm=FarmSpec(streaming=True, cells=2),
+            governor=GovernorSpec(),
+        ).to_dict()
+        payload[section][key] = DELETED_KEYS[section][key]
+        return payload
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [(section, key) for section, keys in DELETED_KEYS.items() for key in keys],
+        ids=lambda value: value,
+    )
+    def test_from_dict_names_the_key(self, section, key):
+        with pytest.raises(ConfigurationError, match=key):
+            StackConfig.from_dict(self.stale_payload(section, key))
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("scheduler", "flush_margin_s"), ("governor", "probe_every")],
+        ids=["flush_margin_s", "probe_every"],
+    )
+    def test_runner_config_names_the_key(self, section, key, tmp_path, capsys):
+        path = tmp_path / "stack.json"
+        path.write_text(json.dumps(self.stale_payload(section, key)))
+        with pytest.raises(SystemExit) as excinfo:
+            runner_main(
+                ["--config", str(path), "--dump-config", str(tmp_path / "out.json")]
+            )
+        assert excinfo.value.code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()

@@ -393,17 +393,6 @@ class TestFacadeSurface:
             NUM_SUBCARRIERS * NUM_FRAMES
         )
 
-    def test_cell_prefix_flows_through(self, workload):
-        system, channels, received, noise_var = workload
-        config = StackConfig(
-            detector=hard_spec(),
-            farm=FarmSpec(streaming=True, cells=2, cell_prefix="ap"),
-        )
-        with build_stack(config) as stack:
-            assert stack.cell_ids == ("ap0", "ap1")
-            assert sorted(stack.farm.cells) == ["ap0", "ap1"]
-            stack.detect_batch(channels, received, noise_var)
-
 
 def tiny_scenario(cells=("cell0",), slots=2):
     scenario = WorkloadScenario(
@@ -419,7 +408,7 @@ def tiny_scenario(cells=("cell0",), slots=2):
 class TestSchedulerSpecResolvedOnce:
     """Every driver opens its scheduler through ``UplinkStack.pace``;
     these pin what each hands ``CellFarm.scheduler`` — a config whose
-    batch_target/margin silently vanished would make the embedded
+    batch_target silently vanished would make the embedded
     metadata lie about the run."""
 
     DRIVERS = {
@@ -464,12 +453,9 @@ class TestSchedulerSpecResolvedOnce:
     def test_configured_flush_policy_reaches_the_scheduler(
         self, monkeypatch, workload, driver
     ):
-        spec = SchedulerSpec(
-            batch_target=3, slot_budget_s=0.25, flush_margin_s=0.001
-        )
+        spec = SchedulerSpec(batch_target=3, slot_budget_s=0.25)
         captured, _ = self._captured(monkeypatch, workload, driver, spec)
         assert captured["batch_target"] == 3
-        assert captured["flush_margin_s"] == 0.001
         # Calibration prices a slot with deadlines off, whatever the spec.
         assert captured["slot_budget_s"] == (
             math.inf if driver == "calibrate" else 0.25
@@ -495,7 +481,6 @@ class TestSchedulerSpecResolvedOnce:
         )
         assert captured["batch_target"] == batch_target
         assert captured["slot_budget_s"] == slot_budget_s
-        assert captured["flush_margin_s"] == 0.0
 
     @pytest.mark.parametrize("driver", sorted(DRIVERS))
     def test_one_governor_reaches_every_scheduler(

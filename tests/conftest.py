@@ -246,6 +246,16 @@ def make_stack(
     return build_stack(config, detector=detector)
 
 
+def one_cell_farm(detector, cell_id="cell0", backend="serial", obs=None):
+    """A ``CellFarm`` of one cell serving ``detector``: what a test
+    hands ``StreamingScheduler`` (``farm.scheduler(...)``)."""
+    from repro.runtime import CellFarm
+
+    farm = CellFarm(backend, obs=obs)
+    farm.add_cell(cell_id, detector)
+    return farm
+
+
 def portable_lane():
     """A context in which ``repro.native.kernel()`` is ``None``: the
     numpy level loop, slab search and QR recursion, as ``CC=false`` makes

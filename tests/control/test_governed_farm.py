@@ -25,14 +25,13 @@ from repro.modulation.constellation import QamConstellation
 from repro.modulation.mapper import random_symbol_indices
 from repro.obs import cell_summaries
 from repro.runtime import (
-    Cell,
     ContextCache,
     DetectionService,
     FrameArrival,
     StreamingScheduler,
     UplinkBatch,
 )
-from tests.conftest import make_stack
+from tests.conftest import make_stack, one_cell_farm
 
 
 @pytest.fixture
@@ -208,11 +207,9 @@ class TestLoadShedding:
         deadline must shed follow-up arrivals with LoadShedError."""
         rng = np.random.default_rng(3)
         detector = FlexCoreDetector(system, num_paths=4)
-        cell = Cell("cell0", detector)
+        farm = one_cell_farm(detector)
         governor = ComputeGovernor(
-            AimdPolicy(4, 4),  # floor == ceiling: no dial left
-            control_interval_s=0.0,
-            shed_below=0.5,
+            AimdPolicy(4, 4)  # floor == ceiling: no dial left
         )
         channel = rayleigh_channels(1, 4, 4, rng)[0]
         received = rng.standard_normal((7, 4)) + 0j
@@ -221,7 +218,7 @@ class TestLoadShedding:
             shed = 0
             detected = 0
             async with StreamingScheduler(
-                cell,
+                farm,
                 batch_target=7,
                 slot_budget_s=1e-7,  # every flush is necessarily late
                 governor=governor,
@@ -264,8 +261,6 @@ class TestLoadShedding:
             "aimd",
             paths_min=4,  # floor-locked: shedding is the only dial
             paths_max=4,
-            control_interval_s=0.0,
-            shed_below=0.5,
         )
         with make_stack(
             detector,
@@ -284,7 +279,7 @@ class TestLoadShedding:
     ):
         channels, received, noise_var = uplink
         detector = FlexCoreDetector(system, num_paths=16)
-        governor = GovernorSpec("aimd", paths_min=2, paths_max=16, start=8)
+        governor = GovernorSpec("aimd", paths_min=2, paths_max=16)
         with make_stack(
             detector, cells=2, governor=governor
         ) as engine:

@@ -12,6 +12,7 @@ from repro.control import (
     ComputeGovernor,
     StaticPolicy,
 )
+from repro.control.governor import PROBE_EVERY
 from repro.errors import ConfigurationError
 from repro.runtime.scheduler import FlushRecord
 
@@ -54,9 +55,7 @@ class TestGovernorBasics:
         assert governor.path_budget("cell1") == 16
 
     def test_lanes_do_not_share_policy_state(self):
-        governor = ComputeGovernor(
-            AimdPolicy(1, 64, start=32), control_interval_s=0.0
-        )
+        governor = ComputeGovernor(AimdPolicy(1, 64, start=32))
         governor.maybe_tick(0.0)  # arm
         governor.observe_flush("cell0", late_record("cell0"))
         governor.observe_flush(
@@ -66,22 +65,17 @@ class TestGovernorBasics:
         assert governor.path_budget("cell0") == 16  # backed off
         assert governor.path_budget("cell1") >= 32  # untouched or grown
 
-    def test_tick_interval_is_respected(self):
-        governor = ComputeGovernor(
-            StaticPolicy(8), control_interval_s=1.0
-        )
-        assert not governor.maybe_tick(0.0)  # arms the clock
-        assert not governor.maybe_tick(0.5)
-        assert governor.maybe_tick(1.5)
-        assert governor.telemetry.ticks == 1
-
     def test_slot_budget_binding_default_interval(self):
+        """Ticks are one bound slot budget apart; every opportunity is
+        a tick while no budget is bound."""
         governor = ComputeGovernor(StaticPolicy(8))
         assert governor.slot_budget_s is None
+        assert not governor.maybe_tick(0.0)  # arms the clock
+        assert governor.maybe_tick(0.0)
         governor.bind_slot_budget(0.25)  # what the scheduler does
-        assert not governor.maybe_tick(0.0)
         assert not governor.maybe_tick(0.1)
         assert governor.maybe_tick(0.3)
+        assert governor.telemetry.ticks == 2
 
     def test_scheduler_bound_budget_rebinds_on_reattach(self):
         governor = ComputeGovernor(StaticPolicy(8))
@@ -89,17 +83,10 @@ class TestGovernorBasics:
         governor.bind_slot_budget(0.01)  # then a real-time farm
         assert governor.slot_budget_s == 0.01
 
-    def test_operator_configured_budget_is_never_overwritten(self):
-        governor = ComputeGovernor(StaticPolicy(8), slot_budget_s=0.5)
-        governor.bind_slot_budget(0.01)
-        assert governor.slot_budget_s == 0.5
-
 
 class TestControlLaw:
     def test_misses_cut_the_budget_next_tick(self):
-        governor = ComputeGovernor(
-            AimdPolicy(2, 64, start=64), control_interval_s=0.0
-        )
+        governor = ComputeGovernor(AimdPolicy(2, 64, start=64))
         governor.maybe_tick(0.0)
         for _ in range(3):
             governor.observe_flush("cell0", late_record())
@@ -108,9 +95,7 @@ class TestControlLaw:
         assert governor.telemetry.budget_decreases == 1
 
     def test_decisions_are_recorded(self):
-        governor = ComputeGovernor(
-            AimdPolicy(2, 64, start=64), control_interval_s=0.0
-        )
+        governor = ComputeGovernor(AimdPolicy(2, 64, start=64))
         governor.observe_flush("cell0", late_record())
         governor.tick(0.0)
         governor.tick(1.0)
@@ -151,14 +136,8 @@ class TestControlLaw:
 
 
 class TestLoadShedding:
-    def _governor(self, probe_every=8):
-        return ComputeGovernor(
-            AimdPolicy(2, 4, start=2),
-            control_interval_s=0.0,
-            shed_below=0.5,
-            resume_above=0.95,
-            probe_every=probe_every,
-        )
+    def _governor(self):
+        return ComputeGovernor(AimdPolicy(2, 4, start=2))
 
     def test_floor_plus_misses_starts_shedding(self):
         governor = self._governor()
@@ -170,9 +149,7 @@ class TestLoadShedding:
         assert governor.telemetry.frames_shed == 7
 
     def test_above_floor_never_sheds(self):
-        governor = ComputeGovernor(
-            AimdPolicy(2, 64, start=64), control_interval_s=0.0
-        )
+        governor = ComputeGovernor(AimdPolicy(2, 64, start=64))
         governor.observe_flush("cell0", late_record())
         governor.tick(0.0)
         assert not governor.shedding()["cell0"]
@@ -181,26 +158,27 @@ class TestLoadShedding:
         """A policy that ignores misses (static, SNR-aware) exhausts
         its dial immediately: badly-missing windows must shed even
         though the budget never reaches the floor."""
-        governor = ComputeGovernor(
-            StaticPolicy(32), control_interval_s=0.0, shed_below=0.5
-        )
+        governor = ComputeGovernor(StaticPolicy(32))
         governor.observe_flush("cell0", late_record())
         governor.tick(0.0)
         assert governor.shedding()["cell0"]
 
     def test_shedding_admits_every_probe_eth_arrival(self):
-        governor = self._governor(probe_every=4)
+        governor = self._governor()
         governor.observe_flush("cell0", late_record())
         governor.tick(0.0)
-        verdicts = [governor.admit("cell0", 7, 0.1) for _ in range(8)]
-        assert verdicts == [False, False, False, True] * 2
-        assert governor.telemetry.frames_shed == 6 * 7
+        verdicts = [
+            governor.admit("cell0", 7, 0.1) for _ in range(2 * PROBE_EVERY)
+        ]
+        assert verdicts == ([False] * (PROBE_EVERY - 1) + [True]) * 2
+        assert governor.telemetry.frames_shed == 2 * (PROBE_EVERY - 1) * 7
 
     def test_recovered_probes_resume_admission(self):
-        governor = self._governor(probe_every=2)
+        governor = self._governor()
         governor.observe_flush("cell0", late_record())
         governor.tick(0.0)
-        assert not governor.admit("cell0", 7, 0.1)
+        for _ in range(PROBE_EVERY - 1):
+            assert not governor.admit("cell0", 7, 0.1)
         assert governor.admit("cell0", 7, 0.2)  # the probe
         # The probe made its deadline: evidence the floor now fits.
         governor.observe_flush(
@@ -212,7 +190,7 @@ class TestLoadShedding:
         assert governor.admit("cell0", 7, 1.1)
 
     def test_fully_shed_window_stays_shut(self):
-        """resume_above means something: no probe evidence, no resume."""
+        """RESUME_ABOVE means something: no probe evidence, no resume."""
         governor = self._governor()
         governor.observe_flush("cell0", late_record())
         governor.tick(0.0)
@@ -278,20 +256,13 @@ class TestReporting:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            ComputeGovernor(StaticPolicy(4), control_interval_s=-1.0)
-        with pytest.raises(ConfigurationError):
             ComputeGovernor(StaticPolicy(4), total_path_budget=0)
-        with pytest.raises(ConfigurationError):
-            ComputeGovernor(StaticPolicy(4), shed_below=1.5)
-        with pytest.raises(ConfigurationError):
-            ComputeGovernor(StaticPolicy(4), probe_every=0)
 
     def test_observation_window_latencies(self):
         governor = ComputeGovernor(StaticPolicy(8))
         governor.observe_flush("cell0", flush_record(), frames_on_time=56)
         lane = governor._lane("cell0")
         observation = lane.observation(math.inf)
-        assert observation.flushes == 1
         assert observation.max_latency_s == pytest.approx(0.002)
         assert observation.service_sum_s == pytest.approx(0.001)
         assert observation.peak_flush_frames == 56

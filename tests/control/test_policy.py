@@ -25,11 +25,9 @@ observations = st.builds(
     cell_id=st.just("cell0"),
     budget=st.integers(min_value=1, max_value=256),
     frames=st.integers(min_value=0, max_value=512),
-    flushes=st.integers(min_value=0, max_value=32),
     frames_on_time=st.integers(min_value=0, max_value=512),
     frames_late=st.integers(min_value=0, max_value=512),
     frames_shed=st.integers(min_value=0, max_value=512),
-    mean_latency_s=st.floats(min_value=0.0, max_value=1.0),
     max_latency_s=st.floats(min_value=0.0, max_value=1.0),
     service_sum_s=st.floats(min_value=0.0, max_value=1.0),
     peak_flush_frames=st.integers(min_value=0, max_value=512),
@@ -174,7 +172,7 @@ class TestAimd:
     def test_headroom_gate_blocks_unsafe_increase(self):
         # Tiny quiet flushes, but the predicted peak slot at the raised
         # budget would blow the deadline: the budget must hold.
-        policy = AimdPolicy(1, 64, start=8, headroom=0.5)
+        policy = AimdPolicy(1, 64, start=8)
         observation = CellObservation(
             cell_id="cell0",
             budget=8,
@@ -192,7 +190,7 @@ class TestAimd:
         # policy's internal desire sits at 32: the peak prediction must
         # scale from the budget the measurement was taken at (8), not
         # the desire — else it underestimates ~4x and over-approves.
-        policy = AimdPolicy(1, 64, start=32, headroom=0.5)
+        policy = AimdPolicy(1, 64, start=32)
         observation = CellObservation(
             cell_id="cell0",
             budget=8,
@@ -228,12 +226,6 @@ class TestAimd:
             AimdPolicy(0, 4)
         with pytest.raises(ConfigurationError):
             AimdPolicy(8, 4)
-        with pytest.raises(ConfigurationError):
-            AimdPolicy(1, 4, backoff=1.0)
-        with pytest.raises(ConfigurationError):
-            AimdPolicy(1, 4, increase=0)
-        with pytest.raises(ConfigurationError):
-            AimdPolicy(1, 4, headroom=0.0)
         with pytest.raises(ConfigurationError):
             AimdPolicy(1, 4, peak_frames_hint=0)
 

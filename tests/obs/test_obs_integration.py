@@ -69,6 +69,7 @@ from repro.runtime import (
     StreamingScheduler,
     UplinkBatch,
 )
+from tests.conftest import one_cell_farm
 
 NOISE_VAR = noise_variance_for_snr_db(18.0)
 
@@ -169,10 +170,9 @@ def run_scheduler(obs, subcarriers=3, frames=4):
 
     async def run():
         async with StreamingScheduler(
-            detector,
+            one_cell_farm(detector, obs=obs),
             batch_target=frames,
             slot_budget_s=math.inf,
-            obs=obs,
         ) as scheduler:
             futures = [
                 await scheduler.submit(

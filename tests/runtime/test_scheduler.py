@@ -39,13 +39,13 @@ from repro.modulation.constellation import QamConstellation
 from repro.modulation.mapper import random_symbol_indices
 from repro.ofdm.lte import SLOT_DURATION_S
 from repro.runtime import (
-    Cell,
+    CellFarm,
     DetectionService,
     FrameArrival,
     MicroBatcher,
     StreamingScheduler,
 )
-from tests.conftest import make_stack
+from tests.conftest import make_stack, one_cell_farm
 
 NUM_SUBCARRIERS = 6
 NUM_FRAMES = 4
@@ -102,9 +102,10 @@ class TestStreamingEquivalence:
         )
 
         async def stream_per_frame():
-            cell = Cell("cell0", detector)
             async with StreamingScheduler(
-                cell, batch_target=NUM_FRAMES, slot_budget_s=math.inf
+                one_cell_farm(detector),
+                batch_target=NUM_FRAMES,
+                slot_budget_s=math.inf,
             ) as scheduler:
                 futures = {}
                 for sc in range(NUM_SUBCARRIERS):
@@ -172,15 +173,15 @@ class TestFlushPolicy:
         rng = np.random.default_rng(11)
         channel = rayleigh_channels(1, 3, 3, rng)[0]
         received = rng.standard_normal((8, 3)) + 0j
-        cell = Cell("cell0", detector)
-        return cell, channel, received, batch_target, slot_budget_s, kwargs
+        farm = one_cell_farm(detector)
+        return farm, channel, received, batch_target, slot_budget_s, kwargs
 
     def test_batch_target_triggers_flush(self):
-        cell, channel, received, *_ = self._scheduler_case(3, math.inf)
+        farm, channel, received, *_ = self._scheduler_case(3, math.inf)
 
         async def run():
             async with StreamingScheduler(
-                cell, batch_target=3, slot_budget_s=math.inf
+                farm, batch_target=3, slot_budget_s=math.inf
             ) as scheduler:
                 futures = [
                     await scheduler.submit(
@@ -197,11 +198,11 @@ class TestFlushPolicy:
         assert telemetry.frames_detected == 3
 
     def test_deadline_triggers_flush_for_stragglers(self):
-        cell, channel, received, *_ = self._scheduler_case(100, 0.02)
+        farm, channel, received, *_ = self._scheduler_case(100, 0.02)
 
         async def run():
             async with StreamingScheduler(
-                cell, batch_target=100, slot_budget_s=0.02
+                farm, batch_target=100, slot_budget_s=0.02
             ) as scheduler:
                 future = await scheduler.submit(
                     FrameArrival(channel, received[0], 0.1)
@@ -214,11 +215,11 @@ class TestFlushPolicy:
         assert telemetry.flush_reasons == {"deadline": 1}
 
     def test_stop_drains_pending_groups(self):
-        cell, channel, received, *_ = self._scheduler_case(100, math.inf)
+        farm, channel, received, *_ = self._scheduler_case(100, math.inf)
 
         async def run():
             scheduler = StreamingScheduler(
-                cell, batch_target=100, slot_budget_s=math.inf
+                farm, batch_target=100, slot_budget_s=math.inf
             )
             await scheduler.start()
             future = await scheduler.submit(
@@ -230,35 +231,13 @@ class TestFlushPolicy:
         detection = asyncio.run(run())
         assert detection.flush.reason == "drain"
 
-    def test_flush_margin_fires_before_deadline(self):
-        cell, channel, received, *_ = self._scheduler_case(100, 0.2)
-
-        async def run():
-            async with StreamingScheduler(
-                cell,
-                batch_target=100,
-                slot_budget_s=0.2,
-                flush_margin_s=0.19,
-            ) as scheduler:
-                future = await scheduler.submit(
-                    FrameArrival(channel, received[0], 0.1)
-                )
-                detection = await asyncio.wait_for(future, timeout=5.0)
-                return detection
-
-        detection = asyncio.run(run())
-        # Armed ~10 ms after arrival, 190 ms before the true deadline —
-        # so the flush completes with the deadline still in the future.
-        assert detection.flush.reason == "deadline"
-        assert detection.flush.deadline_met
-
     def test_flush_initiation_bounded_by_deadline(self):
         """Real-clock bound: flushed_s <= deadline + a generous tick."""
-        cell, channel, received, *_ = self._scheduler_case(100, 0.01)
+        farm, channel, received, *_ = self._scheduler_case(100, 0.01)
 
         async def run():
             async with StreamingScheduler(
-                cell, batch_target=100, slot_budget_s=0.01
+                farm, batch_target=100, slot_budget_s=0.01
             ) as scheduler:
                 futures = [
                     await scheduler.submit(
@@ -282,7 +261,8 @@ class TestValidation:
         channel = rayleigh_channels(1, 3, 3, rng)[0]
 
         async def run():
-            async with StreamingScheduler(Cell("a", detector)) as scheduler:
+            farm = one_cell_farm(detector, cell_id="a")
+            async with StreamingScheduler(farm) as scheduler:
                 with pytest.raises(ConfigurationError, match="unknown cell"):
                     await scheduler.submit(
                         FrameArrival(
@@ -298,7 +278,7 @@ class TestValidation:
         detector = FlexCoreDetector(system, num_paths=4)
 
         async def run():
-            async with StreamingScheduler(detector) as scheduler:
+            async with StreamingScheduler(one_cell_farm(detector)) as scheduler:
                 with pytest.raises(ConfigurationError, match="expects"):
                     await scheduler.submit(
                         FrameArrival(
@@ -313,7 +293,7 @@ class TestValidation:
     def test_submit_requires_running_scheduler(self):
         system = MimoSystem(3, 3, QamConstellation(4))
         detector = FlexCoreDetector(system, num_paths=4)
-        scheduler = StreamingScheduler(detector)
+        scheduler = StreamingScheduler(one_cell_farm(detector))
 
         async def run():
             with pytest.raises(ConfigurationError, match="not running"):
@@ -330,7 +310,7 @@ class TestValidation:
     def test_flush_requires_running_scheduler(self):
         system = MimoSystem(3, 3, QamConstellation(4))
         detector = FlexCoreDetector(system, num_paths=4)
-        scheduler = StreamingScheduler(detector)
+        scheduler = StreamingScheduler(one_cell_farm(detector))
 
         async def run():
             with pytest.raises(ConfigurationError, match="not running"):
@@ -338,13 +318,9 @@ class TestValidation:
 
         asyncio.run(run())
 
-    def test_duplicate_cells_rejected(self):
-        system = MimoSystem(3, 3, QamConstellation(4))
-        detector = FlexCoreDetector(system, num_paths=4)
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            StreamingScheduler(
-                [Cell("a", detector), Cell("a", detector)]
-            )
+    def test_a_farm_without_cells_is_refused(self):
+        with pytest.raises(ConfigurationError, match="at least one cell"):
+            StreamingScheduler(CellFarm())
 
     def test_arrival_shape_validation(self):
         with pytest.raises(ConfigurationError):
@@ -363,7 +339,7 @@ class TestValidation:
 
         async def run():
             async with StreamingScheduler(
-                detector, batch_target=1, use_soft=True
+                one_cell_farm(detector), batch_target=1, use_soft=True
             ) as scheduler:
                 future = await scheduler.submit(
                     FrameArrival(channel, np.zeros(3, dtype=complex), 0.1)
@@ -386,7 +362,7 @@ class TestValidation:
 
         async def run():
             async with StreamingScheduler(
-                detector, batch_target=1
+                one_cell_farm(detector), batch_target=1
             ) as scheduler:
                 bad = await scheduler.submit(
                     FrameArrival(poisoned, received, 0.1)
@@ -508,8 +484,6 @@ class TestMicroBatcherProperties:
             MicroBatcher(batch_target=0)
         with pytest.raises(ConfigurationError):
             MicroBatcher(slot_budget_s=0.0)
-        with pytest.raises(ConfigurationError):
-            MicroBatcher(flush_margin_s=-1.0)
 
 
 class TestTelemetry:
@@ -520,7 +494,9 @@ class TestTelemetry:
 
         async def run():
             async with StreamingScheduler(
-                detector, batch_target=NUM_FRAMES, slot_budget_s=60.0
+                one_cell_farm(detector),
+                batch_target=NUM_FRAMES,
+                slot_budget_s=60.0,
             ) as scheduler:
                 futures = []
                 for sc in range(NUM_SUBCARRIERS):

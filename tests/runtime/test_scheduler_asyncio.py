@@ -26,7 +26,7 @@ from repro.runtime import (  # noqa: E402
     FrameArrival,
     StreamingScheduler,
 )
-from tests.conftest import make_stack
+from tests.conftest import make_stack, one_cell_farm
 
 pytestmark = pytest.mark.asyncio
 
@@ -73,7 +73,7 @@ async def test_cancelled_future_does_not_wedge_the_loop(detector, rng):
     """A consumer abandoning its future must not break later flushes."""
     channels = rayleigh_channels(2, 3, 3, rng)
     async with StreamingScheduler(
-        detector, batch_target=1, slot_budget_s=math.inf
+        one_cell_farm(detector), batch_target=1, slot_budget_s=math.inf
     ) as scheduler:
         doomed = await scheduler.submit(
             FrameArrival(channels[0], np.zeros(3, dtype=complex), 0.1)
@@ -91,7 +91,7 @@ async def test_flush_resolves_before_control_returns(detector, rng):
     """`flush()` is a barrier: every pending future is done after it."""
     channels = rayleigh_channels(3, 3, 3, rng)
     async with StreamingScheduler(
-        detector, batch_target=100, slot_budget_s=math.inf
+        one_cell_farm(detector), batch_target=100, slot_budget_s=math.inf
     ) as scheduler:
         futures = [
             await scheduler.submit(
