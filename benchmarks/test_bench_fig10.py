@@ -3,6 +3,7 @@
 
 from repro.experiments import fig10
 from repro.experiments.linkruns import (
+    LINK_STACK_CONFIG,
     make_link_config,
     make_sampler_factory,
     run_point,
@@ -20,7 +21,7 @@ def test_aflexcore_point_underloaded(benchmark, tiny_profile):
     detector = AdaptiveFlexCoreDetector(system, num_paths=64)
     result = benchmark.pedantic(
         run_point,
-        args=(config, detector, 18.0, tiny_profile, factory),
+        args=(config, detector, 18.0, tiny_profile, factory, LINK_STACK_CONFIG),
         rounds=2,
         iterations=1,
     )

@@ -2,6 +2,7 @@
 
 
 from repro.experiments import fig12
+from repro.experiments.linkruns import LINK_STACK_CONFIG
 from repro.experiments.snr_loss import build_snr_loss_table
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
@@ -31,7 +32,7 @@ def test_snr_loss_table(benchmark, tiny_profile):
     system = MimoSystem(4, 4, QamConstellation(64))
     table = benchmark.pedantic(
         build_snr_loss_table,
-        args=(system, 0.1, tiny_profile),
+        args=(system, 0.1, tiny_profile, LINK_STACK_CONFIG),
         kwargs={"path_grid": (1, 16)},
         rounds=1,
         iterations=1,

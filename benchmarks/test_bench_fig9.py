@@ -9,6 +9,7 @@ import pytest
 from repro.detectors.fcsd import FcsdDetector
 from repro.experiments import fig9
 from repro.experiments.linkruns import (
+    LINK_STACK_CONFIG,
     make_link_config,
     make_sampler_factory,
     run_point,
@@ -31,7 +32,7 @@ def test_flexcore_point(benchmark, point_setup):
     detector = FlexCoreDetector(system, num_paths=32)
     result = benchmark.pedantic(
         run_point,
-        args=(config, detector, 14.0, profile, factory),
+        args=(config, detector, 14.0, profile, factory, LINK_STACK_CONFIG),
         rounds=2,
         iterations=1,
     )
@@ -43,7 +44,7 @@ def test_fcsd_point(benchmark, point_setup):
     detector = FcsdDetector(system, num_expanded=1)
     result = benchmark.pedantic(
         run_point,
-        args=(config, detector, 14.0, profile, factory),
+        args=(config, detector, 14.0, profile, factory, LINK_STACK_CONFIG),
         rounds=2,
         iterations=1,
     )

@@ -195,7 +195,6 @@ class BackendSpec(_SpecDict):
 class CacheSpec(_SpecDict):
     """The coherence context cache every cell carries."""
 
-    enabled: bool = True
     max_entries: int = 1024
 
     def __post_init__(self) -> None:
@@ -412,8 +411,8 @@ class StackConfig(_SpecDict):
     ``detector=`` argument).
 
     Cross-field validation happens here: a governor or non-default
-    scheduler settings require a streaming farm, multiple cells require
-    streaming, and streaming cells always cache contexts.
+    scheduler settings require a streaming farm, and multiple cells
+    require streaming.
     """
 
     detector: "DetectorSpec | None" = None
@@ -451,11 +450,6 @@ class StackConfig(_SpecDict):
                     "scheduler settings only apply to a streaming "
                     "stack; set farm.streaming=true"
                 )
-        elif not self.cache.enabled:
-            raise ConfigurationError(
-                "streaming cells always cache contexts; cache.enabled="
-                "false only applies to a batch stack"
-            )
 
     # ------------------------------------------------------------------
     def split_cells(self, workers: int) -> "tuple[StackConfig, ...]":

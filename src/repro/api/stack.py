@@ -91,11 +91,8 @@ class UplinkStack:
         #: spans and the exposition, not the counting.
         self.obs = farm.obs
         self._farm = farm
-        #: What a batch stack hands the service: its one cell's cache,
-        #: or None (prepare inline, every call) when caching is off.
-        self._cache = (
-            farm[self.cell_ids[0]].cache if config.cache.enabled else None
-        )
+        #: What a batch stack hands the service: its one cell's cache.
+        self._cache = farm[self.cell_ids[0]].cache
         #: The batch route's writer, straight into the farm's ledger
         #: (streamed flushes get there through their scheduler's fold).
         self._ledger = FlushLedger(farm.metrics)
@@ -121,7 +118,7 @@ class UplinkStack:
         """Cache snapshot(s): one, or ``{cell_id: CacheStats}``."""
         if self.streaming:
             return self._farm.cache_stats()
-        return self._farm[self.cell_ids[0]].cache.stats
+        return self._cache.stats
 
     @property
     def farm(self) -> CellFarm:

@@ -24,113 +24,53 @@ accuracy the channel may not even need — for slots that arrive on time.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from repro.api import (
-    BackendSpec,
-    DetectorSpec,
-    FarmSpec,
-    GovernorSpec,
-    SchedulerSpec,
-    StackConfig,
-    build_stack,
-)
+from repro.api import StackConfig, build_stack, presets
 from repro.channel.fading import rayleigh_channels
 from repro.control import WorkloadScenario
 from repro.control.workload import SCENARIOS
-from repro.errors import ConfigurationError, ExperimentError
+from repro.errors import ExperimentError
 from repro.experiments.common import ExperimentResult, get_profile
 from repro.mimo.model import noise_variance_for_snr_db
 from repro.ofdm.lte import SYMBOLS_PER_SLOT
 
-#: Path-budget range the governed run may move within.
-PATHS_MIN = 2
-PATHS_MAX = 128
 #: Offered-load dial: slot interval = OVERLOAD x full-budget slot cost.
 OVERLOAD = 0.6
 SNR_DB = 20.0
-
-
-def _effective_config(
-    stack_config: "StackConfig | None",
-    governor: str,
-    backend: str,
-    cells: int,
-    subcarriers: int,
-) -> StackConfig:
-    """The farm stack this run executes: explicit config, or defaults.
-
-    An explicit config must describe a governed streaming farm with a
-    detector; missing pieces are filled with this experiment's defaults
-    so a runtime-only config (e.g. flags layered by the runner) still
-    runs the reference farm.
-    """
-    explicit = stack_config is not None
-    if not explicit:
-        stack_config = StackConfig(backend=BackendSpec(backend))
-    detector = stack_config.detector or DetectorSpec(
-        "flexcore", 8, 8, 16, params={"num_paths": PATHS_MAX}
-    )
-    if explicit and stack_config.farm.streaming:
-        farm = stack_config.farm
-    else:
-        farm = FarmSpec(streaming=True, cells=max(1, int(cells)))
-    governor_spec = stack_config.governor or GovernorSpec(
-        policy=governor,
-        paths_min=PATHS_MIN,
-        paths_max=PATHS_MAX,
-        peak_frames_hint=subcarriers * SYMBOLS_PER_SLOT,
-    )
-    scheduler = stack_config.scheduler
-    if scheduler == SchedulerSpec():
-        scheduler = SchedulerSpec(batch_target=SYMBOLS_PER_SLOT)
-    return replace(
-        stack_config,
-        detector=detector,
-        farm=farm,
-        scheduler=scheduler,
-        governor=governor_spec,
-    )
+#: Two 8x8 16-QAM cells on the array backend under AIMD in [2, 128]: the
+#: path budget dominates the flush cost, giving the governor a wide dial.
+FARM_STACK_CONFIG = presets.get("farm-overload")
 
 
 def run(
     profile=None,
-    governor: str = "aimd",
     workload: str = "bursty",
-    backend: str = "array",
-    cells: int = 2,
-    stack_config: "StackConfig | None" = None,
+    stack_config: StackConfig = FARM_STACK_CONFIG,
 ) -> ExperimentResult:
     """Governed vs ungoverned farm on one seeded traffic scenario.
 
-    ``governor`` picks the governed run's policy (``static`` / ``aimd``
-    / ``snr``), ``workload`` the scenario shape (see
-    :data:`repro.control.workload.SCENARIOS`); the ungoverned baseline
-    always runs alongside for the comparison.  ``stack_config`` (e.g.
-    the ``"farm-overload"`` preset, or the runner's ``--config``) is
-    authoritative over the individual flags.
+    ``stack_config`` is the governed streaming farm, detector included;
+    the ungoverned baseline runs alongside on the same stack for the
+    comparison.  ``workload`` picks the scenario shape (see
+    :data:`repro.control.workload.SCENARIOS`).
     """
     profile = get_profile(profile)
     if workload not in SCENARIOS:
         raise ExperimentError(
             f"unknown workload {workload!r}; options: {', '.join(SCENARIOS)}"
         )
+    if stack_config.detector is None or stack_config.governor is None:
+        raise ExperimentError(
+            "the farm experiment needs config.detector and config.governor "
+            "set (a governed streaming farm)"
+        )
     rng = np.random.default_rng(profile.seed)
     subcarriers = min(profile.subcarriers, 8)
     slots = max(6, min(40, profile.packets_per_point))
-    try:
-        config = _effective_config(
-            stack_config, governor, backend, cells, subcarriers
-        )
-    except ConfigurationError as error:
-        raise ExperimentError(str(error)) from error
-    # 8x8 16-QAM on the stacked tensor-walk backend by default: the path
-    # budget dominates the flush cost, giving the governor a wide dial.
-    system = config.detector.system()
+    system = stack_config.detector.system()
     noise_var = noise_variance_for_snr_db(SNR_DB)
-    cell_ids = config.farm.cell_ids()
+    cell_ids = stack_config.farm.cell_ids()
     cell_channels = {
         cell_id: rayleigh_channels(
             subcarriers, system.num_rx_antennas, system.num_streams, rng
@@ -161,15 +101,15 @@ def run(
             "flushes",
             "mean_budget",
         ],
-        config=config.to_dict(),
+        config=stack_config.to_dict(),
     )
 
-    with build_stack(config) as stack:
+    with build_stack(stack_config) as stack:
         # The ungoverned baseline runs at the detector's own path count
         # (which a config may set differently from the governor's
         # ceiling); budget-less detectors have no dial to report.
         full_budget = getattr(
-            stack.detector, "num_paths", config.governor.paths_max
+            stack.detector, "num_paths", stack_config.governor.paths_max
         )
         slot_cost = stack.calibrate_slot_cost(
             scenario, cell_channels, noise_var
@@ -178,7 +118,7 @@ def run(
 
         runs = [
             ("ungoverned", "-", None),
-            ("governed", config.governor.policy, stack.governor),
+            ("governed", stack_config.governor.policy, stack.governor),
         ]
         for mode, policy_name, gov in runs:
             outcome, telemetry = stack.run_streaming(
@@ -224,12 +164,12 @@ def run(
         f"slot interval calibrated to {OVERLOAD:g}x the warm full-budget "
         f"slot cost ({slot_cost * 1e3:.1f} ms) — deliberate overload at "
         f"peak demand; {len(cell_ids)} cells x {subcarriers} subcarriers "
-        f"x {SYMBOLS_PER_SLOT} symbols/slot on the {config.backend.name} "
+        f"x {SYMBOLS_PER_SLOT} symbols/slot on the {stack_config.backend.name} "
         "backend"
     )
     result.add_note(
-        f"governed run: {config.governor.policy} policy, paths in "
-        f"[{config.governor.paths_min}, {config.governor.paths_max}]; "
+        f"governed run: {stack_config.governor.policy} policy, paths in "
+        f"[{stack_config.governor.paths_min}, {stack_config.governor.paths_max}]; "
         f"ungoverned runs fixed at {full_budget} paths"
     )
     return result

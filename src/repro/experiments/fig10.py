@@ -10,15 +10,17 @@ activating close to one PE in easy channels and all 64 under full load.
 
 from __future__ import annotations
 
-
+from repro.api import StackConfig
 from repro.detectors.linear import MmseDetector
 from repro.experiments.common import ExperimentResult, get_profile
 from repro.experiments.linkruns import (
+    LINK_STACK_CONFIG,
     calibrate_ml_snr,
     make_link_config,
     make_sampler_factory,
     ml_reference_detector,
     run_point,
+    runtime_stack_config,
 )
 from repro.flexcore.adaptive import AdaptiveFlexCoreDetector
 from repro.flexcore.detector import FlexCoreDetector
@@ -32,8 +34,13 @@ PER_TARGET = 0.01
 AVAILABLE_PES = 64
 
 
-def run(profile=None, channel_kind: str = "testbed") -> ExperimentResult:
+def run(
+    profile=None,
+    channel_kind: str = "testbed",
+    stack_config: StackConfig = LINK_STACK_CONFIG,
+) -> ExperimentResult:
     profile = get_profile(profile)
+    runtime = runtime_stack_config(stack_config)
     result = ExperimentResult(
         experiment="fig10",
         title="Fig. 10: throughput and active PEs vs number of users "
@@ -46,13 +53,16 @@ def run(profile=None, channel_kind: str = "testbed") -> ExperimentResult:
             "throughput_mbps",
             "avg_active_pes",
         ],
+        config=runtime.to_dict(),
     )
     # Calibrate at full load; reuse the same SNR for all user counts, as
     # the paper fixes 21.6 dB.
     loaded = MimoSystem(
         NUM_AP_ANTENNAS, NUM_AP_ANTENNAS, QamConstellation(QAM_ORDER)
     )
-    snr_db = calibrate_ml_snr(loaded, PER_TARGET, profile, channel_kind)
+    snr_db = calibrate_ml_snr(
+        loaded, PER_TARGET, profile, runtime, channel_kind
+    )
     result.add_note(f"operating SNR {snr_db:.2f} dB (ML PER {PER_TARGET} at 12 users)")
 
     user_counts = (
@@ -80,7 +90,7 @@ def run(profile=None, channel_kind: str = "testbed") -> ExperimentResult:
         ]
         for index, (name, detector, track) in enumerate(schemes):
             link = run_point(
-                config, detector, snr_db, profile, factory, 100 + index
+                config, detector, snr_db, profile, factory, runtime, 100 + index
             )
             active = link.metadata.get("average_active_paths", float("nan"))
             result.add_row(

@@ -12,8 +12,9 @@ L=1) or is unsupported; SIC can lose >10 dB.
 
 from __future__ import annotations
 
-
+from repro.api import StackConfig
 from repro.experiments.common import ExperimentResult, get_profile
+from repro.experiments.linkruns import LINK_STACK_CONFIG, runtime_stack_config
 from repro.experiments.snr_loss import build_snr_loss_table
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
@@ -28,14 +29,15 @@ def run(
     profile=None,
     per_targets=(0.1, 0.01),
     sizes=(8, 12),
-    backend: str = "serial",
+    stack_config: StackConfig = LINK_STACK_CONFIG,
 ) -> ExperimentResult:
     """Regenerate Fig. 12.
 
-    The SNR-loss calibrations behind every row run on the batched uplink
-    runtime; ``backend`` picks its execution backend.
+    The SNR-loss calibrations behind every row run on the runtime
+    ``stack_config`` describes, which the saved result embeds.
     """
     profile = get_profile(profile)
+    runtime = runtime_stack_config(stack_config)
     gpu = GpuExecutionModel()
     result = ExperimentResult(
         experiment="fig12",
@@ -50,14 +52,13 @@ def run(
             "supported_paths",
             "snr_loss_db",
         ],
+        config=runtime.to_dict(),
     )
     for size in sizes:
         system = MimoSystem(size, size, QamConstellation(QAM_ORDER))
         fcsd_l1_paths = system.constellation.order
         for target in per_targets:
-            table = build_snr_loss_table(
-                system, target, profile, backend=backend
-            )
+            table = build_snr_loss_table(system, target, profile, runtime)
             for mode in LTE_MODES:
                 vectors = mode.vectors_per_slot
                 flexcore_paths = gpu.max_supported_paths(

@@ -17,17 +17,17 @@ MMSE and FCSD.
 
 from __future__ import annotations
 
-
+from repro.api import StackConfig
 from repro.detectors.fcsd import FcsdDetector
 from repro.detectors.linear import MmseDetector
 from repro.detectors.trellis import TrellisDetector
 from repro.experiments.common import ExperimentResult, get_profile
 from repro.experiments.linkruns import (
+    LINK_STACK_CONFIG,
     calibrate_ml_snr,
     flexcore_pe_sweep,
     make_link_config,
     make_sampler_factory,
-    make_stack,
     ml_reference_detector,
     run_point,
     runtime_stack_config,
@@ -60,31 +60,17 @@ def run(
     panels=DEFAULT_PANELS,
     targets=DEFAULT_TARGETS,
     channel_kind: str = "testbed",
-    backend: str = "serial",
-    streaming: bool = False,
-    cells: int = 1,
-    stack_config=None,
+    stack_config: StackConfig = LINK_STACK_CONFIG,
 ) -> ExperimentResult:
     """Regenerate Fig. 9.
 
-    ``backend`` selects the runtime execution backend every link run goes
-    through (``"serial"`` or ``"array"`` — the stacked tensor walk);
-    results are identical across backends, only
-    wall-clock changes.  ``streaming=True`` routes detection through the
-    slot-deadline scheduler sharded over ``cells`` cells instead of the
-    direct batch engine — again bit-identical, exercising the streaming
-    service path end to end.  ``stack_config`` (a
-    :class:`repro.api.StackConfig`, e.g. from the runner's ``--config``)
-    is authoritative over the individual flags and is embedded in the
-    saved result.
+    Every link run and every ML calibration goes through the runtime
+    ``stack_config`` describes (backend, streaming scheduler, cells);
+    results are bit-identical across runtimes, only wall-clock changes.
+    The runtime is embedded in the saved result.
     """
     profile = get_profile(profile)
-    runtime_config = runtime_stack_config(
-        stack_config, backend=backend, streaming=streaming, cells=cells
-    )
-    backend = runtime_config.backend.name
-    streaming = runtime_config.farm.streaming
-    cells = runtime_config.farm.cells
+    runtime = runtime_stack_config(stack_config)
     result = ExperimentResult(
         experiment="fig9",
         title="Fig. 9: network throughput vs available processing elements",
@@ -107,7 +93,9 @@ def run(
         rate = user_phy_rate_bps(system, 0.5)
         factory = make_sampler_factory(config, profile, channel_kind)
         for target in targets:
-            snr_db = calibrate_ml_snr(system, target, profile, channel_kind)
+            snr_db = calibrate_ml_snr(
+                system, target, profile, runtime, channel_kind
+            )
             label = f"{num_streams}x{num_streams}"
 
             def record(scheme: str, num_pes: int, per: float) -> None:
@@ -122,20 +110,16 @@ def run(
                     throughput_mbps=num_streams * rate * (1.0 - per) / 1e6,
                 )
 
-            # Every measurement goes through the batched runtime; one
-            # engine per detector keeps prepared contexts hot across the
-            # packets of its run (the trace sampler cycles frames).
             def measure(detector, seed_offset: int):
-                with make_stack(detector, runtime_config) as engine:
-                    link = run_point(
-                        config,
-                        detector,
-                        snr_db,
-                        profile,
-                        factory,
-                        seed_offset,
-                        engine=engine,
-                    )
+                link = run_point(
+                    config,
+                    detector,
+                    snr_db,
+                    profile,
+                    factory,
+                    runtime,
+                    seed_offset,
+                )
                 ledger.merge_dict(
                     link.metadata.get("runtime", {}).get("ledger", {})
                 )
@@ -165,23 +149,18 @@ def run(
         "coding; SNR calibrated per panel so the ML reference hits the "
         "PER target"
     )
-    runtime_note = (
-        f"streaming scheduler across {cells} cell(s) on the {backend} "
-        "backend" if streaming else f"batched uplink runtime ({backend} "
-        "backend)"
-    )
     result.add_note(
-        f"link runs executed by the {runtime_note} with per-channel "
-        "contexts cached over the coherence of the trace"
+        f"link runs and calibrations on one runtime ({runtime.describe()}) "
+        "with per-channel contexts cached over the coherence of the trace"
     )
     if not profile.use_sphere_for_ml:
         result.add_note(
             "ML reference approximated by large-path FlexCore "
             f"({profile.ml_proxy_paths} paths); exact in the full profile"
         )
-    if streaming:
+    if runtime.farm.streaming:
         # The streaming runtime's own story: saved with the JSON report
         # instead of being discarded with the engines.
         result.record_runtime("scheduler", scheduler_summary(ledger))
-    result.config = runtime_config.to_dict()
+    result.config = runtime.to_dict()
     return result

@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 
 from repro.api import (
-    BackendSpec,
     DetectorSpec,
     FarmSpec,
     GovernorSpec,
@@ -34,67 +33,44 @@ from repro.api import (
     StackConfig,
 )
 from repro.control.workload import SCENARIOS, WorkloadScenario
-from repro.errors import ConfigurationError, ExperimentError
+from repro.errors import ExperimentError
 from repro.experiments.common import ExperimentResult, get_profile
 from repro.farm import FarmCoordinator
 from repro.mimo.model import noise_variance_for_snr_db
 from repro.ofdm.lte import SYMBOLS_PER_SLOT
 
-PATHS_MIN = 2
 PATHS_MAX = 32
 SNR_DB = 20.0
+CELLS = 4
 
-
-def _effective_config(
-    stack_config: "StackConfig | None", backend: str, cells: int
-) -> StackConfig:
-    """The fleet stack this run partitions: explicit config or defaults.
-
-    Defaults stay deliberately light (4x4, 32 paths, serial in-worker
-    backend): each worker is already its own process, so the fleet's
-    parallelism comes from the coordinator, not nested pools.
-    """
-    if stack_config is not None:
-        if not stack_config.farm.streaming:
-            raise ExperimentError(
-                "the fleet experiment needs a streaming farm config"
-            )
-        if stack_config.detector is None:
-            raise ExperimentError(
-                "the fleet experiment needs config.detector set"
-            )
-        return stack_config
-    cells = max(2, int(cells))
-    return StackConfig(
-        detector=DetectorSpec(
-            "flexcore", 4, 4, 16, params={"num_paths": PATHS_MAX}
-        ),
-        backend=BackendSpec(backend),
-        farm=FarmSpec(streaming=True, cells=cells),
-        scheduler=SchedulerSpec(batch_target=SYMBOLS_PER_SLOT),
-        governor=GovernorSpec(
-            policy="aimd",
-            paths_min=PATHS_MIN,
-            paths_max=PATHS_MAX,
-            total_path_budget=cells * (PATHS_MAX // 2),
-        ),
-    )
+#: Deliberately light (4x4, 32 paths, serial in-worker backend): each
+#: worker is already its own process, so the fleet's parallelism comes
+#: from the coordinator, not nested pools.
+FLEET_STACK_CONFIG = StackConfig(
+    detector=DetectorSpec("flexcore", 4, 4, 16, params={"num_paths": PATHS_MAX}),
+    farm=FarmSpec(streaming=True, cells=CELLS),
+    scheduler=SchedulerSpec(batch_target=SYMBOLS_PER_SLOT),
+    governor=GovernorSpec(
+        policy="aimd",
+        paths_min=2,
+        paths_max=PATHS_MAX,
+        total_path_budget=CELLS * (PATHS_MAX // 2),
+    ),
+)
 
 
 def run(
     profile=None,
     workload: str = "steady",
     workers: int = 2,
-    backend: str = "serial",
-    cells: int = 4,
-    stack_config: "StackConfig | None" = None,
+    stack_config: StackConfig = FLEET_STACK_CONFIG,
 ) -> ExperimentResult:
     """Worker-count scaling + kill-recovery for the farm coordinator.
 
-    ``workers`` is the largest fleet measured (1..workers all run);
-    ``cells`` sizes the default farm (an explicit ``stack_config`` is
-    authoritative).  The kill-recovery row re-runs the largest fleet
-    with worker 0 SIGKILLed mid-scenario.
+    ``stack_config`` is the streaming farm partitioned across the
+    workers, detector included; ``workers`` is the largest fleet
+    measured (1..workers all run).  The kill-recovery row re-runs the
+    largest fleet with worker 0 SIGKILLed mid-scenario.
     """
     profile = get_profile(profile)
     if workload not in SCENARIOS:
@@ -103,20 +79,22 @@ def run(
         )
     if workers < 1:
         raise ExperimentError("workers must be >= 1")
-    try:
-        config = _effective_config(stack_config, backend, cells)
-    except ConfigurationError as error:
-        raise ExperimentError(str(error)) from error
-    if workers > config.farm.cells:
+    if not stack_config.farm.streaming:
         raise ExperimentError(
-            f"workers={workers} exceeds the farm's {config.farm.cells} "
+            "the fleet experiment needs a streaming farm config"
+        )
+    if stack_config.detector is None:
+        raise ExperimentError("the fleet experiment needs config.detector set")
+    if workers > stack_config.farm.cells:
+        raise ExperimentError(
+            f"workers={workers} exceeds the farm's {stack_config.farm.cells} "
             "cells"
         )
     subcarriers = min(profile.subcarriers, 6)
     slots = max(8, min(24, profile.packets_per_point))
     scenario = WorkloadScenario(
         scenario=workload,
-        cells=config.farm.cell_ids(),
+        cells=stack_config.farm.cell_ids(),
         slots=slots,
         subcarriers=subcarriers,
         seed=profile.seed,
@@ -138,12 +116,12 @@ def run(
             "speedup",
             "restarts",
         ],
-        config=config.to_dict(),
+        config=stack_config.to_dict(),
     )
 
     def fleet_run(count: int, kill_script=None):
         with FarmCoordinator(
-            config, count, kill_script=kill_script
+            stack_config, count, kill_script=kill_script
         ) as coordinator:
             return coordinator.run(
                 scenario, noise_var, slot_interval_s=0.0
@@ -190,7 +168,7 @@ def run(
         result.record_runtime("fleet_kill_recovery", report.as_dict())
 
     result.add_note(
-        f"{config.farm.cells} cells x {subcarriers} subcarriers x "
+        f"{stack_config.farm.cells} cells x {subcarriers} subcarriers x "
         f"{SYMBOLS_PER_SLOT} symbols/slot, unpaced (throughput mode); "
         "workers rebuild their stack slice from the serialized "
         "StackConfig"

@@ -1,17 +1,20 @@
-"""Shared link-simulation plumbing for the throughput experiments."""
+"""Shared link-simulation plumbing for the throughput experiments.
+
+A link experiment learns its runtime from one
+:class:`~repro.api.StackConfig` (``stack_config``, default
+:data:`LINK_STACK_CONFIG`): every stack it opens — each link run, the ML
+calibration bisection, the SNR-loss probes — is that config's runtime
+half (:func:`runtime_stack_config`) built around the detector under test
+by :func:`~repro.api.build_stack` and closed by a ``with``.  The saved
+result embeds the same runtime half, so its ``config`` block is the one
+every stack of the run was built from.
+"""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.api import (
-    BackendSpec,
-    CacheSpec,
-    FarmSpec,
-    StackConfig,
-    UplinkStack,
-    build_stack,
-)
+from repro.api import CacheSpec, StackConfig, build_stack
 from repro.channel.testbed import IndoorTestbed
 from repro.detectors.base import Detector
 from repro.detectors.sphere import SphereDecoder
@@ -71,62 +74,39 @@ def ml_reference_detector(
     return FlexCoreDetector(system, num_paths=proxy_paths)
 
 
-def runtime_stack_config(
-    stack_config: "StackConfig | None" = None,
-    backend: str = "serial",
-    streaming: bool = False,
-    cells: int = 1,
-    max_cache_entries: int = 4096,
-) -> StackConfig:
-    """The effective runtime :class:`~repro.api.StackConfig` of one run.
+#: The link experiments' default runtime: the serial batch stack, its
+#: cache sized to hold every (subcarrier, SNR-probe) context an
+#: experiment sweep touches for one detector, so testbed traces that
+#: cycle their frames across packets hit the cache on every revisit.
+LINK_STACK_CONFIG = StackConfig(cache=CacheSpec(max_entries=4096))
 
-    An explicit ``stack_config`` (e.g. from the runner's ``--config`` /
-    ``--preset``) is authoritative and returned with its detector spec
-    stripped — throughput experiments sweep their own detectors, so the
-    embedded config describes the runtime stack only — and its governor
-    detached: a PER/throughput measurement must run every swept
-    detector at its labelled path count with no admission control, or
-    the rows silently stop meaning what they say (the ``farm``
-    experiment is where governed behaviour is measured).  Otherwise one
-    is assembled from the legacy flag set; the cache is sized to hold
-    every (subcarrier, SNR-probe) context an experiment sweep touches
-    for one detector, so testbed traces that cycle their frames across
-    packets hit the cache on every revisit.
+
+def runtime_stack_config(stack_config: StackConfig) -> StackConfig:
+    """The runtime half of ``stack_config``, which every link run shares.
+
+    Its detector spec is stripped — throughput experiments sweep their
+    own detectors, so the embedded config describes the runtime stack
+    only — and its governor detached: a PER/throughput measurement must
+    run every swept detector at its labelled path count with no
+    admission control, or the rows silently stop meaning what they say
+    (the ``farm`` experiment is where governed behaviour is measured).
     """
-    if stack_config is not None:
-        return replace(stack_config, detector=None, governor=None)
-    return StackConfig(
-        backend=BackendSpec(backend),
-        cache=CacheSpec(max_entries=max_cache_entries),
-        farm=FarmSpec(streaming=streaming or cells > 1, cells=cells),
-    )
-
-
-def make_stack(detector: Detector, config: StackConfig) -> UplinkStack:
-    """One experiment detector on the configured runtime stack.
-
-    ``streaming`` configs route every batch through the slot-deadline
-    scheduler sharded across the farm's cells instead of straight into
-    the detection service; results are bit-identical, only the
-    execution path changes.
-    """
-    return build_stack(config, detector=detector)
+    return replace(stack_config, detector=None, governor=None)
 
 
 def calibrate_ml_snr(
     system: MimoSystem,
     target_per: float,
     profile: ExperimentProfile,
+    stack_config: StackConfig,
     channel_kind: str = "testbed",
-    backend: str = "serial",
 ) -> float:
-    """SNR (dB) at which the ML reference hits ``target_per``."""
+    """SNR (dB) at which the ML reference hits ``target_per``; one
+    ``stack_config`` stack serves every probe of the bisection."""
     config = make_link_config(system, profile)
     detector = ml_reference_detector(system, profile)
     factory = make_sampler_factory(config, profile, channel_kind)
-    with make_stack(
-        detector, runtime_stack_config(backend=backend)
-    ) as engine:
+    with build_stack(stack_config, detector=detector) as engine:
         result = find_snr_for_per(
             config,
             detector,
@@ -145,12 +125,12 @@ def run_point(
     snr_db: float,
     profile: ExperimentProfile,
     sampler_factory,
+    stack_config: StackConfig,
     seed_offset: int = 0,
-    engine: UplinkStack | None = None,
 ) -> LinkResult:
-    """One PER/throughput measurement with common random numbers."""
-    if engine is None:
-        engine = make_stack(detector, runtime_stack_config())
+    """One PER/throughput measurement with common random numbers, on a
+    ``stack_config`` stack that keeps prepared contexts hot across the
+    packets of the run (the trace sampler cycles frames)."""
     return simulate_link(
         config,
         detector,
@@ -158,7 +138,7 @@ def run_point(
         profile.packets_per_point,
         sampler_factory(),
         rng=profile.seed + seed_offset,
-        engine=engine,
+        stack_config=stack_config,
     )
 
 

@@ -9,13 +9,16 @@ Usage::
 
 Each experiment prints its table to stdout and optionally saves JSON.
 
-The runtime stack every experiment runs on is described by one
-:class:`repro.api.StackConfig`: load a whole stack from ``--config
-stack.json`` or a named ``--preset``, then layer the individual flags
-(``--backend`` / ``--streaming`` / ``--cells`` / ``--governor``) as
-overrides on top.  ``--dump-config`` writes the effective config back
-to disk, and every saved experiment JSON embeds it under ``"config"``
-so published results are reproducible from their own metadata.
+Every experiment that builds stacks takes one
+:class:`repro.api.StackConfig`, ``stack_config``, and builds every stack
+of its run from it.  The runner starts from ``--config stack.json`` or a
+named ``--preset`` when given, else from the experiment's own default
+(the ``stack_config`` default of its ``run``), and layers the individual
+flags (``--backend`` / ``--streaming`` / ``--cells`` / ``--governor``) on
+top.  Every saved experiment JSON embeds the config its stacks were
+built from under ``"config"``, so published results are reproducible
+from their own metadata.  ``--dump-config`` writes the flags layered
+onto the loaded config (or onto a default ``StackConfig``) to disk.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ EXPERIMENTS = {
 GOVERNOR_POLICIES = POLICY_NAMES
 
 
-def _load_base_config(args, parser) -> "StackConfig":
-    """The stack config the flags are layered onto."""
+def _load_base_config(args, parser) -> "StackConfig | None":
+    """The ``--config`` / ``--preset`` stack, or None for neither."""
     if args.config and args.preset:
         parser.error("--config and --preset are mutually exclusive")
     if args.preset:
@@ -91,11 +94,13 @@ def _load_base_config(args, parser) -> "StackConfig":
             return StackConfig.from_dict(payload)
         except ConfigurationError as error:
             parser.error(f"--config {args.config}: {error}")
-    return StackConfig()
+    return None
 
 
 def _layer_flags(config: StackConfig, args) -> StackConfig:
-    """Apply the individual CLI flags as overrides onto ``config``."""
+    """Apply the individual CLI flags as overrides onto ``config``; a
+    ``--trace`` / ``--metrics-dump`` run records tracing on, so a saved
+    result's embedded config reproduces the observed run."""
     if args.backend is not None:
         config = replace(config, backend=BackendSpec(args.backend))
     cells = args.cells if args.cells is not None else config.farm.cells
@@ -121,6 +126,8 @@ def _layer_flags(config: StackConfig, args) -> StackConfig:
             else GovernorSpec(policy=args.governor)
         )
         config = replace(config, governor=governor)
+    if args.trace or args.metrics_dump:
+        config = replace(config, tracing=replace(config.tracing, enabled=True))
     return config
 
 
@@ -167,32 +174,31 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backend",
         default=None,
-        help="runtime execution backend for experiments that take one "
-        "(serial | array); array walks a coherence block as one stacked "
-        "tensor, natively where repro.native has a lane",
+        help="runtime execution backend (serial | array); array walks a "
+        "coherence block as one stacked tensor, natively where "
+        "repro.native has a lane",
     )
     parser.add_argument(
         "--streaming",
         action="store_true",
         help="route detection through the slot-deadline streaming "
-        "scheduler instead of the direct batch engine (experiments that "
-        "take a `streaming` parameter); results are bit-identical",
+        "scheduler instead of the direct batch engine; results are "
+        "bit-identical",
     )
     parser.add_argument(
         "--cells",
         type=int,
         default=None,
         help="shard detection across N cells with per-cell context "
-        "caches (implies --streaming when > 1, for experiments that "
-        "take a `streaming` parameter)",
+        "caches (implies --streaming when > 1)",
     )
     parser.add_argument(
         "--governor",
         choices=GOVERNOR_POLICIES,
         default=None,
         help="attach the adaptive control plane with this path-budget "
-        "policy (experiments that take a `governor` parameter, e.g. "
-        "`farm`)",
+        "policy (implies --streaming); link experiments detach it, the "
+        "`farm` experiment measures it",
     )
     parser.add_argument(
         "--workload",
@@ -235,19 +241,12 @@ def main(argv=None) -> int:
 
     base = _load_base_config(args, parser)
     try:
-        effective = _layer_flags(base, args)
+        runner_config = _layer_flags(base or StackConfig(), args)
     except ConfigurationError as error:
         parser.error(str(error))
-    if args.trace or args.metrics_dump:
-        # The exported config records tracing on, so a saved result's
-        # embedded "config" block reproduces the observed run.
-        effective = replace(
-            effective, tracing=replace(effective.tracing, enabled=True)
-        )
-    explicit_config = bool(args.config or args.preset)
 
     if args.dump_config:
-        payload = json.dumps(effective.to_dict(), indent=2) + "\n"
+        payload = json.dumps(runner_config.to_dict(), indent=2) + "\n"
         atomic_write_text(args.dump_config, payload)
         print(f"[effective stack config written to {args.dump_config}]")
         if not args.all and not args.experiment:
@@ -262,60 +261,29 @@ def main(argv=None) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    requested = {}
-    if args.backend is not None:
-        requested["backend"] = args.backend
-    if args.streaming:
-        requested["streaming"] = True
-    if args.cells is not None:
-        requested["cells"] = args.cells
-    elif args.streaming:
-        requested["cells"] = 1
-    if args.governor is not None:
-        requested["governor"] = args.governor
-    if args.workload is not None:
-        requested["workload"] = args.workload
-    if args.workers is not None:
-        requested["workers"] = args.workers
-    if explicit_config:
-        # A --config / --preset stack is authoritative: derive the flag
-        # set every experiment understands from it, and hand the full
-        # config to experiments that accept it.
-        requested.setdefault("backend", effective.backend.name)
-        if effective.farm.streaming:
-            requested.setdefault("streaming", True)
-        requested.setdefault("cells", effective.farm.cells)
-        if effective.governor is not None:
-            requested.setdefault("governor", effective.governor.policy)
     obs = None
     if args.trace or args.metrics_dump:
         # One process-global hub spans every experiment of the run:
         # stacks built anywhere below (experiments, coordinators,
         # forked-farm slices) record into it without plumbing.
-        obs = effective.tracing.build()
+        obs = runner_config.tracing.build()
         install_global(obs)
     try:
         for name in names:
             started = time.perf_counter()
             entry = EXPERIMENTS[name]
             parameters = inspect.signature(entry).parameters
-            per_experiment = dict(requested)
-            if explicit_config and "stack_config" in parameters:
-                # The full config wins over the derived flags inside the
-                # experiment; the flags stay for experiments without it.
-                per_experiment["stack_config"] = effective
-            # --cells N (> 1) implies streaming, but only for experiments
-            # that actually route through the streaming engine — the farm
-            # experiment takes cells without a streaming switch, and must
-            # not be told its flags were ignored.
-            if (
-                (args.cells or 0) > 1
-                and "streaming" in parameters
-                and "streaming" not in per_experiment
-            ):
-                per_experiment["streaming"] = True
-            kwargs = {}
-            for key, value in per_experiment.items():
+            config, kwargs = runner_config, {}
+            if "stack_config" in parameters:
+                # No --config / --preset: the flags layer onto the
+                # experiment's own default stack.
+                if base is None:
+                    config = _layer_flags(parameters["stack_config"].default, args)
+                kwargs["stack_config"] = config
+            for key in ("workload", "workers"):
+                value = getattr(args, key)
+                if value is None:
+                    continue
                 if key in parameters:
                     kwargs[key] = value
                 else:
@@ -330,10 +298,10 @@ def main(argv=None) -> int:
             print(f"[{name} completed in {elapsed:.1f}s]")
             print()
             if result.config is None:
-                # Experiments that wire their own stack embed their exact
-                # config; everything else records the runner-level one, so
+                # Experiments that build stacks embed the config they
+                # built them from; the others record the runner's, so
                 # every saved JSON carries a parseable "config" block.
-                result.config = effective.to_dict()
+                result.config = config.to_dict()
             if out_dir:
                 result.save_json(out_dir / f"{name}.json")
     finally:

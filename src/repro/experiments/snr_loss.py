@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api import StackConfig, build_stack
 from repro.experiments.common import ExperimentProfile, get_profile
 from repro.experiments.linkruns import (
+    calibrate_ml_snr,
     make_link_config,
     make_sampler_factory,
-    make_stack,
-    ml_reference_detector,
-    runtime_stack_config,
 )
 from repro.flexcore.detector import FlexCoreDetector
 from repro.link.calibration import find_snr_for_per
@@ -45,17 +44,17 @@ class SnrLossTable:
 def build_snr_loss_table(
     system: MimoSystem,
     target_per: float,
-    profile: ExperimentProfile | str | None = None,
+    profile: ExperimentProfile | str | None,
+    stack_config: StackConfig,
     channel_kind: str = "testbed",
     path_grid: tuple[int, ...] | None = None,
-    backend: str = "serial",
 ) -> SnrLossTable:
     """Bisection-calibrated SNR loss at a grid of FlexCore path counts.
 
     One path is SIC (greedy single tree path), so the table covers the
-    SIC line of Fig. 12 as well.  All probe links run on the batched
-    uplink runtime; one engine per detector carries its context cache
-    through the whole bisection.
+    SIC line of Fig. 12 as well.  Every probe runs on a
+    ``stack_config`` stack; one stack per detector carries its context
+    cache through the whole bisection.
     """
     profile = get_profile(profile)
     if path_grid is None:
@@ -66,37 +65,27 @@ def build_snr_loss_table(
         )
     config = make_link_config(system, profile)
     factory = make_sampler_factory(config, profile, channel_kind)
-
-    runtime_config = runtime_stack_config(backend=backend)
-    ml = ml_reference_detector(system, profile)
-    with make_stack(ml, runtime_config) as engine:
-        ml_result = find_snr_for_per(
-            config,
-            ml,
-            target_per,
-            factory,
-            num_packets=profile.calibration_packets,
-            seed=profile.seed,
-            engine=engine,
-        )
+    ml_snr_db = calibrate_ml_snr(
+        system, target_per, profile, stack_config, channel_kind
+    )
     losses = []
     for paths in path_grid:
         detector = FlexCoreDetector(system, num_paths=paths)
-        with make_stack(detector, runtime_config) as engine:
+        with build_stack(stack_config, detector=detector) as engine:
             calibrated = find_snr_for_per(
                 config,
                 detector,
                 target_per,
                 factory,
                 num_packets=profile.calibration_packets,
-                snr_low_db=ml_result.snr_db - 1.0,
-                snr_high_db=ml_result.snr_db + 25.0,
+                snr_low_db=ml_snr_db - 1.0,
+                snr_high_db=ml_snr_db + 25.0,
                 seed=profile.seed,
                 engine=engine,
             )
-        losses.append(max(calibrated.snr_db - ml_result.snr_db, 0.0))
+        losses.append(max(calibrated.snr_db - ml_snr_db, 0.0))
     return SnrLossTable(
         path_counts=np.asarray(path_grid, dtype=float),
         losses_db=np.asarray(losses),
-        ml_snr_db=ml_result.snr_db,
+        ml_snr_db=ml_snr_db,
     )

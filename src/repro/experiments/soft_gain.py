@@ -8,9 +8,14 @@ sweep, at a fixed PE budget.
 
 from __future__ import annotations
 
-
+from repro.api import StackConfig
 from repro.experiments.common import ExperimentResult, get_profile
-from repro.experiments.linkruns import make_link_config, make_sampler_factory
+from repro.experiments.linkruns import (
+    LINK_STACK_CONFIG,
+    make_link_config,
+    make_sampler_factory,
+    runtime_stack_config,
+)
 from repro.flexcore.soft import SoftFlexCoreDetector
 from repro.link.simulation import simulate_link
 from repro.mimo.system import MimoSystem
@@ -24,8 +29,10 @@ def run(
     num_streams: int = 8,
     qam_order: int = 16,
     snrs_db: tuple[float, ...] = (4.0, 5.0, 6.0, 7.0),
+    stack_config: StackConfig = LINK_STACK_CONFIG,
 ) -> ExperimentResult:
     profile = get_profile(profile)
+    runtime = runtime_stack_config(stack_config)
     system = MimoSystem(num_streams, num_streams, QamConstellation(qam_order))
     config = make_link_config(system, profile)
     factory = make_sampler_factory(config, profile, "testbed")
@@ -37,6 +44,7 @@ def run(
         f"({system.label()}, {NUM_PATHS} PEs)",
         profile=profile.name,
         columns=["snr_db", "decisions", "per", "ber"],
+        config=runtime.to_dict(),
     )
     for snr_db in snrs_db:
         for soft in (False, True):
@@ -48,6 +56,7 @@ def run(
                 factory(),
                 rng=profile.seed,
                 use_soft=soft,
+                stack_config=runtime,
             )
             result.add_row(
                 snr_db=snr_db,

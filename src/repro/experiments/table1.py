@@ -12,11 +12,17 @@ rate), with vectors arriving on ~50 subcarriers every 4 µs OFDM symbol at
 
 from __future__ import annotations
 
-
+from repro.api import StackConfig
 from repro.channel.fading import rayleigh_channel
 from repro.detectors.sphere import SphereDecoder
 from repro.experiments.common import ExperimentResult, get_profile
-from repro.experiments.linkruns import make_link_config, make_sampler_factory, run_point
+from repro.experiments.linkruns import (
+    LINK_STACK_CONFIG,
+    make_link_config,
+    make_sampler_factory,
+    run_point,
+    runtime_stack_config,
+)
 from repro.link.throughput import user_phy_rate_bps
 from repro.mimo.model import apply_channel, noise_variance_for_snr_db
 from repro.mimo.system import MimoSystem
@@ -62,8 +68,11 @@ def measure_sphere_flops(
     )
 
 
-def run(profile=None) -> ExperimentResult:
+def run(
+    profile=None, stack_config: StackConfig = LINK_STACK_CONFIG
+) -> ExperimentResult:
     profile = get_profile(profile)
+    runtime = runtime_stack_config(stack_config)
     result = ExperimentResult(
         experiment="table1",
         title="Table 1: sphere decoder throughput vs required GFLOPS "
@@ -77,6 +86,7 @@ def run(profile=None) -> ExperimentResult:
             "paper_throughput_mbps",
             "paper_gflops",
         ],
+        config=runtime.to_dict(),
     )
     vector_rate = SUBCARRIERS_ON_AIR / OFDM_SYMBOL_S
     for size in (2, 4, 6, 8):
@@ -89,7 +99,9 @@ def run(profile=None) -> ExperimentResult:
         config = make_link_config(system, profile)
         factory = make_sampler_factory(config, profile, "rayleigh")
         decoder = SphereDecoder(system)
-        link = run_point(config, decoder, SNR_DB, profile, factory, seed_offset=size)
+        link = run_point(
+            config, decoder, SNR_DB, profile, factory, runtime, seed_offset=size
+        )
         rate = user_phy_rate_bps(system, 0.5)
         throughput = size * rate * (1.0 - link.per) / 1e6
 

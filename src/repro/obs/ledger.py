@@ -69,12 +69,12 @@ class FlushLedger:
     def shed(self, cell: str, frames: int) -> None:
         self._cell(cell).shed.inc(frames)
 
-    def account(self, record, groups, late, cache, transfers=None, logged=True) -> None:
+    def account(self, record, groups, late, cache, transfers=None) -> None:
         """Count one flush: its :class:`~repro.runtime.scheduler
         .FlushRecord`, the ``late`` frames of groups that completed
-        after *their own* deadline, the service call's ``cache`` /
+        after *their own* deadline, and the service call's ``cache`` /
         ``transfers`` deltas (``None``: the array module does not
-        meter), and whether the bounded flush log had room (``logged``).
+        meter).
         """
         metrics, cell = self.metrics, record.cell
         series = self._cell(cell)
@@ -112,8 +112,6 @@ class FlushLedger:
             upload_bytes.inc(transfers.upload_bytes)
             downloads.inc(transfers.downloads)
             download_bytes.inc(transfers.download_bytes)
-        if not logged:
-            metrics.counter("repro_flush_records_dropped_total").inc()
 
 
 # -- views ---------------------------------------------------------------
@@ -211,7 +209,6 @@ def scheduler_summary(metrics: MetricsRegistry) -> dict:
         "latency_sum_s": latency.sum,
         "latency_percentiles": latency.quantiles(),
         "latency_hist": latency.to_dict(),
-        "records_dropped": metrics.total("repro_flush_records_dropped_total"),
         **{key: metrics.total(name) for key, name in _TRANSFER_SERIES.items()},
         "summaries_merged": metrics.total("repro_scheduler_runs_total"),
     }

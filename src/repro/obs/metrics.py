@@ -55,7 +55,6 @@ METRIC_NAMES = (
     "repro_download_bytes_total",
     "repro_downloads_total",
     "repro_flush_latency_seconds",
-    "repro_flush_records_dropped_total",
     "repro_flushes_total",
     "repro_frames_detected_total",
     "repro_frames_late_total",

@@ -74,18 +74,8 @@ class CellFarm:
             await sched.submit(FrameArrival(..., cell="cell2"))
     """
 
-    def __init__(
-        self,
-        backend: str = "serial",
-        service: "DetectionService | None" = None,
-        obs=None,
-    ):
-        if service is None:
-            self.service = DetectionService(backend, obs=obs)
-            self._owns_service = True
-        else:
-            self.service = service
-            self._owns_service = False
+    def __init__(self, backend: str = "serial", obs=None):
+        self.service = DetectionService(backend, obs=obs)
         #: The farm's observability hub: the service's (which already
         #: fell back to the process-global hub when none was given).
         self.obs = self.service.obs
@@ -141,8 +131,7 @@ class CellFarm:
         # The cells' cached blocks carry their walk plans, device memory
         # like the service's: closing releases both.
         self.clear_caches()
-        if self._owns_service:
-            self.service.close()
+        self.service.close()
 
     def __enter__(self) -> "CellFarm":
         return self

@@ -152,14 +152,10 @@ class SchedulerTelemetry:
     :func:`~repro.obs.ledger.scheduler_summary` (``frames_detected``,
     ``deadline_hit_rate``, ``frames_missing``, ``flush_reasons``, ...)
     is an attribute, rendered from the run's ledger (``metrics``) when
-    read; ``records`` is the run's bounded :class:`FlushRecord` log (a
-    log does not fold, so it lives here, not in the ledger)."""
-
-    max_records = 4096
+    read."""
 
     def __init__(self, metrics):
         self.metrics = metrics
-        self.records: list = []
 
     def as_dict(self) -> dict:
         return scheduler_summary(self.metrics)
@@ -656,17 +652,12 @@ class StreamingScheduler:
                     service_s=completed_s - flushed_s,
                     deadline_met=record.deadline_met,
                 )
-                records = self.telemetry.records
-                logged = len(records) < self.telemetry.max_records
-                if logged:
-                    records.append(record)
                 self._ledger.account(
                     record,
                     len(bucket),
                     record.frames - frames_on_time,
                     result.stats["cache"],
                     result.stats.get("transfers"),
-                    logged,
                 )
                 if self.governor is not None:
                     self.governor.observe_flush(

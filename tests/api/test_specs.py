@@ -65,7 +65,6 @@ backend_specs = st.builds(BackendSpec, name=st.sampled_from(["serial", "array"])
 
 cache_specs = st.builds(
     CacheSpec,
-    enabled=st.booleans(),
     max_entries=st.integers(min_value=1, max_value=4096),
 )
 
@@ -104,13 +103,10 @@ def stack_configs(draw):
         if streaming
         else 1,
     )
-    cache = draw(cache_specs)
-    if streaming and not cache.enabled:
-        cache = CacheSpec(enabled=True, max_entries=cache.max_entries)
     return StackConfig(
         detector=draw(st.one_of(st.none(), detector_specs)),
         backend=draw(backend_specs),
-        cache=cache,
+        cache=draw(cache_specs),
         farm=farm,
         scheduler=draw(scheduler_specs) if streaming else SchedulerSpec(),
         governor=draw(st.one_of(st.none(), governor_specs))
@@ -121,7 +117,7 @@ def stack_configs(draw):
 
 #: ``json.dumps(preset.to_dict())`` as the hand-written ``to_dict`` pairs
 #: produced it at the commit before serialization was derived from the
-#: fields, less the two ``backend`` keys numpy-only deleted and the ten
+#: fields, less the two ``backend`` keys numpy-only deleted and the eleven
 #: keys only tests ever set (:data:`DELETED_KEYS`) — what
 #: ``farm/worker.py`` parses and result metadata stores.
 PRESET_JSON = {
@@ -129,7 +125,7 @@ PRESET_JSON = {
         '{"detector": {"name": "flexcore", "num_streams": 4, "num_rx_antennas": 4'
         ', "qam_order": 16, "params": {"num_paths": 16}}'
         ', "backend": {"name": "serial"}'
-        ', "cache": {"enabled": true, "max_entries": 1024}'
+        ', "cache": {"max_entries": 1024}'
         ', "farm": {"streaming": true, "cells": 4, "cell_offset": 0}'
         ', "scheduler": {"batch_target": 7, "slot_budget_s": null}'
         ', "governor": null'
@@ -139,7 +135,7 @@ PRESET_JSON = {
         '{"detector": {"name": "soft-flexcore", "num_streams": 8, "num_rx_antennas": 8'
         ', "qam_order": 16, "params": {"num_paths": 32}}'
         ', "backend": {"name": "array"}'
-        ', "cache": {"enabled": true, "max_entries": 1024}'
+        ', "cache": {"max_entries": 1024}'
         ', "farm": {"streaming": false, "cells": 1, "cell_offset": 0}'
         ', "scheduler": {"batch_target": null, "slot_budget_s": null}'
         ', "governor": null'
@@ -149,7 +145,7 @@ PRESET_JSON = {
         '{"detector": {"name": "flexcore", "num_streams": 8, "num_rx_antennas": 8'
         ', "qam_order": 16, "params": {"num_paths": 128}}'
         ', "backend": {"name": "array"}'
-        ', "cache": {"enabled": true, "max_entries": 1024}'
+        ', "cache": {"max_entries": 1024}'
         ', "farm": {"streaming": true, "cells": 2, "cell_offset": 0}'
         ', "scheduler": {"batch_target": 7, "slot_budget_s": null}'
         ', "governor": {"policy": "aimd", "paths_min": 2, "paths_max": 128'
@@ -160,7 +156,7 @@ PRESET_JSON = {
         '{"detector": {"name": "flexcore", "num_streams": 8, "num_rx_antennas": 8'
         ', "qam_order": 16, "params": {"num_paths": 64}}'
         ', "backend": {"name": "serial"}'
-        ', "cache": {"enabled": true, "max_entries": 1024}'
+        ', "cache": {"max_entries": 1024}'
         ', "farm": {"streaming": false, "cells": 1, "cell_offset": 0}'
         ', "scheduler": {"batch_target": null, "slot_budget_s": null}'
         ', "governor": null'
@@ -172,6 +168,7 @@ PRESET_JSON = {
 #: run used: ``{section: {key: value}}``.
 DELETED_KEYS = {
     "scheduler": {"flush_margin_s": 0.0},
+    "cache": {"enabled": True},
     "farm": {"cell_prefix": "cell"},
     "governor": {
         "start": None,
@@ -370,13 +367,6 @@ class TestCrossFieldValidation:
         with pytest.raises(ConfigurationError, match="scheduler settings"):
             StackConfig(scheduler=SchedulerSpec(batch_target=7))
 
-    def test_streaming_without_cache(self):
-        with pytest.raises(ConfigurationError, match="cache"):
-            StackConfig(
-                cache=CacheSpec(enabled=False),
-                farm=FarmSpec(streaming=True),
-            )
-
     def test_wrong_spec_type_rejected(self):
         with pytest.raises(ConfigurationError, match="BackendSpec"):
             StackConfig(backend="serial")
@@ -496,7 +486,6 @@ class TestSettableSurface:
         "detector.qam_order",
         "detector.params",
         "backend.name",
-        "cache.enabled",
         "cache.max_entries",
         "farm.streaming",
         "farm.cells",
@@ -531,7 +520,7 @@ class TestSettableSurface:
             governor=GovernorSpec(),
         )
         assert tuple(self.leaves(config)) == self.LEAVES
-        assert len(self.LEAVES) == 21
+        assert len(self.LEAVES) == 20
 
     @pytest.mark.parametrize(
         "cls, parameters",
@@ -569,7 +558,7 @@ class TestSettableSurface:
 
 
 class TestDeletedKeys:
-    """A payload written before the ten test-only settings were deleted
+    """A payload written before the eleven test-only settings were deleted
     is refused by name, not silently read with a different meaning."""
 
     @staticmethod

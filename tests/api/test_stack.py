@@ -21,7 +21,6 @@ import pytest
 
 from repro.api import (
     BackendSpec,
-    CacheSpec,
     DetectorSpec,
     FarmSpec,
     GovernorSpec,
@@ -198,23 +197,6 @@ class TestBatchEquivalence:
             reference.per_subcarrier_metadata,
         )
         assert facade.stats["cache"] == reference.stats["cache"]
-
-    def test_cache_disabled_config_matches(self, workload):
-        system, channels, received, noise_var = workload
-        detector = FlexCoreDetector(system, num_paths=NUM_PATHS)
-        reference = DetectionService().detect(
-            detector, UplinkBatch(channels, received, noise_var), cache=None
-        )
-        config = StackConfig(
-            detector=hard_spec(), cache=CacheSpec(enabled=False)
-        )
-        with build_stack(config) as stack:
-            stack.detect_batch(channels, received, noise_var)
-            facade = stack.detect_batch(channels, received, noise_var)
-            assert facade.stats["cache"].hits == 0
-            assert facade.stats["cache"] == reference.stats["cache"]
-            assert stack.cache_stats.entries == 0
-        assert np.array_equal(facade.indices, reference.indices)
 
 
 class TestStreamingEquivalence:

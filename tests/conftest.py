@@ -212,9 +212,7 @@ def make_block(system, subcarriers, frames, snr_db, seed):
     return channels, np.einsum("srt,sft->sfr", channels, sent) + noise, noise_var
 
 
-def make_stack(
-    detector, backend="serial", cells=None, cache=True, governor=None, **scheduler
-):
+def make_stack(detector, backend="serial", cells=None, governor=None, **scheduler):
     """``build_stack(StackConfig(...), detector=detector)`` from
     test-sized arguments.
 
@@ -225,7 +223,6 @@ def make_stack(
     """
     from repro.api import (
         BackendSpec,
-        CacheSpec,
         FarmSpec,
         SchedulerSpec,
         StackConfig,
@@ -236,7 +233,6 @@ def make_stack(
         backend = BackendSpec(backend)
     config = StackConfig(
         backend=backend,
-        cache=CacheSpec(enabled=cache),
         farm=FarmSpec(
             streaming=cells is not None, cells=1 if cells is None else cells
         ),

@@ -6,12 +6,16 @@ CI smoke lanes; here we pin the config-first plumbing — the effective
 with structural assertions that cannot flake on a loaded machine.
 """
 
+import inspect
+from dataclasses import replace
+
 import pytest
 
-from repro.api import StackConfig, presets
+from repro.api import DetectorSpec, StackConfig, presets
 from repro.errors import ExperimentError
 from repro.experiments import farm
 from repro.experiments.common import get_profile
+from repro.experiments.runner import main as runner_main
 
 TINY = get_profile("quick").scaled(0.5)
 
@@ -43,20 +47,19 @@ class TestFarmExperiment:
         assert config == presets.get("farm-overload")
         assert config.detector.params["num_paths"] == 128
 
-    def test_flags_build_equivalent_default_config(self):
-        """The flag path and the preset describe the same farm."""
-        effective = farm._effective_config(
-            None, "aimd", "array", 2, subcarriers=8
-        )
-        assert effective == presets.get("farm-overload")
+    def test_default_config_is_the_preset(self):
+        """With no config the experiment runs the farm-overload farm."""
+        default = inspect.signature(farm.run).parameters["stack_config"].default
+        assert default == presets.get("farm-overload")
+
+    def test_ungoverned_config_rejected(self):
+        config = replace(presets.get("farm-overload"), governor=None)
+        with pytest.raises(ExperimentError, match="governor"):
+            farm.run(TINY, stack_config=config)
 
     def test_ungoverned_budget_reports_detector_paths(self):
         """A detector below the governor's ceiling: the baseline row
         must report the paths it actually ran, not paths_max."""
-        from dataclasses import replace
-
-        from repro.api import DetectorSpec
-
         base = presets.get("farm-overload")
         config = replace(
             base,
@@ -75,5 +78,5 @@ class TestFarmExperiment:
             farm.run(TINY, workload="tsunami")
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ExperimentError, match="policy"):
-            farm.run(TINY, governor="pid")
+        with pytest.raises(SystemExit):
+            runner_main(["--experiment", "farm", "--governor", "pid"])

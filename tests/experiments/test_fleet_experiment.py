@@ -8,6 +8,8 @@ plumbing (the embedded ``config`` reproduces the fleet) — with
 assertions that cannot flake on a loaded machine.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import StackConfig
@@ -21,7 +23,9 @@ TINY = get_profile("quick").scaled(0.5)
 class TestFleetExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return fleet.run(TINY, workers=2, cells=2)
+        config = fleet.FLEET_STACK_CONFIG
+        two_cells = replace(config, farm=replace(config.farm, cells=2))
+        return fleet.run(TINY, workers=2, stack_config=two_cells)
 
     def test_scale_rows_then_kill_recovery(self, result):
         assert [row["mode"] for row in result.rows] == [
@@ -59,7 +63,7 @@ class TestFleetExperiment:
 
     def test_rejects_more_workers_than_cells(self):
         with pytest.raises(ExperimentError, match="cells"):
-            fleet.run(TINY, workers=5, cells=3)
+            fleet.run(TINY, workers=5)
 
     def test_rejects_batch_config(self):
         with pytest.raises(ExperimentError, match="streaming"):

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.api import build_stack
 from repro.detectors.sphere import SphereDecoder
 from repro.experiments.common import PROFILES
 from repro.experiments.linkruns import (
+    LINK_STACK_CONFIG,
     calibrate_ml_snr,
     flexcore_pe_sweep,
     make_link_config,
     make_sampler_factory,
-    make_stack,
     ml_reference_detector,
     run_point,
     runtime_stack_config,
@@ -50,16 +51,12 @@ class TestConfig:
 
 
 class TestRuntimeStackConfig:
-    def test_flags_build_batch_config(self):
-        config = runtime_stack_config(backend="array")
-        assert config.backend.name == "array"
+    def test_default_is_serial_batch_with_sweep_sized_cache(self):
+        config = runtime_stack_config(LINK_STACK_CONFIG)
+        assert config == LINK_STACK_CONFIG
+        assert config.backend.name == "serial"
         assert not config.farm.streaming
         assert config.cache.max_entries == 4096
-
-    def test_cells_imply_streaming(self):
-        config = runtime_stack_config(cells=3)
-        assert config.farm.streaming
-        assert config.farm.cells == 3
 
     def test_explicit_config_strips_detector_and_governor(self):
         """Throughput experiments sweep their own detectors at their
@@ -80,7 +77,7 @@ class TestRuntimeStackConfig:
 
         detector = FlexCoreDetector(system, num_paths=8)
         config = runtime_stack_config(presets.get("farm-overload"))
-        with make_stack(detector, config) as stack:
+        with build_stack(config, detector=detector) as stack:
             assert stack.governor is None
 
 
@@ -113,10 +110,10 @@ class TestSweep:
 
 class TestRunPoint:
     def test_calibration_then_point(self, system):
-        snr = calibrate_ml_snr(system, 0.2, TINY, "testbed")
+        snr = calibrate_ml_snr(system, 0.2, TINY, LINK_STACK_CONFIG, "testbed")
         config = make_link_config(system, TINY)
         factory = make_sampler_factory(config, TINY, "testbed")
         detector = ml_reference_detector(system, TINY)
-        link = run_point(config, detector, snr, TINY, factory)
+        link = run_point(config, detector, snr, TINY, factory, LINK_STACK_CONFIG)
         # Tiny-profile statistics are loose; just sanity-band the PER.
         assert 0.0 <= link.per <= 0.8

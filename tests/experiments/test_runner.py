@@ -1,10 +1,11 @@
 """Tests for the experiment CLI runner."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.api import StackConfig, presets
+from repro.api import CacheSpec, FarmSpec, StackConfig, presets
 from repro.experiments.runner import EXPERIMENTS, main
 
 
@@ -72,13 +73,12 @@ class TestStreamingFlags:
         result.add_row(x=1)
         return result
 
-    def test_streaming_and_cells_forwarded(self, monkeypatch, capsys):
+    def test_flags_layer_onto_experiment_default(self, monkeypatch, capsys):
         captured = {}
+        default = StackConfig(cache=CacheSpec(max_entries=64))
 
-        def stub(profile, backend="serial", streaming=False, cells=1):
-            captured.update(
-                backend=backend, streaming=streaming, cells=cells
-            )
+        def stub(profile, stack_config=default):
+            captured["stack_config"] = stack_config
             return self._stub_result()
 
         monkeypatch.setitem(EXPERIMENTS, "stub", stub)
@@ -94,31 +94,33 @@ class TestStreamingFlags:
             ]
         )
         assert code == 0
-        assert captured == {
-            "backend": "serial",
-            "streaming": True,
-            "cells": 3,
-        }
+        assert captured["stack_config"] == replace(
+            default, farm=FarmSpec(streaming=True, cells=3)
+        )
+
+    def test_no_flag_runs_experiment_default(self, monkeypatch):
+        captured = {}
+        default = StackConfig(cache=CacheSpec(max_entries=64))
+
+        def stub(profile, stack_config=default):
+            captured["stack_config"] = stack_config
+            return self._stub_result()
+
+        monkeypatch.setitem(EXPERIMENTS, "stub", stub)
+        assert main(["--experiment", "stub"]) == 0
+        assert captured["stack_config"] is default
 
     def test_cells_above_one_implies_streaming(self, monkeypatch):
         captured = {}
 
-        def stub(profile, streaming=False, cells=1):
-            captured.update(streaming=streaming, cells=cells)
+        def stub(profile, stack_config=StackConfig()):
+            captured["stack_config"] = stack_config
             return self._stub_result()
 
         monkeypatch.setitem(EXPERIMENTS, "stub", stub)
         assert main(["--experiment", "stub", "--cells", "2"]) == 0
-        assert captured == {"streaming": True, "cells": 2}
-
-    def test_streaming_skipped_without_parameter(self, monkeypatch, capsys):
-        def stub(profile):
-            return self._stub_result()
-
-        monkeypatch.setitem(EXPERIMENTS, "stub", stub)
-        assert main(["--experiment", "stub", "--streaming"]) == 0
-        out = capsys.readouterr().out
-        assert "no streaming parameter" in out
+        farm = captured["stack_config"].farm
+        assert (farm.streaming, farm.cells) == (True, 2)
 
     def test_invalid_cells_rejected(self):
         with pytest.raises(SystemExit):
@@ -139,10 +141,10 @@ class TestControlPlaneFlags:
     def test_governor_and_workload_forwarded(self, monkeypatch):
         captured = {}
 
-        def stub(profile, governor="aimd", workload="bursty", cells=2):
-            captured.update(
-                governor=governor, workload=workload, cells=cells
-            )
+        def stub(
+            profile, workload="bursty", stack_config=presets.get("farm-overload")
+        ):
+            captured.update(workload=workload, stack_config=stack_config)
             return self._stub_result()
 
         monkeypatch.setitem(EXPERIMENTS, "stub", stub)
@@ -157,38 +159,18 @@ class TestControlPlaneFlags:
             ]
         )
         assert code == 0
-        assert captured == {
-            "governor": "snr",
-            "workload": "flash-crowd",
-            "cells": 2,
-        }
+        assert captured["workload"] == "flash-crowd"
+        config = captured["stack_config"]
+        assert config.governor.policy == "snr"
+        assert config.farm.cells == 2
 
-    def test_cells_without_streaming_param_stays_quiet(
-        self, monkeypatch, capsys
-    ):
-        """--cells on a governed (non-streaming) experiment must not
-        print a misleading 'no streaming parameter' notice."""
-        captured = {}
-
-        def stub(profile, governor="aimd", cells=1):
-            captured.update(governor=governor, cells=cells)
-            return self._stub_result()
-
-        monkeypatch.setitem(EXPERIMENTS, "stub", stub)
-        code = main(
-            ["--experiment", "stub", "--governor", "aimd", "--cells", "4"]
-        )
-        assert code == 0
-        assert captured == {"governor": "aimd", "cells": 4}
-        assert "no streaming parameter" not in capsys.readouterr().out
-
-    def test_governor_skipped_without_parameter(self, monkeypatch, capsys):
+    def test_workers_skipped_without_parameter(self, monkeypatch, capsys):
         def stub(profile):
             return self._stub_result()
 
         monkeypatch.setitem(EXPERIMENTS, "stub", stub)
-        assert main(["--experiment", "stub", "--governor", "aimd"]) == 0
-        assert "no governor parameter" in capsys.readouterr().out
+        assert main(["--experiment", "stub", "--workers", "2"]) == 0
+        assert "no workers parameter" in capsys.readouterr().out
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
@@ -223,11 +205,8 @@ class TestConfigFlags:
         """--dump-config output feeds --config: the file path end-to-end."""
         captured = {}
 
-        def stub(profile, backend="serial", streaming=False, cells=1,
-                 stack_config=None):
+        def stub(profile, stack_config=StackConfig()):
             captured["stack_config"] = stack_config
-            captured["backend"] = backend
-            captured["cells"] = cells
             return self._stub_result()
 
         monkeypatch.setitem(EXPERIMENTS, "stub", stub)
@@ -236,13 +215,11 @@ class TestConfigFlags:
         code = main(["--experiment", "stub", "--config", str(path)])
         assert code == 0
         assert captured["stack_config"] == presets.get("ap-farm")
-        assert captured["backend"] == "serial"
-        assert captured["cells"] == 4
 
     def test_flags_layer_over_preset(self, monkeypatch):
         captured = {}
 
-        def stub(profile, backend="serial", stack_config=None):
+        def stub(profile, stack_config=StackConfig()):
             captured["stack_config"] = stack_config
             return self._stub_result()
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import PROFILES
+from repro.experiments.linkruns import LINK_STACK_CONFIG
 from repro.experiments.snr_loss import SnrLossTable, build_snr_loss_table
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
@@ -37,7 +38,7 @@ class TestBuild:
     def test_build_produces_monotone_losses(self):
         system = MimoSystem(4, 4, QamConstellation(16))
         table = build_snr_loss_table(
-            system, 0.1, TINY, path_grid=(1, 8, 64)
+            system, 0.1, TINY, LINK_STACK_CONFIG, path_grid=(1, 8, 64)
         )
         assert table.losses_db[0] >= table.losses_db[-1] - 0.5
         assert (table.losses_db >= 0).all()

@@ -309,7 +309,6 @@ class TestMetricCatalogue:
 
         async def drive():
             async with farm.scheduler(batch_target=2, slot_budget_s=0.5) as scheduler:
-                scheduler.telemetry.max_records = 1  # exercise the drop count
                 futures = [
                     await scheduler.submit(
                         FrameArrival(

@@ -232,9 +232,9 @@ class TestArrayBackendEquivalence:
         cached = make_stack(detector, backend="array").detect_batch(
             channels, received, noise_var
         )
-        uncached = make_stack(
-            detector, backend="array", cache=False
-        ).detect_batch(channels, received, noise_var)
+        uncached = DetectionService("array").detect(
+            detector, UplinkBatch(channels, received, noise_var), cache=None
+        )
         assert np.array_equal(cached.indices, uncached.indices)
 
     def test_cache_statistics_match_serial(self):
@@ -297,12 +297,11 @@ class TestFlopParity:
         detector = FlexCoreDetector(system, num_paths=8, qr_method="fcsd")
         channels, received, noise_var = make_workload(system, seed=31)
         serial_counter, array_counter = FlopCounter(), FlopCounter()
-        make_stack(detector, cache=False).detect_batch(
-            channels, received, noise_var, counter=serial_counter
+        batch = UplinkBatch(channels, received, noise_var)
+        DetectionService().detect(detector, batch, cache=None, counter=serial_counter)
+        DetectionService("array").detect(
+            detector, batch, cache=None, counter=array_counter
         )
-        make_stack(
-            detector, backend="array", cache=False
-        ).detect_batch(channels, received, noise_var, counter=array_counter)
         assert counters_equal(serial_counter, array_counter)
 
     @pytest.mark.parametrize("name", ["flexcore", "a-flexcore", "soft-flexcore"])

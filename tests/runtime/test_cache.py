@@ -21,7 +21,9 @@ from repro.modulation.constellation import QamConstellation
 from repro.runtime import (
     CacheStats,
     ContextCache,
+    DetectionService,
     SerialBackend,
+    UplinkBatch,
     available_backends,
     context_key,
     make_backend,
@@ -226,11 +228,11 @@ class TestEngineCaching:
     def test_cache_disabled_always_prepares(self, detector, rng):
         channels = rayleigh_channels(4, 3, 3, rng)
         received = rng.standard_normal((4, 2, 3)) + 0j
-        engine = make_stack(detector, cache=False)
-        engine.detect_batch(channels, received, 0.05)
-        replay = engine.detect_batch(channels, received, 0.05)
+        service = DetectionService()
+        batch = UplinkBatch(channels, received, 0.05)
+        service.detect(detector, batch, cache=None)
+        replay = service.detect(detector, batch, cache=None)
         assert replay.stats["cache"].misses == 4
-        assert engine.cache_stats.entries == 0
 
     def test_cache_disabled_skips_within_batch_dedup(self, detector, rng):
         # A flat-fading batch (identical channel on every subcarrier)
@@ -239,8 +241,9 @@ class TestEngineCaching:
         channel = rayleigh_channels(1, 3, 3, rng)
         channels = np.repeat(channel, 4, axis=0)
         received = rng.standard_normal((4, 2, 3)) + 0j
-        uncached = make_stack(detector, cache=False)
-        result = uncached.detect_batch(channels, received, 0.05)
+        result = DetectionService().detect(
+            detector, UplinkBatch(channels, received, 0.05), cache=None
+        )
         assert result.stats["cache"].misses == 4
         cached = make_stack(detector)
         result = cached.detect_batch(channels, received, 0.05)

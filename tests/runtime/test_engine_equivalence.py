@@ -18,7 +18,7 @@ from repro.mimo.model import apply_channel, noise_variance_for_snr_db
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
 from repro.modulation.mapper import random_symbol_indices
-from repro.runtime import UplinkBatch
+from repro.runtime import DetectionService, UplinkBatch
 from tests.conftest import make_stack
 
 NUM_SUBCARRIERS = 6
@@ -121,9 +121,9 @@ class TestHardEquivalence:
         cached = make_stack(detector).detect_batch(
             channels, received, noise_var
         )
-        uncached = make_stack(
-            detector, cache=False
-        ).detect_batch(channels, received, noise_var)
+        uncached = DetectionService().detect(
+            detector, UplinkBatch(channels, received, noise_var), cache=None
+        )
         assert np.array_equal(cached.indices, uncached.indices)
 
     def test_detect_many_matches_engine(self):

@@ -21,7 +21,6 @@ from repro.modulation.constellation import QamConstellation
 from repro.obs import SPAN_DETECT, Observability
 from repro.runtime import (
     CacheStats,
-    CellFarm,
     ContextCache,
     DetectionService,
     UplinkBatch,
@@ -270,36 +269,6 @@ class TestSharedService:
         result = service.detect(b, batch, cache=second_cache)
         assert result.stats["cache"].misses == batch.num_subcarriers
         assert first_cache.stats.entries == batch.num_subcarriers
-
-    def test_farm_close_spares_shared_service(self):
-        closed = []
-        service = DetectionService()
-        service.backend.close = lambda: closed.append(True)
-        farm = CellFarm(service=service)
-        farm.close()
-        assert not closed
-        service.close()
-        assert closed
-
-    def test_double_close_idempotent_on_shared_service(
-        self, system, rng
-    ):
-        """Closing a borrowing farm twice never touches the shared
-        service, which stays usable by its other callers."""
-        batch = make_batch(system, rng)
-        closed = []
-        service = DetectionService()
-        service.backend.close = lambda: closed.append(True)
-        a = CellFarm(service=service)
-        a.close()
-        a.close()  # second close: no-op, not an error
-        assert not closed
-        # A sibling caller still detects on the shared service.
-        result = service.detect(
-            FlexCoreDetector(system, num_paths=8), batch, cache=ContextCache()
-        )
-        assert result.indices.shape[0] == batch.num_subcarriers
-        assert not closed
 
     def test_double_close_idempotent_on_owned_service(self, detector):
         closed = []
