@@ -10,13 +10,11 @@ import numpy as np
 import pytest
 
 from repro.channel.fading import rayleigh_channel, rayleigh_channels
-from repro.flexcore.preprocessing import (
-    find_promising_paths,
-    find_promising_paths_block,
-)
+from repro.flexcore.preprocessing import find_promising_paths_block
 from repro.flexcore.probability import LevelErrorModel
 from repro.mimo.qr import sorted_qr, stacked_sorted_qr
 from repro.modulation.constellation import QamConstellation
+from tests.reference.path_search import find_promising_paths
 
 
 @pytest.fixture(scope="module")

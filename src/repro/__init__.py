@@ -55,7 +55,6 @@ from repro.flexcore import (
     FlexCoreDetector,
     LevelErrorModel,
     TriangleOrdering,
-    find_promising_paths,
 )
 from repro.mimo import MimoSystem
 from repro.modulation import QamConstellation
@@ -95,7 +94,6 @@ __all__ = [
     "UplinkBatch",
     "ZfDetector",
     "available_detectors",
-    "find_promising_paths",
     "make_detector",
     "__version__",
 ]

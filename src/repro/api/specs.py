@@ -285,8 +285,8 @@ class GovernorSpec(_SpecDict):
     * ``aimd`` — AIMD on deadline misses from ``paths_min`` up to
       ``paths_max``, its headroom gate sized by ``peak_frames_hint``;
     * ``snr`` — a-FlexCore minimum budget meeting ``target_error_rate``
-      under the level-error model (needs the stack's constellation,
-      supplied at build time).
+      under the level-error model, read off the path search of each
+      cell's latest flush.
 
     ``total_path_budget`` bounds the sum of the cells' budgets (see
     :class:`~repro.control.governor.ComputeGovernor`).  The AIMD steps
@@ -323,9 +323,7 @@ class GovernorSpec(_SpecDict):
             raise ConfigurationError("total_path_budget must be >= 1")
 
     # ------------------------------------------------------------------
-    def build_policy(
-        self, constellation: "QamConstellation | None" = None
-    ) -> PathBudgetPolicy:
+    def build_policy(self) -> PathBudgetPolicy:
         """The policy prototype this spec describes."""
         if self.policy == "static":
             return StaticPolicy(self.paths_max)
@@ -335,24 +333,21 @@ class GovernorSpec(_SpecDict):
                 self.paths_max,
                 peak_frames_hint=self.peak_frames_hint,
             )
-        if constellation is None:
-            raise ConfigurationError(
-                "the snr policy needs the stack's constellation; build "
-                "it through build_stack (or pass constellation=...)"
-            )
         return SnrAwarePolicy(
-            constellation,
             self.paths_min,
             self.paths_max,
             target_error_rate=self.target_error_rate,
         )
 
-    def build(self, constellation: "QamConstellation | None" = None):
-        """A fresh :class:`~repro.control.governor.ComputeGovernor`."""
+    def build(self, constellation=None):
+        """A fresh :class:`~repro.control.governor.ComputeGovernor`.
+
+        ``constellation`` is accepted and unused: no policy needs it, and
+        ``flexbench/paced.py``, which the benchmark freezes, passes it."""
         from repro.control.governor import ComputeGovernor
 
         return ComputeGovernor(
-            self.build_policy(constellation),
+            self.build_policy(),
             total_path_budget=self.total_path_budget,
         )
 

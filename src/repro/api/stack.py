@@ -478,8 +478,6 @@ def build_stack(
             cell_id, detector, max_cache_entries=config.cache.max_entries
         )
     governor = (
-        config.governor.build(constellation=detector.system.constellation)
-        if config.governor is not None
-        else None
+        config.governor.build() if config.governor is not None else None
     )
     return UplinkStack(config, detector, farm, governor)

@@ -9,9 +9,9 @@ need to stay inside a compute/power envelope, in the spirit of RaPro's
 (arXiv:1704.04573) control layer over a PHY pipeline:
 
 * the :class:`~repro.runtime.scheduler.StreamingScheduler` feeds it
-  every :class:`~repro.runtime.scheduler.FlushRecord` (plus the flushed
-  channel, for SNR-aware policies) and asks it for the current per-cell
-  path budget before each service call;
+  every :class:`~repro.runtime.scheduler.FlushRecord` (plus the path
+  search of its first channel, for SNR-aware policies) and asks it for
+  the current per-cell path budget before each service call;
 * once per **control tick** the governor assembles a
   :class:`~repro.control.policy.CellObservation` per cell, runs that
   cell's :class:`~repro.control.policy.PathBudgetPolicy`, optionally
@@ -114,8 +114,7 @@ class _Lane:
         self.budget = policy.initial_budget()
         self.shedding = False
         self.shed_streak = 0  # arrivals seen since shedding began
-        self.channel: "np.ndarray | None" = None
-        self.noise_var: "float | None" = None
+        self.path_probabilities: "np.ndarray | None" = None
         self.peak_flush_frames = 0  # lifetime, not per window
         self.reset_window()
 
@@ -139,8 +138,7 @@ class _Lane:
             service_sum_s=self.service_sum_s,
             peak_flush_frames=self.peak_flush_frames,
             slot_budget_s=slot_budget_s,
-            channel=self.channel,
-            noise_var=self.noise_var,
+            path_probabilities=self.path_probabilities,
         )
 
 
@@ -244,10 +242,11 @@ class ComputeGovernor:
         cell_id: str,
         record,
         frames_on_time: "int | None" = None,
-        channel: "np.ndarray | None" = None,
-        noise_var: "float | None" = None,
+        path_probabilities: "np.ndarray | None" = None,
     ) -> None:
-        """Account one :class:`~repro.runtime.scheduler.FlushRecord`."""
+        """Account one :class:`~repro.runtime.scheduler.FlushRecord`;
+        ``path_probabilities`` is its first channel's pop-order ``Pc``
+        row (see :class:`~repro.control.policy.CellObservation`)."""
         lane = self._lane(cell_id)
         if frames_on_time is None:
             frames_on_time = record.frames if record.deadline_met else 0
@@ -257,9 +256,8 @@ class ComputeGovernor:
         lane.latency_max_s = max(lane.latency_max_s, record.latency_s)
         lane.service_sum_s += record.completed_s - record.flushed_s
         lane.peak_flush_frames = max(lane.peak_flush_frames, record.frames)
-        if channel is not None:
-            lane.channel = channel
-            lane.noise_var = noise_var
+        if path_probabilities is not None:
+            lane.path_probabilities = path_probabilities
 
     def maybe_tick(self, now: float) -> bool:
         """Run a control tick if the interval elapsed; returns whether."""

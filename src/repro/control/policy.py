@@ -4,8 +4,8 @@ FlexCore's headline claim is that the number of explored tree paths is a
 *runtime dial* trading detection accuracy against compute (§3.3, Fig. 9).
 This module turns the dial into closed-loop control laws: a policy
 observes one cell's recent streaming behaviour (deadline hits, flush
-latency, the latest channel) once per control tick and answers with the
-path budget the next flushes should run at.
+latency, the latest flush's path search) once per control tick and
+answers with the path budget the next flushes should run at.
 
 Three policies, in increasing awareness:
 
@@ -19,12 +19,11 @@ Three policies, in increasing awareness:
   headroom adds to it.  Channel-agnostic congestion control over
   compute.
 * :class:`SnrAwarePolicy` — the paper's adaptive FlexCore (§3.3) lifted
-  from per-subcarrier to per-cell budgeting: from the cell's latest
-  channel it builds :class:`repro.flexcore.probability.LevelErrorModel`
-  and asks the §3.1.1 pre-processing search for the *minimum* path count
+  from per-subcarrier to per-cell budgeting: the *minimum* path count
   whose cumulative path probability covers ``1 - target_error_rate`` —
   the smallest budget meeting a target vector-error rate under the
-  geometric model.
+  geometric model — read off the §3.1.1 search the cell's detector
+  already ran for its latest flushed channel.
 
 :func:`allocate_budget` closes the farm-level loop: given every cell's
 desired budget and one global budget (total concurrent tree paths — the
@@ -41,11 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.flexcore.preprocessing import find_promising_paths
-from repro.flexcore.probability import LevelErrorModel
-from repro.mimo.qr import sorted_qr
-from repro.modulation.constellation import QamConstellation
-from repro.runtime.cache import context_key
+from repro.flexcore.preprocessing import covering_prefix
 
 
 #: CLI names of the built-in policy catalogue — the one list the
@@ -90,11 +85,11 @@ class CellObservation:
     slot_budget_s:
         The deadline budget flushes are measured against (``inf`` when
         the scheduler runs drain-driven).
-    channel:
-        Latest flushed ``(Nr, Nt)`` channel, or ``None`` before the
-        first flush — the SNR-aware policy's input.
-    noise_var:
-        Noise variance of that flush.
+    path_probabilities:
+        The ``Pc`` row, in §3.1.1 pop order, of the latest flush's first
+        channel (a view of the block the cell's detector searched), or
+        ``None`` before the first flush and for a detector that runs no
+        such search — the SNR-aware policy's input.
     """
 
     cell_id: str
@@ -107,8 +102,7 @@ class CellObservation:
     service_sum_s: float = 0.0
     peak_flush_frames: int = 0
     slot_budget_s: float = math.inf
-    channel: "np.ndarray | None" = None
-    noise_var: "float | None" = None
+    path_probabilities: "np.ndarray | None" = None
 
     @property
     def deadline_hit_rate(self) -> float:
@@ -268,26 +262,30 @@ class AimdPolicy(PathBudgetPolicy):
 class SnrAwarePolicy(PathBudgetPolicy):
     """Minimum budget meeting a target vector-error rate (a-FlexCore).
 
-    From the cell's latest flushed channel, build the level-error model
-    (:mod:`repro.flexcore.probability`) on the sorted-QR ``R`` diagonal
-    and run the §3.1.1 best-first search with a cumulative-probability
-    stopping criterion of ``1 - target_error_rate``: the number of paths
-    expanded before the mass is covered is, under the geometric model,
-    the smallest budget whose unexplored probability — the modelled
-    vector-error rate — is below target.  Well-conditioned channels
-    collapse towards one path; harsh ones saturate at ``paths_max``.
+    The cell's detector has already run the §3.1.1 search for each
+    flushed channel, under the level-error model
+    (:mod:`repro.flexcore.probability`) on its QR's ``R`` diagonal; a
+    stopping threshold only truncates the search's pop order.  So the
+    number of paths a search stopping at ``1 - target_error_rate`` would
+    expand — under the geometric model, the smallest budget whose
+    unexplored probability, the modelled vector-error rate, is below
+    target — is the prefix of the observed ``Pc`` row that covers it
+    (:func:`~repro.flexcore.preprocessing.covering_prefix`, the rule the
+    a-FlexCore detector applies per channel).  Well-conditioned channels
+    collapse towards one path; harsh ones saturate at ``paths_max``, or
+    at the detector's own path count when that is lower.  With no row —
+    before the first flush, or a detector that searches no paths — the
+    budget holds.
 
     This is the paper's adaptive FlexCore decision, made once per
-    control tick per cell instead of once per subcarrier, so its cost
-    (one QR + one tree search) is amortised over every flush of the
-    window.
+    control tick per cell instead of once per subcarrier, at the cost of
+    one cumulative sum.
     """
 
     name = "snr"
 
     def __init__(
         self,
-        constellation: QamConstellation,
         paths_min: int,
         paths_max: int,
         target_error_rate: float = 0.05,
@@ -297,43 +295,18 @@ class SnrAwarePolicy(PathBudgetPolicy):
             raise ConfigurationError(
                 "target_error_rate must lie in (0, 1)"
             )
-        self.constellation = constellation
         self.target_error_rate = float(target_error_rate)
         self._budget = self.paths_max
-        # Memo of the last decision, keyed on channel *content*: under
-        # coherence the same channel matrix recurs every slot (as fresh
-        # ndarray views, so identity would never hit), and a QR + tree
-        # search per tick per cell is real money on the scheduler's
-        # event loop.  Hashing the channel bytes is microseconds.
-        self._memo_key: "bytes | None" = None
 
     def initial_budget(self) -> int:
         return self._budget
 
-    def budget_for_channel(
-        self, channel: np.ndarray, noise_var: float
-    ) -> int:
-        """The minimum admissible budget for one channel realisation."""
-        qr = sorted_qr(np.asarray(channel))
-        model = LevelErrorModel.from_channel(qr.r, noise_var, self.constellation)
-        search = find_promising_paths(
-            model,
-            num_paths=self.paths_max,
-            max_rank=self.constellation.order,
-            stop_threshold=1.0 - self.target_error_rate,
-        )
-        return self.clamp(search.position_vectors.shape[0])
-
     def update(self, observation: CellObservation) -> int:
-        if observation.channel is None or observation.noise_var is None:
-            return self.clamp(self._budget)
-        key = context_key(observation.channel, observation.noise_var)
-        if key == self._memo_key:
-            return self.clamp(self._budget)
-        self._budget = self.budget_for_channel(
-            observation.channel, observation.noise_var
-        )
-        self._memo_key = key
+        row = observation.path_probabilities
+        if row is not None:
+            self._budget = self.clamp(
+                covering_prefix(row, len(row), 1.0 - self.target_error_rate)
+            )
         return self._budget
 
 

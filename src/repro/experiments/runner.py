@@ -17,8 +17,9 @@ named ``--preset`` when given, else from the experiment's own default
 flags (``--backend`` / ``--streaming`` / ``--cells`` / ``--governor``) on
 top.  Every saved experiment JSON embeds the config its stacks were
 built from under ``"config"``, so published results are reproducible
-from their own metadata.  ``--dump-config`` writes the flags layered
-onto the loaded config (or onto a default ``StackConfig``) to disk.
+from their own metadata; an experiment that builds no stack saves none.
+``--dump-config`` writes the one config the run hands its experiments,
+and refuses when there is none or more than one.
 """
 
 from __future__ import annotations
@@ -70,9 +71,6 @@ EXPERIMENTS = {
     "fleet": fleet.run,
 }
 
-#: Governor policies the ``--governor`` flag may request.
-GOVERNOR_POLICIES = POLICY_NAMES
-
 
 def _load_base_config(args, parser) -> "StackConfig | None":
     """The ``--config`` / ``--preset`` stack, or None for neither."""
@@ -111,10 +109,7 @@ def _layer_flags(config: StackConfig, args) -> StackConfig:
         or args.governor is not None
         or config.governor is not None
     )
-    if (
-        streaming != config.farm.streaming
-        or cells != config.farm.cells
-    ):
+    if (streaming, cells) != (config.farm.streaming, config.farm.cells):
         config = replace(
             config,
             farm=replace(config.farm, streaming=streaming, cells=cells),
@@ -194,7 +189,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--governor",
-        choices=GOVERNOR_POLICIES,
+        choices=POLICY_NAMES,
         default=None,
         help="attach the adaptive control plane with this path-budget "
         "policy (implies --streaming); link experiments detach it, the "
@@ -240,21 +235,33 @@ def main(argv=None) -> int:
         parser.error("--workers must be >= 1")
 
     base = _load_base_config(args, parser)
+    names = sorted(EXPERIMENTS) if args.all else [args.experiment] if args.experiment else []
     try:
         runner_config = _layer_flags(base or StackConfig(), args)
+        # What each stack-building experiment is handed: the loaded config,
+        # or else its own default, with the flags layered on.
+        configs = {
+            name: runner_config if base is not None else _layer_flags(parameter.default, args)
+            for name in names
+            if (parameter := inspect.signature(EXPERIMENTS[name]).parameters.get("stack_config"))
+        }
     except ConfigurationError as error:
         parser.error(str(error))
 
     if args.dump_config:
-        payload = json.dumps(runner_config.to_dict(), indent=2) + "\n"
-        atomic_write_text(args.dump_config, payload)
+        dumped = list(configs.values()) if names else [runner_config]
+        if not dumped:
+            parser.error(f"--dump-config: {names[0]} builds no stack, so it has no config")
+        if any(config != dumped[0] for config in dumped):
+            parser.error("--dump-config: --all runs each experiment on its own default; "
+                         "give --config or --preset")  # fmt: skip
+        atomic_write_text(args.dump_config, json.dumps(dumped[0].to_dict(), indent=2) + "\n")
         print(f"[effective stack config written to {args.dump_config}]")
-        if not args.all and not args.experiment:
+        if not names:
             return 0
 
-    if not args.all and not args.experiment:
+    if not names:
         parser.error("choose --experiment NAME or --all")
-    names = sorted(EXPERIMENTS) if args.all else [args.experiment]
     profile = get_profile(args.profile)
 
     out_dir = Path(args.out) if args.out else None
@@ -273,13 +280,11 @@ def main(argv=None) -> int:
             started = time.perf_counter()
             entry = EXPERIMENTS[name]
             parameters = inspect.signature(entry).parameters
-            config, kwargs = runner_config, {}
-            if "stack_config" in parameters:
-                # No --config / --preset: the flags layer onto the
-                # experiment's own default stack.
-                if base is None:
-                    config = _layer_flags(parameters["stack_config"].default, args)
-                kwargs["stack_config"] = config
+            kwargs = {}
+            if name in configs:
+                kwargs["stack_config"] = configs[name]
+            elif runner_config != StackConfig():
+                print(f"[{name}: builds no stack, runtime flags ignored]")
             for key in ("workload", "workers"):
                 value = getattr(args, key)
                 if value is None:
@@ -297,11 +302,6 @@ def main(argv=None) -> int:
             print(result.to_text_table())
             print(f"[{name} completed in {elapsed:.1f}s]")
             print()
-            if result.config is None:
-                # Experiments that build stacks embed the config they
-                # built them from; the others record the runner's, so
-                # every saved JSON carries a parseable "config" block.
-                result.config = config.to_dict()
             if out_dir:
                 result.save_json(out_dir / f"{name}.json")
     finally:

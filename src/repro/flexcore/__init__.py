@@ -22,7 +22,6 @@ from repro.flexcore.detector import FlexCoreDetector
 from repro.flexcore.ordering import TriangleOrdering
 from repro.flexcore.preprocessing import (
     PreprocessingResult,
-    find_promising_paths,
     find_promising_paths_block,
 )
 from repro.flexcore.probability import LevelErrorModel
@@ -36,6 +35,5 @@ __all__ = [
     "SoftDetectionResult",
     "SoftFlexCoreDetector",
     "TriangleOrdering",
-    "find_promising_paths",
     "find_promising_paths_block",
 ]

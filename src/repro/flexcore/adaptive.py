@@ -6,6 +6,11 @@ paths whose cumulative ``Pc`` reaches a target mass (0.95 in Fig. 10).
 In well-conditioned channels — e.g. far fewer users than AP antennas —
 ``j`` collapses towards 1 and the complexity approaches a linear
 detector's, while in harsh channels all ``N_PE`` elements light up.
+
+The rule is :func:`repro.flexcore.preprocessing.covering_prefix`, read
+off the block's search; the SNR-aware budget policy
+(:class:`repro.control.policy.SnrAwarePolicy`) applies the same function
+to the row of a cell's latest flush.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.flexcore.detector import FlexCoreDetector
-from repro.flexcore.preprocessing import PathSearchBlock
+from repro.flexcore.preprocessing import PathSearchBlock, covering_prefix
 from repro.mimo.system import MimoSystem
 
 
@@ -47,13 +52,9 @@ class AdaptiveFlexCoreDetector(FlexCoreDetector):
     def _active_paths(self, search: PathSearchBlock) -> np.ndarray:
         """The shortest prefix of each channel's paths whose cumulative
         ``Pc`` reaches the target, all of them if none does."""
-        selected = search.probabilities
-        counts = search.expanded_nodes
-        within = np.arange(selected.shape[1]) < counts[:, None]
-        cumulative = np.cumsum(np.where(within, selected, 0.0), axis=1)
-        # ``searchsorted`` of the target in each non-decreasing row.
-        covered = np.count_nonzero(cumulative < self.probability_target, axis=1) + 1
-        return np.minimum(covered, counts)
+        return covering_prefix(
+            search.probabilities, search.expanded_nodes, self.probability_target
+        )
 
     def _entry(self, paths: int, deactivated) -> dict:
         return {**super()._entry(paths, deactivated), "active_paths": paths}

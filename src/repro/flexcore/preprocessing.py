@@ -25,30 +25,21 @@ A *parallel expansion* mode (``batch_size > 1``) expands the ``B`` best
 frontier nodes per round, modelling the parallel pre-processing variant
 whose loss §3.1.1 reports as negligible for ``N_PE / B >= 10``.
 
-:func:`find_promising_paths_block` runs ``C`` independent searches — one
-per channel of a coherence block — in one call, on one of two lanes, the
-walk's (:mod:`repro.native`).  The native lane is this heap in C
-(``repro/native/search.c``): every channel's searches in one GIL-free
-call.  The portable lane (``CC=false``, or no compiler) runs them in
-lockstep on one dense ``(C, 1 + P·Nt)`` key array in *slab layout*: the
-root is slot 0 and the children of a channel's ``i``-th selected node own
-the fixed-stride slab of slots ``1 + i·Nt + w``, children that do not
-exist being holes that hold ``+inf``.  Nothing is compacted and nothing
-but the keys is stored per frontier node, so a round is a dozen array
-operations however many channels ride it.  Both lanes are bit- and
-FLOP-identical to calling :func:`find_promising_paths` once per channel;
-see its docstring for why.  The result is one :class:`PathSearchBlock`
-of stacked arrays; :func:`find_promising_paths` itself stays the oracle
-(and the SNR policy's one-channel search).
+:func:`find_promising_paths_block` runs ``C`` searches — one per channel
+of a coherence block — in one call on the walk's lane (:mod:`repro.native`):
+this heap in C (``search.c``), or a lockstep numpy search in *slab layout*
+(``CC=false``), both bit- and FLOP-identical to the scalar heap the tests
+keep as their oracle.
 
 What pre-processing leaves for the walk is one :class:`PreparedBlock` per
 prepared coherence block: its QR and search results and active path
-counts, stacked, and the walk plans derived from them.
+counts, stacked, and the walk plans derived from them.  a-FlexCore's
+rule (:func:`covering_prefix`) reads its ``Pc`` rows there: per channel in
+the a-FlexCore detector, per cell in the SNR-aware budget policy.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from itertools import accumulate
@@ -57,7 +48,6 @@ import numpy as np
 
 from repro import native
 from repro.errors import ConfigurationError, DimensionError
-from repro.flexcore.probability import ErrorModelBlock, LevelErrorModel
 from repro.mimo.qr import QrBlock
 from repro.utils.flops import NULL_COUNTER, FlopCounter
 
@@ -126,6 +116,16 @@ class PathSearchBlock(Sequence):
             candidate_peak=int(self.candidate_peak[c]),
             stopped_early=bool(self.stopped_early[c]),
         )
+
+
+def covering_prefix(probabilities: np.ndarray, counts, target: float):
+    """a-FlexCore's rule (§3.3) on pop-order ``Pc`` rows valid up to ``counts``:
+    the shortest prefix whose cumulative mass reaches ``target``, else all
+    ``counts`` — where a search stopping at ``target`` stops (``cumsum``
+    adds left to right, as its stopping test does)."""
+    valid = np.arange(probabilities.shape[-1]) < np.asarray(counts)[..., None]
+    cumulative = np.cumsum(np.where(valid, probabilities, 0.0), axis=-1)
+    return np.minimum((cumulative < target).sum(axis=-1) + 1, counts)
 
 
 class FlexCoreContext:
@@ -227,95 +227,15 @@ def _join(parts, take):
     )
 
 
-def find_promising_paths(
-    model: LevelErrorModel,
-    num_paths: int,
-    max_rank: int,
-    stop_threshold: float | None = None,
-    batch_size: int = 1,
-    counter: FlopCounter = NULL_COUNTER,
-) -> PreprocessingResult:
-    """Best-first search for the ``num_paths`` most promising paths.
-
-    Parameters
-    ----------
-    model:
-        Per-level error probabilities for the current channel, each in
-        ``[0, 1]`` (anything else, NaN included, is a
-        ``ConfigurationError``).
-    num_paths:
-        ``N_PE`` — processing elements available.
-    max_rank:
-        Largest admissible rank per level (``|Q|``).
-    stop_threshold:
-        Optional cumulative-``Pc`` stopping criterion (§3.1.1).
-    batch_size:
-        Frontier nodes expanded per round (parallel pre-processing).
-    """
-    if num_paths <= 0:
-        raise ConfigurationError("num_paths must be positive")
-    if max_rank <= 0:
-        raise ConfigurationError("max_rank must be positive")
-    if batch_size <= 0:
-        raise ConfigurationError("batch_size must be positive")
-    pe = model.pe
-    _check_pe(pe)
-    num_levels = pe.size
-    if num_paths > max_rank**num_levels:
-        num_paths = int(max_rank**num_levels)
-
-    root = (1,) * num_levels
-    root_probability = float(np.prod(1.0 - pe))
-    counter.add_real_mults(num_levels - 1)  # forming the root product
-    multiplications = num_levels - 1
-
-    # Heap entries: (-Pc, serial, position tuple, last incremented index).
-    serial = 0
-    frontier: list[tuple[float, int, tuple[int, ...], int]] = [
-        (-root_probability, serial, root, num_levels - 1)
-    ]
-    selected: list[tuple[int, ...]] = []
-    selected_probability: list[float] = []
-    cumulative = 0.0
-    candidate_peak = 1
-    stopped_early = False
-
-    while frontier and len(selected) < num_paths:
-        round_size = min(batch_size, num_paths - len(selected), len(frontier))
-        batch = [heapq.heappop(frontier) for _ in range(round_size)]
-        for neg_probability, _, position, last_index in batch:
-            probability = -neg_probability
-            selected.append(position)
-            selected_probability.append(probability)
-            cumulative += probability
-            # Children: increment element w for w <= last_index (dedup rule).
-            for w in range(last_index + 1):
-                child_rank = position[w] + 1
-                if child_rank > max_rank:
-                    continue
-                child = position[:w] + (child_rank,) + position[w + 1 :]
-                child_probability = probability * pe[w]
-                counter.add_real_mults(1)
-                multiplications += 1
-                serial += 1
-                heapq.heappush(
-                    frontier, (-child_probability, serial, child, w)
-                )
-        candidate_peak = max(candidate_peak, len(frontier))
-        if stop_threshold is not None and cumulative >= stop_threshold:
-            stopped_early = True
-            break
-
-    return PreprocessingResult(
-        position_vectors=np.array(selected, dtype=np.int64).reshape(
-            len(selected), num_levels
-        ),
-        probabilities=np.array(selected_probability),
-        expanded_nodes=len(selected),
-        real_multiplications=multiplications,
-        candidate_peak=candidate_peak,
-        stopped_early=stopped_early,
-    )
+def leading_path_probabilities(prepared) -> "np.ndarray | None":
+    """The pop-order ``Pc`` of a prepared sequence's first channel, its valid
+    prefix as a view of the block; ``None`` for no sequence or one without
+    a §3.1.1 search (FCSD's, SIC's, a linear detector's)."""
+    block, rows = getattr(prepared, "block", prepared), getattr(prepared, "rows", (0,))
+    search = getattr(block, "search", None)
+    if search is None:
+        return None
+    return search.probabilities[rows[0], : search.expanded_nodes[rows[0]]]
 
 
 def find_promising_paths_block(
@@ -334,24 +254,25 @@ def find_promising_paths_block(
         An :class:`~repro.flexcore.probability.ErrorModelBlock`, a
         sequence of :class:`~repro.flexcore.probability.LevelErrorModel`
         (one per channel) or a stacked ``(C, Nt)`` ``Pe`` array, every
-        entry in ``[0, 1]`` as for :func:`find_promising_paths`.
+        entry in ``[0, 1]`` (anything else, NaN included, is a
+        ``ConfigurationError``).
     num_paths, max_rank, batch_size:
-        As :func:`find_promising_paths`; shared by every channel.
+        ``N_PE``, the largest rank per level (``|Q|``) and the frontier
+        nodes expanded per round; shared by every channel.
     stop_threshold:
         ``None``, a scalar shared by all channels, or a length-``C``
-        sequence of per-channel thresholds (``nan`` entries disable the
-        criterion for that channel).
+        sequence of per-channel cumulative-``Pc`` thresholds (``nan``
+        entries disable the criterion for that channel).
 
     Returns one :class:`PathSearchBlock` whose rows are **bit- and
-    FLOP-identical** to ``[find_promising_paths(m, ...) for m in models]``
-    (same expansion order, tie-break serials, ``real_multiplications``
-    and ``candidate_peak``).
+    FLOP-identical** to the scalar heap run once per channel (same
+    expansion order, tie-break serials, ``real_multiplications`` and
+    ``candidate_peak``).
 
     **Native lane.**  When this process's lane is native
-    (:func:`repro.native.kernel`), ``search.c`` runs the heap of
-    :func:`find_promising_paths` for every channel in one call.  Its
-    entries are ``(-Pc, slot)``, the slot being the slab's below, so a
-    position row is built only when its node is popped.
+    (:func:`repro.native.kernel`), ``search.c`` runs the heap for every
+    channel in one call, its entries ``(-Pc, slot)`` with the slab's slot
+    below, so a position row is built only when its node is popped.
 
     **Slab layout.**  On the portable lane the frontier is one row of
     ``keys`` (``-Pc``, so the best node is the minimum): slot 0 is the root and
@@ -393,14 +314,9 @@ def find_promising_paths_block(
     plus as many int64 position entries — about 15 MB each for 1200
     subcarriers x 128 paths x 12 streams.
     """
-    if num_paths <= 0:
-        raise ConfigurationError("num_paths must be positive")
-    if max_rank <= 0:
-        raise ConfigurationError("max_rank must be positive")
-    if batch_size <= 0:
-        raise ConfigurationError("batch_size must be positive")
-    if isinstance(models, ErrorModelBlock):
-        models = models.pe
+    if min(num_paths, max_rank, batch_size) <= 0:
+        raise ConfigurationError("num_paths, max_rank and batch_size must be positive")
+    models = getattr(models, "pe", models)  # an ErrorModelBlock's stack
     if not isinstance(models, np.ndarray):
         models = [model.pe for model in models] or np.empty((0, 1))
     pe_block = np.asarray(models, dtype=np.float64)
@@ -411,8 +327,7 @@ def find_promising_paths_block(
         )
     _check_pe(pe_block)
     num_channels, num_levels = pe_block.shape
-    if num_paths > max_rank**num_levels:
-        num_paths = int(max_rank**num_levels)
+    num_paths = min(num_paths, max_rank**num_levels)
     thresholds = _as_thresholds(stop_threshold, num_channels)
     kernel = native.kernel()
     search = _slab if kernel is None or num_channels == 0 else kernel.tree_search
@@ -543,27 +458,3 @@ def _as_thresholds(stop_threshold, num_channels: int) -> "np.ndarray | None":
             f"shape {thresholds.shape}"
         )
     return np.where(np.isnan(thresholds), np.inf, thresholds)
-
-
-def brute_force_top_paths(
-    model: LevelErrorModel, num_paths: int, max_rank: int
-) -> PreprocessingResult:
-    """Exhaustive reference implementation (tests/ablations only).
-
-    Enumerates all ``max_rank**Nt`` position vectors and sorts by ``Pc``.
-    """
-    num_levels = model.num_levels
-    total = max_rank**num_levels
-    if total > (1 << 22):
-        raise ConfigurationError("brute force infeasible for this size")
-    grids = np.indices((max_rank,) * num_levels).reshape(num_levels, total).T + 1
-    probabilities = model.path_probabilities(grids)
-    order = np.argsort(-probabilities, kind="stable")[:num_paths]
-    return PreprocessingResult(
-        position_vectors=grids[order],
-        probabilities=probabilities[order],
-        expanded_nodes=int(total),
-        real_multiplications=0,
-        candidate_peak=int(total),
-        stopped_early=False,
-    )

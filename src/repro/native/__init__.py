@@ -243,8 +243,8 @@ def _bind(fused, search, qr) -> types.SimpleNamespace:
               counts.ctypes.data, scratch.ctypes.data)  # fmt: skip
 
     def tree_search(pe, num_paths, max_rank, batch_size, thresholds):
-        """The best-first searches of ``find_promising_paths`` for every
-        row of ``pe`` ``(C, Nt)`` in one call, ``thresholds`` ``(C,)``
+        """The §3.1.1 best-first heap searches of every row of ``pe``
+        ``(C, Nt)`` in one call, ``thresholds`` ``(C,)``
         (``+inf``: never stop) or ``None``.  Returns ``positions`` ``(C,
         P, Nt)`` and ``probabilities`` ``(C, P)``, valid up to each
         channel's count, and ``tally`` ``(C, 4)``: paths selected,

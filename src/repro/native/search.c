@@ -1,7 +1,7 @@
 /* FlexCore's pre-processing tree search (§3.1.1, Fig. 5) as one call for a
  * block of channels: the native lane of find_promising_paths_block
- * (repro/flexcore/preprocessing.py), bit-identical to find_promising_paths run
- * once per channel.  Compiled into the same object as walk.c.
+ * (repro/flexcore/preprocessing.py), bit-identical to the scalar heap run once
+ * per channel (tests/reference/path_search.py).  Compiled with walk.c.
  *
  * Per channel, a binary min-heap of (key = -Pc, serial) entries: the heap's
  * order is heapq's on (-Pc, serial), and serials are unique, so any correct

@@ -11,6 +11,7 @@ input (wrong shapes, non-finite values) is turned away.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,9 +122,14 @@ class BatchDetectionResult:
         was sharded across a cell farm, which also adds the batch's
         ``"scheduler"`` summary and the ``"ledger"`` payload it was
         rendered from, for callers that fold several batches).
+    prepared:
+        The prepared sequence the service detected from, one context per
+        subcarrier (FlexCore's stacked block), or ``None`` when the
+        uncached per-subcarrier route prepared each channel inline.
     """
 
     indices: np.ndarray
     llrs: np.ndarray | None = None
     per_subcarrier_metadata: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)
+    prepared: "Sequence | None" = field(default=None, repr=False)

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError, LoadShedError
+from repro.flexcore.preprocessing import leading_path_probabilities
 from repro.obs import (
     NULL_TRACER,
     SPAN_FLUSH,
@@ -663,9 +664,8 @@ class StreamingScheduler:
                     self.governor.observe_flush(
                         cell.cell_id,
                         record,
-                        frames_on_time=frames_on_time,
-                        channel=bucket[0].channel,
-                        noise_var=noise_var,
+                        frames_on_time,
+                        leading_path_probabilities(result.prepared),
                     )
                 for sc, group in enumerate(bucket):
                     offset = 0

@@ -379,4 +379,5 @@ class DetectionService:
             llrs=llrs,
             per_subcarrier_metadata=metadata,
             stats=stats,
+            prepared=contexts,
         )

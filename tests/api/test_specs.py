@@ -397,10 +397,12 @@ class TestSpecHelpers:
             assert governor.policy.paths_min in (2, 16)  # static pins max
             assert governor.policy.paths_max == 16
 
-    def test_snr_policy_needs_constellation(self):
-        spec = GovernorSpec(policy="snr")
-        with pytest.raises(ConfigurationError, match="constellation"):
-            spec.build_policy()
+    def test_snr_policy_needs_no_constellation(self):
+        """The SNR policy reads its budget off the cell's own path
+        search, so no spec build needs the stack's constellation."""
+        spec = GovernorSpec(policy="snr", paths_min=2, paths_max=16)
+        assert isinstance(spec.build_policy(), SnrAwarePolicy)
+        assert spec.build().policy.name == "snr"
 
     def test_farm_cell_ids(self):
         assert FarmSpec().cell_ids() == (DEFAULT_CELL,)
@@ -527,10 +529,7 @@ class TestSettableSurface:
         [
             (ComputeGovernor, ("policy", "total_path_budget")),
             (AimdPolicy, ("paths_min", "paths_max", "start", "peak_frames_hint")),
-            (
-                SnrAwarePolicy,
-                ("constellation", "paths_min", "paths_max", "target_error_rate"),
-            ),
+            (SnrAwarePolicy, ("paths_min", "paths_max", "target_error_rate")),
             (MicroBatcher, ("batch_target", "slot_budget_s")),
             (
                 StreamingScheduler,

@@ -9,17 +9,21 @@ backends and the load-shedding path end to end.
 from __future__ import annotations
 
 import asyncio
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.api import GovernorSpec
+from repro.api import DetectorSpec, GovernorSpec, build_stack, presets
 from repro.channel.fading import rayleigh_channels
 from repro.control import AimdPolicy, ComputeGovernor
 from repro.detectors.linear import MmseDetector
 from repro.errors import ConfigurationError, LoadShedError
 from repro.flexcore.detector import FlexCoreDetector
+from repro.flexcore.probability import LevelErrorModel
 from repro.mimo.model import apply_channel, noise_variance_for_snr_db
+from repro.mimo.qr import sorted_qr
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
 from repro.modulation.mapper import random_symbol_indices
@@ -32,6 +36,7 @@ from repro.runtime import (
     UplinkBatch,
 )
 from tests.conftest import make_stack, one_cell_farm
+from tests.reference.path_search import find_promising_paths
 
 
 @pytest.fixture
@@ -291,3 +296,118 @@ class TestLoadShedding:
         )
         assert 0.0 <= summary["deadline_hit_rate"] <= 1.0
         assert summary["flushes"] >= 2
+
+
+def overload_stack(detector: str, policy: str, **params):
+    """The ``farm-overload`` stack (two cells, array backend, 7-frame
+    flushes, budgets in ``[2, 128]``) at 4x4 16-QAM, under ``policy``."""
+    config = presets.get("farm-overload")
+    return build_stack(
+        replace(
+            config,
+            detector=DetectorSpec(detector, 4, 4, 16, params=params),
+            governor=replace(config.governor, policy=policy),
+        )
+    )
+
+
+def pooled_slots(system, num_slots=8, subcarriers=6, seed=3):
+    """Slots at 12 dB whose subcarriers each cell draws from a pool of
+    twice as many channels, so flushes mix cache misses with hits: rows
+    of earlier blocks, in any order."""
+    rng = np.random.default_rng(seed)
+    noise_var = noise_variance_for_snr_db(12.0)
+    pools = {
+        cell: rayleigh_channels(2 * subcarriers, 4, 4, rng)
+        for cell in ("cell0", "cell1")
+    }
+    slots = []
+    for _ in range(num_slots):
+        arrivals = []
+        for cell, pool in pools.items():
+            for index in rng.choice(len(pool), subcarriers, replace=False):
+                sent = random_symbol_indices(7, 4, system.constellation, rng)
+                received = apply_channel(
+                    pool[index], system.constellation.points[sent], noise_var, rng
+                )
+                arrivals.append(
+                    FrameArrival(pool[index], received, noise_var, cell=cell)
+                )
+        slots.append(arrivals)
+    return slots
+
+
+class TestSnrGovernedStream:
+    def test_every_tick_is_the_heaps_budget_on_the_last_flush(
+        self, system, monkeypatch
+    ):
+        """On every control tick each cell's budget is what the scalar
+        §3.1.1 heap, stopping at ``1 - target``, selects for the first
+        channel of that cell's latest flush."""
+        last, checked = {}, []
+        detect = DetectionService.detect
+
+        def spy_detect(service, detector, batch, **kwargs):
+            spy_detect.batch = batch
+            return detect(service, detector, batch, **kwargs)
+
+        monkeypatch.setattr(DetectionService, "detect", spy_detect)
+        with overload_stack("flexcore", "snr", num_paths=128) as stack:
+            governor = stack.governor
+            policy = governor.policy
+            observe, tick = governor.observe_flush, governor.tick
+
+            def spy_observe(cell_id, record, *args, **kwargs):
+                last[cell_id] = spy_detect.batch
+                observe(cell_id, record, *args, **kwargs)
+
+            def spy_tick(now):
+                tick(now)
+                for cell_id, batch in last.items():
+                    model = LevelErrorModel.from_channel(
+                        sorted_qr(batch.channels[0]).r,
+                        batch.noise_var,
+                        system.constellation,
+                    )
+                    heap = find_promising_paths(
+                        model,
+                        policy.paths_max,
+                        system.constellation.order,
+                        stop_threshold=1.0 - policy.target_error_rate,
+                    )
+                    checked.append(
+                        (
+                            governor.path_budget(cell_id),
+                            policy.clamp(heap.expanded_nodes),
+                        )
+                    )
+
+            monkeypatch.setattr(governor, "observe_flush", spy_observe)
+            monkeypatch.setattr(governor, "tick", spy_tick)
+            # Paced slots with no deadline: the governor ticks at every
+            # pass of the service loop, and no frame is ever late.
+            outcome, _ = stack.pace(
+                pooled_slots(system), slot_interval_s=0.02, slot_budget_s=math.inf
+            )
+        assert outcome.frames_detected == outcome.frames_submitted
+        assert len(checked) >= 4
+        assert [budget for budget, _ in checked] == [
+            heap for _, heap in checked
+        ]
+        assert len({budget for budget, _ in checked}) > 1
+
+    def test_aimd_governed_fcsd_stream_runs(self, system):
+        with overload_stack("fcsd", "aimd") as stack:
+            outcome, _ = stack.pace(pooled_slots(system, num_slots=3))
+            assert stack.governor.telemetry.ticks > 0
+        assert outcome.frames_detected == outcome.frames_submitted > 0
+
+    def test_snr_governed_mmse_stream_holds_paths_max(self, system):
+        """A detector that runs no path search gives the policy no row:
+        every cell holds its initial budget."""
+        with overload_stack("mmse", "snr") as stack:
+            outcome, _ = stack.pace(pooled_slots(system, num_slots=3))
+            governor = stack.governor
+            assert governor.telemetry.ticks > 0
+            assert governor.budgets() == {"cell0": 128, "cell1": 128}
+        assert outcome.frames_detected == outcome.frames_submitted > 0

@@ -117,20 +117,26 @@ class TestControlLaw:
         assert sum(budgets.values()) <= 40
         assert all(budget >= 1 for budget in budgets.values())
 
-    def test_snr_channel_reaches_the_policy(self):
+    def test_snr_path_probabilities_reach_the_policy(self):
         from repro.control import SnrAwarePolicy
+        from repro.flexcore import FlexCoreDetector
+        from repro.flexcore.preprocessing import leading_path_probabilities
+        from repro.mimo.system import MimoSystem
         from repro.modulation.constellation import QamConstellation
 
-        governor = ComputeGovernor(
-            SnrAwarePolicy(QamConstellation(16), 1, 64)
+        detector = FlexCoreDetector(
+            MimoSystem(4, 4, QamConstellation(16)), num_paths=64
         )
         # A crisp, well-conditioned channel: the desired budget collapses.
-        governor.observe_flush(
-            "cell0",
-            flush_record(),
-            channel=np.eye(4) * 4.0,
-            noise_var=1e-4,
+        row = leading_path_probabilities(
+            detector.prepare_many((np.eye(4) * 4.0)[None], 1e-4)
         )
+        governor = ComputeGovernor(SnrAwarePolicy(1, 64))
+        governor.observe_flush("cell0", flush_record(), path_probabilities=row)
+        governor.tick(0.0)
+        assert governor.path_budget("cell0") <= 4
+        # A later flush without a row keeps the last row's budget.
+        governor.observe_flush("cell0", flush_record(), 56, None)
         governor.tick(0.0)
         assert governor.path_budget("cell0") <= 4
 

@@ -17,7 +17,20 @@ from repro.control.policy import (
     allocate_budget,
 )
 from repro.errors import ConfigurationError
+from repro.flexcore import FlexCoreDetector
+from repro.flexcore.preprocessing import leading_path_probabilities
+from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
+
+
+def path_probabilities(channel, noise_var, num_paths=64):
+    """The pop-order ``Pc`` row a 16-QAM FlexCore cell flushes for
+    ``channel``."""
+    detector = FlexCoreDetector(
+        MimoSystem(*np.shape(channel), QamConstellation(16)), num_paths
+    )
+    prepared = detector.prepare_many(np.asarray(channel)[None], noise_var)
+    return leading_path_probabilities(prepared)
 
 #: Synthetic control windows: busy/quiet, clean/missing, varied latency.
 observations = st.builds(
@@ -89,22 +102,24 @@ class TestBudgetBounds:
         paths_min=st.integers(min_value=1, max_value=4),
         span=st.integers(min_value=0, max_value=60),
         snr_db=st.floats(min_value=-5.0, max_value=40.0),
+        num_paths=st.integers(min_value=1, max_value=128),
     )
-    def test_snr_aware_within_bounds(self, seed, paths_min, span, snr_db):
+    def test_snr_aware_within_bounds(
+        self, seed, paths_min, span, snr_db, num_paths
+    ):
         rng = np.random.default_rng(seed)
         channel = rng.standard_normal((4, 4)) + 1j * rng.standard_normal(
             (4, 4)
         )
         noise_var = 10 ** (-snr_db / 10)
-        policy = SnrAwarePolicy(
-            QamConstellation(16), paths_min, paths_min + span
-        )
+        policy = SnrAwarePolicy(paths_min, paths_min + span)
         observation = CellObservation(
             cell_id="cell0",
             budget=policy.initial_budget(),
             frames=7,
-            channel=channel,
-            noise_var=noise_var,
+            path_probabilities=path_probabilities(
+                channel, noise_var, num_paths
+            ),
         )
         budget = policy.update(observation)
         assert paths_min <= budget <= paths_min + span
@@ -238,28 +253,46 @@ class TestAimd:
 
 
 class TestSnrAware:
-    def test_clean_channel_needs_few_paths(self):
-        policy = SnrAwarePolicy(
-            QamConstellation(16), 1, 64, target_error_rate=0.05
+    @staticmethod
+    def _update(policy, row):
+        return policy.update(
+            CellObservation(
+                cell_id="cell0", budget=64, path_probabilities=row
+            )
         )
-        clean = policy.budget_for_channel(np.eye(4) * 4.0, 1e-4)
-        assert clean <= 4
+
+    def test_clean_channel_needs_few_paths(self):
+        policy = SnrAwarePolicy(1, 64, target_error_rate=0.05)
+        clean = path_probabilities(np.eye(4) * 4.0, 1e-4)
+        assert self._update(policy, clean) <= 4
 
     def test_harsh_channel_saturates(self):
-        policy = SnrAwarePolicy(
-            QamConstellation(16), 1, 64, target_error_rate=0.01
-        )
-        harsh = policy.budget_for_channel(np.eye(4) * 0.05, 1.0)
-        assert harsh == 64
+        policy = SnrAwarePolicy(1, 64, target_error_rate=0.01)
+        harsh = path_probabilities(np.eye(4) * 0.05, 1.0)
+        assert self._update(policy, harsh) == 64
 
-    def test_no_channel_keeps_current_budget(self):
-        policy = SnrAwarePolicy(QamConstellation(16), 2, 64)
-        observation = CellObservation(cell_id="cell0", budget=64)
-        assert policy.update(observation) == 64
+    def test_budget_is_the_covering_prefix(self):
+        """Exact binary fractions: the mass reaches 1 - 0.125 at the
+        third path, so a budget of three, raised to the floor of four."""
+        row = np.array([0.5, 0.25, 0.125, 0.0625, 0.03125])
+        assert self._update(SnrAwarePolicy(1, 64, 0.125), row) == 3
+        assert self._update(SnrAwarePolicy(4, 64, 0.125), row) == 4
+
+    def test_short_row_caps_the_budget(self):
+        """A cell walking fewer paths than ``paths_max`` whose row never
+        covers the target asks for every path it has."""
+        row = np.array([0.5, 0.25, 0.125])
+        assert self._update(SnrAwarePolicy(1, 64, 0.01), row) == 3
+
+    def test_no_row_keeps_current_budget(self):
+        policy = SnrAwarePolicy(2, 64)
+        assert self._update(policy, np.array([0.99])) == 2
+        assert self._update(policy, None) == 2
+        assert self._update(SnrAwarePolicy(2, 64), None) == 64
 
     def test_target_validation(self):
         with pytest.raises(ConfigurationError):
-            SnrAwarePolicy(QamConstellation(16), 1, 8, target_error_rate=0.0)
+            SnrAwarePolicy(1, 8, target_error_rate=0.0)
 
 
 class TestAllocateBudget:

@@ -271,22 +271,63 @@ class TestConfigFlags:
             main(["--experiment", "table3", "--config", str(path)])
         assert "detecter" in capsys.readouterr().err
 
-    def test_saved_json_always_embeds_parseable_config(
-        self, tmp_path, monkeypatch
+    def test_stackless_experiment_saves_no_config(
+        self, tmp_path, monkeypatch, capsys
     ):
-        """Every runner-saved JSON carries a config block from_dict
-        accepts — even for experiments that know nothing of stacks."""
+        """An experiment that builds no stack embeds no config: the
+        runtime flags of its run touched nothing, and the runner says so."""
 
         def stub(profile):
             return self._stub_result()
 
         monkeypatch.setitem(EXPERIMENTS, "stub", stub)
         code = main(
-            ["--experiment", "stub", "--out", str(tmp_path)]
+            ["--experiment", "stub", "--backend", "array", "--out", str(tmp_path)]
         )
         assert code == 0
         payload = json.loads((tmp_path / "stub.json").read_text())
-        assert StackConfig.from_dict(payload["config"]) == StackConfig()
+        assert "config" not in payload
+        out = capsys.readouterr().out
+        assert "[stub: builds no stack, runtime flags ignored]" in out
+
+    def test_dump_config_is_the_config_the_run_embeds(
+        self, tmp_path, monkeypatch
+    ):
+        """With no --config / --preset the dump is the experiment's own
+        default with the flags layered on — what its saved JSON embeds."""
+        default = StackConfig(cache=CacheSpec(max_entries=4096))
+
+        def stub(profile, stack_config=default):
+            result = self._stub_result()
+            result.config = stack_config.to_dict()
+            return result
+
+        monkeypatch.setitem(EXPERIMENTS, "stub", stub)
+        dump = tmp_path / "dump.json"
+        code = main(
+            ["--experiment", "stub", "--dump-config", str(dump), "--out", str(tmp_path)]
+        )
+        assert code == 0
+        saved = json.loads((tmp_path / "stub.json").read_text())["config"]
+        dumped = StackConfig.from_dict(json.loads(dump.read_text()))
+        assert dumped == StackConfig.from_dict(saved) == default
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--experiment", "table3"], "builds no stack"),
+            (["--all"], "own default"),
+        ],
+        ids=["stackless", "all-on-defaults"],
+    )
+    def test_dump_config_refuses_without_one_config(
+        self, tmp_path, capsys, argv, reason
+    ):
+        dump = tmp_path / "dump.json"
+        with pytest.raises(SystemExit):
+            main([*argv, "--dump-config", str(dump)])
+        assert reason in capsys.readouterr().err
+        assert not dump.exists()
 
     def test_fig9_style_experiment_config_wins(self, monkeypatch):
         """A stack_config-aware experiment gets the authoritative config

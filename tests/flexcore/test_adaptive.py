@@ -2,11 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.channel.fading import rayleigh_channel
 from repro.errors import ConfigurationError
 from repro.flexcore.adaptive import AdaptiveFlexCoreDetector
 from repro.flexcore.detector import FlexCoreDetector
+from repro.flexcore.preprocessing import (
+    covering_prefix,
+    leading_path_probabilities,
+)
+from repro.flexcore.probability import LevelErrorModel
+from repro.mimo.model import noise_variance_for_snr_db
+from repro.mimo.qr import sorted_qr
+from repro.mimo.system import MimoSystem
+from repro.modulation.constellation import QamConstellation
 from tests.conftest import random_link
+from tests.reference.path_search import find_promising_paths
 
 
 class TestActivation:
@@ -94,3 +106,46 @@ class TestValidation:
             AdaptiveFlexCoreDetector(
                 small_system, num_paths=8, probability_target=0.0
             )
+
+
+class TestCoveringPrefix:
+    """a-FlexCore's rule on a prepared block's row is the count at which
+    the reference heap, run on its own sorted QR with ``stop_threshold =
+    1 - target``, stops: the SNR policy's budget before it read rows."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        num_streams=st.integers(min_value=2, max_value=12),
+        qam_order=st.sampled_from([4, 16, 64]),
+        target=st.floats(min_value=1e-4, max_value=0.5),
+        paths_max=st.integers(min_value=1, max_value=128),
+        snr_db=st.floats(min_value=0.0, max_value=40.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_prefix_is_the_heaps_stopping_count(
+        self, num_streams, qam_order, target, paths_max, snr_db, seed
+    ):
+        constellation = QamConstellation(qam_order)
+        system = MimoSystem(num_streams, num_streams, constellation)
+        channel = rayleigh_channel(num_streams, num_streams, rng=seed)
+        noise_var = noise_variance_for_snr_db(snr_db)
+        detector = FlexCoreDetector(system, num_paths=paths_max)
+        row = leading_path_probabilities(
+            detector.prepare_many(channel[None], noise_var)
+        )
+        model = LevelErrorModel.from_channel(
+            sorted_qr(channel).r, noise_var, constellation
+        )
+        heap = find_promising_paths(
+            model, paths_max, qam_order, stop_threshold=1.0 - target
+        )
+        assert covering_prefix(row, len(row), 1.0 - target) == (
+            heap.expanded_nodes
+        )
+
+    def test_rows_valid_up_to_their_counts(self):
+        """Entries past a row's count never count, whatever they hold."""
+        rows = np.array([[0.5, 0.25, 0.125, 9.0], [0.5, 0.25, 9.0, 9.0]])
+        counts = np.array([3, 2])
+        assert covering_prefix(rows, counts, 0.875).tolist() == [3, 2]
+        assert covering_prefix(rows, counts, 0.75).tolist() == [2, 2]

@@ -29,15 +29,15 @@ from repro import native
 from repro.channel.fading import rayleigh_channels
 from repro.errors import ConfigurationError, DimensionError
 from repro.flexcore import preprocessing
-from repro.flexcore.preprocessing import (
-    brute_force_top_paths,
-    find_promising_paths,
-    find_promising_paths_block,
-)
+from repro.flexcore.preprocessing import find_promising_paths_block
 from repro.flexcore.probability import _PE_MAX, _PE_MIN, LevelErrorModel
 from repro.mimo.qr import stacked_sorted_qr
 from repro.modulation.constellation import QamConstellation
 from repro.utils.flops import FlopCounter
+from tests.reference.path_search import (
+    brute_force_top_paths,
+    find_promising_paths,
+)
 
 
 # The lane is patched once for all of a test's examples, as meant.

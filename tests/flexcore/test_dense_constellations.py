@@ -5,11 +5,11 @@ import pytest
 
 from repro.flexcore.detector import FlexCoreDetector
 from repro.flexcore.ordering import TriangleOrdering
-from repro.flexcore.preprocessing import find_promising_paths
 from repro.flexcore.probability import LevelErrorModel
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
 from tests.conftest import random_link
+from tests.reference.path_search import find_promising_paths
 
 
 @pytest.fixture(scope="module")

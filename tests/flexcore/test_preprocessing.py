@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.flexcore.preprocessing import (
+from repro.flexcore.probability import LevelErrorModel
+from repro.utils.flops import FlopCounter
+from tests.reference.path_search import (
     brute_force_top_paths,
     find_promising_paths,
 )
-from repro.flexcore.probability import LevelErrorModel
-from repro.utils.flops import FlopCounter
 
 
 def _model(pe_values) -> LevelErrorModel:
