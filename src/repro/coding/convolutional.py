@@ -77,6 +77,9 @@ class ConvolutionalCode:
             for g_index, gen in enumerate(self.generators):
                 masked = register & gen
                 self.output_bits[:, bit, g_index] = _bit_parity(masked)
+        # Read-only, so one code can serve every link that shares it.
+        self.next_state.setflags(write=False)
+        self.output_bits.setflags(write=False)
 
     @property
     def tail_bits(self) -> int:

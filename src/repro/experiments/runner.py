@@ -18,8 +18,9 @@ flags (``--backend`` / ``--streaming`` / ``--cells`` / ``--governor``) on
 top.  Every saved experiment JSON embeds the config its stacks were
 built from under ``"config"``, so published results are reproducible
 from their own metadata; an experiment that builds no stack saves none.
-``--dump-config`` writes the one config the run hands its experiments,
-and refuses when there is none or more than one.
+``--dump-config`` writes the one config the run hands its experiments —
+a link experiment is handed the runtime half it saves — and refuses
+when there is none or more than one.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from repro.experiments import (
     table3,
 )
 from repro.experiments.common import atomic_write_text
+from repro.experiments.linkruns import runtime_stack_config
 from repro.obs import clear_global, install_global
 
 EXPERIMENTS = {
@@ -70,6 +72,8 @@ EXPERIMENTS = {
     "farm": farm.run,
     "fleet": fleet.run,
 }
+#: The experiments that run, and save, the runtime half of their config.
+LINK_EXPERIMENTS = frozenset({"fig9", "fig10", "fig12", "soft_gain", "table1"})
 
 
 def _load_base_config(args, parser) -> "StackConfig | None":
@@ -245,6 +249,8 @@ def main(argv=None) -> int:
             for name in names
             if (parameter := inspect.signature(EXPERIMENTS[name]).parameters.get("stack_config"))
         }
+        for name in LINK_EXPERIMENTS.intersection(configs):
+            configs[name] = runtime_stack_config(configs[name])
     except ConfigurationError as error:
         parser.error(str(error))
 
@@ -253,8 +259,8 @@ def main(argv=None) -> int:
         if not dumped:
             parser.error(f"--dump-config: {names[0]} builds no stack, so it has no config")
         if any(config != dumped[0] for config in dumped):
-            parser.error("--dump-config: --all runs each experiment on its own default; "
-                         "give --config or --preset")  # fmt: skip
+            parser.error("--dump-config: --all runs each experiment on its own default, and "
+                         "link experiments drop detector and governor; give one --experiment")  # fmt: skip
         atomic_write_text(args.dump_config, json.dumps(dumped[0].to_dict(), indent=2) + "\n")
         print(f"[effective stack config written to {args.dump_config}]")
         if not names:

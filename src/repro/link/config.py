@@ -18,6 +18,10 @@ from repro.mimo.system import MimoSystem
 from repro.ofdm.params import WIFI_20MHZ, OfdmParams
 
 
+#: The 802.11 K=7 mother code: one per process, read-only tables.
+_CODE = ConvolutionalCode()
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     """Static parameters of a coded MU-MIMO uplink simulation."""
@@ -50,7 +54,7 @@ class LinkConfig:
 
     @property
     def code(self) -> ConvolutionalCode:
-        return ConvolutionalCode()
+        return _CODE
 
     @property
     def coded_bits_per_packet(self) -> int:

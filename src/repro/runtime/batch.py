@@ -32,11 +32,17 @@ class UplinkBatch:
         ``(S, F, Nr)`` complex — ``F`` received vectors per subcarrier.
     noise_var:
         Per-receive-antenna noise variance shared by the batch.
+    keys:
+        Optional ``(S,)`` :func:`~repro.runtime.cache.block_context_keys`
+        of ``channels`` under ``noise_var``, made where they entered (a
+        streaming flush hands over its micro-batcher's), so the cache
+        does not make them again.
     """
 
     channels: np.ndarray
     received: np.ndarray
     noise_var: float
+    keys: "list[bytes] | None" = None
 
     def __post_init__(self) -> None:
         if self.noise_var is None:
@@ -67,6 +73,8 @@ class UplinkBatch:
                 f"received vectors have {received.shape[2]} antennas, "
                 f"channels have {channels.shape[1]}"
             )
+        if self.keys is not None and len(self.keys) != channels.shape[0]:
+            raise DimensionError(f"{len(self.keys)} context keys for {channels.shape[0]} channels")
         noise_var = float(self.noise_var)
         # One check for every route: a NaN that got past here would come
         # back as all-NaN LLRs, or as an IndexError from inside the walk.

@@ -6,20 +6,24 @@ context serves every OFDM symbol — and every retransmission — until the
 channel changes.  The link layer expresses that coherence implicitly by
 handing the stack *identical channel matrices* (a testbed trace cycling
 its frames, a static packet channel); the cache recovers the amortisation
-by content-addressing contexts on the channel bytes, with no explicit
-coherence bookkeeping required from the caller.
+by addressing contexts by the channel bytes, with no explicit coherence
+bookkeeping required from the caller.
 
-What is cached is one row of a prepared block per channel: a miss block
-is prepared as one stacked block and stays one, and a warm batch of the
-same channels in the same order gets that block back — the walk plans
-kept on it included (:mod:`repro.runtime.residency`).
+Keys are exact (:func:`block_context_keys`) and made once, where a
+channel enters: an :class:`~repro.runtime.batch.UplinkBatch` may carry
+them (a streaming flush hands over its micro-batcher's).  Entries are
+block-granular: a miss block is prepared as one stacked block and stays
+one, and a batch repeating a cached block exactly costs one lookup plus
+its LRU touches and gets that block back, the walk plans kept on it
+included (:mod:`repro.runtime.residency`).
 """
 
 from __future__ import annotations
 
-import hashlib
+import math
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -65,50 +69,50 @@ class CacheStats:
 
 
 def context_key(channel: np.ndarray, noise_var: float) -> bytes:
-    """Content digest identifying one ``prepare`` input.
+    """The exact key of one ``prepare`` input: row 0 of
+    :func:`block_context_keys` on the one-channel block ``channel[None]``.
 
-    Detector contexts are pure functions of ``(channel, noise_var)`` —
-    the batching contract on :meth:`repro.detectors.base.Detector.prepare`
-    — so equal digests imply interchangeable contexts.
+    Detector contexts are pure functions of ``(channel, noise_var)`` (the
+    batching contract on :meth:`repro.detectors.base.Detector.prepare`)
+    and the key holds both, so equal keys mean interchangeable contexts.
     """
-    channel = np.ascontiguousarray(channel)
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(str(channel.shape).encode())
-    digest.update(np.float64(noise_var).tobytes())
-    digest.update(channel.tobytes())
-    return digest.digest()
+    channel = np.asarray(channel)
+    return _prefix(channel, noise_var) + np.ascontiguousarray(channel).tobytes()
 
 
-def block_context_keys(
-    channels: np.ndarray, noise_var: float
-) -> list[bytes]:
-    """Per-subcarrier context keys for a ``(S, Nr, Nt)`` channel block.
+def block_context_keys(channels: np.ndarray, noise_var: float) -> list[bytes]:
+    """Exact context keys of a ``(S, Nr, Nt)`` channel block, one per channel.
 
-    Byte-identical to ``[context_key(channels[sc], noise_var) for sc in
-    ...]`` — contexts cached under one spelling are found under the
-    other — but the shared shape/noise digest prefix is hashed once and
-    the per-slice ``ascontiguousarray`` copy is skipped entirely when
-    the block is already contiguous (slices of a C-contiguous block are
-    C-contiguous; one whole-block copy covers the rest).
+    A key is the block's ``(Nr, Nt)`` shape, dtype and ``noise_var``
+    followed by the channel's own bytes: no digest, so keys cannot
+    collide.  One copy into an ``(S, prefix + row)`` byte buffer makes
+    them all; contiguous or not, they are the channels' own
+    :func:`context_key`.
     """
     channels = np.asarray(channels)
     if channels.ndim != 3:
-        raise ConfigurationError(
-            f"block_context_keys wants a (S, Nr, Nt) block, got "
-            f"{channels.shape}"
-        )
-    if not channels.flags["C_CONTIGUOUS"]:
-        channels = np.ascontiguousarray(channels)
-    prefix = (
-        str(channels.shape[1:]).encode() + np.float64(noise_var).tobytes()
-    )
-    keys = []
-    for sc in range(channels.shape[0]):
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(prefix)
-        digest.update(channels[sc].tobytes())
-        keys.append(digest.digest())
-    return keys
+        raise ConfigurationError(f"block_context_keys wants (S, Nr, Nt), got {channels.shape}")
+    prefix = np.frombuffer(_prefix(channels, noise_var), dtype=np.uint8)
+    rows = np.ascontiguousarray(channels).reshape(len(channels), math.prod(channels.shape[1:]))
+    rows = rows.view(np.uint8)
+    keys = np.empty((len(rows), prefix.size + rows.shape[1]), dtype=np.uint8)
+    keys[:, : prefix.size] = prefix
+    keys[:, prefix.size :] = rows
+    return keys.view(np.dtype((np.void, keys.shape[1]))).ravel().tolist()
+
+
+def _prefix(channels: np.ndarray, noise_var: float) -> bytes:
+    """What a block's keys share: its channels' shape, dtype and noise."""
+    return f"{channels.shape[-2:]}{channels.dtype.str}".encode() + np.float64(noise_var).tobytes()
+
+
+class _Held:
+    """A prepared sequence entries point into, its rows' keys and how many still do."""
+
+    __slots__ = ("sequence", "keys", "live")
+
+    def __init__(self, sequence, keys: list, live: int = 0):
+        self.sequence, self.keys, self.live = sequence, keys, live
 
 
 class ContextCache:
@@ -116,13 +120,12 @@ class ContextCache:
 
     ``detector.prepare_many`` returns a sequence indexable by channel —
     FlexCore's one stacked :class:`~repro.flexcore.preprocessing.PreparedBlock`
-    — and an entry maps a channel's digest to ``(that sequence, row)``.
-    A batch whose rows are exactly one cached sequence in its prepared
-    order, the steady state of a warm stream, gets that sequence back
-    unchanged; rows of one sequence in another order or with repeats (a
-    streaming flush) get those rows of it (its ``select``); rows of
-    several get gathered into a new sequence, and their entries move to
-    it.
+    — and an entry maps a channel's key to ``(that sequence, row)``.  A
+    batch of exactly one cached sequence's keys in order (a warm stream's
+    steady state) gets that sequence back after one lookup; rows of one
+    sequence in another order or with repeats (a streaming flush) get its
+    ``select``; rows of several get gathered into a new sequence, and
+    their entries move to it.
 
     One cache serves one detector configuration (its
     :class:`~repro.runtime.cells.Cell` owns it); sharing a cache between
@@ -143,37 +146,18 @@ class ContextCache:
         if max_entries <= 0:
             raise ConfigurationError("cache needs at least one entry")
         self.max_entries = int(max_entries)
-        self._entries: "OrderedDict[bytes, tuple[Any, int]]" = OrderedDict()
-        # Per sequence the entries point into: [how many do, its rows].
-        self._held: dict[int, list] = {}
-        self._rows = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self._entries: "OrderedDict[bytes, tuple[_Held, int]]" = OrderedDict()
+        self._rows = 0  # of the sequences at least one entry points into
+        self.hits = self.misses = self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
     # ------------------------------------------------------------------
-    def get_or_prepare(
-        self,
-        detector,
-        channel: np.ndarray,
-        noise_var: float,
-        counter: FlopCounter = NULL_COUNTER,
-    ) -> Any:
-        """Serve ``detector.prepare(channel, noise_var)`` with coherence reuse.
-
-        A hit charges nothing to ``counter`` — the amortisation being
-        measured; a miss prepares the channel as a one-channel block
-        (charging its FLOPs) and caches it.
-        """
-        channel = np.asarray(channel)
-        prepared, row = self._entry(
-            context_key(channel, noise_var),
-            lambda: (detector.prepare_many(channel[None], noise_var, counter=counter), 0),
-        )
-        return prepared[row]
+    def get_or_prepare(self, detector, channel, noise_var, counter=NULL_COUNTER) -> Any:
+        """Serve ``detector.prepare(channel, noise_var)`` with coherence
+        reuse: row 0 of the one-channel block."""
+        return self.get_or_prepare_block(detector, np.asarray(channel)[None], noise_var, counter)[0]
 
     def get_or_prepare_block(
         self,
@@ -181,86 +165,100 @@ class ContextCache:
         channels: np.ndarray,
         noise_var: float,
         counter: FlopCounter = NULL_COUNTER,
+        keys: "list[bytes] | None" = None,
     ):
         """Serve a whole ``(S, Nr, Nt)`` coherence block: a sequence
-        indexable by subcarrier.
+        indexable by subcarrier, under ``keys`` when the caller already
+        made the block's :func:`block_context_keys`.
 
-        Cache misses are deduplicated and prepared in one
-        ``detector.prepare_many`` call, then the block replays the exact
-        per-subcarrier LRU bookkeeping, so hit/miss/eviction statistics
-        and charged FLOPs are identical to calling :meth:`get_or_prepare`
-        once per subcarrier.
+        A hit charges nothing to ``counter`` — the amortisation being
+        measured.  Misses are deduplicated into one ``prepare_many`` call,
+        and hit, miss and eviction counts and charged FLOPs are those of
+        one LRU lookup per subcarrier, in order, each miss on its own.
         """
         channels = np.asarray(channels)
-        keys = block_context_keys(channels, noise_var)
+        keys = block_context_keys(channels, noise_var) if keys is None else list(keys)
+        entries = self._entries
+        held, row = entries.get(keys[0], (None, 1)) if keys else (None, 1)
+        if row == 0 and held.live == len(held.keys) == len(keys) and held.keys == keys:
+            # A cached block repeated exactly: each key still points at its row.
+            self.hits += len(keys)
+            for key in held.keys:
+                entries.move_to_end(key)
+            return held.sequence
+
+        def prepare(rows):
+            return detector.prepare_many(channels[rows], noise_var, counter=counter)
+
+        if entries.keys().isdisjoint(keys) and len(set(keys)) == len(keys):
+            # Every key new and distinct (or none): one block, entered whole.
+            sequence = prepare(np.arange(len(keys)))
+            self.misses += len(keys)
+            self._enter(keys, sequence)
+            self._evict()
+        else:
+            sequence = self._replay(keys, prepare)
+        self._compact(len(keys))
+        return sequence
+
+    def _replay(self, keys: list, prepare):
+        """The exact fallback: one LRU lookup per subcarrier, in order,
+        the misses prepared up front, deduplicated, as one block."""
+        entries = self._entries
         fresh: dict[bytes, int] = {}
         for sc, key in enumerate(keys):
-            if key not in self._entries and key not in fresh:
-                fresh[key] = sc
-        prepared = None
-        if fresh or not keys:
-            # An empty batch is the detector's own empty sequence.
-            prepared = detector.prepare_many(
-                channels[list(fresh.values())], noise_var, counter=counter
-            )
-            fresh = {key: (prepared, row) for row, key in enumerate(fresh)}
-        pairs = [
-            # A duplicate key whose first insertion was already evicted
-            # (cache smaller than the block) is re-prepared, exactly as
-            # the serial loop would.
-            self._entry(
-                key,
-                lambda: fresh.pop(key, None)
-                or (detector.prepare_many(channels[sc : sc + 1], noise_var, counter=counter), 0),
-            )
-            for sc, key in enumerate(keys)
-        ]
-        first = pairs[0][0] if pairs else prepared
-        if any(prepared is not first for prepared, _ in pairs):
+            if key not in entries:
+                fresh.setdefault(key, sc)
+        if fresh:
+            prepared = _Held(prepare(list(fresh.values())), list(fresh))
+            fresh = dict(zip(fresh, range(len(fresh))))
+        pairs = []
+        for sc, key in enumerate(keys):
+            pair = entries.get(key)
+            if pair is not None:
+                self.hits += 1
+                entries.move_to_end(key)
+            else:
+                self.misses += 1
+                row = fresh.pop(key, None)
+                # A duplicate whose first entry was already evicted (a cache
+                # smaller than the block) is prepared again, as the serial loop does.
+                pair = (prepared, row) if row is not None else (_Held(prepare([sc]), [key]), 0)
+                self._point(key, pair)
+                self._evict()
+            pairs.append(pair)
+        first, rows = pairs[0][0], [row for _, row in pairs]
+        if any(held is not first for held, _ in pairs):
             # Rows of several sequences: gathered into one, which their
             # entries then point into.
-            gathered = _gather(pairs)
+            gathered = _Held(_gather([(held.sequence, row) for held, row in pairs]), keys)
             for sc, key in enumerate(keys):
-                if key in self._entries:
+                if key in entries:
                     self._point(key, (gathered, sc))
-        else:
-            rows = [row for _, row in pairs]
-            select = getattr(first, "select", lambda rows: [first[row] for row in rows])
-            gathered = first if rows == list(range(len(first))) else select(rows)
-        self._compact(len(pairs))
-        return gathered
+            return gathered.sequence
+        if rows == list(range(len(first.keys))):
+            return first.sequence
+        select = getattr(first.sequence, "select", None)
+        return select(rows) if select else [first.sequence[row] for row in rows]
 
-    def _entry(self, key: bytes, prepare) -> "tuple[Any, int]":
-        """The ``(sequence, row)`` cached under ``key``, or ``prepare()``'s,
-        cached, on a miss — with the LRU bookkeeping of one lookup."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return entry
-        self.misses += 1
-        entry = prepare()
-        self._point(key, entry)
-        if len(self._entries) > self.max_entries:
-            self._release(self._entries.popitem(last=False)[1])
-            self.evictions += 1
-        return entry
-
-    def _point(self, key: bytes, entry: "tuple[Any, int]") -> None:
-        """Point ``key`` at ``entry``, counting the rows held."""
+    def _point(self, key: bytes, pair: "tuple[_Held, int]") -> None:
+        """Point ``key`` at ``pair``, counting the rows held."""
         if key in self._entries:
-            self._release(self._entries[key])
-        self._entries[key] = entry
-        held = self._held.setdefault(id(entry[0]), [0, len(entry[0])])
-        self._rows += held[1] if held[0] == 0 else 0
-        held[0] += 1
+            self._release(self._entries[key][0])
+        self._entries[key] = pair
+        held = pair[0]
+        self._rows += 0 if held.live else len(held.keys)
+        held.live += 1
 
-    def _release(self, entry: "tuple[Any, int]") -> None:
-        held = self._held[id(entry[0])]
-        held[0] -= 1
-        if held[0] == 0:
-            del self._held[id(entry[0])]
-            self._rows -= held[1]
+    def _release(self, held: _Held) -> None:
+        held.live -= 1
+        self._rows -= 0 if held.live else len(held.keys)
+
+    def _evict(self) -> None:
+        """Drop least recently used entries down to ``max_entries``."""
+        while len(self._entries) > self.max_entries:
+            self._release(self._entries.popitem(last=False)[1][0])
+            self.evictions += 1
 
     def _compact(self, batch: int) -> None:
         """Keep the rows of the sequences the entries point into within
@@ -271,18 +269,21 @@ class ContextCache:
         the bound, every entry is gathered into one new sequence with no
         dead row.
         """
-        if self._rows <= self.max_entries + batch:
-            return
-        keys = list(self._entries)
-        compact = _gather(list(self._entries.values()))
-        for row, key in enumerate(keys):
-            self._point(key, (compact, row))
+        if self._rows > self.max_entries + batch:
+            keys, pairs = list(self._entries), list(self._entries.values())
+            self.clear()
+            self._enter(keys, _gather([(held.sequence, row) for held, row in pairs]))
+
+    def _enter(self, keys: list, sequence) -> None:
+        """Enter new ``keys``, in order, each at its row of ``sequence``."""
+        held = _Held(sequence, keys, live=len(keys))
+        self._entries.update(zip(keys, zip(repeat(held), range(len(keys)))))
+        self._rows += len(keys)
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
         """Drop all contexts (e.g. on a coherence-interval boundary)."""
         self._entries.clear()
-        self._held.clear()
         self._rows = 0
 
     @property
@@ -303,4 +304,3 @@ def _gather(pairs):
     if gather is not None:
         return gather(pairs)
     return [prepared[row] for prepared, row in pairs]
-

@@ -31,6 +31,7 @@ Two layers, deliberately separated:
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import math
 import time
 from collections import OrderedDict
@@ -593,15 +594,15 @@ class StreamingScheduler:
         tracer = self._tracer
         for (noise_var, _frames, _reason), bucket in buckets.items():
             if tracer.enabled:
-                # Attribute computation (key hex etc.) only when a real
-                # tracer records — the disabled path stays attribute-free.
+                # Attributes (the key's digest etc.) only when a real tracer
+                # records — the disabled path stays attribute-free.
                 span_cm = tracer.span(
                     SPAN_FLUSH,
                     cell=cell.cell_id,
                     reason=bucket[0].reason,
                     subcarriers=len(bucket),
                     frames=sum(g.frames for g in bucket),
-                    coherence_key=bucket[0].key.hex()[:16],
+                    coherence_key=hashlib.blake2b(bucket[0].key, digest_size=8).hexdigest(),
                     path_budget=path_budget,
                 )
             else:
@@ -613,10 +614,9 @@ class StreamingScheduler:
                     # futures instead of escaping the flush.
                     batch = UplinkBatch(
                         channels=np.stack([g.channel for g in bucket]),
-                        received=np.stack(
-                            [g.stacked_received() for g in bucket]
-                        ),
+                        received=np.stack([g.stacked_received() for g in bucket]),
                         noise_var=noise_var,
+                        keys=[g.key for g in bucket],
                     )
                     flushed_s = self.clock()
                     result = self.service.detect(

@@ -242,16 +242,14 @@ class DetectionService:
         """Contexts for every subcarrier — a sequence indexable by
         subcarrier — and the batch's cache movement.
 
-        Through a cache, the misses of the whole batch are deduplicated
-        and prepared in one ``prepare_many`` call
-        (:meth:`~repro.runtime.cache.ContextCache.get_or_prepare_block`)
-        — both routes ride the batched cold path, with hit/miss
-        bookkeeping identical to per-subcarrier lookups.  With caching
-        disabled every subcarrier counts as a miss: the stacked route
-        prepares them, un-deduplicated, in one ``prepare_many`` call (its
-        kernel needs the contexts up front), while the per-subcarrier
-        route gets ``None`` and prepares inline, one ``prepare`` per
-        channel inside :func:`_detect_block` — the honest naive baseline.
+        Through a cache (under the batch's own keys, when it carries
+        them), both routes ride the batched cold path of
+        :meth:`~repro.runtime.cache.ContextCache.get_or_prepare_block`.
+        With caching disabled every subcarrier counts as a miss: the
+        stacked route prepares them, un-deduplicated, in one
+        ``prepare_many`` call (its kernel needs the contexts up front),
+        while the per-subcarrier route gets ``None`` and prepares inline
+        in :func:`_detect_block` — the honest naive baseline.
         """
         uncached = CacheStats(misses=batch.num_subcarriers)
         if cache is None and not stacked:
@@ -267,7 +265,7 @@ class DetectionService:
             else:
                 before = cache.stats
                 contexts = cache.get_or_prepare_block(
-                    detector, batch.channels, batch.noise_var, counter=counter
+                    detector, batch.channels, batch.noise_var, counter=counter, keys=batch.keys
                 )
                 delta = cache.stats.since(before)
             span.set(cache_hits=delta.hits, cache_misses=delta.misses)

@@ -1,12 +1,13 @@
 """Tests for the experiment CLI runner."""
 
+import inspect
 import json
 from dataclasses import replace
 
 import pytest
 
 from repro.api import CacheSpec, FarmSpec, StackConfig, presets
-from repro.experiments.runner import EXPERIMENTS, main
+from repro.experiments.runner import EXPERIMENTS, LINK_EXPERIMENTS, main
 
 
 class TestRegistry:
@@ -311,6 +312,21 @@ class TestConfigFlags:
         saved = json.loads((tmp_path / "stub.json").read_text())["config"]
         dumped = StackConfig.from_dict(json.loads(dump.read_text()))
         assert dumped == StackConfig.from_dict(saved) == default
+
+    def test_a_link_experiment_dumps_what_it_embeds(self, tmp_path):
+        """table1 drops the --governor a link run must not obey; the dump
+        drops it too, and is the embedded block, key for key."""
+        dump = tmp_path / "dump.json"
+        argv = ["--experiment", "table1", "--profile", "quick", "--governor", "snr"]
+        assert main([*argv, "--dump-config", str(dump), "--out", str(tmp_path)]) == 0
+        dumped = json.loads(dump.read_text())
+        assert dumped == json.loads((tmp_path / "table1.json").read_text())["config"]
+        assert dumped["governor"] is None
+
+    def test_link_experiments_are_the_ones_that_strip(self):
+        for name, run in EXPERIMENTS.items():
+            strips = "runtime_stack_config(" in inspect.getsource(inspect.getmodule(run))
+            assert strips == (name in LINK_EXPERIMENTS), name
 
     @pytest.mark.parametrize(
         "argv, reason",

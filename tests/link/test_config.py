@@ -30,6 +30,16 @@ class TestLinkConfig:
         mother = coded * 6 // 4  # the 3/4 pattern keeps 4 bits per 6
         assert config.info_bits_per_packet == mother // 2 - 6
 
+    def test_one_read_only_code_for_every_config(self):
+        """Every packet of every config encodes and decodes with the same
+        code object; its tables cannot be changed under a shared user."""
+        small = LinkConfig(system=MimoSystem(2, 2, QamConstellation(4)))
+        large = LinkConfig(system=MimoSystem(8, 8, QamConstellation(64)), code_rate="3/4")
+        assert small.code is small.code is large.code
+        for table in (small.code.next_state, small.code.output_bits):
+            with pytest.raises(ValueError):
+                table[0] = 0
+
     def test_subcarrier_restriction(self):
         system = MimoSystem(4, 4, QamConstellation(16))
         config = LinkConfig(system=system, num_subcarriers=12)

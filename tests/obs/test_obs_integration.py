@@ -244,6 +244,29 @@ class TestSchedulerSpans:
             assert args["service_s"] <= flush["dur"] / 1e6 + 1e-9
             assert len(args["coherence_key"]) == 16
 
+    def test_coherence_key_tells_channels_apart(self):
+        """The flush attribute digests the whole key, not its shared
+        shape/noise prefix: two channels flushed apart carry two keys."""
+        obs = Observability()
+        detector = FlexCoreDetector(MimoSystem(3, 3, QamConstellation(4)), num_paths=4)
+        channels = rayleigh_channels(2, 3, 3, np.random.default_rng(5))
+
+        async def run():
+            async with StreamingScheduler(
+                one_cell_farm(detector, obs=obs), batch_target=1, slot_budget_s=math.inf
+            ) as scheduler:
+                for channel in channels:
+                    future = await scheduler.submit(
+                        FrameArrival(channel, np.ones(3, dtype=complex), NOISE_VAR)
+                    )
+                    await scheduler.flush()
+                    await future
+
+        asyncio.run(run())
+        keys = [e["args"]["coherence_key"] for e in obs.tracer.events if e["name"] == SPAN_FLUSH]
+        assert len(keys) == 2 and keys[0] != keys[1]
+        assert all(len(key) == 16 for key in keys)
+
     def test_kernel_spans_nest_inside_flush(self):
         obs = Observability()
         run_scheduler(obs)

@@ -1,6 +1,8 @@
 """Tests for the coherence context cache, backends, and runtime plumbing."""
 
 import weakref
+from collections import Counter, OrderedDict
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import GovernorSpec
 from repro.channel.fading import rayleigh_channel, rayleigh_channels
 from repro.channel.testbed import IndoorTestbed
 from repro.errors import ConfigurationError
@@ -25,9 +28,12 @@ from repro.runtime import (
     SerialBackend,
     UplinkBatch,
     available_backends,
+    block_context_keys,
     context_key,
     make_backend,
 )
+from repro.runtime import cache as runtime_cache
+from repro.runtime import scheduler as runtime_scheduler
 from repro.utils.flops import FlopCounter
 from tests.conftest import make_stack
 
@@ -56,10 +62,18 @@ class TestContextKey:
         b = rayleigh_channel(4, 3, rng)
         assert context_key(a, 0.1) != context_key(b, 0.1)
 
+    def test_dtype_distinguishes_equal_bytes(self, rng):
+        """Keys are exact: the same bytes read as another dtype are
+        another channel, and another key."""
+        channel = rayleigh_channel(4, 4, rng).astype(np.complex64)
+        as_real = channel.view(np.float64)
+        assert channel.tobytes() == as_real.tobytes()
+        assert context_key(channel, 0.1) != context_key(as_real, 0.1)
+
 
 class TestBlockContextKeys:
-    """The hoisted-prefix block hasher must stay cache-compatible: keys
-    byte-identical to ``context_key`` per slice, contiguous or not."""
+    """Block keys are made in one copy and must stay cache-compatible:
+    keys byte-identical to ``context_key`` per slice, contiguous or not."""
 
     def test_byte_identical_to_per_slice_keys(self, rng):
         from repro.runtime import block_context_keys
@@ -137,10 +151,35 @@ class TestContextCache:
         assert again.real_mults == 0
 
 
+def replay_oracle(detector, capacity):
+    """The per-subcarrier cache the block path must match: one LRU
+    lookup per channel, keyed by ``(pool row, noise_var)``, each miss
+    prepared on its own."""
+    lru, stats, counter = OrderedDict(), Counter(), FlopCounter()
+
+    def lookup(pool, row, noise_var):
+        key = (row, noise_var)
+        if key in lru:
+            stats["hits"] += 1
+            lru.move_to_end(key)
+        else:
+            stats["misses"] += 1
+            lru[key] = detector.prepare_many(pool[row][None], noise_var, counter=counter)[0]
+            if len(lru) > capacity:
+                lru.popitem(last=False)
+                stats["evictions"] += 1
+        return lru[key]
+
+    return lookup, lru, stats, counter
+
+
 class TestBlockEntries:
     """Entries are rows of prepared blocks: however blocks overlap, the
     rows live blocks hold stay within the capacity plus one block, and
-    the bookkeeping is the per-subcarrier replay's."""
+    hits, misses, evictions and FLOPs are the per-subcarrier replay's —
+    with keys made by the cache or handed in, blocks repeated exactly,
+    keys repeated within a block, capacities below a block and two
+    noise variances interleaved."""
 
     SYSTEM = MimoSystem(2, 2, QamConstellation(4))
     POOL = rayleigh_channels(8, 2, 2, np.random.default_rng(11))
@@ -149,7 +188,15 @@ class TestBlockEntries:
     @given(
         capacity=st.integers(1, 6),
         batches=st.lists(
-            st.lists(st.integers(0, 7), min_size=1, max_size=7), min_size=1, max_size=8
+            st.tuples(
+                st.lists(st.integers(0, 7), min_size=1, max_size=7, unique=True)
+                | st.lists(st.integers(0, 7), min_size=1, max_size=7),
+                st.sampled_from([0.1, 0.2]),
+                st.booleans(),  # hand the cache its keys
+                st.none() | st.integers(0, 7),  # repeat an earlier batch exactly
+            ),
+            min_size=1,
+            max_size=8,
         ),
     )
     def test_bounded_rows_and_replayed_bookkeeping(self, capacity, batches):
@@ -161,25 +208,98 @@ class TestBlockEntries:
             original(self, *args, **kwargs)
             live.add(self)
 
-        cache, replay = ContextCache(capacity), ContextCache(capacity)
-        counter, replay_counter = FlopCounter(), FlopCounter()
-        largest = 0
-        for batch in batches:
-            channels = self.POOL[batch]
+        cache, counter = ContextCache(capacity), FlopCounter()
+        lookup, lru, stats, replay_counter = replay_oracle(detector, capacity)
+        largest, history = 0, []
+        for rows, noise_var, hand_keys, repeat in batches:
+            if repeat is not None and history:
+                rows, noise_var = history[repeat % len(history)]
+            history.append((rows, noise_var))
+            channels = self.POOL[rows]
+            keys = None
+            if hand_keys:
+                keys = block_context_keys(channels, noise_var)
+                assert keys == [context_key(channel, noise_var) for channel in channels]
             with mock.patch.object(PreparedBlock, "__init__", tracked):
-                block = cache.get_or_prepare_block(detector, channels, 0.1, counter)
-            rows = [
-                replay.get_or_prepare(detector, channel, 0.1, replay_counter)
-                for channel in channels
-            ]
-            for got, want in zip(block, rows):
+                block = cache.get_or_prepare_block(
+                    detector, channels, noise_var, counter, keys=keys
+                )
+            for got, row in zip(block, rows):
+                want = lookup(self.POOL, row, noise_var)
                 assert np.array_equal(got.qr.r, want.qr.r)
                 assert np.array_equal(got.position_vectors, want.position_vectors)
             del block, got
-            largest = max(largest, len(batch))
+            largest = max(largest, len(rows))
             assert sum(len(held) for held in live) <= capacity + largest
-            assert cache.stats == replay.stats
+            assert cache.stats == CacheStats(entries=len(lru), **stats)
             assert counter == replay_counter
+
+    def test_an_exactly_repeated_block_is_one_lookup(self, detector, rng):
+        """The warm steady state: the cached block comes back as it is,
+        without the per-subcarrier replay."""
+        channels = rayleigh_channels(5, 3, 3, rng)
+        cache = ContextCache()
+        first = cache.get_or_prepare_block(detector, channels, 0.05)
+        with mock.patch.object(ContextCache, "_replay", side_effect=AssertionError):
+            again = cache.get_or_prepare_block(detector, channels.copy(), 0.05)
+        assert again is first
+        assert cache.stats == CacheStats(hits=5, misses=5, entries=5)
+
+    def test_an_exactly_repeated_block_is_touched_in_order(self, detector, rng):
+        channels = rayleigh_channels(5, 3, 3, rng)
+        cache = ContextCache(max_entries=4)
+        for rows in ([0, 1], [2, 3], [0, 1], [4]):
+            cache.get_or_prepare_block(detector, channels[rows], 0.05)
+        # The repeat made 2 the least recently used, so [4] evicted it.
+        cache.get_or_prepare_block(detector, channels[[0, 1, 3]], 0.05)
+        assert cache.stats == CacheStats(hits=5, misses=5, evictions=1, entries=4)
+
+
+class TestKeyedOnce:
+    """A channel's key is made once per block wherever it enters: the
+    batch path, the streaming path (the micro-batcher's keys reach the
+    cache with the flush) and the SNR-governed streaming path."""
+
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            {},
+            {"cells": 1},
+            {"cells": 1, "governor": GovernorSpec(policy="snr", paths_min=2, paths_max=8)},
+        ],
+        ids=["batch", "streaming", "snr-governed"],
+    )
+    def test_one_key_per_channel_per_block(self, detector, rng, stack):
+        channels = rayleigh_channels(4, 3, 3, rng)
+        received = rng.standard_normal((4, 2, 3)) + 0j
+        keyed, depth = [], [0]
+
+        def spy(make):
+            # Counts the channels of the outermost call only: a key maker
+            # may be built on another.
+            def counted(channels, noise_var):
+                if not depth[0]:
+                    keyed.append(1 if np.ndim(channels) == 2 else len(channels))
+                depth[0] += 1
+                try:
+                    return make(channels, noise_var)
+                finally:
+                    depth[0] -= 1
+
+            return counted
+
+        makers = [
+            (module, name, spy(getattr(module, name)))
+            for module in (runtime_cache, runtime_scheduler)
+            for name in ("context_key", "block_context_keys")
+            if hasattr(module, name)
+        ]
+        with make_stack(detector, **stack) as engine, ExitStack() as patches:
+            for module, name, counted in makers:
+                patches.enter_context(mock.patch.object(module, name, counted))
+            for _ in range(2):
+                engine.detect_batch(channels, received, 0.05)
+        assert sum(keyed) == 2 * len(channels)
 
 
 class TestBackends:

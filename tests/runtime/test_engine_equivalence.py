@@ -191,6 +191,15 @@ class TestBatchValidation:
                 noise_var=0.1,
             )
 
+    def test_one_key_per_channel(self):
+        with pytest.raises(DimensionError, match="3 context keys for 4"):
+            UplinkBatch(
+                channels=np.zeros((4, 3, 3), dtype=complex),
+                received=np.zeros((4, 2, 3), dtype=complex),
+                noise_var=0.1,
+                keys=[b"a", b"b", b"c"],
+            )
+
     def test_single_frame_promoted(self):
         batch = UplinkBatch(
             channels=np.zeros((4, 3, 2), dtype=complex),

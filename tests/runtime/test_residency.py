@@ -185,7 +185,8 @@ class TestSelectionsOfACachedBlock:
             rows = rng.permutation(6)
             batch = UplinkBatch(channels[rows], received[rows], noise_var)
             service.detect(detector, batch, cache=cache)
-            ((block, _),) = {id(entry[0]): entry for entry in cache._entries.values()}.values()
+            ((held, _),) = {id(entry[0]): entry for entry in cache._entries.values()}.values()
+            block = held.sequence
             covered = sum(len(plan.weights) for plan in block.plans.values())
             assert covered <= PLAN_COVER * len(block)
 
