@@ -26,7 +26,7 @@ need to stay inside a compute/power envelope, in the spirit of RaPro's
   explicitly beats missing all of them silently.
 
 The governor is clock-free (the scheduler passes ``now`` into every
-call), so control behaviour is simulation-testable without asyncio.
+call that reads time), so control behaviour is simulation-testable without asyncio.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ class ComputeGovernor:
         """The budget the next flush of ``cell_id`` should run at."""
         return self._lane(cell_id).budget
 
-    def admit(self, cell_id: str, frames: int, now: float) -> bool:
+    def admit(self, cell_id: str, frames: int) -> bool:
         """Admission control: False means shed this arrival.
 
         While shedding, every :data:`PROBE_EVERY`-th arrival is still

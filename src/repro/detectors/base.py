@@ -95,9 +95,9 @@ class Detector(abc.ABC):
 
         Detectors exposing ``detect_block_prepared(contexts, received,
         counter=..., xp=..., store=..., max_paths=...)`` (e.g. FlexCore's
-        tensor walk) are routed through it by :meth:`detect_many` and by
-        the runtime's ``array`` execution backend; everything else falls
-        back to the documented per-channel loop.
+        tensor walk) are routed through it by the runtime's ``array``
+        execution backend; everything else falls back to the documented
+        per-channel loop.
 
         ``contexts`` is what :meth:`prepare_many` (or the cache, which
         gathers its rows the same way) returned.  The runtime always
@@ -140,53 +140,6 @@ class Detector(abc.ABC):
         """Convenience single-shot path: prepare then detect."""
         context = self.prepare(channel, noise_var, counter=counter)
         return self.detect_prepared(context, received, counter=counter)
-
-    def detect_many(
-        self,
-        channels: np.ndarray,
-        received: np.ndarray,
-        noise_var: float,
-        counter: FlopCounter = NULL_COUNTER,
-    ) -> list[DetectionResult]:
-        """Multi-channel detection: one ``prepare`` per channel.
-
-        ``channels`` is ``(C, Nr, Nt)`` and ``received`` is ``(C, n,
-        Nr)``.  Detectors providing a stacked kernel
-        (:attr:`has_block_kernel`) detect every channel in one tensor
-        walk with bit-identical output; third-party detectors without
-        one run the naive per-channel loop below — the unamortised
-        reference the runtime is benchmarked against.  Production
-        paths should prefer a :class:`repro.api.UplinkStack`
-        (``build_stack``), which also caches contexts across coherent
-        channels.
-        """
-        channels = np.asarray(channels)
-        received = np.asarray(received)
-        if channels.ndim != 3 or received.ndim != 3:
-            raise DimensionError(
-                f"{self.name}: detect_many wants (C, Nr, Nt) channels and "
-                f"(C, n, Nr) received, got {channels.shape} / "
-                f"{received.shape}"
-            )
-        if channels.shape[0] != received.shape[0]:
-            raise DimensionError(
-                f"{self.name}: {channels.shape[0]} channels vs "
-                f"{received.shape[0]} received blocks"
-            )
-        if self.has_block_kernel:
-            contexts = self.prepare_many(channels, noise_var, counter=counter)
-            indices, metadata = self.detect_block_prepared(
-                contexts, received, counter=counter
-            )
-            return [
-                DetectionResult(indices=indices[c], metadata=metadata[c])
-                for c in range(channels.shape[0])
-            ]
-        # Documented fallback: the per-channel prepare+detect loop.
-        return [
-            self.detect(channels[c], received[c], noise_var, counter=counter)
-            for c in range(channels.shape[0])
-        ]
 
     # ------------------------------------------------------------------
     def _check_channel(self, channel: np.ndarray) -> np.ndarray:

@@ -16,11 +16,13 @@ service-side down:
 
 * :class:`DetectionService` — the cell-agnostic prepare+detect route
   over one execution backend; detector and cache are per call;
-* :class:`StreamingScheduler` / :class:`MicroBatcher` — the asyncio
-  slot-deadline front-end: :class:`FrameArrival` events are grouped by
-  coherence key and flushed on a batch target or the LTE 500 µs slot
-  deadline, every flush counted once into the run's ledger
-  (:mod:`repro.obs.ledger`; :class:`SchedulerTelemetry` is its view);
+* :class:`StreamingScheduler` / :class:`MicroBatcher` — the
+  slot-deadline front-end (``MicroBatcher.step`` decides on a virtual
+  clock, the asyncio loop waits and resolves): :class:`FrameArrival`
+  events are grouped by coherence key and flushed on a batch target or
+  the LTE 500 µs slot deadline, every flush counted once into the run's
+  ledger (:mod:`repro.obs.ledger`; :class:`SchedulerTelemetry` is its
+  view);
 * :class:`Cell` / :class:`CellFarm` — multi-cell sharding: N cells
   share one backend with fair-share dispatch but keep per-cell context
   caches; the farm's one ledger is labelled by cell;

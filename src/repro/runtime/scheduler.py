@@ -2,30 +2,24 @@
 
 FlexCore's throughput argument (§5.2) is framed against the LTE
 real-time budget: every MIMO vector of a slot must be detected within
-the 500 µs slot duration.  The batch route assumes somebody already
-assembled a full ``(subcarriers x frames)`` block; this module is that
-somebody — an asyncio loop that ingests :class:`FrameArrival` events as
-the radio produces them, groups them by *coherence key* (channel
-content, noise level, cell), and flushes each assembled micro-batch
-through the shared :class:`~repro.runtime.service.DetectionService`
-either when a **batch target** is met or when the
-:mod:`repro.ofdm.lte` **slot deadline** expires — whichever comes
-first.  Every flush is counted once, into the run's own ledger
-(:class:`~repro.obs.ledger.FlushLedger`: frames, deadline hits, latency,
-cache and transfer movement, labelled by cell), so an operator can see
-how close the deployment runs to the real-time edge;
-:class:`SchedulerTelemetry` is its read-only view, and at loop exit the
-ledger folds, exactly once, into the scheduler's parent (the farm's).
+the 500 µs slot.  This module assembles the ``(subcarriers x frames)``
+blocks the batch route assumes: :class:`FrameArrival` events are
+grouped by *coherence key* (channel content, noise level, cell), and
+each group is flushed through the shared
+:class:`~repro.runtime.service.DetectionService` when its **batch
+target** is met or its :mod:`repro.ofdm.lte` **slot deadline** expires,
+whichever comes first.  Every flush is counted once into the run's
+ledger (:class:`~repro.obs.ledger.FlushLedger`), which
+:class:`SchedulerTelemetry` views and which folds into the farm's,
+exactly once, at loop exit.
 
-Two layers, deliberately separated:
-
-* :class:`MicroBatcher` — pure, clock-free flush bookkeeping (group
-  assembly, deadlines, target checks).  Being free of asyncio makes the
-  deadline arithmetic property-testable: flush decisions can be driven
-  with simulated timestamps.
-* :class:`StreamingScheduler` — the asyncio driver: an arrival queue,
-  a deadline-armed wait, fair-share dispatch across registered cells,
-  and per-arrival futures resolving to :class:`FrameDetection`.
+Two layers: :meth:`MicroBatcher.step` makes every decision, mapping
+``(arrivals, now)`` to ``(flush buckets, sheds, next wake-up)``
+(admission, target and deadline flushes, drains, fair-share cell order,
+coalescing) without reading a clock, so the policy runs on a virtual
+one.  :class:`StreamingScheduler`, the asyncio loop, only waits (on the
+arrival queue, until the step's ``wake_s``) and resolves (each bucket
+through the service, per-arrival futures of :class:`FrameDetection`).
 """
 
 from __future__ import annotations
@@ -34,19 +28,13 @@ import asyncio
 import hashlib
 import math
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ConfigurationError, LoadShedError
 from repro.flexcore.preprocessing import leading_path_probabilities
-from repro.obs import (
-    NULL_TRACER,
-    SPAN_FLUSH,
-    FlushLedger,
-    scheduler_summary,
-)
+from repro.obs import NULL_TRACER, SPAN_FLUSH, FlushLedger, scheduler_summary
 from repro.ofdm.lte import SLOT_DURATION_S, SYMBOLS_PER_SLOT, slot_deadline
 from repro.runtime.batch import UplinkBatch
 from repro.runtime.cache import context_key
@@ -66,20 +54,11 @@ FLUSH_BATCH = "batch"
 class FrameArrival:
     """One streamed unit of uplink work: frames for a single subcarrier.
 
-    Attributes
-    ----------
-    channel:
-        ``(Nr, Nt)`` channel matrix the frames were received through.
-    received:
-        ``(Nr,)`` one received vector, or ``(F, Nr)`` a burst of them
-        (e.g. the 7 symbols of one LTE slot arriving together).
-    noise_var:
-        Per-antenna noise variance.
-    cell:
-        Which registered cell this arrival belongs to.
-    arrival_s:
-        Monotonic-clock arrival timestamp; stamped by the scheduler on
-        ``submit`` when ``None``.
+    ``channel`` is the ``(Nr, Nt)`` matrix the frames came through;
+    ``received`` one ``(Nr,)`` vector or an ``(F, Nr)`` burst (e.g. the
+    7 symbols of one LTE slot); ``noise_var`` the per-antenna noise
+    variance; ``cell`` a registered cell; ``arrival_s`` the monotonic
+    arrival time, stamped by ``submit`` when ``None``.
     """
 
     channel: np.ndarray
@@ -92,9 +71,7 @@ class FrameArrival:
         channel = np.asarray(self.channel)
         received = np.asarray(self.received)
         if channel.ndim != 2:
-            raise ConfigurationError(
-                f"arrival channel must be (Nr, Nt), got {channel.shape}"
-            )
+            raise ConfigurationError(f"arrival channel must be (Nr, Nt), got {channel.shape}")
         if received.ndim == 1:
             received = received[None, :]
         if received.ndim != 2 or received.shape[1] != channel.shape[0]:
@@ -131,11 +108,8 @@ class FlushRecord:
 
     @property
     def deadline_met(self) -> bool:
-        """Whether every group in the flush beat its slot deadline.
-
-        ``deadline_s`` is the *earliest* deadline across the flushed
-        groups, so meeting it means every group met its own.
-        """
+        """Whether every flushed group beat its slot deadline
+        (``deadline_s`` is the earliest of theirs)."""
         return self.completed_s <= self.deadline_s
 
 
@@ -184,51 +158,55 @@ class _Group:
     frames: int = 0
     reason: str = FLUSH_TARGET
 
-    def add(self, arrival: FrameArrival, future) -> None:
-        self.arrivals.append((arrival, future))
-        self.frames += arrival.num_frames
 
-    def stacked_received(self) -> np.ndarray:
-        return np.concatenate([a.received for a, _ in self.arrivals], axis=0)
+@dataclass(frozen=True)
+class Step:
+    """One decision of :meth:`MicroBatcher.step`.
+
+    ``buckets`` are the flushes in dispatch order, each a list of one
+    cell's groups sharing ``(noise_var, frames, reason)``: one service
+    call.  ``sheds`` are the ``(arrival, future)`` pairs admission
+    refused.  ``wake_s`` is the earliest pending deadline, ``math.inf``
+    when nothing waits on the clock.
+    """
+
+    buckets: list
+    sheds: list
+    wake_s: float
 
 
 class MicroBatcher:
     """Clock-free micro-batch assembly with slot-deadline bookkeeping.
 
-    The flush contract (property-tested in
+    The flush contract (property-tested on a virtual clock in
     ``tests/runtime/test_scheduler.py``): a group created at time ``t``
-    must be flushed no later than ``slot_deadline(t, slot_budget_s)``
-    plus one event-loop tick — either because its frame count reached
-    ``batch_target`` earlier, or because the driver's deadline wait
-    expired.
+    is flushed no later than ``slot_deadline(t, slot_budget_s)`` plus
+    one event-loop tick, either because its frame count reached
+    ``batch_target`` earlier or because the driver woke at ``wake_s``.
 
     Parameters
     ----------
     batch_target:
         Frames per coherence group that trigger an immediate flush.
-        Defaults to :data:`repro.ofdm.lte.SYMBOLS_PER_SLOT` — one LTE
+        Defaults to :data:`repro.ofdm.lte.SYMBOLS_PER_SLOT`, one LTE
         slot's worth of symbol vectors per subcarrier.
     slot_budget_s:
         Deadline budget measured from a group's first arrival.
         Defaults to the LTE 500 µs slot; ``math.inf`` disables deadline
         flushes (drain-driven operation, e.g. offline batch replay).
-        An under-target group is flushed at its deadline.
     """
 
     def __init__(
-        self,
-        batch_target: int = SYMBOLS_PER_SLOT,
-        slot_budget_s: float = SLOT_DURATION_S,
+        self, batch_target: int = SYMBOLS_PER_SLOT, slot_budget_s: float = SLOT_DURATION_S
     ):
         if batch_target < 1:
             raise ConfigurationError("batch_target must be >= 1")
         if not slot_budget_s > 0.0:
-            raise ConfigurationError(
-                f"slot budget must be positive, got {slot_budget_s}"
-            )
+            raise ConfigurationError(f"slot budget must be positive, got {slot_budget_s}")
         self.batch_target = int(batch_target)
         self.slot_budget_s = float(slot_budget_s)
-        self._groups: "OrderedDict[tuple, _Group]" = OrderedDict()
+        self._groups: "dict[tuple, _Group]" = {}
+        self._rr_offset = 0
 
     def __len__(self) -> int:
         return len(self._groups)
@@ -237,10 +215,46 @@ class MicroBatcher:
     def pending_frames(self) -> int:
         return sum(group.frames for group in self._groups.values())
 
-    # ------------------------------------------------------------------
-    def add(
-        self, arrival: FrameArrival, future, now: float
-    ) -> "_Group | None":
+    def step(self, arrivals, now: float, admit=None, drain: bool = False) -> Step:
+        """Decide one wake-up at time ``now``: the only flush decision.
+
+        Each ``(arrival, future)`` pair is offered to ``admit(cell,
+        frames)`` when given (a refusal sheds it), then grouped.  Groups
+        that reach the target, groups whose deadline is ``<= now`` and,
+        with ``drain``, everything pending are flushed.  Cells are
+        served in sorted order from an offset that rotates every step
+        that flushes, so a chronically busy cell cannot push its
+        neighbours to the back of every cycle; a cell's groups of equal
+        ``(noise_var, frames, reason)`` coalesce into one bucket, one
+        ``(S, F, Nr)`` service call instead of S.
+        """
+        ready, sheds = [], []
+        for arrival, future in arrivals:
+            if admit is not None and not admit(arrival.cell, arrival.num_frames):
+                sheds.append((arrival, future))
+                continue
+            group = self.add(arrival, future, now)
+            if group is not None:
+                ready.append(group)
+        ready.extend(self.pop_expired(now))
+        if drain:
+            ready.extend(self.drain())
+        by_cell: "dict[str, dict[tuple, list]]" = {}
+        for group in ready:
+            buckets = by_cell.setdefault(group.cell, {})
+            buckets.setdefault((group.noise_var, group.frames, group.reason), []).append(group)
+        order = sorted(by_cell)
+        if order:
+            offset = self._rr_offset % len(order)
+            self._rr_offset += 1
+            order = order[offset:] + order[:offset]
+        return Step(
+            [bucket for cell in order for bucket in by_cell[cell].values()],
+            sheds,
+            min((group.deadline_s for group in self._groups.values()), default=math.inf),
+        )
+
+    def add(self, arrival: FrameArrival, future, now: float) -> "_Group | None":
         """Account one arrival; return its group if the target is met."""
         when = arrival.arrival_s if arrival.arrival_s is not None else now
         key = (arrival.cell, context_key(arrival.channel, arrival.noise_var))
@@ -257,18 +271,13 @@ class MicroBatcher:
                 else math.inf,
             )
             self._groups[key] = group
-        group.add(arrival, future)
+        group.arrivals.append((arrival, future))
+        group.frames += arrival.num_frames
         if group.frames >= self.batch_target:
             del self._groups[key]
             group.reason = FLUSH_TARGET
             return group
         return None
-
-    def next_deadline(self) -> "float | None":
-        """Earliest pending deadline, or ``None`` when nothing waits."""
-        if not self._groups:
-            return None
-        return min(group.deadline_s for group in self._groups.values())
 
     def pop_expired(self, now: float) -> list:
         """Remove and return every group whose deadline passed."""
@@ -289,19 +298,28 @@ class MicroBatcher:
         return drained
 
 
+def _fail(futures, error: BaseException) -> None:
+    """Fail every future of ``futures`` not already resolved."""
+    for future in futures:
+        if not future.done():
+            future.set_exception(error)
+
+
 class StreamingScheduler:
     """Asyncio front-end: arrivals in, deadline-bounded flushes out.
+
+    The loop waits on the arrival queue until the last step's
+    ``wake_s``, hands everything queued to one :meth:`MicroBatcher.step`
+    with one clock reading, fails the sheds and flushes each bucket.
 
     Parameters
     ----------
     farm:
-        The :class:`~repro.runtime.cells.CellFarm` whose cells this
-        scheduler serves.  Its service runs every flush, its
-        observability hub traces them (every flush becomes a ``flush``
-        span: cell, reason, coherence key, batch size, path budget,
-        latency, service time; with no hub spans are a shared no-op,
-        the accounting is not), and its ledger is the parent each run's
-        own ledger folds into, once, at loop exit.
+        The :class:`~repro.runtime.cells.CellFarm` served.  Its service
+        runs every flush, its observability hub traces each as a
+        ``flush`` span (cell, reason, coherence key, batch size, path
+        budget, latency, service time; a shared no-op without a hub),
+        and each run's ledger folds into its ledger once, at loop exit.
     batch_target / slot_budget_s:
         Flush policy, see :class:`MicroBatcher`.
     use_soft:
@@ -309,24 +327,13 @@ class StreamingScheduler:
     counter:
         FLOP counter charged by every flush.
     governor:
-        Optional control plane, a
-        :class:`~repro.control.governor.ComputeGovernor`: consulted for
-        the per-cell path budget before every flush
-        (``path_budget(cell_id)``), for admission on every arrival
-        (``admit(cell_id, frames, now)`` — a refusal fails the
-        arrival's future with :class:`~repro.errors.LoadShedError`),
-        fed every flush (``observe_flush``) and offered a control tick
-        (``maybe_tick(now)``) once per service loop.
+        Optional :class:`~repro.control.governor.ComputeGovernor`:
+        asked for the cell's path budget before every flush, for
+        admission of every arrival (a refusal fails the arrival's future
+        with :class:`~repro.errors.LoadShedError`), fed every flush
+        (``observe_flush``) and offered a control tick once per loop.
     clock:
         Monotonic time source; injectable for tests.
-
-    Usage::
-
-        async with farm.scheduler(slot_budget_s=budget) as sched:
-            fut = await sched.submit(FrameArrival(h, y, noise_var))
-            ...
-            await sched.flush()          # force-dispatch stragglers
-            detection = await fut
     """
 
     def __init__(
@@ -340,17 +347,13 @@ class StreamingScheduler:
         clock=time.monotonic,
     ):
         if not farm.cells:
-            raise ConfigurationError(
-                "StreamingScheduler needs at least one cell"
-            )
+            raise ConfigurationError("StreamingScheduler needs at least one cell")
         self.cells = farm.cells
         self.service = farm.service
         obs = farm.obs
         self._tracer = obs.tracer if obs is not None else NULL_TRACER
         self._parent = farm.metrics
-        self.batcher = MicroBatcher(
-            batch_target=batch_target, slot_budget_s=slot_budget_s
-        )
+        self.batcher = MicroBatcher(batch_target=batch_target, slot_budget_s=slot_budget_s)
         self.use_soft = bool(use_soft)
         self.counter = counter
         self.governor = governor
@@ -366,7 +369,6 @@ class StreamingScheduler:
         self._open_ledger()
         self._queue: "asyncio.Queue | None" = None
         self._task: "asyncio.Task | None" = None
-        self._rr_offset = 0
 
     def _open_ledger(self) -> None:
         self._ledger = FlushLedger()
@@ -405,57 +407,43 @@ class StreamingScheduler:
         """Force-dispatch every pending group and wait for completion."""
         await self._control("flush")
 
-    async def _control(self, kind: str) -> None:
+    def _running_queue(self) -> asyncio.Queue:
         if self._queue is None:
-            raise ConfigurationError(
-                "scheduler is not running (use `async with` or start())"
-            )
+            raise ConfigurationError("scheduler is not running (use `async with` or start())")
+        return self._queue
+
+    async def _control(self, kind: str) -> None:
         done = asyncio.get_running_loop().create_future()
-        self._queue.put_nowait((kind, done))
-        if self._task is None:
-            await done
-            return
+        self._running_queue().put_nowait((kind, done))
         # Also watch the loop task: if it died (a non-Exception error
         # escaping a flush, say KeyboardInterrupt), surface that instead
         # of awaiting a control acknowledgement that will never come.
-        await asyncio.wait(
-            {done, self._task}, return_when=asyncio.FIRST_COMPLETED
-        )
+        await asyncio.wait({done, self._task}, return_when=asyncio.FIRST_COMPLETED)
         if done.done():
             return
         self._task.result()  # re-raises the loop's exception
-        raise ConfigurationError(
-            "scheduler loop exited before handling the control message"
-        )
+        raise ConfigurationError("scheduler loop exited before handling the control message")
 
     # ------------------------------------------------------------------
     async def submit(self, arrival: FrameArrival) -> asyncio.Future:
         """Enqueue one arrival; returns a future of :class:`FrameDetection`."""
-        if self._queue is None:
-            raise ConfigurationError(
-                "scheduler is not running (use `async with` or start())"
-            )
+        queue = self._running_queue()
         cell = self.cells.get(arrival.cell)
         if cell is None:
             raise ConfigurationError(
-                f"unknown cell {arrival.cell!r}; registered: "
-                f"{', '.join(sorted(self.cells))}"
+                f"unknown cell {arrival.cell!r}; registered: {', '.join(sorted(self.cells))}"
             )
         system = cell.detector.system
-        if arrival.channel.shape != (
-            system.num_rx_antennas,
-            system.num_streams,
-        ):
+        if arrival.channel.shape != (system.num_rx_antennas, system.num_streams):
             raise ConfigurationError(
-                f"cell {arrival.cell!r} expects "
-                f"({system.num_rx_antennas}, {system.num_streams}) "
-                f"channels, got {arrival.channel.shape}"
+                f"cell {arrival.cell!r} expects ({system.num_rx_antennas}, "
+                f"{system.num_streams}) channels, got {arrival.channel.shape}"
             )
         if arrival.arrival_s is None:
             arrival.arrival_s = self.clock()
         future = asyncio.get_running_loop().create_future()
         self._ledger.submitted(arrival.cell, arrival.num_frames)
-        self._queue.put_nowait(("arrival", (arrival, future)))
+        queue.put_nowait(("arrival", (arrival, future)))
         return future
 
     # ------------------------------------------------------------------
@@ -470,220 +458,142 @@ class StreamingScheduler:
             self._parent.merge_dict(self.metrics.to_dict())
 
     def _fail_stragglers(self, clean: bool) -> None:
-        """Resolve anything still pending when the loop exits.
-
-        On a clean stop the batcher was drained and the queue emptied,
-        so this is (nearly) a no-op; if the loop died abnormally — a
-        non-Exception error such as KeyboardInterrupt escaping a flush —
-        it keeps consumers from awaiting forever.
-        """
+        """Resolve anything still pending when the loop exits: (nearly) a
+        no-op after a clean stop; after a non-Exception error escaped a
+        flush (say KeyboardInterrupt) it keeps consumers from awaiting
+        forever."""
         error = ConfigurationError("scheduler loop terminated")
-        for group in self.batcher.drain():
-            for _, future in group.arrivals:
-                if not future.done():
-                    future.set_exception(error)
-        while True:
-            try:
-                kind, payload = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
+        _fail((future for group in self.batcher.drain() for _, future in group.arrivals), error)
+        while not self._queue.empty():
+            kind, payload = self._queue.get_nowait()
             if kind == "arrival":
-                _, future = payload
-                if not future.done():
-                    future.set_exception(error)
+                _fail([payload[1]], error)
+            elif not clean:
+                _fail([payload], error)
             elif not payload.done():
-                if clean:
-                    payload.set_result(None)
-                else:
-                    payload.set_exception(error)
+                payload.set_result(None)
 
     async def _serve(self) -> None:
         queue = self._queue
+        admit = self.governor.admit if self.governor is not None else None
+        wake_s = math.inf
         stopping = False
         while not stopping:
-            deadline = self.batcher.next_deadline()
-            item = None
-            if deadline is None or math.isinf(deadline):
-                item = await queue.get()
-            else:
-                timeout = max(0.0, deadline - self.clock())
-                try:
-                    item = await asyncio.wait_for(queue.get(), timeout)
-                except asyncio.TimeoutError:
-                    item = None
+            timeout = None if math.isinf(wake_s) else max(0.0, wake_s - self.clock())
+            items = []
+            try:
+                items.append(await asyncio.wait_for(queue.get(), timeout))
+            except asyncio.TimeoutError:
+                pass
             # Drain whatever else is immediately available so bursts
             # coalesce into wide flushes instead of S=1 dribbles.
-            items = [] if item is None else [item]
-            while True:
-                try:
-                    items.append(queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            ready = []
-            controls = []
-            for kind, payload in items:
-                if kind == "arrival":
-                    arrival, future = payload
-                    if self.governor is not None and not self.governor.admit(
-                        arrival.cell, arrival.num_frames, self.clock()
-                    ):
-                        self._shed(arrival, future)
-                        continue
-                    group = self.batcher.add(arrival, future, self.clock())
-                    if group is not None:
-                        ready.append(group)
-                else:
-                    controls.append((kind, payload))
-                    if kind == "stop":
-                        stopping = True
-            ready.extend(self.batcher.pop_expired(self.clock()))
-            if controls:
-                ready.extend(self.batcher.drain())
-            self._dispatch(ready)
+            while not queue.empty():
+                items.append(queue.get_nowait())
+            controls = [done for kind, done in items if kind != "arrival"]
+            stopping = any(kind == "stop" for kind, _ in items)
+            arrivals = [payload for kind, payload in items if kind == "arrival"]
+            step = self.batcher.step(arrivals, self.clock(), admit, drain=bool(controls))
+            for arrival, future in step.sheds:
+                self._ledger.shed(arrival.cell, arrival.num_frames)
+                error = LoadShedError(
+                    f"cell {arrival.cell!r} is shedding load: the floor path budget "
+                    "cannot meet the slot deadline"
+                )
+                _fail([future], error)
+            for bucket in step.buckets:
+                self._flush(self.cells[bucket[0].cell], bucket)
             if self.governor is not None:
                 self.governor.maybe_tick(self.clock())
-            for _, done in controls:
+            for done in controls:
                 if not done.done():
                     done.set_result(None)
-
-    def _shed(self, arrival: FrameArrival, future) -> None:
-        """Refuse one arrival on the governor's admission verdict."""
-        self._ledger.shed(arrival.cell, arrival.num_frames)
-        if not future.done():
-            future.set_exception(
-                LoadShedError(
-                    f"cell {arrival.cell!r} is shedding load: the floor "
-                    "path budget cannot meet the slot deadline"
-                )
-            )
+            wake_s = step.wake_s
 
     # ------------------------------------------------------------------
-    def _dispatch(self, groups: list) -> None:
-        """Flush ready groups, fair-share interleaved across cells.
-
-        Groups are bucketed per cell, cells are served in round-robin
-        order starting from a rotating offset (so a chronically busy
-        cell cannot push its neighbours' flushes to the back of every
-        cycle), and each cell's groups of equal frame count are
-        coalesced into one multi-subcarrier service call.
-        """
-        if not groups:
-            return
-        by_cell: "OrderedDict[str, list]" = OrderedDict()
-        for group in groups:
-            by_cell.setdefault(group.cell, []).append(group)
-        order = sorted(by_cell)
-        offset = self._rr_offset % len(order)
-        self._rr_offset += 1
-        for cell_id in order[offset:] + order[:offset]:
-            self._dispatch_cell(self.cells[cell_id], by_cell[cell_id])
-
-    def _dispatch_cell(self, cell, groups: list) -> None:
-        # Coalesce: equal (noise_var, frame-count, reason) groups stack
-        # into one (S, F, Nr) batch — one backend call instead of S.
-        buckets: "OrderedDict[tuple, list]" = OrderedDict()
-        for group in groups:
-            buckets.setdefault(
-                (group.noise_var, group.frames, group.reason), []
-            ).append(group)
-        path_budget = (
-            self.governor.path_budget(cell.cell_id)
-            if self.governor is not None
-            else None
-        )
-        tracer = self._tracer
-        for (noise_var, _frames, _reason), bucket in buckets.items():
-            if tracer.enabled:
-                # Attributes (the key's digest etc.) only when a real tracer
-                # records — the disabled path stays attribute-free.
-                span_cm = tracer.span(
-                    SPAN_FLUSH,
-                    cell=cell.cell_id,
-                    reason=bucket[0].reason,
-                    subcarriers=len(bucket),
-                    frames=sum(g.frames for g in bucket),
-                    coherence_key=hashlib.blake2b(bucket[0].key, digest_size=8).hexdigest(),
-                    path_budget=path_budget,
+    def _flush(self, cell, bucket: list) -> None:
+        """One bucket through the service: record, ledger, governor,
+        futures.  A bucket that ``UplinkBatch`` (non-finite values,
+        ragged shapes) or the service rejects is flushed again one group
+        at a time, so only the poisoned group's futures fail."""
+        governor = self.governor
+        path_budget = governor.path_budget(cell.cell_id) if governor is not None else None
+        frames = sum(group.frames for group in bucket)
+        if self._tracer.enabled:
+            # Attributes (the key's digest etc.) only when a real tracer
+            # records — the disabled path stays attribute-free.
+            span_cm = self._tracer.span(
+                SPAN_FLUSH,
+                cell=cell.cell_id,
+                reason=bucket[0].reason,
+                subcarriers=len(bucket),
+                frames=frames,
+                coherence_key=hashlib.blake2b(bucket[0].key, digest_size=8).hexdigest(),
+                path_budget=path_budget,
+            )
+        else:
+            span_cm = self._tracer.span(SPAN_FLUSH)
+        rejected = None
+        with span_cm as span:
+            try:
+                batch = UplinkBatch(
+                    channels=np.stack([group.channel for group in bucket]),
+                    received=np.stack(
+                        [np.concatenate([a.received for a, _ in g.arrivals]) for g in bucket]
+                    ),
+                    noise_var=bucket[0].noise_var,
+                    keys=[group.key for group in bucket],
                 )
+                flushed_s = self.clock()
+                result = self.service.detect(
+                    cell.detector,
+                    batch,
+                    cache=cell.cache,
+                    counter=self.counter,
+                    use_soft=self.use_soft,
+                    max_paths=path_budget,
+                )
+            except Exception as error:
+                span.set(error=type(error).__name__)
+                rejected = error
             else:
-                span_cm = tracer.span(SPAN_FLUSH)
-            with span_cm as span:
-                try:
-                    # Built inside the try: a batch the boundary rejects
-                    # (non-finite values, ragged shapes) fails its own
-                    # futures instead of escaping the flush.
-                    batch = UplinkBatch(
-                        channels=np.stack([g.channel for g in bucket]),
-                        received=np.stack([g.stacked_received() for g in bucket]),
-                        noise_var=noise_var,
-                        keys=[g.key for g in bucket],
-                    )
-                    flushed_s = self.clock()
-                    result = self.service.detect(
-                        cell.detector,
-                        batch,
-                        cache=cell.cache,
-                        counter=self.counter,
-                        use_soft=self.use_soft,
-                        max_paths=path_budget,
-                    )
-                except Exception as error:  # resolve futures, keep serving
-                    span.set(error=type(error).__name__)
-                    for group in bucket:
-                        for _, future in group.arrivals:
-                            if not future.done():
-                                future.set_exception(error)
-                    continue
                 completed_s = self.clock()
                 record = FlushRecord(
-                    cell=cell.cell_id,
-                    reason=bucket[0].reason,
-                    subcarriers=len(bucket),
-                    frames=sum(g.frames for g in bucket),
-                    first_arrival_s=min(g.first_arrival_s for g in bucket),
-                    flushed_s=flushed_s,
-                    completed_s=completed_s,
-                    deadline_s=min(g.deadline_s for g in bucket),
+                    cell.cell_id,
+                    bucket[0].reason,
+                    len(bucket),
+                    frames,
+                    min(group.first_arrival_s for group in bucket),
+                    flushed_s,
+                    completed_s,
+                    min(group.deadline_s for group in bucket),
                 )
-                frames_on_time = sum(
-                    g.frames for g in bucket if completed_s <= g.deadline_s
-                )
+                on_time = sum(g.frames for g in bucket if completed_s <= g.deadline_s)
                 span.set(
                     latency_s=record.latency_s,
                     service_s=completed_s - flushed_s,
                     deadline_met=record.deadline_met,
                 )
+                stats = result.stats
                 self._ledger.account(
-                    record,
-                    len(bucket),
-                    record.frames - frames_on_time,
-                    result.stats["cache"],
-                    result.stats.get("transfers"),
+                    record, len(bucket), frames - on_time, stats["cache"], stats.get("transfers")
                 )
-                if self.governor is not None:
-                    self.governor.observe_flush(
-                        cell.cell_id,
-                        record,
-                        frames_on_time,
-                        leading_path_probabilities(result.prepared),
-                    )
+                if governor is not None:
+                    probabilities = leading_path_probabilities(result.prepared)
+                    governor.observe_flush(cell.cell_id, record, on_time, probabilities)
                 for sc, group in enumerate(bucket):
-                    offset = 0
+                    metadata, offset = result.per_subcarrier_metadata[sc], 0
                     for arrival, future in group.arrivals:
-                        stop = offset + arrival.num_frames
+                        rows = np.s_[sc, offset : offset + arrival.num_frames]
+                        offset += arrival.num_frames
                         if not future.done():
+                            llrs = None if result.llrs is None else result.llrs[rows]
                             future.set_result(
-                                FrameDetection(
-                                    indices=result.indices[sc, offset:stop],
-                                    llrs=(
-                                        result.llrs[sc, offset:stop]
-                                        if result.llrs is not None
-                                        else None
-                                    ),
-                                    metadata=result.per_subcarrier_metadata[
-                                        sc
-                                    ],
-                                    flush=record,
-                                )
+                                FrameDetection(result.indices[rows], llrs, metadata, record)
                             )
-                        offset = stop
+        if rejected is None:
+            return
+        if len(bucket) == 1:
+            _fail((future for _, future in bucket[0].arrivals), rejected)
+            return
+        for group in bucket:
+            self._flush(cell, [group])

@@ -662,19 +662,19 @@ class TestAccountingConservation:
 
         def watched(farm, **kwargs):
             scheduler = scheduler_factory(farm, **kwargs)
-            dispatch = scheduler._dispatch
+            flush = scheduler._flush
 
-            def dispatch_and_check(groups):
+            def flush_and_check(cell, bucket):
                 try:
-                    dispatch(groups)
+                    flush(cell, bucket)
                 finally:
-                    # Mid-run, right after the flushes: only the
+                    # Mid-run, right after a flush: only the
                     # scheduler's own ledger has been written.
                     ledgers.append(scheduler.metrics)
                     assert farm.metrics.to_dict()["counters"] == {}
                     assert not folds
 
-            scheduler._dispatch = dispatch_and_check
+            scheduler._flush = flush_and_check
             return scheduler
 
         monkeypatch.setattr(CellFarm, "scheduler", watched)

@@ -151,7 +151,7 @@ class TestLoadShedding:
         governor.tick(0.0)
         assert governor.shedding()["cell0"]
         assert governor.telemetry.sheds_started == 1
-        assert not governor.admit("cell0", 7, 0.1)
+        assert not governor.admit("cell0", 7)
         assert governor.telemetry.frames_shed == 7
 
     def test_above_floor_never_sheds(self):
@@ -174,7 +174,7 @@ class TestLoadShedding:
         governor.observe_flush("cell0", late_record())
         governor.tick(0.0)
         verdicts = [
-            governor.admit("cell0", 7, 0.1) for _ in range(2 * PROBE_EVERY)
+            governor.admit("cell0", 7) for _ in range(2 * PROBE_EVERY)
         ]
         assert verdicts == ([False] * (PROBE_EVERY - 1) + [True]) * 2
         assert governor.telemetry.frames_shed == 2 * (PROBE_EVERY - 1) * 7
@@ -184,8 +184,8 @@ class TestLoadShedding:
         governor.observe_flush("cell0", late_record())
         governor.tick(0.0)
         for _ in range(PROBE_EVERY - 1):
-            assert not governor.admit("cell0", 7, 0.1)
-        assert governor.admit("cell0", 7, 0.2)  # the probe
+            assert not governor.admit("cell0", 7)
+        assert governor.admit("cell0", 7)  # the probe
         # The probe made its deadline: evidence the floor now fits.
         governor.observe_flush(
             "cell0", flush_record(frames=7), frames_on_time=7
@@ -193,14 +193,14 @@ class TestLoadShedding:
         governor.tick(1.0)
         assert not governor.shedding()["cell0"]
         assert governor.telemetry.sheds_ended == 1
-        assert governor.admit("cell0", 7, 1.1)
+        assert governor.admit("cell0", 7)
 
     def test_fully_shed_window_stays_shut(self):
         """RESUME_ABOVE means something: no probe evidence, no resume."""
         governor = self._governor()
         governor.observe_flush("cell0", late_record())
         governor.tick(0.0)
-        assert not governor.admit("cell0", 7, 0.1)  # window has sheds
+        assert not governor.admit("cell0", 7)  # window has sheds
         governor.tick(1.0)
         assert governor.shedding()["cell0"]
 

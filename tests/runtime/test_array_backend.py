@@ -305,42 +305,40 @@ class TestFlopParity:
         assert counters_equal(serial_counter, array_counter)
 
     @pytest.mark.parametrize("name", ["flexcore", "a-flexcore", "soft-flexcore"])
-    def test_detect_many_routing_matches_naive_loop(self, name):
-        """Every registry detector with a block kernel: ``detect_many``
-        routes through the stacked kernel; results and FLOPs must equal
-        the naive per-channel loop it replaces."""
+    def test_block_kernel_matches_serial_loop(self, name):
+        """Every registry detector with a block kernel: the array
+        service routes through the stacked kernel; indices, metadata
+        and FLOPs must equal the serial per-channel loop it replaces."""
         system = MimoSystem(4, 4, QamConstellation(16))
         detector = make_detector(name, system, num_paths=12)
         channels, received, noise_var = make_workload(system, seed=37)
         assert detector.has_block_kernel
-        naive_counter = FlopCounter()
-        naive = [
-            detector.detect(
-                channels[c], received[c], noise_var, counter=naive_counter
-            )
-            for c in range(channels.shape[0])
-        ]
-        routed_counter = FlopCounter()
-        routed = detector.detect_many(
-            channels, received, noise_var, counter=routed_counter
+        batch = UplinkBatch(channels, received, noise_var)
+        serial_counter, array_counter = FlopCounter(), FlopCounter()
+        serial = DetectionService("serial").detect(
+            detector, batch, cache=None, counter=serial_counter
         )
-        assert counters_equal(naive_counter, routed_counter)
-        for ref, got in zip(naive, routed):
-            assert np.array_equal(ref.indices, got.indices)
-            assert ref.metadata == got.metadata
+        routed = DetectionService("array").detect(
+            detector, batch, cache=None, counter=array_counter
+        )
+        assert counters_equal(serial_counter, array_counter)
+        assert np.array_equal(serial.indices, routed.indices)
+        assert serial.per_subcarrier_metadata == routed.per_subcarrier_metadata
 
     @pytest.mark.parametrize("name", ["zf", "mmse", "ml", "sphere", "trellis"])
     def test_third_party_detector_uses_documented_fallback(self, name):
-        """Every registry baseline without a block kernel: ``detect_many``
-        is the per-channel loop."""
+        """Every registry baseline without a block kernel: the array
+        service runs the per-channel loop."""
         system = MimoSystem(3, 4, QamConstellation(16))
         detector = make_detector(name, system)
         assert not detector.has_block_kernel
         channels, received, noise_var = make_workload(system, seed=41)
-        results = detector.detect_many(channels, received, noise_var)
-        for c, result in enumerate(results):
+        result = DetectionService("array").detect(
+            detector, UplinkBatch(channels, received, noise_var), cache=None
+        )
+        for c in range(channels.shape[0]):
             reference = detector.detect(channels[c], received[c], noise_var)
-            assert np.array_equal(result.indices, reference.indices)
+            assert np.array_equal(result.indices[c], reference.indices)
 
 
 class TestTheNumpyModule:

@@ -126,17 +126,6 @@ class TestHardEquivalence:
         )
         assert np.array_equal(cached.indices, uncached.indices)
 
-    def test_detect_many_matches_engine(self):
-        system = MimoSystem(4, 4, QamConstellation(16))
-        detector = FlexCoreDetector(system, num_paths=12)
-        channels, received, noise_var = make_workload(system, seed=5)
-        many = detector.detect_many(channels, received, noise_var)
-        engine = make_stack(detector)
-        batched = engine.detect_batch(channels, received, noise_var)
-        assert np.array_equal(
-            np.stack([r.indices for r in many]), batched.indices
-        )
-
 
 class TestSoftEquivalence:
     @pytest.mark.parametrize("order", [4, 16, 64])

@@ -374,6 +374,17 @@ class TestValidation:
                 )
                 detection = await asyncio.wait_for(fine, timeout=5.0)
                 assert detection.indices.shape == (1, 3)
+                # One wake: both groups hit the target together and
+                # coalesce into one bucket; only the poisoned one fails.
+                bad = await scheduler.submit(FrameArrival(poisoned, received, 0.1))
+                fine = await scheduler.submit(
+                    FrameArrival(good, np.zeros(3, dtype=complex), 0.1)
+                )
+                with pytest.raises(ConfigurationError, match="received"):
+                    await asyncio.wait_for(bad, timeout=5.0)
+                detection = await asyncio.wait_for(fine, timeout=5.0)
+                assert detection.indices.shape == (1, 3)
+                assert detection.flush.subcarriers == 1
 
         asyncio.run(run())
 
@@ -425,29 +436,26 @@ class TestMicroBatcherProperties:
             batch_target=batch_target, slot_budget_s=budget
         )
         now = 0.0
+        wake_s = math.inf
         flushes = []  # (flush_time, group)
+
+        def step(arrivals):
+            nonlocal wake_s
+            decided = batcher.step(arrivals, now)
+            flushes.extend((now, group) for bucket in decided.buckets for group in bucket)
+            wake_s = decided.wake_s
 
         def wake_until(limit):
             nonlocal now
-            while True:
-                armed = batcher.next_deadline()
-                if armed is None or armed > limit:
-                    break
-                wake = max(armed, now)
-                flushes.extend(
-                    (wake, group) for group in batcher.pop_expired(wake)
-                )
-                now = wake
+            while math.isfinite(wake_s) and wake_s <= limit:
+                now = max(wake_s, now)
+                step([])
 
         for key_index, gap, frames in events:
             arrival_time = now + gap
             wake_until(arrival_time)
             now = arrival_time
-            group = batcher.add(
-                self._arrival(key_index, frames, now), None, now
-            )
-            if group is not None:
-                flushes.append((now, group))
+            step([(self._arrival(key_index, frames, now), None)])
         wake_until(math.inf)
         assert len(batcher) == 0
 
@@ -484,6 +492,123 @@ class TestMicroBatcherProperties:
             MicroBatcher(batch_target=0)
         with pytest.raises(ConfigurationError):
             MicroBatcher(slot_budget_s=0.0)
+
+
+class TestMicroBatcherStep:
+    """``MicroBatcher.step`` is the scheduler's one decision; these drive
+    it on a virtual clock, with no event loop."""
+
+    CELLS = ("a", "b", "c")
+
+    @staticmethod
+    def _arrival(cell, key_index, noise_var, frames, when):
+        return FrameArrival(
+            channel=TestMicroBatcherProperties.CHANNELS[key_index],
+            received=np.zeros((frames, 2), dtype=np.complex128),
+            noise_var=noise_var,
+            cell=cell,
+            arrival_s=when,
+        )
+
+    @given(
+        wakes=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1e-3),  # time since last wake
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(CELLS),
+                        st.integers(min_value=0, max_value=3),  # channel
+                        st.sampled_from([0.1, 0.2]),  # noise
+                        st.integers(min_value=1, max_value=3),  # frames
+                        st.floats(min_value=0.0, max_value=1e-3),  # queued this long
+                    ),
+                    max_size=8,
+                ),
+                st.booleans(),  # a control message: drain
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        batch_target=st.integers(min_value=1, max_value=6),
+        shed_cells=st.sets(st.sampled_from(CELLS), max_size=1),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_step_invariants(self, wakes, batch_target, shed_cells):
+        batcher = MicroBatcher(batch_target=batch_target, slot_budget_s=SLOT_DURATION_S)
+
+        def admit(cell, frames):
+            return cell not in shed_cells
+
+        now, token = 0.0, 0
+        admitted, flushed = {}, set()  # token -> frames
+        flushing_steps = 0
+        for gap, offered, drain in wakes:
+            now += gap
+            arrivals = []
+            for cell, key_index, noise_var, frames, queued in offered:
+                arrival = self._arrival(cell, key_index, noise_var, frames, now - queued)
+                arrivals.append((arrival, token))
+                token += 1
+            step = batcher.step(arrivals, now, admit, drain=drain)
+
+            refused = [t for arrival, t in arrivals if arrival.cell in shed_cells]
+            assert [t for _, t in step.sheds] == refused
+            admitted.update(
+                (t, arrival.num_frames) for arrival, t in arrivals if t not in refused
+            )
+            for bucket in step.buckets:
+                kinds = {(g.cell, g.noise_var, g.frames, g.reason) for g in bucket}
+                assert len(kinds) == 1, "a bucket mixes cell, noise, frames or reason"
+                ((_, _, frames, reason),) = kinds
+                if reason == "target":
+                    assert frames >= batch_target
+                if reason == "deadline":
+                    assert all(g.deadline_s <= now for g in bucket)
+                for group in bucket:
+                    for _, t in group.arrivals:
+                        assert t in admitted and t not in flushed
+                        flushed.add(t)
+            # Every admitted arrival is flushed exactly once or pending.
+            assert batcher.pending_frames == sum(
+                frames for t, frames in admitted.items() if t not in flushed
+            )
+            pending = list(batcher._groups.values())
+            assert all(g.deadline_s > now for g in pending)
+            assert step.wake_s == min((g.deadline_s for g in pending), default=math.inf)
+            if drain:
+                assert len(batcher) == 0 and step.wake_s == math.inf
+
+            # Fair share: cells in sorted order, rotated one further
+            # every step that flushes; a cell's buckets are contiguous.
+            served = [bucket[0].cell for bucket in step.buckets]
+            order = list(dict.fromkeys(served))
+            assert served == sorted(served, key=order.index)
+            if order:
+                expected = sorted(order)
+                offset = flushing_steps % len(expected)
+                assert order == expected[offset:] + expected[:offset]
+                flushing_steps += 1
+
+    def test_first_cell_served_rotates(self):
+        batcher = MicroBatcher(batch_target=1, slot_budget_s=SLOT_DURATION_S)
+        firsts = []
+        for now in (0.0, 1.0, 2.0):
+            arrivals = [(self._arrival(cell, 0, 0.1, 1, now), None) for cell in ("b", "a")]
+            step = batcher.step(arrivals, now)
+            assert [bucket[0].cell for bucket in step.buckets] in (["a", "b"], ["b", "a"])
+            firsts.append(step.buckets[0][0].cell)
+        assert firsts == ["a", "b", "a"]
+
+    def test_equal_groups_coalesce_and_expire_on_the_virtual_clock(self):
+        batcher = MicroBatcher(batch_target=7, slot_budget_s=SLOT_DURATION_S)
+        arrivals = [(self._arrival("a", k, 0.1, 2, 0.0), k) for k in range(3)]
+        step = batcher.step(arrivals, 0.0)
+        assert step.buckets == [] and step.wake_s == SLOT_DURATION_S
+        assert batcher.step([], SLOT_DURATION_S / 2).buckets == []
+        step = batcher.step([], SLOT_DURATION_S)
+        (bucket,) = step.buckets
+        assert [g.reason for g in bucket] == ["deadline"] * 3
+        assert step.wake_s == math.inf and len(batcher) == 0
 
 
 class TestTelemetry:
@@ -549,7 +674,7 @@ class TestBlockingCallTripwire:
         assert blocking_calls
         assert {label for label, _ in blocking_calls} == {"time.sleep"}
         for _, stack in blocking_calls:
-            assert "in _dispatch_cell" in stack and "in sleepy_detect" in stack
+            assert "in _flush" in stack and "in sleepy_detect" in stack
         blocking_calls.clear()  # provoked on purpose; the fixture would fail it
 
     @pytest.mark.skipif(native.status()["lane"] != "native", reason="no fused lane")
@@ -579,5 +704,5 @@ class TestBlockingCallTripwire:
         assert threads and all(name.startswith("flexcore-pe") for name in threads)
         assert [label for label, _ in blocking_calls] == ["time.sleep"] * len(threads)
         for _, stack in blocking_calls:
-            assert "in sleepy_run" in stack and "in _dispatch_cell" not in stack
+            assert "in sleepy_run" in stack and "in _flush" not in stack
         blocking_calls.clear()  # provoked on purpose; the fixture would fail it
