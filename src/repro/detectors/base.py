@@ -31,7 +31,8 @@ from repro.utils.flops import NULL_COUNTER, FlopCounter
 
 @dataclass
 class DetectionResult:
-    """Hard decisions plus per-batch diagnostics.
+    """Hard decisions, soft output when asked for, and per-batch
+    diagnostics.
 
     Attributes
     ----------
@@ -40,10 +41,14 @@ class DetectionResult:
     metadata:
         Scheme-specific extras (nodes visited, active processing elements,
         per-vector minimum Euclidean distances, ...).
+    llrs:
+        ``(n, Nt * bits_per_symbol)`` max-log LLRs, stream-major, from a
+        soft entry point (``detect_soft_prepared``); ``None`` otherwise.
     """
 
     indices: np.ndarray
     metadata: dict = field(default_factory=dict)
+    llrs: np.ndarray | None = None
 
 
 class Detector(abc.ABC):
@@ -101,9 +106,10 @@ class Detector(abc.ABC):
 
         ``contexts`` is what :meth:`prepare_many` (or the cache, which
         gathers its rows the same way) returned.  The runtime always
-        passes all four keywords (as it does to the soft twin,
+        passes all four keywords, and the same four to a soft detector's
         ``detect_soft_block_prepared(contexts, received, noise_var,
-        ...)``): ``store`` is the backend's
+        ...)`` — on FlexCore, both are one call into the same block
+        loop, hard or soft by ``noise_var``: ``store`` is the backend's
         :class:`~repro.runtime.residency.ResidentContextStore` or
         ``None``, and ``max_paths`` is the per-call path budget, which
         the kernel applies itself — contexts arrive unclamped.

@@ -25,14 +25,13 @@ from repro.flexcore.preprocessing import (
     find_promising_paths_block,
 )
 from repro.flexcore.probability import LevelErrorModel
-from repro.flexcore.soft import SoftDetectionResult, SoftFlexCoreDetector
+from repro.flexcore.soft import SoftFlexCoreDetector
 
 __all__ = [
     "AdaptiveFlexCoreDetector",
     "FlexCoreDetector",
     "LevelErrorModel",
     "PreprocessingResult",
-    "SoftDetectionResult",
     "SoftFlexCoreDetector",
     "TriangleOrdering",
     "find_promising_paths_block",

@@ -56,5 +56,5 @@ class AdaptiveFlexCoreDetector(FlexCoreDetector):
             search.probabilities, search.expanded_nodes, self.probability_target
         )
 
-    def _entry(self, paths: int, deactivated) -> dict:
-        return {**super()._entry(paths, deactivated), "active_paths": paths}
+    def _entry(self, paths: int, count, soft: bool) -> dict:
+        return {**super()._entry(paths, count, soft), "active_paths": paths}

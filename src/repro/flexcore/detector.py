@@ -11,21 +11,24 @@ wide parallel hardware.
 
 Every path through this module — :meth:`FlexCoreDetector.detect_prepared`
 (one channel, a group of one), :meth:`~FlexCoreDetector.
-detect_block_prepared` (a coherence block grouped by path count), the
-soft detector's two entry points, and FCSD and SIC
-(:mod:`repro.detectors.fcsd`), whose plans hold a path set that ignores
-the channel and mark its top ``L`` levels *absolute* (there a path takes
-the symbol its plan holds, not a LUT rank, and is never deactivated: one
-per-level test in each lane; FlexCore's ``L`` is 0) — runs the same two
-pieces, so the per-channel loop and the stacked kernel are bit-identical
-by construction — *within a lane*.  The core has two: the **portable**
-level loop below, numpy passes — no compiler, the exact-ordering
-ablation, the soft candidate list, the tests' oracle — and the
-**native** ``detect_group`` (:meth:`~FlexCoreDetector._decide`, taken
-whenever :func:`repro.native.kernel` is not ``None``): the same
-arithmetic in one GIL-free call per equal-path group that walks each
-frame into scratch and reduces it right there, so that, as from the
-paper's processing elements, only decisions leave the kernel.  A group
+detect_block_prepared` (a coherence block grouped by path count), and
+FCSD and SIC (:mod:`repro.detectors.fcsd`), whose plans hold a path set
+that ignores the channel and mark its top ``L`` levels *absolute* (there
+a path takes the symbol its plan holds, not a LUT rank, and is never
+deactivated: one per-level test in each lane; FlexCore's ``L`` is 0) —
+runs the same two pieces, so the per-channel loop and the stacked kernel
+are bit-identical by construction — *within a lane*.  The soft detector's
+entry points are the same per-channel call and the same block loop
+(:meth:`~FlexCoreDetector._detect_block`) given a ``noise_var``, and one
+group dispatch (:meth:`~FlexCoreDetector._detect_group`) picks the lane
+for both.  The core has two: the **portable** level loop below, numpy
+passes — no compiler, the exact-ordering ablation, the soft candidate
+list, the tests' oracle — and the **native** ``detect_group``
+(:meth:`~FlexCoreDetector._decide`, taken whenever
+:func:`repro.native.kernel` is not ``None``): the same arithmetic in one
+GIL-free call per equal-path group that walks each frame into scratch
+and reduces it right there, so that, as from the paper's processing
+elements, only decisions leave the kernel.  A group
 with enough walk to share is cut along ``G`` into runs, one call each,
 spread over the process's CPUs (:func:`repro.native.fan_out`) — sound
 only while nothing couples one subcarrier's walk to another's, in either
@@ -325,9 +328,11 @@ class FlexCoreDetector(Detector):
         trims them)."""
         return search.expanded_nodes
 
-    def _entry(self, paths: int, deactivated) -> dict:
-        """One subcarrier's metadata."""
-        return {"paths": paths, "deactivated_path_evaluations": int(deactivated)}
+    def _entry(self, paths: int, count, soft: bool) -> dict:
+        """One subcarrier's metadata: its paths and its dead-path
+        evaluations, or its clamped bits when ``soft``."""
+        name = "clamped_bits" if soft else "deactivated_path_evaluations"
+        return {"paths": paths, name: int(count)}
 
     # ------------------------------------------------------------------
     def detect_prepared(
@@ -336,14 +341,19 @@ class FlexCoreDetector(Detector):
         received: np.ndarray,
         counter: FlopCounter = NULL_COUNTER,
     ) -> DetectionResult:
+        return self._detect_row(context, received, counter)
+
+    def _detect_row(self, context, received, counter, noise_var=None) -> DetectionResult:
+        """One channel, a group of one: hard, or soft given ``noise_var``."""
         received = self._check_received(received)
         xp = resolve_array_module(None)
-        indices, deactivated = self._detect_group(
-            self._row_plan(context, xp), received[None], xp, counter, WalkWorkspace()
+        indices, llrs, counts = self._detect_group(
+            self._row_plan(context, xp), received[None], xp, counter, WalkWorkspace(), noise_var
         )
         return DetectionResult(
             indices=indices[0],
-            metadata=self._entry(context.active_paths, deactivated[0]),
+            metadata=self._entry(context.active_paths, counts[0], noise_var is not None),
+            llrs=None if llrs is None else llrs[0],
         )
 
     # ------------------------------------------------------------------
@@ -385,24 +395,36 @@ class FlexCoreDetector(Detector):
         matching what the per-subcarrier loop would produce.  ``indices``
         comes home in a single ``to_numpy``.
         """
+        indices, _, metadata = self._detect_block(contexts, received, counter, xp, store, max_paths)
+        return indices, metadata
+
+    def _detect_block(self, contexts, received, counter, xp, store, max_paths, noise_var=None):
+        """The block loop of both block entries: ``(indices, llrs,
+        metadata)``, ``llrs`` ``(S, F, Nt * bits)`` given a ``noise_var``,
+        else ``None``."""
         xp = resolve_array_module(xp)
         received = self._check_block_received(contexts, received)
         num_subcarriers, num_frames, _ = received.shape
-        indices_dev = np.zeros(
-            (num_subcarriers, num_frames, self.system.num_streams), dtype=np.int64
-        )
+        num_streams = self.system.num_streams
+        width = num_streams * self.system.constellation.bits_per_symbol
+        indices_dev = np.zeros((num_subcarriers, num_frames, num_streams), dtype=np.int64)
+        llrs_dev = None if noise_var is None else np.zeros((num_subcarriers, num_frames, width))
         metadata: list = [None] * num_subcarriers
         scratch = self._scratch(store)
         # One upload per call: groups slice it device-side.
         received = xp.asarray(received)
         for members, paths, plan in self._plans(contexts, xp, store, max_paths):
-            indices_dev[members], deactivated = self._detect_group(
-                plan, received[members], xp, counter, scratch
+            indices_dev[members], llrs, counts = self._detect_group(
+                plan, received[members], xp, counter, scratch, noise_var
             )
+            if llrs is not None:
+                llrs_dev[members] = llrs
             for j, sc in enumerate(members):
-                metadata[sc] = self._entry(paths, deactivated[j])
+                metadata[sc] = self._entry(paths, counts[j], noise_var is not None)
         indices = np.asarray(xp.to_numpy(indices_dev), dtype=np.int64)
-        return indices, metadata
+        if llrs_dev is not None:
+            llrs_dev = np.asarray(xp.to_numpy(llrs_dev), dtype=np.float64)
+        return indices, llrs_dev, metadata
 
     def _check_block_received(self, contexts, received) -> np.ndarray:
         received = np.asarray(received)
@@ -475,28 +497,57 @@ class FlexCoreDetector(Detector):
         return store.scratch(WalkWorkspace)
 
     def _detect_group(
-        self, plan, received, xp, counter: FlopCounter, scratch: WalkWorkspace
+        self, plan, received, xp, counter: FlopCounter, scratch: WalkWorkspace, noise_var=None
     ) -> tuple:
-        """Hard-detect one equal-path-count group over its walk plan.
+        """Detect one equal-path-count group over its walk plan: the one
+        dispatch between the fused lane and the portable tiles.
 
         ``received`` ``(G, F, Nr)`` is already on the module.  Returns
-        device-side decisions ``(G, F, Nt)`` plus host per-subcarrier
-        deactivation counts, downloaded once.
+        device-side decisions ``(G, F, Nt)``, ``None`` or — given a
+        ``noise_var`` — ``(G, F, Nt * bits)`` LLRs, and host
+        per-subcarrier dead-path or clamped-bit counts, downloaded once.
         """
         planes = plan.grid_planes(np.matmul(received, plan.q_conj))
-        if not self.use_exact_ordering and native.kernel() is not None:
-            indices, _, deactivated = self._decide(plan, planes, xp, counter, scratch)
+        # The soft candidate walk ignores the exact-ordering ablation.
+        use_exact = self.use_exact_ordering and noise_var is None
+        if not use_exact and native.kernel() is not None:
+            llr_clip = 0.0 if noise_var is None else self.llr_clip
+            indices, llrs, counts = self._decide(
+                plan, planes, xp, counter, scratch, noise_var, llr_clip
+            )
         else:
             group, frames, num_streams, _ = planes.shape
-            winners = np.empty((group, frames, 2 * num_streams), dtype=np.float64)
-            deactivated = np.zeros((group,), dtype=np.int64)
+            bits = self.system.constellation.bits_per_symbol
+            indices = np.empty((group, frames, num_streams), dtype=np.int64)
+            llrs = None if noise_var is None else np.empty((group, frames, num_streams * bits))
+            counts = np.zeros((group,), dtype=np.int64)
             for rows, cols, symbols, ped, dead in self._walk_tiles(
-                plan, planes, xp, counter, self.use_exact_ordering, scratch
+                plan, planes, xp, counter, use_exact, scratch, self._tile_layout(noise_var)
             ):
-                winners[rows, cols] = self._winner(symbols, ped)
-                deactivated[rows] += np.count_nonzero(dead, axis=(1, 2))
-            indices = plan.restore_order(self._symbol_indices(winners, xp))
-        return indices, np.asarray(xp.to_numpy(deactivated), dtype=np.int64)
+                indices[rows, cols], soft, flagged = self._reduce_tile(
+                    symbols, ped, dead, xp, scratch, noise_var
+                )
+                if llrs is not None:
+                    llrs[rows, cols] = soft
+                counts[rows] += np.count_nonzero(flagged, axis=(1, 2))
+            indices = plan.restore_order(indices)
+            if llrs is not None:
+                counter.add_comparisons(llrs.size * plan.paths)
+                by_stream = llrs.reshape((group, frames, num_streams, bits))
+                llrs = plan.restore_order(by_stream).reshape(llrs.shape)
+        return indices, llrs, np.asarray(xp.to_numpy(counts), dtype=np.int64)
+
+    def _tile_layout(self, noise_var) -> tuple:
+        """What a portable tile holds on top of :func:`walk_layout`:
+        nothing for the arg-min (the soft detector adds its list)."""
+        return ()
+
+    def _reduce_tile(self, symbols, ped, dead, xp, scratch, noise_var) -> tuple:
+        """One portable tile's ``(G, F, Nt)`` decisions in detection
+        order, its LLRs (``None``) and the ``(G, F, ...)`` mask whose
+        set entries a subcarrier counts: the arg-min path and the dead
+        paths (the soft detector reduces a candidate list instead)."""
+        return self._symbol_indices(self._winner(symbols, ped), xp), None, dead
 
     def _decide(
         self, plan, planes, xp, counter, scratch, noise_var=None, llr_clip=0.0

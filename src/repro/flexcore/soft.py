@@ -14,6 +14,12 @@ Positive LLR favours bit 0, matching :mod:`repro.coding.viterbi`.  When a
 hypothesis is absent from the list (all candidates agree on a bit) the
 LLR clamps to ``+-llr_clip`` — the standard list-detector fallback.
 
+Soft output is only another reduction of the same walk, so this module
+has no loop of its own: its entry points are the hard detector's
+per-channel call and block loop given a ``noise_var``, and they fill the
+``llrs`` of the one :class:`~repro.detectors.base.DetectionResult`.  It
+adds ``llr_clip`` and the portable lane's per-tile list reduction.
+
 The reduction is a sorted list, not a dense minimum.  Each frame's ``P``
 PEDs are ranked once by a stable ``argsort`` and its candidates' symbol
 indices are gathered into that order as bytes, paths last.  A symbol
@@ -44,40 +50,13 @@ from 3.3 to 1.0 ms — from 4.0 to 1.8 hard blocks of the same plan.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro import native
+from repro.detectors.base import DetectionResult
 from repro.errors import ConfigurationError
-from repro.flexcore.detector import (
-    FlexCoreContext,
-    FlexCoreDetector,
-    WalkWorkspace,
-)
+from repro.flexcore.detector import FlexCoreContext, FlexCoreDetector, WalkWorkspace
 from repro.utils.flops import NULL_COUNTER, FlopCounter
 from repro.utils.xp import resolve_array_module
-
-
-@dataclass
-class SoftDetectionResult:
-    """Hard decisions plus per-bit log-likelihood ratios.
-
-    Attributes
-    ----------
-    indices:
-        ``(n, Nt)`` hard symbol decisions (identical to the hard detector).
-    llrs:
-        ``(n, Nt * bits_per_symbol)`` max-log LLRs, stream-major: the
-        first ``bits_per_symbol`` entries belong to stream 0.
-    metadata:
-        Diagnostics (clamped-bit counts, paths).
-    """
-
-    indices: np.ndarray
-    llrs: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
 
 class SoftFlexCoreDetector(FlexCoreDetector):
@@ -109,26 +88,12 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         received: np.ndarray,
         noise_var: float,
         counter: FlopCounter = NULL_COUNTER,
-    ) -> SoftDetectionResult:
-        """Soft detection over a prepared channel context."""
-        received = self._check_received(received)
-        xp = resolve_array_module(None)
-        indices, llrs, clamped = self._detect_soft_group(
-            self._row_plan(context, xp),
-            received[None],
-            noise_var,
-            xp,
-            counter,
-            WalkWorkspace(),
-        )
-        return SoftDetectionResult(
-            indices=indices[0],
-            llrs=llrs[0],
-            metadata={
-                "paths": max(context.position_vectors.shape[0], 1),
-                "clamped_bits": int(clamped[0]),
-            },
-        )
+    ) -> DetectionResult:
+        """Soft detection over a prepared channel context: the result's
+        ``llrs`` are ``(n, Nt * bits_per_symbol)`` max-log LLRs,
+        stream-major (the first ``bits_per_symbol`` belong to stream 0);
+        its metadata counts clamped bits."""
+        return self._detect_row(context, received, counter, noise_var)
 
     def detect_soft(
         self,
@@ -136,12 +101,10 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         received: np.ndarray,
         noise_var: float,
         counter: FlopCounter = NULL_COUNTER,
-    ) -> SoftDetectionResult:
+    ) -> DetectionResult:
         """Single-shot convenience: prepare then soft-detect."""
         context = self.prepare(channel, noise_var, counter=counter)
-        return self.detect_soft_prepared(
-            context, received, noise_var, counter=counter
-        )
+        return self.detect_soft_prepared(context, received, noise_var, counter=counter)
 
     def _candidate_list(
         self,
@@ -159,9 +122,6 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         symbols, ped, _ = self._walk(planes, plan, xp, counter, False)
         return self._symbol_indices(symbols, xp)[0].swapaxes(1, 2), ped[0]
 
-    # ------------------------------------------------------------------
-    # Stacked tensor-walk soft kernel
-    # ------------------------------------------------------------------
     def detect_soft_block_prepared(
         self,
         contexts,
@@ -172,83 +132,24 @@ class SoftFlexCoreDetector(FlexCoreDetector):
         store=None,
         max_paths: "int | None" = None,
     ) -> "tuple[np.ndarray, np.ndarray, list[dict]]":
-        """Soft-detect a ``(S, F, Nr)`` block over prepared channels.
+        """Soft-detect a ``(S, F, Nr)`` block over prepared channels: the
+        block loop of :meth:`~repro.flexcore.detector.FlexCoreDetector.
+        detect_block_prepared` (same ``contexts``, ``store`` and
+        ``max_paths``) with each frame's ``P`` candidates reduced to LLRs,
+        bit-identical to :meth:`detect_soft_prepared` per subcarrier.
+        Returns ``(indices, llrs, metadata)``, ``(S, F, Nt)`` / ``(S, F,
+        Nt * bits_per_symbol)``, each home in a single ``to_numpy``."""
+        return self._detect_block(contexts, received, counter, xp, store, max_paths, noise_var)
 
-        The stacked analogue of :meth:`detect_soft_prepared`: subcarriers
-        sharing a path count walk as one ``(G, F, P)`` element tensor
-        (the hard detector's core) and each frame's ``P`` candidates are
-        ranked into one list that every bit scans.  The hard decisions
-        *and* the LLRs are bit-identical to the per-subcarrier path.
+    def _tile_layout(self, noise_var) -> tuple:
+        return () if noise_var is None else self._list_layout()
 
-        ``contexts``, ``store`` and ``max_paths`` behave exactly as on
-        :meth:`~repro.flexcore.detector.FlexCoreDetector.detect_block_prepared`:
-        resident walk plans are reused device-side and the path budget
-        slices them (a view, never an upload or a change to the block).
-
-        Returns ``(indices, llrs, metadata)`` with shapes ``(S, F, Nt)``
-        / ``(S, F, Nt * bits_per_symbol)``; each comes home in a single
-        ``to_numpy``.
-        """
-        xp = resolve_array_module(xp)
-        received = self._check_block_received(contexts, received)
-        num_subcarriers, num_frames, _ = received.shape
-        num_streams = self.system.num_streams
-        width = num_streams * self.system.constellation.bits_per_symbol
-        indices_dev = np.zeros(
-            (num_subcarriers, num_frames, num_streams), dtype=np.int64
-        )
-        llrs_dev = np.zeros((num_subcarriers, num_frames, width), dtype=np.float64)
-        metadata: list = [None] * num_subcarriers
-        scratch = self._scratch(store)
-        received = xp.asarray(received)
-        for members, paths, plan in self._plans(contexts, xp, store, max_paths):
-            indices_dev[members], llrs_dev[members], clamped = self._detect_soft_group(
-                plan, received[members], noise_var, xp, counter, scratch
-            )
-            for j, sc in enumerate(members):
-                metadata[sc] = {
-                    "paths": max(paths, 1),
-                    "clamped_bits": int(clamped[j]),
-                }
-        indices = np.asarray(xp.to_numpy(indices_dev), dtype=np.int64)
-        llrs = np.asarray(xp.to_numpy(llrs_dev), dtype=np.float64)
-        return indices, llrs, metadata
-
-    def _detect_soft_group(
-        self, plan, received, noise_var: float, xp, counter, scratch
-    ) -> tuple:
-        """Soft-detect one equal-path-count group: the hard path's walk,
-        every candidate weighed — inside the fused call on the native
-        lane, else tile by tile.  Returns device-side ``(G, F, Nt)``
-        decisions and ``(G, F, Nt * bits)`` LLRs plus host per-subcarrier
-        clamped-bit counts, downloaded once."""
-        planes = plan.grid_planes(np.matmul(received, plan.q_conj))
-        # The candidate walk ignores the exact-ordering ablation.
-        if native.kernel() is not None:
-            heads, soft, clamped = self._decide(
-                plan, planes, xp, counter, scratch, noise_var, self.llr_clip
-            )
-            return heads, soft, np.asarray(xp.to_numpy(clamped), dtype=np.int64)
-        group, frames, num_streams, _ = planes.shape
-        bits = self.system.constellation.bits_per_symbol
-        width = num_streams * bits
-        heads = np.empty((group, frames, num_streams), dtype=np.int64)
-        soft = np.empty((group, frames, width), dtype=np.float64)
-        clamped = np.zeros((group,), dtype=np.int64)
-        for rows, cols, symbols, ped, _ in self._walk_tiles(
-            plan, planes, xp, counter, False, scratch, self._list_layout()
-        ):
-            heads[rows, cols], soft[rows, cols], missing = self._list_llrs(
-                self._labels(symbols, xp, scratch), ped, noise_var, scratch
-            )
-            clamped[rows] += np.count_nonzero(missing, axis=(1, 2))
-            counter.add_comparisons(math.prod(ped.shape) * width)
-        by_stream = soft.reshape((group, frames, num_streams, bits))
-        return (
-            plan.restore_order(heads),
-            plan.restore_order(by_stream).reshape(soft.shape),
-            np.asarray(xp.to_numpy(clamped), dtype=np.int64),
-        )
+    def _reduce_tile(self, symbols, ped, dead, xp, scratch, noise_var) -> tuple:
+        """The sorted candidate list's reduction of a tile, given a
+        ``noise_var``; the arg-min without."""
+        if noise_var is None:
+            return super()._reduce_tile(symbols, ped, dead, xp, scratch, noise_var)
+        return self._list_llrs(self._labels(symbols, xp, scratch), ped, noise_var, scratch)
 
     def _list_layout(self) -> tuple:
         """What the candidate list holds per (subcarrier, frame, path)

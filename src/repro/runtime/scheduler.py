@@ -28,7 +28,7 @@ import asyncio
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -513,8 +513,8 @@ class StreamingScheduler:
     def _flush(self, cell, bucket: list) -> None:
         """One bucket through the service: record, ledger, governor,
         futures.  A bucket that ``UplinkBatch`` (non-finite values,
-        ragged shapes) or the service rejects is flushed again one group
-        at a time, so only the poisoned group's futures fail."""
+        ragged shapes) or the service rejects is retried group by group,
+        a rejected group arrival by arrival: only poisoned futures fail."""
         governor = self.governor
         path_budget = governor.path_budget(cell.cell_id) if governor is not None else None
         frames = sum(group.frames for group in bucket)
@@ -592,8 +592,11 @@ class StreamingScheduler:
                             )
         if rejected is None:
             return
-        if len(bucket) == 1:
-            _fail((future for _, future in bucket[0].arrivals), rejected)
+        arrivals = bucket[0].arrivals
+        if len(bucket) == 1 and len(arrivals) == 1:
+            _fail([arrivals[0][1]], rejected)
             return
+        if len(bucket) == 1:
+            bucket = [replace(bucket[0], arrivals=[a], frames=a[0].num_frames) for a in arrivals]
         for group in bucket:
             self._flush(cell, [group])

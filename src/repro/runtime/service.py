@@ -112,12 +112,11 @@ def _detect_block(
             result = detector.detect_soft_prepared(
                 context, received[sc], noise_var, counter=counter
             )
-            llrs[sc] = result.llrs
         else:
-            result = detector.detect_prepared(
-                context, received[sc], counter=counter
-            )
+            result = detector.detect_prepared(context, received[sc], counter=counter)
         indices[sc] = result.indices
+        if llrs is not None:
+            llrs[sc] = result.llrs
         metadata.append(result.metadata)
     return indices, llrs, metadata
 

@@ -101,7 +101,7 @@ def fused(detector, plan, planes, soft, counter=None, scratch=None):
 
 def portable(detector, plan, planes, soft, counter=None):
     """The same three from the portable lane — the level loop and the
-    reductions ``_detect_group`` / ``_detect_soft_group`` apply to it —
+    reductions ``_detect_group``'s ``_reduce_tile`` applies to it —
     and the walk's every candidate: its decisions ``(G, F, Nt, P)`` in
     stream order and its distances ``(G, F, P)``."""
     counter = FlopCounter() if counter is None else counter

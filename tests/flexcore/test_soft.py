@@ -17,12 +17,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro.flexcore.detector as detector_module
 from repro import native
 from repro.errors import ConfigurationError, LinkSimulationError
+from repro.flexcore.detector import FlexCoreDetector
 from repro.flexcore.soft import SoftFlexCoreDetector
 from repro.link.channels import rayleigh_sampler
 from repro.link.config import LinkConfig
 from repro.link.simulation import simulate_link
 from repro.mimo.system import MimoSystem
 from repro.modulation.constellation import QamConstellation
+from repro.runtime.service import clamp_context_paths
 from repro.utils.bits import ints_to_bits
 from tests.conftest import make_block, random_link
 from tests.reference import flexcore_llr as reference
@@ -92,6 +94,37 @@ class TestLlrs:
     def test_invalid_clip(self, soft_system):
         with pytest.raises(ConfigurationError):
             SoftFlexCoreDetector(soft_system, num_paths=8, llr_clip=0.0)
+
+
+@pytest.mark.usefixtures("lane")
+class TestOneResultType:
+    """Hard and soft output share ``DetectionResult``: ``llrs`` is
+    ``None`` from the hard entry, and a soft channel alone is row 0 of a
+    one-row soft block."""
+
+    @pytest.mark.parametrize("kind", [FlexCoreDetector, SoftFlexCoreDetector])
+    def test_a_hard_result_has_no_llrs(self, soft_system, kind):
+        detector = kind(soft_system, 12)
+        channels, received, noise_var = make_block(soft_system, 1, 5, 10.0, 7)
+        context = detector.prepare(channels[0], noise_var)
+        result = detector.detect_prepared(context, received[0])
+        assert result.llrs is None and result.indices.shape == (5, 4)
+
+    @pytest.mark.parametrize("budget", [None, 5])
+    def test_a_soft_channel_is_row_0_of_a_one_row_block(self, soft_system, budget):
+        detector = SoftFlexCoreDetector(soft_system, 12)
+        channels, received, noise_var = make_block(soft_system, 1, 5, 8.0, 11)
+        contexts = detector.prepare_many(channels, noise_var)
+        alone = detector.detect_soft_prepared(
+            clamp_context_paths(contexts[0], budget), received[0], noise_var
+        )
+        indices, llrs, metadata = detector.detect_soft_block_prepared(
+            contexts, received, noise_var, max_paths=budget
+        )
+        assert np.array_equal(alone.indices, indices[0])
+        assert np.array_equal(alone.llrs, llrs[0])
+        assert alone.llrs.shape == (5, 4 * soft_system.constellation.bits_per_symbol)
+        assert alone.metadata == metadata[0]
 
 
 class TestCodedLink:

@@ -388,6 +388,39 @@ class TestValidation:
 
         asyncio.run(run())
 
+    def test_non_finite_arrival_fails_alone_in_its_coherence_group(self):
+        """A NaN burst and a finite one on the same channel share a
+        group: the rejected group is retried arrival by arrival, so only
+        the NaN burst's future fails, and every offered frame is
+        detected, shed or missing exactly once."""
+        system = MimoSystem(3, 3, QamConstellation(4))
+        detector = FlexCoreDetector(system, num_paths=4)
+        (channel,) = rayleigh_channels(1, 3, 3, np.random.default_rng(3))
+
+        async def run():
+            async with StreamingScheduler(
+                one_cell_farm(detector), batch_target=2, slot_budget_s=math.inf
+            ) as scheduler:
+                bad = await scheduler.submit(
+                    FrameArrival(channel, np.full(3, np.nan, dtype=complex), 0.1)
+                )
+                fine = await scheduler.submit(
+                    FrameArrival(channel, np.zeros(3, dtype=complex), 0.1)
+                )
+                with pytest.raises(ConfigurationError, match="received"):
+                    await asyncio.wait_for(bad, timeout=5.0)
+                detection = await asyncio.wait_for(fine, timeout=5.0)
+                assert detection.indices.shape == (1, 3)
+                assert detection.flush.frames == 1
+            return scheduler.telemetry
+
+        telemetry = asyncio.run(run())
+        assert telemetry.frames_submitted == 2
+        assert (telemetry.frames_detected, telemetry.frames_missing) == (1, 1)
+        assert telemetry.frames_submitted == (
+            telemetry.frames_detected + telemetry.frames_shed + telemetry.frames_missing
+        )
+
 
 class TestMicroBatcherProperties:
     CHANNELS = [

@@ -15,10 +15,10 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 GATES = {
-    "**/*.py": 16016,
+    "**/*.py": 15975,
     "experiments/**/*.py": 2589,
     "utils/xp.py": 210,
-    "flexcore/detector.py": 862,
+    "flexcore/detector.py + flexcore/soft.py": 1158,
     "runtime/residency.py": 109,
     "runtime/cache.py": 306,
     "native/__init__.py": 366,
@@ -26,7 +26,7 @@ GATES = {
     "native/search.c": 140,
     "native/qr.c": 70,
     "detectors/fcsd.py + detectors/sic.py": 100,
-    "runtime/scheduler.py": 599,
+    "runtime/scheduler.py": 602,
     "control/governor.py": 437,
     "control/policy.py": 377,
     "flexcore/preprocessing.py": 460,
