@@ -11,14 +11,17 @@ whole fleet against one global path budget with
 pipe — handshake, commands, replies, ``stop`` — is JSON written by
 ``protocol.send`` and read by ``protocol.recv``.
 
-The chunk is the recovery quantum.  Every worker's chunk reply doubles
-as its heartbeat; a worker that dies (SIGKILL, OOM, segfault) or hangs
-past the reply timeout is killed, re-spawned **from the same config
-slice**, re-handed the workload and its last awarded budgets, and the
-lost chunk is replayed — the seeds make the replayed frames identical
-to the ones that died with the process.  Every recovery is recorded as
-a :class:`WorkerRestart` in the merged telemetry, so a run that
-survived a crash says so.
+Every exchange with the fleet — ``ping``, ``install_workload``,
+``calibrate``, each chunk of ``run``, each budget install — is one
+supervised round (:meth:`FarmCoordinator._round`): send every message,
+apply the scripted kills, collect every reply.  A worker that dies
+(SIGKILL, OOM, segfault) or hangs past the reply timeout before it
+replies is killed, re-spawned **from the same config slice**, re-handed
+the workload and its last awarded budgets, and asked again; the seeds
+make a replayed chunk's frames identical to the ones that died with the
+process.  So each chunk reply is a heartbeat, the chunk is the recovery
+quantum, and every recovery is a :class:`WorkerRestart` in the merged
+telemetry.
 
 Accounting is one fold: every ``slots_done`` reply carries that chunk's
 own complete ledger (a :meth:`~repro.obs.MetricsRegistry.to_dict`
@@ -38,10 +41,8 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
-import signal
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from repro.api import StackConfig
 from repro.control.policy import allocate_budget
@@ -73,11 +74,7 @@ class WorkerRestart:
     phase: str  #: the command in flight, e.g. ``"run_slots[4:8)"``
 
     def as_dict(self) -> dict:
-        return {
-            "worker": self.worker,
-            "reason": self.reason,
-            "phase": self.phase,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -123,18 +120,9 @@ class FleetReport:
 
     def as_dict(self) -> dict:
         return {
-            "workers": self.workers,
-            "slots": self.slots,
-            "slot_interval_s": self.slot_interval_s,
-            "frames_offered": self.frames_offered,
+            **asdict(self),
             "frames_detected": self.frames_detected,
-            "elapsed_s": self.elapsed_s,
             "throughput_fps": self.throughput_fps,
-            "scheduler": dict(self.scheduler),
-            "per_worker": [dict(summary) for summary in self.per_worker],
-            "cells": self.cells,
-            "budgets": dict(self.budgets),
-            "restarts": [restart.as_dict() for restart in self.restarts],
         }
 
 
@@ -161,6 +149,16 @@ class _Handle:
     @property
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
+
+    def teardown(self) -> None:
+        """Kill the process if it still runs, join it, close the pipe."""
+        if self.process is not None:
+            if self.process.is_alive():
+                self.process.kill()
+            self.process.join()
+        if self.conn is not None:
+            self.conn.close()
+            self.conn = None
 
 
 class FarmCoordinator:
@@ -189,8 +187,10 @@ class FarmCoordinator:
         ``multiprocessing`` start method; default prefers ``fork``.
     kill_script:
         ``{worker_index: chunk_index}`` — SIGKILL that worker right
-        after that chunk is dispatched to it.  The scripted crash the
-        recovery tests, the CI smoke lane and the bench all share.
+        after that chunk is dispatched to the fleet, in every
+        :meth:`run`.  The scripted crash the recovery tests, the CI
+        smoke lane and the bench all share; :meth:`run` refuses an
+        entry naming a worker or chunk it does not have.
     obs:
         An :class:`~repro.obs.Observability` hub the fleet timeline is
         folded into.  Defaults to the process-global hub (installed by
@@ -301,12 +301,7 @@ class FarmCoordinator:
         for handle in self._handles:
             if handle.process is not None:
                 handle.process.join(max(0.0, deadline - time.monotonic()))
-                if handle.process.is_alive():
-                    handle.process.kill()
-                    handle.process.join()
-            if handle.conn is not None:
-                handle.conn.close()
-                handle.conn = None
+            handle.teardown()
 
     def __enter__(self) -> "FarmCoordinator":
         return self.start()
@@ -328,9 +323,7 @@ class FarmCoordinator:
         handle.process = process
         handle.conn = parent_conn
         try:
-            ready = self._await_reply(
-                handle, "ready", self.reply_timeout_s
-            )
+            ready = self._await_reply(handle, "ready", self.reply_timeout_s)
         except _WorkerFailure as failure:
             raise WorkerCrashError(
                 f"worker {handle.index} {failure.reason} during its "
@@ -341,9 +334,9 @@ class FarmCoordinator:
 
     def kill_worker(self, index: int) -> None:
         """SIGKILL one worker — the crash the supervisor must survive."""
-        process = self._handles[index].process
-        if process is not None and process.is_alive():
-            os.kill(process.pid, signal.SIGKILL)
+        handle = self._handles[index]
+        if handle.alive:
+            handle.process.kill()
 
     def _await_reply(
         self, handle: _Handle, expected: str, timeout: float
@@ -401,12 +394,7 @@ class FarmCoordinator:
                 f"and exceeded max_restarts={self.max_restarts}",
                 worker=handle.index,
             )
-        if handle.process is not None:
-            if handle.process.is_alive():
-                handle.process.kill()
-            handle.process.join()
-        if handle.conn is not None:
-            handle.conn.close()
+        handle.teardown()
         restart = WorkerRestart(handle.index, failure.reason, phase)
         self.restarts.append(restart)
         self.metrics.counter("repro_worker_restarts_total").inc()
@@ -422,89 +410,72 @@ class FarmCoordinator:
         # The config rebuilt the stack; re-arm the workload and the
         # fleet's last budget awards so the replay resumes governed.
         if self._workload_message is not None:
-            self._request(
-                handle, self._workload_message, self.reply_timeout_s,
-                phase="workload (recovery)",
-            )
-        if self._last_awards:
-            self._install_budgets(handle)
+            self._ask(handle, self._workload_message, "workload (recovery)")
+        budgets = self._budgets_message(handle)
+        if budgets is not None:
+            self._ask(handle, budgets, "set_budgets")
 
-    def _request(
-        self, handle: _Handle, message: dict, timeout: float, phase: str
+    def _ask(
+        self, handle: _Handle, message: dict, phase: str, timeout: "float | None" = None, sent=False
     ) -> dict:
-        """Send + await with supervision: recover and replay on failure."""
+        """One worker's reply to ``message`` (already on the pipe when
+        ``sent``): a worker that dies or hangs first is recovered and
+        asked again."""
         expected = REPLY_FOR[message["type"]]
+        if timeout is None:
+            timeout = self.reply_timeout_s
         while True:
             try:
-                self._send(handle, message)
+                if not sent:
+                    self._send(handle, message)
                 return self._await_reply(handle, expected, timeout)
             except _WorkerFailure as failure:
                 self._recover(handle, failure, phase)
+                sent = False
 
-    def _install_budgets(self, handle: _Handle) -> None:
-        awards = {
-            cell: self._last_awards[cell]
-            for cell in handle.cells
-            if cell in self._last_awards
-        }
-        if awards:
-            self._request(
-                handle,
-                {"type": "set_budgets", "budgets": awards},
-                self.reply_timeout_s,
-                phase="set_budgets",
-            )
+    def _round(
+        self, messages: "dict | list[dict | None]", phase: str, timeout=None, kill=()
+    ) -> "list[dict | None]":
+        """One supervised exchange with the whole fleet.
 
-    def ping(self, delay_s: float = 0.0) -> "list[dict]":
-        """Health-check every worker (recovering any that fail).
-
-        ``delay_s`` is forwarded to the workers' latency-injection knob
-        — with a delay beyond ``reply_timeout_s`` this *exercises* the
-        hung-worker recovery path on a perfectly healthy fleet.
+        ``messages`` is one message for every worker, or one per worker
+        where ``None`` skips that worker (and its reply is ``None``).
+        Every message is sent first — a failed send is left for the wait
+        to find dead — then the ``kill`` workers are SIGKILLed, then
+        every reply is collected through :meth:`_ask`.
         """
-        self._require_started()
-        probe = {"type": "ping", "delay_s": delay_s}
-        # The injected delay is one-shot: a recovery replay pings clean,
-        # so a worker re-spawned for "hanging" proves itself healthy.
-        replay = {"type": "ping"}
-        for handle in self._handles:
-            self._send_checked(handle, probe, phase="ping")
+        if isinstance(messages, dict):
+            messages = [messages] * len(self._handles)
+        for handle, message in zip(self._handles, messages):
+            if message is not None:
+                try:
+                    self._send(handle, message)
+                except _WorkerFailure:
+                    pass
+        for index in kill:
+            self.kill_worker(index)
         return [
-            self._collect(handle, replay, self.reply_timeout_s, "ping")
-            for handle in self._handles
+            None if message is None else self._ask(handle, message, phase, timeout, sent=True)
+            for handle, message in zip(self._handles, messages)
         ]
 
-    # -- fan-out helpers -----------------------------------------------
+    def _budgets_message(self, handle: _Handle) -> "dict | None":
+        """``set_budgets`` with this worker's share of the last awards."""
+        awards = {cell: award for cell, award in self._last_awards.items() if cell in handle.cells}
+        return {"type": "set_budgets", "budgets": awards} if awards else None
+
+    def ping(self) -> "list[dict]":
+        """Health-check every worker in one round; one that died or
+        hangs is recovered and pinged again."""
+        self._require_started()
+        return self._round({"type": "ping"}, "ping")
+
     def _require_started(self) -> None:
         if not self._started or self._closed:
             raise ConfigurationError(
                 "coordinator is not running (use `with FarmCoordinator"
                 "(...) as coordinator:` or call start())"
             )
-
-    def _send_checked(
-        self, handle: _Handle, message: dict, phase: str
-    ) -> None:
-        """Dispatch one command, recovering (and re-sending) on death."""
-        while True:
-            try:
-                self._send(handle, message)
-                return
-            except _WorkerFailure as failure:
-                self._recover(handle, failure, phase)
-
-    def _collect(
-        self, handle: _Handle, message: dict, timeout: float, phase: str
-    ) -> dict:
-        """Await the reply to an already-sent ``message``; replay on
-        failure (recovery re-arms the worker, then re-requests)."""
-        try:
-            return self._await_reply(
-                handle, REPLY_FOR[message["type"]], timeout
-            )
-        except _WorkerFailure as failure:
-            self._recover(handle, failure, phase)
-            return self._request(handle, message, timeout, phase)
 
     # -- workload ------------------------------------------------------
     def install_workload(
@@ -531,19 +502,10 @@ class FarmCoordinator:
             "type": "workload",
             "scenario": scenario_to_payload(scenario),
             "noise_var": float(noise_var),
-            "channel_seed": (
-                scenario.seed if channel_seed is None else channel_seed
-            ),
-            "data_seed": (
-                scenario.seed + 1 if data_seed is None else data_seed
-            ),
+            "channel_seed": scenario.seed if channel_seed is None else channel_seed,
+            "data_seed": scenario.seed + 1 if data_seed is None else data_seed,
         }
-        for handle in self._handles:
-            self._send_checked(handle, message, phase="workload")
-        for handle in self._handles:
-            self._collect(
-                handle, message, self.reply_timeout_s, "workload"
-            )
+        self._round(message, "workload")
         self._workload_message = message
         self._scenario = scenario
 
@@ -551,18 +513,8 @@ class FarmCoordinator:
         """Fleet slot cost: the *slowest* worker's warm full-load slot."""
         self._require_started()
         if self._workload_message is None:
-            raise ConfigurationError(
-                "install_workload must run before calibrate"
-            )
-        message = {"type": "calibrate"}
-        for handle in self._handles:
-            self._send_checked(handle, message, phase="calibrate")
-        replies = [
-            self._collect(
-                handle, message, self.reply_timeout_s, "calibrate"
-            )
-            for handle in self._handles
-        ]
+            raise ConfigurationError("install_workload must run before calibrate")
+        replies = self._round({"type": "calibrate"}, "calibrate")
         return max(reply["slot_cost_s"] for reply in replies)
 
     # -- the run loop --------------------------------------------------
@@ -582,35 +534,43 @@ class FarmCoordinator:
         a workload in the same call, or pre-install with
         :meth:`install_workload`.
 
-        Each chunk: dispatch ``run_slots`` to every worker, apply any
-        scripted kills, collect every reply (recovering + replaying as
-        needed), fold their ledgers, then re-water-fill the global path
-        budget from the workers' reported desires.
+        Each chunk is one :meth:`_round` of ``run_slots`` with the
+        chunk's scripted kills; its ledgers are folded, then a governed
+        fleet water-fills the global path budget from the workers'
+        desires and installs the awards in one more round.  A
+        ``kill_script`` entry naming a worker or chunk this run does not
+        have is refused before anything is dispatched.
         """
         self._require_started()
-        if scenario is not None:
-            if noise_var is None:
-                raise ConfigurationError(
-                    "run(scenario=...) also needs noise_var"
-                )
-            self.install_workload(scenario, noise_var)
-        if self._workload_message is None:
+        install = scenario is not None
+        if install and noise_var is None:
+            raise ConfigurationError("run(scenario=...) also needs noise_var")
+        scenario = scenario if install else self._scenario
+        if scenario is None:
             raise ConfigurationError(
                 "no workload installed; pass scenario/noise_var or call "
                 "install_workload first"
             )
-        scenario = self._scenario
-        if slot_interval_s is None:
-            slot_interval_s = overload * self.calibrate()
-        if not math.isfinite(slot_interval_s) or slot_interval_s < 0:
-            raise ConfigurationError(
-                "slot_interval_s must be finite and >= 0"
-            )
-        kill_script = dict(self.kill_script)
         chunks = [
             (start, min(start + self.slots_per_chunk, scenario.slots))
             for start in range(0, scenario.slots, self.slots_per_chunk)
         ]
+        stray = {
+            worker: chunk
+            for worker, chunk in self.kill_script.items()
+            if worker not in range(len(self._handles)) or chunk not in range(len(chunks))
+        }
+        if stray:
+            raise ConfigurationError(
+                f"kill_script {stray} names a worker or chunk this run does not have "
+                f"({len(self._handles)} workers, {len(chunks)} chunks)"
+            )
+        if install:
+            self.install_workload(scenario, noise_var)
+        if slot_interval_s is None:
+            slot_interval_s = overload * self.calibrate()
+        if not math.isfinite(slot_interval_s) or slot_interval_s < 0:
+            raise ConfigurationError("slot_interval_s must be finite and >= 0")
         # This run's ledgers: fleet-wide and per worker.
         fleet = MetricsRegistry()
         per_worker = [MetricsRegistry() for _ in self._handles]
@@ -622,23 +582,10 @@ class FarmCoordinator:
                 "stop": stop,
                 "slot_interval_s": slot_interval_s,
             }
-            phase = f"run_slots[{start}:{stop})"
-            timeout = (
-                self.reply_timeout_s
-                + 2.0 * (stop - start) * slot_interval_s
-            )
-            with self._tracer.span(
-                SPAN_CHUNK, chunk=chunk_index, start=start, stop=stop
-            ):
-                for handle in self._handles:
-                    self._send_checked(handle, message, phase)
-                    if kill_script.get(handle.index) == chunk_index:
-                        del kill_script[handle.index]
-                        self.kill_worker(handle.index)
-                replies = [
-                    self._collect(handle, message, timeout, phase)
-                    for handle in self._handles
-                ]
+            timeout = self.reply_timeout_s + 2.0 * (stop - start) * slot_interval_s
+            kill = [worker for worker, chunk in self.kill_script.items() if chunk == chunk_index]
+            with self._tracer.span(SPAN_CHUNK, chunk=chunk_index, start=start, stop=stop):
+                replies = self._round(message, f"run_slots[{start}:{stop})", timeout, kill)
             desires: "dict[str, int]" = {}
             floors: "dict[str, int]" = {}
             for handle, reply in zip(self._handles, replies):
@@ -654,7 +601,13 @@ class FarmCoordinator:
                         reply["spans"], pid=WORKER_PID_BASE + handle.index
                     )
             if self._total_budget is not None and desires:
-                self._tick_global_budget(desires, floors)
+                # Water-fill the shared path pool across the whole fleet.
+                self._last_awards = allocate_budget(
+                    desires,
+                    self._total_budget,
+                    floors={cell: floors.get(cell, 0) for cell in desires},
+                )
+                self._round([self._budgets_message(h) for h in self._handles], "set_budgets")
         elapsed = time.monotonic() - started_at
         return FleetReport(
             workers=len(self._handles),
@@ -668,18 +621,3 @@ class FarmCoordinator:
             budgets=dict(self._last_awards),
             restarts=list(self.restarts),
         )
-
-    def _tick_global_budget(
-        self, desires: "dict[str, int]", floors: "dict[str, int]"
-    ) -> None:
-        """Water-fill the shared path pool across the whole fleet."""
-        awards = allocate_budget(
-            desires,
-            self._total_budget,
-            floors={
-                cell: floors.get(cell, 0) for cell in desires
-            },
-        )
-        self._last_awards = awards
-        for handle in self._handles:
-            self._install_budgets(handle)

@@ -18,7 +18,6 @@ without corrupting the run or its counts.
 
 from __future__ import annotations
 
-import time
 import traceback
 from dataclasses import replace
 
@@ -151,18 +150,10 @@ class _WorkerState:
         governor = self.stack.governor
         if governor is not None:
             governor.install_budgets(message["budgets"])
-        return {
-            "budgets": (
-                governor.budgets() if governor is not None else {}
-            ),
-        }
+        return {}
 
     def ping(self, message: dict) -> dict:
-        # ``delay_s`` is a latency-injection knob for exercising the
-        # coordinator's hung-worker detection.
-        delay = float(message.get("delay_s", 0.0))
-        if delay > 0:
-            time.sleep(delay)
+        """Health check: the reply names the cells this worker serves."""
         return {"cells": self.cell_ids}
 
     def close(self) -> None:

@@ -7,7 +7,8 @@ The supervision contract under test:
 * a worker SIGKILLed mid-scenario is re-spawned *from its serialized
   config slice*, the lost chunk is replayed from the same seeds, and
   the restart lands in the merged telemetry;
-* a hung worker (reply past the timeout) takes the same recovery path;
+* a hung worker (reply past the timeout) takes the same recovery path,
+  and so does a worker found dead when a round sends to it;
 * a worker that *reports* an exception, or replies with bytes that are
   not JSON, is a deterministic failure — typed error out, no futile
   re-spawn loop;
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+import signal
 from dataclasses import replace
 
 import pytest
@@ -179,7 +182,9 @@ def test_hung_worker_is_recovered():
     with FarmCoordinator(
         config, 2, reply_timeout_s=0.5
     ) as coordinator:
-        replies = coordinator.ping(delay_s=2.0)
+        for handle in coordinator._handles:
+            os.kill(handle.process.pid, signal.SIGSTOP)
+        replies = coordinator.ping()
         assert [r["type"] for r in replies] == ["pong", "pong"]
         assert {r.reason for r in coordinator.restarts} == {"hung"}
         # The re-spawned workers are healthy: a clean ping, no new
@@ -208,7 +213,7 @@ def test_worker_error_is_deterministic_not_respawned():
         # worker-side ConfigurationError: it must surface typed, with
         # no futile recovery attempt.
         with pytest.raises(WorkerCrashError, match="workload"):
-            coordinator._request(
+            coordinator._ask(
                 handle,
                 {
                     "type": "run_slots",
@@ -261,6 +266,39 @@ def test_budgets_survive_recovery():
     assert report.restarts
     assert sorted(report.budgets) == sorted(config.farm.cell_ids())
     assert sum(report.budgets.values()) <= 8
+
+
+@pytest.mark.parametrize(
+    "kill_script", [{5: 1}, {0: 3}, {-1: 0}], ids=["worker", "chunk", "negative"]
+)
+def test_kill_script_outside_the_fleet_or_the_run_is_refused(kill_script):
+    """3 chunks of 2 workers: a kill that could never fire is refused
+    before anything is dispatched, not silently dropped."""
+    config = make_config()
+    with FarmCoordinator(config, 2, slots_per_chunk=2, kill_script=kill_script) as coordinator:
+        with pytest.raises(ConfigurationError, match="kill_script"):
+            coordinator.run(make_scenario(config), NOISE_VAR, slot_interval_s=0.0)
+        assert coordinator._workload_message is None and not coordinator.restarts
+
+
+def test_worker_dead_between_runs_is_found_by_the_round():
+    config = make_config(governed=True, total_budget=8)
+    scenario = make_scenario(config, slots=4)
+    with FarmCoordinator(config, 2, slots_per_chunk=2) as coordinator:
+        first = coordinator.run(scenario, NOISE_VAR, slot_interval_s=0.0)
+        assert first.budgets and not first.restarts
+        coordinator.kill_worker(1)
+        process = coordinator._handles[1].process
+        process.join(5.0)
+        assert not process.is_alive()
+        # The first send of the next run fails; the wait finds the
+        # worker dead, and the recovery re-arms workload and budgets.
+        second = coordinator.run(slot_interval_s=0.0)
+    assert second.restarts == [WorkerRestart(1, "died", "run_slots[0:2)")]
+    assert sorted(second.budgets) == sorted(config.farm.cell_ids())
+    assert sum(second.budgets.values()) <= 8
+    assert second.scheduler["frames_missing"] == 0
+    assert second.frames_detected == second.frames_offered
 
 
 def test_run_requires_workload():

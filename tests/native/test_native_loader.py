@@ -12,6 +12,7 @@ import ctypes
 import json
 import multiprocessing
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -118,9 +119,14 @@ class TestEveryFailureIsThePortableLane:
 @needs_compiler
 class TestTheCache:
     def test_cold_then_warm(self, tmp_path):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
         (cold, _), caught = resolve(tmp_path)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
         assert cold["lane"] == "native" and not caught
-        assert 0.0 < cold["build_s"] <= 1.5
+        # The compiler's CPU seconds, not wall clock: a loaded box
+        # stretches the wall time of a compile, not its work.
+        compile_cpu_s = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
+        assert 0.0 < cold["build_s"] and compile_cpu_s <= 1.5
         cache = tmp_path / "cache" / "repro-flexcore"
         assert Path(cold["cache"]).parent == cache
         assert stat.S_IMODE(cache.stat().st_mode) == 0o700
