@@ -134,12 +134,6 @@ def main() -> int:
             f"cells, {args.scenario} scenario, global path budget "
             f"{config.governor.total_path_budget}"
         )
-        if kill_script:
-            worker, chunk = next(iter(kill_script.items()))
-            print(
-                f"scripted crash: SIGKILL worker {worker} after chunk "
-                f"{chunk} is dispatched"
-            )
         interval = (
             0.0
             if args.overload == 0

@@ -44,18 +44,14 @@ def make_sampler_factory(
     channel_kind: str = "testbed",
     seed_offset: int = 0,
 ):
-    """Zero-arg factory returning a fresh (but deterministic) sampler."""
-    seed = profile.seed + seed_offset
-
-    def factory():
-        if channel_kind == "rayleigh":
-            return rayleigh_sampler(config)
-        testbed = IndoorTestbed(
-            num_rx=config.system.num_rx_antennas, rng=seed
-        )
-        return testbed_sampler(config, testbed, num_frames=8)
-
-    return factory
+    """Zero-arg factory returning a deterministic sampler: a fresh
+    Rayleigh sampler per call (it draws from the run's generator), or
+    the one stateless sampler of a testbed trace drawn once, here."""
+    if channel_kind == "rayleigh":
+        return lambda: rayleigh_sampler(config)
+    testbed = IndoorTestbed(config.system.num_rx_antennas, rng=profile.seed + seed_offset)
+    sampler = testbed_sampler(config, testbed, num_frames=8)
+    return lambda: sampler
 
 
 def ml_reference_detector(

@@ -42,8 +42,9 @@ def find_snr_for_per(
     """Bisection search for the SNR achieving ``target_per``.
 
     ``channel_sampler_factory`` is a zero-argument callable returning a
-    fresh channel sampler; a new sampler (same construction, same seed
-    discipline as the caller chooses) is drawn per probe.
+    channel sampler, called once per probe; every probe replays the
+    same channels under the same seed (a factory may hand back one
+    stateless sampler, e.g. a testbed trace drawn once).
 
     ``engine`` optionally supplies a pre-built
     :class:`~repro.api.UplinkStack` wrapping ``detector``; one stack

@@ -1,14 +1,19 @@
 """Coded MU-MIMO uplink Monte-Carlo simulation.
 
-Per packet: every user encodes (802.11 convolutional code + puncturing +
-per-OFDM-symbol interleaving), maps to QAM, all users transmit
-concurrently over a static frequency-selective channel, the AP detects
-per subcarrier with the scheme under test, and each user's packet is
+Every user encodes (802.11 convolutional code + puncturing +
+per-OFDM-symbol interleaving) and maps to QAM; all users transmit
+concurrently over a static frequency-selective channel; the AP detects
+per subcarrier with the scheme under test; each user's packet is
 Viterbi-decoded and checked.  PER / BER / throughput come out.
 
-The detector's two-phase API matters here: ``prepare`` runs once per
-(subcarrier, packet) — the paper's per-channel pre-processing — while
-``detect_prepared`` runs over the packet's OFDM symbols.
+A run is one batch in three phases: draw every packet (channel, bits,
+noise, in packet order: the RNG order seeded results rest on), detect
+them in one ``detect_batch`` call with the packets stacked along the
+subcarrier axis, and Viterbi-decode every (packet, user) stream in one
+``decode_soft_batch`` call.  The stack's context cache sees one lookup
+per (packet, subcarrier) in order, so ``prepare`` — the paper's
+per-channel pre-processing — runs only on a miss, and
+``detect_prepared`` runs over that subcarrier's OFDM symbols.
 """
 
 from __future__ import annotations
@@ -69,44 +74,13 @@ class LinkResult:
         )
 
 
-def _encode_user(
-    config: LinkConfig,
-    interleaver: BlockInterleaver,
-    info_bits: np.ndarray,
+def _decode(
+    config: LinkConfig, interleaver: BlockInterleaver, llrs: np.ndarray
 ) -> np.ndarray:
-    coded = config.code.encode(info_bits)
-    punctured = config.puncturer.puncture(coded)
-    return interleaver.interleave(punctured)
-
-
-def _decode_user_batch(
-    config: LinkConfig,
-    interleaver: BlockInterleaver,
-    decoder: ViterbiDecoder,
-    coded_bits: np.ndarray,
-) -> np.ndarray:
-    """Hard-input decode for a ``(users, coded)`` batch."""
-    deinterleaved = interleaver.deinterleave(coded_bits)
-    soft = []
-    for row in range(deinterleaved.shape[0]):
-        llrs = 1.0 - 2.0 * deinterleaved[row].astype(np.float64)
-        soft.append(config.puncturer.depuncture(llrs))
-    return decoder.decode_soft_batch(np.asarray(soft))
-
-
-def _decode_user_batch_soft(
-    config: LinkConfig,
-    interleaver: BlockInterleaver,
-    decoder: ViterbiDecoder,
-    llrs: np.ndarray,
-) -> np.ndarray:
-    """Soft-input decode for a ``(users, coded)`` LLR batch."""
-    deinterleaved = interleaver.deinterleave(llrs)
-    rows = [
-        config.puncturer.depuncture(deinterleaved[row])
-        for row in range(deinterleaved.shape[0])
-    ]
-    return decoder.decode_soft_batch(np.asarray(rows))
+    """Deinterleave, depuncture and decode a ``(streams, coded)`` LLR batch."""
+    depunctured = config.puncturer.depuncture(interleaver.deinterleave(llrs))
+    width = config.code.coded_length(config.info_bits_per_packet)
+    return ViterbiDecoder(config.code).decode_soft_batch(depunctured.reshape(len(llrs), width))
 
 
 def simulate_link(
@@ -121,7 +95,13 @@ def simulate_link(
     engine: UplinkStack | None = None,
     stack_config=None,
 ) -> LinkResult:
-    """Run ``num_packets`` coded packets through the link.
+    """Run ``num_packets`` coded packets through the link as one batch.
+
+    Three straight-line phases: one loop draws every packet's channel,
+    info bits and noise in the per-packet RNG order (so seeded results
+    do not depend on the batching); one ``engine.detect_batch`` call
+    detects the ``(packets x subcarriers)`` stack; one
+    ``decode_soft_batch`` call decodes the ``(packets x users)`` streams.
 
     Parameters
     ----------
@@ -192,150 +172,110 @@ def simulate_link(
     system = config.system
     constellation = system.constellation
     num_users = system.num_streams
+    num_rx = system.num_rx_antennas
     num_sc = config.subcarriers_used
     num_sym = config.ofdm_symbols_per_packet
     bits_per_symbol = constellation.bits_per_symbol
     noise_var = noise_variance_for_snr_db(snr_db)
-
     interleaver = BlockInterleaver(config.interleaver_block, bits_per_symbol)
-    decoder = ViterbiDecoder(config.code)
     info_bits = config.info_bits_per_packet
 
-    user_packet_errors = 0
-    bit_errors = 0
-    vector_errors = 0
-    active_paths_sum = 0.0
-    active_paths_samples = 0
-    contexts_prepared = 0
-    context_cache_hits = 0
-    ledger = None
-
+    # --- draw: packet by packet, the RNG order seeded results rest on ------
+    channels = np.empty((num_packets, num_sc, num_rx, num_users), dtype=np.complex128)
+    tx_info = np.empty((num_packets, num_users, info_bits), dtype=np.uint8)
+    tx_indices = np.empty((num_packets, num_sc, num_sym, num_users), dtype=np.int64)
+    received = np.empty((num_packets, num_sc, num_sym, num_rx), dtype=np.complex128)
     for packet in range(num_packets):
-        channels = np.asarray(channel_sampler(packet, generator))
-        if channels.shape != (num_sc, system.num_rx_antennas, num_users):
+        drawn = np.asarray(channel_sampler(packet, generator))
+        if drawn.shape != channels.shape[1:]:
             raise LinkSimulationError(
-                f"channel sampler returned {channels.shape}, expected "
-                f"{(num_sc, system.num_rx_antennas, num_users)}"
+                f"channel sampler returned {drawn.shape}, expected "
+                f"{channels.shape[1:]}"
             )
-        # --- transmit side ------------------------------------------------
-        tx_info = generator.integers(0, 2, size=(num_users, info_bits)).astype(
-            np.uint8
-        )
-        tx_coded = np.stack(
-            [
-                _encode_user(config, interleaver, tx_info[user])
-                for user in range(num_users)
-            ]
+        channels[packet] = drawn
+        tx_info[packet] = generator.integers(0, 2, size=(num_users, info_bits))
+        coded = interleaver.interleave(
+            np.stack(
+                [
+                    config.puncturer.puncture(config.code.encode(bits))
+                    for bits in tx_info[packet]
+                ]
+            )
         )  # (users, coded_bits)
-        # Symbol grid: user bit stream -> (symbols, subcarriers) indices.
-        tx_indices = np.stack(
-            [
-                constellation.bits_to_indices(tx_coded[user]).reshape(
-                    num_sym, num_sc
-                )
-                for user in range(num_users)
-            ],
-            axis=2,
-        )  # (symbols, subcarriers, users)
-        tx_symbols = constellation.points[tx_indices]
-
-        # --- channel + detection, batched over subcarriers -----------------
-        # Noise is still drawn subcarrier-by-subcarrier so the RNG stream
-        # (and therefore every seeded result) matches the historical
-        # per-vector loop exactly.
-        received_grid = np.empty(
-            (num_sc, num_sym, system.num_rx_antennas), dtype=np.complex128
+        indices = constellation.bits_to_indices(coded.reshape(-1)).reshape(
+            num_users, num_sym, num_sc
         )
+        tx_indices[packet] = indices.transpose(2, 1, 0)
+        tx_symbols = constellation.points[indices.transpose(1, 2, 0)]
+        # Noise is drawn one subcarrier at a time: that draw order, too,
+        # is part of every seeded result.
         for sc in range(num_sc):
-            received_grid[sc] = apply_channel(
-                channels[sc], tx_symbols[:, sc, :], noise_var, generator
+            received[packet, sc] = apply_channel(
+                channels[packet, sc], tx_symbols[:, sc], noise_var, generator
             )
-        batch = engine.detect_batch(
-            channels,
-            received_grid,
-            noise_var,
-            counter=counter,
-            use_soft=use_soft,
-        )
-        rx_indices = batch.indices.transpose(1, 0, 2)  # (sym, sc, users)
-        rx_llrs = batch.llrs.transpose(1, 0, 2) if use_soft else None
-        for sc_metadata in batch.per_subcarrier_metadata:
-            if "active_paths" in sc_metadata:
-                active_paths_sum += sc_metadata["active_paths"]
-                active_paths_samples += 1
-        # The batch's cache movement: one CacheStats snapshot from a
-        # batch stack, a {cell_id: CacheStats} mapping from a farm.
-        cache_delta = batch.stats["cache"]
-        if isinstance(cache_delta, dict):
-            contexts_prepared += sum(d.misses for d in cache_delta.values())
-            context_cache_hits += sum(d.hits for d in cache_delta.values())
-        else:
-            contexts_prepared += cache_delta.misses
-            context_cache_hits += cache_delta.hits
-        if "ledger" in batch.stats:
-            if ledger is None:
-                ledger = MetricsRegistry()
-            ledger.merge_dict(batch.stats["ledger"])
-        vector_errors += int(
-            np.count_nonzero((rx_indices != tx_indices).any(axis=2))
-        )
 
-        # --- receive side ---------------------------------------------------
-        if use_soft:
-            per_user_llrs = np.stack(
-                [
-                    rx_llrs[
-                        :,
-                        :,
-                        user * bits_per_symbol : (user + 1) * bits_per_symbol,
-                    ].reshape(-1)
-                    for user in range(num_users)
-                ]
-            )
-            decoded = _decode_user_batch_soft(
-                config, interleaver, decoder, per_user_llrs
-            )
-        else:
-            rx_coded = np.stack(
-                [
-                    constellation.indices_to_bits(
-                        rx_indices[:, :, user].reshape(-1)
-                    )
-                    for user in range(num_users)
-                ]
-            )
-            decoded = _decode_user_batch(
-                config, interleaver, decoder, rx_coded
-            )
-        errors_per_user = (decoded != tx_info).sum(axis=1)
-        bit_errors += int(errors_per_user.sum())
-        user_packet_errors += int(np.count_nonzero(errors_per_user))
-
+    # --- detect: the packets stacked along the subcarrier axis -----------
+    batch = engine.detect_batch(
+        channels.reshape(-1, num_rx, num_users),
+        received.reshape(-1, num_sym, num_rx),
+        noise_var,
+        counter=counter,
+        use_soft=use_soft,
+    )
+    wrong = batch.indices != tx_indices.reshape(batch.indices.shape)
+    # The batch's cache movement: one CacheStats snapshot from a batch
+    # stack, a {cell_id: CacheStats} mapping from a farm.
+    cache_delta = batch.stats["cache"]
+    deltas = cache_delta.values() if isinstance(cache_delta, dict) else [cache_delta]
     metadata = {
         "runtime": {
             "backend": engine.backend.name,
-            "contexts_prepared": contexts_prepared,
-            "context_cache_hits": context_cache_hits,
+            "contexts_prepared": sum(d.misses for d in deltas),
+            "context_cache_hits": sum(d.hits for d in deltas),
         }
     }
-    if ledger is not None:
-        # Streaming stacks report their slot-deadline accounting per
-        # batch; surface the run's folded summary (hit-rate, latencies,
-        # flush count) and the ledger it came from, for callers that
-        # fold several runs.
+    if "ledger" in batch.stats:
+        # A streaming stack reports its slot-deadline accounting: surface
+        # the run's summary (hit-rate, latencies, flush count) and the
+        # ledger it came from, for callers that fold several runs.
+        ledger = MetricsRegistry()
+        ledger.merge_dict(batch.stats["ledger"])
         metadata["runtime"]["scheduler"] = scheduler_summary(ledger)
         metadata["runtime"]["ledger"] = ledger.to_dict()
+    # Summed left to right, subcarrier by subcarrier (np.mean sums
+    # pairwise and sum() compensates), so the column keeps its bytes.
+    active_paths_sum = 0.0
+    active_paths_samples = 0
+    for sc_metadata in batch.per_subcarrier_metadata:
+        if "active_paths" in sc_metadata:
+            active_paths_sum += sc_metadata["active_paths"]
+            active_paths_samples += 1
     if active_paths_samples:
-        metadata["average_active_paths"] = (
-            active_paths_sum / active_paths_samples
-        )
+        metadata["average_active_paths"] = active_paths_sum / active_paths_samples
+
+    # --- decode: every (packet, user) stream in one Viterbi call ---------
+    # Per user, the coded stream runs symbol-major, then subcarrier, then
+    # bit; a hard decision enters the decoder as a +-1 LLR.
+    if use_soft:
+        llrs = batch.llrs.reshape(
+            num_packets, num_sc, num_sym, num_users, bits_per_symbol
+        ).transpose(0, 3, 2, 1, 4)
+    else:
+        rx_indices = batch.indices.reshape(
+            num_packets, num_sc, num_sym, num_users
+        ).transpose(0, 3, 2, 1)
+        llrs = 1.0 - 2.0 * constellation.indices_to_bits(rx_indices).astype(np.float64)
+    decoded = _decode(
+        config, interleaver, llrs.reshape(num_packets * num_users, config.coded_bits_per_packet)
+    )
+    errors_per_user = (decoded != tx_info.reshape(decoded.shape)).sum(axis=1)
     return LinkResult(
         packets_simulated=num_packets,
         user_packets=num_packets * num_users,
-        user_packet_errors=user_packet_errors,
-        bit_errors=bit_errors,
+        user_packet_errors=int(np.count_nonzero(errors_per_user)),
+        bit_errors=int(errors_per_user.sum()),
         bits_simulated=num_packets * num_users * info_bits,
-        vector_errors=vector_errors,
+        vector_errors=int(np.count_nonzero(wrong.any(axis=2))),
         vectors_simulated=num_packets * num_sc * num_sym,
         snr_db=snr_db,
         metadata=metadata,

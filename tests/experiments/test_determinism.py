@@ -18,8 +18,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-#: Every experiment whose quick run takes under 2 s (fig9, fig12 and
-#: fig10 take about 30, 30 and 5.5 s and are left out).
+#: Every experiment whose quick run takes under 3 s (fig9 and fig12
+#: take about 12 and 13 s and are left out; fig10 takes about 2 s).
 FAST_EXPERIMENTS = (
     "table1",
     "table2",
@@ -29,6 +29,7 @@ FAST_EXPERIMENTS = (
     "fig14",
     "ablations",
     "soft_gain",
+    "fig10",
 )
 
 #: ``(PYTHONHASHSEED, legacy np.random seed)`` of each of the two processes.
