@@ -87,30 +87,31 @@ class ConvolutionalCode:
         return self.constraint_length - 1
 
     def encode(self, bits: np.ndarray, terminate: bool = True) -> np.ndarray:
-        """Encode an information bit vector.
+        """Encode an information bit vector, or each row of ``(rows, n)``
+        bits on its own (one call for a whole link run).
 
         With ``terminate=True`` (the default, and what 802.11 does) the
         encoder appends ``K-1`` flush zeros so the trellis ends in state 0;
-        the output then has ``(len(bits) + K - 1) * rate_inverse`` bits.
+        a row's output then has ``(n + K - 1) * rate_inverse`` bits.  Each
+        generator's output is the XOR of the input shifted by every tap it
+        has — one array operation per tap, no loop over the bits.
         """
-        bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
-        if bits.size and bits.max() > 1:
+        bits = np.asarray(bits, dtype=np.uint8)
+        rows = bits if bits.ndim == 2 else bits.reshape(1, -1)
+        if rows.size and rows.max() > 1:
             raise DimensionError("encode expects a binary array")
-        if terminate:
-            bits = np.concatenate(
-                [bits, np.zeros(self.tail_bits, dtype=np.uint8)]
-            )
-        coded = np.empty(bits.size * self.rate_inverse, dtype=np.uint8)
-        state = 0
-        n_out = self.rate_inverse
-        next_state = self.next_state
-        output_bits = self.output_bits
-        for position, bit in enumerate(bits):
-            coded[position * n_out : (position + 1) * n_out] = output_bits[
-                state, bit
-            ]
-            state = next_state[state, bit]
-        return coded
+        memory, length = self.tail_bits, rows.shape[1] + (self.tail_bits if terminate else 0)
+        # Column memory + t - j of ``padded`` is input t - j (zero before t = 0).
+        padded = np.zeros((rows.shape[0], memory + length), dtype=np.uint8)
+        padded[:, memory : memory + rows.shape[1]] = rows
+        coded = np.zeros((rows.shape[0], length, self.rate_inverse), dtype=np.uint8)
+        for g_index, gen in enumerate(self.generators):
+            for delay in range(self.constraint_length):
+                # Register bit K-1-delay holds the input ``delay`` steps back.
+                if gen >> (memory - delay) & 1:
+                    coded[:, :, g_index] ^= padded[:, memory - delay : memory - delay + length]
+        coded = coded.reshape(len(rows), length * self.rate_inverse)
+        return coded if bits.ndim == 2 else coded[0]
 
     def coded_length(self, num_info_bits: int, terminate: bool = True) -> int:
         """Coded bits produced for ``num_info_bits`` information bits."""

@@ -338,14 +338,12 @@ class FarmCoordinator:
         if handle.alive:
             handle.process.kill()
 
-    def _await_reply(
-        self, handle: _Handle, expected: str, timeout: float
-    ) -> dict:
+    def _await_reply(self, handle: _Handle, expected: str, timeout: float) -> dict:
         """Wait for one reply; death, hang and worker errors surface."""
         deadline = time.monotonic() + timeout
         while True:
-            try:
-                if handle.conn.poll(_POLL_INTERVAL_S):
+            try:  # a deadline already past costs no wait
+                if handle.conn.poll(max(0.0, min(_POLL_INTERVAL_S, deadline - time.monotonic()))):
                     reply = recv(handle.conn)
                     break
             except (EOFError, OSError):
@@ -415,23 +413,22 @@ class FarmCoordinator:
         if budgets is not None:
             self._ask(handle, budgets, "set_budgets")
 
-    def _ask(
-        self, handle: _Handle, message: dict, phase: str, timeout: "float | None" = None, sent=False
-    ) -> dict:
-        """One worker's reply to ``message`` (already on the pipe when
-        ``sent``): a worker that dies or hangs first is recovered and
-        asked again."""
+    def _ask(self, handle: _Handle, message: dict, phase: str, timeout=None, deadline=None) -> dict:
+        """One worker's reply to ``message`` (already on the pipe and
+        awaited until the round's ``deadline`` when one is given): a worker
+        that dies or hangs first is recovered and asked again, with a fresh
+        ``timeout``."""
         expected = REPLY_FOR[message["type"]]
-        if timeout is None:
-            timeout = self.reply_timeout_s
+        timeout = self.reply_timeout_s if timeout is None else timeout
         while True:
             try:
-                if not sent:
+                if deadline is None:
                     self._send(handle, message)
-                return self._await_reply(handle, expected, timeout)
+                wait = timeout if deadline is None else deadline - time.monotonic()
+                return self._await_reply(handle, expected, wait)
             except _WorkerFailure as failure:
                 self._recover(handle, failure, phase)
-                sent = False
+                deadline = None
 
     def _round(
         self, messages: "dict | list[dict | None]", phase: str, timeout=None, kill=()
@@ -442,7 +439,8 @@ class FarmCoordinator:
         where ``None`` skips that worker (and its reply is ``None``).
         Every message is sent first — a failed send is left for the wait
         to find dead — then the ``kill`` workers are SIGKILLed, then
-        every reply is collected through :meth:`_ask`.
+        every reply is collected through :meth:`_ask` against one deadline
+        taken when the sends finish: W hung workers take one timeout, not W.
         """
         if isinstance(messages, dict):
             messages = [messages] * len(self._handles)
@@ -452,10 +450,11 @@ class FarmCoordinator:
                     self._send(handle, message)
                 except _WorkerFailure:
                     pass
+        deadline = time.monotonic() + (self.reply_timeout_s if timeout is None else timeout)
         for index in kill:
             self.kill_worker(index)
         return [
-            None if message is None else self._ask(handle, message, phase, timeout, sent=True)
+            None if message is None else self._ask(handle, message, phase, timeout, deadline)
             for handle, message in zip(self._handles, messages)
         ]
 

@@ -45,15 +45,15 @@ walk.  A ``FlexCoreContext`` is one row of it, built only when asked for.
 
 **The plan** (:class:`_StackedContexts`) is everything about an
 equal-path group of ``G`` rows of a block that no received frame
-changes, derived from the block's arrays once and — when a
-:class:`~repro.runtime.residency.ResidentContextStore` is in the call —
-kept on the block, device-side.  Hoisted into it: each path's canonical triangle
-offsets per level (a LUT gather on the position vectors, stored as small
-integers with the path axis last so a budget clamp is a slice); the
-interference rows of ``R`` divided by the diagonal and embedded as real
+changes, derived from the block's arrays once — by the native
+``build_plan`` in one call, or in numpy passes, to the same bytes — and,
+when a :class:`~repro.runtime.residency.ResidentContextStore` is in the
+call, kept on the block, device-side.  Hoisted into it: each path's
+canonical triangle offsets per level (a LUT gather on the position
+vectors, small integers with the path axis last so a budget clamp is a
+slice); the interference rows of ``R`` divided by the diagonal as real
 ``[[Re, -Im], [Im, Re]]`` blocks; ``1 / (diag * scale)`` and ``diag**2 *
-scale**2``, which move the walk into the constellation's odd-integer
-grid units, where the LUT arithmetic lives.
+scale**2``, which move the walk into the odd-integer grid units.
 
 **The core** (:meth:`FlexCoreDetector._walk`) is the only level loop.
 It keeps real and imaginary planes apart and stores symbols level-major,
@@ -419,8 +419,8 @@ class FlexCoreDetector(Detector):
             )
             if llrs is not None:
                 llrs_dev[members] = llrs
-            for j, sc in enumerate(members):
-                metadata[sc] = self._entry(paths, counts[j], noise_var is not None)
+            for sc, count in zip(members.tolist(), counts.tolist()):
+                metadata[sc] = self._entry(paths, count, noise_var is not None)
         indices = np.asarray(xp.to_numpy(indices_dev), dtype=np.int64)
         if llrs_dev is not None:
             llrs_dev = np.asarray(xp.to_numpy(llrs_dev), dtype=np.float64)
@@ -779,25 +779,32 @@ class FlexCoreDetector(Detector):
         )
 
     def _build_plan(self, block: PreparedBlock, members, paths: int, xp) -> "_StackedContexts":
-        """Upload a group's rows of the block and derive its plan.
-
-        Six uploads — ``Q*``, ``R``, the diagonal, the weights, the
-        position vectors, the inverse permutations — and everything the
-        walk reads is derived from them on the module.
-        """
-        num_streams = self.system.num_streams
-        scale = self.system.constellation.scale
+        """A group's plan.  The native ``build_plan`` writes every field from
+        the block's rows in one call, the search's LUT offsets included; each
+        crosses to ``xp`` once, the path pair as one array (FCSD's path set is
+        its own).  The portable lane and the exact-ordering ablation (it needs
+        the ranks) upload ``Q*``, ``R``, the diagonal, the weights, the ranks
+        and the inverse permutations and derive the same fields, bit for bit."""
+        kernel, search = native.kernel(), block.search
+        if kernel is not None and not self.use_exact_ordering:
+            *planned, path_pair = kernel.build_plan(
+                block.qr.q, block.qr.r, block.diag, block.qr.permutation, members,
+                self.system.constellation.scale, getattr(search, "position_vectors", None),
+                paths, self.ordering._walk_offsets,
+            )  # fmt: skip
+            planned = map(xp.asarray, planned)
+            if search is None:
+                return _StackedContexts(*planned, **self._path_plan(block, members, paths, xp))
+            return _StackedContexts(*planned, *xp.asarray(path_pair), None)
+        num_streams, scale = self.system.num_streams, self.system.constellation.scale
         r = xp.asarray(block.qr.r[members])
         diag = xp.asarray(block.diag[members])
         weights = xp.asarray(block.diag[members] ** 2)
-        real = np.real(r) / diag[:, :, None]
-        imag = np.imag(r) / diag[:, :, None]
+        real, imag = np.real(r) / diag[:, :, None], np.imag(r) / diag[:, :, None]
         # Negated, so the core adds the product to the received point.
         rows = np.zeros((len(members), num_streams, 2, 2 * num_streams), dtype=np.float64)
-        rows[:, :, 0, 0::2] = -real
-        rows[:, :, 0, 1::2] = imag
-        rows[:, :, 1, 0::2] = -imag
-        rows[:, :, 1, 1::2] = -real
+        rows[:, :, 0, 0::2], rows[:, :, 0, 1::2] = -real, imag
+        rows[:, :, 1, 0::2], rows[:, :, 1, 1::2] = -imag, -real
         return _StackedContexts(
             q_conj=xp.asarray(np.conj(block.qr.q[members])),
             inverse_permutation=xp.asarray(np.argsort(block.qr.permutation[members], axis=1)),
@@ -808,21 +815,14 @@ class FlexCoreDetector(Detector):
         )
 
     def _path_plan(self, block: PreparedBlock, members, paths: int, xp) -> dict:
-        """The plan's per-path fields for rows ``members``: the LUT
-        offsets of their first ``paths`` position vectors."""
-        # Level-major, path axis last: one level is one slab, one budget
-        # clamp is one slice.
-        positions = xp.asarray(
-            np.ascontiguousarray(
-                block.search.position_vectors[members, :paths].transpose(2, 0, 1)
-            )[:, :, None, :]
-        )
+        """The portable plan's per-path fields for rows ``members``: the
+        LUT offsets of their first ``paths`` position vectors, level-major
+        and path axis last (a level is one slab, a budget clamp one slice)."""
+        ranks = block.search.position_vectors[members, :paths].transpose(2, 0, 1)
+        positions = xp.asarray(np.ascontiguousarray(ranks)[:, :, None, :])
         offsets, swap_delta = self.ordering.path_offsets(positions, xp)
-        return dict(
-            offsets=offsets,
-            swap_delta=swap_delta,
-            positions=positions if self.use_exact_ordering else None,
-        )
+        exact = positions if self.use_exact_ordering else None
+        return dict(offsets=offsets, swap_delta=swap_delta, positions=exact)
 
 
 #: The plan's per-path fields, laid out ``(Nt, G, ..., P)``: the group

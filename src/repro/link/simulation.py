@@ -6,14 +6,14 @@ concurrently over a static frequency-selective channel; the AP detects
 per subcarrier with the scheme under test; each user's packet is
 Viterbi-decoded and checked.  PER / BER / throughput come out.
 
-A run is one batch in three phases: draw every packet (channel, bits,
-noise, in packet order: the RNG order seeded results rest on), detect
-them in one ``detect_batch`` call with the packets stacked along the
-subcarrier axis, and Viterbi-decode every (packet, user) stream in one
-``decode_soft_batch`` call.  The stack's context cache sees one lookup
-per (packet, subcarrier) in order, so ``prepare`` — the paper's
-per-channel pre-processing — runs only on a miss, and
-``detect_prepared`` runs over that subcarrier's OFDM symbols.
+A run is one batch in phases: draw every packet (channel, bits, noise,
+in packet order: the RNG order seeded results rest on), encode every
+(packet, user) stream in one call, detect the packets in one
+``detect_batch`` call, stacked along the subcarrier axis, and
+Viterbi-decode every stream in one ``decode_soft_batch`` call.  The
+stack's context cache sees one lookup per (packet, subcarrier) in order,
+so ``prepare`` — the paper's per-channel pre-processing — runs only on a
+miss, and ``detect_prepared`` runs over that subcarrier's OFDM symbols.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.detectors.base import Detector
 from repro.errors import LinkSimulationError
 from repro.link.config import LinkConfig
 from repro.link.throughput import network_throughput_bps
-from repro.mimo.model import apply_channel, noise_variance_for_snr_db
+from repro.mimo.model import channel_noise, noise_variance_for_snr_db
 from repro.obs import MetricsRegistry, scheduler_summary
 from repro.utils.flops import NULL_COUNTER, FlopCounter
 from repro.utils.rng import as_rng
@@ -183,7 +183,6 @@ def simulate_link(
     # --- draw: packet by packet, the RNG order seeded results rest on ------
     channels = np.empty((num_packets, num_sc, num_rx, num_users), dtype=np.complex128)
     tx_info = np.empty((num_packets, num_users, info_bits), dtype=np.uint8)
-    tx_indices = np.empty((num_packets, num_sc, num_sym, num_users), dtype=np.int64)
     received = np.empty((num_packets, num_sc, num_sym, num_rx), dtype=np.complex128)
     for packet in range(num_packets):
         drawn = np.asarray(channel_sampler(packet, generator))
@@ -194,25 +193,22 @@ def simulate_link(
             )
         channels[packet] = drawn
         tx_info[packet] = generator.integers(0, 2, size=(num_users, info_bits))
-        coded = interleaver.interleave(
-            np.stack(
-                [
-                    config.puncturer.puncture(config.code.encode(bits))
-                    for bits in tx_info[packet]
-                ]
-            )
-        )  # (users, coded_bits)
-        indices = constellation.bits_to_indices(coded.reshape(-1)).reshape(
-            num_users, num_sym, num_sc
-        )
-        tx_indices[packet] = indices.transpose(2, 1, 0)
-        tx_symbols = constellation.points[indices.transpose(1, 2, 0)]
         # Noise is drawn one subcarrier at a time: that draw order, too,
-        # is part of every seeded result.
+        # is part of every seeded result.  The signal is added below.
         for sc in range(num_sc):
-            received[packet, sc] = apply_channel(
-                channels[packet, sc], tx_symbols[:, sc], noise_var, generator
-            )
+            received[packet, sc] = channel_noise((num_sym, num_rx), noise_var, generator)
+
+    # --- transmit: every (packet, user) stream encoded in one call --------
+    coded = interleaver.interleave(
+        config.puncturer.puncture(config.code.encode(tx_info.reshape(-1, info_bits)))
+    )  # packet, then user, then coded bit
+    indices = constellation.bits_to_indices(coded).reshape(num_packets, num_users, num_sym, num_sc)
+    tx_indices = indices.transpose(0, 3, 2, 1)
+    tx_symbols = constellation.points[indices.transpose(0, 2, 3, 1)]
+    for packet in range(num_packets):
+        for sc in range(num_sc):
+            # y = H s + n, each subcarrier's product as apply_channel forms it.
+            received[packet, sc] += tx_symbols[packet, :, sc] @ channels[packet, sc].T
 
     # --- detect: the packets stacked along the subcarrier axis -----------
     batch = engine.detect_batch(

@@ -63,11 +63,13 @@ def apply_channel(
             f"symbols have {symbols.shape[1]} streams but channel expects "
             f"{channel.shape[1]}"
         )
-    generator = as_rng(rng)
     clean = symbols @ channel.T
+    return clean + channel_noise(clean.shape, noise_var, rng)
+
+
+def channel_noise(shape, noise_var: float, rng=None) -> np.ndarray:
+    """The ``n`` of :func:`apply_channel`: complex Gaussian noise of total
+    variance ``noise_var``, the real parts drawn before the imaginary."""
+    generator = as_rng(rng)
     scale = np.sqrt(noise_var / 2.0)
-    noise = scale * (
-        generator.standard_normal(clean.shape)
-        + 1j * generator.standard_normal(clean.shape)
-    )
-    return clean + noise
+    return scale * (generator.standard_normal(shape) + 1j * generator.standard_normal(shape))

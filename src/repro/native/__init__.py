@@ -1,16 +1,19 @@
-"""The native lane: ``walk.c``, ``search.c`` and ``qr.c`` built as one
-object with the system compiler on first use, cached on disk, loaded
-through :mod:`ctypes` — no new dependency, no binary checked in, and
-every failure is the portable lane.
+"""The native lane: ``walk.c``, ``search.c``, ``qr.c`` and ``plan.c``
+built as one object with the system compiler on first use, cached on
+disk, loaded through :mod:`ctypes` — no new dependency, no binary checked
+in, and every failure is the portable lane.
 
-:func:`kernel` holds the object's three entry points, or is ``None``:
+:func:`kernel` holds the object's four entry points, or is ``None``:
 the one lane switch.  Its ``detect_group`` is what the detectors take:
 a whole group walked and decided in one GIL-free call, only indices,
 LLRs and counters written back.  Its ``tree_search`` is what
 :func:`~repro.flexcore.preprocessing.find_promising_paths_block`
 takes: every channel's §3.1.1 best-first heap in one call.  Its
 ``sorted_qr`` is what :func:`~repro.mimo.qr.stacked_sorted_qr` (and so
-``sorted_qr``) takes: a block's Wübben sorted QR in one call.  The lane is
+``sorted_qr``) takes: a block's Wübben sorted QR in one call.  Its
+``build_plan`` is what ``FlexCoreDetector._build_plan`` takes: a group's
+walk plan, LUT offsets included, written from the block's rows in one
+call.  The lane is
 resolved once per process and never at import: a ``DetectionService``
 resolves it when it is constructed — a 0.2-1 s compile must not land in
 a slot's flush — and a bare ``detect_prepared`` caller pays on its first
@@ -130,9 +133,11 @@ def _build(source: bytes, compiler: "list[str]", target: str) -> None:
 
 
 #: The sources compiled, in this order, into the one object.
-SOURCES = ("walk.c", "search.c", "qr.c")
+SOURCES = ("walk.c", "search.c", "qr.c", "plan.c")
 #: The entry points of that object: a cached one lacking any is stale.
-ENTRY_POINTS = ("flexcore_detect_group", "flexcore_tree_search", "flexcore_sorted_qr")
+ENTRY_POINTS = (
+    "flexcore_detect_group", "flexcore_tree_search", "flexcore_sorted_qr", "flexcore_build_plan"
+)  # fmt: skip
 
 
 def _source() -> bytes:
@@ -143,7 +148,7 @@ def _source() -> bytes:
 def _load(path: str) -> tuple:
     library = ctypes.CDLL(path)
     try:
-        group, search, qr = (getattr(library, name) for name in ENTRY_POINTS)
+        group, search, qr, plan = (getattr(library, name) for name in ENTRY_POINTS)
     except AttributeError:
         # Unmap it, or what is rebuilt at this path loads as this object again.
         _ctypes.dlclose(library._handle)
@@ -152,8 +157,10 @@ def _load(path: str) -> tuple:
     group.argtypes = [pointer] * 6 + [real, real] + [pointer] * 2 + [real, real] + [pointer] * 4
     search.argtypes = [pointer] * 8
     qr.argtypes = [pointer] * 5
+    plan.argtypes = [pointer] * 8 + [real, real] + [pointer] * 8
     group.restype = search.restype = qr.restype = None
-    return group, search, qr
+    plan.restype = ctypes.c_int64
+    return group, search, qr, plan
 
 
 def _resolve(environ=os.environ) -> tuple:
@@ -194,9 +201,18 @@ def _resolve(environ=os.environ) -> tuple:
             shutil.rmtree(private, ignore_errors=True)
 
 
-def _bind(fused, search, qr) -> types.SimpleNamespace:
-    """The object's three entry points as Python calls: ``detect_group``,
-    the walk, ``tree_search``, the §3.1.1 search, and ``sorted_qr``."""
+def _address(a: np.ndarray) -> int:
+    """Where ``a``'s data starts: through the buffer protocol when that can
+    export it (a third of what ``a.ctypes.data`` costs), else that."""
+    if a.nbytes and a.flags.writeable and a.flags.c_contiguous:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.ctypes.data
+
+
+def _bind(fused, search, qr, plan) -> types.SimpleNamespace:
+    """The object's four entry points as Python calls: ``detect_group``,
+    the walk, ``tree_search``, the §3.1.1 search, ``sorted_qr`` and
+    ``build_plan``."""
 
     def detect_group(half, rows, weights, offsets, swap_delta, clamp, edge, inverse,
                      table, noise_var, llr_clip, indices, llrs, counts, scratch, absolute=0):  # fmt: skip
@@ -237,10 +253,10 @@ def _bind(fused, search, qr) -> types.SimpleNamespace:
         dims = (ctypes.c_int64 * 11)(
             G, F, Nt, P, by_level, by_group, by_plane, offsets.itemsize, side, bits, absolute
         )  # fmt: skip
-        fused(dims, *(a.ctypes.data for a in (half, rows, weights, offsets, swap_delta)),
-              clamp, edge, inverse.ctypes.data, table.ctypes.data, noise_var, llr_clip,
-              indices.ctypes.data, None if llrs is None else llrs.ctypes.data,
-              counts.ctypes.data, scratch.ctypes.data)  # fmt: skip
+        fused(dims, *map(_address, (half, rows, weights, offsets, swap_delta)),
+              clamp, edge, _address(inverse), _address(table), noise_var, llr_clip,
+              _address(indices), None if llrs is None else _address(llrs),
+              _address(counts), _address(scratch))  # fmt: skip
 
     def tree_search(pe, num_paths, max_rank, batch_size, thresholds):
         """The §3.1.1 best-first heap searches of every row of ``pe``
@@ -266,10 +282,9 @@ def _bind(fused, search, qr) -> types.SimpleNamespace:
         tally = np.empty((channels, 4), dtype=np.int64)
         scratch = np.empty(2 * (1 + paths * (levels + 1)))  # (key, serial) pairs
         dims = (ctypes.c_int64 * 5)(channels, levels, *sizes)
-        search(dims, pe.ctypes.data, root.ctypes.data,
-               None if thresholds is None else thresholds.ctypes.data,
-               positions.ctypes.data, probabilities.ctypes.data,
-               tally.ctypes.data, scratch.ctypes.data)  # fmt: skip
+        search(dims, _address(pe), _address(root),
+               None if thresholds is None else _address(thresholds),
+               *map(_address, (positions, probabilities, tally, scratch)))  # fmt: skip
         return positions, probabilities, tally
 
     def sorted_qr(work):
@@ -286,13 +301,48 @@ def _bind(fused, search, qr) -> types.SimpleNamespace:
         channels, _, streams = work.shape
         q, r = np.zeros_like(work), np.zeros((channels, streams, streams), np.complex128)
         permutation = np.empty((channels, streams), dtype=np.int64)
-        qr((ctypes.c_int64 * 3)(*work.shape), work.ctypes.data, q.ctypes.data,
-           r.ctypes.data, permutation.ctypes.data)  # fmt: skip
+        qr((ctypes.c_int64 * 3)(*work.shape), *map(_address, (work, q, r, permutation)))
         return q, r, permutation
 
+    def build_plan(q, r, diag, permutation, members, scale, positions=None, paths=0, lut=None):
+        """The walk plan of rows ``members`` of a block whose QR is ``q``
+        ``(C, Nr, Nt)`` and ``r`` ``(C, Nt, Nt)`` complex128, ``diag``
+        ``(C, Nt)`` its real diagonal and ``permutation`` ``(C, Nt)`` int64:
+        ``q_conj``, ``inverse_permutation``, ``to_grid``, ``rows`` and
+        ``weights`` in the walk's layout, then — given ``positions`` ``(C,
+        >= paths, Nt)`` int64 ranks and the int8 / int16 ``(max_rank + 1,
+        2)`` ``lut`` — the first ``paths``' ``offsets`` and ``swap_delta``
+        ``(Nt, G, 1, 2, paths)`` stacked as one array, else ``None``."""
+        members = np.ascontiguousarray(members, dtype=np.int64)
+        q, r, diag, permutation = map(np.ascontiguousarray, (q, r, diag, permutation))
+        (C, Nr, Nt), G, stride = q.shape, len(members), 0
+        flat = [(q, "c16", (C, Nr, Nt)), (r, "c16", (C, Nt, Nt)), (diag, "f8", (C, Nt)),
+                (permutation, "i8", (C, Nt))]  # fmt: skip
+        pair, by_path = None, [None] * 5  # positions, lut, offsets, swap_delta, scratch
+        if positions is not None:
+            positions, stride = np.ascontiguousarray(positions), positions.shape[1]
+            flat.append((positions, "i8", (C, stride, Nt)))
+            if not (lut.dtype.char in "bh" and lut.shape[1:] == (2,) and 1 <= paths <= stride):
+                raise ValueError("build_plan: not the plan's layout")
+            pair = np.empty((2, Nt, G, 1, 2, paths), lut.dtype)
+            # The scratch: the LUT as packed quads, then plan.c's 64-path tile.
+            by_path = [positions, lut, *pair, np.empty(len(lut) + 64 * Nt, np.uint64)]
+        if not all(a.dtype == t and a.flags.c_contiguous and a.shape == n for a, t, n in flat):
+            raise ValueError("build_plan: not the plan's layout")
+        out = [np.empty((G, Nr, Nt), np.complex128), np.zeros((G, Nt), np.int64),
+               np.empty((G, 1, Nt)), np.empty((G, Nt, 2, 2 * Nt)), np.empty((G, Nt))]  # fmt: skip
+        item, rows = (lut.itemsize, len(lut)) if stride else (1, 1)
+        dims = (ctypes.c_int64 * 8)(C, G, Nr, Nt, paths if stride else 0, stride, item, rows)
+        pointers = [None if a is None else _address(a) for a in by_path]
+        if plan(dims, *map(_address, (members, q, r, diag, permutation)), *pointers[:2],
+                scale, scale**2, *map(_address, out), *pointers[2:]):  # fmt: skip
+            raise ValueError("build_plan: a member not a row, or a permutation not the columns'")
+        return (*out, pair)
+
     return types.SimpleNamespace(
-        detect_group=detect_group, tree_search=tree_search, sorted_qr=sorted_qr
-    )
+        detect_group=detect_group, tree_search=tree_search, sorted_qr=sorted_qr,
+        build_plan=build_plan,
+    )  # fmt: skip
 
 
 def _resolved() -> tuple:
@@ -304,14 +354,14 @@ def _resolved() -> tuple:
 
 
 def kernel() -> "types.SimpleNamespace | None":
-    """The native lane's ``detect_group``, ``tree_search`` and
-    ``sorted_qr``, or ``None``: this process's lane is portable."""
+    """The native lane's ``detect_group``, ``tree_search``, ``sorted_qr``
+    and ``build_plan``, or ``None``: this process's lane is portable."""
     return _resolved()[1]
 
 
 def status() -> dict:
     """Lane (``"native"`` / ``"portable"``), compiler, flags, cache path,
-    build seconds, failure reason, the entry points bound (all three
+    build seconds, failure reason, the entry points bound (all four
     or none), ``pes`` and ``run_flops`` of this process — JSON-friendly."""
     return dict(_resolved()[0])
 

@@ -244,21 +244,21 @@ class ContextCache:
     def _point(self, key: bytes, pair: "tuple[_Held, int]") -> None:
         """Point ``key`` at ``pair``, counting the rows held."""
         if key in self._entries:
-            self._release(self._entries[key][0])
-        self._entries[key] = pair
-        held = pair[0]
+            self._release([self._entries[key][0]])
+        held, _ = self._entries[key] = pair
         self._rows += 0 if held.live else len(held.keys)
         held.live += 1
 
-    def _release(self, held: _Held) -> None:
-        held.live -= 1
-        self._rows -= 0 if held.live else len(held.keys)
+    def _release(self, helds) -> None:
+        for held in helds:
+            held.live -= 1
+            self._rows -= 0 if held.live else len(held.keys)
 
     def _evict(self) -> None:
-        """Drop least recently used entries down to ``max_entries``."""
-        while len(self._entries) > self.max_entries:
-            self._release(self._entries.popitem(last=False)[1][0])
-            self.evictions += 1
+        """Drop least recently used entries down to ``max_entries``; one release loop."""
+        excess = max(len(self._entries) - self.max_entries, 0)
+        self._release([self._entries.popitem(last=False)[1][0] for _ in range(excess)])
+        self.evictions += excess
 
     def _compact(self, batch: int) -> None:
         """Keep the rows of the sequences the entries point into within

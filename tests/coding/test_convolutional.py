@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.coding.convolutional import ConvolutionalCode
 from repro.errors import ConfigurationError, DimensionError
+from tests.reference.convolutional import encode_bit_by_bit
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +84,37 @@ class TestEncoding:
     def test_non_binary_input_raises(self, code):
         with pytest.raises(DimensionError):
             code.encode(np.array([0, 2, 1]))
+        with pytest.raises(DimensionError):
+            code.encode(np.array([[0, 1], [1, 2]]))
+
+
+@st.composite
+def codes(draw):
+    """A code of constraint length 3-9 with one to three random generators."""
+    length = draw(st.integers(3, 9))
+    generators = draw(st.lists(st.integers(1, 2**length - 1), min_size=1, max_size=3))
+    return ConvolutionalCode(tuple(generators), length)
+
+
+class TestAgainstTheBitByBitEncoder:
+    """The vectorised encoder is the trellis walked one bit at a time
+    (``tests/reference/convolutional.py``), for any code, length and
+    termination, and a ``(rows, n)`` call is each row's own call."""
+
+    @given(codes(), st.integers(0, 300), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_one_vector(self, code, length, terminate, seed):
+        bits = np.random.default_rng(seed).integers(0, 2, length).astype(np.uint8)
+        coded = code.encode(bits, terminate)
+        assert coded.dtype == np.uint8
+        assert np.array_equal(coded, encode_bit_by_bit(code, bits, terminate))
+        assert coded.size == code.coded_length(length, terminate)
+
+    @given(codes(), st.integers(0, 5), st.integers(0, 300), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_encoded_each_on_its_own(self, code, rows, length, seed):
+        bits = np.random.default_rng(seed).integers(0, 2, (rows, length)).astype(np.uint8)
+        coded = code.encode(bits)
+        assert coded.shape == (rows, code.coded_length(length))
+        for row, expected in zip(coded, bits):
+            assert np.array_equal(row, encode_bit_by_bit(code, expected))

@@ -24,7 +24,9 @@ import json
 import multiprocessing
 import os
 import signal
+import time
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -192,6 +194,38 @@ def test_hung_worker_is_recovered():
         restarts_after_recovery = len(coordinator.restarts)
         coordinator.ping()
         assert len(coordinator.restarts) == restarts_after_recovery
+
+
+def test_hung_workers_share_one_round_deadline():
+    """Two workers SIGSTOPped before one ``ping`` are both found hung
+    within one reply timeout (plus 10 %) of the round's sends, not one
+    timeout after the other.  Time spent recovering the first worker is
+    not counted against the second: its wait had already run out."""
+    timeout = 0.5
+    with FarmCoordinator(make_config(cells=2), 2, reply_timeout_s=timeout) as coordinator:
+        sends, found, recovering = [], [], [0.0]
+        send, recover = coordinator._send, coordinator._recover
+
+        def timed_send(handle, message):
+            send(handle, message)
+            sends.append(time.monotonic())
+
+        def timed_recover(handle, failure, phase):
+            found.append((failure.reason, time.monotonic() - recovering[0]))
+            start = time.monotonic()
+            recover(handle, failure, phase)
+            recovering[0] += time.monotonic() - start
+
+        for handle in coordinator._handles:
+            os.kill(handle.process.pid, signal.SIGSTOP)
+        with mock.patch.object(coordinator, "_send", timed_send), mock.patch.object(
+            coordinator, "_recover", timed_recover
+        ):
+            replies = coordinator.ping()
+    assert [reply["type"] for reply in replies] == ["pong", "pong"]
+    # sends[:2] are the round's; a recovery's ping comes after them.
+    assert [reason for reason, _ in found] == ["hung", "hung"]
+    assert [at - sends[1] <= 1.1 * timeout for _, at in found] == [True, True], found
 
 
 def test_max_restarts_exhaustion_is_typed():

@@ -5,7 +5,7 @@ import pytest
 
 from repro.api import UplinkStack
 from repro.channel.testbed import IndoorTestbed
-from repro.coding import ViterbiDecoder
+from repro.coding import ConvolutionalCode, ViterbiDecoder
 from repro.detectors.linear import MmseDetector, ZfDetector
 from repro.errors import LinkSimulationError
 from repro.experiments import linkruns
@@ -194,6 +194,23 @@ class TestOneBatchPerRun:
             use_soft=use_soft,
         )
         assert sorted(calls) == ["decode_soft_batch", "detect_batch"]
+
+    def test_one_encode_per_run(self, config, monkeypatch):
+        """Every (packet, user) stream of a run is encoded in one call."""
+        shapes = []
+        encode = ConvolutionalCode.encode
+
+        def spy(self, bits, *args, **kwargs):
+            shapes.append(np.shape(bits))
+            return encode(self, bits, *args, **kwargs)
+
+        monkeypatch.setattr(ConvolutionalCode, "encode", spy)
+        simulate_link(
+            config, FlexCoreDetector(config.system, num_paths=8), 12.0, 5,
+            rayleigh_sampler(config), rng=3,
+        )  # fmt: skip
+        users = config.system.num_streams
+        assert shapes == [(5 * users, config.info_bits_per_packet)]
 
     def test_testbed_factory_draws_its_trace_once(self, config, monkeypatch):
         built = []

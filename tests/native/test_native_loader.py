@@ -174,14 +174,15 @@ class TestTheCache:
         assert resolved[0]["cache"] == first["cache"] and resolved[0]["build_s"] > 0.0
         assert detects_correctly(resolved)
 
-    def test_all_three_entry_points_are_bound_from_the_one_object(self, tmp_path):
+    def test_all_four_entry_points_are_bound_from_the_one_object(self, tmp_path):
         (status, kernel), caught = resolve(tmp_path)
         assert not caught and status["entry_points"] == list(native.ENTRY_POINTS)
         assert status["entry_points"] == [
-            "flexcore_detect_group", "flexcore_tree_search", "flexcore_sorted_qr"
+            "flexcore_detect_group", "flexcore_tree_search", "flexcore_sorted_qr",
+            "flexcore_build_plan",
         ]  # fmt: skip
         assert callable(kernel.detect_group) and callable(kernel.tree_search)
-        assert callable(kernel.sorted_qr)
+        assert callable(kernel.sorted_qr) and callable(kernel.build_plan)
         assert status["pes"] == len(os.sched_getaffinity(0)) and status["run_flops"] == native.RUN_FLOPS
         assert os.listdir(tmp_path / "cache" / "repro-flexcore") == [Path(status["cache"]).name]
 
@@ -193,7 +194,7 @@ class TestTheCache:
     def test_the_object_exports_the_entry_points_and_nothing_else(
         self, tmp_path, symbol, exported
     ):
-        """The shared object's dynamic symbols are its three entry points:
+        """The shared object's dynamic symbols are its four entry points:
         the tile walk is gone, and the frame walk the fused call shares
         stays internal to ``walk.c``, as the heap's ``mul`` stays internal
         to ``search.c``."""
@@ -208,8 +209,8 @@ class TestTheCache:
         ids=[f"lacking-{name}" for name in native.ENTRY_POINTS],
     )  # fmt: skip
     def test_an_object_lacking_an_entry_point_is_rebuilt_once(self, tmp_path, present):
-        """A kernel that loads but lacks the fused walk, the tree search or
-        the QR must not leave the process on the portable lane for any: it
+        """A kernel that loads but lacks the fused walk, the tree search,
+        the QR or the plan builder must not leave the process on the portable lane for any: it
         is unmapped and rebuilt where it lies, as a truncated one is."""
         (first, _), _ = resolve(tmp_path)
         stale = tmp_path / "stale.so"
@@ -228,6 +229,7 @@ class TestTheCache:
             "assert native.kernel().detect_group is not None\n"
             "assert native.kernel().tree_search is not None\n"
             "assert native.kernel().sorted_qr is not None\n"
+            "assert native.kernel().build_plan is not None\n"
             "subprocess.run = None\n"
             "native._RESOLVED = None\n"
             "print(json.dumps([status, native.status()]))\n"
